@@ -263,6 +263,35 @@ func TestFutureWaitDeadline(t *testing.T) {
 	}
 }
 
+// A reply that is already buffered when Wait starts is returned without
+// arming a deadline timer — and, as before, even when the deadline has
+// passed meanwhile.
+func TestFutureWaitReplyAlreadyThere(t *testing.T) {
+	clock := simtime.NewVirtual(time.Unix(1000, 0))
+	s, c := newPair(t, ServerOptions{}, CallerOptions{Clock: clock})
+	s.Handle("echo", func(req *wire.Message) (*wire.Message, error) {
+		return &wire.Message{Kind: wire.KindReply, Payload: req.Payload}, nil
+	})
+	for name, advance := range map[string]time.Duration{"before deadline": 0, "past deadline": 2 * time.Second} {
+		fut := c.Go(&Call{Topic: "echo", Payload: []byte(name), Timeout: time.Second})
+		for waited := time.Duration(0); len(fut.w.ch) == 0; waited += time.Millisecond {
+			if waited > 10*time.Second {
+				t.Fatalf("%s: reply never reached the future", name)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		clock.Advance(advance)
+		timers := clock.Pending()
+		m, err := fut.Wait()
+		if err != nil || string(m.Payload) != name {
+			t.Fatalf("%s: Wait = %v, %v, want the buffered reply", name, m, err)
+		}
+		if got := clock.Pending(); got != timers {
+			t.Fatalf("%s: Wait left %d timers pending, was %d", name, got, timers)
+		}
+	}
+}
+
 // The periodic sweep resolves futures nobody waits on, so abandoned calls do
 // not pin waiter-map entries until the connection dies.
 func TestSweepResolvesAbandonedWaiters(t *testing.T) {

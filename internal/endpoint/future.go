@@ -51,6 +51,15 @@ func (f *Future) Wait() (*wire.Message, error) {
 	if f.done {
 		return f.m, f.err
 	}
+	// A pipelining caller usually finds the reply already there. Take it
+	// before arming a timer: an abandoned timer stays allocated until it
+	// fires, a whole call timeout later.
+	select {
+	case r := <-f.w.ch:
+		f.settleLocked(r)
+		return f.m, f.err
+	default:
+	}
 	var timer <-chan time.Time
 	if !f.deadline.IsZero() {
 		remaining := f.deadline.Sub(f.clock.Now())

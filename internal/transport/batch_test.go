@@ -179,24 +179,7 @@ func TestSimBatchTruncatedTailCounted(t *testing.T) {
 // Race stress over the batched TCP path: concurrent senders on both sides of
 // a real socket, every frame delivered intact. Run with -race.
 func TestTCPBatchedConcurrentSendStress(t *testing.T) {
-	tr := NewTCP(nil)
-	defer tr.Close()
-	l, err := tr.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	conn, err := tr.Dial(l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := <-accepted
+	conn, srv := tcpPair(t)
 
 	const senders, per = 8, 50
 	var wg sync.WaitGroup

@@ -15,17 +15,20 @@ import (
 // connection can interleave codecs; this transport encodes with the codec
 // given at construction and decodes whatever tag each inbound frame carries.
 //
-// The send path coalesces: concurrent senders share a wire.BatchWriter, so
-// under load many frames leave in one syscall, and a steady-state send
-// allocates nothing. The receive path reads through a wire.FrameReader,
-// slicing a batch apart out of one buffered read.
+// The send path coalesces: a connection's senders share a wire.BatchWriter
+// that knows the connection's reader, so while replies are still owed to the
+// peer (more frames received than sent — a pipelined server) many frames
+// leave in one syscall, on one processor too; a connection with one request
+// in flight, or one that only sends, writes each frame at once. A
+// steady-state send allocates nothing. The receive path reads through a
+// wire.FrameReader, slicing a batch apart out of one buffered read.
 type TCP struct {
 	codec wire.Codec
 
 	mu        sync.Mutex
 	closed    bool
 	listeners []net.Listener
-	conns     []*tcpConn
+	conns     map[*tcpConn]struct{} // live connections; Close on one removes it
 }
 
 var _ Transport = (*TCP)(nil)
@@ -36,7 +39,7 @@ func NewTCP(codec wire.Codec) *TCP {
 	if codec == nil {
 		codec = wire.Binary{}
 	}
-	return &TCP{codec: codec}
+	return &TCP{codec: codec, conns: make(map[*tcpConn]struct{})}
 }
 
 // Name implements Transport.
@@ -87,7 +90,10 @@ func (t *TCP) Close() error {
 	}
 	t.closed = true
 	listeners := t.listeners
-	conns := t.conns
+	conns := make([]*tcpConn, 0, len(t.conns))
+	for c := range t.conns {
+		conns = append(conns, c)
+	}
 	t.mu.Unlock()
 	for _, l := range listeners {
 		_ = l.Close()
@@ -100,12 +106,14 @@ func (t *TCP) Close() error {
 
 func (t *TCP) wrap(nc net.Conn) *tcpConn {
 	c := &tcpConn{
+		t:  t,
 		nc: nc,
 		fr: wire.NewFrameReader(nc),
 		bw: wire.NewBatchWriter(nc, t.codec),
 	}
+	c.bw.ReplyTo(c.fr)
 	t.mu.Lock()
-	t.conns = append(t.conns, c)
+	t.conns[c] = struct{}{}
 	t.mu.Unlock()
 	return c
 }
@@ -131,6 +139,7 @@ func (l *tcpListener) Addr() string { return l.nl.Addr().String() }
 func (l *tcpListener) Close() error { return l.nl.Close() }
 
 type tcpConn struct {
+	t  *TCP
 	nc net.Conn
 	fr *wire.FrameReader
 	bw *wire.BatchWriter
@@ -161,7 +170,12 @@ func (c *tcpConn) Recv() (*wire.Message, error) {
 }
 
 func (c *tcpConn) Close() error {
-	c.closeOnce.Do(func() { c.closeErr = c.nc.Close() })
+	c.closeOnce.Do(func() {
+		c.closeErr = c.nc.Close()
+		c.t.mu.Lock()
+		delete(c.t.conns, c)
+		c.t.mu.Unlock()
+	})
 	return c.closeErr
 }
 

@@ -196,7 +196,7 @@ func TestBatchWriterCoalescesConcurrentSenders(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	frames, batches := bw.Stats()
+	frames, batches, _ := bw.Stats()
 	if frames != senders+1 {
 		t.Fatalf("frames = %d, want %d", frames, senders+1)
 	}
@@ -224,6 +224,88 @@ func TestBatchWriterCoalescesConcurrentSenders(t *testing.T) {
 	}
 	if len(seen) != senders+1 {
 		t.Fatalf("read %d distinct frames, want %d", len(seen), senders+1)
+	}
+}
+
+// Behind a writer that stays blocked the follower path is bounded: once more
+// than maxRetainedScratch bytes are queued, further senders wait for the
+// leader to take them instead of growing pending, and every frame still
+// arrives, in order, after release.
+func TestBatchWriterBoundsPendingBehindBlockedWriter(t *testing.T) {
+	w := &blockingWriter{gate: make(chan struct{}), blocked: make(chan struct{})}
+	bw := NewBatchWriter(w, Binary{})
+	msg := func(id int) *Message {
+		return &Message{ID: uint64(id), Kind: KindData, Payload: make([]byte, 64<<10)}
+	}
+	frame, err := AppendMessageFrame(nil, Binary{}, msg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pendingLen := func() int {
+		bw.mu.Lock()
+		defer bw.mu.Unlock()
+		return len(bw.pending)
+	}
+
+	firstDone := make(chan error, 1)
+	go func() { firstDone <- bw.Send(msg(1)) }()
+	<-w.blocked
+
+	// Followers return at once until the bound is crossed...
+	next := 2
+	for pendingLen() <= maxRetainedScratch {
+		if err := bw.Send(msg(next)); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	// ...and from there they wait.
+	const waiters = 4
+	started := make(chan struct{}, waiters)
+	done := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func(id int) {
+			started <- struct{}{}
+			done <- bw.Send(msg(id))
+		}(next + i)
+	}
+	for i := 0; i < waiters; i++ {
+		<-started
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("a sender past the bound returned (%v) while the flush was blocked", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if n := pendingLen(); n > maxRetainedScratch+len(frame) {
+		t.Fatalf("pending = %d bytes, bound is %d + one %d-byte frame", n, maxRetainedScratch, len(frame))
+	}
+
+	close(w.gate)
+	if err := <-firstDone; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < waiters; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	total := next + waiters - 1
+	w.mu.Lock()
+	fr := NewFrameReader(bytes.NewReader(w.buf.Bytes()))
+	defer w.mu.Unlock()
+	for id := 1; id <= total; id++ {
+		m, err := fr.ReadMessage()
+		if err != nil {
+			t.Fatalf("frame %d/%d: %v", id, total, err)
+		}
+		// The waiters raced each other; everything before them is ordered.
+		if id < next && m.ID != uint64(id) {
+			t.Fatalf("frame %d carries id %d", id, m.ID)
+		}
+	}
+	if _, err := fr.ReadMessage(); !errors.Is(err, io.EOF) {
+		t.Fatalf("trailing read = %v, want EOF", err)
 	}
 }
 

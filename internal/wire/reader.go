@@ -7,12 +7,19 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync/atomic"
 )
 
 // frameReaderBuffer is the bufio read-ahead size for FrameReader. One read
 // syscall typically pulls in a whole coalesced batch of frames, which the
 // reader then slices apart without touching the kernel again.
 const frameReaderBuffer = 64 << 10
+
+// yieldBatchCap is the pending size past which a BatchWriter flush leader
+// writes at once instead of yielding for more frames: the write's fixed cost
+// is already amortized over that many bytes, and every frame a yield adds is
+// one more message the peer decodes and holds at the same time.
+const yieldBatchCap = 4 << 10
 
 // maxRetainedScratch bounds the scratch buffer a FrameReader (or BatchWriter)
 // keeps across frames. One oversized message must not pin its worth of memory
@@ -30,11 +37,12 @@ const maxRetainedScratch = 1 << 20
 // decoded messages are safe to retain indefinitely.
 //
 // FrameReader is not safe for concurrent use; a connection's single receive
-// loop owns it.
+// loop owns it. Frames alone may be called from any goroutine.
 type FrameReader struct {
 	br      *bufio.Reader
 	scratch []byte
-	header  [5]byte // reused header buffer; a stack array would escape through io.ReadFull
+	header  [5]byte       // reused header buffer; a stack array would escape through io.ReadFull
+	frames  atomic.Uint64 // frames read; the one field other goroutines may read (Frames)
 }
 
 // NewFrameReader returns a FrameReader over r.
@@ -80,8 +88,14 @@ func (fr *FrameReader) Next() (contentType byte, body []byte, err error) {
 	if cap(fr.scratch) > maxRetainedScratch {
 		fr.scratch = nil // do not pin one huge frame's buffer forever
 	}
+	fr.frames.Add(1)
 	return contentType, body, nil
 }
+
+// Frames reports how many frames Next has returned. It is safe to call
+// concurrently with the receive loop: the connection's BatchWriter compares
+// it with the frames it has accepted to tell whether a reply is still owed.
+func (fr *FrameReader) Frames() uint64 { return fr.frames.Load() }
 
 // ReadMessage reads the next frame and decodes it with the codec named by its
 // content-type tag. The returned message owns all its memory (codecs copy out
