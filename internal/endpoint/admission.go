@@ -373,6 +373,11 @@ func (a *admitter) setQuota(r, quota int) int {
 		a.mu.Unlock()
 		return q
 	}
+	// The caller is not one of the server's goroutines, and promotion below
+	// may start a worker: hold s.wg across it. a.mu orders this Add before
+	// close(), which Server.Close calls before it waits.
+	a.srv.wg.Add(1)
+	defer a.srv.wg.Done()
 	delta := quota - a.quota[r]
 	if delta > a.sharedCap {
 		delta = a.sharedCap

@@ -10,8 +10,10 @@
 //     over one connection by correlation ID, applies per-call deadlines, and
 //     (optionally) re-dials after a connection failure.
 //   - Server: accepts connections, dispatches each inbound request to a
-//     topic handler in its own goroutine (no head-of-line blocking), and
-//     writes the correlated reply.
+//     topic handler on a handler goroutine of its own, reused between
+//     requests (no head-of-line blocking; reused because a new goroutine
+//     would outgrow and copy its first stack while encoding every reply),
+//     and writes the correlated reply.
 //
 // Both halves run their traffic through a composable interceptor chain —
 // retry with jittered exponential backoff, metrics, deadline propagation,

@@ -3,6 +3,7 @@ package endpoint
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ndsm/internal/obs"
@@ -58,8 +59,13 @@ type ServerOptions struct {
 }
 
 // Server is the listening half of the endpoint: it accepts connections and
-// dispatches each inbound request to its topic handler in a fresh goroutine,
-// so a slow handler never head-of-line blocks a connection.
+// dispatches each inbound request to its topic handler on a handler goroutine
+// of its own, so a slow handler never head-of-line blocks a connection. The
+// goroutines are reused between requests — one that has finished parks for
+// the next request instead of exiting — because a new goroutine starts on the
+// runtime's smallest stack and outgrows it while encoding its reply: the
+// stack copy was a fifth of the server's CPU at capacity, and a goroutine
+// that has served one request already has the depth the next one needs.
 type Server struct {
 	listener transport.Listener
 	opts     ServerOptions
@@ -77,6 +83,16 @@ type Server struct {
 	rec      *reqlog.Recorder
 	recLanes map[string]Lane
 	clock    simtime.Clock
+
+	// tasks hands a request to a parked worker. It is unbuffered on purpose:
+	// a non-blocking send succeeds exactly when a worker is blocked receiving,
+	// so a request is never left waiting behind a busy one. quit, closed by
+	// Close, wakes the parked workers so they exit; parked counts them.
+	tasks  chan task
+	quit   chan struct{}
+	parked atomic.Int32
+	// started counts worker goroutines ever started (read by tests).
+	started atomic.Int64
 
 	mu       sync.Mutex
 	handlers map[string]Handler
@@ -110,6 +126,8 @@ func NewServer(l transport.Listener, opts ServerOptions) *Server {
 		oneway:   make(map[wire.Kind]bool, len(opts.OneWayKinds)),
 		handlers: make(map[string]Handler),
 		conns:    make(map[transport.Conn]struct{}),
+		tasks:    make(chan task),
+		quit:     make(chan struct{}),
 		rec:      opts.ReqLog,
 		clock:    clock,
 	}
@@ -184,7 +202,8 @@ func (s *Server) LaneQuota(lane Lane) int {
 }
 
 // Close stops accepting, closes all connections, and waits for in-flight
-// handlers. Queued (admitted-pending) requests are dropped.
+// handlers and for every parked handler goroutine to exit. Queued
+// (admitted-pending) requests are dropped.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -192,6 +211,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	close(s.quit)
 	conns := make([]transport.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
@@ -274,49 +294,101 @@ func (s *Server) serveConn(conn transport.Conn) {
 	}
 }
 
-// spawn dispatches req on its own goroutine, releasing the admission slot —
-// and promoting queued work onto it — when the handler finishes. The token
-// release lives here and nowhere else: whichever path admitted the request
-// (straight off the read loop or out of a lane queue), the slot cannot leak
-// or double-free. One-way kinds run the handler and write nothing back.
-// wait is how long the request sat in an admission queue before dispatch
-// (zero off the read loop), carried onto its wide event.
+// maxParked bounds the handler goroutines kept parked between requests. It
+// bounds memory held while idle, not concurrency: a request that finds nobody
+// parked gets a new goroutine, and a worker that finds the set full exits.
+const maxParked = 256
+
+// task is one admitted request on its way to a handler goroutine. wait is how
+// long it sat in an admission queue before dispatch (zero off the read loop),
+// carried onto its wide event.
+type task struct {
+	req  *wire.Message
+	conn transport.Conn
+	tok  admitToken
+	wait time.Duration
+}
+
+// spawn dispatches req on a handler goroutine of its own, reused between
+// requests: a parked worker takes it if one exists, otherwise a new worker
+// starts — either way the request runs at once and for as long as its
+// handler takes, and nothing queues behind a busy worker. Reuse is for the
+// stack: a worker that has sent one reply has already grown to the depth a
+// dispatch and an encode need, where a new goroutine would copy its stack on
+// every request. The callers hold s.wg (a connection's read loop, a worker
+// releasing its slot, setQuota), so the Add below never meets Close's Wait
+// at zero.
 func (s *Server) spawn(req *wire.Message, conn transport.Conn, tok admitToken, wait time.Duration) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer s.adm.release(tok) // deferred LIFO: release precedes wg.Done
-		var start time.Time
-		if s.rec != nil {
-			start = s.clock.Now()
-		}
-		if s.oneway[req.Kind] {
-			_, err := s.dispatch(req)
-			if s.rec != nil {
-				now := s.clock.Now()
-				s.recordDispatch(req, wait, now.Sub(start), now, err)
-			}
-			return
-		}
-		reply, err := s.dispatch(req)
-		if s.rec != nil {
-			now := s.clock.Now()
-			s.recordDispatch(req, wait, now.Sub(start), now, err)
-		}
-		if err != nil {
-			reply = &wire.Message{Kind: wire.KindError, Payload: []byte(err.Error())}
-		} else if reply == nil {
-			reply = &wire.Message{Kind: wire.KindAck}
-		}
-		reply.Corr = req.ID
-		if reply.Topic == "" {
-			reply.Topic = req.Topic
-		}
-		if reply.Src == "" {
-			reply.Src = s.opts.Name
-		}
-		_ = conn.Send(reply)
-	}()
+	t := task{req: req, conn: conn, tok: tok, wait: wait}
+	select {
+	case s.tasks <- t:
+	default:
+		s.wg.Add(1)
+		s.started.Add(1)
+		go s.work(t)
+	}
+}
+
+// work is a handler goroutine: it runs the request it was started for, then
+// every request it is handed while parked, until park sends it home.
+func (s *Server) work(t task) {
+	defer s.wg.Done()
+	for ok := true; ok; t, ok = s.park() {
+		s.run(t)
+	}
+}
+
+// park blocks until spawn hands this worker its next request; false means
+// exit instead, because Close has begun or maxParked workers are parked
+// already. A parked worker holds no request, token or connection — only its
+// stack and its count in s.wg — and neither parking nor waking reads a clock.
+func (s *Server) park() (task, bool) {
+	if s.parked.Add(1) > maxParked {
+		s.parked.Add(-1)
+		return task{}, false
+	}
+	defer s.parked.Add(-1)
+	select {
+	case t := <-s.tasks:
+		return t, true
+	case <-s.quit:
+		return task{}, false
+	}
+}
+
+// run serves one request and releases its admission slot — promoting queued
+// work onto it — when the handler finishes. The token release lives here and
+// nowhere else: whichever path admitted the request (straight off the read
+// loop or out of a lane queue), the slot cannot leak or double-free. One-way
+// kinds run the handler and write nothing back.
+func (s *Server) run(t task) {
+	defer s.adm.release(t.tok)
+	req := t.req
+	var start time.Time
+	if s.rec != nil {
+		start = s.clock.Now()
+	}
+	reply, err := s.dispatch(req)
+	if s.rec != nil {
+		now := s.clock.Now()
+		s.recordDispatch(req, t.wait, now.Sub(start), now, err)
+	}
+	if s.oneway[req.Kind] {
+		return
+	}
+	if err != nil {
+		reply = &wire.Message{Kind: wire.KindError, Payload: []byte(err.Error())}
+	} else if reply == nil {
+		reply = &wire.Message{Kind: wire.KindAck}
+	}
+	reply.Corr = req.ID
+	if reply.Topic == "" {
+		reply.Topic = req.Topic
+	}
+	if reply.Src == "" {
+		reply.Src = s.opts.Name
+	}
+	_ = t.conn.Send(reply)
 }
 
 // reject answers a shed request with a HeaderShed-marked KindError reply

@@ -100,7 +100,7 @@ func clientOutcome(err error) string {
 }
 
 // recordDispatch emits the server-side wide event for a dispatched request.
-// Called from the spawn goroutine after the handler returns; s.rec is nil
+// Called from the handler goroutine after the handler returns; s.rec is nil
 // when no recorder was configured (checked by the caller, so the disabled
 // path costs one nil test).
 func (s *Server) recordDispatch(req *wire.Message, wait, latency time.Duration, now time.Time, handlerErr error) {
