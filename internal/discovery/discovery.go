@@ -5,7 +5,7 @@
 //   - Centralized: a registry server over any Transport (Server/Client),
 //   - Distributed: TTL-bounded query flooding with reverse-path replies and
 //     optional advertisement gossip (Agent),
-//   - Hybrid: mirrored registries for scalability and fail-over (Mirrored),
+//   - Hybrid: replicated registry members with fail-over (discovery/cluster),
 //   - Adaptive: picks centralized or distributed per operation from the
 //     observed environment — local density and registry health (Adaptive).
 //
@@ -27,7 +27,7 @@ import (
 )
 
 // Resolver is the uniform discovery API every organization implements —
-// centralized client, flood agent, mirrored, adaptive, the sharded cluster
+// centralized client, flood agent, adaptive, the sharded cluster
 // resolver, and the lease cache that can wrap any of them. Consumers (core
 // bindings, the health watcher, command wiring) depend on nothing more
 // concrete than this.

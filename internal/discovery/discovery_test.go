@@ -483,85 +483,16 @@ func TestFloodDedupSuppression(t *testing.T) {
 	}
 }
 
-// --- hybrid (mirrored) organization ---
-
-// failingRegistry always errors (a crashed mirror).
+// failingRegistry always errors (a crashed registry).
 type failingRegistry struct{}
 
-func (failingRegistry) Register(*svcdesc.Description) error { return errors.New("mirror down") }
-func (failingRegistry) Unregister(string) error             { return errors.New("mirror down") }
-func (failingRegistry) Renew(string) error                  { return errors.New("mirror down") }
+func (failingRegistry) Register(*svcdesc.Description) error { return errors.New("registry down") }
+func (failingRegistry) Unregister(string) error             { return errors.New("registry down") }
+func (failingRegistry) Renew(string) error                  { return errors.New("registry down") }
 func (failingRegistry) Lookup(*svcdesc.Query) ([]*svcdesc.Description, error) {
-	return nil, errors.New("mirror down")
+	return nil, errors.New("registry down")
 }
 func (failingRegistry) Close() error { return nil }
-
-func TestMirroredNeedsMirror(t *testing.T) {
-	if _, err := NewMirrored(); err == nil {
-		t.Fatal("zero mirrors accepted")
-	}
-}
-
-func TestMirroredWritesToAll(t *testing.T) {
-	s1, s2 := NewStore(nil, 0), NewStore(nil, 0)
-	m, err := NewMirrored(s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register(desc("n1", "svc")); err != nil {
-		t.Fatal(err)
-	}
-	if s1.Len() != 1 || s2.Len() != 1 {
-		t.Fatalf("mirrors have %d/%d entries", s1.Len(), s2.Len())
-	}
-}
-
-func TestMirroredSurvivesFailedMirror(t *testing.T) {
-	healthy := NewStore(nil, 0)
-	m, err := NewMirrored(failingRegistry{}, healthy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := desc("n1", "svc")
-	if err := m.Register(d); err != nil {
-		t.Fatalf("register with one healthy mirror: %v", err)
-	}
-	got, err := m.Lookup(&svcdesc.Query{Name: "svc"})
-	if err != nil || len(got) != 1 {
-		t.Fatalf("lookup = %v, %v", got, err)
-	}
-	if err := m.Unregister(d.Key()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMirroredAllFailed(t *testing.T) {
-	m, err := NewMirrored(failingRegistry{}, failingRegistry{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register(desc("n1", "svc")); err == nil {
-		t.Fatal("register with all mirrors down succeeded")
-	}
-	if _, err := m.Lookup(&svcdesc.Query{}); err == nil {
-		t.Fatal("lookup with all mirrors down succeeded")
-	}
-}
-
-func TestMirroredRoundRobin(t *testing.T) {
-	s1, s2 := NewStore(nil, 0), NewStore(nil, 0)
-	m, _ := NewMirrored(s1, s2)
-	_ = m.Register(desc("n1", "svc"))
-	for i := 0; i < 4; i++ {
-		if _, err := m.Lookup(&svcdesc.Query{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := m.Ops.Snapshot()
-	if snap["lookup_ok_0"] != 2 || snap["lookup_ok_1"] != 2 {
-		t.Fatalf("round robin uneven: %v", snap)
-	}
-}
 
 // --- adaptive organization ---
 
@@ -727,57 +658,6 @@ func TestUnknownTopicError(t *testing.T) {
 	}
 	if snap := srv.Requests.Snapshot(); snap["disc.bogus"] != 1 {
 		t.Fatalf("unknown topic not counted: %v", snap)
-	}
-}
-
-func TestMirroredReconcile(t *testing.T) {
-	s1, s2 := NewStore(nil, 0), NewStore(nil, 0)
-	m, err := NewMirrored(s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Divergence: one entry only in s1, one only in s2, one in both.
-	if err := s1.Register(desc("only-1", "svc")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Register(desc("only-2", "svc")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register(desc("both", "svc")); err != nil {
-		t.Fatal(err)
-	}
-	repaired, err := m.Reconcile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repaired != 2 {
-		t.Fatalf("repaired = %d, want 2", repaired)
-	}
-	if s1.Len() != 3 || s2.Len() != 3 {
-		t.Fatalf("mirror sizes %d/%d, want 3/3", s1.Len(), s2.Len())
-	}
-	// Converged: a second round repairs nothing.
-	repaired, err = m.Reconcile()
-	if err != nil || repaired != 0 {
-		t.Fatalf("second reconcile = %d, %v", repaired, err)
-	}
-}
-
-func TestMirroredReconcileSkipsDownMirror(t *testing.T) {
-	healthy := NewStore(nil, 0)
-	m, err := NewMirrored(healthy, failingRegistry{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := healthy.Register(desc("n1", "svc")); err != nil {
-		t.Fatal(err)
-	}
-	repaired, err := m.Reconcile()
-	if err != nil || repaired != 0 {
-		t.Fatalf("reconcile with down mirror = %d, %v", repaired, err)
-	}
-	if m.Ops.Get("reconcile_skip_1") != 1 {
-		t.Fatalf("ops = %v", m.Ops.Snapshot())
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package endpoint is the middleware's single request/reply substrate: one
 // generic correlated-exchange engine over any transport.Transport, shared by
-// the discovery registry protocol, the RPC interaction style, the message
-// queue client, and the kernel's consumer bindings — layers that previously
-// each hand-rolled their own pending-map, demux loop, and timeout handling.
+// the discovery registry protocol, the clients of all four interaction styles
+// (and the RPC and tuple-space servers), and the kernel's consumer bindings —
+// layers that once each hand-rolled a pending-map, a demux loop and timeouts.
 //
 // The engine has two halves:
 //

@@ -2,6 +2,13 @@
 // "message-based techniques" [64,65]): named FIFO queues on a broker, with
 // push, blocking pop (long-poll), and bounded depth. Producers and consumers
 // are fully decoupled in time — the asynchrony §3.6 demands.
+//
+// The Client is an endpoint.Caller, like the clients of the other three
+// styles. The Broker keeps its own read loop, because order is its contract:
+// pushes pipelined on one connection are enqueued inline, in the order they
+// arrived, and endpoint.Server runs every request on a goroutine of its own
+// (TestPushAsyncPipelined fails on it at once). Only long-polling pops leave
+// the loop.
 package mq
 
 import (
@@ -334,13 +341,7 @@ func (c *Client) request(topic string, headers map[string]string, payload []byte
 		Timeout: endpoint.NoTimeout,
 	})
 	if err != nil {
-		if re, ok := endpoint.IsRemote(err); ok {
-			return nil, decodeErr([]byte(re.Msg))
-		}
-		if errors.Is(err, endpoint.ErrClosed) || errors.Is(err, endpoint.ErrUnavailable) {
-			return nil, ErrClosed
-		}
-		return nil, fmt.Errorf("mq: %w", err)
+		return nil, clientErr(err)
 	}
 	return m, nil
 }
@@ -373,15 +374,8 @@ type PushHandle struct{ fut *endpoint.Future }
 // Wait blocks for the acknowledgement and returns Push's error (nil once
 // the item is durably queued, ErrQueueFull/ErrClosed/... otherwise).
 func (h *PushHandle) Wait() error {
-	_, err := h.fut.Wait()
-	if err != nil {
-		if re, ok := endpoint.IsRemote(err); ok {
-			return decodeErr([]byte(re.Msg))
-		}
-		if errors.Is(err, endpoint.ErrClosed) || errors.Is(err, endpoint.ErrUnavailable) {
-			return ErrClosed
-		}
-		return fmt.Errorf("mq: %w", err)
+	if _, err := h.fut.Wait(); err != nil {
+		return clientErr(err)
 	}
 	return nil
 }
@@ -413,16 +407,21 @@ func (c *Client) Depth(queueName string) (int, error) {
 	return n, nil
 }
 
-// decodeErr maps the broker's error strings back to sentinel errors where
-// possible.
-func decodeErr(payload []byte) error {
-	s := string(payload)
-	switch s {
-	case ErrEmpty.Error():
-		return ErrEmpty
-	case ErrQueueFull.Error():
-		return ErrQueueFull
-	default:
-		return errors.New(s)
+// clientErr translates a failed call: the broker's error strings back to
+// sentinel errors where possible, a lost or closed connection to ErrClosed.
+func clientErr(err error) error {
+	if re, ok := endpoint.IsRemote(err); ok {
+		switch re.Msg {
+		case ErrEmpty.Error():
+			return ErrEmpty
+		case ErrQueueFull.Error():
+			return ErrQueueFull
+		default:
+			return errors.New(re.Msg)
+		}
 	}
+	if errors.Is(err, endpoint.ErrClosed) || errors.Is(err, endpoint.ErrUnavailable) {
+		return ErrClosed
+	}
+	return fmt.Errorf("mq: %w", err)
 }

@@ -229,6 +229,11 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
+// TestPushAsyncPipelined is the reason Broker is not an endpoint.Server: that
+// server gives every request a goroutine of its own, so twenty pipelined
+// pushes would be enqueued in whatever order the goroutines ran (the port was
+// tried: "pop 0 = [19]"). The broker's read loop enqueues inline, in
+// connection order.
 func TestPushAsyncPipelined(t *testing.T) {
 	_, c := fixture(t, 0)
 	const n = 20

@@ -3,6 +3,14 @@
 // patterns with a broker; publishers emit events the broker fans out
 // asynchronously. Neither side knows the other — the space decoupling that
 // lets plug-and-play components come and go.
+//
+// The Client is an endpoint.Caller, like the clients of the other three
+// styles; events reach it as the caller's uncorrelated messages. The Broker
+// keeps its own read loop: it fans each publish out inline, in connection
+// order, before it acknowledges (endpoint.Server runs every request on a
+// goroutine of its own, which gives that order up), and it pushes to
+// connections that sent no request and drops a connection's subscriptions
+// when it goes — push and disconnect are not endpoint concepts.
 package pubsub
 
 import (
@@ -12,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ndsm/internal/endpoint"
 	"ndsm/internal/transport"
 	"ndsm/internal/wire"
 )
@@ -217,15 +226,15 @@ func (b *Broker) fanout(req *wire.Message) {
 	}
 }
 
-// Client publishes and subscribes against a broker.
+// Client publishes and subscribes against a broker through an
+// endpoint.Caller: requests are Caller.Do, and events — the connection's
+// uncorrelated messages — arrive on the caller's OnRecv hook, which its one
+// demux goroutine calls inline and in connection order.
 type Client struct {
-	mu     sync.Mutex
-	conn   transport.Conn
-	nextID uint64
-	acks   map[uint64]chan *wire.Message
-	subs   map[string]chan Event
-	closed bool
-	done   chan struct{}
+	caller *endpoint.Caller
+
+	mu   sync.Mutex
+	subs map[string]chan Event
 
 	// DroppedEvents counts events discarded because a subscription channel
 	// was full.
@@ -234,31 +243,19 @@ type Client struct {
 
 // Dial connects to a broker.
 func Dial(tr transport.Transport, addr string) (*Client, error) {
-	conn, err := tr.Dial(addr)
+	c := &Client{subs: make(map[string]chan Event)}
+	caller, err := endpoint.NewCaller(tr, addr, endpoint.CallerOptions{Eager: true, OnRecv: c.deliver})
 	if err != nil {
 		return nil, fmt.Errorf("pubsub: dial %s: %w", addr, err)
 	}
-	c := &Client{
-		conn: conn,
-		acks: make(map[uint64]chan *wire.Message),
-		subs: make(map[string]chan Event),
-		done: make(chan struct{}),
-	}
-	go c.demux()
+	c.caller = caller
 	return c, nil
 }
 
 // Close shuts the client down; subscription channels are closed.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	err := c.conn.Close()
-	<-c.done
+	// Close waits for the demux, so no delivery is in progress afterwards.
+	err := c.caller.Close()
 	c.mu.Lock()
 	for pattern, ch := range c.subs {
 		close(ch)
@@ -268,72 +265,45 @@ func (c *Client) Close() error {
 	return err
 }
 
-func (c *Client) demux() {
-	defer close(c.done)
-	for {
-		m, err := c.conn.Recv()
-		if err != nil {
-			return
-		}
-		if m.Kind == wire.KindEvent {
-			c.mu.Lock()
-			var targets []chan Event
-			for pattern, ch := range c.subs {
-				if MatchTopic(pattern, m.Topic) {
-					targets = append(targets, ch)
-				}
-			}
-			c.mu.Unlock()
-			for _, ch := range targets {
-				select {
-				case ch <- Event{Topic: m.Topic, Payload: m.Payload}:
-				default:
-					c.DroppedEvents.Add(1)
-				}
-			}
+// deliver hands an event to every matching subscription. The sends never
+// block, so they happen under c.mu, the lock Unsubscribe and Close close the
+// channels under.
+func (c *Client) deliver(m *wire.Message) {
+	if m.Kind != wire.KindEvent {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for pattern, ch := range c.subs {
+		if !MatchTopic(pattern, m.Topic) {
 			continue
 		}
-		c.mu.Lock()
-		ch := c.acks[m.Corr]
-		c.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- m:
-			default:
-			}
+		select {
+		case ch <- Event{Topic: m.Topic, Payload: m.Payload}:
+		default:
+			c.DroppedEvents.Add(1)
 		}
 	}
 }
 
 func (c *Client) request(topic string, headers map[string]string, payload []byte) error {
-	ackCh := make(chan *wire.Message, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	c.nextID++
-	id := c.nextID
-	c.acks[id] = ackCh
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.acks, id)
-		c.mu.Unlock()
-	}()
-	req := &wire.Message{ID: id, Kind: wire.KindRequest, Topic: topic, Headers: headers, Payload: payload}
-	if err := c.conn.Send(req); err != nil {
-		return fmt.Errorf("pubsub: send: %w", err)
-	}
-	select {
-	case m := <-ackCh:
-		if m.Kind == wire.KindError {
-			return errors.New(string(m.Payload))
-		}
+	_, err := c.caller.Do(&endpoint.Call{
+		Topic:   topic,
+		Headers: headers,
+		Payload: payload,
+		// The broker acknowledges at once; there is nothing to time out.
+		Timeout: endpoint.NoTimeout,
+	})
+	if err == nil {
 		return nil
-	case <-c.done:
+	}
+	if re, ok := endpoint.IsRemote(err); ok {
+		return errors.New(re.Msg)
+	}
+	if errors.Is(err, endpoint.ErrClosed) || errors.Is(err, endpoint.ErrUnavailable) {
 		return ErrClosed
 	}
+	return fmt.Errorf("pubsub: %w", err)
 }
 
 // Subscribe registers a pattern and returns the event channel. Subscribing

@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -226,5 +227,161 @@ func TestClientCloseClosesChannels(t *testing.T) {
 func TestDialFailure(t *testing.T) {
 	if _, err := Dial(transport.NewMem(transport.NewFabric()), "nowhere"); err == nil {
 		t.Fatal("dial to nowhere succeeded")
+	}
+}
+
+// Events from one publisher reach a subscriber in publish order, on the
+// in-process transport and on TCP loopback.
+func TestEventsArriveInPublishOrder(t *testing.T) {
+	t.Run("mem", func(t *testing.T) {
+		fabric := transport.NewFabric()
+		testPublishOrder(t, "bus", func() transport.Transport { return transport.NewMem(fabric) })
+	})
+	t.Run("tcp", func(t *testing.T) {
+		testPublishOrder(t, "127.0.0.1:0", func() transport.Transport { return transport.NewTCP(nil) })
+	})
+}
+
+func testPublishOrder(t *testing.T, addr string, newTransport func() transport.Transport) {
+	const n = 100 // under subscriberBuffer: nothing may be dropped
+	tr := newTransport()
+	l, err := tr.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(l)
+	sub, err := Dial(newTransport(), l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := Dial(newTransport(), l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = pub.Close()
+		_ = sub.Close()
+		_ = b.Close()
+		_ = tr.Close()
+	})
+	ch, err := sub.Subscribe("seq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := pub.Publish("seq", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if ev := recvEvent(t, ch); len(ev.Payload) != 1 || ev.Payload[0] != byte(i) {
+			t.Fatalf("event %d carries %v", i, ev.Payload)
+		}
+	}
+	if d := sub.DroppedEvents.Load(); d != 0 {
+		t.Fatalf("dropped %d events", d)
+	}
+}
+
+// The broker fans an event out before it acknowledges the publish, and one
+// demux delivers both in connection order: a publisher subscribed to its own
+// topic finds its copy waiting when Publish returns.
+func TestOwnEventIsDeliveredBeforePublishReturns(t *testing.T) {
+	_, pub, _ := fixture(t)
+	ch, err := pub.Subscribe("self")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := pub.Publish("self", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case ev := <-ch:
+			if ev.Payload[0] != byte(i) {
+				t.Fatalf("publish %d: got event %d", i, ev.Payload[0])
+			}
+		default:
+			t.Fatalf("publish %d returned before its own event was delivered", i)
+		}
+	}
+}
+
+// Close during a stream of events closes every subscription channel exactly
+// once and never sends on a closed one (a double close or a late send would
+// panic; run under -race).
+func TestCloseDuringEventStream(t *testing.T) {
+	fabric := transport.NewFabric()
+	tr := transport.NewMem(fabric)
+	l, err := tr.Listen("bus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(l)
+	pub, err := Dial(transport.NewMem(fabric), "bus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = pub.Close()
+		_ = b.Close()
+		_ = tr.Close()
+	})
+	stop := make(chan struct{})
+	publishing := make(chan struct{})
+	go func() {
+		defer close(publishing)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if err := pub.Publish("stream/a", []byte("x")); err != nil {
+					t.Errorf("publish: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	for round := 0; round < 200; round++ {
+		sub, err := Dial(transport.NewMem(fabric), "bus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := sub.Subscribe("stream/a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix, err := sub.Subscribe("stream/*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		recvEvent(t, exact) // the stream is flowing into this client
+		if err := sub.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ch := range []<-chan Event{exact, prefix} {
+			for open := true; open; { // drain what was buffered, up to the close
+				select {
+				case _, open = <-ch:
+				case <-time.After(5 * time.Second):
+					t.Fatal("subscription channel left open by Close")
+				}
+			}
+		}
+	}
+	close(stop)
+	<-publishing
+}
+
+// A publish on a connection the broker closed reports ErrClosed whether the
+// client's demux or its send notices the loss first.
+func TestPublishAfterBrokerGone(t *testing.T) {
+	b, pub, _ := fixture(t)
+	_ = b.Close()
+	for i := 0; i < 3; i++ {
+		if err := pub.Publish("t", []byte("x")); !errors.Is(err, ErrClosed) {
+			t.Fatalf("publish %d after broker close = %v, want ErrClosed", i, err)
+		}
 	}
 }

@@ -5,7 +5,10 @@
 // template matching — fully decoupled in both time and space.
 //
 // Tuples are ordered string fields; templates match per field with "*" as
-// the wildcard. A Space can be used in-process or served over any Transport.
+// the wildcard. A Space can be used in-process or served over any Transport:
+// both remote halves ride internal/endpoint — the Server is three handlers on
+// an endpoint.Server, the Client an endpoint.Caller — so a traced operation
+// joins its caller's trace with no tuple-space instrumentation.
 package tuplespace
 
 import (
@@ -15,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"ndsm/internal/endpoint"
 	"ndsm/internal/simtime"
 	"ndsm/internal/transport"
 	"ndsm/internal/wire"
@@ -284,245 +288,140 @@ type tsRequest struct {
 	WaitMillis int64 `json:"waitMillis,omitempty"`
 }
 
-// Server exposes a Space over a transport listener.
+// Server exposes a Space over a transport listener: three handlers on an
+// endpoint.Server.
 type Server struct {
 	space *Space
-
-	mu       sync.Mutex
-	conns    map[transport.Conn]struct{}
-	listener transport.Listener
-	closed   bool
-	wg       sync.WaitGroup
+	ep    *endpoint.Server
 }
 
 // NewServer starts serving space on l.
 func NewServer(space *Space, l transport.Listener) *Server {
-	s := &Server{space: space, conns: make(map[transport.Conn]struct{}), listener: l}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &Server{space: space}
+	s.ep = endpoint.NewServer(l, endpoint.ServerOptions{
+		Interceptors: []endpoint.ServerInterceptor{
+			endpoint.WithServerTracing(nil, "ts.serve"),
+		},
+	})
+	s.ep.Handle(topicOut, s.out)
+	s.ep.Handle(topicIn, s.take(true))
+	s.ep.Handle(topicRd, s.take(false))
 	return s
 }
 
 // Space returns the served space.
 func (s *Server) Space() *Space { return s.space }
 
-// Close stops the server.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
+// Close stops the server and waits for blocked In/Rd requests to run out
+// their waits.
+func (s *Server) Close() error { return s.ep.Close() }
+
+func decodeRequest(req *wire.Message) (tsRequest, error) {
+	var body tsRequest
+	if err := json.Unmarshal(req.Payload, &body); err != nil {
+		return body, errors.New("tuplespace: bad request")
 	}
-	s.closed = true
-	conns := make([]transport.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	_ = s.listener.Close()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	s.wg.Wait()
-	return nil
+	return body, nil
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
+func (s *Server) out(req *wire.Message) (*wire.Message, error) {
+	body, err := decodeRequest(req)
+	if err != nil {
+		return nil, err
 	}
+	s.space.Out(body.Tuple)
+	return nil, nil // the endpoint acknowledges
 }
 
-func (s *Server) serveConn(conn transport.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	var sendMu sync.Mutex
-	reply := func(req *wire.Message, kind wire.Kind, payload []byte) {
-		sendMu.Lock()
-		defer sendMu.Unlock()
-		_ = conn.Send(&wire.Message{Kind: kind, Corr: req.ID, Topic: req.Topic, Payload: payload})
-	}
-	for {
-		req, err := conn.Recv()
+// take serves In (consume) and Rd. A request that waits blocks its own
+// handler goroutine; the endpoint gives every other request on the
+// connection one of its own.
+func (s *Server) take(consume bool) endpoint.Handler {
+	return func(req *wire.Message) (*wire.Message, error) {
+		body, err := decodeRequest(req)
 		if err != nil {
-			return
+			return nil, err
 		}
-		var body tsRequest
-		if err := json.Unmarshal(req.Payload, &body); err != nil {
-			reply(req, wire.KindError, []byte("tuplespace: bad request"))
-			continue
-		}
-		switch req.Topic {
-		case topicOut:
-			s.space.Out(body.Tuple)
-			reply(req, wire.KindAck, nil)
-		case topicIn, topicRd:
-			// Potentially blocking: serve in its own goroutine.
-			s.wg.Add(1)
-			go func(req *wire.Message, body tsRequest) {
-				defer s.wg.Done()
-				wait := time.Duration(body.WaitMillis) * time.Millisecond
-				var (
-					t   Tuple
-					err error
-				)
-				if req.Topic == topicIn {
-					if wait <= 0 {
-						if got, ok := s.space.InP(body.Tuple); ok {
-							t = got
-						} else {
-							err = ErrNoMatch
-						}
-					} else {
-						t, err = s.space.In(body.Tuple, wait)
-					}
-				} else {
-					if wait <= 0 {
-						if got, ok := s.space.RdP(body.Tuple); ok {
-							t = got
-						} else {
-							err = ErrNoMatch
-						}
-					} else {
-						t, err = s.space.Rd(body.Tuple, wait)
-					}
-				}
-				if err != nil {
-					reply(req, wire.KindError, []byte(ErrNoMatch.Error()))
-					return
-				}
-				out, merr := json.Marshal(t)
-				if merr != nil {
-					reply(req, wire.KindError, []byte("tuplespace: encode tuple"))
-					return
-				}
-				reply(req, wire.KindReply, out)
-			}(req, body)
+		var (
+			t  Tuple
+			ok bool
+		)
+		switch wait := time.Duration(body.WaitMillis) * time.Millisecond; {
+		case wait > 0:
+			t, err = s.space.blocking(body.Tuple, consume, wait)
+			ok = err == nil
+		case consume:
+			t, ok = s.space.InP(body.Tuple)
 		default:
-			reply(req, wire.KindError, []byte(fmt.Sprintf("tuplespace: unknown topic %q", req.Topic)))
+			t, ok = s.space.RdP(body.Tuple)
 		}
+		if !ok {
+			// Bare: the client maps the text back to the sentinel.
+			return nil, ErrNoMatch
+		}
+		out, err := json.Marshal(t)
+		if err != nil {
+			return nil, errors.New("tuplespace: encode tuple")
+		}
+		return &wire.Message{Kind: wire.KindReply, Payload: out}, nil
 	}
 }
 
-// Client accesses a remote Space.
+// Client accesses a remote Space through an endpoint.Caller. Safe for
+// concurrent use: a blocked In does not delay other operations on the same
+// client.
 type Client struct {
-	mu      sync.Mutex
-	conn    transport.Conn
-	nextID  uint64
-	waiters map[uint64]chan *wire.Message
-	closed  bool
-	done    chan struct{}
+	caller *endpoint.Caller
 }
 
 // Dial connects to a tuple space server.
 func Dial(tr transport.Transport, addr string) (*Client, error) {
-	conn, err := tr.Dial(addr)
+	caller, err := endpoint.NewCaller(tr, addr, endpoint.CallerOptions{
+		Eager: true,
+		Interceptors: []endpoint.ClientInterceptor{
+			endpoint.WithTracing(nil, "ts.call"),
+		},
+	})
 	if err != nil {
 		return nil, fmt.Errorf("tuplespace: dial %s: %w", addr, err)
 	}
-	c := &Client{
-		conn:    conn,
-		waiters: make(map[uint64]chan *wire.Message),
-		done:    make(chan struct{}),
-	}
-	go c.demux()
-	return c, nil
+	return &Client{caller: caller}, nil
 }
 
 // Close shuts the client down.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	err := c.conn.Close()
-	<-c.done
-	return err
-}
-
-func (c *Client) demux() {
-	defer close(c.done)
-	for {
-		m, err := c.conn.Recv()
-		if err != nil {
-			return
-		}
-		c.mu.Lock()
-		ch := c.waiters[m.Corr]
-		c.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- m:
-			default:
-			}
-		}
-	}
-}
+func (c *Client) Close() error { return c.caller.Close() }
 
 func (c *Client) request(topic string, body tsRequest) (*wire.Message, error) {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return nil, fmt.Errorf("tuplespace: encode request: %w", err)
 	}
-	replyCh := make(chan *wire.Message, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
+	m, err := c.caller.Do(&endpoint.Call{
+		Topic:   topic,
+		Payload: payload,
+		// The server owns the wait (WaitMillis); the client adds no deadline
+		// of its own.
+		Timeout: endpoint.NoTimeout,
+	})
+	if err != nil {
+		if re, ok := endpoint.IsRemote(err); ok {
+			if re.Msg == ErrNoMatch.Error() {
+				return nil, ErrNoMatch
+			}
+			return nil, errors.New(re.Msg)
+		}
+		if errors.Is(err, endpoint.ErrClosed) || errors.Is(err, endpoint.ErrUnavailable) {
+			return nil, ErrClosed
+		}
+		return nil, fmt.Errorf("tuplespace: %w", err)
 	}
-	c.nextID++
-	id := c.nextID
-	c.waiters[id] = replyCh
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiters, id)
-		c.mu.Unlock()
-	}()
-	req := &wire.Message{ID: id, Kind: wire.KindRequest, Topic: topic, Payload: payload}
-	if err := c.conn.Send(req); err != nil {
-		return nil, fmt.Errorf("tuplespace: send: %w", err)
-	}
-	select {
-	case m := <-replyCh:
-		return m, nil
-	case <-c.done:
-		return nil, ErrClosed
-	}
+	return m, nil
 }
 
 // Out writes a tuple into the remote space.
 func (c *Client) Out(t Tuple) error {
-	m, err := c.request(topicOut, tsRequest{Tuple: t})
-	if err != nil {
-		return err
-	}
-	if m.Kind == wire.KindError {
-		return errors.New(string(m.Payload))
-	}
-	return nil
+	_, err := c.request(topicOut, tsRequest{Tuple: t})
+	return err
 }
 
 // In removes and returns a matching tuple, waiting up to wait.
@@ -539,12 +438,6 @@ func (c *Client) take(topic string, template Tuple, wait time.Duration) (Tuple, 
 	m, err := c.request(topic, tsRequest{Tuple: template, WaitMillis: wait.Milliseconds()})
 	if err != nil {
 		return nil, err
-	}
-	if m.Kind == wire.KindError {
-		if string(m.Payload) == ErrNoMatch.Error() {
-			return nil, ErrNoMatch
-		}
-		return nil, errors.New(string(m.Payload))
 	}
 	var t Tuple
 	if err := json.Unmarshal(m.Payload, &t); err != nil {

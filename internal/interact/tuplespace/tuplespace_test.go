@@ -438,3 +438,100 @@ func TestNotifyOverflowCounted(t *testing.T) {
 		t.Fatalf("NotifyDropped = %d, want 10", got)
 	}
 }
+
+// waitBlocked returns once an In or Rd is parked in the space.
+func waitBlocked(t *testing.T, s *Space) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		parked := len(s.waiters)
+		s.mu.Unlock()
+		if parked > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no reader blocked in the space")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A blocked In holds only its own request: an Out on the same client
+// connection is served while it waits.
+func TestRemoteBlockedInDoesNotDelayOut(t *testing.T) {
+	srv, cli := remoteFixture(t)
+	inDone := make(chan error, 1)
+	go func() {
+		_, err := cli.In(Tuple{"gate", "*"}, 10*time.Second)
+		inDone <- err
+	}()
+	waitBlocked(t, srv.Space())
+
+	outDone := make(chan error, 1)
+	go func() { outDone <- cli.Out(Tuple{"other", "1"}) }()
+	select {
+	case err := <-outDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case err := <-inDone:
+		t.Fatalf("In returned before anything matched it: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("Out waited behind a blocked In on the same connection")
+	}
+	if srv.Space().Len() != 1 {
+		t.Fatalf("Len = %d, want the one stored tuple", srv.Space().Len())
+	}
+
+	if err := cli.Out(Tuple{"gate", "open"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-inDone; err != nil {
+		t.Fatalf("In = %v", err)
+	}
+}
+
+// Server.Close waits for a blocked In no longer than the In's own wait, and
+// the client's call ends instead of hanging.
+func TestServerCloseWithBlockedIn(t *testing.T) {
+	srv, cli := remoteFixture(t)
+	const wait = 200 * time.Millisecond
+	inDone := make(chan error, 1)
+	go func() {
+		_, err := cli.In(Tuple{"never", "*"}, wait)
+		inDone <- err
+	}()
+	waitBlocked(t, srv.Space())
+
+	closed := make(chan struct{})
+	go func() {
+		_ = srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(wait + 5*time.Second):
+		t.Fatal("Close outlasted the blocked In's wait")
+	}
+	select {
+	case err := <-inDone:
+		if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrNoMatch) {
+			t.Fatalf("In = %v, want ErrClosed or ErrNoMatch", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("client In hung after the server closed")
+	}
+}
+
+// Whichever side notices the lost connection first — the demux or the send —
+// the caller sees ErrClosed.
+func TestOutAfterServerGone(t *testing.T) {
+	srv, cli := remoteFixture(t)
+	_ = srv.Close()
+	for i := 0; i < 3; i++ {
+		if err := cli.Out(Tuple{"x"}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Out %d after server close = %v, want ErrClosed", i, err)
+		}
+	}
+}

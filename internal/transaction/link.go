@@ -17,7 +17,6 @@ package transaction
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -265,34 +264,4 @@ func (l *Link) isDuplicate(src string, id uint64) bool {
 	}
 	l.seenOrd[src] = ord
 	return false
-}
-
-// ParsePriority extracts the scheduling priority a message carries (0 when
-// absent or malformed).
-func ParsePriority(m *wire.Message) uint8 {
-	if m == nil {
-		return 0
-	}
-	return m.Priority
-}
-
-// ParseDeadlineHeader reads an RFC3339 deadline from headers as fallback for
-// codecs that lack a native deadline field (none of ours do; kept for
-// cross-middleware messages arriving via the interop gateway).
-func ParseDeadlineHeader(m *wire.Message) (time.Time, bool) {
-	if m == nil || m.Headers == nil {
-		return time.Time{}, false
-	}
-	raw, ok := m.Headers["deadline"]
-	if !ok {
-		return time.Time{}, false
-	}
-	if unix, err := strconv.ParseInt(raw, 10, 64); err == nil {
-		return time.Unix(0, unix).UTC(), true
-	}
-	t, err := time.Parse(time.RFC3339Nano, raw)
-	if err != nil {
-		return time.Time{}, false
-	}
-	return t.UTC(), true
 }

@@ -212,30 +212,6 @@ func TestLinkSendReliableAfterClose(t *testing.T) {
 	}
 }
 
-func TestParseDeadlineHeader(t *testing.T) {
-	if _, ok := ParseDeadlineHeader(nil); ok {
-		t.Fatal("nil message had deadline")
-	}
-	if _, ok := ParseDeadlineHeader(&wire.Message{}); ok {
-		t.Fatal("empty message had deadline")
-	}
-	when := time.Date(2003, 6, 1, 12, 0, 0, 0, time.UTC)
-	m := &wire.Message{Headers: map[string]string{"deadline": when.Format(time.RFC3339Nano)}}
-	got, ok := ParseDeadlineHeader(m)
-	if !ok || !got.Equal(when) {
-		t.Fatalf("got %v, %v", got, ok)
-	}
-	m = &wire.Message{Headers: map[string]string{"deadline": "123456789"}}
-	got, ok = ParseDeadlineHeader(m)
-	if !ok || got.UnixNano() != 123456789 {
-		t.Fatalf("unix nanos: %v, %v", got, ok)
-	}
-	m = &wire.Message{Headers: map[string]string{"deadline": "not a time"}}
-	if _, ok := ParseDeadlineHeader(m); ok {
-		t.Fatal("garbage deadline parsed")
-	}
-}
-
 // --- schedules ---
 
 func TestClassString(t *testing.T) {

@@ -16,7 +16,8 @@
 //     NewTCPTransport, NewSimTransport (simulated radio; see package simnet).
 //   - Plug and play (§3.3): Registry organizations — NewStore (in-process),
 //     NewRegistryServer/NewRegistryClient (centralized), NewFloodAgent
-//     (distributed), NewMirrored (hybrid), NewAdaptive (adaptive).
+//     (distributed), NewClusterResolver (hybrid: replicated registry
+//     members), NewAdaptive (adaptive).
 //   - QoS (§3.4): Spec, Benefit, Weights, Score/Rank/Select, Tracker.
 //   - Locating & routing (§3.5): package simnet (location service, multi-hop
 //     strategies).
@@ -175,17 +176,11 @@ type (
 // NewFloodAgent starts a distributed discovery agent on a netmux.
 var NewFloodAgent = discovery.NewAgent
 
-// Hybrid and adaptive organizations.
-type (
-	Mirrored = discovery.Mirrored
-	Adaptive = discovery.Adaptive
-)
+// Adaptive organization (the hybrid one is the registry cluster below).
+type Adaptive = discovery.Adaptive
 
-// NewMirrored builds the hybrid organization; NewAdaptive the adaptive one.
-var (
-	NewMirrored = discovery.NewMirrored
-	NewAdaptive = discovery.NewAdaptive
-)
+// NewAdaptive builds the adaptive organization.
+var NewAdaptive = discovery.NewAdaptive
 
 // DensityPolicy is the default adaptive mode policy.
 var DensityPolicy = discovery.DensityPolicy

@@ -12,6 +12,7 @@ import (
 
 	"ndsm/internal/discovery"
 	"ndsm/internal/interact/rpc"
+	"ndsm/internal/interact/tuplespace"
 	"ndsm/internal/netmux"
 	"ndsm/internal/netsim"
 	"ndsm/internal/svcdesc"
@@ -144,5 +145,70 @@ func TestRPCThroughDiscoveryConnectedTraceTree(t *testing.T) {
 		if !ok || parent.Name != "rpc.call" {
 			t.Errorf("rpc.serve parent = %+v, want the rpc.call span", parent)
 		}
+	}
+}
+
+// A tuple-space operation joins its caller's trace with no tuple-space
+// wiring: under the process-default tracer, one Out and one In each yield a
+// ts.call client span under the ambient root and a ts.serve server span
+// parented on it across the wire.
+func TestTupleSpaceJoinsDefaultTrace(t *testing.T) {
+	col := trace.NewCollector(64)
+	prev := trace.Default()
+	trace.SetDefault(trace.New(trace.Options{Name: "world", Collector: col}))
+	t.Cleanup(func() { trace.SetDefault(prev) })
+
+	fabric := transport.NewFabric()
+	mt := transport.NewMem(fabric)
+	t.Cleanup(func() { _ = mt.Close() })
+	l, err := mt.Listen("space")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := tuplespace.NewServer(tuplespace.NewSpace(nil), l)
+	t.Cleanup(func() { _ = srv.Close() })
+	cli, err := tuplespace.Dial(transport.NewMem(fabric), "space")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cli.Close() })
+
+	root, done := trace.Default().Scope("user.request")
+	if root == nil {
+		t.Fatal("no root span")
+	}
+	if err := cli.Out(tuplespace.Tuple{"k", "v"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cli.In(tuplespace.Tuple{"k", "*"}, time.Second); err != nil || got[1] != "v" {
+		t.Fatalf("In = %v, %v", got, err)
+	}
+	done()
+
+	spans := col.Spans()
+	byID := make(map[uint64]trace.Span, len(spans))
+	for _, sp := range spans {
+		byID[sp.SpanID] = sp
+	}
+	calls, serves := 0, 0
+	for _, sp := range spans {
+		if sp.TraceID != root.Context().TraceID {
+			t.Errorf("span %s has trace %x, want %x", sp.Name, sp.TraceID, root.Context().TraceID)
+		}
+		switch sp.Name {
+		case "ts.call":
+			calls++
+			if sp.ParentID != root.Context().SpanID {
+				t.Errorf("ts.call parent = %x, want the root span", sp.ParentID)
+			}
+		case "ts.serve":
+			serves++
+			if parent := byID[sp.ParentID]; parent.Name != "ts.call" {
+				t.Errorf("ts.serve parent = %+v, want a ts.call span", parent)
+			}
+		}
+	}
+	if calls != 2 || serves != 2 {
+		t.Fatalf("%d ts.call and %d ts.serve spans, want 2 and 2: %+v", calls, serves, spans)
 	}
 }
