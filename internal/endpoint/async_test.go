@@ -375,6 +375,50 @@ func TestOneWayGoZeroAlloc(t *testing.T) {
 	}
 }
 
+// Futures born resolved never change, so Wait and Done read them without the
+// mutex: every one-way sender in the process shares resolvedFuture and must
+// not queue on its lock. The test holds both locks; a Wait or Done that
+// wanted one would hang.
+func TestWaitOnBornResolvedFutureTakesNoLock(t *testing.T) {
+	c, err := NewCaller(nullTransport{}, "sink", CallerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	failed := failedFuture(ErrClosed)
+	resolvedFuture.mu.Lock()
+	defer resolvedFuture.mu.Unlock()
+	failed.mu.Lock()
+	defer failed.mu.Unlock()
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			call := &Call{Topic: "ingest", OneWay: true} // Go resolves the lane into it
+			for i := 0; i < 200; i++ {
+				fut := c.Go(call)
+				if m, err := fut.Wait(); m != nil || err != nil || !fut.Done() {
+					t.Errorf("one-way future: Wait = %v, %v, Done = %v", m, err, fut.Done())
+					return
+				}
+				if _, err := failed.Wait(); !errors.Is(err, ErrClosed) || !failed.Done() {
+					t.Errorf("failed future: Wait = %v", err)
+					return
+				}
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait on a future born resolved blocked on its mutex")
+	}
+}
+
 // With tracing and metrics interceptors enabled the call path may allocate,
 // but only within a small fixed budget — this pins the interceptor overhead
 // so it cannot silently grow.

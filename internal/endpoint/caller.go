@@ -241,7 +241,8 @@ func (c *Caller) demux(conn transport.Conn, gen uint64) {
 // pipelining any number of requests onto the one connection. With OneWay set
 // the returned future resolves as soon as the frame is accepted for sending
 // (a shared pre-resolved future on success — the fire-and-forget path
-// performs zero allocations in steady state).
+// performs zero allocations in steady state); otherwise the Future is the
+// call's one heap object beyond what Do costs.
 //
 // Go bypasses the client interceptor chain: retry, breaker, and tracing
 // interceptors are synchronous round-trip policies and apply only to Do.
@@ -249,30 +250,36 @@ func (c *Caller) demux(conn transport.Conn, gen uint64) {
 // already-failed future.
 func (c *Caller) Go(call *Call) *Future {
 	call.Lane = c.laneFor(call)
-	fut, err := c.start(call)
-	if err != nil {
+	fut := resolvedFuture // what a one-way call returns; start leaves it alone
+	if !call.OneWay {
+		fut = new(Future)
+	}
+	if err := c.start(call, fut); err != nil {
 		return failedFuture(err)
 	}
 	return fut
 }
 
 // roundtrip is the terminal ClientFunc: one correlated exchange — a start
-// plus an immediate Wait.
+// plus an immediate wait. Its future lives in this frame: nobody else can see
+// it, so it is neither allocated nor locked.
 func (c *Caller) roundtrip(call *Call) (*wire.Message, error) {
-	fut, err := c.start(call)
-	if err != nil {
+	var fut Future
+	if err := c.start(call, &fut); err != nil || call.OneWay {
 		return nil, err
 	}
-	return fut.Wait()
+	return fut.waitLocked()
 }
 
-// start issues the request on the wire and returns the future for its reply.
-func (c *Caller) start(call *Call) (*Future, error) {
+// start issues the request on the wire and, unless the call is one-way,
+// fills fut in as the future for its reply. It keeps no reference to fut, so
+// a caller may pass the address of a local.
+func (c *Caller) start(call *Call, fut *Future) error {
 	c.mu.Lock()
 	conn, gen, err := c.ensureConnLocked()
 	if err != nil {
 		c.mu.Unlock()
-		return nil, err
+		return err
 	}
 	clock := c.clock
 	id := c.nextID.Add(1)
@@ -292,13 +299,12 @@ func (c *Caller) start(call *Call) (*Future, error) {
 	}
 
 	var w *waiter
-	var fut *Future
 	if !call.OneWay {
 		w = getWaiter()
 		w.gen = gen
 		w.deadline = deadline
 		c.waiters[id] = w
-		fut = &Future{c: c, id: id, w: w, topic: call.Topic, timeout: timeout, deadline: deadline, clock: clock}
+		*fut = Future{c: c, id: id, w: w, topic: call.Topic, timeout: timeout, deadline: deadline, clock: clock}
 	}
 	if id%sweepInterval == 0 {
 		// Amortized cleanup for futures nobody waits on: without it an
@@ -346,14 +352,11 @@ func (c *Caller) start(call *Call) (*Future, error) {
 		closed := c.closed
 		c.mu.Unlock()
 		if closed {
-			return nil, ErrClosed
+			return ErrClosed
 		}
-		return nil, fmt.Errorf("%w: send %s: %v", ErrUnavailable, call.Topic, err)
+		return fmt.Errorf("%w: send %s: %v", ErrUnavailable, call.Topic, err)
 	}
-	if call.OneWay {
-		return resolvedFuture, nil
-	}
-	return fut, nil
+	return nil
 }
 
 // cancelWaiter removes id's waiter from the demux map if it is still w, and

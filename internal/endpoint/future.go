@@ -40,14 +40,30 @@ func failedFuture(err error) *Future {
 	return &Future{done: true, err: err}
 }
 
+// bornResolved reports whether f was built already resolved (resolvedFuture,
+// failedFuture): such a future has no caller and never changes, so Wait and
+// Done read it without taking f.mu — every one-way sender in the process
+// shares resolvedFuture.
+func (f *Future) bornResolved() bool { return f.c == nil }
+
 // Wait blocks until the call resolves and returns the reply. The deadline is
 // the one fixed when the call was issued: a Wait that starts late gets only
 // the remaining time, and a Wait after the deadline returns ErrTimeout
 // immediately unless the reply already arrived. On timeout the connection
 // stays up — the late reply is discarded by the demux loop.
 func (f *Future) Wait() (*wire.Message, error) {
+	if f.bornResolved() {
+		return f.m, f.err
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.waitLocked()
+}
+
+// waitLocked is Wait for a caller that holds f.mu — or that, like roundtrip,
+// has shared f with nobody. Unlike Wait, whose mutex leaks its receiver, it
+// lets escape analysis keep such a future on the caller's stack.
+func (f *Future) waitLocked() (*wire.Message, error) {
 	if f.done {
 		return f.m, f.err
 	}
@@ -90,6 +106,9 @@ func (f *Future) Wait() (*wire.Message, error) {
 // reply (it can contend briefly with a concurrent Wait). A true result means
 // Wait will return immediately.
 func (f *Future) Done() bool {
+	if f.bornResolved() {
+		return true
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.done {

@@ -432,6 +432,26 @@ func TestAppendEncodeZeroAlloc(t *testing.T) {
 	}
 }
 
+// The same with headers — every lane-stamped or traced request has them: the
+// keys are collected and sorted on the stack.
+func TestAppendEncodeHeadersZeroAlloc(t *testing.T) {
+	for _, headers := range []map[string]string{
+		{"ndsm-lane": "control"},
+		{"trace-id": "00000000deadbeef", "span-id": "0000000000000042"},
+	} {
+		m := &Message{ID: 1, Kind: KindRequest, Src: "c", Dst: "s", Topic: "t", Headers: headers, Payload: make([]byte, 64)}
+		buf := make([]byte, 0, 512)
+		if allocs := testing.AllocsPerRun(200, func() {
+			out, err := (Binary{}).AppendEncode(buf[:0], m)
+			if err != nil || len(out) == 0 {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("AppendEncode with %d headers allocates %.1f allocs/op, want 0", len(headers), allocs)
+		}
+	}
+}
+
 // Frame reads in steady state reuse the scratch buffer: no allocations.
 func TestFrameReaderNextZeroAlloc(t *testing.T) {
 	m := &Message{ID: 1, Kind: KindRequest, Topic: "t", Payload: make([]byte, 64)}

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -46,9 +47,9 @@ func (Binary) Encode(m *Message) ([]byte, error) {
 }
 
 // AppendEncode implements AppendEncoder: it serializes m by appending to buf,
-// allocating only when buf's capacity runs out. This is the hot-path form the
-// batched connection writers use to encode straight into a pooled, reused
-// write buffer.
+// allocating only when buf's capacity runs out (or to sort more than eight
+// header keys). This is the hot-path form the batched connection writers use
+// to encode straight into a pooled, reused write buffer.
 func (Binary) AppendEncode(buf []byte, m *Message) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return buf, err
@@ -65,9 +66,24 @@ func (Binary) AppendEncode(buf []byte, m *Message) ([]byte, error) {
 	buf = appendString(buf, m.Dst)
 	buf = appendString(buf, m.Topic)
 	buf = binary.AppendUvarint(buf, uint64(len(m.Headers)))
-	for _, k := range m.headerKeys() {
-		buf = appendString(buf, k)
-		buf = appendString(buf, m.Headers[k])
+	if n := len(m.Headers); n > 0 {
+		// Sorted keys make the encoding deterministic. Lane-stamped and traced
+		// requests carry one to three headers: sort them on the stack.
+		var stack [8]string
+		keys := stack[:0]
+		if n > len(stack) {
+			keys = make([]string, 0, n)
+		}
+		for k := range m.Headers {
+			keys = append(keys, k)
+		}
+		if n > 1 {
+			slices.Sort(keys)
+		}
+		for _, k := range keys {
+			buf = appendString(buf, k)
+			buf = appendString(buf, m.Headers[k])
+		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(m.Payload)))
 	buf = append(buf, m.Payload...)
@@ -75,7 +91,21 @@ func (Binary) AppendEncode(buf []byte, m *Message) ([]byte, error) {
 }
 
 // Decode implements Codec.
-func (Binary) Decode(data []byte) (*Message, error) {
+func (Binary) Decode(data []byte) (*Message, error) { return decodeBinary(data, nil) }
+
+// envelopeNames is the last Src, Dst and Topic a FrameReader decoded: one
+// value per field, not a table, because a connection carries one of each in a
+// direction and a shared table would make the count depend on how the names
+// (an ephemeral port among them) hash.
+type envelopeNames struct{ src, dst, topic string }
+
+// decodeBinary is Decode with a memory: an envelope string whose bytes equal
+// the one in names is shared, not copied (strings are immutable, so the
+// message still does not alias data). A nil names remembers nothing.
+func decodeBinary(data []byte, names *envelopeNames) (*Message, error) {
+	if names == nil {
+		names = new(envelopeNames) // does not escape: empty, so only "" ever matches
+	}
 	d := &decoder{buf: data}
 	magic := d.byte()
 	version := d.byte()
@@ -93,9 +123,9 @@ func (Binary) Decode(data []byte) (*Message, error) {
 	if ns := d.varint(); ns != 0 && d.err == nil {
 		m.Deadline = time.Unix(0, ns).UTC()
 	}
-	m.Src = d.string()
-	m.Dst = d.string()
-	m.Topic = d.string()
+	m.Src = d.name(&names.src)
+	m.Dst = d.name(&names.dst)
+	m.Topic = d.name(&names.topic)
 	if n := d.uvarint(); n > 0 && d.err == nil {
 		if n > uint64(len(d.buf)) {
 			return nil, fmt.Errorf("%w: header count %d exceeds input", ErrInvalidMessage, n)
@@ -173,34 +203,49 @@ func (d *decoder) varint() int64 {
 	return v
 }
 
-func (d *decoder) string() string {
+// view reads a length-prefixed field and returns it still aliasing the input;
+// what names the field in the truncation error.
+func (d *decoder) view(what string) []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.buf)) {
-		d.fail("string")
+		d.fail(what)
+		return nil
+	}
+	b := d.buf[:n]
+	d.buf = d.buf[n:]
+	return b
+}
+
+func (d *decoder) string() string { return string(d.view("string")) }
+
+// name reads a string as string does, but returns *last itself when the bytes
+// equal it (the comparison does not allocate) and otherwise remembers the new
+// string in *last if it is short enough to keep.
+func (d *decoder) name(last *string) string {
+	b := d.view("string")
+	if len(b) == 0 {
 		return ""
 	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
+	if string(b) == *last {
+		return *last
+	}
+	s := string(b)
+	if len(s) <= maxRememberedName {
+		*last = s
+	}
 	return s
 }
 
 func (d *decoder) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
+	src := d.view("bytes")
+	if len(src) == 0 {
 		return nil
 	}
-	if n > uint64(len(d.buf)) {
-		d.fail("bytes")
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[:n])
-	d.buf = d.buf[n:]
+	// make+copy of one source in this form is allocated without being zeroed.
+	out := make([]byte, len(src))
+	copy(out, src)
 	return out
 }

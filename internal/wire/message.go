@@ -145,8 +145,10 @@ func (m *Message) headerKeys() []string {
 //
 // Decode must not alias its input: the returned message has to remain valid
 // after the caller reuses or mutates data, because connection readers decode
-// out of pooled scratch buffers that are overwritten by the next frame (see
-// FrameReader). All three shipped codecs copy every string and the payload.
+// out of buffers that are overwritten by the next frame (see FrameReader).
+// All three shipped codecs never alias the input; a connection's reader may
+// share equal envelope strings between the messages it decodes (strings are
+// immutable, so a message cannot tell).
 type Codec interface {
 	// Name returns the codec's short identifier ("binary", "xml", "json").
 	Name() string

@@ -26,22 +26,31 @@ const yieldBatchCap = 4 << 10
 // for the connection's lifetime.
 const maxRetainedScratch = 1 << 20
 
-// FrameReader reads a stream of frames with a single reused scratch buffer:
-// after warm-up, a frame read performs no allocations. It is the receive half
-// of the batched hot path — the peer's write coalescing lands several frames
-// per syscall, and the reader's buffering slices them apart cheaply.
+// maxRememberedName bounds each envelope string a FrameReader keeps between
+// messages: node addresses and topics are far shorter, and a peer must not be
+// able to pin three MaxFrameSize strings for a connection's lifetime.
+const maxRememberedName = 256
+
+// FrameReader reads a stream of frames without allocating: a frame that fits
+// the bufio buffer is checked and parsed where the read syscall put it, and
+// only a larger one is assembled in a reused scratch buffer. It is the receive
+// half of the batched hot path — the peer's write coalescing lands several
+// frames per syscall, and the reader slices them apart in place.
 //
-// The body slice returned by Next aliases the scratch buffer and is valid
-// only until the next Next or ReadMessage call. ReadMessage decodes before
-// the scratch is reused, and codecs never alias their input (see Codec), so
-// decoded messages are safe to retain indefinitely.
+// The body slice returned by Next aliases reader-owned memory (the bufio
+// buffer, or scratch) and is valid only until the next Next or ReadMessage
+// call. ReadMessage decodes before that memory is reused, and codecs never
+// alias their input (see Codec), so decoded messages are safe to retain
+// indefinitely.
 //
 // FrameReader is not safe for concurrent use; a connection's single receive
 // loop owns it. Frames alone may be called from any goroutine.
 type FrameReader struct {
 	br      *bufio.Reader
-	scratch []byte
+	held    int           // bytes of the last frame still undiscarded in br (its body was returned in place)
+	scratch []byte        // body of the last frame larger than br's buffer
 	header  [5]byte       // reused header buffer; a stack array would escape through io.ReadFull
+	names   envelopeNames // the last Src, Dst and Topic ReadMessage decoded
 	frames  atomic.Uint64 // frames read; the one field other goroutines may read (Frames)
 }
 
@@ -55,10 +64,16 @@ func NewFrameReader(r io.Reader) *FrameReader {
 }
 
 // Next reads one frame, verifying the CRC, and returns the content type and
-// body. The body aliases the reader's scratch buffer: it is invalidated by
-// the next call. A clean EOF on a frame boundary comes back as io.EOF;
-// mid-frame truncation is io.ErrUnexpectedEOF.
+// body. The body aliases the reader's memory — the bufio buffer when the frame
+// fits it, scratch otherwise — and is invalidated by the next call. A clean
+// EOF on a frame boundary comes back as io.EOF; mid-frame truncation is
+// io.ErrUnexpectedEOF.
 func (fr *FrameReader) Next() (contentType byte, body []byte, err error) {
+	if fr.held > 0 {
+		// Cannot fail: Peek buffered exactly these bytes.
+		_, _ = fr.br.Discard(fr.held)
+		fr.held = 0
+	}
 	header := fr.header[:]
 	if _, err := io.ReadFull(fr.br, header); err != nil {
 		if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -71,22 +86,29 @@ func (fr *FrameReader) Next() (contentType byte, body []byte, err error) {
 		return 0, nil, ErrFrameTooLarge
 	}
 	contentType = header[4]
-	// Body and trailer arrive in one ReadFull into the reused scratch.
-	total := int(n) + 4
-	if cap(fr.scratch) < total {
-		fr.scratch = make([]byte, total)
-	}
-	buf := fr.scratch[:total]
-	if _, err := io.ReadFull(fr.br, buf); err != nil {
-		return 0, nil, fmt.Errorf("wire: read frame body: %w", unexpectEOF(err))
+	total := int(n) + 4 // body and CRC trailer
+	var buf []byte
+	if total <= fr.br.Size() {
+		if buf, err = fr.br.Peek(total); err != nil {
+			return 0, nil, fmt.Errorf("wire: read frame body: %w", unexpectEOF(err))
+		}
+		fr.held = total
+	} else {
+		if cap(fr.scratch) < total {
+			fr.scratch = make([]byte, total)
+		}
+		buf = fr.scratch[:total]
+		if _, err := io.ReadFull(fr.br, buf); err != nil {
+			return 0, nil, fmt.Errorf("wire: read frame body: %w", unexpectEOF(err))
+		}
+		if cap(fr.scratch) > maxRetainedScratch {
+			fr.scratch = nil // do not pin one huge frame's buffer forever
+		}
 	}
 	body = buf[:n]
 	crc := crc32.Update(crc32.Update(0, crc32.IEEETable, header[4:5]), crc32.IEEETable, body)
 	if crc != binary.BigEndian.Uint32(buf[n:]) {
 		return 0, nil, ErrFrameCRC
-	}
-	if cap(fr.scratch) > maxRetainedScratch {
-		fr.scratch = nil // do not pin one huge frame's buffer forever
 	}
 	fr.frames.Add(1)
 	return contentType, body, nil
@@ -98,12 +120,21 @@ func (fr *FrameReader) Next() (contentType byte, body []byte, err error) {
 func (fr *FrameReader) Frames() uint64 { return fr.frames.Load() }
 
 // ReadMessage reads the next frame and decodes it with the codec named by its
-// content-type tag. The returned message owns all its memory (codecs copy out
-// of the scratch buffer), so it survives any number of subsequent reads.
+// content-type tag. The returned message never aliases the reader's memory, so
+// it survives any number of subsequent reads.
+//
+// A binary envelope's Src, Dst and Topic are compared with the ones this
+// reader decoded last and, when equal, share that string instead of copying
+// it again: a connection carries the same three names on nearly every message.
+// One value per field is kept until a different one of at most
+// maxRememberedName bytes replaces it.
 func (fr *FrameReader) ReadMessage() (*Message, error) {
 	ct, body, err := fr.Next()
 	if err != nil {
 		return nil, err
+	}
+	if ct == ContentBinary {
+		return decodeBinary(body, &fr.names)
 	}
 	codec, err := CodecByContentType(ct)
 	if err != nil {
