@@ -122,6 +122,95 @@ func BenchmarkDiscoveryFloodLookup(b *testing.B) {
 	}
 }
 
+// --- Set-up path: what a node joining pays per advertisement ---
+
+// joinDesc is the i-th of the descriptions a node registers as it joins: the
+// shape the load benchmark's set-up phase uses.
+func joinDesc(i int) *svcdesc.Description {
+	return &svcdesc.Description{
+		Name:        fmt.Sprintf("decoy/%08x", i*2654435761),
+		Provider:    fmt.Sprintf("10.%d.%d.%d:%d", i%256, i/7%256, i/3%256, 1024+i),
+		InstanceID:  fmt.Sprint(i),
+		Version:     fmt.Sprintf("%d.%d", 1+i%3, i%10),
+		Attributes:  map[string]string{"zone": fmt.Sprint(i % 8), "rate": fmt.Sprint(i % 1000)},
+		Reliability: 0.5 + float64(i%97)/194,
+		PowerLevel:  float64(i%89) / 89,
+	}
+}
+
+func BenchmarkDescriptionMarshal(b *testing.B) {
+	d := joinDesc(137)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := svcdesc.MarshalDescription(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDescriptionUnmarshal(b *testing.B) {
+	data, err := svcdesc.MarshalDescription(joinDesc(137))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := svcdesc.UnmarshalDescription(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStoreSweep is the sweep a registry server runs before every
+// request, on a table where no lease has run out: it should not depend on
+// the table's size.
+func BenchmarkStoreSweep(b *testing.B) {
+	for _, n := range []int{256, 16384} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			store := discovery.NewStore(nil, time.Hour)
+			for i := 0; i < n; i++ {
+				if err := store.Register(joinDesc(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				store.Sweep()
+			}
+		})
+	}
+}
+
+// BenchmarkCentralRegister is one node's join: 256 descriptions registered
+// with a fresh registry, one round trip each.
+func BenchmarkCentralRegister(b *testing.B) {
+	descs := make([]*svcdesc.Description, 256)
+	for i := range descs {
+		descs[i] = joinDesc(i)
+	}
+	fabric := transport.NewFabric()
+	tr := transport.NewMem(fabric)
+	defer tr.Close() //nolint:errcheck
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, err := tr.Listen(fmt.Sprintf("registry-%d", i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := discovery.NewServer(discovery.NewStore(nil, 0), l)
+		cli := discovery.NewClient(tr, l.Addr())
+		for _, d := range descs {
+			if err := cli.Register(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		_ = cli.Close()
+		_ = srv.Close()
+	}
+}
+
 // --- E3: QoS matching ---
 
 func BenchmarkQoSMatch(b *testing.B) {

@@ -283,22 +283,34 @@ func TestServerSweepTicker(t *testing.T) {
 	srv := NewResolverServer(store, l, ServerOptions{Clock: clock, SweepEvery: 500 * time.Millisecond})
 	defer srv.Close() //nolint:errcheck
 
-	if err := store.Register(desc("n1", "sensor/bp")); err != nil {
-		t.Fatal(err)
-	}
-	if store.Len() != 1 {
-		t.Fatalf("Len = %d", store.Len())
+	long := desc("n2", "sensor/bp")
+	long.TTL = time.Hour
+	for _, d := range []*svcdesc.Description{desc("n1", "sensor/bp"), long} {
+		if err := store.Register(d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Advance in ticker-sized steps until the loop has both re-armed and
-	// swept; the lease is 1s so two ticks suffice once they land.
+	// swept; the short lease is 1s so two ticks suffice once they land.
 	deadline := time.Now().Add(5 * time.Second)
-	for store.Len() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep ticker never collected the expired lease: Len = %d", store.Len())
+	tickUntil := func(want int) {
+		t.Helper()
+		for store.Len() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("sweep ticker never collected the expired lease: Len = %d, want %d", store.Len(), want)
+			}
+			clock.Advance(500 * time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
-		clock.Advance(500 * time.Millisecond)
-		time.Sleep(time.Millisecond)
 	}
+	tickUntil(1)
+	if left := store.All(); len(left) != 1 || left[0].Provider != "n2" {
+		t.Fatalf("after the short lease went: %+v", left)
+	}
+	// The ticker has now swept, found one lease due and kept the other; it
+	// must still find that one when its hour is up.
+	clock.Advance(time.Hour)
+	tickUntil(0)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -92,6 +92,11 @@ type Store struct {
 
 	mu      sync.Mutex
 	entries map[string]storeEntry
+	// soonest is no later than the earliest expiry held: until the clock
+	// passes it no lease can have expired and Sweep has nothing to look for.
+	// Register lowers it, a Sweep that scanned recomputes it, and Renew and
+	// Unregister leave it low, which costs one scan that finds nothing.
+	soonest time.Time
 	// version increments on every mutation; callers use it for cheap change
 	// detection.
 	version atomic.Int64
@@ -126,7 +131,11 @@ func (s *Store) Register(d *svcdesc.Description) error {
 	}
 	d = d.Clone()
 	s.mu.Lock()
-	s.entries[d.Key()] = storeEntry{desc: d, expires: s.clock.Now().Add(ttl)}
+	expires := s.clock.Now().Add(ttl)
+	if len(s.entries) == 0 || expires.Before(s.soonest) {
+		s.soonest = expires
+	}
+	s.entries[d.Key()] = storeEntry{desc: d, expires: expires}
 	s.mu.Unlock()
 	s.version.Add(1)
 	return nil
@@ -188,18 +197,28 @@ func (s *Store) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
 func (s *Store) Close() error { return nil }
 
 // Sweep removes expired entries and returns how many were removed. Servers
-// call it periodically so the table does not accumulate dead suppliers.
+// call it before every request and on a ticker so the table does not
+// accumulate dead suppliers; it scans the table only when the clock has
+// passed the earliest expiry the table can hold.
 func (s *Store) Sweep() int {
 	now := s.clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !now.After(s.soonest) {
+		return 0
+	}
 	removed := 0
+	var soonest time.Time
 	for k, e := range s.entries {
-		if now.After(e.expires) {
+		switch {
+		case now.After(e.expires):
 			delete(s.entries, k)
 			removed++
+		case soonest.IsZero() || e.expires.Before(soonest):
+			soonest = e.expires
 		}
 	}
+	s.soonest = soonest
 	if removed > 0 {
 		s.version.Add(1)
 	}

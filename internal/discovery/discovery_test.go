@@ -168,6 +168,109 @@ func TestStoreSweep(t *testing.T) {
 	}
 }
 
+// Sweep skips the scan until the clock passes the earliest expiry the table
+// can hold. Each case moves that earliest expiry a different way and checks
+// what the table physically holds (Len) after every Sweep: an expired lease
+// goes in the first Sweep after its time, whatever happened to the bound.
+func TestStoreSweepEarliestExpiry(t *testing.T) {
+	lease := func(s *Store, provider string, ttl time.Duration) string {
+		t.Helper()
+		d := desc(provider, "svc")
+		d.TTL = ttl
+		if err := s.Register(d); err != nil {
+			t.Fatal(err)
+		}
+		return d.Key()
+	}
+	sweep := func(s *Store, removed, left int) {
+		t.Helper()
+		if got := s.Sweep(); got != removed || s.Len() != left {
+			t.Fatalf("Sweep removed %d leaving %d, want %d leaving %d", got, s.Len(), removed, left)
+		}
+	}
+	fresh := func() (*simtime.Virtual, *Store) {
+		clk := simtime.NewVirtual(epoch)
+		return clk, NewStore(clk, time.Minute)
+	}
+
+	t.Run("the soonest lease goes alone", func(t *testing.T) {
+		clk, s := fresh()
+		lease(s, "long", 30*time.Second)
+		lease(s, "short", 10*time.Second)
+		lease(s, "mid", 20*time.Second)
+		clk.Advance(10 * time.Second)
+		sweep(s, 0, 3) // expires at 10s means gone after 10s
+		clk.Advance(time.Millisecond)
+		sweep(s, 1, 2)
+		if got, _ := s.Lookup(&svcdesc.Query{}); len(got) != 2 || got[0].Provider != "long" || got[1].Provider != "mid" {
+			t.Fatalf("wrong survivors: %+v", got)
+		}
+		clk.Advance(10 * time.Second)
+		sweep(s, 1, 1)
+		clk.Advance(10 * time.Second)
+		sweep(s, 1, 0)
+	})
+
+	t.Run("renewing the soonest", func(t *testing.T) {
+		clk, s := fresh()
+		short := lease(s, "short", 10*time.Second)
+		lease(s, "long", 15*time.Second)
+		clk.Advance(8 * time.Second)
+		if err := s.Renew(short); err != nil { // now expires at 18s
+			t.Fatal(err)
+		}
+		clk.Advance(3 * time.Second) // 11s: past the old bound, nothing due
+		sweep(s, 0, 2)
+		clk.Advance(5 * time.Second) // 16s
+		sweep(s, 1, 1)
+		clk.Advance(3 * time.Second) // 19s
+		sweep(s, 1, 0)
+	})
+
+	t.Run("unregistering the soonest", func(t *testing.T) {
+		clk, s := fresh()
+		short := lease(s, "short", 10*time.Second)
+		lease(s, "long", 20*time.Second)
+		if err := s.Unregister(short); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(11 * time.Second)
+		sweep(s, 0, 1)
+		clk.Advance(10 * time.Second)
+		sweep(s, 1, 0)
+	})
+
+	t.Run("a shorter lease than any held", func(t *testing.T) {
+		clk, s := fresh()
+		lease(s, "long", 30*time.Second)
+		clk.Advance(time.Second)
+		sweep(s, 0, 1)
+		lease(s, "short", 2*time.Second) // expires at 3s
+		clk.Advance(3 * time.Second)
+		sweep(s, 1, 1)
+		// Re-registering a key with a later expiry leaves the bound low, not wrong.
+		lease(s, "long", 5*time.Second) // at 4s: expires at 9s
+		clk.Advance(4 * time.Second)
+		sweep(s, 0, 1)
+		clk.Advance(2 * time.Second)
+		sweep(s, 1, 0)
+	})
+
+	t.Run("the empty store", func(t *testing.T) {
+		clk, s := fresh()
+		sweep(s, 0, 0)
+		clk.Advance(time.Hour)
+		sweep(s, 0, 0)
+		lease(s, "late", time.Second) // the first lease after a drained table sets the bound
+		sweep(s, 0, 1)
+		clk.Advance(2 * time.Second)
+		sweep(s, 1, 0)
+		lease(s, "again", time.Hour)
+		clk.Advance(time.Minute)
+		sweep(s, 0, 1)
+	})
+}
+
 func TestStoreVersionBumps(t *testing.T) {
 	s := NewStore(nil, 0)
 	v0 := s.Version()

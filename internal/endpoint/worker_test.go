@@ -123,13 +123,13 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A goroutine is counted until it has finished exiting, a few
-	// instructions after the wg.Done that Close waited for: yield, do not
-	// sleep, for those.
-	for i := 0; runtime.NumGoroutine() > before; i++ {
-		if i == 1000 {
+	// instructions after the wg.Done that Close waited for. Yield to those,
+	// without sleeping, until a deadline: a fixed thousand yields ran out
+	// about once in twenty runs of -race -cpu 1,2.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after Close, %d before NewServer", runtime.NumGoroutine(), before)
 		}
-		runtime.Gosched()
 	}
 	if n := s.parked.Load(); n != 0 {
 		t.Fatalf("%d workers still parked after Close", n)

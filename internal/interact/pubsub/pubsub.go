@@ -61,14 +61,14 @@ func MatchTopic(pattern, topic string) bool {
 type subscription struct {
 	pattern string
 	conn    transport.Conn
-	sendMu  *sync.Mutex
 }
 
 // Broker fans published events out to matching subscribers.
 type Broker struct {
-	mu       sync.Mutex
-	subs     map[transport.Conn]map[string]*subscription // conn -> pattern -> sub
-	sendMus  map[transport.Conn]*sync.Mutex
+	mu sync.Mutex
+	// subs is every registration. It is replaced, never changed in place, so
+	// a publish fans out over the slice it read without holding mu.
+	subs     []subscription
 	conns    map[transport.Conn]struct{}
 	listener transport.Listener
 	closed   bool
@@ -82,8 +82,6 @@ type Broker struct {
 // NewBroker starts a broker on the listener.
 func NewBroker(l transport.Listener) *Broker {
 	b := &Broker{
-		subs:     make(map[transport.Conn]map[string]*subscription),
-		sendMus:  make(map[transport.Conn]*sync.Mutex),
 		conns:    make(map[transport.Conn]struct{}),
 		listener: l,
 	}
@@ -117,11 +115,21 @@ func (b *Broker) Close() error {
 func (b *Broker) Subscriptions() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n := 0
-	for _, pats := range b.subs {
-		n += len(pats)
+	return len(b.subs)
+}
+
+// replaceSubs installs a copy of the registrations without those drop
+// selects and with add appended.
+func (b *Broker) replaceSubs(drop func(subscription) bool, add ...subscription) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	next := make([]subscription, 0, len(b.subs)+len(add))
+	for _, sub := range b.subs {
+		if !drop(sub) {
+			next = append(next, sub)
+		}
 	}
-	return n
+	b.subs = append(next, add...)
 }
 
 func (b *Broker) acceptLoop() {
@@ -138,7 +146,6 @@ func (b *Broker) acceptLoop() {
 			return
 		}
 		b.conns[conn] = struct{}{}
-		b.sendMus[conn] = &sync.Mutex{}
 		b.mu.Unlock()
 		b.wg.Add(1)
 		go b.serveConn(conn)
@@ -149,10 +156,9 @@ func (b *Broker) serveConn(conn transport.Conn) {
 	defer b.wg.Done()
 	defer func() {
 		_ = conn.Close()
+		b.replaceSubs(func(sub subscription) bool { return sub.conn == conn })
 		b.mu.Lock()
 		delete(b.conns, conn)
-		delete(b.subs, conn)
-		delete(b.sendMus, conn)
 		b.mu.Unlock()
 	}()
 	for {
@@ -161,66 +167,41 @@ func (b *Broker) serveConn(conn transport.Conn) {
 			return
 		}
 		switch req.Topic {
-		case topicSubscribe:
-			pattern := string(req.Payload)
-			b.mu.Lock()
-			if b.subs[conn] == nil {
-				b.subs[conn] = make(map[string]*subscription)
+		case topicSubscribe, topicUnsubscribe:
+			sub := subscription{pattern: string(req.Payload), conn: conn}
+			same := func(other subscription) bool { return other == sub }
+			if req.Topic == topicSubscribe {
+				b.replaceSubs(same, sub)
+			} else {
+				b.replaceSubs(same)
 			}
-			b.subs[conn][pattern] = &subscription{pattern: pattern, conn: conn, sendMu: b.sendMus[conn]}
-			b.mu.Unlock()
-			b.reply(conn, req, wire.KindAck, nil)
-		case topicUnsubscribe:
-			pattern := string(req.Payload)
-			b.mu.Lock()
-			delete(b.subs[conn], pattern)
-			b.mu.Unlock()
-			b.reply(conn, req, wire.KindAck, nil)
+			reply(conn, req, wire.KindAck, nil)
 		case topicPublish:
 			b.Published.Add(1)
 			b.fanout(req)
-			b.reply(conn, req, wire.KindAck, nil)
+			reply(conn, req, wire.KindAck, nil)
 		default:
-			b.reply(conn, req, wire.KindError, []byte(fmt.Sprintf("pubsub: unknown topic %q", req.Topic)))
+			reply(conn, req, wire.KindError, []byte(fmt.Sprintf("pubsub: unknown topic %q", req.Topic)))
 		}
 	}
 }
 
-func (b *Broker) reply(conn transport.Conn, req *wire.Message, kind wire.Kind, payload []byte) {
-	b.mu.Lock()
-	mu := b.sendMus[conn]
-	b.mu.Unlock()
-	if mu == nil {
-		return
-	}
-	mu.Lock()
-	defer mu.Unlock()
+func reply(conn transport.Conn, req *wire.Message, kind wire.Kind, payload []byte) {
 	_ = conn.Send(&wire.Message{Kind: kind, Corr: req.ID, Topic: req.Topic, Payload: payload})
 }
 
-// fanout pushes the event to every matching subscription.
+// fanout pushes the event to every matching subscription. The subscribers
+// share one message: Send neither keeps nor changes it.
 func (b *Broker) fanout(req *wire.Message) {
-	eventTopic := req.Headers["topic"]
+	ev := &wire.Message{Kind: wire.KindEvent, Topic: req.Headers["topic"], Payload: req.Payload}
 	b.mu.Lock()
-	var targets []*subscription
-	for _, pats := range b.subs {
-		for _, sub := range pats {
-			if MatchTopic(sub.pattern, eventTopic) {
-				targets = append(targets, sub)
-			}
-		}
-	}
+	subs := b.subs
 	b.mu.Unlock()
-	for _, sub := range targets {
-		ev := &wire.Message{
-			Kind:    wire.KindEvent,
-			Topic:   eventTopic,
-			Payload: req.Payload,
+	for _, sub := range subs {
+		if !MatchTopic(sub.pattern, ev.Topic) {
+			continue
 		}
-		sub.sendMu.Lock()
-		err := sub.conn.Send(ev)
-		sub.sendMu.Unlock()
-		if err != nil {
+		if err := sub.conn.Send(ev); err != nil {
 			b.Dropped.Add(1)
 		}
 	}

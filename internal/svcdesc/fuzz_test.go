@@ -1,6 +1,7 @@
 package svcdesc
 
 import (
+	"encoding/xml"
 	"testing"
 	"time"
 )
@@ -73,6 +74,60 @@ func FuzzMatch(f *testing.F) {
 			if floor.Matches(d, now) {
 				t.Fatalf("reliability floor %v matched description with reliability %v", minRel, d.Reliability)
 			}
+		}
+	})
+}
+
+// FuzzDescriptionXML holds the scanner to its contract on arbitrary bytes:
+// it either declines, or encoding/xml accepts the same bytes and the two
+// agree on the description and on whether it is valid. The public readers
+// must not panic on anything, and whatever they accept the writer must turn
+// back into something the scanner itself takes.
+func FuzzDescriptionXML(f *testing.F) {
+	full := printerDesc()
+	full.AvailableFrom, full.PasswordHash = now, "h&sh"
+	for _, d := range []*Description{full, {Name: "x", Provider: "p"}, allocDesc()} {
+		doc, err := MarshalDescription(d)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
+		f.Add(append(append([]byte("<services>"), doc...), "</services>"...))
+	}
+	for _, doc := range declined {
+		f.Add([]byte(doc))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if x, ok := scanDescription(data); ok {
+			var ref xmlDescription
+			if err := xml.Unmarshal(data, &ref); err != nil {
+				t.Fatalf("scanner took %q, encoding/xml refuses it: %v", data, err)
+			}
+			got, gerr := descriptionFromXML(x)
+			want, werr := descriptionFromXML(ref)
+			if (gerr == nil) != (werr == nil) || !sameDescription(got, want) {
+				t.Fatalf("%q:\nscanner      %+v, %v\nencoding/xml %+v, %v", data, got, gerr, want, werr)
+			}
+		}
+		if _, ok := scanDescriptionList(data); ok {
+			got, gerr := UnmarshalDescriptionList(data)
+			want, werr := referenceUnmarshalList(data)
+			if (gerr == nil) != (werr == nil) || !sameDescriptions(got, want) {
+				t.Fatalf("list %q:\nscanner      %v, %v\nencoding/xml %v, %v", data, got, gerr, want, werr)
+			}
+		}
+
+		d, err := UnmarshalDescription(data)
+		if err != nil {
+			return
+		}
+		out, err := MarshalDescription(d)
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, which does not marshal: %v", data, d, err)
+		}
+		if _, ok := scanDescription(out); !ok {
+			t.Fatalf("scanner declined the writer's output %q", out)
 		}
 	})
 }

@@ -28,6 +28,11 @@ type xmlDescription struct {
 	Interfaces  []string  `xml:"interface"`
 }
 
+type xmlDescriptionList struct {
+	XMLName xml.Name         `xml:"services"`
+	Items   []xmlDescription `xml:"service"`
+}
+
 type xmlPoint struct {
 	X float64 `xml:"x,attr"`
 	Y float64 `xml:"y,attr"`
@@ -40,40 +45,17 @@ type xmlAttr struct {
 
 // MarshalDescription serializes a description to XML.
 func MarshalDescription(d *Description) ([]byte, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	x := xmlDescription{
-		Name:        d.Name,
-		Provider:    d.Provider,
-		InstanceID:  d.InstanceID,
-		Version:     d.Version,
-		Reliability: d.Reliability,
-		PowerLevel:  d.PowerLevel,
-		Password:    d.PasswordHash,
-		TTLMillis:   d.TTL.Milliseconds(),
-		Interfaces:  d.Interfaces,
-	}
-	if !d.AvailableFrom.IsZero() {
-		x.From = d.AvailableFrom.UTC().Format(time.RFC3339Nano)
-	}
-	if !d.AvailableUntil.IsZero() {
-		x.Until = d.AvailableUntil.UTC().Format(time.RFC3339Nano)
-	}
-	if d.Location != nil {
-		x.Location = &xmlPoint{X: d.Location.X, Y: d.Location.Y}
-	}
-	for _, k := range sortedKeys(d.Attributes) {
-		x.Attributes = append(x.Attributes, xmlAttr{Key: k, Value: d.Attributes[k]})
-	}
-	return xml.Marshal(x)
+	// Most descriptions fit, so the buffer is allocated once.
+	return appendDescription(make([]byte, 0, 256), d)
 }
 
 // UnmarshalDescription parses a description from XML.
 func UnmarshalDescription(data []byte) (*Description, error) {
-	var x xmlDescription
-	if err := xml.Unmarshal(data, &x); err != nil {
-		return nil, fmt.Errorf("svcdesc: parse description: %w", err)
+	x, ok := scanDescription(data)
+	if !ok {
+		if err := xml.Unmarshal(data, &x); err != nil {
+			return nil, fmt.Errorf("svcdesc: parse description: %w", err)
+		}
 	}
 	return descriptionFromXML(x)
 }
@@ -123,30 +105,28 @@ func descriptionFromXML(x xmlDescription) (*Description, error) {
 
 // MarshalDescriptionList serializes descriptions into a <services> document.
 func MarshalDescriptionList(descs []*Description) ([]byte, error) {
-	var buf []byte
-	buf = append(buf, "<services>"...)
+	buf := []byte("<services>")
 	for _, d := range descs {
-		item, err := MarshalDescription(d)
-		if err != nil {
+		var err error
+		if buf, err = appendDescription(buf, d); err != nil {
 			return nil, err
 		}
-		buf = append(buf, item...)
 	}
-	buf = append(buf, "</services>"...)
-	return buf, nil
+	return append(buf, "</services>"...), nil
 }
 
 // UnmarshalDescriptionList parses a <services> document.
 func UnmarshalDescriptionList(data []byte) ([]*Description, error) {
-	var list struct {
-		XMLName xml.Name         `xml:"services"`
-		Items   []xmlDescription `xml:"service"`
+	items, ok := scanDescriptionList(data)
+	if !ok {
+		var list xmlDescriptionList
+		if err := xml.Unmarshal(data, &list); err != nil {
+			return nil, fmt.Errorf("svcdesc: parse service list: %w", err)
+		}
+		items = list.Items
 	}
-	if err := xml.Unmarshal(data, &list); err != nil {
-		return nil, fmt.Errorf("svcdesc: parse service list: %w", err)
-	}
-	out := make([]*Description, 0, len(list.Items))
-	for _, x := range list.Items {
+	out := make([]*Description, 0, len(items))
+	for _, x := range items {
 		d, err := descriptionFromXML(x)
 		if err != nil {
 			return nil, err
