@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -11,23 +12,15 @@ import (
 	"ndsm/internal/experiments"
 )
 
-// baselineSchema versions the baseline file format. Schema 2 added the
-// sustained-load matrix and allocs/op gating; schema 1 files are still
-// readable (they simply carry no load points).
-const baselineSchema = 2
+// baselineSchema versions the baseline file format. Schema 3 keys a row by
+// every name cell, not the first alone, and records where the file was made;
+// older files are refused, since their keys no longer line up.
+const baselineSchema = 3
 
-// minBaselineSchema is the oldest schema readBaseline still accepts.
-const minBaselineSchema = 1
-
-// regressionTolerance is how much slower a benchmark may get before the
-// compare gate fails (fractional; 0.15 = 15%).
+// regressionTolerance is how far a benchmark's allocs/op may grow before the
+// compare gate fails, and how far ns/op or an experiment cell may drift
+// before the compare warns (fractional; 0.15 = 15%).
 const regressionTolerance = 0.15
-
-// loadRegressionTolerance is the tighter bound on sustained-load req/s: the
-// load servers run with wide-event recorders attached, and the analytics
-// plane's contract is that instrumentation costs the representative workload
-// less than 5% of its throughput.
-const loadRegressionTolerance = 0.05
 
 // BenchResult is one microbenchmark's measured cost.
 type BenchResult struct {
@@ -36,28 +29,48 @@ type BenchResult struct {
 	BytesPerOp  int64   `json:"bytesPerOp"`
 }
 
+// Environment is where a baseline was made. ns/op means nothing without it.
+type Environment struct {
+	GoVersion  string `json:"goVersion"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"numCPU"`
+}
+
+func (e Environment) String() string {
+	return fmt.Sprintf("%s %s/%s GOMAXPROCS=%d NumCPU=%d", e.GoVersion, e.GOOS, e.GOARCH, e.GOMAXPROCS, e.NumCPU)
+}
+
 // Baseline is the machine-readable output of `-baseline`: every numeric cell
-// of every experiment table, plus ns/op for the hot-path microbenchmarks.
-// The compare gate fails only on benchmark time regressions — experiment
-// metrics vary with workload sizing, so their drift is reported as warnings.
+// of every experiment table, plus ns/op and allocs/op for the hot-path
+// microbenchmarks. The compare gate fails only on what does not depend on
+// the machine: allocs/op growth and the experiments' absolute bounds. Time
+// and experiment metrics vary with hardware and workload sizing, so their
+// drift is reported as warnings.
 type Baseline struct {
-	Schema int  `json:"schema"`
-	Quick  bool `json:"quick"`
+	Schema int         `json:"schema"`
+	Quick  bool        `json:"quick"`
+	Env    Environment `json:"environment"`
 	// Experiments maps experiment ID → "table/rowKey/column" → value.
 	Experiments map[string]map[string]float64 `json:"experiments"`
 	// Benchmarks maps microbenchmark name → measured cost.
 	Benchmarks map[string]BenchResult `json:"benchmarks"`
-	// Load maps "transport/consumers/mode" → sustained-load measurements
-	// (present when the baseline was built with -load).
-	Load map[string]LoadPoint `json:"load,omitempty"`
 }
 
 // buildBaseline runs the selected experiments and the microbenchmark suite
 // and assembles the baseline.
 func buildBaseline(quick bool, ids []string) (*Baseline, error) {
 	base := &Baseline{
-		Schema:      baselineSchema,
-		Quick:       quick,
+		Schema: baselineSchema,
+		Quick:  quick,
+		Env: Environment{
+			GoVersion:  runtime.Version(),
+			GOOS:       runtime.GOOS,
+			GOARCH:     runtime.GOARCH,
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			NumCPU:     runtime.NumCPU(),
+		},
 		Experiments: make(map[string]map[string]float64),
 		Benchmarks:  runMicrobenches(),
 	}
@@ -67,30 +80,53 @@ func buildBaseline(quick bool, ids []string) (*Baseline, error) {
 		if err != nil {
 			return nil, fmt.Errorf("baseline: experiment %s: %w", id, err)
 		}
-		base.Experiments[res.ID] = flattenResult(res)
+		if base.Experiments[res.ID], err = flattenResult(res); err != nil {
+			return nil, fmt.Errorf("baseline: experiment %s: %w", id, err)
+		}
 	}
 	return base, nil
 }
 
 // flattenResult extracts every numeric cell of an experiment's tables, keyed
-// "table/rowKey/column" (the row key is the first cell).
-func flattenResult(res experiments.Result) map[string]float64 {
+// "table/rowKey/column". The row key is the first cell plus the non-numeric
+// cells that directly follow it: E1's rows are "nodes, organization,
+// values…", and the first cell alone would name two rows. A cell reading
+// "n/a" is a value that is absent, not a name, and ends the key. A textual
+// result in that position (E5's delivered "20/20") joins the key too, so a
+// change in it reads as cells missing and cells new, which warns. Two cells
+// with one key are an error, so a table cannot silently lose a row.
+func flattenResult(res experiments.Result) (map[string]float64, error) {
 	out := make(map[string]float64)
 	for _, tbl := range res.Tables {
 		for _, row := range tbl.Rows {
 			if len(row) == 0 {
 				continue
 			}
-			for i := 1; i < len(row) && i < len(tbl.Headers); i++ {
+			rowKey, i := row[0], 1
+			for ; i < len(row) && !isValueCell(row[i]); i++ {
+				rowKey += "/" + row[i]
+			}
+			for ; i < len(row) && i < len(tbl.Headers); i++ {
 				v, err := strconv.ParseFloat(row[i], 64)
 				if err != nil {
 					continue
 				}
-				out[tbl.Title+"/"+row[0]+"/"+tbl.Headers[i]] = v
+				key := tbl.Title + "/" + rowKey + "/" + tbl.Headers[i]
+				if _, dup := out[key]; dup {
+					return nil, fmt.Errorf("two cells keyed %q", key)
+				}
+				out[key] = v
 			}
 		}
 	}
-	return out
+	return out, nil
+}
+
+// isValueCell reports whether a cell holds a value, present or absent, and
+// not a name.
+func isValueCell(cell string) bool {
+	_, err := strconv.ParseFloat(cell, 64)
+	return err == nil || strings.HasPrefix(cell, "n/a")
 }
 
 // writeBaseline writes the baseline as indented JSON.
@@ -112,17 +148,19 @@ func readBaseline(path string) (*Baseline, error) {
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, fmt.Errorf("baseline %s: %w", path, err)
 	}
-	if b.Schema < minBaselineSchema || b.Schema > baselineSchema {
-		return nil, fmt.Errorf("baseline %s: schema %d, tool expects %d..%d",
-			path, b.Schema, minBaselineSchema, baselineSchema)
+	if b.Schema != baselineSchema {
+		return nil, fmt.Errorf("baseline %s: schema %d, tool reads %d: re-record it with -baseline",
+			path, b.Schema, baselineSchema)
 	}
 	return &b, nil
 }
 
-// compareBaselines judges new against old. Regressions (benchmark ns/op more
-// than tolerance slower) are gate failures; everything else — experiment
-// metric drift, added or dropped entries — comes back as warnings.
+// compareBaselines judges new against old. Gate failures are what no machine
+// explains: allocs/op past tolerance and the experiments' absolute bounds.
+// Everything else — ns/op and experiment metric drift, added or dropped
+// entries — comes back as warnings.
 func compareBaselines(old, new *Baseline, tolerance float64) (regressions, warnings []string) {
+	slower := 0
 	for _, name := range sortedKeys(old.Benchmarks) {
 		prev := old.Benchmarks[name]
 		cur, ok := new.Benchmarks[name]
@@ -131,12 +169,13 @@ func compareBaselines(old, new *Baseline, tolerance float64) (regressions, warni
 			continue
 		}
 		if prev.NsPerOp > 0 && cur.NsPerOp > prev.NsPerOp*(1+tolerance) {
-			regressions = append(regressions, fmt.Sprintf(
+			slower++
+			warnings = append(warnings, fmt.Sprintf(
 				"benchmark %s: %.0f ns/op vs %.0f ns/op baseline (+%.0f%%, tolerance %.0f%%)",
 				name, cur.NsPerOp, prev.NsPerOp,
 				100*(cur.NsPerOp/prev.NsPerOp-1), 100*tolerance))
 		}
-		// Allocation regressions gate too: a zero-alloc path growing any
+		// Allocation regressions gate: a zero-alloc path growing any
 		// allocation fails outright; non-zero paths get the tolerance plus
 		// half an alloc of slack so counter jitter on tiny budgets does not
 		// flap the gate.
@@ -145,6 +184,13 @@ func compareBaselines(old, new *Baseline, tolerance float64) (regressions, warni
 				"benchmark %s: %d allocs/op vs %d allocs/op baseline (tolerance %.0f%%)",
 				name, cur.AllocsPerOp, prev.AllocsPerOp, 100*tolerance))
 		}
+	}
+	if slower > 0 {
+		// Time compares only between runs on one machine, so it cannot gate:
+		// say where each side ran and leave the judgement to the reader.
+		warnings = append(warnings, fmt.Sprintf(
+			"%d benchmark(s) slower than baseline: it was recorded on %s, this one on %s",
+			slower, old.Env, new.Env))
 	}
 	for name := range new.Benchmarks {
 		if _, ok := old.Benchmarks[name]; !ok {
@@ -175,99 +221,18 @@ func compareBaselines(old, new *Baseline, tolerance float64) (regressions, warni
 			}
 		}
 	}
-	// Load req/s gates at 5%: the load servers record wide events, so this
-	// is the bound that keeps request analytics inside its overhead budget
-	// on the representative workload. Everything else about a load point
-	// warns — sustained throughput is machine-sensitive, and CI treats the
-	// whole compare as advisory anyway (quiet local hardware is the judge).
-	for _, key := range sortedKeys(old.Load) {
-		prev := old.Load[key]
-		cur, ok := new.Load[key]
+	// The experiments' own contracts gate absolutely, not by drift: a bound
+	// a new baseline exceeds is broken whatever the old one measured. Each
+	// experiment declares its gates beside the table that feeds them.
+	for _, id := range sortedKeys(experiments.Gates) {
+		cells, ok := new.Experiments[id]
 		if !ok {
-			warnings = append(warnings, fmt.Sprintf("load point %s missing from new baseline", key))
 			continue
 		}
-		if prev.ReqPerSec > 0 && cur.ReqPerSec < prev.ReqPerSec*(1-loadRegressionTolerance) {
-			regressions = append(regressions, fmt.Sprintf(
-				"load point %s throughput dropped: %.0f req/s vs %.0f req/s baseline (-%.1f%%, tolerance %.0f%%)",
-				key, cur.ReqPerSec, prev.ReqPerSec,
-				100*(1-cur.ReqPerSec/prev.ReqPerSec), 100*loadRegressionTolerance))
-		}
-		if cur.AllocsPerOp > prev.AllocsPerOp*(1+tolerance)+0.5 {
-			warnings = append(warnings, fmt.Sprintf(
-				"load point %s allocations grew: %.1f allocs/op vs %.1f allocs/op baseline",
-				key, cur.AllocsPerOp, prev.AllocsPerOp))
-		}
-	}
-	// E13's control-lane miss rate at 2x overload gates absolutely, not by
-	// drift: the priority-lane contract is "~0% misses under overload", so
-	// any new baseline where the control lane misses more than 1% of its
-	// deadlines has broken admission isolation, whatever the old number was.
-	if cells, ok := new.Experiments["E13"]; ok {
-		const e13Key = "E13: deadline miss rate vs offered load/lanes 2.0x/control miss %"
-		if miss, ok := cells[e13Key]; ok && miss > 1.0 {
-			regressions = append(regressions, fmt.Sprintf(
-				"experiment E13: control-lane deadline-miss rate %.2f%% at 2x overload exceeds the 1%% isolation gate", miss))
-		}
-	}
-	// E14's alerting-plane contract gates absolutely too: every fault class
-	// must reach critical within its bound, a calm world must raise nothing,
-	// and the quota adapter must actually stop the control-lane misses it
-	// was built to stop. Detection that is slow, noisy, or toothless is a
-	// regression whatever the old baseline measured.
-	if cells, ok := new.Experiments["E14"]; ok {
-		const detect = "E14: time to alert by fault class (virtual time)/"
-		const adapt = "E14: overload adaptation (real time)/"
-		gates := []struct {
-			key   string
-			bound float64
-			desc  string
-		}{
-			{detect + "partition (telemetry-freshness)/alert ticks", 10,
-				"partition detection latency"},
-			{detect + "registry member kills (lookup-availability)/alert ticks", 15,
-				"member-kill detection latency"},
-			{detect + "calm soak/transitions", 0,
-				"calm-world false-positive alerts"},
-			{adapt + "adapter/ctl miss % post-adapt", 1.0,
-				"control-lane miss rate after the quota adapter reacted"},
-		}
-		for _, g := range gates {
-			if v, ok := cells[g.key]; ok && v > g.bound {
+		for _, g := range experiments.Gates[id] {
+			if v, ok := cells[g.Cell]; ok && v > g.Max {
 				regressions = append(regressions, fmt.Sprintf(
-					"experiment E14: %s %.2f exceeds the %.0f gate (%q)", g.desc, v, g.bound, g.key))
-			}
-		}
-	}
-	// E15's request-analytics contracts gate absolutely: the injected hot
-	// topic must rank #1 in the cluster-merged top-k, the merged t-digest p99
-	// must sit within 5% of the exact distribution, the sampled-out recorder
-	// path must stay allocation-free, and the recorder's absolute cost on a
-	// worst-case no-op closed loop must stay under 2µs per request (measured
-	// ~0.3–0.9µs: two clock reads plus the lock-cheap Record; the bound is
-	// where the path has clearly grown a lock fight or an allocation). The
-	// percentage form of the overhead contract is the 5% load gate above —
-	// the load servers record wide events, so load req/s is instrumented
-	// req/s. Attribution that misranks, misestimates, or taxes the hot path
-	// is a regression whatever the old baseline measured.
-	if cells, ok := new.Experiments["E15"]; ok {
-		const attr = "E15: cluster attribution from merged sketches/hot/"
-		maxGates := []struct {
-			key   string
-			bound float64
-			desc  string
-		}{
-			{attr + "rank", 1, "hot-topic rank in the merged top-k"},
-			{attr + "p99 err %", 5, "merged-sketch p99 error vs exact"},
-			{"E15: sampled-out hot path/recorder.Record (sampled out)/allocs/op", 0,
-				"sampled-out recorder allocations"},
-			{"E15: endpoint throughput with wide events/closed loop/overhead ns/req", 2000,
-				"wide-event overhead per request (closed-loop echo)"},
-		}
-		for _, g := range maxGates {
-			if v, ok := cells[g.key]; ok && v > g.bound {
-				regressions = append(regressions, fmt.Sprintf(
-					"experiment E15: %s %.2f exceeds the %.0f gate (%q)", g.desc, v, g.bound, g.key))
+					"experiment %s: %s %.2f exceeds the %.0f gate (%q)", id, g.What, v, g.Max, g.Cell))
 			}
 		}
 	}
@@ -296,7 +261,8 @@ func sortedKeys[M ~map[string]V, V any](m M) []string {
 type errRegression struct{ count int }
 
 func (e errRegression) Error() string {
-	return fmt.Sprintf("ndsm-bench: %d benchmark regression(s) beyond %.0f%%", e.count, 100*regressionTolerance)
+	return fmt.Sprintf("ndsm-bench: %d gate failure(s): allocs/op grown beyond %.0f%%, or an experiment past its absolute bound (ns/op drift only warns)",
+		e.count, 100*regressionTolerance)
 }
 
 // reportComparison prints the verdict and returns errRegression when the

@@ -1,6 +1,7 @@
-// Command ndsm-bench runs the reproduction experiment suite (F1 and E1-E11
+// Command ndsm-bench runs the reproduction experiment suite (F1 and E1-E15
 // from DESIGN.md) and prints one table per experiment — the data behind
-// EXPERIMENTS.md.
+// EXPERIMENTS.md. Request-path performance is not measured here: that is
+// benchmark/ and BENCHMARK.json.
 //
 // Usage:
 //
@@ -13,19 +14,17 @@
 //	                           # capture the run's causal spans as Chrome
 //	                           # trace-event JSON (open in chrome://tracing
 //	                           # or https://ui.perfetto.dev)
-//	ndsm-bench -quick -baseline BENCH.json
+//	ndsm-bench -baseline BENCH.json
 //	                           # machine-readable baseline: every numeric
 //	                           # experiment cell + hot-path ns/op + allocs/op
-//	ndsm-bench -quick -compare old.json
+//	                           # + the environment it was recorded in
+//	ndsm-bench -compare old.json
 //	                           # rebuild the baseline and fail (exit 1) on
-//	                           # >15% benchmark regressions against old.json
+//	                           # allocs/op grown >15% against old.json or an
+//	                           # experiment past its absolute bound; ns/op
+//	                           # and experiment drift only warn
 //	ndsm-bench -compare old.json new.json
 //	                           # compare two baseline files without running
-//	ndsm-bench -load           # sustained-load harness: N consumers × M
-//	                           # suppliers, batched vs unbatched, req/s and
-//	                           # latency percentiles (see -load-* flags)
-//	ndsm-bench -load -quick -baseline BENCH.json
-//	                           # include the load matrix in the baseline
 package main
 
 import (
@@ -51,8 +50,6 @@ type cliOptions struct {
 	baseline   string
 	compare    string
 	compareNew string
-	load       bool
-	loadCfg    loadConfig
 }
 
 func main() {
@@ -63,25 +60,10 @@ func main() {
 	flag.BoolVar(&opts.metrics, "metrics", false, "after the run, dump the middleware metrics snapshot as JSON")
 	flag.StringVar(&opts.traceFile, "trace", "", "capture causal spans and write them as Chrome trace-event JSON to this file")
 	flag.StringVar(&opts.baseline, "baseline", "", "write a machine-readable baseline (experiment metrics + ns/op) to this file")
-	flag.StringVar(&opts.compare, "compare", "", "compare against this baseline file; exit non-zero on >15% benchmark regressions")
-	flag.BoolVar(&opts.load, "load", false, "run the sustained-load harness (batched vs unbatched endpoint hot path)")
-	flag.StringVar(&opts.loadCfg.Transport, "load-transport", "sim", "load harness transport: sim (netsim datagrams) or tcp (loopback)")
-	consumers := flag.String("load-consumers", "", "comma-separated consumer counts to sweep (default 1000,10000; -quick default 500)")
-	flag.IntVar(&opts.loadCfg.Requests, "load-requests", 0, "requests per consumer (0: auto-size to ~60k total)")
-	flag.IntVar(&opts.loadCfg.Window, "load-window", 32, "pipeline window per consumer in the batched phase")
-	flag.DurationVar(&opts.loadCfg.Airtime, "load-airtime", 0, "per-datagram channel occupancy on the sim substrate (default 25µs; negative disables)")
-	flag.IntVar(&opts.loadCfg.Repeat, "load-repeat", 0, "runs per load point, keeping the best req/s (default 3; 1 for a quick smoke)")
+	flag.StringVar(&opts.compare, "compare", "", "compare against this baseline file; exit non-zero on allocs/op grown >15% or an experiment past its absolute bound (ns/op and experiment drift only warn)")
 	flag.Parse()
 	opts.compareNew = flag.Arg(0)
-	sweep, err := parseConsumerSweep(*consumers)
-	if err == nil {
-		if sweep == nil && opts.quick {
-			sweep = []int{500}
-		}
-		opts.loadCfg.Consumers = sweep
-		err = realMain(opts)
-	}
-	if err != nil {
+	if err := realMain(opts); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -111,18 +93,12 @@ func realMain(opts cliOptions) error {
 		if err != nil {
 			return err
 		}
-		if opts.load {
-			built.Load, err = runLoadSuite(opts.loadCfg, os.Stdout)
-			if err != nil {
-				return err
-			}
-		}
 		if opts.baseline != "" {
 			if err := writeBaseline(opts.baseline, built); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "ndsm-bench: wrote baseline (%d experiments, %d benchmarks, %d load points) to %s\n",
-				len(built.Experiments), len(built.Benchmarks), len(built.Load), opts.baseline)
+			fmt.Fprintf(os.Stderr, "ndsm-bench: wrote baseline (%d experiments, %d benchmarks) to %s\n",
+				len(built.Experiments), len(built.Benchmarks), opts.baseline)
 		}
 		if opts.compare != "" {
 			oldB, err := readBaseline(opts.compare)
@@ -133,11 +109,6 @@ func realMain(opts cliOptions) error {
 			return reportComparison(os.Stdout, opts.compare, regressions, warnings)
 		}
 		return nil
-	}
-	// Standalone load run: the harness replaces the experiment suite.
-	if opts.load {
-		_, err := runLoadSuite(opts.loadCfg, os.Stdout)
-		return err
 	}
 	var collector *trace.Collector
 	if opts.traceFile != "" {

@@ -36,7 +36,7 @@ func (o E7Options) withDefaults() E7Options {
 func E7(opts E7Options) (Result, error) {
 	opts = opts.withDefaults()
 	table := stats.NewTable("E7: interaction styles",
-		"style", "payload B", "ops/sec", "mean µs/op")
+		"style", "payload", "ops/sec", "mean µs/op")
 	type styleFn func(size, ops int) (time.Duration, error)
 	styles := []struct {
 		name string
@@ -54,7 +54,9 @@ func E7(opts E7Options) (Result, error) {
 				return Result{}, fmt.Errorf("E7 %s size=%d: %w", st.name, size, err)
 			}
 			perOp := elapsed / time.Duration(opts.Ops)
-			table.AddRow(st.name, size,
+			// The payload is a name ("64 B"), not a number: style and payload
+			// together tell one row from another in a baseline file.
+			table.AddRow(st.name, fmt.Sprintf("%d B", size),
 				float64(opts.Ops)/elapsed.Seconds(),
 				float64(perOp.Nanoseconds())/1e3)
 		}

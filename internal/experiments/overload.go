@@ -76,6 +76,14 @@ type e13Point struct {
 	bulkOffered int64
 }
 
+// e13Gates: the priority-lane contract is "~0% control misses under
+// overload", so a run where the control lane misses more than 1% of its
+// deadlines at 2x has broken admission isolation.
+var e13Gates = []Gate{
+	{"E13: deadline miss rate vs offered load/lanes 2.0x/control miss %", 1,
+		"control-lane deadline-miss % at 2x overload (isolation)"},
+}
+
 // E13 drives a simulated periodic control loop alongside an open-loop bulk
 // telemetry flood at a bounded endpoint server, sweeping offered load from
 // half capacity to 2x overload, and compares two admission modes on the same

@@ -23,6 +23,23 @@ func IDs() []string {
 	return []string{"F1", "E1", "E2", "E3", "E4", "E4x", "E5", "E5a", "E6", "E6a", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15"}
 }
 
+// Gate is an absolute upper bound on one cell of an experiment's tables: a
+// contract of the mechanism under test, not a drift from an earlier run. Cell
+// is "table title/row key/column" as ndsm-bench -baseline keys it.
+type Gate struct {
+	Cell string
+	Max  float64
+	What string
+}
+
+// Gates maps an experiment ID to the bounds ndsm-bench -compare holds its
+// cells to. Each list is declared in the experiment's own file.
+var Gates = map[string][]Gate{
+	"E13": e13Gates,
+	"E14": e14Gates,
+	"E15": e15Gates,
+}
+
 // Run executes one experiment by ID.
 func (r Runner) Run(id string) (Result, error) {
 	q := r.QuickMode

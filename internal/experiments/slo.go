@@ -110,6 +110,21 @@ type e14Detection struct {
 	violations  []string
 }
 
+// e14Gates: every fault class must reach critical within its bound, a calm
+// world must raise nothing, and the quota adapter must actually stop the
+// control-lane misses it was built to stop. Detection that is slow, noisy,
+// or toothless is a regression.
+var e14Gates = []Gate{
+	{"E14: time to alert by fault class (virtual time)/partition (telemetry-freshness)/alert ticks", 10,
+		"partition detection latency"},
+	{"E14: time to alert by fault class (virtual time)/registry member kills (lookup-availability)/alert ticks", 15,
+		"member-kill detection latency"},
+	{"E14: time to alert by fault class (virtual time)/calm soak/transitions", 0,
+		"calm-world false-positive alerts"},
+	{"E14: overload adaptation (real time)/adapter/ctl miss % post-adapt", 1,
+		"control-lane miss rate after the quota adapter reacted"},
+}
+
 // E14 measures the alerting plane's detection latency and the quota adapter's
 // reaction across three fault classes, plus a calm-world control:
 //

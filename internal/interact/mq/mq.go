@@ -206,8 +206,7 @@ func (b *Broker) serveConn(conn transport.Conn) {
 		b.mu.Unlock()
 	}()
 	// Conn.Send is safe for concurrent use (long-poll replies come from
-	// their own goroutines), and unserialized sends coalesce on batching
-	// transports.
+	// their own goroutines), and unserialized sends coalesce on TCP.
 	reply := func(req *wire.Message, kind wire.Kind, payload []byte) {
 		_ = conn.Send(&wire.Message{Kind: kind, Corr: req.ID, Topic: req.Topic, Payload: payload})
 	}

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,24 +10,7 @@ import (
 	"ndsm/internal/wire"
 )
 
-// countingService wraps a DatagramService and counts substrate sends, so
-// tests can observe the coalescing factor. A non-zero delay makes each
-// datagram slow, forcing concurrent senders to queue behind the flusher.
-type countingService struct {
-	DatagramService
-	sends atomic.Int64
-	delay time.Duration
-}
-
-func (s *countingService) Send(from, to netsim.NodeID, data []byte) error {
-	s.sends.Add(1)
-	if s.delay > 0 {
-		time.Sleep(s.delay)
-	}
-	return s.DatagramService.Send(from, to, data)
-}
-
-func newSimBatchPair(t *testing.T) (*Sim, *Sim, *countingService) {
+func newSimPair(t *testing.T) (*Sim, *Sim) {
 	t.Helper()
 	net := netsim.New(netsim.Config{Range: 100, Unlimited: true, InboxSize: 4096})
 	for _, id := range []netsim.NodeID{"a", "b"} {
@@ -36,12 +18,11 @@ func newSimBatchPair(t *testing.T) (*Sim, *Sim, *countingService) {
 			t.Fatal(err)
 		}
 	}
-	svc := &countingService{DatagramService: net}
-	ta, err := NewSim(svc, "a", nil)
+	ta, err := NewSim(net, "a", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := NewSim(svc, "b", nil)
+	tb, err := NewSim(net, "b", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,90 +30,15 @@ func newSimBatchPair(t *testing.T) (*Sim, *Sim, *countingService) {
 		_ = ta.Close()
 		_ = tb.Close()
 	})
-	return ta, tb, svc
+	return ta, tb
 }
 
-// A batched sim connection delivers every message, in order, and packs many
-// messages into far fewer datagrams than the per-message path would.
-func TestSimBatchingCoalescesAndDelivers(t *testing.T) {
-	ta, tb, svc := newSimBatchPair(t)
-	ta.SetBatching(true)
-	svc.delay = time.Millisecond // slow substrate → senders queue behind the flusher
-	l, err := tb.Listen("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := ta.Dial("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 200
-	var wg sync.WaitGroup
-	for i := 1; i <= n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := conn.Send(&wire.Message{ID: uint64(i), Kind: wire.KindData, Topic: "t"}); err != nil {
-				t.Errorf("send %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	acc, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[uint64]bool, n)
-	for len(seen) < n {
-		m, err := acc.Recv()
-		if err != nil {
-			t.Fatalf("recv after %d messages: %v", len(seen), err)
-		}
-		if seen[m.ID] {
-			t.Fatalf("duplicate message %d", m.ID)
-		}
-		seen[m.ID] = true
-	}
-	if got := svc.sends.Load(); got >= n {
-		t.Fatalf("no coalescing: %d datagrams for %d messages", got, n)
-	}
-	if dropped := tb.DroppedFrames(); dropped != 0 {
-		t.Fatalf("%d frames dropped on lossless link", dropped)
-	}
-}
-
-// Batched datagrams are understood even when the receiver never opted in:
-// batching is a sender-side choice.
-func TestSimBatchDecodeAlwaysOn(t *testing.T) {
-	ta, tb, _ := newSimBatchPair(t)
-	ta.SetBatching(true) // only the sender batches
-	l, err := tb.Listen("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := ta.Dial("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Send(&wire.Message{ID: 7, Kind: wire.KindData}); err != nil {
-		t.Fatal(err)
-	}
-	acc, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := acc.Recv()
-	if err != nil || m.ID != 7 {
-		t.Fatalf("recv = %v, %v", m, err)
-	}
-}
-
-// A malformed batch datagram (truncated sub-frame length) is dropped and
-// counted, and the connection keeps working.
+// The sim transport has one datagram shape per message. Flag 3 once marked a
+// coalesced datagram; one arriving from outside is counted as dropped,
+// creates no connection, and the connection beside it keeps working. (The
+// test keeps its name from when a truncated batch was the malformed case.)
 func TestSimBatchTruncatedTailCounted(t *testing.T) {
-	ta, tb, _ := newSimBatchPair(t)
+	ta, tb := newSimPair(t)
 	l, err := tb.Listen("b")
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +47,6 @@ func TestSimBatchTruncatedTailCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Establish the accepting side with a good message first.
 	if err := conn.Send(&wire.Message{ID: 1, Kind: wire.KindData}); err != nil {
 		t.Fatal(err)
 	}
@@ -153,26 +58,40 @@ func TestSimBatchTruncatedTailCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hand-craft a batch datagram whose sub-frame length overruns the body.
+	// Two flag-3 datagrams from the initiator: one on the established
+	// connection, one on an ID b has never seen.
 	sc := conn.(*simConn)
-	bad := sc.appendHeader(nil, simFlagBatch)
-	bad = append(bad, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3)
-	if err := ta.svc.Send("a", "b", bad); err != nil {
+	body, err := wire.Binary{}.Encode(&wire.Message{ID: 9, Kind: wire.KindData})
+	if err != nil {
 		t.Fatal(err)
 	}
+	const flagBatch = 3
+	known := append(sc.header(flagBatch), body...)
+	stranger := append([]byte(nil), known...)
+	stranger[8] ^= 0x40 // another connection ID
+	for _, d := range [][]byte{known, stranger} {
+		if err := ta.svc.Send("a", "b", d); err != nil {
+			t.Fatal(err)
+		}
+	}
 	deadline := time.Now().Add(2 * time.Second)
-	for tb.DroppedFrames() == 0 {
+	for tb.DroppedFrames() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("truncated batch never counted as dropped")
+			t.Fatalf("flag-3 datagrams counted as dropped: %d, want 2", tb.DroppedFrames())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// The connection survives.
+	tb.mu.Lock()
+	conns, backlog := len(tb.conns), len(l.(*simListener).backlog)
+	tb.mu.Unlock()
+	if conns != 1 || backlog != 0 {
+		t.Fatalf("flag-3 datagram created a connection: %d conns, %d waiting to be accepted", conns, backlog)
+	}
 	if err := conn.Send(&wire.Message{ID: 2, Kind: wire.KindData}); err != nil {
 		t.Fatal(err)
 	}
 	if m, err := acc.Recv(); err != nil || m.ID != 2 {
-		t.Fatalf("recv after bad batch = %v, %v", m, err)
+		t.Fatalf("recv after flag-3 datagrams = %v, %v", m, err)
 	}
 }
 

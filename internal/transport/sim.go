@@ -3,7 +3,6 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -35,11 +34,6 @@ const (
 	simHdrLen   = 10
 	simFlagData = 1
 	simFlagFin  = 2
-	// simFlagBatch marks a datagram carrying several coalesced messages as
-	// length-prefixed sub-frames: [4-byte big-endian len][encoded message]
-	// repeated. Sent only when batching is enabled (see SetBatching), but
-	// always understood on receive.
-	simFlagBatch = 3
 	// simFlagInitiator marks frames sent by the side that dialed the
 	// connection. Connection IDs are allocated independently by each node, so
 	// this bit disambiguates "your conn 7" from "my conn 7".
@@ -47,8 +41,7 @@ const (
 )
 
 // simConnBuffer is each sim connection's inbound message buffer. Larger than
-// the mem transport's: batched datagrams land several messages at once, and
-// a pipelined caller keeps a window of replies in flight.
+// the mem transport's: a pipelined caller keeps a window of replies in flight.
 const simConnBuffer = 256
 
 // Sim is the Transport over a simulated radio network. One Sim instance
@@ -62,7 +55,6 @@ type Sim struct {
 	svc   DatagramService
 	local netsim.NodeID
 	codec wire.Codec
-	batch atomic.Bool
 
 	nextConn atomic.Uint64
 
@@ -108,15 +100,6 @@ func (t *Sim) Name() string { return "sim" }
 
 // DroppedFrames reports inbound frames discarded by the demultiplexer.
 func (t *Sim) DroppedFrames() int64 { return t.droppedFrames.Load() }
-
-// SetBatching toggles datagram coalescing on the send side: concurrent
-// senders on one connection share a pending buffer, and a whole queue of
-// messages leaves as one simFlagBatch datagram. This amortizes the per-packet
-// cost of the radio substrate under load — but it also changes loss
-// granularity (one lost datagram now loses every message in the batch), so
-// it is opt-in: chaos and energy experiments keep the per-message default.
-// Receivers always understand batched datagrams regardless of this setting.
-func (t *Sim) SetBatching(on bool) { t.batch.Store(on) }
 
 // Listen implements Transport. addr must equal the node's own ID; a node has
 // exactly one listener.
@@ -232,7 +215,7 @@ func (t *Sim) handle(pkt netsim.Packet) {
 	} else {
 		c = t.conns[connKey(pkt.From, id, true)]
 	}
-	if c == nil && (flag == simFlagData || flag == simFlagBatch) && fromInitiator {
+	if c == nil && flag == simFlagData && fromInitiator {
 		// First contact: create the accepting side if someone is listening.
 		if t.listener == nil {
 			t.mu.Unlock()
@@ -263,20 +246,6 @@ func (t *Sim) handle(pkt netsim.Packet) {
 		c.closeLocal(false)
 	case simFlagData:
 		t.deliver(c, body)
-	case simFlagBatch:
-		// Split the coalesced datagram into its length-prefixed sub-frames.
-		for len(body) >= 4 {
-			n := binary.BigEndian.Uint32(body[:4])
-			if uint64(n) > uint64(len(body)-4) {
-				t.droppedFrames.Add(1) // truncated batch tail
-				return
-			}
-			t.deliverBatch(c, body[4:4+n])
-			body = body[4+n:]
-		}
-		if len(body) != 0 {
-			t.droppedFrames.Add(1) // trailing garbage
-		}
 	default:
 		t.droppedFrames.Add(1)
 	}
@@ -293,28 +262,6 @@ func (t *Sim) deliver(c *simConn, body []byte) {
 	select {
 	case c.in <- m:
 	default:
-		t.droppedFrames.Add(1)
-	}
-}
-
-// deliverBatch is deliver for coalesced sub-frames. The datagram already
-// survived the radio, and one batch can carry thousands of messages — far
-// more than any fixed connection buffer — so a full buffer applies
-// backpressure to the demultiplexer instead of dropping: receiver overrun
-// must not masquerade as radio loss in the regime batching exists for.
-// Delivery is abandoned (and counted) only when the connection or transport
-// goes away.
-func (t *Sim) deliverBatch(c *simConn, body []byte) {
-	m, err := t.codec.Decode(body)
-	if err != nil {
-		t.droppedFrames.Add(1)
-		return
-	}
-	select {
-	case c.in <- m:
-	case <-c.closed:
-		t.droppedFrames.Add(1)
-	case <-t.stop:
 		t.droppedFrames.Add(1)
 	}
 }
@@ -367,13 +314,6 @@ type simConn struct {
 	dialed bool
 	in     chan *wire.Message
 
-	// Batched-send state (group commit, see BatchWriter in internal/wire):
-	// pending always starts with the simFlagBatch header, sub-frames appended.
-	bmu      sync.Mutex
-	pending  []byte
-	spare    []byte
-	flushing bool
-
 	closeOnce sync.Once
 	closed    chan struct{}
 }
@@ -397,9 +337,6 @@ func (c *simConn) Send(m *wire.Message) error {
 		return ErrClosed
 	default:
 	}
-	if c.t.batch.Load() {
-		return c.sendBatched(m)
-	}
 	body, err := c.t.codec.Encode(m)
 	if err != nil {
 		return err
@@ -409,72 +346,6 @@ func (c *simConn) Send(m *wire.Message) error {
 		return fmt.Errorf("transport: sim send: %w", err)
 	}
 	return nil
-}
-
-// appendHeader appends the 10-byte datagram header for flag to dst.
-func (c *simConn) appendHeader(dst []byte, flag byte) []byte {
-	if c.dialed {
-		flag |= simFlagInitiator
-	}
-	dst = append(dst, simMagic)
-	dst = binary.BigEndian.AppendUint64(dst, c.id)
-	return append(dst, flag)
-}
-
-// sendBatched queues m as a sub-frame of the connection's pending batch
-// datagram; the first sender to find no flush running drains the batch —
-// its own message plus everything queued meanwhile — in one substrate Send.
-// Datagram-send failures are reported to the flusher only and are not
-// sticky: sim datagrams are lossy by nature, and the substrate's per-packet
-// errors (loss, energy exhaustion) are transient.
-func (c *simConn) sendBatched(m *wire.Message) error {
-	c.bmu.Lock()
-	if len(c.pending) == 0 {
-		c.pending = c.appendHeader(c.pending, simFlagBatch)
-	}
-	start := len(c.pending)
-	c.pending = append(c.pending, 0, 0, 0, 0)
-	out, err := wire.EncodeAppend(c.t.codec, c.pending, m)
-	if err != nil {
-		c.pending = c.pending[:start]
-		c.bmu.Unlock()
-		return err
-	}
-	binary.BigEndian.PutUint32(out[start:start+4], uint32(len(out)-start-4))
-	c.pending = out
-	if c.flushing {
-		c.bmu.Unlock()
-		return nil
-	}
-	c.flushing = true
-	// Group-commit yield: give concurrently-runnable senders one scheduling
-	// quantum to append before the drain. Under load this turns near-miss
-	// arrivals into one datagram instead of two; when the conn is idle it
-	// costs a no-op scheduler call.
-	c.bmu.Unlock()
-	runtime.Gosched()
-	c.bmu.Lock()
-	for err == nil && len(c.pending) > simHdrLen {
-		buf := c.pending
-		c.pending = c.appendHeader(c.spare[:0], simFlagBatch)
-		c.spare = nil
-		c.bmu.Unlock()
-		serr := c.t.svc.Send(c.t.local, c.remote, buf)
-		c.bmu.Lock()
-		if cap(buf) > 1<<20 {
-			buf = nil // one huge batch must not pin its buffer for the conn's lifetime
-		}
-		c.spare = buf[:0]
-		if serr != nil {
-			err = fmt.Errorf("transport: sim send: %w", serr)
-		}
-	}
-	c.flushing = false
-	if len(c.pending) <= simHdrLen {
-		c.pending = c.pending[:0] // empty batch: rebuild the header next time
-	}
-	c.bmu.Unlock()
-	return err
 }
 
 func (c *simConn) Recv() (*wire.Message, error) {
