@@ -487,6 +487,52 @@ func BenchmarkInteractPubSub(b *testing.B) {
 	}
 }
 
+// BenchmarkInteractPubSubFanoutTCP is the load benchmark's pubsub_fanout_tcp
+// in ten seconds: a broker on TCP loopback, four subscribers on "bench/*", one
+// synchronous publisher rotating through 16 topics. Read its -benchmem columns
+// (12 allocs/op is what the messages own: see DESIGN S11); its ns/op is for
+// profiles, and claims are measured with benchmark/run.sh.
+func BenchmarkInteractPubSubFanoutTCP(b *testing.B) {
+	tr := transport.NewTCP(nil)
+	defer tr.Close() //nolint:errcheck
+	l, err := tr.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	br := pubsub.NewBroker(l)
+	defer br.Close() //nolint:errcheck
+	dial := func() *pubsub.Client {
+		cli, err := pubsub.Dial(transport.NewTCP(nil), l.Addr())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { cli.Close() }) //nolint:errcheck
+		return cli
+	}
+	pub := dial()
+	var subs [4]<-chan pubsub.Event
+	for i := range subs {
+		if subs[i], err = dial().Subscribe("bench/*"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var topics [16]string
+	for i := range topics {
+		topics[i] = fmt.Sprintf("bench/%04x", i)
+	}
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pub.Publish(topics[i%len(topics)], payload); err != nil {
+			b.Fatal(err)
+		}
+		for _, events := range subs {
+			<-events
+		}
+	}
+}
+
 func BenchmarkInteractTupleSpace(b *testing.B) {
 	fabric := transport.NewFabric()
 	tr := transport.NewMem(fabric)

@@ -85,6 +85,14 @@ var laneHeaderMaps = [NumLanes]map[string]string{
 	2: {HeaderLane: "control"}, // LaneControl.rank()
 }
 
+// shedHeaderMaps are the header maps of shed replies, by the rank of the lane
+// the shed was charged to: shared and immutable, as laneHeaderMaps are.
+var shedHeaderMaps = [NumLanes]map[string]string{
+	0: {HeaderShed: "1", HeaderLane: "bulk"},
+	1: {HeaderShed: "1", HeaderLane: "default"},
+	2: {HeaderShed: "1", HeaderLane: "control"},
+}
+
 // laneStamped returns headers carrying the lane class: the shared immutable
 // map when the call has no headers (zero allocations), a copy-on-stamp
 // otherwise (never mutates the caller's map — it may be shared or reused).

@@ -57,6 +57,19 @@ func TestLaneStampedOnWire(t *testing.T) {
 	}
 }
 
+// The shared header maps are written out by rank; each must name the lane
+// whose rank indexes it.
+func TestSharedLaneHeaderMapsNameTheirLane(t *testing.T) {
+	for rank, lane := range laneByRank {
+		if got := shedHeaderMaps[rank]; len(got) != 2 || got[HeaderShed] == "" || got[HeaderLane] != lane.String() {
+			t.Errorf("shedHeaderMaps[%d] = %v, want a shed of lane %s", rank, got, lane)
+		}
+		if got := laneHeaderMaps[rank]; lane != LaneDefault && (len(got) != 1 || got[HeaderLane] != lane.String()) {
+			t.Errorf("laneHeaderMaps[%d] = %v, want lane %s", rank, got, lane)
+		}
+	}
+}
+
 func TestCallerDefaultLane(t *testing.T) {
 	seen := make(chan string, 1)
 	s, c := newPair(t, ServerOptions{Name: "srv"}, CallerOptions{Lane: LaneBulk})

@@ -408,7 +408,7 @@ func (s *Server) reject(req *wire.Message, conn transport.Conn, lane Lane, reaso
 		Corr:    req.ID,
 		Topic:   req.Topic,
 		Src:     s.opts.Name,
-		Headers: map[string]string{HeaderShed: "1", HeaderLane: lane.String()},
+		Headers: shedHeaderMaps[lane.rank()],
 		Payload: []byte(reason),
 	}
 	_ = conn.Send(reject)

@@ -4,6 +4,10 @@
 // asynchronously. Neither side knows the other — the space decoupling that
 // lets plug-and-play components come and go.
 //
+// On the wire a publish is the event itself, a wire.KindEvent with an ID on
+// its own topic: the broker sends that very message to every match, then
+// acknowledges it by Corr. Subscribe and unsubscribe are requests.
+//
 // The Client is an endpoint.Caller, like the clients of the other three
 // styles; events reach it as the caller's uncorrelated messages. The Broker
 // keeps its own read loop: it fans each publish out inline, in connection
@@ -25,11 +29,10 @@ import (
 	"ndsm/internal/wire"
 )
 
-// Protocol topics.
+// Protocol topics of the two requests; an event is told by its kind.
 const (
 	topicSubscribe   = "ps.subscribe"
 	topicUnsubscribe = "ps.unsubscribe"
-	topicPublish     = "ps.publish"
 )
 
 // ErrClosed reports use of a closed endpoint.
@@ -161,13 +164,18 @@ func (b *Broker) serveConn(conn transport.Conn) {
 		delete(b.conns, conn)
 		b.mu.Unlock()
 	}()
+	ack := &wire.Message{} // one for the connection: Send neither keeps nor changes it
 	for {
 		req, err := conn.Recv()
 		if err != nil {
 			return
 		}
-		switch req.Topic {
-		case topicSubscribe, topicUnsubscribe:
+		*ack = wire.Message{Kind: wire.KindAck, Corr: req.ID, Topic: req.Topic}
+		switch {
+		case req.Kind == wire.KindEvent:
+			b.Published.Add(1)
+			b.fanout(req)
+		case req.Topic == topicSubscribe || req.Topic == topicUnsubscribe:
 			sub := subscription{pattern: string(req.Payload), conn: conn}
 			same := func(other subscription) bool { return other == sub }
 			if req.Topic == topicSubscribe {
@@ -175,25 +183,17 @@ func (b *Broker) serveConn(conn transport.Conn) {
 			} else {
 				b.replaceSubs(same)
 			}
-			reply(conn, req, wire.KindAck, nil)
-		case topicPublish:
-			b.Published.Add(1)
-			b.fanout(req)
-			reply(conn, req, wire.KindAck, nil)
 		default:
-			reply(conn, req, wire.KindError, []byte(fmt.Sprintf("pubsub: unknown topic %q", req.Topic)))
+			ack.Kind, ack.Payload = wire.KindError, []byte(fmt.Sprintf("pubsub: unknown topic %q", req.Topic))
 		}
+		_ = conn.Send(ack)
 	}
 }
 
-func reply(conn transport.Conn, req *wire.Message, kind wire.Kind, payload []byte) {
-	_ = conn.Send(&wire.Message{Kind: kind, Corr: req.ID, Topic: req.Topic, Payload: payload})
-}
-
-// fanout pushes the event to every matching subscription. The subscribers
-// share one message: Send neither keeps nor changes it.
-func (b *Broker) fanout(req *wire.Message) {
-	ev := &wire.Message{Kind: wire.KindEvent, Topic: req.Headers["topic"], Payload: req.Payload}
+// fanout pushes the event to every matching subscription as it was received.
+// The subscribers share the one message: Send neither keeps nor changes it.
+func (b *Broker) fanout(ev *wire.Message) {
+	ev.Corr = 0 // whatever a publisher put there: no subscriber's call may take the event for its reply
 	b.mu.Lock()
 	subs := b.subs
 	b.mu.Unlock()
@@ -267,10 +267,10 @@ func (c *Client) deliver(m *wire.Message) {
 	}
 }
 
-func (c *Client) request(topic string, headers map[string]string, payload []byte) error {
+func (c *Client) request(kind wire.Kind, topic string, payload []byte) error {
 	_, err := c.caller.Do(&endpoint.Call{
+		Kind:    kind,
 		Topic:   topic,
-		Headers: headers,
 		Payload: payload,
 		// The broker acknowledges at once; there is nothing to time out.
 		Timeout: endpoint.NoTimeout,
@@ -298,7 +298,7 @@ func (c *Client) Subscribe(pattern string) (<-chan Event, error) {
 	ch := make(chan Event, subscriberBuffer)
 	c.subs[pattern] = ch
 	c.mu.Unlock()
-	if err := c.request(topicSubscribe, nil, []byte(pattern)); err != nil {
+	if err := c.request(wire.KindRequest, topicSubscribe, []byte(pattern)); err != nil {
 		c.mu.Lock()
 		delete(c.subs, pattern)
 		c.mu.Unlock()
@@ -309,7 +309,7 @@ func (c *Client) Subscribe(pattern string) (<-chan Event, error) {
 
 // Unsubscribe withdraws a pattern and closes its channel.
 func (c *Client) Unsubscribe(pattern string) error {
-	if err := c.request(topicUnsubscribe, nil, []byte(pattern)); err != nil {
+	if err := c.request(wire.KindRequest, topicUnsubscribe, []byte(pattern)); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -323,5 +323,5 @@ func (c *Client) Unsubscribe(pattern string) error {
 
 // Publish emits an event to a topic.
 func (c *Client) Publish(topic string, payload []byte) error {
-	return c.request(topicPublish, map[string]string{"topic": topic}, payload)
+	return c.request(wire.KindEvent, topic, payload)
 }

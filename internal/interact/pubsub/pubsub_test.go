@@ -2,10 +2,14 @@ package pubsub
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"ndsm/internal/endpoint"
 	"ndsm/internal/transport"
+	"ndsm/internal/wire"
 )
 
 func fixture(t *testing.T) (*Broker, *Client, *Client) {
@@ -382,6 +386,170 @@ func TestPublishAfterBrokerGone(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if err := pub.Publish("t", []byte("x")); !errors.Is(err, ErrClosed) {
 			t.Fatalf("publish %d after broker close = %v, want ErrClosed", i, err)
+		}
+	}
+}
+
+// A publish is told by its kind, not its topic: an event addressed to a
+// protocol topic is an event like any other and registers nothing.
+func TestEventOnProtocolTopicIsAnEvent(t *testing.T) {
+	b, pub, sub := fixture(t)
+	ch, err := sub.Subscribe("*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topic := range []string{topicSubscribe, topicUnsubscribe} {
+		// The payload is the one live pattern: taken for a request it would
+		// add a registration for pub or withdraw nothing of sub's — either
+		// way the count or the delivery below would show it.
+		if err := pub.Publish(topic, []byte("*")); err != nil {
+			t.Fatalf("publish on %s: %v", topic, err)
+		}
+		if ev := recvEvent(t, ch); ev.Topic != topic || string(ev.Payload) != "*" {
+			t.Fatalf("event on %s = %+v", topic, ev)
+		}
+		if n := b.Subscriptions(); n != 1 {
+			t.Fatalf("an event on %s left %d subscriptions, want 1", topic, n)
+		}
+	}
+	if n := b.Published.Load(); n != 2 {
+		t.Fatalf("published = %d, want 2", n)
+	}
+}
+
+// The request form of a publish is gone: the broker answers it as it answers
+// any topic it does not serve, and fans nothing out.
+func TestOldPublishRequestIsUnknown(t *testing.T) {
+	b, _, sub := fixture(t)
+	ch, err := sub.Subscribe("*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sub.caller.Do(&endpoint.Call{
+		Topic:   "ps.publish",
+		Headers: map[string]string{"topic": "t"},
+		Payload: []byte("x"),
+		Timeout: 5 * time.Second,
+	})
+	re, remote := endpoint.IsRemote(err)
+	if !remote || !strings.Contains(re.Msg, `unknown topic "ps.publish"`) {
+		t.Fatalf("old-form publish = %v, want the unknown-topic error reply", err)
+	}
+	expectNoEvent(t, ch)
+	if n := b.Published.Load(); n != 0 {
+		t.Fatalf("published = %d, want 0", n)
+	}
+}
+
+// An event that arrives carrying a correlation ID is fanned out without it: a
+// subscriber's demux must pass it on as an event, not hand it to whichever of
+// the subscriber's own calls has that ID.
+func TestFanoutClearsCorr(t *testing.T) {
+	fabric := transport.NewFabric()
+	tr := transport.NewMem(fabric)
+	l, err := tr.Listen("bus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(l)
+	t.Cleanup(func() {
+		_ = b.Close()
+		_ = tr.Close()
+	})
+	dial := func() transport.Conn {
+		conn, err := transport.NewMem(fabric).Dial("bus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+		return conn
+	}
+	exchange := func(conn transport.Conn, m *wire.Message) *wire.Message {
+		t.Helper()
+		if err := conn.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		got, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	sub, pub := dial(), dial()
+	if ack := exchange(sub, &wire.Message{ID: 99, Kind: wire.KindRequest, Topic: topicSubscribe, Payload: []byte("t")}); ack.Kind != wire.KindAck || ack.Corr != 99 {
+		t.Fatalf("subscribe answered with %+v", ack)
+	}
+	if ack := exchange(pub, &wire.Message{ID: 7, Corr: 99, Kind: wire.KindEvent, Topic: "t", Payload: []byte("x")}); ack.Kind != wire.KindAck || ack.Corr != 7 {
+		t.Fatalf("publish answered with %+v", ack)
+	}
+	ev, err := sub.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Kind != wire.KindEvent || ev.Corr != 0 || ev.Topic != "t" || string(ev.Payload) != "x" {
+		t.Fatalf("fanned-out event = %+v, want the event with no correlation ID", ev)
+	}
+}
+
+// fanoutWorld is the shape of the load benchmark's pubsub_fanout_tcp: a broker
+// on TCP loopback, four subscribers on "bench/*", one synchronous publisher
+// rotating through 16 topics with a 64-byte payload.
+type fanoutWorld struct {
+	pub     *Client
+	events  []<-chan Event
+	topics  []string
+	payload []byte
+	next    int
+}
+
+func newFanoutWorld(t *testing.T) *fanoutWorld {
+	t.Helper()
+	tr := transport.NewTCP(nil)
+	l, err := tr.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(l)
+	w := &fanoutWorld{payload: make([]byte, 64)}
+	var clients []*Client
+	for i := 0; i < 5; i++ {
+		c, err := Dial(transport.NewTCP(nil), l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, c)
+	}
+	t.Cleanup(func() {
+		for _, c := range clients {
+			_ = c.Close()
+		}
+		_ = b.Close()
+		_ = tr.Close()
+	})
+	w.pub = clients[0]
+	for _, c := range clients[1:] {
+		ch, err := c.Subscribe("bench/*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.events = append(w.events, ch)
+	}
+	for i := 0; i < 16; i++ {
+		w.topics = append(w.topics, fmt.Sprintf("bench/%04x", i))
+	}
+	return w
+}
+
+// publish emits one event and waits until every subscriber has it.
+func (w *fanoutWorld) publish(t *testing.T) {
+	topic := w.topics[w.next%len(w.topics)]
+	w.next++
+	if err := w.pub.Publish(topic, w.payload); err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range w.events {
+		if ev := <-ch; ev.Topic != topic {
+			t.Fatalf("subscriber %d got an event on %s, want %s", i, ev.Topic, topic)
 		}
 	}
 }

@@ -93,15 +93,21 @@ func (Binary) AppendEncode(buf []byte, m *Message) ([]byte, error) {
 // Decode implements Codec.
 func (Binary) Decode(data []byte) (*Message, error) { return decodeBinary(data, nil) }
 
-// envelopeNames is the last Src, Dst and Topic a FrameReader decoded: one
-// value per field, not a table, because a connection carries one of each in a
-// direction and a shared table would make the count depend on how the names
-// (an ephemeral port among them) hash.
-type envelopeNames struct{ src, dst, topic string }
+// envelopeNames is what a FrameReader remembers of the envelopes it decoded.
+// Src and Dst are one value each, not a table, because a connection carries
+// one of each in a direction and a shared table would make the count depend on
+// how the names (an ephemeral port among them) hash. Topic is the last value
+// and, behind it, a bounded table: a subscriber's connection, a broker's
+// publisher connection and an rpc client calling several services each cycle
+// through a few.
+type envelopeNames struct {
+	src, dst, topic string
+	topics          map[string]string // every remembered topic, keyed by itself
+}
 
 // decodeBinary is Decode with a memory: an envelope string whose bytes equal
-// the one in names is shared, not copied (strings are immutable, so the
-// message still does not alias data). A nil names remembers nothing.
+// one in names is shared, not copied (strings are immutable, so the message
+// still does not alias data). A nil names remembers nothing.
 func decodeBinary(data []byte, names *envelopeNames) (*Message, error) {
 	if names == nil {
 		names = new(envelopeNames) // does not escape: empty, so only "" ever matches
@@ -123,9 +129,9 @@ func decodeBinary(data []byte, names *envelopeNames) (*Message, error) {
 	if ns := d.varint(); ns != 0 && d.err == nil {
 		m.Deadline = time.Unix(0, ns).UTC()
 	}
-	m.Src = d.name(&names.src)
-	m.Dst = d.name(&names.dst)
-	m.Topic = d.name(&names.topic)
+	m.Src = d.name(&names.src, nil)
+	m.Dst = d.name(&names.dst, nil)
+	m.Topic = d.name(&names.topic, names.topics)
 	if n := d.uvarint(); n > 0 && d.err == nil {
 		if n > uint64(len(d.buf)) {
 			return nil, fmt.Errorf("%w: header count %d exceeds input", ErrInvalidMessage, n)
@@ -221,10 +227,13 @@ func (d *decoder) view(what string) []byte {
 
 func (d *decoder) string() string { return string(d.view("string")) }
 
-// name reads a string as string does, but returns *last itself when the bytes
-// equal it (the comparison does not allocate) and otherwise remembers the new
-// string in *last if it is short enough to keep.
-func (d *decoder) name(last *string) string {
+// name reads a string as string does, but shares instead of copying when it
+// can: *last itself when the bytes equal it (the comparison does not allocate,
+// and stays first, so a connection with one name never hashes), then the entry
+// of table they equal (nor does the lookup). A new string short enough to keep
+// is remembered in both; table is cleared when full, so what a message
+// allocates is a function of the name sequence alone. A nil table keeps none.
+func (d *decoder) name(last *string, table map[string]string) string {
 	b := d.view("string")
 	if len(b) == 0 {
 		return ""
@@ -232,10 +241,20 @@ func (d *decoder) name(last *string) string {
 	if string(b) == *last {
 		return *last
 	}
-	s := string(b)
-	if len(s) <= maxRememberedName {
-		*last = s
+	if len(b) > maxRememberedName {
+		return string(b)
 	}
+	s, known := table[string(b)]
+	if !known {
+		s = string(b)
+		if table != nil {
+			if len(table) >= maxRememberedTopics {
+				clear(table)
+			}
+			table[s] = s
+		}
+	}
+	*last = s
 	return s
 }
 

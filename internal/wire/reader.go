@@ -31,6 +31,10 @@ const maxRetainedScratch = 1 << 20
 // able to pin three MaxFrameSize strings for a connection's lifetime.
 const maxRememberedName = 256
 
+// maxRememberedTopics bounds how many topics a FrameReader keeps: with
+// maxRememberedName, at most 8 KiB of strings a connection.
+const maxRememberedTopics = 32
+
 // FrameReader reads a stream of frames without allocating: a frame that fits
 // the bufio buffer is checked and parsed where the read syscall put it, and
 // only a larger one is assembled in a reused scratch buffer. It is the receive
@@ -50,7 +54,7 @@ type FrameReader struct {
 	held    int           // bytes of the last frame still undiscarded in br (its body was returned in place)
 	scratch []byte        // body of the last frame larger than br's buffer
 	header  [5]byte       // reused header buffer; a stack array would escape through io.ReadFull
-	names   envelopeNames // the last Src, Dst and Topic ReadMessage decoded
+	names   envelopeNames // the Src, Dst and Topics ReadMessage decoded last
 	frames  atomic.Uint64 // frames read; the one field other goroutines may read (Frames)
 }
 
@@ -60,7 +64,7 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	if !ok {
 		br = bufio.NewReaderSize(r, frameReaderBuffer)
 	}
-	return &FrameReader{br: br}
+	return &FrameReader{br: br, names: envelopeNames{topics: make(map[string]string)}}
 }
 
 // Next reads one frame, verifying the CRC, and returns the content type and
@@ -127,7 +131,9 @@ func (fr *FrameReader) Frames() uint64 { return fr.frames.Load() }
 // reader decoded last and, when equal, share that string instead of copying
 // it again: a connection carries the same three names on nearly every message.
 // One value per field is kept until a different one of at most
-// maxRememberedName bytes replaces it.
+// maxRememberedName bytes replaces it; a replaced Topic stays in a table of at
+// most maxRememberedTopics, so a connection that cycles through a few topics
+// copies each once.
 func (fr *FrameReader) ReadMessage() (*Message, error) {
 	ct, body, err := fr.Next()
 	if err != nil {

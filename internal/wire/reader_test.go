@@ -307,25 +307,38 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 }
 
 // ReadMessage allocates what the message owns and nothing else: the Message
-// and its payload when the envelope repeats, plus one string per name that
-// differs from the message before.
+// and its payload when the envelope repeats or only the topic moves among
+// remembered ones, plus one string per Src or Dst that differs from the
+// message before.
 func TestReadMessageAllocs(t *testing.T) {
 	base := Message{ID: 1, Kind: KindRequest, Src: "127.0.0.1:40001", Dst: "127.0.0.1:40002", Topic: "echo", Payload: make([]byte, 64)}
+	alternate := func(other func(m *Message)) []*Message {
+		m := base
+		other(&m)
+		return []*Message{&base, &m}
+	}
+	var rotation []*Message
+	for i := 0; i < 16; i++ {
+		m := base
+		m.Topic = fmt.Sprintf("bench/%04x", i)
+		rotation = append(rotation, &m)
+	}
 	for _, tc := range []struct {
 		name    string
 		changed int
-		other   func(m *Message)
+		pattern []*Message
 	}{
-		{"repeated envelope", 0, func(m *Message) {}},
-		{"topic alternates", 1, func(m *Message) { m.Topic = "echo/2" }},
-		{"src and topic alternate", 2, func(m *Message) { m.Src, m.Topic = "127.0.0.1:40003", "echo/2" }},
-		{"all three alternate", 3, func(m *Message) { m.Src, m.Dst, m.Topic = "127.0.0.1:40003", "127.0.0.1:40004", "echo/2" }},
+		{"repeated envelope", 0, alternate(func(m *Message) {})},
+		{"topic alternates", 0, alternate(func(m *Message) { m.Topic = "echo/2" })},
+		{"16 topics rotate", 0, rotation},
+		{"src and topic alternate", 1, alternate(func(m *Message) { m.Src, m.Topic = "127.0.0.1:40003", "echo/2" })},
+		{"all three alternate", 2, alternate(func(m *Message) { m.Src, m.Dst, m.Topic = "127.0.0.1:40003", "127.0.0.1:40004", "echo/2" })},
 	} {
-		other := base
-		tc.other(&other)
-		fr := NewFrameReader(&repeatReader{pattern: frameMessages(t, []*Message{&base, &other})})
-		if _, err := fr.ReadMessage(); err != nil {
-			t.Fatal(err)
+		fr := NewFrameReader(&repeatReader{pattern: frameMessages(t, tc.pattern)})
+		for range tc.pattern { // warm up: every topic is seen once
+			if _, err := fr.ReadMessage(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		want := float64(2 + tc.changed)
 		if allocs := testing.AllocsPerRun(500, func() {
@@ -334,6 +347,42 @@ func TestReadMessageAllocs(t *testing.T) {
 			}
 		}); allocs != want {
 			t.Errorf("%s: ReadMessage allocates %.2f objects, want %.0f", tc.name, allocs, want)
+		}
+	}
+}
+
+// The topic table stays inside its bounds whatever a peer sends: never more
+// than maxRememberedTopics entries, never a string over maxRememberedName, and
+// a topic too long to keep evicts nothing.
+func TestReadMessageBoundsRememberedTopics(t *testing.T) {
+	var in []*Message
+	for i := 0; i < 3*maxRememberedTopics; i++ {
+		in = append(in, &Message{ID: uint64(i + 1), Kind: KindEvent, Topic: fmt.Sprintf("t/%d", i)})
+		if i%5 == 0 {
+			in = append(in, &Message{ID: uint64(i + 1), Kind: KindEvent, Topic: strings.Repeat("o", maxRememberedName+1+i)})
+		}
+	}
+	in = append(in, &Message{ID: 1, Kind: KindEvent, Topic: strings.Repeat("h", 1<<20)})
+	fr := NewFrameReader(bytes.NewReader(frameMessages(t, in)))
+	for i, want := range in {
+		before := len(fr.names.topics)
+		m, err := fr.ReadMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Equal(want) {
+			t.Fatalf("message %d decoded wrong (topic of %d bytes)", i, len(want.Topic))
+		}
+		if n := len(fr.names.topics); n > maxRememberedTopics {
+			t.Fatalf("after message %d the reader remembers %d topics", i, n)
+		}
+		for k, v := range fr.names.topics {
+			if len(k) > maxRememberedName || k != v {
+				t.Fatalf("after message %d the table holds a %d-byte key for a %d-byte topic", i, len(k), len(v))
+			}
+		}
+		if len(want.Topic) > maxRememberedName && (len(fr.names.topics) != before || len(fr.names.topic) > maxRememberedName) {
+			t.Fatalf("message %d: a %d-byte topic changed what the reader remembers", i, len(want.Topic))
 		}
 	}
 }
@@ -367,18 +416,30 @@ func TestFrameReaderParsesInPlace(t *testing.T) {
 }
 
 // For profiles, not claims: the benchmark's end-to-end numbers are the
-// evidence (benchmark/).
+// evidence (benchmark/). The two 64 B rows price the topic table: one topic
+// never reaches it, sixteen in rotation hit it on every message.
 func BenchmarkReadMessage(b *testing.B) {
-	for _, size := range []int{64, 16 << 10} {
-		name := fmt.Sprintf("%dB", size)
-		if size >= 1<<10 {
-			name = fmt.Sprintf("%dKiB", size>>10)
-		}
-		b.Run(name, func(b *testing.B) {
-			m := &Message{ID: 1, Kind: KindRequest, Src: "127.0.0.1:40001", Dst: "127.0.0.1:40002", Topic: "echo", Payload: make([]byte, size)}
-			frame := frameMessages(b, []*Message{m})
-			fr := NewFrameReader(&repeatReader{pattern: frame})
-			b.SetBytes(int64(len(frame)))
+	one := func(size int) []*Message {
+		return []*Message{{ID: 1, Kind: KindRequest, Src: "127.0.0.1:40001", Dst: "127.0.0.1:40002", Topic: "echo", Payload: make([]byte, size)}}
+	}
+	var rotation []*Message
+	for i := 0; i < 16; i++ {
+		m := *one(64)[0]
+		m.Topic = fmt.Sprintf("bench/%04x", i)
+		rotation = append(rotation, &m)
+	}
+	for _, bc := range []struct {
+		name string
+		msgs []*Message
+	}{
+		{"64B", one(64)},
+		{"64B/16topics", rotation},
+		{"16KiB", one(16 << 10)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			stream := frameMessages(b, bc.msgs)
+			fr := NewFrameReader(&repeatReader{pattern: stream})
+			b.SetBytes(int64(len(stream) / len(bc.msgs)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
