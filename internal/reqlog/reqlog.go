@@ -18,7 +18,13 @@
 //     (their own sub-ring, which a flood of healthy traffic cannot evict),
 //     healthy requests are sampled down to one in SampleEvery. The tail ring
 //     is what GET /requests serves and what flight-recorder bundles and
-//     failing chaos seeds capture.
+//     failing chaos seeds capture. A ring does not hold Records: it holds
+//     fixed-width slots of integers — the time as Unix nanoseconds, the
+//     strings as indices into one refcounted name table per Recorder — so
+//     the preallocated arrays contain no pointers and the garbage collector
+//     never walks them, however idle the ring. What the collector does see
+//     is the name table, which holds only the strings live slots refer to:
+//     at most 6 × Capacity + 1, in practice a handful.
 //
 // The recorder is deliberately independent of the endpoint package (the
 // endpoint imports it, not the reverse), so anything with a request-shaped
@@ -27,12 +33,12 @@
 package reqlog
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
 
 	"ndsm/internal/obs"
-	"ndsm/internal/simtime"
 	"ndsm/internal/sketch"
 )
 
@@ -58,6 +64,14 @@ const OverflowTopic = "~other"
 // Record is one wide event. Durations are nanoseconds on the wire (Go's
 // native Duration encoding); exemplar IDs are the in-band trace context, so
 // a tail record links straight to its span tree.
+//
+// A record read back from a Recorder (Snapshot, Tail) equals the one
+// recorded except for Time, of which the rings keep the instant and nothing
+// else: Time.Equal holds, the monotonic reading and the location do not
+// survive (it comes back in time.Local), and a zero Time stays zero. The
+// instant is kept as Unix nanoseconds and Retries as 32 bits, so a Time
+// outside the years 1678–2262 or a Retries beyond int32 is not retained
+// exactly.
 type Record struct {
 	Time       time.Time     `json:"time"`
 	Kind       string        `json:"kind"`
@@ -103,9 +117,6 @@ func (r *Record) tailWorthy(slow time.Duration) bool {
 
 // Options assembles a Recorder.
 type Options struct {
-	// Clock is unused by the hot path today (callers stamp Record.Time) but
-	// anchors Snapshot ordering in tests; default real time.
-	Clock simtime.Clock
 	// Capacity bounds the exemplar rings: 3/4 tail, 1/4 healthy (default
 	// 1024, minimum 8).
 	Capacity int
@@ -127,9 +138,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Clock == nil {
-		o.Clock = simtime.Real{}
-	}
 	if o.Capacity <= 0 {
 		o.Capacity = 1024
 	}
@@ -151,27 +159,138 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// names is the refcounted string table the slots of both rings index. Index
+// 0 is "" and is never counted; any other index is live while refs[i] > 0 —
+// the number of slot fields naming it — and goes onto the free list when that
+// reaches zero, so the table holds exactly the strings retained records use.
+type names struct {
+	index map[string]uint32
+	strs  []string
+	refs  []uint32
+	free  []uint32
+}
+
+func newNames() *names {
+	return &names{index: make(map[string]uint32), strs: []string{""}, refs: []uint32{0}}
+}
+
+// hold takes one reference to s, entering it if absent.
+func (t *names) hold(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	i, ok := t.index[s]
+	if !ok {
+		if n := len(t.free); n > 0 {
+			i, t.free = t.free[n-1], t.free[:n-1]
+			t.strs[i] = s
+		} else {
+			i = uint32(len(t.strs))
+			t.strs = append(t.strs, s)
+			t.refs = append(t.refs, 0)
+		}
+		t.index[s] = i
+	}
+	t.refs[i]++
+	return i
+}
+
+// drop returns one reference to index i.
+func (t *names) drop(i uint32) {
+	if i == 0 {
+		return
+	}
+	if t.refs[i]--; t.refs[i] == 0 {
+		delete(t.index, t.strs[i])
+		t.strs[i] = ""
+		t.free = append(t.free, i)
+	}
+}
+
+// lookup resolves a Filter string: "" is index 0, which Snapshot reads as
+// "any"; ok is false for a name no retained record uses.
+func (t *names) lookup(s string) (i uint32, ok bool) {
+	if s == "" {
+		return 0, true
+	}
+	i, ok = t.index[s]
+	return i, ok
+}
+
+// zeroTime stands for a zero Record.Time, whose UnixNano is undefined; it
+// orders before every instant UnixNano can express, as a zero Time does.
+const zeroTime = math.MinInt64
+
+// slot is a retained Record in fixed-width form. It must hold no pointers
+// (TestSlotHoldsNoPointers): that is what lets the collector skip the rings.
+type slot struct {
+	time                                         int64 // Unix ns, or zeroTime
+	latency, queueWait, slack                    int64
+	traceID, spanID                              uint64
+	kind, topic, peer, lane, outcome, shedReason uint32 // into names
+	retries                                      int32
+	hasDeadline                                  bool
+}
+
 // ring is a fixed-capacity overwrite-oldest record buffer.
 type ring struct {
-	buf   []Record
+	buf   []slot
+	names *names
 	start int
 	n     int
 }
 
 func (r *ring) push(rec Record) {
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = rec
-		r.n++
-		return
+	// Hold the new names before dropping the old slot's: a name whose last
+	// reference is being overwritten by itself must not leave the table.
+	t := r.names
+	s := slot{
+		time:    zeroTime,
+		latency: int64(rec.Latency), queueWait: int64(rec.QueueWait), slack: int64(rec.DeadlineSlack),
+		traceID: rec.TraceID, spanID: rec.SpanID,
+		kind: t.hold(rec.Kind), topic: t.hold(rec.Topic), peer: t.hold(rec.Peer),
+		lane: t.hold(rec.Lane), outcome: t.hold(rec.Outcome), shedReason: t.hold(rec.ShedReason),
+		retries: int32(rec.Retries), hasDeadline: rec.HasDeadline,
 	}
-	r.buf[r.start] = rec
-	r.start = (r.start + 1) % len(r.buf)
+	if !rec.Time.IsZero() {
+		s.time = rec.Time.UnixNano()
+	}
+	i := r.start
+	if r.n < len(r.buf) {
+		i = (r.start + r.n) % len(r.buf)
+		r.n++
+	} else {
+		r.start = (r.start + 1) % len(r.buf)
+	}
+	old := &r.buf[i] // all zeroes, whose drops do nothing, until the ring wraps
+	for _, name := range [...]uint32{old.kind, old.topic, old.peer, old.lane, old.outcome, old.shedReason} {
+		t.drop(name)
+	}
+	*old = s
+}
+
+// at is the i-th newest slot, 0 ≤ i < r.n.
+func (r *ring) at(i int) *slot { return &r.buf[(r.start+r.n-1-i)%len(r.buf)] }
+
+// record materialises a slot.
+func (t *names) record(s *slot) Record {
+	rec := Record{
+		Kind: t.strs[s.kind], Topic: t.strs[s.topic], Peer: t.strs[s.peer],
+		Lane: t.strs[s.lane], Outcome: t.strs[s.outcome], ShedReason: t.strs[s.shedReason],
+		Latency: time.Duration(s.latency), QueueWait: time.Duration(s.queueWait),
+		Retries: int(s.retries), DeadlineSlack: time.Duration(s.slack), HasDeadline: s.hasDeadline,
+		TraceID: s.traceID, SpanID: s.spanID,
+	}
+	if s.time != zeroTime {
+		rec.Time = time.Unix(0, s.time)
+	}
+	return rec
 }
 
 // appendNewestFirst appends the ring's records newest-first to dst.
 func (r *ring) appendNewestFirst(dst []Record) []Record {
-	for i := r.n - 1; i >= 0; i-- {
-		dst = append(dst, r.buf[(r.start+i)%len(r.buf)])
+	for i := 0; i < r.n; i++ {
+		dst = append(dst, r.names.record(r.at(i)))
 	}
 	return dst
 }
@@ -193,7 +312,7 @@ type Recorder struct {
 	sampled  *obs.Counter
 
 	mu       sync.Mutex
-	tail     ring
+	tail     ring // the two rings share one name table
 	healthy  ring
 	seen     uint64 // healthy records seen, for 1-in-N sampling
 	topics   map[string]*topicStat
@@ -207,13 +326,14 @@ func New(opts Options) *Recorder {
 	reg := obs.Or(opts.Registry)
 	tailCap := opts.Capacity * 3 / 4
 	healthyCap := opts.Capacity - tailCap
+	names := newNames()
 	return &Recorder{
 		opts:     opts,
 		recorded: reg.Counter("reqlog.recorded"),
 		tailKept: reg.Counter("reqlog.tail"),
 		sampled:  reg.Counter("reqlog.sampled"),
-		tail:     ring{buf: make([]Record, tailCap)},
-		healthy:  ring{buf: make([]Record, healthyCap)},
+		tail:     ring{buf: make([]slot, tailCap), names: names},
+		healthy:  ring{buf: make([]slot, healthyCap), names: names},
 		topics:   make(map[string]*topicStat, opts.MaxTopics),
 		topk:     sketch.NewTopK(opts.TopKCapacity),
 	}
@@ -271,39 +391,39 @@ type Filter struct {
 	Limit int
 }
 
-func (f *Filter) match(rec *Record) bool {
-	if f.Topic != "" && rec.Topic != f.Topic {
-		return false
-	}
-	if f.Lane != "" && rec.Lane != f.Lane {
-		return false
-	}
-	if f.Outcome != "" && rec.Outcome != f.Outcome {
-		return false
-	}
-	if f.Kind != "" && rec.Kind != f.Kind {
-		return false
-	}
-	return true
-}
-
 // Snapshot copies matching retained records, newest first (tail and sampled
-// healthy records interleaved by time).
+// healthy records interleaved by time; at equal times tail before healthy,
+// then later-recorded first).
 func (r *Recorder) Snapshot(f Filter) []Record {
 	r.mu.Lock()
-	all := make([]Record, 0, r.tail.n+r.healthy.n)
-	all = r.tail.appendNewestFirst(all)
-	all = r.healthy.appendNewestFirst(all)
-	r.mu.Unlock()
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Time.After(all[j].Time) })
-	out := all[:0]
-	for i := range all {
-		if f.match(&all[i]) {
-			out = append(out, all[i])
-			if f.Limit > 0 && len(out) == f.Limit {
-				break
+	defer r.mu.Unlock()
+	// A slot matches on indices: 0, from "", is any, and a name not in the
+	// table is on no retained record.
+	names := r.tail.names
+	topic, ok1 := names.lookup(f.Topic)
+	lane, ok2 := names.lookup(f.Lane)
+	outcome, ok3 := names.lookup(f.Outcome)
+	kind, ok4 := names.lookup(f.Kind)
+	if !(ok1 && ok2 && ok3 && ok4) {
+		return []Record{}
+	}
+	hits := make([]*slot, 0, r.tail.n+r.healthy.n)
+	for _, rg := range [...]*ring{&r.tail, &r.healthy} {
+		for i := 0; i < rg.n; i++ {
+			s := rg.at(i)
+			if (topic == 0 || s.topic == topic) && (lane == 0 || s.lane == lane) &&
+				(outcome == 0 || s.outcome == outcome) && (kind == 0 || s.kind == kind) {
+				hits = append(hits, s)
 			}
 		}
+	}
+	sort.SliceStable(hits, func(i, j int) bool { return hits[i].time > hits[j].time })
+	if f.Limit > 0 && len(hits) > f.Limit {
+		hits = hits[:f.Limit]
+	}
+	out := make([]Record, len(hits))
+	for i, s := range hits {
+		out[i] = names.record(s)
 	}
 	return out
 }

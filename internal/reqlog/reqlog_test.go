@@ -9,9 +9,8 @@ import (
 	"ndsm/internal/simtime"
 )
 
-func testOpts(clk simtime.Clock) Options {
+func testOpts() Options {
 	return Options{
-		Clock:         clk,
 		Capacity:      64, // 48 tail + 16 healthy
 		SampleEvery:   4,
 		SlowThreshold: 50 * time.Millisecond,
@@ -31,7 +30,7 @@ func okRecord(at time.Time, topic string) Record {
 // traffic large enough to cycle the healthy ring many times over.
 func TestTailRetentionSurvivesHealthyFlood(t *testing.T) {
 	clk := simtime.NewVirtual(time.Unix(1_700_000_000, 0))
-	r := New(testOpts(clk))
+	r := New(testOpts())
 
 	// The anomaly: a short shed burst.
 	const sheds = 10
@@ -98,7 +97,7 @@ func TestTailClassification(t *testing.T) {
 
 // TestRingWrap pins overwrite-oldest behaviour exactly at the boundary.
 func TestRingWrap(t *testing.T) {
-	r := ring{buf: make([]Record, 4)}
+	r := ring{buf: make([]slot, 4), names: newNames()}
 	base := time.Unix(0, 0)
 	for i := 0; i < 10; i++ {
 		r.push(Record{Time: base.Add(time.Duration(i) * time.Second), Topic: fmt.Sprintf("t%d", i)})
@@ -113,7 +112,7 @@ func TestRingWrap(t *testing.T) {
 		}
 	}
 	// Exactly-full (no wrap yet) keeps everything.
-	r2 := ring{buf: make([]Record, 4)}
+	r2 := ring{buf: make([]slot, 4), names: newNames()}
 	for i := 0; i < 4; i++ {
 		r2.push(Record{Topic: fmt.Sprintf("x%d", i)})
 	}
@@ -124,7 +123,7 @@ func TestRingWrap(t *testing.T) {
 
 func TestSnapshotFilters(t *testing.T) {
 	clk := simtime.NewVirtual(time.Unix(1_700_000_000, 0))
-	r := New(Options{Clock: clk, Capacity: 64, SampleEvery: 1, Registry: obs.NewRegistry()})
+	r := New(Options{Capacity: 64, SampleEvery: 1, Registry: obs.NewRegistry()})
 	mk := func(topic, lane, outcome, kind string) {
 		r.Record(Record{Time: clk.Now(), Kind: kind, Topic: topic, Lane: lane,
 			Outcome: outcome, Latency: time.Millisecond})

@@ -11,12 +11,12 @@ const DefaultCollectorCap = 4096
 // concurrent use; share one collector across a simulated world's tracers to
 // get a single merged timeline.
 type Collector struct {
-	mu      sync.Mutex
-	buf     []Span
-	next    int
-	full    bool
-	total   uint64
-	dropped uint64
+	mu       sync.Mutex
+	capacity int
+	buf      []Span // grows by append up to capacity: an idle tracer reserves nothing
+	next     int    // the oldest span once len(buf) == capacity; 0 before
+	total    uint64
+	dropped  uint64
 }
 
 // NewCollector builds a collector holding up to capacity spans
@@ -25,7 +25,7 @@ func NewCollector(capacity int) *Collector {
 	if capacity <= 0 {
 		capacity = DefaultCollectorCap
 	}
-	return &Collector{buf: make([]Span, 0, capacity)}
+	return &Collector{capacity: capacity}
 }
 
 // Record stores a finished span, evicting the oldest when full.
@@ -35,17 +35,13 @@ func (c *Collector) Record(s Span) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.total++
-	if !c.full {
+	if len(c.buf) < c.capacity {
 		c.buf = append(c.buf, s)
-		if len(c.buf) == cap(c.buf) {
-			c.full = true
-			c.next = 0
-		}
 		return
 	}
 	c.dropped++
 	c.buf[c.next] = s
-	c.next = (c.next + 1) % len(c.buf)
+	c.next = (c.next + 1) % c.capacity
 }
 
 // Spans returns the retained spans in completion order, oldest first.
@@ -53,13 +49,8 @@ func (c *Collector) Spans() []Span {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]Span, 0, len(c.buf))
-	if c.full {
-		out = append(out, c.buf[c.next:]...)
-		out = append(out, c.buf[:c.next]...)
-	} else {
-		out = append(out, c.buf...)
-	}
-	return out
+	out = append(out, c.buf[c.next:]...)
+	return append(out, c.buf[:c.next]...)
 }
 
 // Len reports how many spans are retained.
@@ -89,7 +80,6 @@ func (c *Collector) Reset() {
 	defer c.mu.Unlock()
 	c.buf = c.buf[:0]
 	c.next = 0
-	c.full = false
 	c.total = 0
 	c.dropped = 0
 }
