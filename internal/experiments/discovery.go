@@ -10,6 +10,7 @@ import (
 	"ndsm/internal/netsim"
 	"ndsm/internal/obs"
 	"ndsm/internal/routing"
+	"ndsm/internal/sketch"
 	"ndsm/internal/stats"
 	"ndsm/internal/svcdesc"
 	"ndsm/internal/transport"
@@ -208,7 +209,7 @@ func e1Cluster(size, lookups int) (wireP50, cachedP50, hitRate float64, err erro
 		return 0, 0, 0, err
 	}
 
-	wire := stats.NewSample(lookups)
+	var wire, local sketch.Hist // microseconds
 	for i := 0; i < lookups; i++ {
 		start := time.Now()
 		if _, err := res.Lookup(q); err != nil {
@@ -216,7 +217,6 @@ func e1Cluster(size, lookups int) (wireP50, cachedP50, hitRate float64, err erro
 		}
 		wire.Add(float64(time.Since(start)) / float64(time.Microsecond))
 	}
-	local := stats.NewSample(lookups)
 	for i := 0; i < lookups; i++ {
 		start := time.Now()
 		if _, err := cached.Lookup(q); err != nil {
@@ -230,7 +230,7 @@ func e1Cluster(size, lookups int) (wireP50, cachedP50, hitRate float64, err erro
 	if total := hits + misses; total > 0 {
 		hitRate = 100 * float64(hits) / float64(total)
 	}
-	return wire.Median(), local.Median(), hitRate, nil
+	return wire.Quantile(0.5), local.Quantile(0.5), hitRate, nil
 }
 
 // e1Distributed floods lookups from corner 0 for a service at the far
@@ -260,7 +260,7 @@ func e1Distributed(n, lookups int) (msgs float64, latency float64, found bool, e
 		return 0, 0, false, err
 	}
 
-	lat := stats.NewSample(lookups)
+	var spent time.Duration
 	before := net.Counters()["sent"]
 	for i := 0; i < lookups; i++ {
 		start := time.Now()
@@ -268,13 +268,13 @@ func e1Distributed(n, lookups int) (msgs float64, latency float64, found bool, e
 		if err != nil {
 			return 0, 0, false, err
 		}
-		lat.AddDuration(time.Since(start))
+		spent += time.Since(start)
 		found = len(descs) > 0
 	}
 	// Allow in-flight rebroadcasts to finish before counting.
 	time.Sleep(50 * time.Millisecond)
 	total := net.Counters()["sent"] - before
-	return float64(total) / float64(lookups), lat.Mean(), found, nil
+	return float64(total) / float64(lookups), spent.Seconds() * 1e3 / float64(lookups), found, nil
 }
 
 // e1Centralized runs a registry at the grid center over the routed sim
@@ -335,7 +335,7 @@ func e1Centralized(n, lookups int) (msgs float64, latency float64, found bool, e
 	client := discovery.NewClient(byID[ids[0]].tr, string(registryNode.id))
 	defer client.Close() //nolint:errcheck
 
-	lat := stats.NewSample(lookups)
+	var spent time.Duration
 	before := net.Counters()["sent"]
 	for i := 0; i < lookups; i++ {
 		start := time.Now()
@@ -343,11 +343,11 @@ func e1Centralized(n, lookups int) (msgs float64, latency float64, found bool, e
 		if err != nil {
 			return 0, 0, false, err
 		}
-		lat.AddDuration(time.Since(start))
+		spent += time.Since(start)
 		found = len(descs) > 0
 	}
 	total := net.Counters()["sent"] - before
-	return float64(total) / float64(lookups), lat.Mean(), found, nil
+	return float64(total) / float64(lookups), spent.Seconds() * 1e3 / float64(lookups), found, nil
 }
 
 // E2Options sizes the adaptive-discovery experiment.

@@ -8,19 +8,17 @@
 //
 // Instruments are cheap enough for per-message paths: counters and gauges
 // are single atomics, histograms take one short mutex hold. Snapshots are
-// consistent per-instrument (not cross-instrument) and support named marks
-// with diffing (Mark/Since), which is how tests assert "this workload moved
-// exactly these counters".
+// consistent per-instrument (not cross-instrument); Diff and Rate turn two of
+// them into the deltas and rates a telemetry report carries.
 package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ndsm/internal/stats"
+	"ndsm/internal/sketch"
 )
 
 // Counter is a monotonically increasing tally. The zero value is ready to
@@ -60,116 +58,65 @@ func (g *Gauge) Add(delta float64) {
 // Value returns the current gauge reading.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// histBuckets are the histogram's upper bounds: powers of two covering
-// sub-microsecond to multi-hour observations in milliseconds (the unit all
-// middleware latency histograms use). A fixed geometric grid keeps Observe
-// allocation-free and snapshots deterministic.
-var histBuckets = func() []float64 {
-	out := make([]float64, 0, 40)
-	for i := -10; i < 30; i++ {
-		out = append(out, math.Pow(2, float64(i)))
-	}
-	return out
-}()
-
-// Histogram accumulates observations into fixed geometric buckets and
-// tracks exact count/sum/min/max. Quantiles are interpolated within the
-// bucket the rank falls into, which bounds their error by the bucket width.
+// Histogram is a sketch.Hist behind a mutex, plus the running sums a mean and
+// a standard deviation need. Observations are milliseconds wherever the
+// middleware records latency; see sketch.Hist for the grid and its error
+// bound. The zero value is ready to use.
 type Histogram struct {
-	mu       sync.Mutex
-	counts   []int64
-	overflow int64
-	count    int64
-	sum      float64
-	sumSq    float64
-	min      float64
-	max      float64
+	mu    sync.Mutex
+	hist  sketch.Hist
+	sum   float64
+	sumSq float64
 }
 
-// Observe records one observation.
+// Observe records one observation. The sums take only what sketch.Hist
+// counted (it ignores NaN and ±Inf), so count and sum describe the same
+// samples.
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
-	if h.counts == nil {
-		h.counts = make([]int64, len(histBuckets))
+	if h.hist.Add(v) {
+		h.sum += v
+		h.sumSq += v * v
 	}
-	idx := sort.SearchFloat64s(histBuckets, v)
-	if idx >= len(histBuckets) {
-		h.overflow++
-	} else {
-		h.counts[idx]++
-	}
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	h.sumSq += v * v
 	h.mu.Unlock()
 }
 
-// Summary digests the histogram into the stats package's Summary shape, so
-// obs histograms render through the same tables the experiment harness uses.
-func (h *Histogram) Summary() stats.Summary {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.summaryLocked()
+// Summary is a point-in-time digest of a Histogram. The JSON shape (lowercase
+// keys, quantiles as p50/p95/p99) is what /metrics and ndsm-bench -metrics
+// serve for every histogram. An empty histogram summarises to zeros.
+type Summary struct {
+	Count  int     `json:"count"`
+	Mean   float64 `json:"mean"`
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
+	P50    float64 `json:"p50"`
+	P95    float64 `json:"p95"`
+	P99    float64 `json:"p99"`
+	StdDev float64 `json:"stddev"`
 }
 
-func (h *Histogram) summaryLocked() stats.Summary {
-	s := stats.Summary{Count: int(h.count), Min: h.min, Max: h.max}
-	if h.count == 0 {
-		return s
+// Summary digests the histogram: exact count, mean, extremes and standard
+// deviation, and sketch.Hist's estimate at the three standard quantiles.
+func (h *Histogram) Summary() Summary {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := h.hist.Count()
+	if n == 0 {
+		return Summary{}
 	}
-	s.Mean = h.sum / float64(h.count)
-	variance := h.sumSq/float64(h.count) - s.Mean*s.Mean
-	if variance > 0 {
+	s := Summary{
+		Count: int(n),
+		Mean:  h.sum / float64(n),
+		Min:   h.hist.Min(),
+		Max:   h.hist.Max(),
+		P50:   h.hist.Quantile(0.50),
+		P95:   h.hist.Quantile(0.95),
+		P99:   h.hist.Quantile(0.99),
+	}
+	if variance := h.sumSq/float64(n) - s.Mean*s.Mean; variance > 0 {
 		s.StdDev = math.Sqrt(variance)
 	}
-	s.P50 = h.quantileLocked(0.50)
-	s.P95 = h.quantileLocked(0.95)
-	s.P99 = h.quantileLocked(0.99)
 	return s
-}
-
-// Quantile estimates the q-th quantile (q in (0, 1]) by linear
-// interpolation inside the geometric bucket holding that rank, clamped to
-// the observed min/max. With an empty histogram or q outside (0, 1] it
-// returns 0. P50/P95/P99 in Summary (and therefore in every /metrics and
-// ndsm-bench -metrics snapshot) are this estimate at the standard points.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 || q <= 0 || q > 1 {
-		return 0
-	}
-	return h.quantileLocked(q)
-}
-
-// quantileLocked estimates the q-th quantile by linear interpolation inside
-// the bucket holding that rank, clamped to the observed min/max.
-func (h *Histogram) quantileLocked(q float64) float64 {
-	rank := q * float64(h.count)
-	var seen int64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		if float64(seen+c) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = histBuckets[i-1]
-			}
-			hi := histBuckets[i]
-			frac := (rank - float64(seen)) / float64(c)
-			v := lo + (hi-lo)*frac
-			return math.Max(h.min, math.Min(h.max, v))
-		}
-		seen += c
-	}
-	return h.max
 }
 
 // Registry is a named set of instruments. Instruments are created on first
@@ -179,7 +126,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	marks    map[string]Snapshot
 }
 
 // NewRegistry returns an empty registry.
@@ -188,7 +134,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		marks:    make(map[string]Snapshot),
 	}
 }
 
@@ -261,9 +206,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Snapshot is a point-in-time copy of every instrument in a registry. It
 // marshals directly to the /metrics JSON document.
 type Snapshot struct {
-	Counters   map[string]int64         `json:"counters"`
-	Gauges     map[string]float64       `json:"gauges"`
-	Histograms map[string]stats.Summary `json:"histograms"`
+	Counters   map[string]int64   `json:"counters"`
+	Gauges     map[string]float64 `json:"gauges"`
+	Histograms map[string]Summary `json:"histograms"`
 }
 
 // Snapshot captures all instruments.
@@ -273,7 +218,7 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]int64, len(r.counters)),
 		Gauges:     make(map[string]float64, len(r.gauges)),
-		Histograms: make(map[string]stats.Summary, len(r.hists)),
+		Histograms: make(map[string]Summary, len(r.hists)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
@@ -294,7 +239,7 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	out := Snapshot{
 		Counters:   make(map[string]int64, len(s.Counters)),
 		Gauges:     make(map[string]float64, len(s.Gauges)),
-		Histograms: make(map[string]stats.Summary, len(s.Histograms)),
+		Histograms: make(map[string]Summary, len(s.Histograms)),
 	}
 	for name, v := range s.Counters {
 		out.Counters[name] = v - prev.Counters[name]
@@ -325,31 +270,4 @@ func (s Snapshot) Rate(elapsed time.Duration) map[string]float64 {
 		out[name] = float64(v) / secs
 	}
 	return out
-}
-
-// Names returns the sorted counter names in the snapshot (rendering helper).
-func (s Snapshot) Names() []string {
-	out := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Mark stores a named snapshot of the registry's current state.
-func (r *Registry) Mark(name string) {
-	snap := r.Snapshot()
-	r.mu.Lock()
-	r.marks[name] = snap
-	r.mu.Unlock()
-}
-
-// Since diffs the current state against the named mark. An unknown mark
-// diffs against the empty snapshot (i.e. returns absolute values).
-func (r *Registry) Since(name string) Snapshot {
-	r.mu.RLock()
-	mark := r.marks[name]
-	r.mu.RUnlock()
-	return r.Snapshot().Diff(mark)
 }

@@ -3,6 +3,9 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -81,13 +84,12 @@ func TestHistogramQuantiles(t *testing.T) {
 		h.Observe(float64(i))
 	}
 	s := h.Summary()
-	// Bucketed quantiles are estimates; the geometric grid bounds the error
-	// by one bucket width, so accept a generous band around the exact ranks.
-	if s.P50 < 250 || s.P50 > 1000 {
-		t.Fatalf("p50 = %v", s.P50)
+	// The exact order statistics are 500 and 990; the grid's bound is 1/32.
+	if math.Abs(s.P50-500) > 500.0/32 {
+		t.Fatalf("p50 = %v, want within 3.125%% of 500", s.P50)
 	}
-	if s.P99 < s.P50 || s.P99 > 1000 {
-		t.Fatalf("p99 = %v (p50 = %v)", s.P99, s.P50)
+	if math.Abs(s.P99-990) > 990.0/32 {
+		t.Fatalf("p99 = %v, want within 3.125%% of 990", s.P99)
 	}
 	if s.Min != 1 || s.Max != 1000 {
 		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
@@ -141,20 +143,6 @@ func TestSnapshotDiff(t *testing.T) {
 	}
 }
 
-func TestMarkSince(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("n").Inc(7)
-	r.Mark("warmup")
-	r.Counter("n").Inc(4)
-	if got := r.Since("warmup").Counters["n"]; got != 4 {
-		t.Fatalf("since = %d, want 4", got)
-	}
-	// Unknown marks diff against zero: absolute values.
-	if got := r.Since("nonexistent").Counters["n"]; got != 11 {
-		t.Fatalf("since unknown mark = %d, want 11", got)
-	}
-}
-
 func TestConcurrentSnapshotWhileWriting(t *testing.T) {
 	r := NewRegistry()
 	stop := make(chan struct{})
@@ -180,7 +168,6 @@ func TestConcurrentSnapshotWhileWriting(t *testing.T) {
 		if snap.Counters["c0"] < 0 {
 			t.Fatal("negative counter")
 		}
-		_ = r.Since("never-marked")
 	}
 	close(stop)
 	wg.Wait()
@@ -196,46 +183,52 @@ func TestOrDefault(t *testing.T) {
 	}
 }
 
-// TestQuantileBucketInterpolation pins the bucket→quantile math exactly.
-// The histogram's buckets are powers of two; observations of 3 land in the
-// (2,4] bucket and observations of 12 in the (8,16] bucket, so every
-// interpolated quantile is computable by hand:
-//
-//	rank q*count falls in a bucket (lo,hi] holding c observations after
-//	`seen` earlier ones; the estimate is lo + (hi-lo)*(rank-seen)/c,
-//	clamped to the observed [min, max].
-func TestQuantileBucketInterpolation(t *testing.T) {
-	h := &Histogram{}
-	for i := 0; i < 4; i++ {
-		h.Observe(3) // bucket (2,4]
+// TestQuantileFidelity holds Summary's quantiles to the bound sketch.Hist is
+// built to, against exact order statistics of a heavy-tailed latency stream:
+// every /metrics and telemetry p50/p95/p99 is one of these.
+func TestQuantileFidelity(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 100_000
+	var h Histogram
+	samples := make([]float64, 0, n)
+	for i := 0; i < n; i++ {
+		v := math.Exp(3 + 1*rng.NormFloat64()) // lognormal, median ~20ms
+		samples = append(samples, v)
+		h.Observe(v)
 	}
-	for i := 0; i < 4; i++ {
-		h.Observe(12) // bucket (8,16]
-	}
-	cases := []struct {
-		q, want float64
-	}{
-		{0.10, 3},  // rank 0.8 → 2 + 2*(0.8/4) = 2.4, clamped up to min 3
-		{0.25, 3},  // rank 2 → 2 + 2*(2/4) = 3
-		{0.50, 4},  // rank 4 → 2 + 2*(4/4) = 4
-		{0.75, 12}, // rank 6 → 8 + 8*(2/4) = 12
-		{1.00, 12}, // rank 8 → 8 + 8*(4/4) = 16, clamped down to max 12
-	}
-	for _, c := range cases {
-		if got := h.Quantile(c.q); got != c.want {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+	sort.Float64s(samples)
+	s := h.Summary()
+	for _, tc := range []struct {
+		q, got float64
+	}{{0.50, s.P50}, {0.95, s.P95}, {0.99, s.P99}} {
+		exact := samples[int(math.Ceil(tc.q*n))-1]
+		relErr := math.Abs(tc.got-exact) / exact
+		t.Logf("q=%.2f exact=%.3f summary=%.3f (%.3f%%)", tc.q, exact, tc.got, 100*relErr)
+		if relErr > 1.0/32 {
+			t.Errorf("q=%v: %.3f is %.2f%% from the exact %.3f, bound 3.125%%", tc.q, tc.got, 100*relErr, exact)
 		}
 	}
-	// Out-of-domain q and empty histograms answer 0.
-	if got := h.Quantile(0); got != 0 {
-		t.Errorf("Quantile(0) = %v, want 0", got)
+	if s.Count != n || s.Min != samples[0] || s.Max != samples[n-1] {
+		t.Errorf("count/min/max = %d/%v/%v, want %d/%v/%v", s.Count, s.Min, s.Max, n, samples[0], samples[n-1])
 	}
-	if got := h.Quantile(1.5); got != 0 {
-		t.Errorf("Quantile(1.5) = %v, want 0", got)
+}
+
+// TestHistogramEmptyAndNonFinite: an empty histogram summarises to zeros, so
+// ±Inf never reaches a JSON encoder, and an observation sketch.Hist would not
+// count does not reach the sums either.
+func TestHistogramEmptyAndNonFinite(t *testing.T) {
+	var h Histogram
+	h.Observe(math.NaN())
+	h.Observe(math.Inf(1))
+	h.Observe(math.Inf(-1))
+	if s := h.Summary(); s != (Summary{}) {
+		t.Fatalf("summary of no finite observations = %+v, want zeros", s)
 	}
-	empty := &Histogram{}
-	if got := empty.Quantile(0.5); got != 0 {
-		t.Errorf("empty Quantile(0.5) = %v, want 0", got)
+	h.Observe(2)
+	h.Observe(math.NaN())
+	h.Observe(4)
+	if s := h.Summary(); s.Count != 2 || s.Mean != 3 || s.StdDev != 1 || s.Min != 2 || s.Max != 4 {
+		t.Fatalf("summary = %+v, want count 2, mean 3, stddev 1, extremes 2 and 4", s)
 	}
 }
 

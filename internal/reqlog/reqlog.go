@@ -7,7 +7,7 @@
 // Two consumers with opposite needs share the plane, so the recorder keeps
 // two representations:
 //
-//   - Aggregates: every request feeds a per-topic t-digest (latency
+//   - Aggregates: every request feeds a per-topic sketch.Hist (latency
 //     quantiles) and a space-saving top-k (heavy-hitter topics), both
 //     cardinality-bounded and mergeable — the telemetry publisher ships them
 //     inside ordinary reports and the aggregator folds them cluster-wide.
@@ -125,10 +125,6 @@ type Options struct {
 	// SlowThreshold marks a healthy request tail-worthy by latency alone
 	// (default 100ms; <0 disables the latency criterion).
 	SlowThreshold time.Duration
-	// Compression is the per-topic t-digest δ (default sketch default).
-	Compression float64
-	// TopKCapacity bounds the heavy-hitter summary (default sketch default).
-	TopKCapacity int
 	// MaxTopics bounds per-topic digest cardinality; overflow folds into
 	// OverflowTopic (default 64).
 	MaxTopics int
@@ -295,11 +291,6 @@ func (r *ring) appendNewestFirst(dst []Record) []Record {
 	return dst
 }
 
-// topicStat is one topic's aggregate state.
-type topicStat struct {
-	dig *sketch.TDigest
-}
-
 // Recorder is the per-node wide-event sink. Safe for concurrent use; the
 // hot path is one short critical section and, in steady state, zero
 // allocations even for records that are sampled out (the AllocsPerRun guard
@@ -314,9 +305,9 @@ type Recorder struct {
 	mu       sync.Mutex
 	tail     ring // the two rings share one name table
 	healthy  ring
-	seen     uint64 // healthy records seen, for 1-in-N sampling
-	topics   map[string]*topicStat
-	overflow *topicStat
+	seen     uint64                  // healthy records seen, for 1-in-N sampling
+	topics   map[string]*sketch.Hist // per-topic latency, milliseconds
+	overflow *sketch.Hist
 	topk     *sketch.TopK
 }
 
@@ -334,8 +325,8 @@ func New(opts Options) *Recorder {
 		sampled:  reg.Counter("reqlog.sampled"),
 		tail:     ring{buf: make([]slot, tailCap), names: names},
 		healthy:  ring{buf: make([]slot, healthyCap), names: names},
-		topics:   make(map[string]*topicStat, opts.MaxTopics),
-		topk:     sketch.NewTopK(opts.TopKCapacity),
+		topics:   make(map[string]*sketch.Hist, opts.MaxTopics),
+		topk:     sketch.NewTopK(sketch.DefaultTopKCapacity),
 	}
 }
 
@@ -345,11 +336,11 @@ func (r *Recorder) Record(rec Record) {
 	r.recorded.Inc(1)
 	r.mu.Lock()
 	r.topk.Offer(rec.Topic, 1)
-	st := r.topics[rec.Topic]
-	if st == nil {
-		st = r.newTopicLocked(rec.Topic)
+	lat := r.topics[rec.Topic]
+	if lat == nil {
+		lat = r.newTopicLocked(rec.Topic)
 	}
-	st.dig.Add(float64(rec.Latency) / float64(time.Millisecond))
+	lat.Add(float64(rec.Latency) / float64(time.Millisecond))
 	if rec.tailWorthy(r.opts.SlowThreshold) {
 		r.tail.push(rec)
 		r.mu.Unlock()
@@ -368,17 +359,17 @@ func (r *Recorder) Record(rec Record) {
 }
 
 // newTopicLocked creates (or overflows) a topic's aggregate slot.
-func (r *Recorder) newTopicLocked(topic string) *topicStat {
+func (r *Recorder) newTopicLocked(topic string) *sketch.Hist {
 	if len(r.topics) >= r.opts.MaxTopics {
 		if r.overflow == nil {
-			r.overflow = &topicStat{dig: sketch.NewTDigest(r.opts.Compression)}
+			r.overflow = new(sketch.Hist)
 			r.topics[OverflowTopic] = r.overflow
 		}
 		return r.overflow
 	}
-	st := &topicStat{dig: sketch.NewTDigest(r.opts.Compression)}
-	r.topics[topic] = st
-	return st
+	lat := new(sketch.Hist)
+	r.topics[topic] = lat
+	return lat
 }
 
 // Filter selects records out of Snapshot; zero fields match everything.
@@ -454,14 +445,14 @@ func (r *Recorder) Topics() []string {
 func (r *Recorder) TopicQuantile(topic string, q float64) (float64, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.topics[topic]
-	if st == nil || st.dig.Count() == 0 {
+	lat := r.topics[topic]
+	if lat == nil || lat.Count() == 0 {
 		return 0, false
 	}
-	return st.dig.Quantile(q), true
+	return lat.Quantile(q), true
 }
 
-// TopicDigests serializes every per-topic t-digest — the payload the
+// TopicDigests serializes every per-topic latency histogram — the payload the
 // telemetry publisher ships. Digests are cumulative since recorder start;
 // aggregators keep the newest per node and merge across nodes.
 func (r *Recorder) TopicDigests() map[string][]byte {
@@ -471,8 +462,8 @@ func (r *Recorder) TopicDigests() map[string][]byte {
 		return nil
 	}
 	out := make(map[string][]byte, len(r.topics))
-	for t, st := range r.topics {
-		out[t] = st.dig.AppendBinary(nil)
+	for t, lat := range r.topics {
+		out[t] = lat.AppendBinary(nil)
 	}
 	return out
 }

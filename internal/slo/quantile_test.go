@@ -12,7 +12,7 @@ import (
 // samples all sit at latencyMs.
 func (h *harness) reportDigest(node, topic string, n int, latencyMs float64) {
 	h.t.Helper()
-	d := sketch.NewTDigest(0)
+	var d sketch.Hist
 	for i := 0; i < n; i++ {
 		d.Add(latencyMs)
 	}

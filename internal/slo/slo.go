@@ -76,7 +76,7 @@ const (
 	// telemetry has gone stale. It needs no series name — the absence of
 	// reports is the signal.
 	KindFreshness
-	// KindQuantile samples the cluster-merged t-digest latency quantile for
+	// KindQuantile samples the cluster-merged histogram's latency quantile for
 	// one Topic (telemetry.Aggregator.TopicQuantile) each evaluation, bad
 	// when it exceeds Max milliseconds. Unlike KindThreshold — which judges a
 	// per-node published p99 gauge — this reads the merged digest of every

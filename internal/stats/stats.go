@@ -1,178 +1,10 @@
-// Package stats provides the small measurement toolkit used by the
-// experiment harness: streaming summaries, percentile estimation over raw
-// samples, counters, and plain-text table / CSV / ASCII-chart rendering for
-// reporting experiment results in the shape the paper's figures use.
+// Package stats is the experiment harness's rendering kit: named counters and
+// plain-text table / CSV / ASCII-chart output for reporting experiment results
+// in the shape the paper's figures use. It measures nothing itself; latency
+// quantiles come from sketch.Hist.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"sync"
-	"time"
-)
-
-// Sample accumulates float64 observations and answers summary queries.
-// The zero value is ready to use. Sample is safe for concurrent use.
-type Sample struct {
-	mu     sync.Mutex
-	values []float64
-	sum    float64
-	sorted bool
-}
-
-// NewSample returns a Sample pre-allocated for n observations.
-func NewSample(n int) *Sample {
-	return &Sample{values: make([]float64, 0, n)}
-}
-
-// Add records one observation.
-func (s *Sample) Add(v float64) {
-	s.mu.Lock()
-	s.values = append(s.values, v)
-	s.sum += v
-	s.sorted = false
-	s.mu.Unlock()
-}
-
-// AddDuration records a duration observation in milliseconds.
-func (s *Sample) AddDuration(d time.Duration) {
-	s.Add(float64(d) / float64(time.Millisecond))
-}
-
-// Count returns the number of observations.
-func (s *Sample) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.values)
-}
-
-// Sum returns the sum of all observations.
-func (s *Sample) Sum() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sum
-}
-
-// Mean returns the arithmetic mean, or 0 for an empty sample.
-func (s *Sample) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.values) == 0 {
-		return 0
-	}
-	return s.sum / float64(len(s.values))
-}
-
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.ensureSortedLocked()
-	return s.values[0]
-}
-
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.ensureSortedLocked()
-	return s.values[len(s.values)-1]
-}
-
-// StdDev returns the population standard deviation, or 0 for fewer than two
-// observations.
-func (s *Sample) StdDev() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.values)
-	if n < 2 {
-		return 0
-	}
-	mean := s.sum / float64(n)
-	var ss float64
-	for _, v := range s.values {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks. It returns 0 for an empty sample.
-func (s *Sample) Percentile(p float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.values)
-	if n == 0 {
-		return 0
-	}
-	s.ensureSortedLocked()
-	if p <= 0 {
-		return s.values[0]
-	}
-	if p >= 100 {
-		return s.values[n-1]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s.values[lo]
-	}
-	frac := rank - float64(lo)
-	return s.values[lo]*(1-frac) + s.values[hi]*frac
-}
-
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
-func (s *Sample) ensureSortedLocked() {
-	if !s.sorted {
-		sort.Float64s(s.values)
-		s.sorted = true
-	}
-}
-
-// Summary is a point-in-time digest of a Sample. The JSON shape (lowercase
-// keys, quantiles as p50/p95/p99) is what /metrics and ndsm-bench -metrics
-// serve for every histogram.
-type Summary struct {
-	Count  int     `json:"count"`
-	Mean   float64 `json:"mean"`
-	Min    float64 `json:"min"`
-	Max    float64 `json:"max"`
-	P50    float64 `json:"p50"`
-	P95    float64 `json:"p95"`
-	P99    float64 `json:"p99"`
-	StdDev float64 `json:"stddev"`
-}
-
-// Summarize computes a Summary of the sample.
-func (s *Sample) Summarize() Summary {
-	return Summary{
-		Count:  s.Count(),
-		Mean:   s.Mean(),
-		Min:    s.Min(),
-		Max:    s.Max(),
-		P50:    s.Percentile(50),
-		P95:    s.Percentile(95),
-		P99:    s.Percentile(99),
-		StdDev: s.StdDev(),
-	}
-}
-
-// String renders the summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f min=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f sd=%.3f",
-		s.Count, s.Mean, s.Min, s.P50, s.P95, s.P99, s.Max, s.StdDev)
-}
+import "sync"
 
 // Counter is a concurrency-safe monotonically named tally set.
 // The zero value is ready to use.

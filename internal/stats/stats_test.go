@@ -1,170 +1,10 @@
 package stats
 
 import (
-	"math"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
-	"time"
 )
-
-func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
-
-func TestSampleEmpty(t *testing.T) {
-	var s Sample
-	if s.Count() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 ||
-		s.Percentile(50) != 0 || s.StdDev() != 0 || s.Sum() != 0 {
-		t.Fatal("empty sample should return zeros everywhere")
-	}
-}
-
-func TestSampleBasics(t *testing.T) {
-	s := NewSample(8)
-	for _, v := range []float64{4, 1, 3, 2} {
-		s.Add(v)
-	}
-	if got := s.Count(); got != 4 {
-		t.Fatalf("Count = %d, want 4", got)
-	}
-	if got := s.Sum(); got != 10 {
-		t.Fatalf("Sum = %v, want 10", got)
-	}
-	if got := s.Mean(); got != 2.5 {
-		t.Fatalf("Mean = %v, want 2.5", got)
-	}
-	if got := s.Min(); got != 1 {
-		t.Fatalf("Min = %v, want 1", got)
-	}
-	if got := s.Max(); got != 4 {
-		t.Fatalf("Max = %v, want 4", got)
-	}
-	if got := s.Median(); got != 2.5 {
-		t.Fatalf("Median = %v, want 2.5", got)
-	}
-}
-
-func TestSampleAddAfterQuery(t *testing.T) {
-	var s Sample
-	s.Add(5)
-	if got := s.Max(); got != 5 {
-		t.Fatalf("Max = %v, want 5", got)
-	}
-	s.Add(9) // must re-sort after the earlier query
-	if got := s.Max(); got != 9 {
-		t.Fatalf("Max after second add = %v, want 9", got)
-	}
-	if got := s.Min(); got != 5 {
-		t.Fatalf("Min = %v, want 5", got)
-	}
-}
-
-func TestSamplePercentileBounds(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	if got := s.Percentile(-5); got != 1 {
-		t.Fatalf("P(-5) = %v, want 1", got)
-	}
-	if got := s.Percentile(0); got != 1 {
-		t.Fatalf("P0 = %v, want 1", got)
-	}
-	if got := s.Percentile(100); got != 100 {
-		t.Fatalf("P100 = %v, want 100", got)
-	}
-	if got := s.Percentile(200); got != 100 {
-		t.Fatalf("P(200) = %v, want 100", got)
-	}
-	if got := s.Percentile(50); !almostEqual(got, 50.5, 1e-9) {
-		t.Fatalf("P50 = %v, want 50.5", got)
-	}
-}
-
-func TestSampleStdDev(t *testing.T) {
-	var s Sample
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if got := s.StdDev(); !almostEqual(got, 2, 1e-9) {
-		t.Fatalf("StdDev = %v, want 2", got)
-	}
-}
-
-func TestSampleAddDuration(t *testing.T) {
-	var s Sample
-	s.AddDuration(1500 * time.Microsecond)
-	if got := s.Mean(); !almostEqual(got, 1.5, 1e-9) {
-		t.Fatalf("mean ms = %v, want 1.5", got)
-	}
-}
-
-func TestSampleSummarize(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 10; i++ {
-		s.Add(float64(i))
-	}
-	sum := s.Summarize()
-	if sum.Count != 10 || sum.Min != 1 || sum.Max != 10 {
-		t.Fatalf("bad summary: %+v", sum)
-	}
-	if !strings.Contains(sum.String(), "n=10") {
-		t.Fatalf("String() missing count: %q", sum.String())
-	}
-}
-
-func TestSampleConcurrentAdd(t *testing.T) {
-	var s Sample
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				s.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := s.Count(); got != 8000 {
-		t.Fatalf("Count = %d, want 8000", got)
-	}
-	if got := s.Sum(); got != 8000 {
-		t.Fatalf("Sum = %v, want 8000", got)
-	}
-}
-
-// Property: percentile is monotone in p and bounded by [min, max].
-func TestPercentileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		var s Sample
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				v = 0
-			}
-			s.Add(v)
-		}
-		prev := math.Inf(-1)
-		for p := 0.0; p <= 100; p += 7 {
-			v := s.Percentile(p)
-			if v < prev {
-				return false
-			}
-			if v < s.Min() || v > s.Max() {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestCounter(t *testing.T) {
 	var c Counter

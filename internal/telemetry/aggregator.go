@@ -58,7 +58,7 @@ type nodeState struct {
 	// digests and topk are the node's newest request-analytics sketches,
 	// decoded at ingest. Cumulative summaries: the latest report supersedes
 	// all earlier ones, so there is nothing to window.
-	digests map[string]*sketch.TDigest
+	digests map[string]*sketch.Hist
 	topk    *sketch.TopK
 }
 
@@ -122,11 +122,11 @@ func (a *Aggregator) Ingest(r *Report) error {
 	}
 	// Decode analytics sketches before mutating any state: a report with a
 	// corrupt digest is rejected whole, like one with a bad sequence number.
-	var digests map[string]*sketch.TDigest
+	var digests map[string]*sketch.Hist
 	if len(r.TopicDigests) > 0 {
-		digests = make(map[string]*sketch.TDigest, len(r.TopicDigests))
+		digests = make(map[string]*sketch.Hist, len(r.TopicDigests))
 		for topic, raw := range r.TopicDigests {
-			d, err := sketch.DecodeTDigest(raw)
+			d, err := sketch.DecodeHist(raw)
 			if err != nil {
 				a.rejected.Inc(1)
 				return fmt.Errorf("telemetry: ingest %s: topic %q digest: %w", r.Node, topic, err)

@@ -7,7 +7,7 @@ import (
 )
 
 // TopicStat is one topic's cluster-merged latency summary: every node's
-// per-topic t-digest merged into one, which is exactly what the sketches'
+// per-topic histogram added into one, which is exactly what the sketches'
 // mergeability buys — the quantiles below are computed over the union of all
 // nodes' samples, not an average of per-node quantiles.
 type TopicStat struct {
@@ -19,13 +19,13 @@ type TopicStat struct {
 
 // mergedDigestsLocked merges every node's newest per-topic digests into one
 // digest per topic. Callers hold a.mu.
-func (a *Aggregator) mergedDigestsLocked() map[string]*sketch.TDigest {
-	merged := make(map[string]*sketch.TDigest)
+func (a *Aggregator) mergedDigestsLocked() map[string]*sketch.Hist {
+	merged := make(map[string]*sketch.Hist)
 	for _, ns := range a.nodes {
 		for topic, d := range ns.digests {
 			m := merged[topic]
 			if m == nil {
-				m = sketch.NewTDigest(0)
+				m = new(sketch.Hist)
 				merged[topic] = m
 			}
 			m.Merge(d)
@@ -41,18 +41,11 @@ func (a *Aggregator) mergedDigestsLocked() map[string]*sketch.TDigest {
 func (a *Aggregator) TopicQuantile(topic string, q float64) (float64, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var m *sketch.TDigest
+	var m sketch.Hist
 	for _, ns := range a.nodes {
-		d := ns.digests[topic]
-		if d == nil {
-			continue
-		}
-		if m == nil {
-			m = sketch.NewTDigest(0)
-		}
-		m.Merge(d)
+		m.Merge(ns.digests[topic]) // a node without the topic has nil: a no-op
 	}
-	if m == nil || m.Count() == 0 {
+	if m.Count() == 0 {
 		return 0, false
 	}
 	return m.Quantile(q), true
@@ -67,7 +60,7 @@ func (a *Aggregator) TopicStats() []TopicStat {
 	return statsFromDigests(merged)
 }
 
-func statsFromDigests(merged map[string]*sketch.TDigest) []TopicStat {
+func statsFromDigests(merged map[string]*sketch.Hist) []TopicStat {
 	out := make([]TopicStat, 0, len(merged))
 	for topic, d := range merged {
 		if d.Count() == 0 {
@@ -75,7 +68,7 @@ func statsFromDigests(merged map[string]*sketch.TDigest) []TopicStat {
 		}
 		out = append(out, TopicStat{
 			Topic: topic,
-			Count: d.Count(),
+			Count: float64(d.Count()),
 			P50:   d.Quantile(0.50),
 			P99:   d.Quantile(0.99),
 		})

@@ -133,7 +133,7 @@ func TestIngestRejectsCorruptDigests(t *testing.T) {
 	}
 
 	// A well-formed report with real digests still lands.
-	d := sketch.NewTDigest(0)
+	var d sketch.Hist
 	d.Add(5)
 	tk := sketch.NewTopK(0)
 	tk.Offer("t", 1)

@@ -119,7 +119,7 @@ func writeAlertsPanel(b *strings.Builder, now time.Time, alerts []DashAlert) {
 
 // writeTopicsPanel renders the cluster-merged per-topic attribution: call
 // share bars from the merged top-k, latency quantiles from the merged
-// t-digests. No digests published: no panel.
+// histograms. No digests published: no panel.
 func writeTopicsPanel(b *strings.Builder, topics []TopicStat, hot []sketch.TopKEntry) {
 	if len(topics) == 0 && len(hot) == 0 {
 		return

@@ -27,7 +27,7 @@ type PublisherOptions struct {
 	// Spans, when set, embeds the node's trace-collector depth.
 	Spans *trace.Collector
 	// ReqLog, when set, embeds the node's request-analytics sketches — the
-	// per-topic latency t-digests and the topic top-k summary — in every
+	// per-topic latency histograms and the topic top-k summary — in every
 	// report, so the aggregator can merge cluster-wide per-topic quantiles
 	// and heavy hitters (see reqlog and sketch).
 	ReqLog *reqlog.Recorder
@@ -101,8 +101,9 @@ func (p *Publisher) Publish() error {
 	}
 	// Fold histogram quantiles in as gauges (<hist>.p50/.p99): quantile
 	// estimates do not survive delta arithmetic, but as published gauge
-	// series they give the aggregator — and the SLO engine's
-	// latency-quantile objectives — a per-node latency signal to judge.
+	// series they give the dash and the SLO engine's KindThreshold
+	// objectives a per-node latency signal. (KindQuantile objectives read
+	// Aggregator.TopicQuantile, the cluster merge of TopicDigests.)
 	for name, h := range snap.Histograms {
 		if h.Count == 0 {
 			continue

@@ -64,12 +64,12 @@ type Report struct {
 	TraceLen     int    `json:"traceLen,omitempty"`
 	TraceTotal   uint64 `json:"traceTotal,omitempty"`
 	TraceDropped uint64 `json:"traceDropped,omitempty"`
-	// TopicDigests carries one serialized t-digest of request latency in
-	// milliseconds per topic (sketch.DecodeTDigest), cumulative since the
-	// node's recorder started. Unlike Counters these are not deltas: t-digests
-	// merge but do not subtract, so each report ships the whole summary and
-	// the aggregator keeps only the newest per node. JSON base64-encodes the
-	// bytes natively.
+	// TopicDigests carries one serialized histogram of request latency in
+	// milliseconds per topic (sketch.DecodeHist), cumulative since the node's
+	// recorder started. Unlike Counters these are not deltas: each report
+	// ships the whole summary and the aggregator keeps only the newest per
+	// node, so a lost report loses nothing. JSON base64-encodes the bytes
+	// natively.
 	TopicDigests map[string][]byte `json:"topicDigests,omitempty"`
 	// TopKDigest is the node's serialized space-saving topic summary
 	// (sketch.DecodeTopK), cumulative like TopicDigests.
