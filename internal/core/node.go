@@ -18,7 +18,10 @@ import (
 	"ndsm/internal/wire"
 )
 
-// Handler serves one request for a hosted service.
+// Handler serves one request for a hosted service. payload is valid until the
+// handler returns: the node reuses its memory for a later request once the
+// reply is sent. The reply may be payload or a slice of it; copy what must
+// outlive the call.
 type Handler func(payload []byte) ([]byte, error)
 
 // Core errors.
@@ -241,7 +244,8 @@ func (n *Node) Close() error {
 
 // Serve hosts a service: the description is completed with this node as
 // provider, registered with discovery, and requests to its name are
-// dispatched to the handler.
+// dispatched to the handler, which owns nothing it is passed (see Handler:
+// the request's payload is the node's again once the reply is sent).
 func (n *Node) Serve(desc *svcdesc.Description, handler Handler) error {
 	if handler == nil {
 		return errors.New("core: nil handler")

@@ -177,6 +177,15 @@ type ClientInterceptor func(next ClientFunc) ClientFunc
 // server fills in correlation, topic, and source; the handler chooses the
 // reply kind (KindReply, KindAck, ...) and payload. Returning an error sends
 // a KindError reply with the error text as payload.
+//
+// req and req.Payload are valid until the handler returns, and belong to the
+// server: once the reply is sent it hands both back for the next decode
+// (wire.Recycle). The reply may alias them — its payload may be req.Payload
+// or a slice of it, it may be req itself — because the server has encoded or
+// cloned the reply before it reuses the request. Copy what must outlive the
+// call; a handler that put another slice into req.Payload has given that
+// slice away. Strings (req.Topic, req.Src) and the req.Headers map are never
+// reused and may be kept. The same holds for interceptors and the Fallback.
 type Handler func(req *wire.Message) (*wire.Message, error)
 
 // ServerInterceptor wraps a Handler with cross-cutting behavior.

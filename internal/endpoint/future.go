@@ -182,6 +182,12 @@ func putWaiter(w *waiter) {
 // soon as Send accepts it — transports must not retain messages past Send
 // (see transport.Conn) and OnSend observers must not retain them past the
 // callback.
+//
+// It is not wire's pool of decoded messages (wire.Recycle), and the two are
+// not to be made one: these envelopes borrow the caller's payload and come
+// back carrying no buffer, those come back with the buffer they were decoded
+// into. Mixed, the bare shells would be drawn for decodes and the buffered
+// ones for envelopes, and the buffers would churn instead of being reused.
 var msgPool = sync.Pool{
 	New: func() any { return new(wire.Message) },
 }

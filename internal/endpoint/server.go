@@ -280,6 +280,7 @@ func (s *Server) serveConn(conn transport.Conn) {
 			return
 		}
 		if !s.oneway[req.Kind] && !s.accepts[req.Kind] {
+			wire.Recycle(req)
 			continue
 		}
 		if s.adm == nil {
@@ -361,9 +362,15 @@ func (s *Server) park() (task, bool) {
 // nowhere else: whichever path admitted the request (straight off the read
 // loop or out of a lane queue), the slot cannot leak or double-free. One-way
 // kinds run the handler and write nothing back.
+//
+// The server owns the request (see transport.Conn.Recv) and is its last owner
+// here: the handler has returned, the wide event is recorded and Send has
+// encoded or cloned a reply that may alias it, so it is recycled. A handler
+// that returns the request itself as the reply is recycling that same message.
 func (s *Server) run(t task) {
 	defer s.adm.release(t.tok)
 	req := t.req
+	defer wire.Recycle(req)
 	var start time.Time
 	if s.rec != nil {
 		start = s.clock.Now()
@@ -395,8 +402,11 @@ func (s *Server) run(t task) {
 // carrying the lane the shed was charged to; callers surface it as a
 // retryable *ShedError. One-way messages are dropped silently — counted as
 // shed, but there is no reply channel to reject them with. wait is time the
-// request spent queued before being shed (zero at admission).
+// request spent queued before being shed (zero at admission). Whoever sheds a
+// request is its last owner — it was never dispatched, or has left its queue —
+// so it is recycled here, as run recycles what it served.
 func (s *Server) reject(req *wire.Message, conn transport.Conn, lane Lane, reason string, wait time.Duration) {
+	defer wire.Recycle(req)
 	if s.rec != nil {
 		s.recordShed(req, lane, reason, wait)
 	}

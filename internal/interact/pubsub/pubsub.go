@@ -66,7 +66,9 @@ type subscription struct {
 	conn    transport.Conn
 }
 
-// Broker fans published events out to matching subscribers.
+// Broker fans published events out to matching subscribers. It owns every
+// message it receives and recycles it (wire.Recycle) once the event has been
+// sent on and acknowledged: nothing of a publish is kept.
 type Broker struct {
 	mu sync.Mutex
 	// subs is every registration. It is replaced, never changed in place, so
@@ -187,6 +189,10 @@ func (b *Broker) serveConn(conn transport.Conn) {
 			ack.Kind, ack.Payload = wire.KindError, []byte(fmt.Sprintf("pubsub: unknown topic %q", req.Topic))
 		}
 		_ = conn.Send(ack)
+		// The broker owns what it received and is done with it: every
+		// subscriber's Send has encoded or cloned the event, a pattern was
+		// copied out of its payload, and ack holds only its topic string.
+		wire.Recycle(req)
 	}
 }
 

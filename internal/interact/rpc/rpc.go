@@ -27,7 +27,10 @@ var (
 	ErrUnknownMethod = errors.New("rpc: unknown method")
 )
 
-// Handler processes one call's payload and returns the reply payload.
+// Handler processes one call's payload and returns the reply payload. payload
+// is valid until the handler returns: the server reuses its memory for a later
+// call once the reply is sent (see endpoint.Handler). The reply may be payload
+// or a slice of it; copy what must outlive the call.
 type Handler func(payload []byte) ([]byte, error)
 
 // Server dispatches calls to registered handlers.

@@ -39,6 +39,11 @@ type Conn interface {
 	Send(m *wire.Message) error
 	// Recv blocks for the next message. It returns ErrClosed after the
 	// connection closes and all buffered messages are drained.
+	//
+	// The receiver owns the result — the connection keeps no reference to it,
+	// and it shares no memory with any other message — and may wire.Recycle
+	// it once nothing refers to it or to its Payload. Whoever does not
+	// recycle may keep it for good.
 	Recv() (*wire.Message, error)
 	// Close releases the connection. Safe to call multiple times.
 	Close() error

@@ -107,7 +107,9 @@ type envelopeNames struct {
 
 // decodeBinary is Decode with a memory: an envelope string whose bytes equal
 // one in names is shared, not copied (strings are immutable, so the message
-// still does not alias data). A nil names remembers nothing.
+// still does not alias data). A nil names remembers nothing. The message is a
+// recycled one when there is one (see Recycle), its payload copied into the
+// buffer that came with it when that is big enough.
 func decodeBinary(data []byte, names *envelopeNames) (*Message, error) {
 	if names == nil {
 		names = new(envelopeNames) // does not escape: empty, so only "" ever matches
@@ -121,7 +123,8 @@ func decodeBinary(data []byte, names *envelopeNames) (*Message, error) {
 	if d.err == nil && version != binaryVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrInvalidMessage, version)
 	}
-	m := &Message{}
+	m := messages.Get().(*Message)
+	buf := m.Payload
 	m.Kind = Kind(d.byte())
 	m.Priority = d.byte()
 	m.ID = d.uvarint()
@@ -132,21 +135,23 @@ func decodeBinary(data []byte, names *envelopeNames) (*Message, error) {
 	m.Src = d.name(&names.src, nil)
 	m.Dst = d.name(&names.dst, nil)
 	m.Topic = d.name(&names.topic, names.topics)
-	if n := d.uvarint(); n > 0 && d.err == nil {
-		if n > uint64(len(d.buf)) {
-			return nil, fmt.Errorf("%w: header count %d exceeds input", ErrInvalidMessage, n)
-		}
+	if n := d.uvarint(); n > uint64(len(d.buf)) && d.err == nil {
+		d.err = fmt.Errorf("header count %d exceeds input", n)
+	} else if n > 0 && d.err == nil {
 		m.Headers = make(map[string]string, n)
 		for i := uint64(0); i < n && d.err == nil; i++ {
 			k := d.string()
 			m.Headers[k] = d.string()
 		}
 	}
-	m.Payload = d.bytes()
+	m.Payload = d.bytes(buf)
+	// A refused message goes back zeroed: the next decode sees none of its fields.
 	if d.err != nil {
+		Recycle(m)
 		return nil, fmt.Errorf("%w: %v", ErrInvalidMessage, d.err)
 	}
 	if err := m.Validate(); err != nil {
+		Recycle(m)
 		return nil, err
 	}
 	return m, nil
@@ -258,13 +263,13 @@ func (d *decoder) name(last *string, table map[string]string) string {
 	return s
 }
 
-func (d *decoder) bytes() []byte {
+// bytes reads a length-prefixed field into buf's memory, or into new memory
+// when buf is too small (append to an empty slice allocates exactly that,
+// without zeroing what the copy then overwrites). An empty field is nil.
+func (d *decoder) bytes(buf []byte) []byte {
 	src := d.view("bytes")
 	if len(src) == 0 {
 		return nil
 	}
-	// make+copy of one source in this form is allocated without being zeroed.
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out
+	return append(buf[:0], src...)
 }

@@ -82,22 +82,26 @@ func (m *Message) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the message.
+// Clone returns a deep copy of the message, which the caller owns: a recycled
+// shell and payload buffer when there is one (see Recycle).
 func (m *Message) Clone() *Message {
 	if m == nil {
 		return nil
 	}
-	out := *m
+	out := messages.Get().(*Message)
+	buf := out.Payload
+	*out = *m
 	if m.Headers != nil {
 		out.Headers = make(map[string]string, len(m.Headers))
 		for k, v := range m.Headers {
 			out.Headers[k] = v
 		}
 	}
-	if m.Payload != nil {
-		out.Payload = append([]byte(nil), m.Payload...)
+	out.Payload = nil
+	if len(m.Payload) > 0 {
+		out.Payload = append(buf[:0], m.Payload...)
 	}
-	return &out
+	return out
 }
 
 // Equal reports whether two messages are semantically identical.

@@ -45,7 +45,8 @@ const maxRememberedTopics = 32
 // buffer, or scratch) and is valid only until the next Next or ReadMessage
 // call. ReadMessage decodes before that memory is reused, and codecs never
 // alias their input (see Codec), so decoded messages are safe to retain
-// indefinitely.
+// indefinitely — they are the caller's, who may instead Recycle one it is
+// done with.
 //
 // FrameReader is not safe for concurrent use; a connection's single receive
 // loop owns it. Frames alone may be called from any goroutine.
@@ -125,7 +126,9 @@ func (fr *FrameReader) Frames() uint64 { return fr.frames.Load() }
 
 // ReadMessage reads the next frame and decodes it with the codec named by its
 // content-type tag. The returned message never aliases the reader's memory, so
-// it survives any number of subsequent reads.
+// it survives any number of subsequent reads; it belongs to the caller, and a
+// binary one is decoded into a message some owner has recycled when there is
+// one (see Recycle).
 //
 // A binary envelope's Src, Dst and Topic are compared with the ones this
 // reader decoded last and, when equal, share that string instead of copying

@@ -60,7 +60,10 @@ type NodeConfig = core.Config
 // NewNode starts a node.
 func NewNode(cfg NodeConfig) (*Node, error) { return core.NewNode(cfg) }
 
-// Handler serves one request of a hosted service.
+// Handler serves one request of a hosted service. The payload it is passed is
+// valid until it returns — the node reuses that memory once the reply is sent
+// — and the reply may be that payload or a slice of it; copy what must outlive
+// the call.
 type Handler = core.Handler
 
 // Binding is a QoS-managed attachment to the best feasible supplier.
