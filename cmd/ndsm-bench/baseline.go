@@ -17,19 +17,12 @@ import (
 // older files are refused, since their keys no longer line up.
 const baselineSchema = 3
 
-// regressionTolerance is how far a benchmark's allocs/op may grow before the
-// compare gate fails, and how far ns/op or an experiment cell may drift
-// before the compare warns (fractional; 0.15 = 15%).
+// regressionTolerance is how far an experiment cell may drift before the
+// compare warns (fractional; 0.15 = 15%).
 const regressionTolerance = 0.15
 
-// BenchResult is one microbenchmark's measured cost.
-type BenchResult struct {
-	NsPerOp     float64 `json:"nsPerOp"`
-	AllocsPerOp int64   `json:"allocsPerOp"`
-	BytesPerOp  int64   `json:"bytesPerOp"`
-}
-
-// Environment is where a baseline was made. ns/op means nothing without it.
+// Environment is where a baseline was made. The wall-clock cells of E7, E10
+// and E13-E15 mean nothing without it.
 type Environment struct {
 	GoVersion  string `json:"goVersion"`
 	GOOS       string `json:"goos"`
@@ -38,28 +31,20 @@ type Environment struct {
 	NumCPU     int    `json:"numCPU"`
 }
 
-func (e Environment) String() string {
-	return fmt.Sprintf("%s %s/%s GOMAXPROCS=%d NumCPU=%d", e.GoVersion, e.GOOS, e.GOARCH, e.GOMAXPROCS, e.NumCPU)
-}
-
 // Baseline is the machine-readable output of `-baseline`: every numeric cell
-// of every experiment table, plus ns/op and allocs/op for the hot-path
-// microbenchmarks. The compare gate fails only on what does not depend on
-// the machine: allocs/op growth and the experiments' absolute bounds. Time
-// and experiment metrics vary with hardware and workload sizing, so their
-// drift is reported as warnings.
+// of every experiment table. The compare gate fails only on the experiments'
+// absolute bounds; the cells vary with hardware and workload sizing, so their
+// drift is reported as warnings. A file that still carries the "benchmarks"
+// object earlier versions wrote reads with that key ignored.
 type Baseline struct {
 	Schema int         `json:"schema"`
 	Quick  bool        `json:"quick"`
 	Env    Environment `json:"environment"`
 	// Experiments maps experiment ID → "table/rowKey/column" → value.
 	Experiments map[string]map[string]float64 `json:"experiments"`
-	// Benchmarks maps microbenchmark name → measured cost.
-	Benchmarks map[string]BenchResult `json:"benchmarks"`
 }
 
-// buildBaseline runs the selected experiments and the microbenchmark suite
-// and assembles the baseline.
+// buildBaseline runs the selected experiments and assembles the baseline.
 func buildBaseline(quick bool, ids []string) (*Baseline, error) {
 	base := &Baseline{
 		Schema: baselineSchema,
@@ -72,7 +57,6 @@ func buildBaseline(quick bool, ids []string) (*Baseline, error) {
 			NumCPU:     runtime.NumCPU(),
 		},
 		Experiments: make(map[string]map[string]float64),
-		Benchmarks:  runMicrobenches(),
 	}
 	runner := experiments.Runner{QuickMode: quick}
 	for _, id := range ids {
@@ -156,47 +140,9 @@ func readBaseline(path string) (*Baseline, error) {
 }
 
 // compareBaselines judges new against old. Gate failures are what no machine
-// explains: allocs/op past tolerance and the experiments' absolute bounds.
-// Everything else — ns/op and experiment metric drift, added or dropped
-// entries — comes back as warnings.
+// explains: the experiments' absolute bounds. Everything else — cell drift,
+// added or dropped entries — comes back as warnings.
 func compareBaselines(old, new *Baseline, tolerance float64) (regressions, warnings []string) {
-	slower := 0
-	for _, name := range sortedKeys(old.Benchmarks) {
-		prev := old.Benchmarks[name]
-		cur, ok := new.Benchmarks[name]
-		if !ok {
-			warnings = append(warnings, fmt.Sprintf("benchmark %s missing from new baseline", name))
-			continue
-		}
-		if prev.NsPerOp > 0 && cur.NsPerOp > prev.NsPerOp*(1+tolerance) {
-			slower++
-			warnings = append(warnings, fmt.Sprintf(
-				"benchmark %s: %.0f ns/op vs %.0f ns/op baseline (+%.0f%%, tolerance %.0f%%)",
-				name, cur.NsPerOp, prev.NsPerOp,
-				100*(cur.NsPerOp/prev.NsPerOp-1), 100*tolerance))
-		}
-		// Allocation regressions gate: a zero-alloc path growing any
-		// allocation fails outright; non-zero paths get the tolerance plus
-		// half an alloc of slack so counter jitter on tiny budgets does not
-		// flap the gate.
-		if float64(cur.AllocsPerOp) > float64(prev.AllocsPerOp)*(1+tolerance)+0.5 {
-			regressions = append(regressions, fmt.Sprintf(
-				"benchmark %s: %d allocs/op vs %d allocs/op baseline (tolerance %.0f%%)",
-				name, cur.AllocsPerOp, prev.AllocsPerOp, 100*tolerance))
-		}
-	}
-	if slower > 0 {
-		// Time compares only between runs on one machine, so it cannot gate:
-		// say where each side ran and leave the judgement to the reader.
-		warnings = append(warnings, fmt.Sprintf(
-			"%d benchmark(s) slower than baseline: it was recorded on %s, this one on %s",
-			slower, old.Env, new.Env))
-	}
-	for name := range new.Benchmarks {
-		if _, ok := old.Benchmarks[name]; !ok {
-			warnings = append(warnings, fmt.Sprintf("benchmark %s new since baseline (no reference)", name))
-		}
-	}
 	if old.Quick != new.Quick {
 		warnings = append(warnings, fmt.Sprintf(
 			"comparing quick=%v against quick=%v: experiment metrics are not like-for-like", new.Quick, old.Quick))
@@ -261,8 +207,7 @@ func sortedKeys[M ~map[string]V, V any](m M) []string {
 type errRegression struct{ count int }
 
 func (e errRegression) Error() string {
-	return fmt.Sprintf("ndsm-bench: %d gate failure(s): allocs/op grown beyond %.0f%%, or an experiment past its absolute bound (ns/op drift only warns)",
-		e.count, 100*regressionTolerance)
+	return fmt.Sprintf("ndsm-bench: %d gate failure(s): an experiment past its absolute bound (cell drift only warns)", e.count)
 }
 
 // reportComparison prints the verdict and returns errRegression when the

@@ -16,13 +16,12 @@
 //	                           # or https://ui.perfetto.dev)
 //	ndsm-bench -baseline BENCH.json
 //	                           # machine-readable baseline: every numeric
-//	                           # experiment cell + hot-path ns/op + allocs/op
-//	                           # + the environment it was recorded in
+//	                           # experiment cell + the environment it was
+//	                           # recorded in
 //	ndsm-bench -compare old.json
-//	                           # rebuild the baseline and fail (exit 1) on
-//	                           # allocs/op grown >15% against old.json or an
-//	                           # experiment past its absolute bound; ns/op
-//	                           # and experiment drift only warn
+//	                           # rebuild the baseline and fail (exit 1) on an
+//	                           # experiment past its absolute bound (E13-E15);
+//	                           # drift >15% against old.json only warns
 //	ndsm-bench -compare old.json new.json
 //	                           # compare two baseline files without running
 package main
@@ -59,8 +58,8 @@ func main() {
 	flag.BoolVar(&opts.list, "list", false, "list experiment IDs and exit")
 	flag.BoolVar(&opts.metrics, "metrics", false, "after the run, dump the middleware metrics snapshot as JSON")
 	flag.StringVar(&opts.traceFile, "trace", "", "capture causal spans and write them as Chrome trace-event JSON to this file")
-	flag.StringVar(&opts.baseline, "baseline", "", "write a machine-readable baseline (experiment metrics + ns/op) to this file")
-	flag.StringVar(&opts.compare, "compare", "", "compare against this baseline file; exit non-zero on allocs/op grown >15% or an experiment past its absolute bound (ns/op and experiment drift only warn)")
+	flag.StringVar(&opts.baseline, "baseline", "", "write a machine-readable baseline (every experiment cell) to this file")
+	flag.StringVar(&opts.compare, "compare", "", "compare against this baseline file; exit non-zero on an experiment past its absolute bound (experiment drift only warns)")
 	flag.Parse()
 	opts.compareNew = flag.Arg(0)
 	if err := realMain(opts); err != nil {
@@ -97,8 +96,8 @@ func realMain(opts cliOptions) error {
 			if err := writeBaseline(opts.baseline, built); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "ndsm-bench: wrote baseline (%d experiments, %d benchmarks) to %s\n",
-				len(built.Experiments), len(built.Benchmarks), opts.baseline)
+			fmt.Fprintf(os.Stderr, "ndsm-bench: wrote baseline (%d experiments) to %s\n",
+				len(built.Experiments), opts.baseline)
 		}
 		if opts.compare != "" {
 			oldB, err := readBaseline(opts.compare)

@@ -500,13 +500,12 @@ func (w *World) build() error {
 			// reserved for the control lane, a short benefit-aware queue. The
 			// per-tick bulk burst is sized to drown the shared slots, so
 			// isolation — not raw capacity — is what keeps control probes on
-			// time. Expiry/benefit decisions run on wall time, like the data
-			// path the deadlines belong to.
+			// time. Expiry/benefit decisions run on the node's clock, wall
+			// time, like the data path the deadlines belong to.
 			nodeCfg.MaxInFlight = overloadMaxInFlight
 			nodeCfg.Lanes = &endpoint.LaneConfig{
 				Quota:      map[endpoint.Lane]int{endpoint.LaneControl: 1},
 				QueueDepth: overloadQueueDepth,
-				Clock:      simtime.Real{},
 			}
 			// Every overloaded supplier keeps a wide-event recorder sized so
 			// the tail ring outlives the run: at most

@@ -56,8 +56,8 @@ type Config struct {
 	MaxInFlight int
 	// Lanes enables priority-lane admission control over the MaxInFlight
 	// pool (per-lane quotas, shared-pool borrowing, benefit-aware queue
-	// shedding — see endpoint.LaneConfig). Its Clock defaults to the node's
-	// clock so expiry decisions agree with the deadlines bindings stamp.
+	// shedding — see endpoint.LaneConfig). Expiry decisions run on the
+	// node's Clock, the one its bindings stamp deadlines from.
 	Lanes *endpoint.LaneConfig
 	// Metrics receives the node's instruments — server dispatch counters,
 	// binding call latency, shed counts. Nil uses the process default; a
@@ -147,11 +147,6 @@ func NewNode(cfg Config) (*Node, error) {
 		topicLanes: cfg.TopicLanes,
 		table:      transaction.NewTable(),
 		suppliers:  make(map[string]*supplier),
-	}
-	if cfg.Lanes != nil && cfg.Lanes.Clock == nil {
-		lanes := *cfg.Lanes
-		lanes.Clock = cfg.Clock
-		cfg.Lanes = &lanes
 	}
 	n.ep = endpoint.NewServer(l, endpoint.ServerOptions{
 		Name:        cfg.Name,

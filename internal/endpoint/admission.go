@@ -29,9 +29,6 @@ type LaneConfig struct {
 	QueueDepth int
 	// TopicLanes classifies requests that arrive without a HeaderLane stamp.
 	TopicLanes map[string]Lane
-	// Clock drives deadline-expiry and benefit decisions (default real
-	// time). Must agree with the clock callers stamp deadlines from.
-	Clock simtime.Clock
 }
 
 // admitToken records which slot an admitted request occupies, so release
@@ -101,7 +98,7 @@ type admitter struct {
 func newAdmitter(srv *Server, capacity int, cfg *LaneConfig, metricName string, reg *obs.Registry) *admitter {
 	a := &admitter{
 		srv:       srv,
-		clock:     simtime.Real{},
+		clock:     srv.clock,
 		sharedCap: capacity,
 		shedTotal: reg.Counter(metricName + ".shed"),
 	}
@@ -111,9 +108,6 @@ func newAdmitter(srv *Server, capacity int, cfg *LaneConfig, metricName string, 
 	a.laneAware = true
 	a.queueCap = cfg.QueueDepth
 	a.topicLane = cfg.TopicLanes
-	if cfg.Clock != nil {
-		a.clock = cfg.Clock
-	}
 	for lane, q := range cfg.Quota {
 		if q > 0 {
 			a.quota[lane.rank()] += q

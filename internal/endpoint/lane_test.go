@@ -221,8 +221,9 @@ func TestQueueShedsExpiredOnPromotion(t *testing.T) {
 	s, c := newPair(t, ServerOptions{
 		Name:        "srv",
 		MaxInFlight: 1,
-		Lanes:       &LaneConfig{QueueDepth: 4, Clock: clock},
+		Lanes:       &LaneConfig{QueueDepth: 4},
 		Metrics:     reg,
+		Clock:       clock,
 	}, CallerOptions{Clock: clock})
 	t.Cleanup(unblock)
 	s.Handle("work", func(req *wire.Message) (*wire.Message, error) {
@@ -270,8 +271,9 @@ func TestPreemptionBenefitOrder(t *testing.T) {
 	s, c := newPair(t, ServerOptions{
 		Name:        "srv",
 		MaxInFlight: 1,
-		Lanes:       &LaneConfig{QueueDepth: 1, Clock: clock},
+		Lanes:       &LaneConfig{QueueDepth: 1},
 		Metrics:     reg,
+		Clock:       clock,
 	}, CallerOptions{Clock: clock})
 	t.Cleanup(unblock)
 	s.Handle("work", func(req *wire.Message) (*wire.Message, error) {

@@ -53,8 +53,9 @@ type ServerOptions struct {
 	// never reach the interceptor chain, so this is their only per-request
 	// record). Nil disables recording at the cost of one nil check.
 	ReqLog *reqlog.Recorder
-	// Clock timestamps wide events (default real time; virtual in tests).
-	// Should agree with Lanes.Clock when both are set.
+	// Clock timestamps wide events and drives the admitter's deadline-expiry
+	// and benefit decisions (default real time; virtual in tests). It must
+	// agree with the clock callers stamp deadlines from.
 	Clock simtime.Clock
 }
 
@@ -113,11 +114,7 @@ func NewServer(l transport.Listener, opts ServerOptions) *Server {
 	}
 	clock := opts.Clock
 	if clock == nil {
-		if opts.Lanes != nil && opts.Lanes.Clock != nil {
-			clock = opts.Lanes.Clock
-		} else {
-			clock = simtime.Real{}
-		}
+		clock = simtime.Real{}
 	}
 	s := &Server{
 		listener: l,

@@ -345,6 +345,40 @@ func TestRoundTripAllocsTCP(t *testing.T) {
 	}
 }
 
+// The mem round trip again, through the lane-aware admitter on an
+// uncontended server, with a payload-less reply and a Call built for each
+// request: five objects. The Call, the handler's reply, the reply's clone (a
+// shell the pool has none of, as above), and the map and bucket the request's
+// clone copies the lane header into — its shell and payload are the ones the
+// server recycled the request before.
+func TestLaneRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	s, c := newPair(t, ServerOptions{
+		Name:        "srv",
+		MaxInFlight: 64,
+		Metrics:     obs.NewRegistry(),
+		Lanes:       &LaneConfig{Quota: map[Lane]int{LaneControl: 8}},
+	}, CallerOptions{Lane: LaneControl})
+	s.Handle("work", func(*wire.Message) (*wire.Message, error) {
+		return &wire.Message{Kind: wire.KindReply}, nil
+	})
+	payload := make([]byte, 64)
+	call := func() {
+		if _, err := c.Do(&Call{Topic: "work", Payload: payload, Timeout: NoTimeout}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		call()
+	}
+	const want = 5
+	if allocs := testing.AllocsPerRun(1000, call); allocs > want {
+		t.Fatalf("lane-aware mem round trip allocates %.2f objects, want at most %d", allocs, want)
+	}
+}
+
 // A deadline's timer dies with the call it guarded. Before, each reply left
 // an armed hour-long timer behind (an unstopped time.After lives until it
 // fires under go 1.22), ~200 B a request for the length of the timeout.

@@ -55,16 +55,14 @@ type queue struct {
 func (q *queue) push(data []byte) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	// Hand directly to the oldest blocked consumer when one exists.
-	for len(q.waiters) > 0 {
+	// Hand directly to the oldest blocked consumer when one exists. A waiter
+	// still on the list has an empty buffer: a pop that gives up withdraws
+	// its waiter under q.mu, so this send never blocks and is never lost.
+	if len(q.waiters) > 0 {
 		w := q.waiters[0]
 		q.waiters = q.waiters[1:]
-		select {
-		case w <- data:
-			return nil
-		default:
-			// Waiter gave up (timeout) — try the next.
-		}
+		w <- data
+		return nil
 	}
 	if len(q.items) >= q.max {
 		return ErrQueueFull
@@ -73,18 +71,40 @@ func (q *queue) push(data []byte) error {
 	return nil
 }
 
-// pop returns an item immediately or registers a waiter channel.
-func (q *queue) pop() ([]byte, chan []byte) {
+// pop takes the oldest item, parking for a push up to wait when the queue is
+// empty (a zero wait answers at once). It gives up when the wait runs out or
+// done closes; ok is false when nothing came.
+func (q *queue) pop(clock simtime.Clock, wait time.Duration, done <-chan struct{}) (item []byte, ok bool) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	if len(q.items) > 0 {
-		item := q.items[0]
-		q.items = q.items[1:]
-		return item, nil
+		item, q.items = q.items[0], q.items[1:]
+		q.mu.Unlock()
+		return item, true
+	}
+	if wait <= 0 {
+		q.mu.Unlock()
+		return nil, false
 	}
 	w := make(chan []byte, 1)
 	q.waiters = append(q.waiters, w)
-	return nil, w
+	q.mu.Unlock()
+	select {
+	case item = <-w:
+		return item, true
+	case <-clock.After(wait):
+	case <-done:
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for i, other := range q.waiters {
+		if other == w {
+			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+			return nil, false
+		}
+	}
+	// A push took the waiter off the list before we could: it sent under
+	// q.mu, so the item is already in the buffer, and it is ours.
+	return <-w, true
 }
 
 func (q *queue) depth() int {
@@ -103,7 +123,10 @@ type Broker struct {
 	conns    map[transport.Conn]struct{}
 	listener transport.Listener
 	closed   bool
-	wg       sync.WaitGroup
+	// done closes with Close, so parked pops give up instead of holding
+	// Close for the rest of their wait.
+	done chan struct{}
+	wg   sync.WaitGroup
 }
 
 // NewBroker starts a broker on the listener. maxDepth bounds each queue
@@ -121,6 +144,7 @@ func NewBroker(l transport.Listener, maxDepth int, clock simtime.Clock) *Broker 
 		queues:   make(map[string]*queue),
 		conns:    make(map[transport.Conn]struct{}),
 		listener: l,
+		done:     make(chan struct{}),
 	}
 	b.wg.Add(1)
 	go b.acceptLoop()
@@ -135,6 +159,7 @@ func (b *Broker) Close() error {
 		return nil
 	}
 	b.closed = true
+	close(b.done)
 	conns := make([]transport.Conn, 0, len(b.conns))
 	for c := range b.conns {
 		conns = append(conns, c)
@@ -239,21 +264,10 @@ func (b *Broker) serveConn(conn transport.Conn) {
 			b.wg.Add(1)
 			go func(req *wire.Message, pr popRequest) {
 				defer b.wg.Done()
-				item, waiter := b.queue(pr.Queue).pop()
-				if waiter != nil {
-					var timer <-chan time.Time
-					if pr.WaitMillis > 0 {
-						timer = b.clock.After(time.Duration(pr.WaitMillis) * time.Millisecond)
-					} else {
-						reply(req, wire.KindError, []byte(ErrEmpty.Error()))
-						return
-					}
-					select {
-					case item = <-waiter:
-					case <-timer:
-						reply(req, wire.KindError, []byte(ErrEmpty.Error()))
-						return
-					}
+				item, ok := b.queue(pr.Queue).pop(b.clock, time.Duration(pr.WaitMillis)*time.Millisecond, b.done)
+				if !ok {
+					reply(req, wire.KindError, []byte(ErrEmpty.Error()))
+					return
 				}
 				reply(req, wire.KindReply, item)
 			}(req, pr)

@@ -3,11 +3,13 @@ package mq
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"ndsm/internal/discovery"
+	"ndsm/internal/simtime"
 	"ndsm/internal/svcdesc"
 	"ndsm/internal/transport"
 )
@@ -101,6 +103,79 @@ func TestPopLongPollWakesOnPush(t *testing.T) {
 		t.Fatalf("pop failed: %v", err)
 	case <-time.After(5 * time.Second):
 		t.Fatal("blocked pop never woke")
+	}
+}
+
+// A pop that gives up must take its waiter with it. Both of these pops used
+// to leave theirs parked, and the next two pushes were handed to the
+// abandoned buffers, acknowledged, and lost.
+func TestPushAfterTimedOutPopIsKept(t *testing.T) {
+	b, c := fixture(t, 0)
+	for _, wait := range []time.Duration{0, 10 * time.Millisecond} {
+		if _, err := c.Pop("q", wait); !errors.Is(err, ErrEmpty) {
+			t.Fatalf("pop waiting %v on an empty queue: err = %v, want ErrEmpty", wait, err)
+		}
+	}
+	for _, item := range []string{"x", "y"} {
+		if err := c.Push("q", []byte(item)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := b.Depth("q"); n != 2 {
+		t.Fatalf("depth after two acknowledged pushes = %d, want 2", n)
+	}
+	for _, want := range []string{"x", "y"} {
+		if got, err := c.Pop("q", 0); err != nil || string(got) != want {
+			t.Fatalf("pop = %q, %v, want %q", got, err, want)
+		}
+	}
+}
+
+// Close must not wait out a parked pop. The broker's clock never advances,
+// so a pop parked for an hour ends only when Close tells it to.
+func TestCloseDoesNotWaitForParkedPop(t *testing.T) {
+	fabric := transport.NewFabric()
+	tr := transport.NewMem(fabric)
+	t.Cleanup(func() { _ = tr.Close() })
+	l, err := tr.Listen("mq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := simtime.NewVirtual(time.Unix(0, 0))
+	b := NewBroker(l, 0, clock)
+	c, err := Dial(transport.NewMem(fabric), "mq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+
+	popped := make(chan error, 1)
+	go func() {
+		_, err := c.Pop("q", time.Hour)
+		popped <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); clock.Pending() == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("pop never parked")
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		_ = b.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still waiting on a parked pop after 5 s")
+	}
+	select {
+	case err := <-popped:
+		if err == nil {
+			t.Fatal("pop on a closed broker returned an item")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked pop never returned after Close")
 	}
 }
 

@@ -32,6 +32,14 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
+// Every metered request bumps counters: an increment must not allocate.
+func TestCounterIncZeroAlloc(t *testing.T) {
+	c := NewRegistry().Counter("c")
+	if allocs := testing.AllocsPerRun(200, func() { c.Inc(1) }); allocs != 0 {
+		t.Fatalf("Counter.Inc allocates %.1f objects, want 0", allocs)
+	}
+}
+
 func TestGaugeConcurrentAdd(t *testing.T) {
 	r := NewRegistry()
 	const workers, each = 8, 500

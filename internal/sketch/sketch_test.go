@@ -8,12 +8,6 @@ import (
 	"testing"
 )
 
-// The TestTDigest* tests below keep the names they had when a t-digest held
-// this package's place: what each pins (accuracy on a latency-shaped stream,
-// merge equals union, the empty and one-sample cases, the codec and its
-// refusals, an allocation-free Add) is asked of Hist unchanged, and the
-// repo's test floor follows tests by name.
-
 // orderStat is the order statistic Quantile estimates: the smallest sample
 // whose cumulative count reaches q·n.
 func orderStat(sorted []float64, q float64) float64 {
@@ -29,7 +23,7 @@ func lognormal(rng *rand.Rand, mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*rng.NormFloat64())
 }
 
-func TestTDigestQuantileAccuracy(t *testing.T) {
+func TestHistQuantileAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var h Hist
 	const n = 200_000
@@ -57,7 +51,7 @@ func TestTDigestQuantileAccuracy(t *testing.T) {
 	}
 }
 
-func TestTDigestMergeMatchesUnion(t *testing.T) {
+func TestHistMergeMatchesUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var parts [4]Hist
 	var direct Hist // every sample added to one histogram
@@ -85,7 +79,7 @@ func TestTDigestMergeMatchesUnion(t *testing.T) {
 	}
 }
 
-func TestTDigestEmptyAndSingle(t *testing.T) {
+func TestHistEmptyAndSingle(t *testing.T) {
 	var h Hist
 	if h.Quantile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 || h.Count() != 0 {
 		t.Errorf("empty histogram: quantile %v, min %v, max %v, count %d, want zeros",
@@ -161,7 +155,7 @@ func TestQuantileBucketInterpolation(t *testing.T) {
 	}
 }
 
-func TestTDigestBinaryRoundTrip(t *testing.T) {
+func TestHistBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var h Hist
 	for i := 0; i < 10_000; i++ {
@@ -211,7 +205,7 @@ func ones(n int) []uint64 {
 	return out
 }
 
-func TestTDigestDecodeRejectsCorruption(t *testing.T) {
+func TestHistDecodeRejectsCorruption(t *testing.T) {
 	// 3 and 5 are in buckets 368 and 392: 11½ and 12¼ octaves above 2⁻¹⁰.
 	const b3, b5 = 368, 392
 	good := rawHist(3, 5, b3+1, 2, b5-b3, 1)
@@ -258,7 +252,7 @@ func TestTDigestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestTDigestAddAllocFree(t *testing.T) {
+func TestHistAddAllocFree(t *testing.T) {
 	h := new(Hist)
 	i := 0
 	if avg := testing.AllocsPerRun(10_000, func() {

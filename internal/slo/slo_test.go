@@ -365,6 +365,83 @@ func TestEvaluateNoObjectivesZeroAlloc(t *testing.T) {
 	}
 }
 
+// evaluateFixture is a realistic alerting plane: three reporting nodes with a
+// minute of counter history each, a ratio objective per node and a fleet-wide
+// freshness objective. It is the per-tick cost a node pays for having SLOs
+// configured.
+func evaluateFixture(tb testing.TB) *Engine {
+	clock := simtime.NewVirtual(time.Unix(0, 0))
+	agg := telemetry.NewAggregator(telemetry.AggregatorOptions{
+		Clock:      clock,
+		StaleAfter: 10 * time.Second,
+		Registry:   obs.NewRegistry(),
+	})
+	nodes := []string{"n1", "n2", "n3"}
+	for seq := 1; seq <= 60; seq++ {
+		clock.Advance(time.Second)
+		for _, n := range nodes {
+			if err := agg.Ingest(&telemetry.Report{
+				Node:     n,
+				Seq:      uint64(seq),
+				Time:     clock.Now(),
+				Counters: map[string]int64{"rpc.total": int64(20 * seq), "rpc.err": int64(seq / 10)},
+			}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	eng, err := New(Options{Aggregator: agg, Clock: clock, Registry: obs.NewRegistry()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, n := range nodes {
+		if err := eng.Add(Objective{
+			Name:        "rpc-errors-" + n,
+			Kind:        KindRatio,
+			Node:        n,
+			BadSeries:   "rpc.err",
+			TotalSeries: "rpc.total",
+			Window:      30 * time.Second,
+			ShortWindow: 5 * time.Second,
+			Budget:      0.1,
+		}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := eng.Add(Objective{
+		Name:        "telemetry-freshness",
+		Kind:        KindFreshness,
+		Window:      30 * time.Second,
+		ShortWindow: 5 * time.Second,
+		Budget:      0.25,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return eng
+}
+
+// One pass over three ratio objectives and a freshness objective allocates
+// sixteen objects: the node list, a copy of two series per ratio objective,
+// an instance key per objective and node (three ratio, three freshness), and
+// the freshness instances' three point windows.
+func TestEvaluateAllocs(t *testing.T) {
+	eng := evaluateFixture(t)
+	eng.Evaluate()
+	const want = 16
+	if allocs := testing.AllocsPerRun(500, func() { eng.Evaluate() }); allocs > want {
+		t.Fatalf("Evaluate allocates %.2f objects, want at most %d", allocs, want)
+	}
+}
+
+func BenchmarkEvaluate(b *testing.B) {
+	eng := evaluateFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Evaluate()
+	}
+}
+
 // TestParseObjectives round-trips the declarative config form.
 func TestParseObjectives(t *testing.T) {
 	objs, err := ParseObjectives([]byte(`[

@@ -146,6 +146,50 @@ func TestPublisherDeltasAndRates(t *testing.T) {
 	}
 }
 
+// publishFixture is a publisher over a registry with one counter that moves
+// between reports and a Send that drops them: what a node pays a publish
+// before the network. publish bumps the counter and publishes.
+func publishFixture(tb testing.TB) (publish func()) {
+	reg := obs.NewRegistry()
+	reg.Counter("reqs").Inc(100)
+	p, err := NewPublisher(PublisherOptions{
+		Node:     "bench",
+		Registry: reg,
+		Send:     func(*Report) error { return nil },
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = p.Close() })
+	return func() {
+		reg.Counter("reqs").Inc(1)
+		if err := p.Publish(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// A publish of one moving counter allocates eleven objects: the snapshot's
+// three maps and its counter bucket, the same four for the delta, the rate map
+// and its bucket, and the Report.
+func TestPublishAllocs(t *testing.T) {
+	publish := publishFixture(t)
+	publish()
+	const want = 11
+	if allocs := testing.AllocsPerRun(500, publish); allocs > want {
+		t.Fatalf("Publish allocates %.2f objects, want at most %d", allocs, want)
+	}
+}
+
+func BenchmarkPublish(b *testing.B) {
+	publish := publishFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		publish()
+	}
+}
+
 func TestPublisherValidation(t *testing.T) {
 	if _, err := NewPublisher(PublisherOptions{Send: func(*Report) error { return nil }}); err == nil {
 		t.Fatal("publisher without a node name built")

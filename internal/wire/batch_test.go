@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -449,6 +450,56 @@ func TestAppendEncodeHeadersZeroAlloc(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("AppendEncode with %d headers allocates %.1f allocs/op, want 0", len(headers), allocs)
 		}
+	}
+}
+
+// allocMessage is a request as a traced caller sends it: one header, 64 bytes
+// of payload.
+func allocMessage() *Message {
+	return &Message{
+		ID:       42,
+		Kind:     KindRequest,
+		Src:      "consumer-1",
+		Dst:      "supplier-7",
+		Topic:    "sensor/bp",
+		Priority: 3,
+		Deadline: time.Unix(1000, 0),
+		Headers:  map[string]string{"trace": "abc123"},
+		Payload:  make([]byte, 64),
+	}
+}
+
+// Binary.Encode allocates the buffer it returns and nothing else.
+func TestBinaryEncodeAllocs(t *testing.T) {
+	m := allocMessage()
+	const want = 1
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := (Binary{}).Encode(m); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > want {
+		t.Fatalf("Binary.Encode allocates %.1f objects, want at most %d", allocs, want)
+	}
+}
+
+// Binary.Decode, with nothing recycled to draw on, allocates what the message
+// owns: the Message, its payload, Src, Dst and Topic, the header map and its
+// bucket, and the header's key and value.
+func TestBinaryDecodeAllocs(t *testing.T) {
+	data, err := (Binary{}).Encode(allocMessage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two collections empty the pool of what other tests recycled.
+	runtime.GC()
+	runtime.GC()
+	const want = 9
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := (Binary{}).Decode(data); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > want {
+		t.Fatalf("Binary.Decode allocates %.1f objects, want at most %d", allocs, want)
 	}
 }
 
