@@ -8,15 +8,18 @@ package core
 import (
 	"testing"
 
+	"ndsm/internal/discovery"
 	"ndsm/internal/qos"
 	"ndsm/internal/svcdesc"
+	"ndsm/internal/transport"
 )
 
-// A bound request on mem allocates four objects, counted across both nodes:
-// the endpoint.Call the binding builds, the reply the supplier wraps its
-// handler's bytes in, and the shell and payload of the reply's clone, which
-// the consumer keeps (nothing refills the pool for it). The request's clone
-// reuses the request the supplier recycled the call before.
+// A bound request on mem allocates two objects, counted across both nodes:
+// the copy of the endpoint.Call the binding's interceptor chain works on, and
+// the reply's payload, which the consumer keeps. The supplier's reply envelope
+// is endpoint.NewReply's, the reply's clone goes back to wire's pool without
+// its payload, and the request's clone reuses the request the supplier
+// recycled the call before.
 func TestBindingRequestAllocs(t *testing.T) {
 	w := newWorld(t)
 	if err := w.node("sup").Serve(bpDesc(0.9), func(p []byte) ([]byte, error) { return p, nil }); err != nil {
@@ -36,8 +39,54 @@ func TestBindingRequestAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		request()
 	}
-	const want = 4
+	const want = 2
 	if allocs := testing.AllocsPerRun(1000, request); allocs > want {
 		t.Fatalf("Binding.Request on mem allocates %.2f objects, want at most %d", allocs, want)
+	}
+}
+
+// RequestAsync and Wait on TCP loopback allocate two objects, counted across
+// both nodes: the AsyncReply, which holds its call's endpoint.Future, and the
+// reply's payload, which the consumer keeps. The Call stays on the stack
+// (Caller.Start), the reply envelope is endpoint.NewReply's, and both decodes
+// draw shells the other side gave back.
+func TestBindingRequestAsyncAllocsTCP(t *testing.T) {
+	store := discovery.NewStore(nil, 0)
+	node := func() *Node {
+		tr := transport.NewTCP(nil)
+		t.Cleanup(func() { _ = tr.Close() })
+		probe, err := tr.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := probe.Addr()
+		_ = probe.Close()
+		n, err := NewNode(Config{Name: addr, Transport: tr, Registry: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() })
+		return n
+	}
+	if err := node().Serve(bpDesc(0.9), func(p []byte) ([]byte, error) { return p, nil }); err != nil {
+		t.Fatal(err)
+	}
+	b, err := node().Bind(&qos.Spec{Query: svcdesc.Query{Name: "sensor/bp"}}, BindOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = b.Close() })
+	payload := make([]byte, 64)
+	request := func() {
+		if _, err := b.RequestAsync(payload).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		request()
+	}
+	const want = 2
+	if allocs := testing.AllocsPerRun(1000, request); allocs > want {
+		t.Fatalf("RequestAsync and Wait on TCP allocate %.2f objects, want at most %d", allocs, want)
 	}
 }

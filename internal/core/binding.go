@@ -12,6 +12,7 @@ import (
 	"ndsm/internal/qos"
 	"ndsm/internal/svcdesc"
 	"ndsm/internal/transaction"
+	"ndsm/internal/wire"
 )
 
 // Binding is a QoS-managed consumer-side attachment to the best feasible
@@ -366,7 +367,16 @@ func (b *Binding) requestOnce(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	b.Tracker().ObserveDelivery(b.node.clock.Now().Sub(start))
-	return m.Payload, nil
+	return takePayload(m), nil
+}
+
+// takePayload returns a reply's payload, which the application keeps, and
+// hands the decoded shell back for reuse without it (wire.Recycle).
+func takePayload(m *wire.Message) []byte {
+	p := m.Payload
+	m.Payload = nil
+	wire.Recycle(m)
+	return p
 }
 
 // RequestAsync starts one exchange without waiting for the reply: the
@@ -393,21 +403,25 @@ func (b *Binding) RequestAsync(payload []byte) *AsyncReply {
 		callTimeout = endpoint.NoTimeout
 	}
 	r := &AsyncReply{b: b, peer: b.Peer(), timeout: timeout, start: b.node.clock.Now()}
-	r.fut = caller.Go(&endpoint.Call{
+	// A pre-send failure resolves r.fut as failed, so Wait reports it and
+	// the tracker observes it there, like any transport-level failure.
+	_ = caller.Start(&endpoint.Call{
 		Topic:   b.spec.Query.Name,
 		Src:     b.node.name,
 		Dst:     r.peer,
 		Payload: payload,
 		Timeout: callTimeout,
 		Lane:    b.lane,
-	})
+	}, &r.fut)
 	return r
 }
 
 // AsyncReply is a pending RequestAsync: a promise for the supplier's reply.
+// It holds its call's future by value, so an asynchronous request costs one
+// object besides the reply's payload.
 type AsyncReply struct {
 	b       *Binding
-	fut     *endpoint.Future
+	fut     endpoint.Future
 	peer    string
 	timeout time.Duration
 	start   time.Time
@@ -445,7 +459,7 @@ func (r *AsyncReply) Wait() ([]byte, error) {
 			return
 		}
 		r.b.Tracker().ObserveDelivery(r.b.node.clock.Now().Sub(r.start))
-		r.payload = m.Payload
+		r.payload = takePayload(m) // once: r.fut is waited on nowhere else
 	})
 	return r.payload, r.outErr
 }

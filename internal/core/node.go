@@ -266,7 +266,7 @@ func (n *Node) Serve(desc *svcdesc.Description, handler Handler) error {
 		if err != nil {
 			return nil, err
 		}
-		return &wire.Message{Kind: wire.KindReply, Payload: out}, nil
+		return endpoint.NewReply(out), nil
 	})
 
 	if err := n.registry.Register(d); err != nil {

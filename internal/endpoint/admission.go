@@ -155,7 +155,7 @@ func (a *admitter) offer(req *wire.Message, conn transport.Conn) {
 		a.mu.Unlock()
 		a.shedExpired.Inc(1)
 		a.countShed(r)
-		a.srv.reject(req, conn, laneByRank[r], "deadline passed at admission", 0)
+		a.srv.reject(req, conn, laneByRank[r], reasonExpiredAtAdmission, 0)
 		return
 	}
 	if tok, ok := a.acquireLocked(r); ok {
@@ -180,13 +180,13 @@ func (a *admitter) offer(req *wire.Message, conn transport.Conn) {
 			a.mu.Unlock()
 			a.shedPreempted.Inc(1)
 			a.countShed(victim.rank)
-			a.srv.reject(victim.req, victim.conn, laneByRank[victim.rank], "preempted by higher-benefit work", now.Sub(victim.enq))
+			a.srv.reject(victim.req, victim.conn, laneByRank[victim.rank], reasonPreempted, now.Sub(victim.enq))
 			return
 		}
 	}
 	a.mu.Unlock()
 	a.countShed(r)
-	a.srv.reject(req, conn, laneByRank[r], "server at capacity", 0)
+	a.srv.reject(req, conn, laneByRank[r], reasonAtCapacity, 0)
 }
 
 // countShed bumps the total and (lane mode) per-lane shed counters.
@@ -251,7 +251,7 @@ func (a *admitter) release(tok admitToken) {
 	for _, p := range dead {
 		a.shedExpired.Inc(1)
 		a.countShed(p.rank)
-		a.srv.reject(p.req, p.conn, laneByRank[p.rank], "deadline passed in queue", now.Sub(p.enq))
+		a.srv.reject(p.req, p.conn, laneByRank[p.rank], reasonExpiredInQueue, now.Sub(p.enq))
 	}
 	for i, p := range runs {
 		a.srv.spawn(p.req, p.conn, toks[i], now.Sub(p.enq))
@@ -391,7 +391,7 @@ func (a *admitter) setQuota(r, quota int) int {
 	for _, p := range dead {
 		a.shedExpired.Inc(1)
 		a.countShed(p.rank)
-		a.srv.reject(p.req, p.conn, laneByRank[p.rank], "deadline passed in queue", now.Sub(p.enq))
+		a.srv.reject(p.req, p.conn, laneByRank[p.rank], reasonExpiredInQueue, now.Sub(p.enq))
 	}
 	for i, p := range runs {
 		a.srv.spawn(p.req, p.conn, toks[i], now.Sub(p.enq))

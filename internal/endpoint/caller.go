@@ -38,7 +38,9 @@ type CallerOptions struct {
 	// OnSend and OnRecv observe every message put on / taken off the wire
 	// (protocol message-cost accounting). Both may be nil. OnSend observers
 	// must not retain the message past the callback: request envelopes are
-	// pooled and recycled as soon as the callback returns.
+	// pooled and recycled as soon as the callback returns. OnRecv observers
+	// may keep the message's Payload, Headers and strings, but not the
+	// message: a message no call waits for is recycled once OnRecv returns.
 	OnSend func(*wire.Message)
 	OnRecv func(*wire.Message)
 }
@@ -123,10 +125,18 @@ func (c *Caller) SetClock(clock simtime.Clock) {
 	c.mu.Unlock()
 }
 
-// Do performs one call through the interceptor chain.
+// Do performs one call through the interceptor chain. The chain works on a
+// copy of call, so what an interceptor changes in it (the trace headers, a
+// retry count) does not leak into a Call the caller reuses; Do itself only
+// resolves call.Lane. A caller with no interceptors makes the round trip
+// directly, and call can then stay on its caller's stack.
 func (c *Caller) Do(call *Call) (*wire.Message, error) {
 	call.Lane = c.laneFor(call)
-	return c.invoke(call)
+	if len(c.opts.Interceptors) == 0 {
+		return c.roundtrip(call)
+	}
+	cp := *call
+	return c.invoke(&cp)
 }
 
 // laneFor resolves a call's effective admission lane: an explicit Call.Lane
@@ -223,7 +233,8 @@ func (c *Caller) demux(conn transport.Conn, gen uint64) {
 			c.opts.OnRecv(m)
 		}
 		c.mu.Lock()
-		if w := c.waiters[m.Corr]; w != nil {
+		w := c.waiters[m.Corr]
+		if w != nil {
 			// Removal and delivery share one critical section (the buffered
 			// send cannot block: a mapped waiter has never been sent to), so
 			// an unmapped waiter is guaranteed fully delivered — the invariant
@@ -232,9 +243,22 @@ func (c *Caller) demux(conn transport.Conn, gen uint64) {
 			w.ch <- waitResult{m: m}
 		}
 		c.mu.Unlock()
-		// Uncorrelated messages (stale replies from timed-out calls) are
-		// dropped here — exactly what the per-layer demux loops used to do.
+		if w == nil {
+			// Uncorrelated messages (stale replies from timed-out calls, a
+			// pub/sub client's events) end here.
+			c.recycle(m)
+		}
 	}
+}
+
+// recycle hands back a decoded message nothing will read again (see
+// wire.Recycle). An OnRecv observer may have kept its payload, so with one
+// installed the shell goes back bare.
+func (c *Caller) recycle(m *wire.Message) {
+	if c.opts.OnRecv != nil {
+		m.Payload = nil
+	}
+	wire.Recycle(m)
 }
 
 // Go starts call without waiting for the reply and returns its Future,
@@ -258,6 +282,21 @@ func (c *Caller) Go(call *Call) *Future {
 		return failedFuture(err)
 	}
 	return fut
+}
+
+// Start is Go for a Future that lives inside an object of the caller's own —
+// core.AsyncReply holds one by value — so an asynchronous call is one heap
+// object, not two. It issues call and fills fut in: as the future for the
+// reply, as one already resolved for a one-way call, or as one already failed
+// when the request never left, whose Wait returns the error Start returns.
+// fut must not be in use; Start keeps no reference to it.
+func (c *Caller) Start(call *Call, fut *Future) error {
+	call.Lane = c.laneFor(call)
+	err := c.start(call, fut)
+	if err != nil || call.OneWay {
+		*fut = Future{done: true, err: err}
+	}
+	return err
 }
 
 // roundtrip is the terminal ClientFunc: one correlated exchange — a start

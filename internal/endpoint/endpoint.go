@@ -71,9 +71,12 @@ func (e *RemoteError) Retryable() bool { return false }
 // IsRemote reports whether err is (or wraps) a peer-reported error and
 // returns it.
 func IsRemote(err error) (*RemoteError, bool) {
-	var re *RemoteError
-	if errors.As(err, &re) {
-		return re, true
+	// A type assertion down the Unwrap chain: errors.As would move its target
+	// to the heap on every call, and callers ask on every failed call.
+	for ; err != nil; err = errors.Unwrap(err) {
+		if re, ok := err.(*RemoteError); ok {
+			return re, true
+		}
 	}
 	return nil, false
 }
@@ -98,8 +101,12 @@ func (e *ShedError) Retryable() bool { return true }
 
 // IsShed reports whether err is (or wraps) a load-shed rejection.
 func IsShed(err error) bool {
-	var se *ShedError
-	return errors.As(err, &se)
+	for ; err != nil; err = errors.Unwrap(err) { // not errors.As: see IsRemote
+		if _, ok := err.(*ShedError); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // RetryableError lets an error type declare its own retry class, overriding
@@ -177,6 +184,11 @@ type ClientInterceptor func(next ClientFunc) ClientFunc
 // server fills in correlation, topic, and source; the handler chooses the
 // reply kind (KindReply, KindAck, ...) and payload. Returning an error sends
 // a KindError reply with the error text as payload.
+//
+// The server owns the reply a handler returns: once it is sent, the server
+// zeroes it and pools it for a later NewReply. So a handler returns a message
+// it will not touch again — NewReply's, a new one, or req itself — never one
+// it shares or keeps.
 //
 // req and req.Payload are valid until the handler returns, and belong to the
 // server: once the reply is sent it hands both back for the next decode

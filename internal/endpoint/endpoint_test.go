@@ -530,6 +530,26 @@ func TestTracingDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
+// Classifying an error allocates nothing: IsShed and IsRemote run on every
+// failed call (wide events, retries, the rpc and core error mapping).
+func TestIsShedAllocFree(t *testing.T) {
+	shed := fmt.Errorf("call: %w", &ShedError{Topic: "t"})
+	remote := fmt.Errorf("call: %w", &RemoteError{Topic: "t", Msg: "boom"})
+	if allocs := testing.AllocsPerRun(200, func() {
+		if !IsShed(shed) || IsShed(remote) || IsShed(nil) {
+			t.Fatal("IsShed misclassified")
+		}
+		if re, ok := IsRemote(remote); !ok || re.Msg != "boom" {
+			t.Fatal("IsRemote missed a wrapped RemoteError")
+		}
+		if _, ok := IsRemote(shed); ok {
+			t.Fatal("IsRemote took a shed for a remote error")
+		}
+	}); allocs != 0 {
+		t.Fatalf("IsShed and IsRemote allocate %.1f objects, want 0", allocs)
+	}
+}
+
 func TestInterceptorOrder(t *testing.T) {
 	var order []string
 	mk := func(name string) ClientInterceptor {

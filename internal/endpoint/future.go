@@ -152,6 +152,7 @@ func (f *Future) settleLocked(r waitResult) {
 		} else {
 			err = &RemoteError{Topic: f.topic, Msg: string(m.Payload)}
 		}
+		f.c.recycle(m) // the error holds a copy of what it needs
 		m = nil
 	}
 	f.m, f.err, f.done = m, err, true
@@ -178,21 +179,34 @@ func putWaiter(w *waiter) {
 	waiterPool.Put(w)
 }
 
-// msgPool recycles request envelopes. A message is returned to the pool as
-// soon as Send accepts it — transports must not retain messages past Send
-// (see transport.Conn) and OnSend observers must not retain them past the
-// callback.
+// msgPool recycles the envelopes this package sends: a caller's requests, a
+// server's replies and rejections. A message is returned to the pool as soon
+// as Send accepts it — transports must not retain messages past Send (see
+// transport.Conn) and OnSend observers must not retain them past the callback.
 //
 // It is not wire's pool of decoded messages (wire.Recycle), and the two are
-// not to be made one: these envelopes borrow the caller's payload and come
-// back carrying no buffer, those come back with the buffer they were decoded
-// into. Mixed, the bare shells would be drawn for decodes and the buffered
-// ones for envelopes, and the buffers would churn instead of being reused.
+// not to be made one: these envelopes borrow their payload and come back
+// carrying no buffer, those come back with the buffer they were decoded into.
+// Mixed, the bare shells would be drawn for decodes and the buffered ones for
+// envelopes, and the buffers would churn instead of being reused. A decoded
+// shell whose payload the application kept goes back to wire's pool bare, so
+// that pool loses no buffer it had.
 var msgPool = sync.Pool{
 	New: func() any { return new(wire.Message) },
 }
 
 func getMsg() *wire.Message { return msgPool.Get().(*wire.Message) }
+
+// NewReply returns a KindReply envelope carrying payload, for a Handler to
+// return. It comes from the pool the server puts it back in once the reply
+// is sent (see Handler), so a reply costs no allocation. payload is borrowed,
+// not copied: it may be the request's own payload or a slice of it.
+func NewReply(payload []byte) *wire.Message {
+	m := getMsg()
+	m.Kind = wire.KindReply
+	m.Payload = payload
+	return m
+}
 
 func putMsg(m *wire.Message) {
 	*m = wire.Message{}

@@ -364,6 +364,8 @@ func (s *Server) park() (task, bool) {
 // here: the handler has returned, the wide event is recorded and Send has
 // encoded or cloned a reply that may alias it, so it is recycled. A handler
 // that returns the request itself as the reply is recycling that same message.
+// Any other reply is the server's too (see Handler), and once sent it goes
+// back to msgPool, where NewReply and the ack and error replies come from.
 func (s *Server) run(t task) {
 	defer s.adm.release(t.tok)
 	req := t.req
@@ -381,9 +383,11 @@ func (s *Server) run(t task) {
 		return
 	}
 	if err != nil {
-		reply = &wire.Message{Kind: wire.KindError, Payload: []byte(err.Error())}
+		reply = getMsg()
+		reply.Kind, reply.Payload = wire.KindError, []byte(err.Error())
 	} else if reply == nil {
-		reply = &wire.Message{Kind: wire.KindAck}
+		reply = getMsg()
+		reply.Kind = wire.KindAck
 	}
 	reply.Corr = req.ID
 	if reply.Topic == "" {
@@ -393,6 +397,9 @@ func (s *Server) run(t task) {
 		reply.Src = s.opts.Name
 	}
 	_ = t.conn.Send(reply)
+	if reply != req {
+		putMsg(reply)
+	}
 }
 
 // reject answers a shed request with a HeaderShed-marked KindError reply
@@ -401,22 +408,44 @@ func (s *Server) run(t task) {
 // shed, but there is no reply channel to reject them with. wait is time the
 // request spent queued before being shed (zero at admission). Whoever sheds a
 // request is its last owner — it was never dispatched, or has left its queue —
-// so it is recycled here, as run recycles what it served.
-func (s *Server) reject(req *wire.Message, conn transport.Conn, lane Lane, reason string, wait time.Duration) {
+// so it is recycled here, as run recycles what it served. The reply's
+// envelope comes from msgPool and its payload is the reason's, built once:
+// a shed allocates nothing on the server.
+func (s *Server) reject(req *wire.Message, conn transport.Conn, lane Lane, reason *shedReason, wait time.Duration) {
 	defer wire.Recycle(req)
 	if s.rec != nil {
-		s.recordShed(req, lane, reason, wait)
+		s.recordShed(req, lane, reason.text, wait)
 	}
 	if s.oneway[req.Kind] {
 		return
 	}
-	reject := &wire.Message{
-		Kind:    wire.KindError,
-		Corr:    req.ID,
-		Topic:   req.Topic,
-		Src:     s.opts.Name,
-		Headers: shedHeaderMaps[lane.rank()],
-		Payload: []byte(reason),
-	}
+	reject := getMsg()
+	reject.Kind = wire.KindError
+	reject.Corr = req.ID
+	reject.Topic = req.Topic
+	reject.Src = s.opts.Name
+	reject.Headers = shedHeaderMaps[lane.rank()]
+	reject.Payload = reason.payload
 	_ = conn.Send(reject)
+	putMsg(reject)
 }
+
+// shedReason is why a request was shed, as text for its wide event and as the
+// payload of its reject reply. The payload is shared by every reply that
+// carries it and read-only, as a sent message's payload is.
+type shedReason struct {
+	text    string
+	payload []byte
+}
+
+func newShedReason(text string) *shedReason {
+	return &shedReason{text: text, payload: []byte(text)}
+}
+
+// The reasons the admitter sheds for.
+var (
+	reasonAtCapacity         = newShedReason("server at capacity")
+	reasonExpiredAtAdmission = newShedReason("deadline passed at admission")
+	reasonExpiredInQueue     = newShedReason("deadline passed in queue")
+	reasonPreempted          = newShedReason("preempted by higher-benefit work")
+)

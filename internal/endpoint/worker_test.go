@@ -288,12 +288,13 @@ func TestCloseDuringBurst(t *testing.T) {
 }
 
 // One mem round trip allocates three objects, counted across both sides
-// (AllocsPerRun reads the process's malloc count): the handler's reply, and the
-// shell and the payload of the clone the caller keeps. The request's clone is
-// the one the server recycled the call before; the reply's clone finds the
-// pool empty, because nothing gives the caller's replies back. It was 5 before
-// the server recycled, 6 with a Future on the heap, 7 with a goroutine per
-// request too.
+// (AllocsPerRun reads the process's malloc count): the handler's reply (built
+// here with a literal, not NewReply), and the shell and the payload of the
+// clone the caller keeps. A bare endpoint caller keeps the whole reply Do
+// returns, so nothing gives its shell back; core, rpc and pub/sub take the
+// payload and recycle the shell. The request's clone is the one the server
+// recycled the call before. It was 5 before the server recycled, 6 with a
+// Future on the heap, 7 with a goroutine per request too.
 func TestRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -318,7 +319,7 @@ func TestRoundTripAllocs(t *testing.T) {
 
 // The same round trip on TCP loopback, small and large: the handler's reply,
 // and the shell and the payload the caller's reader decodes the reply into —
-// the caller keeps its replies, so nothing refills the pool for them. The
+// a bare endpoint caller keeps the reply, shell and all, as above. The
 // server's decode costs nothing: it draws the request it recycled the call
 // before, whose buffer already has the size.
 func TestRoundTripAllocsTCP(t *testing.T) {
@@ -347,10 +348,11 @@ func TestRoundTripAllocsTCP(t *testing.T) {
 
 // The mem round trip again, through the lane-aware admitter on an
 // uncontended server, with a payload-less reply and a Call built for each
-// request: five objects. The Call, the handler's reply, the reply's clone (a
-// shell the pool has none of, as above), and the map and bucket the request's
-// clone copies the lane header into — its shell and payload are the ones the
-// server recycled the request before.
+// request: four objects. The handler's reply, the reply's clone (the caller
+// keeps it, as above), and the map and bucket the request's clone copies the
+// lane header into — its shell and payload are the ones the server recycled
+// the request before. The Call stays on the stack: the caller has no
+// interceptors, so Do makes the round trip directly.
 func TestLaneRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -373,9 +375,47 @@ func TestLaneRoundTripAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		call()
 	}
-	const want = 5
+	const want = 4
 	if allocs := testing.AllocsPerRun(1000, call); allocs > want {
 		t.Fatalf("lane-aware mem round trip allocates %.2f objects, want at most %d", allocs, want)
+	}
+}
+
+// A shed round trip on mem allocates three objects: the ShedError its caller
+// keeps, and the map and bucket the reject's clone copies the shed headers
+// into (a decode on TCP builds the same map). The server's reject envelope
+// comes from msgPool and carries its reason's bytes, built once; the caller
+// recycles the reject it decoded, and the request's clone takes back the
+// request the server recycled.
+func TestShedRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	s, c := newPair(t, ServerOptions{Name: "srv", MaxInFlight: 1, Metrics: obs.NewRegistry()}, CallerOptions{Timeout: NoTimeout})
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.Handle("hold", func(*wire.Message) (*wire.Message, error) {
+		close(entered)
+		<-release
+		return nil, nil
+	})
+	held := c.Go(&Call{Topic: "hold"})
+	<-entered
+	t.Cleanup(func() { // before newPair's: Close waits for the held handler
+		close(release)
+		_, _ = held.Wait()
+	})
+	call := &Call{Topic: "work", Payload: make([]byte, 64)}
+	shed := func() {
+		if _, err := c.Do(call); !IsShed(err) {
+			t.Fatalf("got %v, want a shed", err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		shed()
+	}
+	const want = 3
+	if allocs := testing.AllocsPerRun(1000, shed); allocs > want {
+		t.Fatalf("shed round trip on mem allocates %.2f objects, want at most %d", allocs, want)
 	}
 }
 

@@ -7,22 +7,22 @@ package pubsub
 
 import "testing"
 
-// A publish fanned out to four subscribers on TCP allocates what its messages
-// own and nothing else: the publisher's Call, an envelope for each of six
-// decodes — the broker's, four subscribers', the publisher's acknowledgement —
-// and a payload for the five that carry one, less the envelope the broker
-// recycles after fan-out: 11. Six decodes draw on that one Put; the
-// acknowledgement, decoded as the broker lets go, tends to be the one that
-// takes the recycled shell, and having no payload it cannot use the buffer
-// that came with it, so the payload of the pair is still paid (10 when a
-// subscriber gets there first). The topics rotate, so a reader that remembered only its last topic
-// would pay a string a message on five connections.
+// A publish fanned out to four subscribers on TCP allocates the payloads the
+// subscribers keep and one more: 5. The publisher's Call stays on its stack;
+// the broker recycles the event it received, and the publisher's client its
+// acknowledgement and each subscriber's client its event's shell, without the
+// payload its subscriber holds. Six decodes draw on those six shells, but only
+// the broker's comes back with a buffer, and the acknowledgement, having no
+// payload, cannot keep the one it draws: so one payload buffer a publish is
+// paid beside the four the subscribers keep. The topics rotate, so a reader
+// that remembered only its last topic would pay a string a message on five
+// connections.
 func TestPublishFanoutAllocs(t *testing.T) {
 	w := newFanoutWorld(t)
 	for i := 0; i < 4*len(w.topics); i++ {
 		w.publish(t)
 	}
-	const want = 11
+	const want = 5
 	if allocs := testing.AllocsPerRun(500, func() { w.publish(t) }); allocs > want {
 		t.Fatalf("a publish to %d subscribers allocates %.2f objects, want at most %d", len(w.events), allocs, want)
 	}

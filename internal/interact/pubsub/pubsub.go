@@ -274,7 +274,7 @@ func (c *Client) deliver(m *wire.Message) {
 }
 
 func (c *Client) request(kind wire.Kind, topic string, payload []byte) error {
-	_, err := c.caller.Do(&endpoint.Call{
+	ack, err := c.caller.Do(&endpoint.Call{
 		Kind:    kind,
 		Topic:   topic,
 		Payload: payload,
@@ -282,6 +282,7 @@ func (c *Client) request(kind wire.Kind, topic string, payload []byte) error {
 		Timeout: endpoint.NoTimeout,
 	})
 	if err == nil {
+		wire.Recycle(ack) // nothing of an acknowledgement is kept
 		return nil
 	}
 	if re, ok := endpoint.IsRemote(err); ok {

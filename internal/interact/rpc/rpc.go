@@ -98,7 +98,7 @@ func (s *Server) Handle(method string, h Handler) {
 		if err != nil {
 			return nil, err
 		}
-		return &wire.Message{Kind: wire.KindReply, Payload: out}, nil
+		return endpoint.NewReply(out), nil
 	})
 }
 
@@ -211,7 +211,11 @@ func translate(m *wire.Message, err error, method string, timeout time.Duration)
 		}
 		return nil, fmt.Errorf("rpc: %w", err)
 	}
-	return m.Payload, nil
+	// The caller keeps the payload; the decoded shell goes back bare.
+	out := m.Payload
+	m.Payload = nil
+	wire.Recycle(m)
+	return out, nil
 }
 
 // GoCall starts method without waiting for the reply and returns its future:
