@@ -27,7 +27,7 @@ type LaneConfig struct {
 	// lower lane is shed to make room (never a higher lane's work). 0 sheds
 	// immediately on saturation, like the flat MaxInFlight bound.
 	QueueDepth int
-	// TopicLanes classifies requests that arrive without a HeaderLane stamp.
+	// TopicLanes classifies requests that arrive without a lane stamp.
 	TopicLanes map[string]Lane
 }
 
@@ -40,7 +40,8 @@ type admitToken struct {
 	held     bool
 }
 
-// pending is one queued request waiting for a slot.
+// pending is one queued request waiting for a slot. Queues hold entries by
+// value, so queueing allocates nothing once a queue has grown.
 type pending struct {
 	req  *wire.Message
 	conn transport.Conn
@@ -64,13 +65,21 @@ func (p *pending) benefitAt(now time.Time) float64 {
 	return qos.Benefit{ZeroAfter: window}.At(now.Sub(p.enq))
 }
 
+// dispatcher carries out the admitter's decisions: the Server, or a recorder
+// in the model tests.
+type dispatcher interface {
+	spawn(req *wire.Message, conn transport.Conn, tok admitToken, wait time.Duration)
+	reject(req *wire.Message, conn transport.Conn, lane Lane, reason *shedReason, wait time.Duration)
+}
+
 // admitter is the server's admission controller: a fixed pool of in-flight
 // slots split into per-lane reservations plus a shared remainder, and
 // per-lane pending queues with benefit-aware preemptive shedding. It is the
 // single owner of slot accounting — every admit has exactly one matching
 // release, whichever branch sheds or dispatches the request.
 type admitter struct {
-	srv       *Server
+	srv       dispatcher
+	wg        *sync.WaitGroup // the server's, held while setQuota may spawn
 	clock     simtime.Clock
 	laneAware bool
 	queueCap  int
@@ -82,7 +91,7 @@ type admitter struct {
 	reserved  [NumLanes]int // reserved slots in use, by rank
 	shared    int           // shared slots in use
 	sharedCap int
-	queues    [NumLanes][]*pending // pending by rank
+	queues    [NumLanes][]pending // pending by rank; vacated slots are zeroed
 
 	admitted      [NumLanes]*obs.Counter
 	shedLane      [NumLanes]*obs.Counter
@@ -98,6 +107,7 @@ type admitter struct {
 func newAdmitter(srv *Server, capacity int, cfg *LaneConfig, metricName string, reg *obs.Registry) *admitter {
 	a := &admitter{
 		srv:       srv,
+		wg:        &srv.wg,
 		clock:     srv.clock,
 		sharedCap: capacity,
 		shedTotal: reg.Counter(metricName + ".shed"),
@@ -133,7 +143,7 @@ func newAdmitter(srv *Server, capacity int, cfg *LaneConfig, metricName string, 
 
 // offer admits, queues, or sheds one inbound message. Admitted work is
 // dispatched via Server.spawn with its slot token; sheds answer requests
-// with a HeaderShed reject (one-way messages are dropped — no reply channel).
+// with a KindShed reply (one-way messages are dropped — no reply channel).
 func (a *admitter) offer(req *wire.Message, conn transport.Conn) {
 	r := LaneDefault.rank() // flat mode: everything shares one rank
 	var now time.Time
@@ -167,16 +177,17 @@ func (a *admitter) offer(req *wire.Message, conn transport.Conn) {
 		return
 	}
 	if a.queueCap > 0 {
+		p := pending{req: req, conn: conn, rank: r, enq: now}
 		if len(a.queues[r]) < a.queueCap {
-			a.enqueueLocked(&pending{req: req, conn: conn, rank: r, enq: now})
+			a.enqueueLocked(p)
 			a.mu.Unlock()
 			return
 		}
 		// Queue full: preempt the lowest-benefit entry of an equal or lower
 		// lane — low lanes surrender borrowed room first, and decayed work
 		// yields to fresh work. Higher lanes' entries are untouchable.
-		if victim := a.preemptLocked(r, now); victim != nil {
-			a.enqueueLocked(&pending{req: req, conn: conn, rank: r, enq: now})
+		if victim, ok := a.preemptLocked(r, now); ok {
+			a.enqueueLocked(p)
 			a.mu.Unlock()
 			a.shedPreempted.Inc(1)
 			a.countShed(victim.rank)
@@ -197,9 +208,21 @@ func (a *admitter) countShed(r int) {
 	}
 }
 
-func (a *admitter) enqueueLocked(p *pending) {
+func (a *admitter) enqueueLocked(p pending) {
 	a.queues[p.rank] = append(a.queues[p.rank], p)
 	a.depth[p.rank].Set(float64(len(a.queues[p.rank])))
+}
+
+// removeLocked takes entry i out of rank r's queue, keeping the rest in
+// arrival order, and zeroes the vacated slot so the queue pins no message.
+func (a *admitter) removeLocked(r, i int) pending {
+	q := a.queues[r]
+	p := q[i]
+	copy(q[i:], q[i+1:])
+	q[len(q)-1] = pending{}
+	a.queues[r] = q[:len(q)-1]
+	a.depth[r].Set(float64(len(a.queues[r])))
+	return p
 }
 
 // acquireLocked takes a slot for rank r: its lane reservation first, then
@@ -216,10 +239,9 @@ func (a *admitter) acquireLocked(r int) (admitToken, bool) {
 	return admitToken{}, false
 }
 
-// release returns a slot and promotes queued work: highest lane first,
-// earliest deadline first within a lane, with entries that expired while
-// queued shed as dead weight along the way. The single release path is what
-// guarantees a slot cannot leak, whichever branch admitted it.
+// release returns a slot and promotes queued work onto it. The single
+// release path is what guarantees a slot cannot leak, whichever branch
+// admitted it.
 func (a *admitter) release(tok admitToken) {
 	if !tok.held {
 		return
@@ -228,23 +250,32 @@ func (a *admitter) release(tok admitToken) {
 	if a.laneAware {
 		now = a.clock.Now()
 	}
-	var runs []*pending
-	var toks []admitToken
-	var dead []*pending
 	a.mu.Lock()
 	if tok.reserved {
 		a.reserved[tok.rank]--
 	} else {
 		a.shared--
 	}
-	if !a.closed {
-		for {
-			p, ptok, ok := a.promoteLocked(now, &dead)
-			if !ok {
-				break
-			}
-			runs = append(runs, p)
-			toks = append(toks, ptok)
+	a.promoteAndUnlock(now)
+}
+
+// promoteAndUnlock fills free slots from the queues, unlocks a.mu, then sheds
+// the entries found expired along the way and dispatches the promoted ones.
+// Both lists start in arrays on the stack: a release frees one slot, so only a
+// quota change that frees several can outgrow them.
+func (a *admitter) promoteAndUnlock(now time.Time) {
+	var runBuf [4]task
+	var deadBuf [4]pending
+	runs, dead := runBuf[:0], deadBuf[:0]
+	for !a.closed {
+		p, tok, ok := a.promoteLocked(now)
+		if !ok {
+			break
+		}
+		if tok.held {
+			runs = append(runs, task{req: p.req, conn: p.conn, tok: tok, wait: now.Sub(p.enq)})
+		} else {
+			dead = append(dead, p)
 		}
 	}
 	a.mu.Unlock()
@@ -253,42 +284,37 @@ func (a *admitter) release(tok admitToken) {
 		a.countShed(p.rank)
 		a.srv.reject(p.req, p.conn, laneByRank[p.rank], reasonExpiredInQueue, now.Sub(p.enq))
 	}
-	for i, p := range runs {
-		a.srv.spawn(p.req, p.conn, toks[i], now.Sub(p.enq))
+	for _, t := range runs {
+		a.srv.spawn(t.req, t.conn, t.tok, t.wait)
 	}
 }
 
-// promoteLocked pops the next queued entry to dispatch: lanes are scanned
-// from highest rank, skipping lanes with neither reservation nor shared room
-// left; within a lane the earliest-deadline entry goes first. Entries found
-// expired are appended to dead (for the caller to reject outside the lock)
-// without consuming a slot. ok=false means nothing more can be promoted.
-func (a *admitter) promoteLocked(now time.Time, dead *[]*pending) (*pending, admitToken, bool) {
+// promoteLocked pops the next queued entry to settle: lanes are scanned from
+// highest rank, skipping lanes with neither reservation nor shared room left;
+// within a lane the earliest-deadline entry goes first. An entry past its
+// deadline comes back without a slot (tok.held false), to be shed as dead
+// weight. ok=false means nothing more can be promoted.
+func (a *admitter) promoteLocked(now time.Time) (p pending, tok admitToken, ok bool) {
 	for r := NumLanes - 1; r >= 0; r-- {
-		if a.reserved[r] >= a.quota[r] && a.shared >= a.sharedCap {
+		q := a.queues[r]
+		if len(q) == 0 || a.reserved[r] >= a.quota[r] && a.shared >= a.sharedCap {
 			continue
 		}
-		for len(a.queues[r]) > 0 {
-			q := a.queues[r]
-			best := 0
-			for i := 1; i < len(q); i++ {
-				if pendingBefore(q[i], q[best]) {
-					best = i
-				}
+		best := 0
+		for i := 1; i < len(q); i++ {
+			if pendingBefore(&q[i], &q[best]) {
+				best = i
 			}
-			p := q[best]
-			a.queues[r] = append(q[:best], q[best+1:]...)
-			a.depth[r].Set(float64(len(a.queues[r])))
-			if !p.req.Deadline.IsZero() && now.After(p.req.Deadline) {
-				*dead = append(*dead, p)
-				continue
-			}
-			tok, _ := a.acquireLocked(r)
-			a.admitted[r].Inc(1)
-			return p, tok, true
 		}
+		p = a.removeLocked(r, best)
+		if !p.req.Deadline.IsZero() && now.After(p.req.Deadline) {
+			return p, admitToken{}, true
+		}
+		tok, _ = a.acquireLocked(r)
+		a.admitted[r].Inc(1)
+		return p, tok, true
 	}
-	return nil, admitToken{}, false
+	return pending{}, admitToken{}, false
 }
 
 // pendingBefore orders the promote scan: earlier deadlines first, any
@@ -311,33 +337,32 @@ func pendingBefore(x, y *pending) bool {
 
 // preemptLocked removes and returns the queue entry to shed so a rank-r
 // arrival can take its place: the lowest-benefit entry among lanes of rank
-// ≤ r, ties broken toward lower lanes then older entries. Same-lane entries
+// ≤ r, ties broken toward lower lanes, then older entries. Same-lane entries
 // are only displaced once their benefit has actually decayed below full —
-// fresh same-lane work tail-drops the arrival instead. Returns nil when
-// nothing may be shed.
-func (a *admitter) preemptLocked(r int, now time.Time) *pending {
+// fresh same-lane work tail-drops the arrival instead. ok=false means nothing
+// may be shed.
+func (a *admitter) preemptLocked(r int, now time.Time) (victim pending, ok bool) {
 	victimRank, victimIdx := -1, -1
 	victimBenefit := 0.0
 	for vr := 0; vr <= r; vr++ {
-		for i, p := range a.queues[vr] {
+		for i := range a.queues[vr] {
+			p := &a.queues[vr][i]
 			b := p.benefitAt(now)
 			if vr == r && b >= 1 {
 				continue // fresh same-lane work outranks a new arrival
 			}
+			// Lanes are scanned lowest first, so an equal benefit displaces
+			// the choice only within its lane, and only if older.
 			if victimIdx == -1 || b < victimBenefit ||
-				(b == victimBenefit && a.queues[victimRank][victimIdx].enq.After(p.enq)) {
+				(b == victimBenefit && vr == victimRank && p.enq.Before(a.queues[vr][victimIdx].enq)) {
 				victimRank, victimIdx, victimBenefit = vr, i, b
 			}
 		}
 	}
 	if victimIdx == -1 {
-		return nil
+		return pending{}, false
 	}
-	q := a.queues[victimRank]
-	victim := q[victimIdx]
-	a.queues[victimRank] = append(q[:victimIdx], q[victimIdx+1:]...)
-	a.depth[victimRank].Set(float64(len(a.queues[victimRank])))
-	return victim
+	return a.removeLocked(victimRank, victimIdx), true
 }
 
 // setQuota re-reserves rank r's lane quota at runtime, rebalancing against
@@ -358,9 +383,6 @@ func (a *admitter) setQuota(r, quota int) int {
 		quota = 0
 	}
 	now := a.clock.Now()
-	var runs []*pending
-	var toks []admitToken
-	var dead []*pending
 	a.mu.Lock()
 	if a.closed {
 		q := a.quota[r]
@@ -370,8 +392,8 @@ func (a *admitter) setQuota(r, quota int) int {
 	// The caller is not one of the server's goroutines, and promotion below
 	// may start a worker: hold s.wg across it. a.mu orders this Add before
 	// close(), which Server.Close calls before it waits.
-	a.srv.wg.Add(1)
-	defer a.srv.wg.Done()
+	a.wg.Add(1)
+	defer a.wg.Done()
 	delta := quota - a.quota[r]
 	if delta > a.sharedCap {
 		delta = a.sharedCap
@@ -379,23 +401,7 @@ func (a *admitter) setQuota(r, quota int) int {
 	a.quota[r] += delta
 	a.sharedCap -= delta
 	applied := a.quota[r]
-	for {
-		p, ptok, ok := a.promoteLocked(now, &dead)
-		if !ok {
-			break
-		}
-		runs = append(runs, p)
-		toks = append(toks, ptok)
-	}
-	a.mu.Unlock()
-	for _, p := range dead {
-		a.shedExpired.Inc(1)
-		a.countShed(p.rank)
-		a.srv.reject(p.req, p.conn, laneByRank[p.rank], reasonExpiredInQueue, now.Sub(p.enq))
-	}
-	for i, p := range runs {
-		a.srv.spawn(p.req, p.conn, toks[i], now.Sub(p.enq))
-	}
+	a.promoteAndUnlock(now)
 	return applied
 }
 

@@ -52,8 +52,9 @@ type CallerOptions struct {
 // safely drained and recycled.
 type waiter struct {
 	ch       chan waitResult
-	gen      uint64    // connection generation the call was sent on
-	deadline time.Time // for the periodic sweep; zero means none
+	gen      uint64      // connection generation the call was sent on
+	deadline time.Time   // for the periodic sweep; zero means none
+	timer    *time.Timer // a blocking Wait's deadline timer, stopped between calls
 }
 
 // sweepInterval is how many calls go by between deadline sweeps of the
@@ -374,7 +375,10 @@ func (c *Caller) start(call *Call, fut *Future) error {
 	req.Src = call.Src
 	req.Dst = call.Dst
 	req.Topic = call.Topic
-	req.Headers = laneStamped(call.Headers, lane)
+	req.Headers = call.Headers
+	if lane != LaneDefault { // unstamped: the server may classify it by topic
+		req.Priority = lane.priority()
+	}
 	req.Payload = call.Payload
 	req.Deadline = deadline
 	err = conn.Send(req)

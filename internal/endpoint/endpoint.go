@@ -42,12 +42,6 @@ var (
 	ErrCircuitOpen = errors.New("endpoint: circuit open")
 )
 
-// HeaderShed marks a KindError reply as a load-shed rejection: the server
-// was at capacity and never dispatched the request. Callers surface it as a
-// *ShedError, which is retryable (with backoff) — unlike a RemoteError, the
-// request was not executed.
-const HeaderShed = "ndsm-shed"
-
 // NoTimeout as a Call.Timeout means "wait forever", overriding any caller
 // default.
 const NoTimeout time.Duration = -1
@@ -81,14 +75,14 @@ func IsRemote(err error) (*RemoteError, bool) {
 	return nil, false
 }
 
-// ShedError is a load-shed rejection: the peer was at its admission bound
-// and refused the request before dispatching it. Unlike RemoteError the
-// request never executed, so retrying (with backoff, so the overloaded peer
-// gets air) is safe even for non-idempotent protocols.
+// ShedError is a load-shed rejection (a wire.KindShed reply): the peer was at
+// its admission bound and refused the request before dispatching it. Unlike
+// RemoteError the request never executed, so retrying (with backoff, so the
+// overloaded peer gets air) is safe even for non-idempotent protocols.
 type ShedError struct {
 	Topic string
 	// Lane is the admission lane the shed was charged to, echoed by the
-	// server on the reject reply (LaneDefault when the peer predates lanes).
+	// server in the reject's Priority (LaneDefault when it is unstamped).
 	Lane Lane
 }
 
@@ -154,10 +148,10 @@ type Call struct {
 	// .Deadline) so servers and downstream hops can shed doomed work.
 	Timeout time.Duration
 	// Lane is the call's admission priority class, stamped once here at the
-	// endpoint layer as an in-band header (HeaderLane) — like trace context —
-	// so bounded servers along the path can isolate control traffic from
-	// bulk load. The zero value (LaneDefault, or the caller's default lane)
-	// adds no header and no allocation.
+	// endpoint layer into the envelope's Priority byte — like trace context,
+	// in-band — so bounded servers along the path can isolate control traffic
+	// from bulk load. The zero value (LaneDefault, or the caller's default
+	// lane) leaves the request unstamped.
 	Lane Lane
 	// OneWay marks the call fire-and-forget: no reply is awaited and no
 	// demux state is parked. The default kind becomes wire.KindData, and the

@@ -25,11 +25,12 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 
 func TestLaneStampedOnWire(t *testing.T) {
 	var mu sync.Mutex
-	var got []string
+	var got, traces []string
 	s, c := newPair(t, ServerOptions{Name: "srv"}, CallerOptions{})
 	s.Handle("probe", func(req *wire.Message) (*wire.Message, error) {
 		mu.Lock()
-		got = append(got, req.Headers[HeaderLane])
+		got = append(got, stampedLane(req))
+		traces = append(traces, req.Headers["trace-id"])
 		mu.Unlock()
 		return &wire.Message{Kind: wire.KindReply}, nil
 	})
@@ -39,7 +40,8 @@ func TestLaneStampedOnWire(t *testing.T) {
 	if _, err := c.Do(&Call{Topic: "probe", Lane: LaneBulk, Timeout: 2 * time.Second}); err != nil {
 		t.Fatalf("bulk-lane call: %v", err)
 	}
-	// Stamping must not mutate the caller's own header map.
+	// Stamping must leave the caller's own header map alone: the server sees
+	// it as it was, and the caller's copy is not mutated.
 	mine := map[string]string{"trace-id": "abc"}
 	if _, err := c.Do(&Call{Topic: "probe", Lane: LaneControl, Headers: mine, Timeout: 2 * time.Second}); err != nil {
 		t.Fatalf("control-lane call: %v", err)
@@ -52,21 +54,42 @@ func TestLaneStampedOnWire(t *testing.T) {
 	want := []string{"", "bulk", "control"}
 	for i, w := range want {
 		if got[i] != w {
-			t.Fatalf("call %d: lane header %q, want %q (all: %v)", i, got[i], w, want)
+			t.Fatalf("call %d: lane stamp %q, want %q (all: %v)", i, got[i], w, want)
 		}
+	}
+	if traces[2] != "abc" {
+		t.Fatalf("control call's headers reached the server as %q, want its trace-id", traces[2])
 	}
 }
 
-// The shared header maps are written out by rank; each must name the lane
-// whose rank indexes it.
-func TestSharedLaneHeaderMapsNameTheirLane(t *testing.T) {
-	for rank, lane := range laneByRank {
-		if got := shedHeaderMaps[rank]; len(got) != 2 || got[HeaderShed] == "" || got[HeaderLane] != lane.String() {
-			t.Errorf("shedHeaderMaps[%d] = %v, want a shed of lane %s", rank, got, lane)
+// stampedLane names the lane a request was stamped with, "" when unstamped.
+func stampedLane(req *wire.Message) string {
+	if req.Priority == 0 {
+		return ""
+	}
+	return laneOf(req, nil).String()
+}
+
+// Every lane's stamp reads back as that lane, even on a topic mapped to
+// another (callers leave default unstamped, but a shed reply charged to it
+// is stamped); an unstamped request takes its topic's lane, and a stamp past
+// the known lanes reads as default, never as control.
+func TestLanePriorityStampRoundTrips(t *testing.T) {
+	topics := map[string]Lane{"ctl/stop": LaneControl}
+	for _, lane := range laneByRank {
+		m := &wire.Message{Topic: "ctl/stop", Priority: lane.priority()}
+		if got := laneOf(m, topics); got != lane {
+			t.Errorf("stamp %d reads as %s, want %s", m.Priority, got, lane)
 		}
-		if got := laneHeaderMaps[rank]; lane != LaneDefault && (len(got) != 1 || got[HeaderLane] != lane.String()) {
-			t.Errorf("laneHeaderMaps[%d] = %v, want lane %s", rank, got, lane)
-		}
+	}
+	if got := laneOf(&wire.Message{Topic: "ctl/stop"}, topics); got != LaneControl {
+		t.Errorf("unstamped ctl/stop reads as %s, want its topic's lane", got)
+	}
+	if got := laneOf(&wire.Message{Topic: "other"}, topics); got != LaneDefault {
+		t.Errorf("unstamped, unmapped topic reads as %s, want default", got)
+	}
+	if got := laneOf(&wire.Message{Topic: "ctl/stop", Priority: NumLanes + 1}, topics); got != LaneDefault {
+		t.Errorf("unknown stamp reads as %s, want default", got)
 	}
 }
 
@@ -74,7 +97,7 @@ func TestCallerDefaultLane(t *testing.T) {
 	seen := make(chan string, 1)
 	s, c := newPair(t, ServerOptions{Name: "srv"}, CallerOptions{Lane: LaneBulk})
 	s.Handle("probe", func(req *wire.Message) (*wire.Message, error) {
-		seen <- req.Headers[HeaderLane]
+		seen <- stampedLane(req)
 		return &wire.Message{Kind: wire.KindReply}, nil
 	})
 	if _, err := c.Do(&Call{Topic: "probe", Timeout: 2 * time.Second}); err != nil {
@@ -110,7 +133,7 @@ func TestControlQuotaSurvivesBulkSaturation(t *testing.T) {
 	}, CallerOptions{})
 	t.Cleanup(unblock)
 	s.Handle("work", func(req *wire.Message) (*wire.Message, error) {
-		entered <- req.Headers[HeaderLane]
+		entered <- stampedLane(req)
 		<-release
 		return &wire.Message{Kind: wire.KindReply}, nil
 	})
@@ -174,7 +197,7 @@ func TestQueuePromotesControlFirst(t *testing.T) {
 	t.Cleanup(unblock)
 	s.Handle("work", func(req *wire.Message) (*wire.Message, error) {
 		mu.Lock()
-		order = append(order, req.Headers[HeaderLane])
+		order = append(order, stampedLane(req))
 		mu.Unlock()
 		<-release
 		return &wire.Message{Kind: wire.KindReply}, nil
@@ -227,7 +250,7 @@ func TestQueueShedsExpiredOnPromotion(t *testing.T) {
 	}, CallerOptions{Clock: clock})
 	t.Cleanup(unblock)
 	s.Handle("work", func(req *wire.Message) (*wire.Message, error) {
-		dispatched <- req.Headers[HeaderLane]
+		dispatched <- stampedLane(req)
 		<-release
 		return &wire.Message{Kind: wire.KindReply}, nil
 	})
@@ -277,7 +300,7 @@ func TestPreemptionBenefitOrder(t *testing.T) {
 	}, CallerOptions{Clock: clock})
 	t.Cleanup(unblock)
 	s.Handle("work", func(req *wire.Message) (*wire.Message, error) {
-		entered <- req.Headers[HeaderLane]
+		entered <- stampedLane(req)
 		<-release
 		return &wire.Message{Kind: wire.KindReply}, nil
 	})
@@ -397,3 +420,58 @@ func TestShedBurstDoesNotTripBreaker(t *testing.T) {
 // The real-health.Monitor variant of the shed/breaker contract lives in
 // lane_external_test.go (package endpoint_test): health imports discovery,
 // which imports endpoint, so it cannot be linked into this package's tests.
+
+// TestPreemptionTieBreaksTowardLowerLane pins the order preemption sheds in
+// among entries of equal benefit: the lower lane first, and only then the
+// older entry. Deadline-free entries all keep full benefit, so when a second
+// control request meets a full control queue, the bulk entry is shed — not
+// the default one queued before it.
+func TestPreemptionTieBreaksTowardLowerLane(t *testing.T) {
+	reg := obs.NewRegistry()
+	entered := make(chan string, 8)
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+
+	s, c := newPair(t, ServerOptions{
+		Name:        "srv",
+		MaxInFlight: 1,
+		Lanes:       &LaneConfig{QueueDepth: 1},
+		Metrics:     reg,
+	}, CallerOptions{})
+	t.Cleanup(unblock)
+	s.Handle("work", func(req *wire.Message) (*wire.Message, error) {
+		entered <- stampedLane(req)
+		<-release
+		return &wire.Message{Kind: wire.KindReply}, nil
+	})
+
+	hold := c.Go(&Call{Topic: "work", Timeout: NoTimeout})
+	<-entered
+	queue := func(lane Lane) *Future {
+		f := c.Go(&Call{Topic: "work", Lane: lane, Timeout: NoTimeout})
+		waitUntil(t, lane.String()+" queued", func() bool {
+			return reg.Gauge("srv.lane."+lane.String()+".queued").Value() == 1
+		})
+		return f
+	}
+	def := queue(LaneDefault)
+	bulk := queue(LaneBulk)
+	ctl := queue(LaneControl)
+	ctl2 := c.Go(&Call{Topic: "work", Lane: LaneControl, Timeout: NoTimeout})
+
+	waitUntil(t, "the preemption", func() bool { return reg.Counter("srv.shed.preempted").Value() == 1 })
+	if b, d := reg.Gauge("srv.lane.bulk.queued").Value(), reg.Gauge("srv.lane.default.queued").Value(); b != 0 || d != 1 {
+		t.Fatalf("after the preemption %v bulk and %v default entries are queued, want 0 and 1", b, d)
+	}
+	unblock()
+	var shed *ShedError
+	if _, err := bulk.Wait(); !errors.As(err, &shed) || shed.Lane != LaneBulk {
+		t.Fatalf("bulk entry: got %v, want it shed for the second control request", err)
+	}
+	for name, f := range map[string]*Future{"held": hold, "default": def, "control": ctl, "second control": ctl2} {
+		if _, err := f.Wait(); err != nil {
+			t.Errorf("%s request: %v", name, err)
+		}
+	}
+}

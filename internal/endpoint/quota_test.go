@@ -26,7 +26,7 @@ func TestSetLaneQuotaWidensAdmission(t *testing.T) {
 	}, CallerOptions{})
 	t.Cleanup(unblock)
 	s.Handle("work", func(req *wire.Message) (*wire.Message, error) {
-		entered <- req.Headers[HeaderLane]
+		entered <- stampedLane(req)
 		<-release
 		return &wire.Message{Kind: wire.KindReply}, nil
 	})
@@ -114,7 +114,7 @@ func TestSetLaneQuotaPromotesQueuedWork(t *testing.T) {
 	}, CallerOptions{})
 	t.Cleanup(unblock)
 	s.Handle("work", func(req *wire.Message) (*wire.Message, error) {
-		entered <- req.Headers[HeaderLane]
+		entered <- stampedLane(req)
 		<-release
 		return &wire.Message{Kind: wire.KindReply}, nil
 	})

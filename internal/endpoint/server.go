@@ -34,8 +34,8 @@ type ServerOptions struct {
 	Fallback Handler
 	// MaxInFlight bounds concurrent in-flight requests across all
 	// connections (admission control); excess requests are rejected before
-	// dispatch with a HeaderShed-marked KindError reply, which callers
-	// surface as a retryable *ShedError. 0 means unlimited.
+	// dispatch with a KindShed reply, which callers surface as a retryable
+	// *ShedError. 0 means unlimited.
 	MaxInFlight int
 	// Lanes enables priority-lane admission control over the MaxInFlight
 	// pool: per-lane reserved quotas plus a shared remainder that low lanes
@@ -402,8 +402,8 @@ func (s *Server) run(t task) {
 	}
 }
 
-// reject answers a shed request with a HeaderShed-marked KindError reply
-// carrying the lane the shed was charged to; callers surface it as a
+// reject answers a shed request with a KindShed reply whose Priority stamps
+// the lane the shed was charged to; callers surface it as a
 // retryable *ShedError. One-way messages are dropped silently — counted as
 // shed, but there is no reply channel to reject them with. wait is time the
 // request spent queued before being shed (zero at admission). Whoever sheds a
@@ -420,11 +420,11 @@ func (s *Server) reject(req *wire.Message, conn transport.Conn, lane Lane, reaso
 		return
 	}
 	reject := getMsg()
-	reject.Kind = wire.KindError
+	reject.Kind = wire.KindShed
+	reject.Priority = lane.priority()
 	reject.Corr = req.ID
 	reject.Topic = req.Topic
 	reject.Src = s.opts.Name
-	reject.Headers = shedHeaderMaps[lane.rank()]
 	reject.Payload = reason.payload
 	_ = conn.Send(reject)
 	putMsg(reject)

@@ -183,7 +183,7 @@ func (c *Client) Call(method string, payload []byte, timeout time.Duration) ([]b
 }
 
 // CallLane is Call on an explicit admission lane: the class rides in-band
-// (endpoint.HeaderLane) so a bounded server isolates this call from — or
+// (the envelope's Priority) so a bounded server isolates this call from — or
 // sheds it before — other lanes' traffic. A periodic control caller uses
 // endpoint.LaneControl; background transfers use endpoint.LaneBulk.
 func (c *Client) CallLane(method string, payload []byte, timeout time.Duration, lane endpoint.Lane) ([]byte, error) {

@@ -433,8 +433,8 @@ func TestAppendEncodeZeroAlloc(t *testing.T) {
 	}
 }
 
-// The same with headers — every lane-stamped or traced request has them: the
-// keys are collected and sorted on the stack.
+// The same with headers — every traced request has them: the keys are
+// collected and sorted on the stack, one key or several.
 func TestAppendEncodeHeadersZeroAlloc(t *testing.T) {
 	for _, headers := range []map[string]string{
 		{"ndsm-lane": "control"},

@@ -67,8 +67,8 @@ func (Binary) AppendEncode(buf []byte, m *Message) ([]byte, error) {
 	buf = appendString(buf, m.Topic)
 	buf = binary.AppendUvarint(buf, uint64(len(m.Headers)))
 	if n := len(m.Headers); n > 0 {
-		// Sorted keys make the encoding deterministic. Lane-stamped and traced
-		// requests carry one to three headers: sort them on the stack.
+		// Sorted keys make the encoding deterministic. Traced requests carry
+		// two or three headers: sort them on the stack.
 		var stack [8]string
 		keys := stack[:0]
 		if n > len(stack) {

@@ -39,13 +39,14 @@ func fuzzTracedMessage() *Message {
 	return m
 }
 
-// fuzzLaneMessage seeds the corpus with a message carrying the priority-lane
-// admission header in its on-wire form ("ndsm-lane", stamped once by the
-// endpoint layer like trace context), so the fuzzer explores lane-class
-// mutations — valid names, garbage, empty — from the start.
+// fuzzLaneMessage seeds the corpus with a shed reply in its on-wire form: the
+// endpoint layer answers a request it will not admit with a KindShed message
+// whose Priority names the lane it was charged to, so the fuzzer explores
+// kind and lane mutations — known, unknown, unstamped — from the start.
 func fuzzLaneMessage() *Message {
 	m := fuzzSeedMessage()
-	m.Headers["ndsm-lane"] = "control"
+	m.Kind = KindShed
+	m.Priority = 1
 	m.Deadline = time.Date(2003, 6, 1, 12, 0, 0, 25_000_000, time.UTC)
 	return m
 }
