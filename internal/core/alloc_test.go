@@ -14,12 +14,12 @@ import (
 	"ndsm/internal/transport"
 )
 
-// A bound request on mem allocates two objects, counted across both nodes:
-// the copy of the endpoint.Call the binding's interceptor chain works on, and
-// the reply's payload, which the consumer keeps. The supplier's reply envelope
-// is endpoint.NewReply's, the reply's clone goes back to wire's pool without
-// its payload, and the request's clone reuses the request the supplier
-// recycled the call before.
+// A bound request on mem allocates one object, counted across both nodes: the
+// reply's payload, which the consumer keeps. The copy of the endpoint.Call the
+// binding's interceptor chain works on comes from Caller.Do's pool, the
+// supplier's reply envelope is endpoint.NewReply's, the reply's clone goes
+// back to wire's pool without its payload, and the request's clone reuses the
+// request the supplier recycled the call before.
 func TestBindingRequestAllocs(t *testing.T) {
 	w := newWorld(t)
 	if err := w.node("sup").Serve(bpDesc(0.9), func(p []byte) ([]byte, error) { return p, nil }); err != nil {
@@ -39,7 +39,7 @@ func TestBindingRequestAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		request()
 	}
-	const want = 2
+	const want = 1
 	if allocs := testing.AllocsPerRun(1000, request); allocs > want {
 		t.Fatalf("Binding.Request on mem allocates %.2f objects, want at most %d", allocs, want)
 	}

@@ -261,20 +261,17 @@ func (c *Client) Register(d *svcdesc.Description) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.call(TopicRegister, payload)
-	return err
+	return c.send(TopicRegister, payload)
 }
 
 // Unregister implements Registry.
 func (c *Client) Unregister(key string) error {
-	_, err := c.call(TopicUnregister, []byte(key))
-	return err
+	return c.send(TopicUnregister, []byte(key))
 }
 
 // Renew implements Registry.
 func (c *Client) Renew(key string) error {
-	_, err := c.call(TopicRenew, []byte(key))
-	return err
+	return c.send(TopicRenew, []byte(key))
 }
 
 // Lookup implements Registry.
@@ -294,6 +291,7 @@ func (c *Client) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
 		return nil, err
 	}
 	descs, err := svcdesc.UnmarshalDescriptionList(reply.Payload)
+	wire.Recycle(reply) // the descriptions copied what they hold
 	if err == nil {
 		if len(descs) > 0 {
 			r.Counter("discovery.lookup.hits").Inc(1)
@@ -321,6 +319,14 @@ func (c *Client) call(topic string, payload []byte) (*wire.Message, error) {
 		return nil, translateErr(topic, timeout, err)
 	}
 	return reply, nil
+}
+
+// send is call for an operation whose reply says nothing but that it
+// succeeded: the reply goes back for the next decode (wire.Recycle).
+func (c *Client) send(topic string, payload []byte) error {
+	reply, err := c.call(topic, payload)
+	wire.Recycle(reply)
+	return err
 }
 
 func (c *Client) callTimeout() time.Duration {
@@ -372,7 +378,9 @@ func (c *Client) RegisterBatch(ds []*svcdesc.Description) error {
 		}))
 	}
 	for _, fut := range futs {
-		if _, err := fut.Wait(); err != nil && firstErr == nil {
+		reply, err := fut.Wait()
+		wire.Recycle(reply) // each future is waited on once, here
+		if err != nil && firstErr == nil {
 			firstErr = translateErr(TopicRegister, timeout, err)
 		}
 	}

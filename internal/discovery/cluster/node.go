@@ -254,12 +254,14 @@ func (n *Node) SyncWith(peer string) error {
 	}
 	if len(delta.Want) > 0 {
 		push := n.table.deltaFor(n.self, delta.Want)
-		if _, err := c.Do(&endpoint.Call{
+		ack, err := c.Do(&endpoint.Call{
 			Kind:    wire.KindControl,
 			Topic:   TopicGossipDelta,
 			Payload: AppendDelta(nil, push),
 			Timeout: n.timeout,
-		}); err != nil {
+		})
+		wire.Recycle(ack) // nothing of an acknowledgement is kept
+		if err != nil {
 			n.metrics.Counter("discovery.cluster.gossip.errors").Inc(1)
 			return fmt.Errorf("cluster: sync push %s: %w", peer, err)
 		}

@@ -84,7 +84,20 @@ type Caller struct {
 	waiters map[uint64]*waiter
 	closed  bool
 	wg      sync.WaitGroup
+
+	shedMu sync.Mutex
+	sheds  map[shedKey]*ShedError // see shedError
 }
+
+// shedKey names the *ShedError a shed reply settles into.
+type shedKey struct {
+	topic string
+	lane  Lane
+}
+
+// maxSheds bounds the shed errors a caller keeps. Past it the table starts
+// over, so a caller that cycles through many topics does not grow with them.
+const maxSheds = 64
 
 // NewCaller builds a caller for addr over tr. With Eager set the dial
 // happens (and can fail) here; otherwise the first call dials.
@@ -129,16 +142,25 @@ func (c *Caller) SetClock(clock simtime.Clock) {
 // Do performs one call through the interceptor chain. The chain works on a
 // copy of call, so what an interceptor changes in it (the trace headers, a
 // retry count) does not leak into a Call the caller reuses; Do itself only
-// resolves call.Lane. A caller with no interceptors makes the round trip
-// directly, and call can then stay on its caller's stack.
+// resolves call.Lane. The copy comes from a pool and is cleared and put back
+// when the chain returns, which is why an interceptor must not keep it (see
+// ClientInterceptor). A caller with no interceptors makes the round trip
+// directly. Either way call can stay on its caller's stack.
 func (c *Caller) Do(call *Call) (*wire.Message, error) {
 	call.Lane = c.laneFor(call)
 	if len(c.opts.Interceptors) == 0 {
 		return c.roundtrip(call)
 	}
-	cp := *call
-	return c.invoke(&cp)
+	cp := callPool.Get().(*Call)
+	*cp = *call
+	m, err := c.invoke(cp)
+	*cp = Call{}
+	callPool.Put(cp)
+	return m, err
 }
+
+// callPool holds the Call copies Do hands its interceptor chain.
+var callPool = sync.Pool{New: func() any { return new(Call) }}
 
 // laneFor resolves a call's effective admission lane: an explicit Call.Lane
 // wins, then the caller's topic table, then the caller default. Idempotent,
@@ -260,6 +282,26 @@ func (c *Caller) recycle(m *wire.Message) {
 		m.Payload = nil
 	}
 	wire.Recycle(m)
+}
+
+// shedError returns the error a shed of topic on lane settles into. The first
+// such shed makes it and every later one shares it, so an overloaded peer's
+// rejections cost the caller no allocation; a ShedError is read-only.
+func (c *Caller) shedError(topic string, lane Lane) *ShedError {
+	key := shedKey{topic, lane}
+	c.shedMu.Lock()
+	defer c.shedMu.Unlock()
+	e := c.sheds[key]
+	if e == nil {
+		if c.sheds == nil {
+			c.sheds = make(map[shedKey]*ShedError)
+		} else if len(c.sheds) >= maxSheds {
+			clear(c.sheds)
+		}
+		e = &ShedError{Topic: topic, Lane: lane}
+		c.sheds[key] = e
+	}
+	return e
 }
 
 // Go starts call without waiting for the reply and returns its Future,

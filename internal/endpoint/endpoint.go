@@ -79,6 +79,9 @@ func IsRemote(err error) (*RemoteError, bool) {
 // its admission bound and refused the request before dispatching it. Unlike
 // RemoteError the request never executed, so retrying (with backoff, so the
 // overloaded peer gets air) is safe even for non-idempotent protocols.
+//
+// A Caller settles every shed of one topic and lane into the same ShedError,
+// so the value is shared: read it, never change it.
 type ShedError struct {
 	Topic string
 	// Lane is the admission lane the shed was charged to, echoed by the
@@ -171,7 +174,9 @@ type Call struct {
 type ClientFunc func(*Call) (*wire.Message, error)
 
 // ClientInterceptor wraps a ClientFunc with cross-cutting behavior (retry,
-// metrics, tracing). Interceptors compose outermost-first.
+// metrics, tracing). Interceptors compose outermost-first. An interceptor may
+// change the *Call it is given but must not keep it after it returns:
+// Caller.Do clears that copy and reuses it for a later call.
 type ClientInterceptor func(next ClientFunc) ClientFunc
 
 // Handler serves one inbound request and returns the reply message. The

@@ -173,7 +173,7 @@ func (f *Future) settleLocked(r waitResult) {
 	if err == nil {
 		switch m.Kind {
 		case wire.KindShed:
-			err = &ShedError{Topic: f.topic, Lane: laneOf(m, nil)}
+			err = f.c.shedError(f.topic, laneOf(m, nil))
 		case wire.KindError:
 			err = &RemoteError{Topic: f.topic, Msg: string(m.Payload)}
 		}

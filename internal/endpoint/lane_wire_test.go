@@ -3,6 +3,8 @@ package endpoint
 import (
 	"bytes"
 	"errors"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +20,49 @@ func wantShed(t *testing.T, what string, err error, lane Lane) {
 	var shed *ShedError
 	if !errors.As(err, &shed) || shed.Lane != lane {
 		t.Fatalf("%s: got %v, want a shed of lane %s", what, err, lane)
+	}
+}
+
+// A caller settles every shed of one topic and lane into one ShedError, and
+// keeps at most maxSheds of them: a topic past the bound gets a new error
+// that still names it and its lane.
+func TestShedErrorsSharedPerTopicAndLane(t *testing.T) {
+	c := &Caller{}
+	bulk := c.shedError("t", LaneBulk)
+	if c.shedError("t", LaneBulk) != bulk || *bulk != (ShedError{Topic: "t", Lane: LaneBulk}) {
+		t.Fatalf("a second bulk shed of t settled into a new error or %+v", bulk)
+	}
+	if ctl := c.shedError("t", LaneControl); ctl == bulk || ctl.Lane != LaneControl {
+		t.Fatalf("a control shed of t settled into %+v", ctl)
+	}
+	for i := 0; i < 3*maxSheds; i++ {
+		topic := "t" + strconv.Itoa(i)
+		if e := c.shedError(topic, LaneDefault); e.Topic != topic || e.Lane != LaneDefault {
+			t.Fatalf("shed of %s settled into %+v", topic, e)
+		}
+		if len(c.sheds) > maxSheds {
+			t.Fatalf("caller keeps %d shed errors, bound %d", len(c.sheds), maxSheds)
+		}
+	}
+	// Futures settle on their own goroutines: sheds of one topic and lane
+	// from several at once still share one error.
+	c = &Caller{}
+	errs := make([]*ShedError, 8)
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				errs[g] = c.shedError("hot", LaneBulk)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, e := range errs[1:] {
+		if e != errs[0] {
+			t.Fatal("concurrent sheds of one topic and lane settled into different errors")
+		}
 	}
 }
 

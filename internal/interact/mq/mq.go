@@ -361,7 +361,8 @@ func (c *Client) request(topic string, headers map[string]string, payload []byte
 
 // Push enqueues an item.
 func (c *Client) Push(queueName string, data []byte) error {
-	_, err := c.request(topicPush, map[string]string{"queue": queueName}, data)
+	ack, err := c.request(topicPush, map[string]string{"queue": queueName}, data)
+	wire.Recycle(ack) // nothing of an acknowledgement is kept
 	return err
 }
 
@@ -404,7 +405,11 @@ func (c *Client) Pop(queueName string, wait time.Duration) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.Payload, nil
+	// The caller keeps the item; the decoded shell goes back bare.
+	item := m.Payload
+	m.Payload = nil
+	wire.Recycle(m)
+	return item, nil
 }
 
 // Depth reports a queue's backlog.
@@ -413,6 +418,7 @@ func (c *Client) Depth(queueName string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer wire.Recycle(m)
 	var n int
 	if _, err := fmt.Sscanf(string(m.Payload), "%d", &n); err != nil {
 		return 0, fmt.Errorf("mq: bad depth reply %q", m.Payload)

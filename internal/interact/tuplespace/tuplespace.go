@@ -363,7 +363,7 @@ func (s *Server) take(consume bool) endpoint.Handler {
 		if err != nil {
 			return nil, errors.New("tuplespace: encode tuple")
 		}
-		return &wire.Message{Kind: wire.KindReply, Payload: out}, nil
+		return endpoint.NewReply(out), nil
 	}
 }
 
@@ -420,7 +420,8 @@ func (c *Client) request(topic string, body tsRequest) (*wire.Message, error) {
 
 // Out writes a tuple into the remote space.
 func (c *Client) Out(t Tuple) error {
-	_, err := c.request(topicOut, tsRequest{Tuple: t})
+	ack, err := c.request(topicOut, tsRequest{Tuple: t})
+	wire.Recycle(ack) // nothing of an acknowledgement is kept
 	return err
 }
 
@@ -440,7 +441,9 @@ func (c *Client) take(topic string, template Tuple, wait time.Duration) (Tuple, 
 		return nil, err
 	}
 	var t Tuple
-	if err := json.Unmarshal(m.Payload, &t); err != nil {
+	err = json.Unmarshal(m.Payload, &t)
+	wire.Recycle(m) // the tuple holds copies of what it decoded
+	if err != nil {
 		return nil, fmt.Errorf("tuplespace: decode tuple: %w", err)
 	}
 	return t, nil

@@ -103,8 +103,11 @@ func TestTCPOwedRepliesShareOneWrite(t *testing.T) {
 	}
 }
 
-// Replies past yieldBatchCap are written at once: the syscall is already
-// amortized and a group of them is memory the peer holds all at once.
+// Replies past yieldBatchCap are written at once. Grouping 16 KiB replies
+// under a 64 KiB cap was measured on rpc_large_tcp: capacity went from 65–75 k
+// to 77–89 k req/s, but the live heap doubled and peak RSS rose 8–22 %, and
+// with GOGC=400 on both sides the gain was gone. It came from the collector's pacing, not from
+// saved write calls, so the cap stays at 4 KiB.
 func TestTCPLargeRepliesNeverYield(t *testing.T) {
 	frames, _, yields := replyBurst(t, 16, 16<<10)
 	if frames != 16 || yields != 0 {

@@ -109,7 +109,8 @@ type envelopeNames struct {
 // one in names is shared, not copied (strings are immutable, so the message
 // still does not alias data). A nil names remembers nothing. The message is a
 // recycled one when there is one (see Recycle), its payload copied into the
-// buffer that came with it when that is big enough.
+// buffer that came with it when that is big enough; an empty payload leaves
+// the buffer with the shell.
 func decodeBinary(data []byte, names *envelopeNames) (*Message, error) {
 	if names == nil {
 		names = new(envelopeNames) // does not escape: empty, so only "" ever matches
@@ -144,7 +145,9 @@ func decodeBinary(data []byte, names *envelopeNames) (*Message, error) {
 			m.Headers[k] = d.string()
 		}
 	}
-	m.Payload = d.bytes(buf)
+	if m.Payload = d.bytes(buf); m.Payload == nil {
+		m.spare = buf
+	}
 	// A refused message goes back zeroed: the next decode sees none of its fields.
 	if d.err != nil {
 		Recycle(m)

@@ -70,6 +70,11 @@ type Message struct {
 	Headers map[string]string
 	// Payload is the opaque application body.
 	Payload []byte
+
+	// spare is the pooled buffer of a shell that a decode or Clone filled
+	// with an empty payload. Payload stays nil, as on a fresh shell; the
+	// buffer waits here for Recycle to hand it back with the shell.
+	spare []byte
 }
 
 // ErrInvalidMessage reports an envelope that fails validation.
@@ -101,9 +106,11 @@ func (m *Message) Clone() *Message {
 			out.Headers[k] = v
 		}
 	}
-	out.Payload = nil
+	out.Payload, out.spare = nil, nil
 	if len(m.Payload) > 0 {
 		out.Payload = append(buf[:0], m.Payload...)
+	} else {
+		out.spare = buf
 	}
 	return out
 }

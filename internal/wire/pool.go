@@ -18,7 +18,9 @@ const (
 // and, as its zero-length Payload, the buffer it last carried. Recycle is the
 // only way in; decodeBinary and Message.Clone are the ways out, and because
 // the shell is zeroed they fill it exactly as they fill a new one. A message
-// whose payload is empty gives the buffer up: it has nowhere to keep it.
+// whose payload is empty keeps the buffer aside, its Payload nil as a fresh
+// decode leaves it, so an acknowledgement does not cost the next payload its
+// buffer.
 var messages = sync.Pool{New: func() any { return new(Message) }}
 
 // Recycle hands back a message nothing refers to any more. What Conn.Recv, a
@@ -31,6 +33,9 @@ var messages = sync.Pool{New: func() any { return new(Message) }}
 // recycled, whatever built it, provided its Payload is the caller's to give:
 // the pool takes that memory with the shell, so a message whose Payload is
 // borrowed (a request envelope carrying a caller's bytes) must not come here.
+// A message whose Payload is nil or empty gives back the buffer its shell
+// came with, and a shell whose payload the owner kept goes back bare once the
+// owner sets its Payload to nil.
 //
 // Under the race detector the buffer is filled with 0xDB and the shell's
 // Topic and ID are stamped before pooling, so a test run shows a kept request
@@ -40,6 +45,9 @@ func Recycle(m *Message) {
 		return
 	}
 	buf := m.Payload[:0]
+	if cap(buf) == 0 {
+		buf = m.spare[:0]
+	}
 	if cap(buf) > maxRecycledPayload {
 		buf = nil
 	}

@@ -28,8 +28,11 @@ var recycleNames = []string{
 }
 
 // held is a message some owner still has, beside what it must go on reading as.
+// keep is the capacity of the buffer its Recycle must hand back, when the
+// model knows it, and -1 when it does not.
 type held struct {
 	want, got *Message
+	keep      int
 }
 
 // intact is Equal plus what Equal forgives — nil against empty, a zero
@@ -72,6 +75,9 @@ type recycleModel struct {
 	live    []held
 	lastCap int // capacity of the payload buffer recycled last
 	sent    int
+	// pooled is every shell this script recycled and no decode or Clone has
+	// drawn since, with the capacity of the buffer it went back with.
+	pooled map[*Message]int
 }
 
 // sizes are the payload lengths an operation picks from: nothing, one byte,
@@ -140,13 +146,18 @@ func (r *recycleModel) step(op [4]byte) {
 			return
 		}
 		k := int(op[1]) % len(r.live)
-		m := r.live[k].got
+		h := r.live[k]
+		m := h.got
 		r.live = append(r.live[:k], r.live[k+1:]...)
-		r.lastCap = cap(m.Payload)
+		r.lastCap = max(cap(m.Payload), cap(m.spare))
 		Recycle(m)
 		if cap(m.Payload) > maxRecycledPayload {
 			r.t.Fatalf("a recycled message kept a %d-byte buffer, cap is %d", cap(m.Payload), maxRecycledPayload)
 		}
+		if h.keep >= 0 && cap(m.Payload) != h.keep {
+			r.t.Fatalf("message %d, empty, went back with a %d-byte buffer; its shell came with %d bytes", h.want.ID, cap(m.Payload), h.keep)
+		}
+		r.pooled[m] = cap(m.Payload)
 	case op[0]%16 == 1: // a frame whose body does not decode: every field filled, then refused
 		m := r.message(1|2<<1|8|16, op[2], op[3])
 		body, err := Binary{}.Encode(m)
@@ -161,6 +172,10 @@ func (r *recycleModel) step(op [4]byte) {
 		if _, _, err := r.read(body); err == nil {
 			r.t.Fatalf("message %d: a broken body decoded", r.sent)
 		}
+		clear(r.pooled) // the refused shell went back with whatever buffer it had by then
+	case op[0]%8 == 3: // Clone, what the mem transport sends
+		want := r.message(op[1], op[2], op[3])
+		r.hold(want, want.Clone())
 	default:
 		want := r.message(op[1], op[2], op[3])
 		body, err := Binary{}.Encode(want)
@@ -171,18 +186,36 @@ func (r *recycleModel) step(op [4]byte) {
 		if err != nil {
 			r.t.Fatalf("message %d: %v", r.sent, err)
 		}
-		for _, h := range []held{{want, a}, {want, b}} {
-			if !h.got.Equal(want) || !h.intact() {
-				r.t.Fatalf("message %d:\n got  %s\n want %s", r.sent, brief(h.got), brief(want))
-			}
-			r.live = append(r.live, h)
-		}
+		r.hold(want, a)
+		r.hold(want, b)
 	}
 	for _, h := range r.live {
 		if !h.intact() {
 			r.t.Fatalf("after message %d, message %d, still held, reads\n got  %s\n want %s", r.sent, h.want.ID, brief(h.got), brief(h.want))
 		}
 	}
+}
+
+// hold checks what a decode or Clone returned for want and keeps it. When it
+// is a shell the script recycled, the model knows the buffer that came with
+// it: a payload that fits must be copied into it, and an empty payload must
+// keep it for the shell's next Recycle.
+func (r *recycleModel) hold(want, got *Message) {
+	r.t.Helper()
+	h := held{want: want, got: got, keep: -1}
+	if !got.Equal(want) || !h.intact() {
+		r.t.Fatalf("message %d:\n got  %s\n want %s", r.sent, brief(got), brief(want))
+	}
+	if c, ok := r.pooled[got]; ok {
+		delete(r.pooled, got)
+		switch n := len(want.Payload); {
+		case n == 0:
+			h.keep = c
+		case n <= c && cap(got.Payload) != c:
+			r.t.Fatalf("message %d: %d bytes went into a %d-byte buffer, not the %d-byte one recycled with its shell", r.sent, n, cap(got.Payload), c)
+		}
+	}
+	r.live = append(r.live, h)
 }
 
 // maxRecycleScript bounds a script: 48 operations hold at most 96 messages.
@@ -193,7 +226,7 @@ func checkRecycledDecode(t testing.TB, script []byte) {
 	if len(script) > maxRecycleScript {
 		script = script[:maxRecycleScript]
 	}
-	r := &recycleModel{t: t}
+	r := &recycleModel{t: t, pooled: make(map[*Message]int)}
 	r.fr = NewFrameReader(&r.pipe)
 	for ; len(script) >= 4; script = script[4:] {
 		r.step([4]byte(script))
@@ -223,18 +256,76 @@ func TestRecycledDecodeProperty(t *testing.T) {
 	}
 }
 
-// FuzzRecycledDecodeMatchesFresh: whatever is sent and whichever held
-// messages are recycled in between, every message reads as it was sent, a
-// message still held goes on reading so, and a body that is refused leaves
-// nothing behind for the next.
+// FuzzRecycledDecodeMatchesFresh: whatever is sent or cloned and whichever
+// held messages are recycled in between, every message reads as it was sent,
+// a message still held goes on reading so, a body that is refused leaves
+// nothing behind for the next, and a recycled buffer outlives an empty
+// payload decoded or cloned into its shell.
 func FuzzRecycledDecodeMatchesFresh(f *testing.F) {
-	f.Add([]byte{2, 0, 3, 0, 0, 0, 0, 0, 2, 0, 3, 0})                                       // send, recycle, send into the same buffer
-	f.Add([]byte{2, 0, 3, 1, 0, 1, 0, 0, 2, 0, 4, 1, 0, 0, 0, 0, 2, 0, 6, 1, 2, 0, 5, 1})   // one under, one over, exactly the recycled capacity
-	f.Add([]byte{2, 0, 13, 0, 0, 0, 0, 0, 2, 0, 14, 0, 0, 1, 0, 0, 2, 0, 12, 0})            // the cap kept, one past it dropped
-	f.Add([]byte{2, 31, 3, 0x15, 0, 0, 0, 0, 2, 0, 0, 0})                                   // every field set, recycled, then none
-	f.Add([]byte{2, 0, 3, 0, 0, 0, 0, 0, 17, 0, 3, 0, 2, 0, 0, 0, 17, 1, 3, 0, 2, 0, 1, 0}) // refused bodies between good ones
-	f.Add([]byte{2, 2, 1, 0x3F, 2, 4, 1, 0x2A, 0, 1, 0, 0, 0, 0, 0, 0, 2, 0, 1, 0x15})      // names either side of what a reader remembers
+	f.Add([]byte{2, 0, 3, 0, 0, 0, 0, 0, 2, 0, 3, 0})                                                 // send, recycle, send into the same buffer
+	f.Add([]byte{2, 0, 3, 1, 0, 1, 0, 0, 2, 0, 4, 1, 0, 0, 0, 0, 2, 0, 6, 1, 2, 0, 5, 1})             // one under, one over, exactly the recycled capacity
+	f.Add([]byte{2, 0, 13, 0, 0, 0, 0, 0, 2, 0, 14, 0, 0, 1, 0, 0, 2, 0, 12, 0})                      // the cap kept, one past it dropped
+	f.Add([]byte{2, 31, 3, 0x15, 0, 0, 0, 0, 2, 0, 0, 0})                                             // every field set, recycled, then none
+	f.Add([]byte{2, 0, 3, 0, 0, 0, 0, 0, 17, 0, 3, 0, 2, 0, 0, 0, 17, 1, 3, 0, 2, 0, 1, 0})           // refused bodies between good ones
+	f.Add([]byte{2, 2, 1, 0x3F, 2, 4, 1, 0x2A, 0, 1, 0, 0, 0, 0, 0, 0, 2, 0, 1, 0x15})                // names either side of what a reader remembers
+	f.Add([]byte{2, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 3, 0}) // an acknowledgement between two payloads
+	f.Add([]byte{3, 0, 3, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 3, 0, 3, 0, 11, 0, 9, 0})            // the same through Clone
 	f.Fuzz(func(t *testing.T, script []byte) { checkRecycledDecode(t, script) })
+}
+
+// A shell recycled with a 64-byte buffer keeps it through an acknowledgement:
+// the empty payload decoded or cloned into the shell leaves Payload nil and
+// the buffer aside, Recycle hands both back, and the 64-byte payload after it
+// is copied into that buffer.
+func TestEmptyPayloadKeepsBufferAllocs(t *testing.T) {
+	if poisonRecycled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	ack := &Message{Kind: KindAck, Corr: 7}
+	data := &Message{Kind: KindData, Payload: bytes.Repeat([]byte{0xA5}, 64)}
+	ackBody, err := Binary{}.Encode(ack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataBody, err := Binary{}.Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(body []byte) func() *Message {
+		return func() *Message {
+			m, err := Binary{}.Decode(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		ack, data func() *Message
+	}{
+		{"decode", decode(ackBody), decode(dataBody)},
+		{"clone", ack.Clone, data.Clone},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := &Message{Payload: make([]byte, 0, 64)}
+			cycle := func() {
+				Recycle(m)
+				a := tc.ack()
+				if a.Payload != nil {
+					t.Fatalf("an empty payload reads %d/%d bytes, want nil", len(a.Payload), cap(a.Payload))
+				}
+				Recycle(a)
+				m = tc.data()
+			}
+			if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+				t.Fatalf("the payload after an acknowledgement allocates %.0f objects, want 0", allocs)
+			}
+			if !m.Equal(data) {
+				t.Fatalf("got %+v, want %+v", m, data)
+			}
+		})
+	}
 }
 
 // A recycled shell comes back empty, with the buffer at length zero.

@@ -566,7 +566,8 @@ func reflectDeepEqualGuard(t *testing.T, a, b *Message) {
 	}
 }
 
-// normalize maps empty and nil collections together the way Equal treats them.
+// normalize maps empty and nil collections together the way Equal treats them,
+// and drops the pooled buffer a Clone with an empty payload may hold aside.
 func normalize(m *Message) *Message {
 	c := m.Clone()
 	if len(c.Headers) == 0 {
@@ -575,6 +576,7 @@ func normalize(m *Message) *Message {
 	if len(c.Payload) == 0 {
 		c.Payload = nil
 	}
+	c.spare = nil
 	c.Deadline = c.Deadline.UTC()
 	return c
 }
