@@ -168,15 +168,23 @@ func compareBaselines(old, new *Baseline, tolerance float64) (regressions, warni
 		}
 	}
 	// The experiments' own contracts gate absolutely, not by drift: a bound
-	// a new baseline exceeds is broken whatever the old one measured. Each
-	// experiment declares its gates beside the table that feeds them.
+	// a new baseline exceeds is broken whatever the old one measured, and a
+	// gated cell an experiment that ran no longer yields is a gate nobody
+	// holds (a renamed table or row). Experiments the new baseline did not
+	// run are skipped, so -run subsets compare. Each experiment declares its
+	// gates beside the table that feeds them.
 	for _, id := range sortedKeys(experiments.Gates) {
 		cells, ok := new.Experiments[id]
 		if !ok {
 			continue
 		}
 		for _, g := range experiments.Gates[id] {
-			if v, ok := cells[g.Cell]; ok && v > g.Max {
+			v, ok := cells[g.Cell]
+			switch {
+			case !ok:
+				regressions = append(regressions, fmt.Sprintf(
+					"experiment %s: gated cell %q missing (%s)", id, g.Cell, g.What))
+			case v > g.Max:
 				regressions = append(regressions, fmt.Sprintf(
 					"experiment %s: %s %.2f exceeds the %.0f gate (%q)", id, g.What, v, g.Max, g.Cell))
 			}

@@ -20,8 +20,9 @@
 //	                           # recorded in
 //	ndsm-bench -compare old.json
 //	                           # rebuild the baseline and fail (exit 1) on an
-//	                           # experiment past its absolute bound (E13-E15);
-//	                           # drift >15% against old.json only warns
+//	                           # experiment past its absolute bound (E13-E15)
+//	                           # or missing a gated cell; drift >15% against
+//	                           # old.json only warns
 //	ndsm-bench -compare old.json new.json
 //	                           # compare two baseline files without running
 package main
@@ -59,7 +60,7 @@ func main() {
 	flag.BoolVar(&opts.metrics, "metrics", false, "after the run, dump the middleware metrics snapshot as JSON")
 	flag.StringVar(&opts.traceFile, "trace", "", "capture causal spans and write them as Chrome trace-event JSON to this file")
 	flag.StringVar(&opts.baseline, "baseline", "", "write a machine-readable baseline (every experiment cell) to this file")
-	flag.StringVar(&opts.compare, "compare", "", "compare against this baseline file; exit non-zero on an experiment past its absolute bound (experiment drift only warns)")
+	flag.StringVar(&opts.compare, "compare", "", "compare against this baseline file; exit non-zero on an experiment past its absolute bound or missing a gated cell (experiment drift only warns)")
 	flag.Parse()
 	opts.compareNew = flag.Arg(0)
 	if err := realMain(opts); err != nil {

@@ -87,6 +87,27 @@ func TestCompareGatesE13ControlMissRate(t *testing.T) {
 	}
 }
 
+// A gated cell that an experiment which ran no longer yields fails the
+// compare: a renamed table title or row key must not retire its gate. An
+// experiment the new baseline did not run is not judged.
+func TestCompareFailsOnMissingGatedCell(t *testing.T) {
+	old := &Baseline{Schema: baselineSchema}
+	renamed := &Baseline{
+		Schema: baselineSchema,
+		Experiments: map[string]map[string]float64{
+			"E13": {"E13: deadline miss rate vs offered load/lanes 2.0x (renamed)/control miss %": 0},
+		},
+	}
+	regs, _ := compareBaselines(old, renamed, regressionTolerance)
+	if len(regs) != len(experiments.Gates["E13"]) || !strings.Contains(regs[0], "missing") {
+		t.Fatalf("E13 ran without its gated cell: regs=%v, want one missing-cell regression per gate", regs)
+	}
+	subset := &Baseline{Schema: baselineSchema, Experiments: map[string]map[string]float64{"F1": {"t/r/c": 1}}}
+	if regs, _ := compareBaselines(old, subset, regressionTolerance); len(regs) != 0 {
+		t.Fatalf("experiments that did not run were judged: %v", regs)
+	}
+}
+
 func TestReadBaselineRejectsBadFiles(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.json")

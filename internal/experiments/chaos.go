@@ -7,49 +7,20 @@ import (
 	"ndsm/internal/stats"
 )
 
-// E4XOptions sizes the composed-fault chaos experiment.
-type E4XOptions struct {
-	// Scenarios is how many seeded scenarios to soak (default 3).
-	Scenarios int
-	// Seed is the first scenario's seed (default 101).
-	Seed int64
-	// Ticks is the workload length per scenario (default 60).
-	Ticks int
-	// Suppliers sizes each scenario's world (default 3).
-	Suppliers int
-}
-
-func (o E4XOptions) withDefaults() E4XOptions {
-	if o.Scenarios <= 0 {
-		o.Scenarios = 3
-	}
-	if o.Seed == 0 {
-		o.Seed = 101
-	}
-	if o.Ticks <= 0 {
-		o.Ticks = 60
-	}
-	if o.Suppliers <= 0 {
-		o.Suppliers = 3
-	}
-	return o
-}
-
-// E4X extends E4 from single-cause supplier kills to composed failures: each
+// e4x extends E4 from single-cause supplier kills to composed failures: each
 // seeded scenario drives the full radio stack through loss bursts, latency
 // spikes, partitions, supplier crashes, registry loss, and WAL crash-replay
 // cycles, then checks the §3.4/§3.8 invariants (acked ops stay durable,
 // rebinding recovers within a bound, discovery converges after registry
 // loss, WAL replay reproduces state). Every row is reproducible from its
 // seed alone.
-func E4X(opts E4XOptions) (Result, error) {
-	opts = opts.withDefaults()
+func e4x(quick bool) (Result, error) {
 	report, err := chaos.Soak(chaos.SoakConfig{
-		Scenarios: opts.Scenarios,
-		BaseSeed:  opts.Seed,
+		Scenarios: pick(quick, 1, 3),
+		BaseSeed:  101,
 		Scenario: chaos.ScenarioConfig{
-			Ticks:     opts.Ticks,
-			Suppliers: opts.Suppliers,
+			Ticks:     pick(quick, 40, 60),
+			Suppliers: 3,
 			Windows:   4,
 		},
 	})

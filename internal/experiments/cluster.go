@@ -8,40 +8,7 @@ import (
 	"ndsm/internal/stats"
 )
 
-// E12Options sizes the registry-cluster availability experiment.
-type E12Options struct {
-	// Seed fixes the substrate RNG (default 9).
-	Seed int64
-	// Ticks is the workload length (default 60).
-	Ticks int
-	// KillAt is the tick offset of the registry kill (default 10).
-	KillAt int
-	// KillTicks is how long the killed node stays down (default 20).
-	KillTicks int
-	// Members sizes the cluster run (default 3, RF 2).
-	Members int
-}
-
-func (o E12Options) withDefaults() E12Options {
-	if o.Seed == 0 {
-		o.Seed = 9
-	}
-	if o.Ticks <= 0 {
-		o.Ticks = 60
-	}
-	if o.KillAt <= 0 {
-		o.KillAt = 10
-	}
-	if o.KillTicks <= 0 {
-		o.KillTicks = 20
-	}
-	if o.Members <= 0 {
-		o.Members = 3
-	}
-	return o
-}
-
-// E12 is E11's question asked of the registry instead of the suppliers: at a
+// e12 is E11's question asked of the registry instead of the suppliers: at a
 // fixed tick the registry dies for a fixed window. The classic world loses
 // its only registry node, so the centralized path is gone and every lookup
 // survives only by flooding until the revive; the cluster world loses one of
@@ -49,12 +16,17 @@ func (o E12Options) withDefaults() E12Options {
 // surviving replica and the N-RF+1 lookup quorum still clears. The rows
 // compare lookup availability inside the kill window; the cluster row also
 // reports the cache-backed cluster path probed without any flood fallback.
-func E12(opts E12Options) (Result, error) {
-	opts = opts.withDefaults()
-	const tickEvery = 50 * time.Millisecond
+func e12(quick bool) (Result, error) {
+	const (
+		tickEvery = 50 * time.Millisecond
+		members   = 3 // the cluster run's size, RF 2
+	)
+	ticks := pick(quick, 40, 60)
+	killAt := pick(quick, 8, 10)     // tick of the registry kill
+	killTicks := pick(quick, 15, 20) // how long the killed node stays down
 	windowOK := func(trace []bool) float64 {
 		ok, n := 0, 0
-		for i := opts.KillAt; i < opts.KillAt+opts.KillTicks && i < len(trace); i++ {
+		for i := killAt; i < killAt+killTicks && i < len(trace); i++ {
 			n++
 			if trace[i] {
 				ok++
@@ -67,15 +39,15 @@ func E12(opts E12Options) (Result, error) {
 	}
 	run := func(members int, fault chaos.FaultKind, target string) (*chaos.ScenarioResult, error) {
 		return chaos.RunScenario(chaos.ScenarioConfig{
-			Seed:            opts.Seed,
-			Ticks:           opts.Ticks,
+			Seed:            9,
+			Ticks:           ticks,
 			TickEvery:       tickEvery,
 			RegistryCluster: members,
 			Schedule: chaos.Schedule{{
-				At:       time.Duration(opts.KillAt) * tickEvery,
+				At:       time.Duration(killAt) * tickEvery,
 				Fault:    fault,
 				Target:   target,
-				Duration: time.Duration(opts.KillTicks) * tickEvery,
+				Duration: time.Duration(killTicks) * tickEvery,
 			}},
 		})
 	}
@@ -84,7 +56,7 @@ func E12(opts E12Options) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("E12 classic: %w", err)
 	}
-	clustered, err := run(opts.Members, chaos.FaultKillRegistryNode, "registry1")
+	clustered, err := run(members, chaos.FaultKillRegistryNode, "registry1")
 	if err != nil {
 		return Result{}, fmt.Errorf("E12 cluster: %w", err)
 	}
@@ -98,7 +70,7 @@ func E12(opts E12Options) (Result, error) {
 		windowOK(classic.LookupOKByTick),
 		"n/a (registry dead)",
 		len(classic.Violations))
-	table.AddRow(fmt.Sprintf("cluster(%d) RF=2", opts.Members),
+	table.AddRow(fmt.Sprintf("cluster(%d) RF=2", members),
 		100*float64(clustered.TicksOK)/float64(clustered.Ticks),
 		100*float64(clustered.LookupsOK)/float64(clustered.Ticks),
 		windowOK(clustered.LookupOKByTick),
@@ -107,7 +79,7 @@ func E12(opts E12Options) (Result, error) {
 
 	notes := []string{
 		fmt.Sprintf("Same schedule shape both rows: registry down ticks %d-%d of %d.",
-			opts.KillAt, opts.KillAt+opts.KillTicks, opts.Ticks),
+			killAt, killAt+killTicks, ticks),
 		"The classic world survives the window only because adaptive discovery",
 		"floods while its registry is dead; the cluster world keeps the",
 		"centralized path — replication, quorum lookups, lease cache — serving.",

@@ -16,9 +16,9 @@ import (
 	"ndsm/internal/transport"
 )
 
-// radioNode is one fully stacked simulated node: mux, geographic router, and
-// a sim transport riding the router — the stack centralized discovery uses
-// to reach a registry across multiple radio hops.
+// radioNode is one stacked simulated node: mux, geographic router, and —
+// on an endpoint, not a relay — a sim transport riding the router: the stack
+// centralized discovery uses to reach a registry across multiple radio hops.
 type radioNode struct {
 	id     netsim.NodeID
 	mux    *netmux.Mux
@@ -38,8 +38,9 @@ func (rn *radioNode) close() {
 	}
 }
 
-// buildRadioNode stacks mux → router(geographic) → sim transport on a node.
-func buildRadioNode(net *netsim.Network, id netsim.NodeID) (*radioNode, error) {
+// buildRadioNode stacks mux → router(geographic) on a node, and a sim
+// transport on top when the node is an endpoint; a relay needs no transport.
+func buildRadioNode(net *netsim.Network, id netsim.NodeID, endpoint bool) (*radioNode, error) {
 	mux, err := netmux.New(net, id)
 	if err != nil {
 		return nil, err
@@ -49,13 +50,14 @@ func buildRadioNode(net *netsim.Network, id netsim.NodeID) (*radioNode, error) {
 		mux.Close()
 		return nil, err
 	}
-	tr, err := transport.NewSim(router, id, nil)
-	if err != nil {
-		router.Close()
-		mux.Close()
-		return nil, err
+	rn := &radioNode{id: id, mux: mux, router: router}
+	if endpoint {
+		if rn.tr, err = transport.NewSim(router, id, nil); err != nil {
+			rn.close()
+			return nil, err
+		}
 	}
-	return &radioNode{id: id, mux: mux, router: router, tr: tr}, nil
+	return rn, nil
 }
 
 // gridNet builds an n-node grid (spacing 10 m, range 12 m) with unlimited
@@ -70,6 +72,39 @@ func gridNet(n int) (*netsim.Network, []netsim.NodeID, error) {
 	return net, ids, nil
 }
 
+// registryCluster starts a size-member registry cluster, "registry0"
+// onwards, each member on its own mem transport on fabric. The returned
+// func closes every member whose slot the caller has not set to nil.
+func registryCluster(fabric *transport.Fabric, size int) ([]string, []*cluster.Node, func(), error) {
+	members := make([]string, size)
+	for i := range members {
+		members[i] = fmt.Sprintf("registry%d", i)
+	}
+	var nodes []*cluster.Node
+	closeAll := func() {
+		for _, n := range nodes {
+			if n != nil {
+				_ = n.Close()
+			}
+		}
+	}
+	for _, id := range members {
+		tr := transport.NewMem(fabric)
+		l, err := tr.Listen(id)
+		if err != nil {
+			closeAll()
+			return nil, nil, nil, err
+		}
+		n, err := cluster.NewNode(tr, l, cluster.NodeOptions{Self: id, Members: members})
+		if err != nil {
+			closeAll()
+			return nil, nil, nil, err
+		}
+		nodes = append(nodes, n)
+	}
+	return members, nodes, closeAll, nil
+}
+
 func bpService(provider string) *svcdesc.Description {
 	return &svcdesc.Description{
 		Name:        "sensor/bp",
@@ -79,50 +114,24 @@ func bpService(provider string) *svcdesc.Description {
 	}
 }
 
-// E1Options sizes the discovery comparison.
-type E1Options struct {
-	// Sizes are the grid node counts to sweep (default 9, 25, 49).
-	Sizes []int
-	// Lookups per configuration (default 5).
-	Lookups int
-	// ClusterSizes are the registry-cluster member counts for the lookup-path
-	// sweep (default 1, 3, 5).
-	ClusterSizes []int
-	// ClusterLookups per cluster configuration (default 200; enough samples
-	// for a stable p50 on a microsecond-scale path).
-	ClusterLookups int
-}
-
-func (o E1Options) withDefaults() E1Options {
-	if len(o.Sizes) == 0 {
-		o.Sizes = []int{9, 25, 49}
-	}
-	if o.Lookups <= 0 {
-		o.Lookups = 5
-	}
-	if len(o.ClusterSizes) == 0 {
-		o.ClusterSizes = []int{1, 3, 5}
-	}
-	if o.ClusterLookups <= 0 {
-		o.ClusterLookups = 200
-	}
-	return o
-}
-
-// E1 compares centralized vs distributed discovery: radio messages and
+// e1 compares centralized vs distributed discovery: radio messages and
 // latency per lookup as the network grows.
-func E1(opts E1Options) (Result, error) {
-	opts = opts.withDefaults()
+func e1(quick bool) (Result, error) {
+	// 200 lookups per cluster size give a stable p50 on a microsecond-scale
+	// path, and the ≥10x cached-vs-wire bar needs that sample in quick mode
+	// too.
+	const clusterLookups = 200
+	lookups := pick(quick, 2, 5)
 	table := stats.NewTable("E1: discovery cost vs network size",
 		"nodes", "organization", "radio msgs/lookup", "latency ms", "found")
-	for _, n := range opts.Sizes {
-		msgs, lat, found, err := e1Distributed(n, opts.Lookups)
+	for _, n := range pick(quick, []int{9, 16}, []int{9, 25, 49}) {
+		msgs, lat, found, err := e1Distributed(n, lookups)
 		if err != nil {
 			return Result{}, fmt.Errorf("E1 distributed n=%d: %w", n, err)
 		}
 		table.AddRow(n, "distributed (flood)", msgs, lat, found)
 
-		msgs, lat, found, err = e1Centralized(n, opts.Lookups)
+		msgs, lat, found, err = e1Centralized(n, lookups)
 		if err != nil {
 			return Result{}, fmt.Errorf("E1 centralized n=%d: %w", n, err)
 		}
@@ -137,8 +146,8 @@ func E1(opts E1Options) (Result, error) {
 		"E1b: steady-state lookups against a replicated registry cluster,",
 		"quorum scatter-gather over the wire vs the client-side lease cache.",
 	}
-	for _, size := range opts.ClusterSizes {
-		wire, cachedP50, hit, err := e1Cluster(size, opts.ClusterLookups)
+	for _, size := range []int{1, 3, 5} {
+		wire, cachedP50, hit, err := e1Cluster(size, clusterLookups)
 		if err != nil {
 			return Result{}, fmt.Errorf("E1 cluster size=%d: %w", size, err)
 		}
@@ -167,28 +176,11 @@ func E1(opts E1Options) (Result, error) {
 // the two p50s (µs) and the cache hit rate (%).
 func e1Cluster(size, lookups int) (wireP50, cachedP50, hitRate float64, err error) {
 	fabric := transport.NewFabric()
-	members := make([]string, size)
-	for i := range members {
-		members[i] = fmt.Sprintf("registry%d", i)
+	members, _, closeCluster, err := registryCluster(fabric, size)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	var nodes []*cluster.Node
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
-	for _, id := range members {
-		tr := transport.NewMem(fabric)
-		l, lerr := tr.Listen(id)
-		if lerr != nil {
-			return 0, 0, 0, lerr
-		}
-		n, nerr := cluster.NewNode(tr, l, cluster.NodeOptions{Self: id, Members: members})
-		if nerr != nil {
-			return 0, 0, 0, nerr
-		}
-		nodes = append(nodes, n)
-	}
+	defer closeCluster()
 
 	res, err := cluster.NewResolver(transport.NewMem(fabric), cluster.ResolverOptions{Members: members})
 	if err != nil {
@@ -259,22 +251,8 @@ func e1Distributed(n, lookups int) (msgs float64, latency float64, found bool, e
 	if err := agents[n-1].Register(bpService(string(ids[n-1]))); err != nil {
 		return 0, 0, false, err
 	}
-
-	var spent time.Duration
-	before := net.Counters()["sent"]
-	for i := 0; i < lookups; i++ {
-		start := time.Now()
-		descs, err := agents[0].Lookup(&svcdesc.Query{Name: "sensor/bp"})
-		if err != nil {
-			return 0, 0, false, err
-		}
-		spent += time.Since(start)
-		found = len(descs) > 0
-	}
 	// Allow in-flight rebroadcasts to finish before counting.
-	time.Sleep(50 * time.Millisecond)
-	total := net.Counters()["sent"] - before
-	return float64(total) / float64(lookups), spent.Seconds() * 1e3 / float64(lookups), found, nil
+	return e1Lookups(net, agents[0].Lookup, lookups, 50*time.Millisecond)
 }
 
 // e1Centralized runs a registry at the grid center over the routed sim
@@ -292,24 +270,11 @@ func e1Centralized(n, lookups int) (msgs float64, latency float64, found bool, e
 			rn.close()
 		}
 	}()
+	// Corner 0, the center and the far corner are endpoints; the rest relay.
 	need := map[netsim.NodeID]bool{ids[0]: true, ids[n/2]: true, ids[n-1]: true}
 	byID := make(map[netsim.NodeID]*radioNode)
 	for _, id := range ids {
-		if !need[id] {
-			// Relays only need mux+router (no transport endpoints).
-			mux, err := netmux.New(net, id)
-			if err != nil {
-				return 0, 0, false, err
-			}
-			router, err := routing.NewWithSource(net, id, routing.Geographic{}, mux.Channel(0xAB))
-			if err != nil {
-				mux.Close()
-				return 0, 0, false, err
-			}
-			nodes = append(nodes, &radioNode{id: id, mux: mux, router: router})
-			continue
-		}
-		rn, err := buildRadioNode(net, id)
+		rn, err := buildRadioNode(net, id, need[id])
 		if err != nil {
 			return 0, 0, false, err
 		}
@@ -334,40 +299,35 @@ func e1Centralized(n, lookups int) (msgs float64, latency float64, found bool, e
 
 	client := discovery.NewClient(byID[ids[0]].tr, string(registryNode.id))
 	defer client.Close() //nolint:errcheck
+	return e1Lookups(net, client.Lookup, lookups, 0)
+}
 
+// e1Lookups times lookups for the service and returns the radio messages
+// and milliseconds per lookup, counting messages until settle has passed
+// after the last one.
+func e1Lookups(net *netsim.Network, lookup func(*svcdesc.Query) ([]*svcdesc.Description, error),
+	lookups int, settle time.Duration) (msgs float64, latency float64, found bool, err error) {
 	var spent time.Duration
 	before := net.Counters()["sent"]
 	for i := 0; i < lookups; i++ {
 		start := time.Now()
-		descs, err := client.Lookup(&svcdesc.Query{Name: "sensor/bp"})
+		descs, err := lookup(&svcdesc.Query{Name: "sensor/bp"})
 		if err != nil {
 			return 0, 0, false, err
 		}
 		spent += time.Since(start)
 		found = len(descs) > 0
 	}
+	time.Sleep(settle)
 	total := net.Counters()["sent"] - before
 	return float64(total) / float64(lookups), spent.Seconds() * 1e3 / float64(lookups), found, nil
 }
 
-// E2Options sizes the adaptive-discovery experiment.
-type E2Options struct {
-	// Lookups per scenario (default 6).
-	Lookups int
-}
-
-func (o E2Options) withDefaults() E2Options {
-	if o.Lookups <= 0 {
-		o.Lookups = 6
-	}
-	return o
-}
-
-// E2 shows the adaptive organization tracking the better mode as the
+// e2 shows the adaptive organization tracking the better mode as the
 // environment changes: density decides when the registry is healthy, and the
 // agent falls back to flooding when the registry dies.
-func E2(opts E2Options) (Result, error) {
-	opts = opts.withDefaults()
+func e2(quick bool) (Result, error) {
+	lookups := pick(quick, 2, 6)
 	table := stats.NewTable("E2: adaptive discovery mode selection",
 		"scenario", "density", "registry", "mode chosen", "lookups ok")
 
@@ -381,7 +341,7 @@ func E2(opts E2Options) (Result, error) {
 		{"sparse, registry up", 2, true},
 		{"dense, registry down", 10, false},
 	} {
-		mode, ok, err := e2Scenario(sc.density, sc.registryUp, opts.Lookups)
+		mode, ok, err := e2Scenario(sc.density, sc.registryUp, lookups)
 		if err != nil {
 			return Result{}, fmt.Errorf("E2 %s: %w", sc.name, err)
 		}
@@ -389,15 +349,15 @@ func E2(opts E2Options) (Result, error) {
 		if !sc.registryUp {
 			reg = "down"
 		}
-		table.AddRow(sc.name, sc.density, reg, mode, fmt.Sprintf("%d/%d", ok, opts.Lookups))
+		table.AddRow(sc.name, sc.density, reg, mode, fmt.Sprintf("%d/%d", ok, lookups))
 	}
 	for _, size := range []int{1, 3, 5} {
-		mode, ok, err := e2ClusterScenario(size, opts.Lookups)
+		mode, ok, err := e2ClusterScenario(size, lookups)
 		if err != nil {
 			return Result{}, fmt.Errorf("E2 cluster(%d): %w", size, err)
 		}
 		name := fmt.Sprintf("dense, cluster(%d), member down", size)
-		table.AddRow(name, 10, "1 member down", mode, fmt.Sprintf("%d/%d", ok, opts.Lookups))
+		table.AddRow(name, 10, "1 member down", mode, fmt.Sprintf("%d/%d", ok, lookups))
 	}
 	return Result{
 		ID:     "E2",
@@ -418,55 +378,13 @@ func E2(opts E2Options) (Result, error) {
 // quorum survives and the policy stays central; a 1-member cluster behaves
 // like the dead classic registry and the agent floods.
 func e2ClusterScenario(size, lookups int) (mode string, okCount int, err error) {
-	net := netsim.New(netsim.Config{Range: 12, Unlimited: true})
-	defer net.Close()
-	ids := []netsim.NodeID{"q", "s", "r"}
-	for i, id := range ids {
-		if err := net.AddNode(id, netsim.Position{X: float64(i) * 10}); err != nil {
-			return "", 0, err
-		}
-	}
-	var agents []*discovery.Agent
-	for _, id := range ids {
-		mux, err := netmux.New(net, id)
-		if err != nil {
-			return "", 0, err
-		}
-		defer mux.Close()
-		a := discovery.NewAgent(mux, discovery.AgentConfig{CollectWindow: 100 * time.Millisecond, MaxResults: 1})
-		defer a.Close() //nolint:errcheck
-		agents = append(agents, a)
-	}
-	if err := agents[1].Register(bpService("s")); err != nil {
-		return "", 0, err
-	}
-
 	// Cluster registry over mem transport (infrastructure network).
 	fabric := transport.NewFabric()
-	members := make([]string, size)
-	for i := range members {
-		members[i] = fmt.Sprintf("registry%d", i)
+	members, nodes, closeCluster, err := registryCluster(fabric, size)
+	if err != nil {
+		return "", 0, err
 	}
-	var nodes []*cluster.Node
-	defer func() {
-		for _, n := range nodes {
-			if n != nil {
-				_ = n.Close()
-			}
-		}
-	}()
-	for _, id := range members {
-		tr := transport.NewMem(fabric)
-		l, lerr := tr.Listen(id)
-		if lerr != nil {
-			return "", 0, lerr
-		}
-		n, nerr := cluster.NewNode(tr, l, cluster.NodeOptions{Self: id, Members: members})
-		if nerr != nil {
-			return "", 0, nerr
-		}
-		nodes = append(nodes, n)
-	}
+	defer closeCluster()
 	central, err := cluster.NewResolver(transport.NewMem(fabric), cluster.ResolverOptions{Members: members})
 	if err != nil {
 		return "", 0, err
@@ -481,48 +399,10 @@ func e2ClusterScenario(size, lookups int) (mode string, okCount int, err error) 
 	// path survives it.
 	_ = nodes[0].Close()
 	nodes[0] = nil
-
-	ad := discovery.NewAdaptive(central, agents[0], func() int { return 10 }, discovery.DensityPolicy(6), nil)
-	for i := 0; i < lookups; i++ {
-		descs, err := ad.Lookup(&svcdesc.Query{Name: "sensor/bp"})
-		if err == nil && len(descs) > 0 {
-			okCount++
-		}
-	}
-	dec := ad.Decisions.Snapshot()
-	if dec[string(discovery.ModeCentral)] >= dec[string(discovery.ModeFlood)] {
-		mode = string(discovery.ModeCentral)
-	} else {
-		mode = string(discovery.ModeFlood)
-	}
-	return mode, okCount, nil
+	return e2Adaptive(central, 10, lookups)
 }
 
 func e2Scenario(density int, registryUp bool, lookups int) (mode string, okCount int, err error) {
-	// A 3-node line: querier, supplier neighbour, spare.
-	net := netsim.New(netsim.Config{Range: 12, Unlimited: true})
-	defer net.Close()
-	ids := []netsim.NodeID{"q", "s", "r"}
-	for i, id := range ids {
-		if err := net.AddNode(id, netsim.Position{X: float64(i) * 10}); err != nil {
-			return "", 0, err
-		}
-	}
-	var agents []*discovery.Agent
-	for _, id := range ids {
-		mux, err := netmux.New(net, id)
-		if err != nil {
-			return "", 0, err
-		}
-		defer mux.Close()
-		a := discovery.NewAgent(mux, discovery.AgentConfig{CollectWindow: 100 * time.Millisecond, MaxResults: 1})
-		defer a.Close() //nolint:errcheck
-		agents = append(agents, a)
-	}
-	if err := agents[1].Register(bpService("s")); err != nil {
-		return "", 0, err
-	}
-
 	// Central registry over mem transport (infrastructure network).
 	var central discovery.Resolver
 	fabric := transport.NewFabric()
@@ -543,6 +423,36 @@ func e2Scenario(density int, registryUp bool, lookups int) (mode string, okCount
 	} else {
 		// A client pointed at a dead address.
 		central = discovery.NewClient(transport.NewMem(fabric), "registry-gone")
+	}
+	return e2Adaptive(central, density, lookups)
+}
+
+// e2Adaptive runs lookups through the adaptive organization, with central
+// as its centralized side and flooding on a 3-node radio line (querier,
+// supplier neighbour, spare) as the other, and reports the mode it chose
+// more often and how many lookups found the service.
+func e2Adaptive(central discovery.Resolver, density, lookups int) (mode string, okCount int, err error) {
+	net := netsim.New(netsim.Config{Range: 12, Unlimited: true})
+	defer net.Close()
+	ids := []netsim.NodeID{"q", "s", "r"}
+	for i, id := range ids {
+		if err := net.AddNode(id, netsim.Position{X: float64(i) * 10}); err != nil {
+			return "", 0, err
+		}
+	}
+	var agents []*discovery.Agent
+	for _, id := range ids {
+		mux, err := netmux.New(net, id)
+		if err != nil {
+			return "", 0, err
+		}
+		defer mux.Close()
+		a := discovery.NewAgent(mux, discovery.AgentConfig{CollectWindow: 100 * time.Millisecond, MaxResults: 1})
+		defer a.Close() //nolint:errcheck
+		agents = append(agents, a)
+	}
+	if err := agents[1].Register(bpService("s")); err != nil {
+		return "", 0, err
 	}
 
 	ad := discovery.NewAdaptive(central, agents[0], func() int { return density }, discovery.DensityPolicy(6), nil)

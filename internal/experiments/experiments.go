@@ -1,8 +1,8 @@
 // Package experiments contains the reproduction harness: one function per
-// experiment in DESIGN.md's index (F1 and E1–E11). Each returns rendered
-// stats.Tables; cmd/ndsm-bench prints them, the root benchmarks time their
-// cores, and EXPERIMENTS.md records their measured shapes against the
-// paper's claims.
+// experiment in DESIGN.md's index (F1 and E1–E15). Each sizes itself from
+// one switch, quick or full, and returns rendered stats.Tables;
+// cmd/ndsm-bench prints them, and EXPERIMENTS.md records their measured
+// shapes against the paper's claims.
 package experiments
 
 import (
@@ -20,8 +20,8 @@ type Result struct {
 	Chart  string
 }
 
-// F1 regenerates the paper's Figure 1.
-func F1() Result {
+// f1 regenerates the paper's Figure 1.
+func f1() Result {
 	series := bibliometrics.Figure1()
 	t := stats.NewTable("F1 data", "year", "references")
 	for _, yc := range series {

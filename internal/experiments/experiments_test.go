@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // cell fetches a table cell by row/column index.
@@ -29,8 +29,60 @@ func cellFloat(t *testing.T, res Result, table, row, col int) float64 {
 	return v
 }
 
+// quickResults holds TestRunnerQuickAll's run of every experiment, so each
+// shape test below reads its experiment's quick run instead of running it
+// again. TestRunnerQuickAll comes first in the file and refreshes the map on
+// every pass of -count; a shape test run without it runs its experiment.
+var quickResults = map[string]Result{}
+
+// quickRun returns experiment id's quick run.
+func quickRun(t *testing.T, id string) Result {
+	t.Helper()
+	if res, ok := quickResults[id]; ok {
+		return res
+	}
+	res, err := Runner{QuickMode: true}.Run(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestRunnerQuickAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite in -short mode")
+	}
+	clear(quickResults)
+	for _, id := range IDs() {
+		res, err := Runner{QuickMode: true}.Run(id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if !strings.Contains(Render(res), "=== "+id+":") {
+			t.Fatalf("output missing %s", id)
+		}
+		quickResults[id] = res
+	}
+}
+
+// RunAll renders every experiment in order and keeps going past a failure.
+// It runs stand-ins here: TestRunnerQuickAll has run the real ones.
+func TestRunAllKeepsGoing(t *testing.T) {
+	saved := experimentList
+	defer func() { experimentList = saved }()
+	experimentList = []experiment{
+		{"A", func(bool) (Result, error) { return Result{}, errors.New("broken") }},
+		{"B", func(bool) (Result, error) { return Result{ID: "B", Title: "b"}, nil }},
+	}
+	var sb strings.Builder
+	err := (Runner{QuickMode: true}).RunAll(&sb)
+	if err == nil || !strings.Contains(sb.String(), "!! A failed: broken") || !strings.Contains(sb.String(), "=== B: b ===") {
+		t.Fatalf("RunAll: err=%v\n%s", err, sb.String())
+	}
+}
+
 func TestF1(t *testing.T) {
-	res := F1()
+	res := quickRun(t, "F1")
 	if len(res.Tables) != 1 || len(res.Tables[0].Rows) != 13 {
 		t.Fatalf("F1 shape wrong: %+v", res)
 	}
@@ -40,10 +92,7 @@ func TestF1(t *testing.T) {
 }
 
 func TestE1Shape(t *testing.T) {
-	res, err := E1(E1Options{Sizes: []int{9, 16}, Lookups: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E1")
 	rows := res.Tables[0].Rows
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
@@ -83,10 +132,7 @@ func TestE1Shape(t *testing.T) {
 }
 
 func TestE2Shape(t *testing.T) {
-	res, err := E2(E2Options{Lookups: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E2")
 	rows := res.Tables[0].Rows
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
@@ -120,10 +166,7 @@ func TestE2Shape(t *testing.T) {
 }
 
 func TestE3Shape(t *testing.T) {
-	res, err := E3(E3Options{Printers: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E3")
 	utility := cellFloat(t, res, 0, 0, 2)
 	nearest := cellFloat(t, res, 0, 1, 2)
 	reliable := cellFloat(t, res, 0, 2, 2)
@@ -133,10 +176,7 @@ func TestE3Shape(t *testing.T) {
 }
 
 func TestE4Shape(t *testing.T) {
-	res, err := E4(E4Options{Requests: 60, Suppliers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E4")
 	rows := res.Tables[0].Rows
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
@@ -155,10 +195,7 @@ func TestE4Shape(t *testing.T) {
 }
 
 func TestE4XShape(t *testing.T) {
-	res, err := E4X(E4XOptions{Scenarios: 1, Ticks: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E4x")
 	rows := res.Tables[0].Rows
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
@@ -177,10 +214,7 @@ func TestE4XShape(t *testing.T) {
 }
 
 func TestE5Shape(t *testing.T) {
-	res, err := E5(E5Options{Nodes: 16, Packets: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E5")
 	rows := res.Tables[0].Rows
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
@@ -207,10 +241,7 @@ func TestE5Shape(t *testing.T) {
 }
 
 func TestE5Ablation(t *testing.T) {
-	res, err := E5Ablation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E5a")
 	// Hop count takes the drained shortcut; the energy metric detours.
 	if cell(t, res, 0, 0, 1) != "weak" {
 		t.Fatalf("hop metric used relay %s, want weak", cell(t, res, 0, 0, 1))
@@ -227,10 +258,7 @@ func TestE5Ablation(t *testing.T) {
 }
 
 func TestE6Shape(t *testing.T) {
-	res, err := E6(E6Options{SensorsPerVariable: 2, InitialEnergy: 0.005})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E6")
 	rows := res.Tables[0].Rows
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
@@ -248,10 +276,7 @@ func TestE6Shape(t *testing.T) {
 }
 
 func TestE6Ablation(t *testing.T) {
-	res, err := E6Ablation(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E6a")
 	rows := res.Tables[0].Rows
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
@@ -267,10 +292,7 @@ func TestE6Ablation(t *testing.T) {
 }
 
 func TestE7Shape(t *testing.T) {
-	res, err := E7(E7Options{Ops: 100, Sizes: []int{64}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E7")
 	rows := res.Tables[0].Rows
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
@@ -283,10 +305,7 @@ func TestE7Shape(t *testing.T) {
 }
 
 func TestE8Shape(t *testing.T) {
-	res, err := E8(E8Options{Jobs: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E8")
 	if len(res.Tables) != 3 {
 		t.Fatalf("tables = %d", len(res.Tables))
 	}
@@ -311,10 +330,7 @@ func TestE8Shape(t *testing.T) {
 }
 
 func TestE9Shape(t *testing.T) {
-	res, err := E9(E9Options{Ops: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E9")
 	rows := res.Tables[0].Rows
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
@@ -339,10 +355,7 @@ func TestE9Shape(t *testing.T) {
 }
 
 func TestE10Shape(t *testing.T) {
-	res, err := E10(E10Options{Iterations: 200, GatewayOps: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E10")
 	// Codec sizes: binary < json < xml.
 	binSize := cellFloat(t, res, 0, 0, 1)
 	jsonSize := cellFloat(t, res, 0, 1, 1)
@@ -361,10 +374,7 @@ func TestE10Shape(t *testing.T) {
 }
 
 func TestE11Shape(t *testing.T) {
-	res, err := E11(E11Options{Ticks: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E11")
 	rows := res.Tables[0].Rows
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want detector-on and baseline", len(rows))
@@ -389,10 +399,7 @@ func TestE11Shape(t *testing.T) {
 }
 
 func TestE12Shape(t *testing.T) {
-	res, err := E12(E12Options{Ticks: 40, KillAt: 8, KillTicks: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E12")
 	rows := res.Tables[0].Rows
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want classic and cluster", len(rows))
@@ -413,10 +420,7 @@ func TestE12Shape(t *testing.T) {
 }
 
 func TestE13Shape(t *testing.T) {
-	res, err := E13(E13Options{Duration: 350 * time.Millisecond, Loads: []float64{2}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E13")
 	rowByLabel := func(label string) int {
 		for i, row := range res.Tables[0].Rows {
 			if len(row) > 0 && row[0] == label {
@@ -444,13 +448,7 @@ func TestE13Shape(t *testing.T) {
 }
 
 func TestE15Shape(t *testing.T) {
-	res, err := E15(E15Options{
-		Nodes: 2, Requests: 4000, ColdTopics: 6,
-		Duration: 120 * time.Millisecond, Trials: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickRun(t, "E15")
 	if len(res.Tables) != 3 {
 		t.Fatalf("tables: %d, want 3", len(res.Tables))
 	}
@@ -481,24 +479,8 @@ func TestRunnerUnknownID(t *testing.T) {
 	}
 }
 
-func TestRunnerQuickAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite in -short mode")
-	}
-	var sb strings.Builder
-	if err := (Runner{QuickMode: true}).RunAll(&sb); err != nil {
-		t.Fatalf("RunAll: %v\n%s", err, sb.String())
-	}
-	out := sb.String()
-	for _, id := range IDs() {
-		if !strings.Contains(out, "=== "+id+":") {
-			t.Fatalf("output missing %s", id)
-		}
-	}
-}
-
 func TestRender(t *testing.T) {
-	out := Render(F1())
+	out := Render(quickRun(t, "F1"))
 	if !strings.Contains(out, "=== F1:") || !strings.Contains(out, "note:") {
 		t.Fatalf("render:\n%s", out)
 	}

@@ -12,29 +12,11 @@ import (
 	"ndsm/internal/transport"
 )
 
-// E7Options sizes the interaction-style comparison.
-type E7Options struct {
-	// Ops per style/size combination (default 2000).
-	Ops int
-	// Sizes are payload sizes in bytes (default 64 and 4096).
-	Sizes []int
-}
-
-func (o E7Options) withDefaults() E7Options {
-	if o.Ops <= 0 {
-		o.Ops = 2000
-	}
-	if len(o.Sizes) == 0 {
-		o.Sizes = []int{64, 4096}
-	}
-	return o
-}
-
-// E7 measures the four interaction styles of §3.1/§3.6 on an identical
+// e7 measures the four interaction styles of §3.1/§3.6 on an identical
 // round-trip workload over the mem transport: client-server RPC, message
 // queue, publish-subscribe, and tuple space.
-func E7(opts E7Options) (Result, error) {
-	opts = opts.withDefaults()
+func e7(quick bool) (Result, error) {
+	ops := pick(quick, 200, 2000) // per style and payload size
 	table := stats.NewTable("E7: interaction styles",
 		"style", "payload", "ops/sec", "mean µs/op")
 	type styleFn func(size, ops int) (time.Duration, error)
@@ -47,17 +29,17 @@ func E7(opts E7Options) (Result, error) {
 		{"publish-subscribe", e7PubSub},
 		{"tuple space", e7Tuple},
 	}
-	for _, size := range opts.Sizes {
+	for _, size := range pick(quick, []int{64}, []int{64, 4096}) {
 		for _, st := range styles {
-			elapsed, err := st.run(size, opts.Ops)
+			elapsed, err := st.run(size, ops)
 			if err != nil {
 				return Result{}, fmt.Errorf("E7 %s size=%d: %w", st.name, size, err)
 			}
-			perOp := elapsed / time.Duration(opts.Ops)
+			perOp := elapsed / time.Duration(ops)
 			// The payload is a name ("64 B"), not a number: style and payload
 			// together tell one row from another in a baseline file.
 			table.AddRow(st.name, fmt.Sprintf("%d B", size),
-				float64(opts.Ops)/elapsed.Seconds(),
+				float64(ops)/elapsed.Seconds(),
 				float64(perOp.Nanoseconds())/1e3)
 		}
 	}

@@ -10,24 +10,6 @@ import (
 	"ndsm/internal/wire"
 )
 
-// E10Options sizes the interoperability experiment.
-type E10Options struct {
-	// Iterations per codec measurement (default 5000).
-	Iterations int
-	// GatewayOps for the bridge-overhead measurement (default 1000).
-	GatewayOps int
-}
-
-func (o E10Options) withDefaults() E10Options {
-	if o.Iterations <= 0 {
-		o.Iterations = 5000
-	}
-	if o.GatewayOps <= 0 {
-		o.GatewayOps = 1000
-	}
-	return o
-}
-
 func e10Message() *wire.Message {
 	return &wire.Message{
 		ID:       42,
@@ -42,10 +24,10 @@ func e10Message() *wire.Message {
 	}
 }
 
-// E10 compares the codecs (size, encode/decode cost), measures transcoding,
+// e10 compares the codecs (size, encode/decode cost), measures transcoding,
 // and quantifies the latency a domain gateway adds to a request/reply.
-func E10(opts E10Options) (Result, error) {
-	opts = opts.withDefaults()
+func e10(quick bool) (Result, error) {
+	iterations := pick(quick, 500, 5000) // per codec measurement
 	m := e10Message()
 	codecs := []wire.Codec{wire.Binary{}, wire.JSON{}, wire.XML{}}
 
@@ -57,19 +39,19 @@ func E10(opts E10Options) (Result, error) {
 			return Result{}, err
 		}
 		start := time.Now()
-		for i := 0; i < opts.Iterations; i++ {
+		for i := 0; i < iterations; i++ {
 			if _, err := c.Encode(m); err != nil {
 				return Result{}, err
 			}
 		}
-		encUS := float64(time.Since(start).Nanoseconds()) / float64(opts.Iterations) / 1e3
+		encUS := float64(time.Since(start).Nanoseconds()) / float64(iterations) / 1e3
 		start = time.Now()
-		for i := 0; i < opts.Iterations; i++ {
+		for i := 0; i < iterations; i++ {
 			if _, err := c.Decode(data); err != nil {
 				return Result{}, err
 			}
 		}
-		decUS := float64(time.Since(start).Nanoseconds()) / float64(opts.Iterations) / 1e3
+		decUS := float64(time.Since(start).Nanoseconds()) / float64(iterations) / 1e3
 		codecTable.AddRow(c.Name(), len(data), encUS, decUS)
 	}
 
@@ -85,16 +67,16 @@ func E10(opts E10Options) (Result, error) {
 			return Result{}, err
 		}
 		start := time.Now()
-		for i := 0; i < opts.Iterations; i++ {
+		for i := 0; i < iterations; i++ {
 			if _, err := interop.Transcode(data, p.from, p.to); err != nil {
 				return Result{}, err
 			}
 		}
-		us := float64(time.Since(start).Nanoseconds()) / float64(opts.Iterations) / 1e3
+		us := float64(time.Since(start).Nanoseconds()) / float64(iterations) / 1e3
 		bridgeTable.AddRow(fmt.Sprintf("%s -> %s", p.from.Name(), p.to.Name()), us)
 	}
 
-	gwTable, err := e10Gateway(opts.GatewayOps)
+	gwTable, err := e10Gateway(pick(quick, 200, 1000))
 	if err != nil {
 		return Result{}, err
 	}

@@ -8,35 +8,7 @@ import (
 	"ndsm/internal/stats"
 )
 
-// E11Options sizes the bounded-degradation liveness experiment.
-type E11Options struct {
-	// Seed fixes the substrate RNG (default 9).
-	Seed int64
-	// Ticks is the workload length (default 60).
-	Ticks int
-	// FirstKill and SecondKill are the tick offsets of the two permanent
-	// supplier kills (defaults 5 and 15).
-	FirstKill  int
-	SecondKill int
-}
-
-func (o E11Options) withDefaults() E11Options {
-	if o.Seed == 0 {
-		o.Seed = 9
-	}
-	if o.Ticks <= 0 {
-		o.Ticks = 60
-	}
-	if o.FirstKill <= 0 {
-		o.FirstKill = 5
-	}
-	if o.SecondKill <= 0 {
-		o.SecondKill = 15
-	}
-	return o
-}
-
-// E11 measures bounded degradation under the liveness layer: the same seeded
+// e11 measures bounded degradation under the liveness layer: the same seeded
 // kill schedule runs twice, once with the failure detector + breaker on and
 // once with them off, and the runs are compared on how many requests each
 // aimed at dead suppliers.
@@ -50,17 +22,21 @@ func (o E11Options) withDefaults() E11Options {
 // fallback turn each kill into suspicion within a few ticks, selection skips
 // the suspects, and the binding settles on the survivor: degradation stays
 // bounded by detection time instead of compounding.
-func E11(opts E11Options) (Result, error) {
-	opts = opts.withDefaults()
-	const tickEvery = 50 * time.Millisecond
+func e11(quick bool) (Result, error) {
+	const (
+		tickEvery = 50 * time.Millisecond
+		// The ticks of the two permanent supplier kills.
+		firstKill  = 5
+		secondKill = 15
+	)
 	schedule := chaos.Schedule{
-		{At: time.Duration(opts.FirstKill) * tickEvery, Fault: chaos.FaultCrashSupplier, Target: "s0"},
-		{At: time.Duration(opts.SecondKill) * tickEvery, Fault: chaos.FaultCrashSupplier, Target: "s1"},
+		{At: time.Duration(firstKill) * tickEvery, Fault: chaos.FaultCrashSupplier, Target: "s0"},
+		{At: time.Duration(secondKill) * tickEvery, Fault: chaos.FaultCrashSupplier, Target: "s1"},
 	}
 	run := func(disable bool) (*chaos.ScenarioResult, error) {
 		return chaos.RunScenario(chaos.ScenarioConfig{
-			Seed:            opts.Seed,
-			Ticks:           opts.Ticks,
+			Seed:            9,
+			Ticks:           pick(quick, 40, 60),
 			TickEvery:       tickEvery,
 			Schedule:        schedule,
 			DisableLiveness: disable,
@@ -79,7 +55,7 @@ func E11(opts E11Options) (Result, error) {
 	// two runs diverge.
 	tailOK := func(res *chaos.ScenarioResult) float64 {
 		ok, n := 0, 0
-		for i := opts.SecondKill; i < len(res.OKByTick); i++ {
+		for i := secondKill; i < len(res.OKByTick); i++ {
 			n++
 			if res.OKByTick[i] {
 				ok++
@@ -108,7 +84,7 @@ func E11(opts E11Options) (Result, error) {
 	notes := []string{
 		"Both rows replay the identical schedule: permanent kills of the two",
 		"best-reliability suppliers at ticks " +
-			fmt.Sprintf("%d and %d; one supplier survives.", opts.FirstKill, opts.SecondKill),
+			fmt.Sprintf("%d and %d; one supplier survives.", firstKill, secondKill),
 		"'dead-peer attempts' counts ticks whose request was aimed at a killed",
 		"supplier before the liveness layer (if any) diverted it.",
 	}

@@ -9,44 +9,23 @@ import (
 	"ndsm/internal/stats"
 )
 
-// E6Options sizes the MiLAN lifetime experiment.
-type E6Options struct {
-	// SensorsPerVariable sets redundancy (default 4 → 8 sensors total).
-	SensorsPerVariable int
-	// InitialEnergy per sensor in joules (default 0.02 for fast runs).
-	InitialEnergy float64
-	// MaxRounds caps a run (default 2,000,000).
-	MaxRounds int
-	// Seed fixes sensor placement and qualities.
-	Seed int64
-}
-
-func (o E6Options) withDefaults() E6Options {
-	if o.SensorsPerVariable <= 0 {
-		o.SensorsPerVariable = 4
-	}
-	if o.InitialEnergy <= 0 {
-		o.InitialEnergy = 0.02
-	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 2000000
-	}
-	if o.Seed == 0 {
-		o.Seed = 11
-	}
-	return o
-}
-
 const (
 	varBP milan.Variable = "blood-pressure"
 	varHR milan.Variable = "heart-rate"
 
 	stateNormal milan.State = "normal"
+
+	// e6Seed fixes sensor placement and qualities.
+	e6Seed = 11
+	// e6Energy is each sensor's initial energy in joules, small for fast
+	// runs.
+	e6Energy = 0.02
 )
 
 // e6System builds a two-variable monitoring deployment with redundant
-// sensors of random quality scattered around the sink.
-func e6System(opts E6Options, rng *rand.Rand) *milan.System {
+// sensors of random quality scattered around the sink, perVariable of them
+// for each variable.
+func e6System(perVariable int, rng *rand.Rand) *milan.System {
 	sys := &milan.System{
 		App: milan.AppSpec{
 			Variables: []milan.Variable{varBP, varHR},
@@ -59,7 +38,7 @@ func e6System(opts E6Options, rng *rand.Rand) *milan.System {
 		Range:   30,
 	}
 	for v, variable := range []milan.Variable{varBP, varHR} {
-		for i := 0; i < opts.SensorsPerVariable; i++ {
+		for i := 0; i < perVariable; i++ {
 			sys.Sensors = append(sys.Sensors, milan.Sensor{
 				Node:        netsim.NodeID(fmt.Sprintf("s%d-%d", v, i)),
 				QoS:         map[milan.Variable]float64{variable: 0.72 + rng.Float64()*0.2},
@@ -70,7 +49,7 @@ func e6System(opts E6Options, rng *rand.Rand) *milan.System {
 	return sys
 }
 
-func e6Field(sys *milan.System, opts E6Options, rng *rand.Rand) (*netsim.Network, error) {
+func e6Field(sys *milan.System, energy float64, rng *rand.Rand) (*netsim.Network, error) {
 	net := netsim.New(netsim.Config{Range: sys.Range})
 	if err := net.AddNodeEnergy(sys.Sink, sys.SinkPos, 1e6); err != nil {
 		net.Close()
@@ -78,7 +57,7 @@ func e6Field(sys *milan.System, opts E6Options, rng *rand.Rand) (*netsim.Network
 	}
 	for _, sn := range sys.Sensors {
 		pos := netsim.Position{X: 5 + rng.Float64()*20, Y: rng.Float64() * 20}
-		if err := net.AddNodeEnergy(sn.Node, pos, opts.InitialEnergy); err != nil {
+		if err := net.AddNodeEnergy(sn.Node, pos, energy); err != nil {
 			net.Close()
 			return nil, err
 		}
@@ -86,10 +65,10 @@ func e6Field(sys *milan.System, opts E6Options, rng *rand.Rand) (*netsim.Network
 	return net, nil
 }
 
-// E6 is the headline reproduction: network lifetime under MiLAN's
+// e6 is the headline reproduction: network lifetime under MiLAN's
 // lifetime-optimal feasible-set selection versus the baselines.
-func E6(opts E6Options) (Result, error) {
-	opts = opts.withDefaults()
+func e6(quick bool) (Result, error) {
+	perVariable, energy := pick(quick, 2, 4), pick(quick, 0.005, e6Energy)
 	table := stats.NewTable("E6: MiLAN network lifetime",
 		"selector", "lifetime rounds", "vs all-sensors", "reconfigs", "delivered", "first death round")
 
@@ -101,14 +80,14 @@ func E6(opts E6Options) (Result, error) {
 	var results []runResult
 	selectors := []milan.Selector{
 		milan.AllSensors{},
-		milan.RandomFeasible{Rng: rand.New(rand.NewSource(opts.Seed + 1))},
+		milan.RandomFeasible{Rng: rand.New(rand.NewSource(e6Seed + 1))},
 		milan.Greedy{},
 		milan.Exhaustive{},
 	}
 	for _, sel := range selectors {
-		rng := rand.New(rand.NewSource(opts.Seed)) // identical deployments
-		sys := e6System(opts, rng)
-		net, err := e6Field(sys, opts, rng)
+		rng := rand.New(rand.NewSource(e6Seed)) // identical deployments
+		sys := e6System(perVariable, rng)
+		net, err := e6Field(sys, energy, rng)
 		if err != nil {
 			return Result{}, err
 		}
@@ -117,7 +96,7 @@ func E6(opts E6Options) (Result, error) {
 			net.Close()
 			return Result{}, fmt.Errorf("E6 %s: %w", sel.Name(), err)
 		}
-		lifetime, err := mgr.Run(opts.MaxRounds)
+		lifetime, err := mgr.Run(2000000) // rounds cap
 		if err != nil {
 			net.Close()
 			return Result{}, fmt.Errorf("E6 %s run: %w", sel.Name(), err)
@@ -147,22 +126,18 @@ func E6(opts E6Options) (Result, error) {
 	}, nil
 }
 
-// E6Ablation compares MiLAN's exhaustive search against the greedy heuristic
+// e6Ablation compares MiLAN's exhaustive search against the greedy heuristic
 // as the sensor count grows (the cost side of the design choice).
-func E6Ablation(maxSensorsPerVar int) (Result, error) {
-	if maxSensorsPerVar <= 0 {
-		maxSensorsPerVar = 6
-	}
+func e6Ablation(quick bool) (Result, error) {
 	table := stats.NewTable("E6a: selector ablation",
 		"sensors", "selector", "predicted lifetime", "feasible")
-	for spv := 2; spv <= maxSensorsPerVar; spv += 2 {
-		opts := E6Options{SensorsPerVariable: spv, Seed: 11}.withDefaults()
-		rng := rand.New(rand.NewSource(opts.Seed))
-		sys := e6System(opts, rng)
+	for spv := 2; spv <= pick(quick, 4, 6); spv += 2 {
+		rng := rand.New(rand.NewSource(e6Seed))
+		sys := e6System(spv, rng)
 		energies := make(milan.Energies)
 		positions := make(map[netsim.NodeID]netsim.Position)
 		for _, sn := range sys.Sensors {
-			energies[sn.Node] = opts.InitialEnergy
+			energies[sn.Node] = e6Energy
 			positions[sn.Node] = netsim.Position{X: 5 + rng.Float64()*20, Y: rng.Float64() * 20}
 		}
 		for _, sel := range []milan.Selector{milan.Exhaustive{}, milan.Greedy{}} {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,54 +14,21 @@ import (
 	"ndsm/internal/wire"
 )
 
-// E13Options sizes the priority-lane overload experiment.
-type E13Options struct {
-	// Duration is the measured window per (mode, load) point (default 1.5s).
-	Duration time.Duration
-	// Loads are offered-load multiples of server capacity (default 0.5, 1, 2).
-	Loads []float64
-	// ServiceTime is the simulated per-request work (default 2ms).
-	ServiceTime time.Duration
-	// MaxInFlight is the server's concurrency bound (default 8).
-	MaxInFlight int
-	// ControlPeriod spaces the periodic control loop's requests; each request's
-	// deadline is the next period boundary (default 10ms).
-	ControlPeriod time.Duration
-	// BulkDeadline bounds each bulk transfer request (default 100ms).
-	BulkDeadline time.Duration
-	// ControlQuota reserves admission slots for the control lane (default 2).
-	ControlQuota int
-	// QueueDepth bounds each lane's pending queue in lanes mode (default 32).
-	QueueDepth int
-}
+// The overload workload's shape, shared by E13 and E14: a server with
+// overloadSlots concurrent slots, overloadWork of simulated work a request,
+// and a control loop probing every overloadPeriod with the period as its
+// deadline.
+const (
+	overloadSlots  = 8
+	overloadWork   = 2 * time.Millisecond
+	overloadPeriod = 10 * time.Millisecond
+)
 
-func (o E13Options) withDefaults() E13Options {
-	if o.Duration <= 0 {
-		o.Duration = 1500 * time.Millisecond
-	}
-	if len(o.Loads) == 0 {
-		o.Loads = []float64{0.5, 1, 2}
-	}
-	if o.ServiceTime <= 0 {
-		o.ServiceTime = 2 * time.Millisecond
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 8
-	}
-	if o.ControlPeriod <= 0 {
-		o.ControlPeriod = 10 * time.Millisecond
-	}
-	if o.BulkDeadline <= 0 {
-		o.BulkDeadline = 100 * time.Millisecond
-	}
-	if o.ControlQuota <= 0 {
-		o.ControlQuota = 2
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 32
-	}
-	return o
-}
+const (
+	e13BulkDeadline = 100 * time.Millisecond // bounds each bulk transfer request
+	e13ControlQuota = 2                      // lanes mode's control-lane reservation
+	e13QueueDepth   = 32                     // lanes mode's pending queue per lane
+)
 
 // e13Point is one (mode, load) measurement.
 type e13Point struct {
@@ -70,7 +38,6 @@ type e13Point struct {
 	ctlMiss     int64
 	bulkOK      int64
 	bulkShed    int64
-	bulkMiss    int64 // timed out / late, not shed
 	srvExpired  int64
 	srvPreempt  int64
 	bulkOffered int64
@@ -84,7 +51,7 @@ var e13Gates = []Gate{
 		"control-lane deadline-miss % at 2x overload (isolation)"},
 }
 
-// E13 drives a simulated periodic control loop alongside an open-loop bulk
+// e13 drives a simulated periodic control loop alongside an open-loop bulk
 // telemetry flood at a bounded endpoint server, sweeping offered load from
 // half capacity to 2x overload, and compares two admission modes on the same
 // workload: "flat" (the old single MaxInFlight bound, first-come first-served)
@@ -95,12 +62,14 @@ var e13Gates = []Gate{
 // lane reservation, the control loop's deadline-miss rate stays ~0% even at 2x
 // overload, because bulk traffic is what sheds; under the flat bound the bulk
 // flood monopolizes every slot and the control loop starves.
-func E13(opts E13Options) (Result, error) {
-	opts = opts.withDefaults()
+func e13(quick bool) (Result, error) {
+	// The measured window of each (mode, load) point.
+	duration := pick(quick, 350*time.Millisecond, 1500*time.Millisecond)
 	var points []e13Point
 	for _, mode := range []string{"flat", "lanes"} {
-		for _, load := range opts.Loads {
-			p, err := e13Run(mode, load, opts)
+		// Offered load as a multiple of server capacity.
+		for _, load := range pick(quick, []float64{1, 2}, []float64{0.5, 1, 2}) {
+			p, err := e13Run(mode, load, duration)
 			if err != nil {
 				return Result{}, fmt.Errorf("E13 %s %.1fx: %w", mode, load, err)
 			}
@@ -127,9 +96,9 @@ func E13(opts E13Options) (Result, error) {
 
 	notes := []string{
 		fmt.Sprintf("server: MaxInFlight %d, service time %v; control loop period %v (deadline = period);",
-			opts.MaxInFlight, opts.ServiceTime, opts.ControlPeriod),
+			overloadSlots, overloadWork, overloadPeriod),
 		fmt.Sprintf("lanes mode reserves %d slots for the control lane and queues %d per lane;",
-			opts.ControlQuota, opts.QueueDepth),
+			e13ControlQuota, e13QueueDepth),
 		"bulk is an open-loop flood of lane-bulk futures at the stated multiple of capacity.",
 	}
 	for _, p := range points {
@@ -148,53 +117,121 @@ func E13(opts E13Options) (Result, error) {
 }
 
 // e13Run measures one (mode, load) point on a fresh server.
-func e13Run(mode string, load float64, opts E13Options) (e13Point, error) {
+func e13Run(mode string, load float64, duration time.Duration) (e13Point, error) {
 	reg := obs.NewRegistry()
-	tr := transport.NewMem(transport.NewFabric())
-	l, err := tr.Listen("srv")
-	if err != nil {
-		return e13Point{}, err
-	}
-	sopts := endpoint.ServerOptions{Name: "srv", MaxInFlight: opts.MaxInFlight, Metrics: reg}
+	var lanes *endpoint.LaneConfig
 	if mode == "lanes" {
-		sopts.Lanes = &endpoint.LaneConfig{
-			Quota:      map[endpoint.Lane]int{endpoint.LaneControl: opts.ControlQuota},
-			QueueDepth: opts.QueueDepth,
+		lanes = &endpoint.LaneConfig{
+			Quota:      map[endpoint.Lane]int{endpoint.LaneControl: e13ControlQuota},
+			QueueDepth: e13QueueDepth,
 		}
 	}
-	srv := endpoint.NewServer(l, sopts)
-	defer srv.Close()
-	srv.Handle("work", func(req *wire.Message) (*wire.Message, error) {
-		time.Sleep(opts.ServiceTime)
-		return &wire.Message{Kind: wire.KindReply}, nil
-	})
-
-	// Separate callers per lane: each classifies its whole traffic stream
-	// once, the way a real control plane and a real bulk pipeline would.
-	ctl, err := endpoint.NewCaller(tr, "srv", endpoint.CallerOptions{Lane: endpoint.LaneControl})
+	rig, err := newOverloadRig(lanes, reg)
 	if err != nil {
 		return e13Point{}, err
 	}
-	defer ctl.Close()
-	bulk, err := endpoint.NewCaller(tr, "srv", endpoint.CallerOptions{Lane: endpoint.LaneBulk})
-	if err != nil {
-		return e13Point{}, err
-	}
-	defer bulk.Close()
+	defer rig.close()
 
 	p := e13Point{mode: mode, load: load}
 	stop := make(chan struct{})
-	var wg sync.WaitGroup // bulk producer
-	var futs sync.WaitGroup
-	var offered, ok64, shed64, miss64 atomic.Int64
+	var ok, shed atomic.Int64
+	// The flood lasts until the control loop is done.
+	wait := rig.flood(time.Now(), load, math.MaxInt64, e13BulkDeadline, stop, func(err error) {
+		switch {
+		case err == nil:
+			ok.Add(1)
+		case endpoint.IsShed(err):
+			shed.Add(1)
+		}
+	})
 
-	// Open-loop bulk flood: capacity is MaxInFlight/ServiceTime requests per
-	// second; offer load x that, self-correcting against timer jitter.
-	rate := load * float64(opts.MaxInFlight) / opts.ServiceTime.Seconds()
+	// Periodic control loop: one request per period, deadline = the period.
+	// A miss is any error (a shed counts — the work did not complete in time).
+	deadline := time.Now().Add(duration)
+	for time.Now().Before(deadline) {
+		began := time.Now()
+		_, err := rig.ctl.Do(&endpoint.Call{Topic: "work", Timeout: overloadPeriod})
+		if err == nil {
+			p.ctlHit++
+		} else {
+			p.ctlMiss++
+		}
+		if rest := overloadPeriod - time.Since(began); rest > 0 {
+			time.Sleep(rest)
+		}
+	}
+	close(stop)
+	p.bulkOffered = wait()
+	p.bulkOK = ok.Load()
+	p.bulkShed = shed.Load()
+	if mode == "lanes" {
+		p.srvExpired = reg.Counter("srv.shed.expired").Value()
+		p.srvPreempt = reg.Counter("srv.shed.preempted").Value()
+	}
+	return p, nil
+}
+
+// overloadRig is the overload workload E13 and E14 share: a server with
+// overloadSlots slots whose "work" handler takes overloadWork, and one
+// caller per lane. Each caller classifies its whole traffic stream once, the
+// way a real control plane and a real bulk pipeline would.
+type overloadRig struct {
+	srv       *endpoint.Server
+	ctl, bulk *endpoint.Caller
+}
+
+// newOverloadRig starts the server on a fresh mem fabric, with lanes (nil
+// for the flat bound) and metrics, and dials its two callers.
+func newOverloadRig(lanes *endpoint.LaneConfig, metrics *obs.Registry) (*overloadRig, error) {
+	tr := transport.NewMem(transport.NewFabric())
+	l, err := tr.Listen("srv")
+	if err != nil {
+		return nil, err
+	}
+	r := &overloadRig{srv: endpoint.NewServer(l, endpoint.ServerOptions{
+		Name:        "srv",
+		MaxInFlight: overloadSlots,
+		Metrics:     metrics,
+		Lanes:       lanes,
+	})}
+	r.srv.Handle("work", func(req *wire.Message) (*wire.Message, error) {
+		time.Sleep(overloadWork)
+		return &wire.Message{Kind: wire.KindReply}, nil
+	})
+	if r.ctl, err = endpoint.NewCaller(tr, "srv", endpoint.CallerOptions{Lane: endpoint.LaneControl}); err != nil {
+		r.close()
+		return nil, err
+	}
+	if r.bulk, err = endpoint.NewCaller(tr, "srv", endpoint.CallerOptions{Lane: endpoint.LaneBulk}); err != nil {
+		r.close()
+		return nil, err
+	}
+	return r, nil
+}
+
+func (r *overloadRig) close() {
+	if r.bulk != nil {
+		r.bulk.Close()
+	}
+	if r.ctl != nil {
+		r.ctl.Close()
+	}
+	r.srv.Close()
+}
+
+// flood offers bulk calls open-loop at load times the server's capacity
+// from a 1 ms ticker, self-correcting against timer jitter, until stop
+// closes or floodFor has passed since start. Each call's outcome goes to
+// settle. The returned func waits for the flood and every call it made, and
+// returns how many calls it offered.
+func (r *overloadRig) flood(start time.Time, load float64, floodFor, timeout time.Duration,
+	stop <-chan struct{}, settle func(error)) (wait func() int64) {
+	rate := load * overloadSlots / overloadWork.Seconds()
+	var offered int64
+	var wg, futs sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		start := time.Now()
 		tick := time.NewTicker(time.Millisecond)
 		defer tick.Stop()
 		for {
@@ -203,53 +240,24 @@ func e13Run(mode string, load float64, opts E13Options) (e13Point, error) {
 				return
 			case <-tick.C:
 			}
-			due := int64(time.Since(start).Seconds() * rate)
-			for offered.Load() < due {
-				offered.Add(1)
-				fut := bulk.Go(&endpoint.Call{Topic: "work", Timeout: opts.BulkDeadline})
+			elapsed := time.Since(start)
+			if elapsed >= floodFor {
+				return
+			}
+			for due := int64(elapsed.Seconds() * rate); offered < due; offered++ {
+				fut := r.bulk.Go(&endpoint.Call{Topic: "work", Timeout: timeout})
 				futs.Add(1)
 				go func() {
 					defer futs.Done()
 					_, err := fut.Wait()
-					switch {
-					case err == nil:
-						ok64.Add(1)
-					case endpoint.IsShed(err):
-						shed64.Add(1)
-					default:
-						miss64.Add(1)
-					}
+					settle(err)
 				}()
 			}
 		}
 	}()
-
-	// Periodic control loop: one request per period, deadline = the period.
-	// A miss is any error (a shed counts — the work did not complete in time).
-	deadline := time.Now().Add(opts.Duration)
-	for time.Now().Before(deadline) {
-		began := time.Now()
-		_, err := ctl.Do(&endpoint.Call{Topic: "work", Timeout: opts.ControlPeriod})
-		if err == nil {
-			p.ctlHit++
-		} else {
-			p.ctlMiss++
-		}
-		if rest := opts.ControlPeriod - time.Since(began); rest > 0 {
-			time.Sleep(rest)
-		}
+	return func() int64 {
+		wg.Wait()
+		futs.Wait()
+		return offered
 	}
-	close(stop)
-	wg.Wait()
-	futs.Wait()
-
-	p.bulkOffered = offered.Load()
-	p.bulkOK = ok64.Load()
-	p.bulkShed = shed64.Load()
-	p.bulkMiss = miss64.Load()
-	if mode == "lanes" {
-		p.srvExpired = reg.Counter("srv.shed.expired").Value()
-		p.srvPreempt = reg.Counter("srv.shed.preempted").Value()
-	}
-	return p, nil
 }

@@ -15,34 +15,15 @@ import (
 	"ndsm/internal/transport"
 )
 
-// E3Options sizes the QoS matching experiment.
-type E3Options struct {
-	// Printers is the candidate population (default 100).
-	Printers int
-	// Seed fixes the candidate generator.
-	Seed int64
-}
-
-func (o E3Options) withDefaults() E3Options {
-	if o.Printers <= 0 {
-		o.Printers = 100
-	}
-	if o.Seed == 0 {
-		o.Seed = 17
-	}
-	return o
-}
-
-// E3 reproduces §3.4's "nearest best-matched printer": utility-based
+// e3 reproduces §3.4's "nearest best-matched printer": utility-based
 // selection against the two naive strategies the paper warns about
 // (logical/reliability-only matching, and distance-only matching).
-func E3(opts E3Options) (Result, error) {
-	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
+func e3(quick bool) (Result, error) {
+	rng := rand.New(rand.NewSource(17))
 	user := &svcdesc.Location{X: 50, Y: 50}
 
 	var printers []*svcdesc.Description
-	for i := 0; i < opts.Printers; i++ {
+	for i, n := 0, pick(quick, 30, 100); i < n; i++ {
 		printers = append(printers, &svcdesc.Description{
 			Name:        "printer",
 			Provider:    fmt.Sprintf("printer-%02d", i),
@@ -79,7 +60,7 @@ func E3(opts E3Options) (Result, error) {
 	}
 	now := time.Date(2003, 6, 1, 12, 0, 0, 0, time.UTC)
 
-	pick := func(strategy string) *svcdesc.Description {
+	choose := func(strategy string) *svcdesc.Description {
 		switch strategy {
 		case "utility":
 			return qos.Select(spec, printers, now)
@@ -105,7 +86,7 @@ func E3(opts E3Options) (Result, error) {
 	table := stats.NewTable("E3: nearest best-matched printer",
 		"strategy", "chosen", "utility", "distance m", "reliability")
 	for _, strategy := range []string{"utility", "nearest-only", "reliability-only"} {
-		d := pick(strategy)
+		d := choose(strategy)
 		if d == nil {
 			return Result{}, fmt.Errorf("E3: %s found no printer", strategy)
 		}
@@ -125,39 +106,16 @@ func E3(opts E3Options) (Result, error) {
 	}, nil
 }
 
-// E4Options sizes the graceful-degradation experiment.
-type E4Options struct {
-	// Requests per run (default 200).
-	Requests int
-	// Suppliers available (default 5).
-	Suppliers int
-	// Seed fixes the failure schedule.
-	Seed int64
-}
-
-func (o E4Options) withDefaults() E4Options {
-	if o.Requests <= 0 {
-		o.Requests = 200
-	}
-	if o.Suppliers <= 0 {
-		o.Suppliers = 5
-	}
-	if o.Seed == 0 {
-		o.Seed = 23
-	}
-	return o
-}
-
-// E4 measures graceful degradation: request success ratio as suppliers are
+// e4 measures graceful degradation: request success ratio as suppliers are
 // killed at increasing rates, with the kernel's re-matching on versus a
 // static binding baseline.
-func E4(opts E4Options) (Result, error) {
-	opts = opts.withDefaults()
+func e4(quick bool) (Result, error) {
+	requests, suppliers := pick(quick, 60, 200), pick(quick, 3, 5)
 	table := stats.NewTable("E4: availability under supplier failures",
 		"kill rate", "mode", "success %", "rebinds", "suppliers left")
 	for _, killRate := range []float64{0, 0.01, 0.03} {
 		for _, adaptive := range []bool{true, false} {
-			success, rebinds, left, err := e4Run(opts, killRate, adaptive)
+			success, rebinds, left, err := e4Run(requests, suppliers, killRate, adaptive)
 			if err != nil {
 				return Result{}, fmt.Errorf("E4 rate=%v adaptive=%v: %w", killRate, adaptive, err)
 			}
@@ -188,10 +146,10 @@ const e4Tick = time.Millisecond
 // fires after the i-th clock advance — i.e. right before request i, exactly
 // when the old loop killed. The target "@peer" is resolved at inject time to
 // whichever supplier the binding is then using (worst case).
-func e4Schedule(opts E4Options, killRate float64) chaos.Schedule {
-	rng := rand.New(rand.NewSource(opts.Seed))
+func e4Schedule(requests int, killRate float64) chaos.Schedule {
+	rng := rand.New(rand.NewSource(23))
 	var sched chaos.Schedule
-	for i := 0; i < opts.Requests; i++ {
+	for i := 0; i < requests; i++ {
 		if killRate > 0 && rng.Float64() < killRate {
 			sched = append(sched, chaos.Step{
 				At:     time.Duration(i+1) * e4Tick,
@@ -203,7 +161,7 @@ func e4Schedule(opts E4Options, killRate float64) chaos.Schedule {
 	return sched
 }
 
-func e4Run(opts E4Options, killRate float64, adaptive bool) (successRatio float64, rebinds int64, suppliersLeft int, err error) {
+func e4Run(requests, suppliers int, killRate float64, adaptive bool) (successRatio float64, rebinds int64, suppliersLeft int, err error) {
 	fabric := transport.NewFabric()
 	registry := discovery.NewStore(nil, 0)
 
@@ -220,7 +178,7 @@ func e4Run(opts E4Options, killRate float64, adaptive bool) (successRatio float6
 		name string
 	}
 	var sups []*sup
-	for i := 0; i < opts.Suppliers; i++ {
+	for i := 0; i < suppliers; i++ {
 		name := fmt.Sprintf("supplier-%d", i)
 		n, err := mkNode(name)
 		if err != nil {
@@ -271,10 +229,10 @@ func e4Run(opts E4Options, killRate float64, adaptive bool) (successRatio float6
 		kill(target)
 		return nil, nil
 	}))
-	engine.Load(e4Schedule(opts, killRate))
+	engine.Load(e4Schedule(requests, killRate))
 
 	ok := 0
-	for i := 0; i < opts.Requests; i++ {
+	for i := 0; i < requests; i++ {
 		clock.Advance(e4Tick)
 		if err := engine.Step(); err != nil {
 			return 0, 0, 0, err
@@ -283,17 +241,12 @@ func e4Run(opts E4Options, killRate float64, adaptive bool) (successRatio float6
 		if adaptive {
 			_, err = binding.Request([]byte("r"))
 		} else {
-			_, err = requestStatic(binding, []byte("r"))
+			// A static binding fails for good once its supplier dies.
+			_, err = binding.RequestStatic([]byte("r"))
 		}
 		if err == nil {
 			ok++
 		}
 	}
-	return float64(ok) / float64(opts.Requests), binding.Rebinds.Load(), len(alive), nil
-}
-
-// requestStatic suppresses the binding's rebind machinery to model a
-// middleware-less client: it fails permanently once its supplier dies.
-func requestStatic(b *core.Binding, payload []byte) ([]byte, error) {
-	return b.RequestStatic(payload)
+	return float64(ok) / float64(requests), binding.Rebinds.Load(), len(alive), nil
 }

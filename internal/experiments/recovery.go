@@ -10,21 +10,6 @@ import (
 	"ndsm/internal/stats"
 )
 
-// E9Options sizes the recovery experiment.
-type E9Options struct {
-	// Ops per run (default 5000).
-	Ops int
-	// Dir for WAL files (default: a temp dir).
-	Dir string
-}
-
-func (o E9Options) withDefaults() E9Options {
-	if o.Ops <= 0 {
-		o.Ops = 5000
-	}
-	return o
-}
-
 // counterState is a trivially recoverable state machine used to measure the
 // log, not the application.
 type counterState struct {
@@ -38,10 +23,10 @@ func (s *counterState) Apply(data []byte) error {
 func (s *counterState) Snapshot() ([]byte, error) { return json.Marshal(s) }
 func (s *counterState) Restore(b []byte) error    { return json.Unmarshal(b, s) }
 
-// E9 measures the write-ahead log: logging throughput under the two sync
+// e9 measures the write-ahead log: logging throughput under the two sync
 // policies, crash-replay time, and the effect of checkpointing on replay.
-func E9(opts E9Options) (Result, error) {
-	opts = opts.withDefaults()
+func e9(quick bool) (Result, error) {
+	ops := pick(quick, 500, 5000) // per run
 	table := stats.NewTable("E9: recovery system",
 		"configuration", "log ops/sec", "replay ops", "replay ms", "state intact")
 
@@ -54,7 +39,7 @@ func E9(opts E9Options) (Result, error) {
 		{"sync every append, no checkpoint", true, false},
 		{"group commit + checkpoint@50%", false, true},
 	} {
-		row, err := e9Run(opts, cfg.sync, cfg.checkpoint)
+		row, err := e9Run(ops, cfg.sync, cfg.checkpoint)
 		if err != nil {
 			return Result{}, fmt.Errorf("E9 %s: %w", cfg.name, err)
 		}
@@ -78,16 +63,12 @@ type e9Row struct {
 	intact       bool
 }
 
-func e9Run(opts E9Options, syncEvery, checkpoint bool) (e9Row, error) {
-	dir := opts.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "ndsm-e9")
-		if err != nil {
-			return e9Row{}, err
-		}
-		defer os.RemoveAll(dir)
+func e9Run(ops int, syncEvery, checkpoint bool) (e9Row, error) {
+	dir, err := os.MkdirTemp("", "ndsm-e9")
+	if err != nil {
+		return e9Row{}, err
 	}
+	defer os.RemoveAll(dir)
 	sm := &counterState{}
 	mgr, err := recovery.NewManager(dir, sm, recovery.WALOptions{SyncEveryAppend: syncEvery})
 	if err != nil {
@@ -95,13 +76,9 @@ func e9Run(opts E9Options, syncEvery, checkpoint bool) (e9Row, error) {
 	}
 	payload := make([]byte, 64)
 
-	ops := opts.Ops
 	if syncEvery {
 		// fsync-per-op is slow; keep the run bounded.
-		ops = opts.Ops / 10
-		if ops < 100 {
-			ops = 100
-		}
+		ops = max(ops/10, 100)
 	}
 	start := time.Now()
 	for i := 0; i < ops; i++ {

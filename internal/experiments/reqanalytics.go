@@ -17,52 +17,10 @@ import (
 	"ndsm/internal/wire"
 )
 
-// E15Options sizes the request-analytics experiment.
-type E15Options struct {
-	// Seed fixes the workload RNG (default 15).
-	Seed int64
-	// Nodes is how many recorders (simulated nodes) feed the aggregator
-	// (default 3).
-	Nodes int
-	// Requests is the per-node request count (default 20000).
-	Requests int
-	// ColdTopics is how many background topics share the non-hot traffic
-	// (default 12).
-	ColdTopics int
-	// HotShare is the injected hot topic's traffic fraction (default 0.5).
-	HotShare float64
-	// Duration is one closed-loop throughput trial's measured window
-	// (default 300ms).
-	Duration time.Duration
-	// Trials is how many interleaved off/on throughput trials run; the best
-	// of each mode is compared, which cancels scheduler noise (default 3).
-	Trials int
-}
-
-func (o E15Options) withDefaults() E15Options {
-	if o.Seed == 0 {
-		o.Seed = 15
-	}
-	if o.Nodes <= 0 {
-		o.Nodes = 3
-	}
-	if o.Requests <= 0 {
-		o.Requests = 20000
-	}
-	if o.ColdTopics <= 0 {
-		o.ColdTopics = 12
-	}
-	if o.HotShare <= 0 || o.HotShare >= 1 {
-		o.HotShare = 0.5
-	}
-	if o.Duration <= 0 {
-		o.Duration = 300 * time.Millisecond
-	}
-	if o.Trials <= 0 {
-		o.Trials = 3
-	}
-	return o
-}
+const (
+	e15Seed     = 15  // fixes the workload RNG
+	e15HotShare = 0.5 // the injected hot topic's traffic fraction
+)
 
 // e15Gates: the injected hot topic must rank #1 in the cluster-merged top-k,
 // the merged histogram's p99 must sit within 5% of the exact distribution, the
@@ -83,7 +41,7 @@ var e15Gates = []Gate{
 		"wide-event overhead per request (closed-loop echo)"},
 }
 
-// E15 validates the request-analytics plane on both of its promises:
+// e15 validates the request-analytics plane on both of its promises:
 //
 //   - Attribution accuracy: a skewed workload with one injected hot topic is
 //     recorded on every node, the per-node sketches ship through telemetry
@@ -101,17 +59,22 @@ var e15Gates = []Gate{
 //
 // Both halves gate absolutely in ndsm-bench -compare: rank, p99 error,
 // allocs/op, and the per-request overhead have contracts, not baselines.
-func E15(opts E15Options) (Result, error) {
-	opts = opts.withDefaults()
+func e15(quick bool) (Result, error) {
+	// Recorders (simulated nodes) feeding the aggregator, requests per node,
+	// and the background topics sharing the non-hot traffic.
+	nodes, requests, coldTopics := pick(quick, 2, 3), pick(quick, 4000, 20000), pick(quick, 6, 12)
+	// Interleaved off/on throughput trials, each one closed-loop window; the
+	// best of each mode is compared, which cancels scheduler noise.
+	trials, window := pick(quick, 2, 3), pick(quick, 120*time.Millisecond, 300*time.Millisecond)
 
-	acc, err := e15Attribution(opts)
+	acc, err := e15Attribution(nodes, requests, coldTopics)
 	if err != nil {
 		return Result{}, fmt.Errorf("E15 attribution: %w", err)
 	}
 
 	allocs := e15SampledOutAllocs()
 
-	off, on, err := e15ThroughputPair(opts)
+	off, on, err := e15ThroughputPair(trials, window)
 	if err != nil {
 		return Result{}, fmt.Errorf("E15 throughput: %w", err)
 	}
@@ -139,10 +102,10 @@ func E15(opts E15Options) (Result, error) {
 
 	notes := []string{
 		fmt.Sprintf("workload: %d nodes x %d requests, hot topic at %.0f%% share over %d cold topics (seed %d);",
-			opts.Nodes, opts.Requests, 100*opts.HotShare, opts.ColdTopics, opts.Seed),
+			nodes, requests, 100*e15HotShare, coldTopics, e15Seed),
 		"sketches travel inside telemetry reports; quantiles and ranks are read from the aggregator's cluster merge, never from raw samples;",
 		fmt.Sprintf("throughput: best of %d interleaved %v closed-loop trials per mode; overhead is the added round-trip time on a no-op in-memory echo — the worst case, since nothing amortizes the recorder's two clock reads;",
-			opts.Trials, opts.Duration),
+			trials, window),
 		"the <5% contract on a representative workload lives in benchmark/: rpc_small_tcp's servers record wide events, so its capacity_rps and cpu_us_per_req are already instrumented.",
 	}
 	if acc.hotRank != 1 {
@@ -174,7 +137,7 @@ type e15Accuracy struct {
 // e15Attribution drives the skewed workload through per-node recorders,
 // ships each node's sketches in a telemetry report, and compares the
 // aggregator's cluster-wide merge against the exact per-topic distributions.
-func e15Attribution(opts E15Options) (e15Accuracy, error) {
+func e15Attribution(nodes, requests, coldTopics int) (e15Accuracy, error) {
 	const hotTopic = "svc/hot"
 	coldTopic := func(i int) string { return fmt.Sprintf("svc/cold%02d", i) }
 
@@ -187,17 +150,17 @@ func e15Attribution(opts E15Options) (e15Accuracy, error) {
 	exact := make(map[string][]float64)
 	counts := make(map[string]float64)
 
-	for n := 0; n < opts.Nodes; n++ {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(n)))
+	for n := 0; n < nodes; n++ {
+		rng := rand.New(rand.NewSource(e15Seed + int64(n)))
 		rec := reqlog.New(reqlog.Options{Registry: obs.NewRegistry()})
-		for i := 0; i < opts.Requests; i++ {
+		for i := 0; i < requests; i++ {
 			topic := hotTopic
 			// Hot traffic is fast and heavy; each cold topic is a slower
 			// long-tailed stream, so ranks and quantiles pull in opposite
 			// directions — exactly the confusion attribution must resolve.
 			latMs := 1 + rng.ExpFloat64()*2
-			if rng.Float64() >= opts.HotShare {
-				c := rng.Intn(opts.ColdTopics)
+			if rng.Float64() >= e15HotShare {
+				c := rng.Intn(coldTopics)
 				topic = coldTopic(c)
 				latMs = 5 + float64(c) + rng.ExpFloat64()*20
 			}
@@ -270,7 +233,7 @@ func e15Attribution(opts E15Options) (e15Accuracy, error) {
 
 	// The worst cold topic by p99 error: attribution has to hold on the
 	// long tail too, not only on the headline heavy hitter.
-	for i := 0; i < opts.ColdTopics; i++ {
+	for i := 0; i < coldTopics; i++ {
 		topic := coldTopic(i)
 		rank, est := rankOf(topic)
 		p50, err := quantErr(topic, 0.50)
@@ -323,16 +286,16 @@ func e15SampledOutAllocs() float64 {
 // server-side recorder off and on, interleaving trials and keeping each
 // mode's best — the stable way to read a sub-microsecond per-request
 // overhead through scheduler noise.
-func e15ThroughputPair(opts E15Options) (off, on float64, err error) {
-	for t := 0; t < opts.Trials; t++ {
-		a, err := e15Throughput(false, opts.Duration)
+func e15ThroughputPair(trials int, window time.Duration) (off, on float64, err error) {
+	for t := 0; t < trials; t++ {
+		a, err := e15Throughput(false, window)
 		if err != nil {
 			return 0, 0, err
 		}
 		if a > off {
 			off = a
 		}
-		b, err := e15Throughput(true, opts.Duration)
+		b, err := e15Throughput(true, window)
 		if err != nil {
 			return 0, 0, err
 		}

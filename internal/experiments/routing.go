@@ -9,34 +9,11 @@ import (
 	"ndsm/internal/stats"
 )
 
-// E5Options sizes the routing comparison.
-type E5Options struct {
-	// Nodes in the grid (default 49).
-	Nodes int
-	// Packets sent corner-to-corner per strategy (default 20).
-	Packets int
-	// PayloadBytes per packet (default 128).
-	PayloadBytes int
-}
-
-func (o E5Options) withDefaults() E5Options {
-	if o.Nodes <= 0 {
-		o.Nodes = 49
-	}
-	if o.Packets <= 0 {
-		o.Packets = 20
-	}
-	if o.PayloadBytes <= 0 {
-		o.PayloadBytes = 128
-	}
-	return o
-}
-
-// E5 compares the four routing strategies on the same corner-to-corner
+// e5 compares the four routing strategies on the same corner-to-corner
 // workload: delivery ratio, radio transmissions per delivered packet, energy
 // per delivered packet, and control traffic.
-func E5(opts E5Options) (Result, error) {
-	opts = opts.withDefaults()
+func e5(quick bool) (Result, error) {
+	nodes, packets := pick(quick, 16, 49), pick(quick, 5, 20)
 	table := stats.NewTable("E5: routing strategies",
 		"strategy", "delivered", "tx/delivered", "energy mJ/delivered", "control msgs")
 
@@ -53,11 +30,11 @@ func E5(opts E5Options) (Result, error) {
 		{"geographic", func() routing.Strategy { return routing.Geographic{} }, 0},
 	}
 	for _, st := range strategies {
-		row, err := e5Run(opts, st.factory, st.converge)
+		row, err := e5Run(nodes, packets, st.factory, st.converge)
 		if err != nil {
 			return Result{}, fmt.Errorf("E5 %s: %w", st.name, err)
 		}
-		table.AddRow(st.name, fmt.Sprintf("%d/%d", row.delivered, opts.Packets),
+		table.AddRow(st.name, fmt.Sprintf("%d/%d", row.delivered, packets),
 			row.txPerDelivered, row.energyPerDelivered*1e3, row.controlMsgs)
 	}
 	return Result{
@@ -79,10 +56,12 @@ type e5Row struct {
 	controlMsgs        int64
 }
 
-func e5Run(opts E5Options, factory func() routing.Strategy, converge int) (e5Row, error) {
+// e5Run sends packets corner to corner across a grid of nodes, each
+// packet 128 bytes.
+func e5Run(nodes, packets int, factory func() routing.Strategy, converge int) (e5Row, error) {
 	net := netsim.New(netsim.Config{Range: 12, Unlimited: true})
 	defer net.Close()
-	ids, err := netsim.GridField(net, "n", opts.Nodes, 10)
+	ids, err := netsim.GridField(net, "n", nodes, 10)
 	if err != nil {
 		return e5Row{}, err
 	}
@@ -103,9 +82,9 @@ func e5Run(opts E5Options, factory func() routing.Strategy, converge int) (e5Row
 	if err != nil {
 		return e5Row{}, err
 	}
-	payload := make([]byte, opts.PayloadBytes)
+	payload := make([]byte, 128)
 	sent := 0
-	for i := 0; i < opts.Packets; i++ {
+	for i := 0; i < packets; i++ {
 		if err := mesh.Router(src).Send(src, dst, payload); err == nil {
 			sent++
 		}
@@ -134,11 +113,11 @@ collect:
 	return row, nil
 }
 
-// E5Ablation compares the DV metric choice (hop vs energy) where they must
+// e5Ablation compares the DV metric choice (hop vs energy) where they must
 // disagree: the shortest path runs through a nearly-drained relay, a longer
 // detour through healthy ones. Hop count takes the short path and finishes
 // the weak node off; the energy metric pays the extra hop and spares it.
-func E5Ablation() (Result, error) {
+func e5Ablation() (Result, error) {
 	table := stats.NewTable("E5a: DV metric ablation (drained shortcut)",
 		"metric", "relay used", "weak node residual J")
 	for _, metric := range []string{"hop", "energy"} {

@@ -4,13 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 )
-
-// Quick controls experiment sizing: quick mode shrinks populations and
-// iteration counts so the full suite finishes in well under a minute (used
-// by tests); full mode is what cmd/ndsm-bench runs by default.
-type Quick bool
 
 // Runner executes experiments by ID.
 type Runner struct {
@@ -18,9 +12,51 @@ type Runner struct {
 	QuickMode bool
 }
 
+// experiment is one entry of the run order: an ID and its function, which
+// sizes itself from quick.
+type experiment struct {
+	id  string
+	run func(quick bool) (Result, error)
+}
+
+// experimentList is every experiment in run order.
+var experimentList = []experiment{
+	{"F1", func(bool) (Result, error) { return f1(), nil }},
+	{"E1", e1},
+	{"E2", e2},
+	{"E3", e3},
+	{"E4", e4},
+	{"E4x", e4x},
+	{"E5", e5},
+	{"E5a", func(bool) (Result, error) { return e5Ablation() }},
+	{"E6", e6},
+	{"E6a", e6Ablation},
+	{"E7", e7},
+	{"E8", e8},
+	{"E9", e9},
+	{"E10", e10},
+	{"E11", e11},
+	{"E12", e12},
+	{"E13", e13},
+	{"E14", e14},
+	{"E15", e15},
+}
+
+// pick returns an experiment's quick-mode value or its full-mode one.
+func pick[T any](quick bool, q, full T) T {
+	if quick {
+		return q
+	}
+	return full
+}
+
 // IDs lists all experiment identifiers in run order.
 func IDs() []string {
-	return []string{"F1", "E1", "E2", "E3", "E4", "E4x", "E5", "E5a", "E6", "E6a", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15"}
+	ids := make([]string, len(experimentList))
+	for i, e := range experimentList {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // Gate is an absolute upper bound on one cell of an experiment's tables: a
@@ -40,110 +76,14 @@ var Gates = map[string][]Gate{
 	"E15": e15Gates,
 }
 
-// Run executes one experiment by ID.
+// Run executes one experiment by ID (case-insensitive).
 func (r Runner) Run(id string) (Result, error) {
-	q := r.QuickMode
-	switch strings.ToUpper(id) {
-	case "F1":
-		return F1(), nil
-	case "E1":
-		if q {
-			return E1(E1Options{Sizes: []int{9, 16}, Lookups: 2, ClusterLookups: 50})
+	for _, e := range experimentList {
+		if strings.EqualFold(e.id, id) {
+			return e.run(r.QuickMode)
 		}
-		return E1(E1Options{})
-	case "E2":
-		if q {
-			return E2(E2Options{Lookups: 2})
-		}
-		return E2(E2Options{})
-	case "E3":
-		if q {
-			return E3(E3Options{Printers: 30})
-		}
-		return E3(E3Options{})
-	case "E4":
-		if q {
-			return E4(E4Options{Requests: 60, Suppliers: 3})
-		}
-		return E4(E4Options{})
-	case "E4X":
-		if q {
-			return E4X(E4XOptions{Scenarios: 1, Ticks: 40})
-		}
-		return E4X(E4XOptions{})
-	case "E5":
-		if q {
-			return E5(E5Options{Nodes: 16, Packets: 5})
-		}
-		return E5(E5Options{})
-	case "E5A":
-		return E5Ablation()
-	case "E6":
-		if q {
-			return E6(E6Options{SensorsPerVariable: 2, InitialEnergy: 0.005})
-		}
-		return E6(E6Options{})
-	case "E6A":
-		if q {
-			return E6Ablation(4)
-		}
-		return E6Ablation(6)
-	case "E7":
-		if q {
-			return E7(E7Options{Ops: 200, Sizes: []int{64}})
-		}
-		return E7(E7Options{})
-	case "E8":
-		if q {
-			return E8(E8Options{Jobs: 120})
-		}
-		return E8(E8Options{})
-	case "E9":
-		if q {
-			return E9(E9Options{Ops: 500})
-		}
-		return E9(E9Options{})
-	case "E10":
-		if q {
-			return E10(E10Options{Iterations: 500, GatewayOps: 200})
-		}
-		return E10(E10Options{})
-	case "E11":
-		if q {
-			return E11(E11Options{Ticks: 40})
-		}
-		return E11(E11Options{})
-	case "E12":
-		if q {
-			return E12(E12Options{Ticks: 40, KillAt: 8, KillTicks: 15})
-		}
-		return E12(E12Options{})
-	case "E13":
-		if q {
-			return E13(E13Options{Duration: 350 * time.Millisecond, Loads: []float64{1, 2}})
-		}
-		return E13(E13Options{})
-	case "E14":
-		if q {
-			return E14(E14Options{
-				Ticks: 60, FaultTicks: 18, CalmSeeds: 2,
-				FloodFor: 250 * time.Millisecond,
-				Recovery: 300 * time.Millisecond,
-				Window:   300 * time.Millisecond,
-			})
-		}
-		return E14(E14Options{})
-	case "E15":
-		if q {
-			return E15(E15Options{
-				Nodes: 2, Requests: 4000, ColdTopics: 6,
-				Duration: 120 * time.Millisecond, Trials: 2,
-			})
-		}
-		return E15(E15Options{})
-	default:
-		return Result{}, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
 	}
+	return Result{}, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
 }
 
 // RunAll executes every experiment, writing rendered results to w as it

@@ -14,24 +14,6 @@ import (
 	"ndsm/internal/transaction"
 )
 
-// E8Options sizes the scheduling experiment.
-type E8Options struct {
-	// Jobs per run (default 400).
-	Jobs int
-	// Seed fixes the job generator.
-	Seed int64
-}
-
-func (o E8Options) withDefaults() E8Options {
-	if o.Jobs <= 0 {
-		o.Jobs = 400
-	}
-	if o.Seed == 0 {
-		o.Seed = 29
-	}
-	return o
-}
-
 // e8Job is one released unit of work in the deterministic scheduling
 // simulation.
 type e8Job struct {
@@ -117,18 +99,17 @@ func e8Simulate(jobs []e8Job, policy scheduler.Policy) float64 {
 	return float64(missed) / float64(total)
 }
 
-// E8 sweeps utilization across the three dispatch policies and measures
+// e8 sweeps utilization across the three dispatch policies and measures
 // deadline miss ratios, then demonstrates departure handoff.
-func E8(opts E8Options) (Result, error) {
-	opts = opts.withDefaults()
+func e8(quick bool) (Result, error) {
+	jobs := pick(quick, 120, 400) // per run
 	missTable := stats.NewTable("E8: deadline miss ratio vs utilization",
 		"utilization", "fifo %", "priority %", "edf %")
 	for _, u := range []float64{0.5, 0.7, 0.9, 1.1} {
-		rng := rand.New(rand.NewSource(opts.Seed))
-		jobs := e8Generate(u, opts.Jobs, rng)
-		fifo := e8Simulate(jobs, scheduler.FIFO)
-		prio := e8Simulate(jobs, scheduler.PriorityOrder)
-		edf := e8Simulate(jobs, scheduler.EDF)
+		stream := e8Generate(u, jobs, rand.New(rand.NewSource(29)))
+		fifo := e8Simulate(stream, scheduler.FIFO)
+		prio := e8Simulate(stream, scheduler.PriorityOrder)
+		edf := e8Simulate(stream, scheduler.EDF)
 		missTable.AddRow(u, 100*fifo, 100*prio, 100*edf)
 	}
 

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ndsm/internal/chaos"
@@ -12,90 +10,12 @@ import (
 	"ndsm/internal/slo"
 	"ndsm/internal/stats"
 	"ndsm/internal/telemetry"
-	"ndsm/internal/transport"
-	"ndsm/internal/wire"
 )
 
-// E14Options sizes the SLO detection-and-adaptation experiment.
-type E14Options struct {
-	// Seed fixes the chaos substrate RNG (default 14).
-	Seed int64
-	// Ticks is each simulated leg's length (default 70).
-	Ticks int
-	// FaultAt is the tick offset of the injected fault (default 10).
-	FaultAt int
-	// FaultTicks is how long the fault holds (default 25).
-	FaultTicks int
-	// Members sizes the registry cluster in the member-kill leg (default 3,
-	// RF 2; two members die at once, so quorum lookups must fail).
-	Members int
-	// FloodFor is the real-time overload leg's burn phase (default 450ms).
-	FloodFor time.Duration
-	// Recovery is the post-flood observation phase (default 400ms).
-	Recovery time.Duration
-	// Window is the overload leg's long burn window. It must cover the whole
-	// flood so the alert cannot clear while the fault is still live (default
-	// 500ms; see the objective comment in e14Overload).
-	Window time.Duration
-	// Load is the bulk flood's offered-load multiple of capacity (default 2).
-	Load float64
-	// ServiceTime is the simulated per-request work (default 2ms).
-	ServiceTime time.Duration
-	// MaxInFlight is the server's concurrency bound (default 8).
-	MaxInFlight int
-	// ControlPeriod spaces the control loop; deadline = period (default 10ms).
-	ControlPeriod time.Duration
-	// Boost is the control-lane quota the adapter widens to (default 2).
-	Boost int
-	// CalmSeeds is the calm-soak leg's seed count (default 5).
-	CalmSeeds int
-}
-
-func (o E14Options) withDefaults() E14Options {
-	if o.Seed == 0 {
-		o.Seed = 14
-	}
-	if o.Ticks <= 0 {
-		o.Ticks = 70
-	}
-	if o.FaultAt <= 0 {
-		o.FaultAt = 10
-	}
-	if o.FaultTicks <= 0 {
-		o.FaultTicks = 25
-	}
-	if o.Members <= 0 {
-		o.Members = 3
-	}
-	if o.FloodFor <= 0 {
-		o.FloodFor = 450 * time.Millisecond
-	}
-	if o.Recovery <= 0 {
-		o.Recovery = 400 * time.Millisecond
-	}
-	if o.Window <= 0 {
-		o.Window = 500 * time.Millisecond
-	}
-	if o.Load <= 0 {
-		o.Load = 2
-	}
-	if o.ServiceTime <= 0 {
-		o.ServiceTime = 2 * time.Millisecond
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 8
-	}
-	if o.ControlPeriod <= 0 {
-		o.ControlPeriod = 10 * time.Millisecond
-	}
-	if o.Boost <= 0 {
-		o.Boost = 2
-	}
-	if o.CalmSeeds <= 0 {
-		o.CalmSeeds = 5
-	}
-	return o
-}
+const (
+	e14Boost = 2   // the control-lane quota the adapter widens to
+	e14Load  = 2.0 // the overload leg's flood, a multiple of capacity
+)
 
 // e14Missing marks an alert that never fired (or cleared) in a leg's table
 // cell. A sentinel far above any plausible bound keeps the cell numeric so
@@ -125,7 +45,7 @@ var e14Gates = []Gate{
 		"control-lane miss rate after the quota adapter reacted"},
 }
 
-// E14 measures the alerting plane's detection latency and the quota adapter's
+// e14 measures the alerting plane's detection latency and the quota adapter's
 // reaction across three fault classes, plus a calm-world control:
 //
 //   - a supplier partition must drive the telemetry-freshness objective
@@ -142,24 +62,40 @@ var e14Gates = []Gate{
 //
 // The first two legs run on the chaos substrate's virtual clock, so "time to
 // alert" is deterministic ticks; the overload leg is wall-clock like E13.
-func E14(opts E14Options) (Result, error) {
-	opts = opts.withDefaults()
-	const tickEvery = 50 * time.Millisecond
-	healAt := opts.FaultAt + opts.FaultTicks
+func e14(quick bool) (Result, error) {
+	const (
+		seed      = 14 // fixes the chaos substrate RNG
+		tickEvery = 50 * time.Millisecond
+		faultAt   = 10 // tick of the injected fault
+		// The registry cluster of the member-kill leg, RF 2: two members die
+		// at once, so quorum lookups must fail.
+		members = 3
+	)
+	ticks := pick(quick, 60, 70)      // each simulated leg's length
+	faultTicks := pick(quick, 18, 25) // how long the fault holds
+	calmSeeds := pick(quick, 2, 5)
+	// The real-time overload leg: its burn phase, the observation after it,
+	// and its long burn window. The window must cover the whole flood so the
+	// alert cannot clear while the fault is still live (see the objective
+	// comment in e14Overload).
+	floodFor := pick(quick, 250*time.Millisecond, 450*time.Millisecond)
+	recovery := pick(quick, 300*time.Millisecond, 400*time.Millisecond)
+	window := pick(quick, 300*time.Millisecond, 500*time.Millisecond)
+	healAt := faultAt + faultTicks
 
 	// Leg 1: partition one supplier; the freshness objective must notice.
 	partition, err := e14ChaosLeg(chaos.ScenarioConfig{
-		Seed:      opts.Seed,
-		Ticks:     opts.Ticks,
+		Seed:      seed,
+		Ticks:     ticks,
 		TickEvery: tickEvery,
 		SLO:       true,
 		Schedule: chaos.Schedule{{
-			At:       time.Duration(opts.FaultAt) * tickEvery,
+			At:       time.Duration(faultAt) * tickEvery,
 			Fault:    chaos.FaultPartition,
 			Target:   "s2",
-			Duration: time.Duration(opts.FaultTicks) * tickEvery,
+			Duration: time.Duration(faultTicks) * tickEvery,
 		}},
-	}, chaos.FreshnessObjective, "s2", tickEvery, opts.FaultAt, healAt)
+	}, chaos.FreshnessObjective, "s2", tickEvery, faultAt, healAt)
 	if err != nil {
 		return Result{}, fmt.Errorf("E14 partition: %w", err)
 	}
@@ -168,26 +104,26 @@ func E14(opts E14Options) (Result, error) {
 	// sets are now fully dead and the N-RF+1 quorum is unreachable, so cached
 	// lookups start failing when the stale window runs out.
 	memberKill, err := e14ChaosLeg(chaos.ScenarioConfig{
-		Seed:            opts.Seed,
-		Ticks:           opts.Ticks,
+		Seed:            seed,
+		Ticks:           ticks,
 		TickEvery:       tickEvery,
 		SLO:             true,
-		RegistryCluster: opts.Members,
+		RegistryCluster: members,
 		Schedule: chaos.Schedule{
 			{
-				At:       time.Duration(opts.FaultAt) * tickEvery,
+				At:       time.Duration(faultAt) * tickEvery,
 				Fault:    chaos.FaultKillRegistryNode,
 				Target:   "registry1",
-				Duration: time.Duration(opts.FaultTicks) * tickEvery,
+				Duration: time.Duration(faultTicks) * tickEvery,
 			},
 			{
-				At:       time.Duration(opts.FaultAt) * tickEvery,
+				At:       time.Duration(faultAt) * tickEvery,
 				Fault:    chaos.FaultKillRegistryNode,
 				Target:   "registry2",
-				Duration: time.Duration(opts.FaultTicks) * tickEvery,
+				Duration: time.Duration(faultTicks) * tickEvery,
 			},
 		},
-	}, chaos.LookupObjective, chaos.ConsumerID, tickEvery, opts.FaultAt, healAt)
+	}, chaos.LookupObjective, chaos.ConsumerID, tickEvery, faultAt, healAt)
 	if err != nil {
 		return Result{}, fmt.Errorf("E14 member kill: %w", err)
 	}
@@ -195,10 +131,10 @@ func E14(opts E14Options) (Result, error) {
 	// Leg 3: the calm control. Same worlds, workload on, faults suppressed.
 	calmAlerts, calmViolations := 0, 0
 	calmReport, err := chaos.Soak(chaos.SoakConfig{
-		Scenarios: opts.CalmSeeds,
-		BaseSeed:  opts.Seed * 100,
+		Scenarios: calmSeeds,
+		BaseSeed:  seed * 100,
 		Scenario: chaos.ScenarioConfig{
-			Ticks:    opts.Ticks / 2,
+			Ticks:    ticks / 2,
 			SLO:      true,
 			Overload: true,
 			NoFaults: true,
@@ -213,11 +149,11 @@ func E14(opts E14Options) (Result, error) {
 	}
 
 	// Leg 4: real-time overload, with and without the quota adapter.
-	bare, err := e14Overload(false, opts)
+	bare, err := e14Overload(false, floodFor, recovery, window)
 	if err != nil {
 		return Result{}, fmt.Errorf("E14 overload (no adapter): %w", err)
 	}
-	adapted, err := e14Overload(true, opts)
+	adapted, err := e14Overload(true, floodFor, recovery, window)
 	if err != nil {
 		return Result{}, fmt.Errorf("E14 overload (adapter): %w", err)
 	}
@@ -248,12 +184,12 @@ func E14(opts E14Options) (Result, error) {
 
 	notes := []string{
 		fmt.Sprintf("simulated legs: fault at tick %d for %d ticks of %d; chaos SLO windows apply (freshness crit = half the window stale).",
-			opts.FaultAt, opts.FaultTicks, opts.Ticks),
+			faultAt, faultTicks, ticks),
 		fmt.Sprintf("calm soak: %d fault-free seeds x %d ticks with the overload workload live — any alert is a false positive.",
-			opts.CalmSeeds, opts.Ticks/2),
+			calmSeeds, ticks/2),
 		fmt.Sprintf("overload leg: %.0fx bulk flood for %v at a lane-aware server with zero control reservation (MaxInFlight %d);",
-			opts.Load, opts.FloodFor, opts.MaxInFlight),
-		fmt.Sprintf("the adapter widens the control lane to %d on warning and decays back after the alert clears.", opts.Boost),
+			e14Load, floodFor, overloadSlots),
+		fmt.Sprintf("the adapter widens the control lane to %d on warning and decays back after the alert clears.", e14Boost),
 		"member-kill violations are the induced outage itself: two dead members exceed what RF 2 can mask, which is the point.",
 	}
 	if !adapted.clearedOK {
@@ -319,38 +255,17 @@ type e14OverloadPoint struct {
 // adapter on, the resulting alert widens the control lane out of the shared
 // pool until the loop stops missing; when the flood ends and the alert
 // clears, the quota decays back to zero.
-func e14Overload(withAdapter bool, opts E14Options) (e14OverloadPoint, error) {
+func e14Overload(withAdapter bool, floodFor, recovery, window time.Duration) (e14OverloadPoint, error) {
 	p := e14OverloadPoint{alertAt: -1, adaptAt: -1, decayAfter: -1}
 	reg := obs.NewRegistry()
-	tr := transport.NewMem(transport.NewFabric())
-	l, err := tr.Listen("srv")
+	// Lane-aware but with nothing reserved and no waiting room: the shape a
+	// fleet starts in before anyone has tuned quotas. Saturation sheds
+	// immediately, so the flood starves control until the adapter acts.
+	rig, err := newOverloadRig(&endpoint.LaneConfig{}, obs.NewRegistry())
 	if err != nil {
 		return p, err
 	}
-	srv := endpoint.NewServer(l, endpoint.ServerOptions{
-		Name:        "srv",
-		MaxInFlight: opts.MaxInFlight,
-		Metrics:     obs.NewRegistry(),
-		// Lane-aware but with nothing reserved and no waiting room: the shape
-		// a fleet starts in before anyone has tuned quotas. Saturation sheds
-		// immediately, so the flood starves control until the adapter acts.
-		Lanes: &endpoint.LaneConfig{},
-	})
-	defer srv.Close()
-	srv.Handle("work", func(req *wire.Message) (*wire.Message, error) {
-		time.Sleep(opts.ServiceTime)
-		return &wire.Message{Kind: wire.KindReply}, nil
-	})
-	ctl, err := endpoint.NewCaller(tr, "srv", endpoint.CallerOptions{Lane: endpoint.LaneControl})
-	if err != nil {
-		return p, err
-	}
-	defer ctl.Close()
-	bulk, err := endpoint.NewCaller(tr, "srv", endpoint.CallerOptions{Lane: endpoint.LaneBulk})
-	if err != nil {
-		return p, err
-	}
-	defer bulk.Close()
+	defer rig.close()
 
 	// The alerting plane: the control loop publishes its own hit/miss
 	// counters into a local aggregator after every probe, and the engine
@@ -384,8 +299,8 @@ func e14Overload(withAdapter bool, opts E14Options) (e14OverloadPoint, error) {
 		Node:        "ctl-loop",
 		BadSeries:   "ctl.miss",
 		TotalSeries: "ctl.total",
-		Window:      opts.Window,
-		ShortWindow: 5 * opts.ControlPeriod,
+		Window:      window,
+		ShortWindow: 5 * overloadPeriod,
 		Budget:      0.02,
 		WarnBurn:    1,
 		CritBurn:    4,
@@ -399,8 +314,8 @@ func e14Overload(withAdapter bool, opts E14Options) (e14OverloadPoint, error) {
 		adapter, err = slo.NewQuotaAdapter(eng, slo.QuotaAdapterOptions{
 			Objective: chaos.ControlObjective,
 			Base:      0,
-			Boost:     opts.Boost,
-			Servers:   []slo.LaneServer{srv},
+			Boost:     e14Boost,
+			Servers:   []slo.LaneServer{rig.srv},
 			Registry:  reg,
 		})
 		if err != nil {
@@ -410,36 +325,7 @@ func e14Overload(withAdapter bool, opts E14Options) (e14OverloadPoint, error) {
 
 	start := time.Now()
 	stop := make(chan struct{})
-	var wg, futs sync.WaitGroup
-	var offered atomic.Int64
-	rate := opts.Load * float64(opts.MaxInFlight) / opts.ServiceTime.Seconds()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-			}
-			elapsed := time.Since(start)
-			if elapsed >= opts.FloodFor {
-				return
-			}
-			due := int64(elapsed.Seconds() * rate)
-			for offered.Load() < due {
-				offered.Add(1)
-				fut := bulk.Go(&endpoint.Call{Topic: "work", Timeout: opts.FloodFor})
-				futs.Add(1)
-				go func() {
-					defer futs.Done()
-					_, _ = fut.Wait()
-				}()
-			}
-		}
-	}()
+	wait := rig.flood(start, e14Load, floodFor, floodFor, stop, func(error) {})
 
 	type sample struct {
 		at    time.Duration
@@ -448,10 +334,10 @@ func e14Overload(withAdapter bool, opts E14Options) (e14OverloadPoint, error) {
 		quota int
 	}
 	var samples []sample
-	total := opts.FloodFor + opts.Recovery
+	total := floodFor + recovery
 	for time.Since(start) < total {
 		began := time.Now()
-		_, err := ctl.Do(&endpoint.Call{Topic: "work", Timeout: opts.ControlPeriod})
+		_, err := rig.ctl.Do(&endpoint.Call{Topic: "work", Timeout: overloadPeriod})
 		miss := err != nil
 		reg.Counter("ctl.total").Inc(1)
 		if miss {
@@ -459,8 +345,7 @@ func e14Overload(withAdapter bool, opts E14Options) (e14OverloadPoint, error) {
 		}
 		if err := pub.Publish(); err != nil {
 			close(stop)
-			wg.Wait()
-			futs.Wait()
+			wait()
 			return p, err
 		}
 		eng.Evaluate()
@@ -469,23 +354,22 @@ func e14Overload(withAdapter bool, opts E14Options) (e14OverloadPoint, error) {
 			s.quota = adapter.Quota()
 		}
 		samples = append(samples, s)
-		if rest := opts.ControlPeriod - time.Since(began); rest > 0 {
+		if rest := overloadPeriod - time.Since(began); rest > 0 {
 			time.Sleep(rest)
 		}
 	}
 	close(stop)
-	wg.Wait()
-	futs.Wait()
+	wait()
 
 	for _, s := range samples {
 		if p.alertAt < 0 && s.sev >= slo.Critical {
 			p.alertAt = s.at
 		}
-		if p.adaptAt < 0 && adapter != nil && s.quota >= opts.Boost {
+		if p.adaptAt < 0 && adapter != nil && s.quota >= e14Boost {
 			p.adaptAt = s.at
 		}
-		if p.decayAfter < 0 && adapter != nil && s.at > opts.FloodFor && s.quota == 0 {
-			p.decayAfter = s.at - opts.FloodFor
+		if p.decayAfter < 0 && adapter != nil && s.at > floodFor && s.quota == 0 {
+			p.decayAfter = s.at - floodFor
 		}
 	}
 	// Split the flood phase at the adapt point (alert point without an
@@ -496,10 +380,10 @@ func e14Overload(withAdapter bool, opts E14Options) (e14OverloadPoint, error) {
 	if split < 0 {
 		split = p.alertAt
 	}
-	grace := 2 * opts.ControlPeriod
+	grace := 2 * overloadPeriod
 	var preMiss, preTotal, postMiss, postTotal int
 	for _, s := range samples {
-		if s.at > opts.FloodFor {
+		if s.at > floodFor {
 			continue
 		}
 		switch {
