@@ -13,10 +13,11 @@
 //     substrate (loss bursts, latency spikes, partitions), to node lifecycle
 //     (supplier crash/restart, registry kill), and to the recovery WAL
 //     (crash-replay cycles).
-//   - Invariant: checkers over the finished run (at-least-once durability,
-//     re-bind bounds, discovery convergence, WAL replay fidelity).
+//   - invariants: one checker function each over the finished run
+//     (at-least-once durability, re-bind bounds, discovery convergence, WAL
+//     replay fidelity, and one per optional plane).
 //   - Soak: runs N seeded scenarios and reports violations with the
-//     reproducing seed.
+//     configuration that reproduces them.
 package chaos
 
 import (
@@ -87,17 +88,9 @@ func (s Schedule) String() string {
 	return b.String()
 }
 
-// Injector applies one kind of fault. Inject returns the revert that undoes
-// the fault (nil when the fault has no undo, e.g. a WAL crash-replay cycle).
-type Injector interface {
-	Inject(target string) (revert func() error, err error)
-}
-
-// InjectorFunc adapts a function to the Injector interface.
-type InjectorFunc func(target string) (func() error, error)
-
-// Inject implements Injector.
-func (f InjectorFunc) Inject(target string) (func() error, error) { return f(target) }
+// Injector applies one kind of fault to target and returns the revert that
+// undoes it (nil when the fault has no undo, e.g. a WAL crash-replay cycle).
+type Injector func(target string) (revert func() error, err error)
 
 // Event phases.
 const (
@@ -200,7 +193,7 @@ func (e *Engine) inject(s Step) error {
 	if inj == nil {
 		return fmt.Errorf("chaos: no injector registered for %s", s.Fault)
 	}
-	revert, err := inj.Inject(s.Target)
+	revert, err := inj(s.Target)
 	if err != nil {
 		return fmt.Errorf("chaos: inject %s %q: %w", s.Fault, s.Target, err)
 	}

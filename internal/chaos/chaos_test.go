@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,24 +14,22 @@ import (
 )
 
 // recordingInjector logs inject/revert order for engine tests.
-type recordingInjector struct {
-	log *[]string
-}
-
-func (r recordingInjector) Inject(target string) (func() error, error) {
-	*r.log = append(*r.log, "inject "+target)
-	return func() error {
-		*r.log = append(*r.log, "revert "+target)
-		return nil
-	}, nil
+func recordingInjector(log *[]string) Injector {
+	return func(target string) (func() error, error) {
+		*log = append(*log, "inject "+target)
+		return func() error {
+			*log = append(*log, "revert "+target)
+			return nil
+		}, nil
+	}
 }
 
 func TestEngineAppliesScheduleInOrder(t *testing.T) {
 	clock := simtime.NewVirtual(time.Unix(0, 0))
 	e := NewEngine(clock)
 	var log []string
-	e.Register(FaultLossBurst, recordingInjector{&log})
-	e.Register(FaultPartition, recordingInjector{&log})
+	e.Register(FaultLossBurst, recordingInjector(&log))
+	e.Register(FaultPartition, recordingInjector(&log))
 	e.Load(Schedule{
 		{At: 10 * time.Millisecond, Fault: FaultLossBurst, Target: "a", Duration: 20 * time.Millisecond},
 		{At: 15 * time.Millisecond, Fault: FaultPartition, Target: "b", Duration: 5 * time.Millisecond},
@@ -59,7 +58,7 @@ func TestEngineFinishRevertsPermanentFaults(t *testing.T) {
 	clock := simtime.NewVirtual(time.Unix(0, 0))
 	e := NewEngine(clock)
 	var log []string
-	e.Register(FaultCrashSupplier, recordingInjector{&log})
+	e.Register(FaultCrashSupplier, recordingInjector(&log))
 	e.Load(Schedule{{At: time.Millisecond, Fault: FaultCrashSupplier, Target: "s0"}})
 	clock.Advance(time.Second)
 	if err := e.Step(); err != nil {
@@ -121,7 +120,7 @@ func TestGenerateDeterministicAndNonOverlapping(t *testing.T) {
 
 // shortScenario keeps wall time per scenario low for short mode.
 func shortScenario(seed int64) ScenarioConfig {
-	return ScenarioConfig{Seed: seed, Ticks: 60, Windows: 4}
+	return ScenarioConfig{WorldConfig: WorldConfig{Seed: seed}, Ticks: 60, Windows: 4}
 }
 
 func TestScenarioMatrixShort(t *testing.T) {
@@ -177,11 +176,7 @@ func TestSoakReportsReproducingSeed(t *testing.T) {
 	if !testing.Short() {
 		scenarios = 4
 	}
-	report, err := Soak(SoakConfig{
-		Scenarios: scenarios,
-		BaseSeed:  11,
-		Scenario:  shortScenario(0),
-	})
+	report, err := Soak(shortScenario(11), scenarios)
 	if err != nil {
 		t.Fatalf("soak: %v", err)
 	}
@@ -189,8 +184,8 @@ func TestSoakReportsReproducingSeed(t *testing.T) {
 		t.Fatalf("results = %d, want %d", len(report.Results), scenarios)
 	}
 	for i, res := range report.Results {
-		if res.Seed != 11+int64(i) {
-			t.Fatalf("scenario %d ran seed %d, want %d", i, res.Seed, 11+int64(i))
+		if res.Config.Seed != 11+int64(i) {
+			t.Fatalf("scenario %d ran seed %d, want %d", i, res.Config.Seed, 11+int64(i))
 		}
 	}
 	for _, v := range report.Violations() {
@@ -202,10 +197,30 @@ func TestSoakReportsReproducingSeed(t *testing.T) {
 	if !strings.Contains(report.String(), "scenarios clean") {
 		t.Fatalf("report summary malformed: %q", report.String())
 	}
+
+	// The recorded config is the reproduction recipe: re-running it replays
+	// the identical schedule and event trace, and a violating result prints
+	// it as a Go literal.
+	res := report.Results[len(report.Results)-1]
+	again, err := RunScenario(res.Config)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if again.Schedule.String() != res.Schedule.String() {
+		t.Fatalf("recorded config replays a different schedule:\n%s\nvs\n%s", again.Schedule, res.Schedule)
+	}
+	if again.EventsString() != res.EventsString() {
+		t.Fatalf("recorded config replays a different event trace:\n%s\nvs\n%s", again.EventsString(), res.EventsString())
+	}
+	violating := *res
+	violating.Violations = []string{"forced"}
+	recipe := fmt.Sprintf("chaos.RunScenario(%#v)", res.Config)
+	if s := (&SoakReport{Results: []*ScenarioResult{&violating}}).String(); !strings.Contains(s, recipe) {
+		t.Fatalf("report does not print the recorded config %s:\n%s", recipe, s)
+	}
 }
 
 func TestWorldTickOf(t *testing.T) {
-	w := &World{cfg: WorldConfig{TickEvery: 50 * time.Millisecond}}
 	cases := []struct {
 		at   time.Duration
 		want int
@@ -218,8 +233,8 @@ func TestWorldTickOf(t *testing.T) {
 		{101 * time.Millisecond, 2},
 	}
 	for _, c := range cases {
-		if got := w.TickOf(c.at); got != c.want {
-			t.Errorf("TickOf(%v) = %d, want %d", c.at, got, c.want)
+		if got := tickOf(c.at); got != c.want {
+			t.Errorf("tickOf(%v) = %d, want %d", c.at, got, c.want)
 		}
 	}
 }
@@ -290,5 +305,49 @@ func TestViolatingScenarioDumpsTrace(t *testing.T) {
 	report := &SoakReport{Results: []*ScenarioResult{res}}
 	if !strings.Contains(report.String(), want) {
 		t.Errorf("soak report does not mention the trace file:\n%s", report.String())
+	}
+}
+
+// TestWorldCloseStopsGoroutines: every world kind, built, ticked and closed,
+// leaves no goroutine of its own behind.
+func TestWorldCloseStopsGoroutines(t *testing.T) {
+	for _, k := range []struct {
+		name string
+		cfg  WorldConfig
+	}{
+		{"plain", WorldConfig{Seed: 1, NoLiveness: true}},
+		{"liveness", WorldConfig{Seed: 1}},
+		{"telemetry", WorldConfig{Seed: 1, Telemetry: true}},
+		{"slo", WorldConfig{Seed: 1, SLO: true}},
+		{"overload", WorldConfig{Seed: 1, Overload: true}},
+		{"cluster", WorldConfig{Seed: 1, Cluster: true}},
+		{"cluster+slo+overload", WorldConfig{Seed: 1, Cluster: true, SLO: true, Overload: true}},
+	} {
+		t.Run(k.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			vclock := simtime.NewVirtual(time.Unix(0, 0))
+			w, err := NewWorld(k.cfg, vclock, nil)
+			if err != nil {
+				t.Fatalf("world: %v", err)
+			}
+			for i := 0; i < 5; i++ {
+				vclock.Advance(TickEvery)
+				w.Tick(i)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			// Close returns before every stopped goroutine has been scheduled
+			// to exit; give them a moment.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%d goroutines before the world, %d after Close:\n%s",
+					before, after, buf[:runtime.Stack(buf, true)])
+			}
+		})
 	}
 }

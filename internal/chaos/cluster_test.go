@@ -11,12 +11,12 @@ import (
 // registryKillSchedule crash-kills one cluster member for a fixed window,
 // with nothing else going on — the cleanest stage for watching replication
 // and the lookup cache absorb the loss.
-func registryKillSchedule(target string, fromTick, ticks int, tickEvery time.Duration) Schedule {
+func registryKillSchedule(target string, fromTick, ticks int) Schedule {
 	return Schedule{{
-		At:       time.Duration(fromTick) * tickEvery,
+		At:       time.Duration(fromTick) * TickEvery,
 		Fault:    FaultKillRegistryNode,
 		Target:   target,
-		Duration: time.Duration(ticks) * tickEvery,
+		Duration: time.Duration(ticks) * TickEvery,
 	}}
 }
 
@@ -25,15 +25,8 @@ func registryKillSchedule(target string, fromTick, ticks int, tickEvery time.Dur
 // allowance, a single member kill must cost the consumer zero cached-cluster
 // lookups — the acceptance claim behind the whole registry-cluster design.
 func TestClusterWorldAbsorbsMemberKill(t *testing.T) {
-	const tickEvery = 50 * time.Millisecond
 	vclock := simtime.NewVirtual(time.Unix(0, 0))
-	w, err := NewWorld(WorldConfig{
-		Seed:            1,
-		TickEvery:       tickEvery,
-		Clock:           vclock,
-		Liveness:        true,
-		RegistryCluster: 3,
-	})
+	w, err := NewWorld(WorldConfig{Seed: 1, Cluster: true}, vclock, nil)
 	if err != nil {
 		t.Fatalf("world: %v", err)
 	}
@@ -49,10 +42,10 @@ func TestClusterWorldAbsorbsMemberKill(t *testing.T) {
 	engine := NewEngine(vclock)
 	w.RegisterInjectors(engine)
 	const killAt, killTicks, total = 5, 15, 30
-	engine.Load(registryKillSchedule("registry1", killAt, killTicks, tickEvery))
+	engine.Load(registryKillSchedule("registry1", killAt, killTicks))
 
 	for i := 0; i < total; i++ {
-		vclock.Advance(tickEvery)
+		vclock.Advance(TickEvery)
 		if err := engine.Step(); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -62,7 +55,7 @@ func TestClusterWorldAbsorbsMemberKill(t *testing.T) {
 		t.Fatalf("finish: %v", err)
 	}
 
-	probes := w.ClusterLookupOK()
+	probes := w.Ticks()
 	if len(probes) != total {
 		t.Fatalf("cluster probe trace has %d entries, want %d", len(probes), total)
 	}
@@ -70,20 +63,20 @@ func TestClusterWorldAbsorbsMemberKill(t *testing.T) {
 	// live members clear the N-RF+1=2 lookup quorum and every key has a
 	// surviving replica.
 	for i := killAt + 3; i < killAt+killTicks; i++ {
-		if !probes[i] {
+		if !probes[i].ClusterOK {
 			t.Errorf("cluster lookup failed at tick %d with only registry1 down", i)
 		}
 	}
 
 	// After the revive, anti-entropy must restore full replication: every
 	// live key present on all of its ring owners.
-	if msgs := (ClusterReplication{}).Check(w, engine.Events()); len(msgs) > 0 {
+	if msgs := clusterReplication(w, engine.Events()); len(msgs) > 0 {
 		for _, m := range msgs {
 			t.Errorf("replication: %s", m)
 		}
 	}
 	// And the availability invariant must agree with the hand check.
-	if msgs := (ClusterLookupAvailability{}).Check(w, engine.Events()); len(msgs) > 0 {
+	if msgs := clusterLookupAvailability(w, engine.Events()); len(msgs) > 0 {
 		for _, m := range msgs {
 			t.Errorf("availability: %s", m)
 		}
@@ -96,10 +89,9 @@ func TestClusterWorldAbsorbsMemberKill(t *testing.T) {
 // StandardChoices sees the cluster.
 func TestClusterScenarioInvariantsClean(t *testing.T) {
 	res, err := RunScenario(ScenarioConfig{
-		Seed:            4,
-		Ticks:           40,
-		Windows:         3,
-		RegistryCluster: 3,
+		WorldConfig: WorldConfig{Seed: 4, Cluster: true},
+		Ticks:       40,
+		Windows:     3,
 	})
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
@@ -118,16 +110,16 @@ func TestClusterScenarioInvariantsClean(t *testing.T) {
 // cluster checks must be inert on classic single-registry worlds even when
 // handed a (bogus) member-kill event.
 func TestClusterInvariantsSkipPlainWorlds(t *testing.T) {
-	w, err := NewWorld(WorldConfig{Seed: 1})
+	w, err := NewWorld(WorldConfig{Seed: 1, NoLiveness: true}, nil, nil)
 	if err != nil {
 		t.Fatalf("world: %v", err)
 	}
 	defer w.Close() //nolint:errcheck
 	events := []Event{{At: 0, Fault: FaultKillRegistryNode, Target: "registry0", Phase: PhaseInject}}
-	if msgs := (ClusterLookupAvailability{}).Check(w, events); len(msgs) != 0 {
+	if msgs := clusterLookupAvailability(w, events); len(msgs) != 0 {
 		t.Errorf("availability check fired on a plain world: %v", msgs)
 	}
-	if msgs := (ClusterReplication{}).Check(w, events); len(msgs) != 0 {
+	if msgs := clusterReplication(w, events); len(msgs) != 0 {
 		t.Errorf("replication check fired on a plain world: %v", msgs)
 	}
 }
@@ -140,16 +132,12 @@ func TestClusterSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed soak skipped in short mode")
 	}
-	report, err := Soak(SoakConfig{
-		Scenarios: 20,
-		BaseSeed:  301,
-		Scenario: ScenarioConfig{
-			Ticks:           60,
-			Windows:         4,
-			RegistryCluster: 3,
-		},
-		TraceDir: os.Getenv("NDSM_CHAOS_TRACE_DIR"),
-	})
+	report, err := Soak(ScenarioConfig{
+		WorldConfig: WorldConfig{Seed: 301, Cluster: true},
+		Ticks:       60,
+		Windows:     4,
+		TraceDir:    os.Getenv("NDSM_CHAOS_TRACE_DIR"),
+	}, 20)
 	if err != nil {
 		t.Fatalf("soak: %v", err)
 	}

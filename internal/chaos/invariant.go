@@ -2,29 +2,85 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 
 	"ndsm/internal/discovery/cluster"
-	"ndsm/internal/reqlog"
+	"ndsm/internal/slo"
 )
 
-// Invariant is a property of a finished chaos run. Check returns one message
-// per violation (empty means the invariant held).
-type Invariant interface {
-	Name() string
-	Check(w *World, events []Event) []string
+// invariants are the properties of a finished chaos run, in the order their
+// violations are reported. Each check returns one message per violation
+// (empty means the invariant held); RunScenario prefixes each message with
+// the invariant's name. A check whose plane the world lacks returns nothing.
+var invariants = []struct {
+	name  string
+	check func(w *World, events []Event) []string
+}{
+	{"acked-durable", ackedDurable},
+	{"rebind-recovery", rebindRecovery},
+	{"discovery-convergence", discoveryConvergence},
+	{"suspect-before-violate", suspectBeforeViolate},
+	{"telemetry-freshness", telemetryFreshness},
+	{"cluster-lookup-availability", clusterLookupAvailability},
+	{"cluster-replication", clusterReplication},
+	{"wal-replay-clean", walReplayClean},
+	{"priority-isolation", priorityIsolation},
+	{"tail-capture", tailCapture},
+	{"alert-latency", alertLatency},
 }
 
-// AckedDurable checks at-least-once durability: every operation the consumer
+// The invariants' tick budgets.
+const (
+	// rebindBound and convergeBound are the rebind-recovery and
+	// discovery-convergence budgets.
+	rebindBound   = 8
+	convergeBound = 8
+	// suspectBound is the suspect-before-violate detection budget, matching
+	// the rebind-recovery bound the detector must beat.
+	suspectBound = 8
+	// freshBound is the telemetry-freshness budget for both transitions: the
+	// world marks stale after 2.5 missed ticks, so 5 leaves detection margin.
+	freshBound = 5
+	// clusterBound is the tick allowance after a member kill during which a
+	// cluster probe may still fail while timeouts and suspicion settle.
+	clusterBound = 3
+	// alertBound is the alert-latency budget from inject to critical: ~3
+	// ticks for staleness marking plus ~4 for the long window to cross
+	// half-stale, with margin.
+	alertBound = 10
+)
+
+// endTick is the tick at which the fault injected by events[idx] ends: the
+// tick of its revert, or n (the end of the run) unless an explicit,
+// non-permanent revert of the same fault and target lands earlier.
+func endTick(events []Event, idx, n int) int {
+	ev := events[idx]
+	for _, rv := range events[idx+1:] {
+		if rv.Phase == PhaseRevert && rv.Fault == ev.Fault && rv.Target == ev.Target {
+			if rv.At < permanentAt {
+				return min(tickOf(rv.At), n)
+			}
+			break
+		}
+	}
+	return n
+}
+
+// anyTick reports whether ok holds on some tick in [from, to].
+func anyTick(ticks []TickRecord, from, to int, ok func(TickRecord) bool) bool {
+	for i := max(from, 0); i <= to && i < len(ticks); i++ {
+		if ok(ticks[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// ackedDurable checks at-least-once durability: every operation the consumer
 // holds an ack for must exist in some supplier's recovered state. A supplier
 // only acks after its recovery manager logged and applied the operation, so
 // an acked-but-missing key means the stack lost an acknowledged write.
-type AckedDurable struct{}
-
-// Name implements Invariant.
-func (AckedDurable) Name() string { return "acked-durable" }
-
-// Check implements Invariant.
-func (AckedDurable) Check(w *World, _ []Event) []string {
+func ackedDurable(w *World, _ []Event) []string {
 	var out []string
 	for _, key := range w.Acked() {
 		if !w.Durable(key) {
@@ -34,167 +90,91 @@ func (AckedDurable) Check(w *World, _ []Event) []string {
 	return out
 }
 
-// RebindRecovery checks the §3.4 graceful-degradation bound: after a
+// rebindRecovery checks the §3.4 graceful-degradation bound: after a
 // supplier crash is injected, the consumer must complete a successful
-// request within Bound ticks — the binding has other suppliers to re-match
-// to, and fault windows never overlap.
-type RebindRecovery struct {
-	// Bound is the tick budget (default 8).
-	Bound int
-}
-
-// Name implements Invariant.
-func (r RebindRecovery) Name() string { return "rebind-recovery" }
-
-// Check implements Invariant.
-func (r RebindRecovery) Check(w *World, events []Event) []string {
-	bound := r.Bound
-	if bound <= 0 {
-		bound = 8
-	}
-	ticks := w.TickOK()
+// request within rebindBound ticks — the binding has other suppliers to
+// re-match to, and fault windows never overlap.
+func rebindRecovery(w *World, events []Event) []string {
+	ticks := w.Ticks()
 	var out []string
 	for _, ev := range events {
 		if ev.Phase != PhaseInject || ev.Fault != FaultCrashSupplier {
 			continue
 		}
-		from := w.TickOf(ev.At)
-		if from+bound >= len(ticks) {
+		from := tickOf(ev.At)
+		if from+rebindBound >= len(ticks) {
 			continue // crash too close to the end of the run to judge
 		}
-		recovered := false
-		for i := from; i <= from+bound; i++ {
-			if ticks[i] {
-				recovered = true
-				break
-			}
-		}
-		if !recovered {
+		if !anyTick(ticks, from, from+rebindBound, func(r TickRecord) bool { return r.OK }) {
 			out = append(out, fmt.Sprintf(
 				"no successful request within %d ticks of %s crash at %v (tick %d)",
-				bound, ev.Target, ev.At, from))
+				rebindBound, ev.Target, ev.At, from))
 		}
 	}
 	return out
 }
 
-// DiscoveryConvergence checks that adaptive discovery converges to a working
-// mode after the centralized registry dies: within Bound ticks of the kill,
-// a lookup probe must succeed again (via flood fail-over).
-type DiscoveryConvergence struct {
-	// Bound is the tick budget (default 8).
-	Bound int
-}
-
-// Name implements Invariant.
-func (d DiscoveryConvergence) Name() string { return "discovery-convergence" }
-
-// Check implements Invariant.
-func (d DiscoveryConvergence) Check(w *World, events []Event) []string {
-	bound := d.Bound
-	if bound <= 0 {
-		bound = 8
-	}
-	lookups := w.LookupOK()
+// discoveryConvergence checks that adaptive discovery converges to a working
+// mode after the centralized registry dies: within convergeBound ticks of
+// the kill, a lookup probe must succeed again (via flood fail-over).
+func discoveryConvergence(w *World, events []Event) []string {
+	ticks := w.Ticks()
 	var out []string
 	for _, ev := range events {
 		if ev.Phase != PhaseInject || ev.Fault != FaultKillRegistry {
 			continue
 		}
-		from := w.TickOf(ev.At)
-		if from+bound >= len(lookups) {
+		from := tickOf(ev.At)
+		if from+convergeBound >= len(ticks) {
 			continue
 		}
-		converged := false
-		for i := from; i <= from+bound; i++ {
-			if lookups[i] {
-				converged = true
-				break
-			}
-		}
-		if !converged {
+		if !anyTick(ticks, from, from+convergeBound, func(r TickRecord) bool { return r.LookupOK }) {
 			out = append(out, fmt.Sprintf(
 				"no successful lookup within %d ticks of registry kill at %v (tick %d)",
-				bound, ev.At, from))
+				convergeBound, ev.At, from))
 		}
 	}
 	return out
 }
 
-// SuspectBeforeViolate checks the liveness layer's two promises around a
-// supplier crash (it only applies to worlds built with Liveness):
+// suspectBeforeViolate checks the liveness layer's two promises around a
+// supplier crash (it only applies to worlds built with liveness):
 //
 //  1. Detection: the consumer's failure detector suspects a killed supplier
-//     within Bound ticks of the kill — before the crash can fester into a
-//     QoS violation the application sees.
+//     within suspectBound ticks of the kill — before the crash can fester
+//     into a QoS violation the application sees.
 //  2. No traffic after suspicion: once the killed supplier is suspected at
 //     the end of a tick, no later tick (while it is still dead) may end with
 //     the binding pointed at it — proactive rebinding must have moved on.
 //
 // Crashes reverted before the detection deadline are skipped: a supplier may
 // legitimately come back before the detector is required to have noticed.
-type SuspectBeforeViolate struct {
-	// Bound is the detection tick budget (default 8, matching the
-	// rebind-recovery bound the detector must beat).
-	Bound int
-}
-
-// Name implements Invariant.
-func (s SuspectBeforeViolate) Name() string { return "suspect-before-violate" }
-
-// Check implements Invariant.
-func (s SuspectBeforeViolate) Check(w *World, events []Event) []string {
-	if w.Health() == nil {
+func suspectBeforeViolate(w *World, events []Event) []string {
+	if w.health == nil {
 		return nil
 	}
-	bound := s.Bound
-	if bound <= 0 {
-		bound = 8
-	}
-	sus := w.SuspectedTrace()
-	bnd := w.BoundTrace()
-	n := len(sus)
+	ticks := w.Ticks()
+	n := len(ticks)
 	var out []string
 	for idx, ev := range events {
 		if ev.Phase != PhaseInject || ev.Fault != FaultCrashSupplier {
 			continue
 		}
-		from := w.TickOf(ev.At)
-		// Revive tick: end of run unless an explicit (non-permanent) revert
-		// for this target lands earlier.
-		revive := n
-		for _, rv := range events[idx+1:] {
-			if rv.Phase == PhaseRevert && rv.Fault == FaultCrashSupplier && rv.Target == ev.Target {
-				if rv.At < permanentAt {
-					revive = w.TickOf(rv.At)
-				}
-				break
-			}
-		}
-		if revive > n {
-			revive = n
-		}
+		from := tickOf(ev.At)
+		revive := endTick(events, idx, n)
 
-		deadline := from + bound
-		if deadline < revive && deadline < n {
-			detected := false
-			for i := from; i <= deadline; i++ {
-				if i >= 0 && sus[i] != nil && sus[i][ev.Target] {
-					detected = true
-					break
-				}
-			}
-			if !detected {
-				out = append(out, fmt.Sprintf(
-					"%s killed at %v (tick %d) never suspected within %d ticks",
-					ev.Target, ev.At, from, bound))
-			}
+		deadline := from + suspectBound
+		if deadline < revive && deadline < n &&
+			!anyTick(ticks, from, deadline, func(r TickRecord) bool { return r.Suspected[ev.Target] }) {
+			out = append(out, fmt.Sprintf(
+				"%s killed at %v (tick %d) never suspected within %d ticks",
+				ev.Target, ev.At, from, suspectBound))
 		}
 
 		// Once suspected at end of tick i-1 (and still dead), tick i must not
 		// end bound to the corpse.
-		for i := from + 1; i < revive && i < len(bnd); i++ {
-			if sus[i-1] != nil && sus[i-1][ev.Target] && bnd[i] == ev.Target {
+		for i := from + 1; i < revive; i++ {
+			if ticks[i-1].Suspected[ev.Target] && ticks[i].Bound == ev.Target {
 				out = append(out, fmt.Sprintf(
 					"binding still pointed at suspected dead %s at end of tick %d",
 					ev.Target, i))
@@ -204,146 +184,70 @@ func (s SuspectBeforeViolate) Check(w *World, events []Event) []string {
 	return out
 }
 
-// TelemetryFreshness checks the telemetry plane's staleness contract around
+// telemetryFreshness checks the telemetry plane's staleness contract around
 // network partitions (it only applies to worlds built with Telemetry):
 //
 //  1. Stale on silence: once a supplier is partitioned away from the
 //     aggregator, its reports stop arriving, so the aggregator must mark it
-//     stale within Bound ticks of the inject.
+//     stale within freshBound ticks of the inject.
 //  2. Fresh on heal: after the partition reverts, the next successful
-//     publish must flip the supplier back to fresh within Bound ticks.
+//     publish must flip the supplier back to fresh within freshBound ticks.
 //
 // Partitions reverted before the staleness deadline are skipped, exactly
-// like short-lived crashes in SuspectBeforeViolate: a report may
+// like short-lived crashes in suspectBeforeViolate: a report may
 // legitimately get through again before staleness was required.
-type TelemetryFreshness struct {
-	// Bound is the tick budget for both transitions (default 5; the world
-	// marks stale after 2.5 missed ticks, so 5 leaves detection margin).
-	Bound int
-}
-
-// Name implements Invariant.
-func (TelemetryFreshness) Name() string { return "telemetry-freshness" }
-
-// Check implements Invariant.
-func (t TelemetryFreshness) Check(w *World, events []Event) []string {
-	if w.Aggregator() == nil {
+func telemetryFreshness(w *World, events []Event) []string {
+	if w.agg == nil {
 		return nil
 	}
-	bound := t.Bound
-	if bound <= 0 {
-		bound = 5
-	}
-	fresh := w.FreshTrace()
-	n := len(fresh)
-	isSupplier := make(map[string]bool, len(w.supplier))
-	for _, id := range w.supplier {
-		isSupplier[id] = true
-	}
+	ticks := w.Ticks()
+	n := len(ticks)
 	var out []string
 	for idx, ev := range events {
-		if ev.Phase != PhaseInject || ev.Fault != FaultPartition || !isSupplier[ev.Target] {
+		if ev.Phase != PhaseInject || ev.Fault != FaultPartition || !slices.Contains(w.supplier, ev.Target) {
 			continue
 		}
-		from := w.TickOf(ev.At)
-		// Heal tick: end of run unless an explicit (non-permanent) revert
-		// for this target lands earlier.
-		heal := n
-		for _, rv := range events[idx+1:] {
-			if rv.Phase == PhaseRevert && rv.Fault == FaultPartition && rv.Target == ev.Target {
-				if rv.At < permanentAt {
-					heal = w.TickOf(rv.At)
-				}
-				break
-			}
-		}
-		if heal > n {
-			heal = n
+		from := tickOf(ev.At)
+		heal := endTick(events, idx, n)
+
+		staleDeadline := from + freshBound
+		if staleDeadline < heal && staleDeadline < n &&
+			!anyTick(ticks, from, staleDeadline, func(r TickRecord) bool { return r.Fresh != nil && !r.Fresh[ev.Target] }) {
+			out = append(out, fmt.Sprintf(
+				"%s partitioned at %v (tick %d) never marked stale within %d ticks",
+				ev.Target, ev.At, from, freshBound))
 		}
 
-		staleDeadline := from + bound
-		if staleDeadline < heal && staleDeadline < n {
-			wentStale := false
-			for i := from; i <= staleDeadline; i++ {
-				if i >= 0 && fresh[i] != nil && !fresh[i][ev.Target] {
-					wentStale = true
-					break
-				}
-			}
-			if !wentStale {
-				out = append(out, fmt.Sprintf(
-					"%s partitioned at %v (tick %d) never marked stale within %d ticks",
-					ev.Target, ev.At, from, bound))
-			}
-		}
-
-		freshDeadline := heal + bound
-		if heal < n && freshDeadline < n {
-			recovered := false
-			for i := heal; i <= freshDeadline; i++ {
-				if fresh[i] != nil && fresh[i][ev.Target] {
-					recovered = true
-					break
-				}
-			}
-			if !recovered {
-				out = append(out, fmt.Sprintf(
-					"%s not fresh within %d ticks of partition heal at tick %d",
-					ev.Target, bound, heal))
-			}
+		freshDeadline := heal + freshBound
+		if heal < n && freshDeadline < n &&
+			!anyTick(ticks, heal, freshDeadline, func(r TickRecord) bool { return r.Fresh[ev.Target] }) {
+			out = append(out, fmt.Sprintf(
+				"%s not fresh within %d ticks of partition heal at tick %d",
+				ev.Target, freshBound, heal))
 		}
 	}
 	return out
 }
 
-// ClusterLookupAvailability checks the registry cluster's headline promise:
+// clusterLookupAvailability checks the registry cluster's headline promise:
 // a single member kill must not cost the consumer a single cached-cluster
 // lookup once the detection bound has passed. The probe runs without flood
 // fallback, so only replication (RF owners per key), lookup quorums, and the
 // lease cache's stale window can absorb the loss — exactly the mechanisms
-// under test. It only applies to worlds built with a RegistryCluster.
-type ClusterLookupAvailability struct {
-	// Bound is the tick allowance after the kill during which a probe may
-	// still fail while timeouts and suspicion settle (default 3).
-	Bound int
-}
-
-// Name implements Invariant.
-func (ClusterLookupAvailability) Name() string { return "cluster-lookup-availability" }
-
-// Check implements Invariant.
-func (c ClusterLookupAvailability) Check(w *World, events []Event) []string {
-	probes := w.ClusterLookupOK()
-	if len(probes) == 0 {
+// under test. It only applies to cluster worlds.
+func clusterLookupAvailability(w *World, events []Event) []string {
+	if len(w.clusterNodes) == 0 {
 		return nil
 	}
-	bound := c.Bound
-	if bound <= 0 {
-		bound = 3
-	}
-	n := len(probes)
+	ticks := w.Ticks()
 	var out []string
 	for idx, ev := range events {
 		if ev.Phase != PhaseInject || ev.Fault != FaultKillRegistryNode {
 			continue
 		}
-		from := w.TickOf(ev.At)
-		// Revive tick: end of run unless an explicit (non-permanent) revert
-		// for this member lands earlier.
-		revive := n
-		for _, rv := range events[idx+1:] {
-			if rv.Phase == PhaseRevert && rv.Fault == FaultKillRegistryNode && rv.Target == ev.Target {
-				if rv.At < permanentAt {
-					revive = w.TickOf(rv.At)
-				}
-				break
-			}
-		}
-		if revive > n {
-			revive = n
-		}
-		for i := from + bound; i < revive; i++ {
-			if i >= 0 && !probes[i] {
+		from, revive := tickOf(ev.At), endTick(events, idx, len(ticks))
+		for i := from + clusterBound; i < revive; i++ {
+			if !ticks[i].ClusterOK {
 				out = append(out, fmt.Sprintf(
 					"cluster lookup failed at tick %d with only %s down (killed at %v, tick %d)",
 					i, ev.Target, ev.At, from))
@@ -353,26 +257,19 @@ func (c ClusterLookupAvailability) Check(w *World, events []Event) []string {
 	return out
 }
 
-// ClusterReplication checks anti-entropy's repair promise: once every member
+// clusterReplication checks anti-entropy's repair promise: once every member
 // is back (the checker runs after Finish reverted all kills) and gossip has
 // settled, every live registration must be held by all of its RF ring owners.
 // A key still missing from an owner means a member death permanently shrank
 // the replica set — repair never happened. It only applies to cluster worlds.
-type ClusterReplication struct{}
-
-// Name implements Invariant.
-func (ClusterReplication) Name() string { return "cluster-replication" }
-
-// Check implements Invariant.
-func (ClusterReplication) Check(w *World, _ []Event) []string {
-	nodes := w.ClusterNodes()
+func clusterReplication(w *World, _ []Event) []string {
+	nodes := w.clusterNodes
 	if len(nodes) == 0 {
 		return nil
 	}
 	// Give gossip a bounded, deterministic chance to finish in-flight repair:
 	// the engine's Finish revived every member, so full-mesh rounds converge.
 	w.SettleCluster()
-	rf := w.ReplicationFactor()
 	byID := make(map[string]*cluster.Node, len(nodes))
 	for _, n := range nodes {
 		byID[n.Self()] = n
@@ -388,7 +285,7 @@ func (ClusterReplication) Check(w *World, _ []Event) []string {
 				continue
 			}
 			seen[key] = true
-			for _, owner := range ring.Owners(key, rf) {
+			for _, owner := range ring.Owners(key, replicationFactor) {
 				if on := byID[owner]; on != nil && !on.Table().HasLive(key) {
 					out = append(out, fmt.Sprintf(
 						"key %s not replicated on owner %s after settle", key, owner))
@@ -399,17 +296,15 @@ func (ClusterReplication) Check(w *World, _ []Event) []string {
 	return out
 }
 
-// WALReplayClean surfaces replay-fidelity violations recorded by wal-crash
+// walReplayClean surfaces replay-fidelity violations recorded by wal-crash
 // injections: a reopened WAL must reproduce every acknowledged operation.
-type WALReplayClean struct{}
+func walReplayClean(w *World, _ []Event) []string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]string(nil), w.walViolations...)
+}
 
-// Name implements Invariant.
-func (WALReplayClean) Name() string { return "wal-replay-clean" }
-
-// Check implements Invariant.
-func (WALReplayClean) Check(w *World, _ []Event) []string { return w.WALViolations() }
-
-// TailCapture checks the wide-event plane's retention contract (it only
+// tailCapture checks the wide-event plane's retention contract (it only
 // applies to worlds built with Overload): a shed the consumer observed is,
 // by construction, a deliberate server rejection — and the server records
 // the wide event *before* it sends the rejection — so every client-observed
@@ -424,30 +319,21 @@ func (WALReplayClean) Check(w *World, _ []Event) []string { return w.WALViolatio
 // Each retained shed must also be attributable: a record without a topic or
 // a shed reason is a violation on its own, because an exemplar an operator
 // cannot act on is not an exemplar.
-type TailCapture struct{}
-
-// Name implements Invariant.
-func (TailCapture) Name() string { return "tail-capture" }
-
-// Check implements Invariant.
-func (TailCapture) Check(w *World, _ []Event) []string {
-	logs := w.ReqLogs()
-	if len(logs) == 0 {
+func tailCapture(w *World, _ []Event) []string {
+	if len(w.reqlogs) == 0 {
 		return nil
 	}
 	observed := 0
-	for _, n := range w.BulkShedTrace() {
-		observed += n
-	}
-	for _, shed := range w.ControlShedTrace() {
-		if shed {
+	for _, r := range w.Ticks() {
+		observed += r.BulkShed
+		if r.CtlShed {
 			observed++
 		}
 	}
 	retained := 0
 	var out []string
-	for id, rl := range logs {
-		for _, rec := range rl.Snapshot(reqlog.Filter{Outcome: reqlog.OutcomeShed}) {
+	for id, recs := range w.ShedRecords() {
+		for _, rec := range recs {
 			retained++
 			if rec.Topic == "" || rec.ShedReason == "" {
 				out = append(out, fmt.Sprintf(
@@ -464,76 +350,44 @@ func (TailCapture) Check(w *World, _ []Event) []string {
 	return out
 }
 
-// AlertLatency checks the alerting plane's detection promise (it only
+// alertLatency checks the alerting plane's detection promise (it only
 // applies to worlds built with SLO): any injected fault that silences a
 // supplier's telemetry — a partition or a crash — must drive the freshness
-// objective for that supplier to critical within Bound ticks of the inject.
-// The engine's multi-window burn math needs the silence to fill both windows
-// before paging, so the bound is wider than raw staleness marking; faults
-// reverted before the deadline are skipped, like every detection invariant
-// here — a short blip may legitimately never page.
-type AlertLatency struct {
-	// Bound is the tick budget from inject to critical (default 10: ~3 ticks
-	// for staleness marking plus ~4 for the long window to cross half-stale,
-	// with margin).
-	Bound int
-}
-
-// Name implements Invariant.
-func (AlertLatency) Name() string { return "alert-latency" }
-
-// Check implements Invariant.
-func (a AlertLatency) Check(w *World, events []Event) []string {
-	if w.SLO() == nil {
+// objective for that supplier to critical within alertBound ticks of the
+// inject. The engine's multi-window burn math needs the silence to fill both
+// windows before paging, so the bound is wider than raw staleness marking;
+// faults reverted before the deadline are skipped, like every detection
+// invariant here — a short blip may legitimately never page.
+func alertLatency(w *World, events []Event) []string {
+	if w.sloEngine == nil {
 		return nil
 	}
-	bound := a.Bound
-	if bound <= 0 {
-		bound = 10
-	}
-	trace := w.AlertTrace()
-	n := len(trace)
-	isSupplier := make(map[string]bool, len(w.supplier))
-	for _, id := range w.supplier {
-		isSupplier[id] = true
-	}
+	ticks := w.Ticks()
+	n := len(ticks)
 	var out []string
 	for idx, ev := range events {
-		if ev.Phase != PhaseInject || !isSupplier[ev.Target] {
+		if ev.Phase != PhaseInject || !slices.Contains(w.supplier, ev.Target) {
 			continue
 		}
 		if ev.Fault != FaultPartition && ev.Fault != FaultCrashSupplier {
 			continue
 		}
-		from := w.TickOf(ev.At)
-		// Revert tick: end of run unless an explicit (non-permanent) revert
-		// for this target lands earlier.
-		revert := n
-		for _, rv := range events[idx+1:] {
-			if rv.Phase == PhaseRevert && rv.Fault == ev.Fault && rv.Target == ev.Target {
-				if rv.At < permanentAt {
-					revert = w.TickOf(rv.At)
-				}
-				break
-			}
-		}
-		if revert > n {
-			revert = n
-		}
-		deadline := from + bound
-		if deadline >= revert || deadline >= n {
+		from := tickOf(ev.At)
+		deadline := from + alertBound
+		if deadline >= endTick(events, idx, n) || deadline >= n {
 			continue // fault too short or too late in the run to judge
 		}
-		if !freshnessCriticalWithin(trace, ev.Target, from, deadline) {
+		key := sloKey(FreshnessObjective, ev.Target)
+		if !anyTick(ticks, from, deadline, func(r TickRecord) bool { return r.Alerts[key] >= slo.Critical }) {
 			out = append(out, fmt.Sprintf(
 				"%s of %s at %v (tick %d) never drove %s critical within %d ticks",
-				ev.Fault, ev.Target, ev.At, from, FreshnessObjective, bound))
+				ev.Fault, ev.Target, ev.At, from, FreshnessObjective, alertBound))
 		}
 	}
 	return out
 }
 
-// PriorityIsolation checks the admission controller's overload contract (it
+// priorityIsolation checks the admission controller's overload contract (it
 // only applies to worlds built with Overload): the control lane's reserved
 // slot means a control probe is never shed while the same supplier is
 // admitting bulk traffic. A tick where the control probe came back shed AND
@@ -543,20 +397,12 @@ func (a AlertLatency) Check(w *World, events []Event) []string {
 // Sheds are judged, not raw failures: a control probe lost to the radio or
 // a partition times out rather than sheds, so network faults cannot fake a
 // violation.
-type PriorityIsolation struct{}
-
-// Name implements Invariant.
-func (PriorityIsolation) Name() string { return "priority-isolation" }
-
-// Check implements Invariant.
-func (PriorityIsolation) Check(w *World, _ []Event) []string {
-	ctlShed := w.ControlShedTrace()
-	bulkAdm := w.BulkAdmitTrace()
+func priorityIsolation(w *World, _ []Event) []string {
 	var out []string
-	for i, shed := range ctlShed {
-		if shed && i < len(bulkAdm) && bulkAdm[i] > 0 {
+	for i, r := range w.Ticks() {
+		if r.CtlShed && r.BulkAdmitted > 0 {
 			out = append(out, fmt.Sprintf(
-				"tick %d: control probe shed while %d bulk requests were admitted", i, bulkAdm[i]))
+				"tick %d: control probe shed while %d bulk requests were admitted", i, r.BulkAdmitted))
 		}
 	}
 	return out

@@ -12,24 +12,22 @@ import (
 // killSchedule is a hand-built schedule that crash-kills a supplier for a
 // fixed window, with nothing else going on — the cleanest stage for watching
 // the detector work.
-func killSchedule(target string, fromTick, ticks int, tickEvery time.Duration) Schedule {
+func killSchedule(target string, fromTick, ticks int) Schedule {
 	return Schedule{{
-		At:       time.Duration(fromTick) * tickEvery,
+		At:       time.Duration(fromTick) * TickEvery,
 		Fault:    FaultCrashSupplier,
 		Target:   target,
-		Duration: time.Duration(ticks) * tickEvery,
+		Duration: time.Duration(ticks) * TickEvery,
 	}}
 }
 
 func TestLivenessWorldSuspectsKilledSupplier(t *testing.T) {
-	const tickEvery = 50 * time.Millisecond
 	cfg := ScenarioConfig{
-		Seed:      1,
-		Ticks:     30,
-		TickEvery: tickEvery,
+		WorldConfig: WorldConfig{Seed: 1},
+		Ticks:       30,
 		// Kill the initially bound supplier (s0 has the best advertised
 		// reliability, so the consumer starts on it) for 15 ticks.
-		Schedule: killSchedule("s0", 5, 15, tickEvery),
+		Schedule: killSchedule("s0", 5, 15),
 	}
 	res, err := RunScenario(cfg)
 	if err != nil {
@@ -43,14 +41,8 @@ func TestLivenessWorldSuspectsKilledSupplier(t *testing.T) {
 // TestLivenessDetectorCatchesKill drives the world directly (not through
 // RunScenario) to inspect the detector traces tick by tick.
 func TestLivenessDetectorCatchesKill(t *testing.T) {
-	const tickEvery = 50 * time.Millisecond
 	vclock := simtime.NewVirtual(time.Unix(0, 0))
-	w, err := NewWorld(WorldConfig{
-		Seed:      1,
-		TickEvery: tickEvery,
-		Clock:     vclock,
-		Liveness:  true,
-	})
+	w, err := NewWorld(WorldConfig{Seed: 1}, vclock, nil)
 	if err != nil {
 		t.Fatalf("world: %v", err)
 	}
@@ -59,10 +51,10 @@ func TestLivenessDetectorCatchesKill(t *testing.T) {
 	engine := NewEngine(vclock)
 	w.RegisterInjectors(engine)
 	const killAt, killTicks, total = 5, 15, 25
-	engine.Load(killSchedule("s0", killAt, killTicks, tickEvery))
+	engine.Load(killSchedule("s0", killAt, killTicks))
 
 	for i := 0; i < total; i++ {
-		vclock.Advance(tickEvery)
+		vclock.Advance(TickEvery)
 		if err := engine.Step(); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -75,10 +67,13 @@ func TestLivenessDetectorCatchesKill(t *testing.T) {
 	if w.Health() == nil {
 		t.Fatal("liveness world has no monitor")
 	}
-	sus := w.SuspectedTrace()
-	bound := w.BoundTrace()
-	if len(sus) != total || len(bound) != total {
-		t.Fatalf("trace lengths %d/%d, want %d", len(sus), len(bound), total)
+	ticks := w.Ticks()
+	if len(ticks) != total {
+		t.Fatalf("trace length %d, want %d", len(ticks), total)
+	}
+	sus := make([]map[string]bool, total)
+	for i, r := range ticks {
+		sus[i] = r.Suspected
 	}
 
 	// The detector must suspect s0 within the suspect-before-violate budget
@@ -100,7 +95,7 @@ func TestLivenessDetectorCatchesKill(t *testing.T) {
 	// Once suspected, the binding must have moved off the corpse by the end
 	// of the next tick and stayed off until the revive.
 	for i := detectedAt + 1; i < killAt+killTicks && i < total; i++ {
-		if bound[i] == "s0" {
+		if ticks[i].Bound == "s0" {
 			t.Errorf("tick %d still bound to suspected dead s0", i)
 		}
 	}
@@ -124,19 +119,16 @@ func TestLivenessDetectorCatchesKill(t *testing.T) {
 // between the two corpses for the rest of the run. With the detector on, both
 // are suspected within a few ticks and the binding settles on s2.
 func TestLivenessReducesDeadAttempts(t *testing.T) {
-	const tickEvery = 50 * time.Millisecond
 	const ticks = 40
 	schedule := Schedule{
-		{At: 5 * tickEvery, Fault: FaultCrashSupplier, Target: "s0"},
-		{At: 15 * tickEvery, Fault: FaultCrashSupplier, Target: "s1"},
+		{At: 5 * TickEvery, Fault: FaultCrashSupplier, Target: "s0"},
+		{At: 15 * TickEvery, Fault: FaultCrashSupplier, Target: "s1"},
 	}
 	run := func(disable bool) *ScenarioResult {
 		res, err := RunScenario(ScenarioConfig{
-			Seed:            9,
-			Ticks:           ticks,
-			TickEvery:       tickEvery,
-			Schedule:        schedule,
-			DisableLiveness: disable,
+			WorldConfig: WorldConfig{Seed: 9, NoLiveness: disable},
+			Ticks:       ticks,
+			Schedule:    schedule,
 		})
 		if err != nil {
 			t.Fatalf("scenario (disable=%v): %v", disable, err)
@@ -163,15 +155,15 @@ func TestLivenessSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed soak skipped in short mode")
 	}
-	report, err := Soak(SoakConfig{
-		Scenarios: 20,
-		BaseSeed:  101,
-		Scenario:  ScenarioConfig{Ticks: 60, Windows: 4},
+	report, err := Soak(ScenarioConfig{
+		WorldConfig: WorldConfig{Seed: 101},
+		Ticks:       60,
+		Windows:     4,
 		// With NDSM_CHAOS_TRACE_DIR set (CI exports it), every scenario runs
 		// traced and any reproducing failure seed dumps its full causal
 		// timeline there — uploaded as a workflow artifact on failure.
 		TraceDir: os.Getenv("NDSM_CHAOS_TRACE_DIR"),
-	})
+	}, 20)
 	if err != nil {
 		t.Fatalf("soak: %v", err)
 	}
@@ -190,14 +182,14 @@ func TestLivenessSoak(t *testing.T) {
 // TestWorldTracesAlign guards the per-tick bookkeeping: every trace the
 // invariants consume must have exactly one entry per tick.
 func TestWorldTracesAlign(t *testing.T) {
-	res, err := RunScenario(ScenarioConfig{Seed: 3, Ticks: 20, Windows: 2})
+	res, err := RunScenario(ScenarioConfig{WorldConfig: WorldConfig{Seed: 3}, Ticks: 20, Windows: 2})
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
 	}
-	if got := len(res.OKByTick); got != res.Ticks {
-		t.Fatalf("OKByTick has %d entries, want %d", got, res.Ticks)
+	if got := len(res.Ticks); got != res.Config.Ticks {
+		t.Fatalf("Ticks has %d entries, want %d", got, res.Config.Ticks)
 	}
-	for i, ok := range res.OKByTick {
-		_ = fmt.Sprintf("%d:%v", i, ok) // trace is serializable per tick
+	for i, r := range res.Ticks {
+		_ = fmt.Sprintf("%d:%v", i, r.OK) // trace is serializable per tick
 	}
 }

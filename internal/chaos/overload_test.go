@@ -14,13 +14,7 @@ import (
 // reserved slot keeps it admitted — zero control sheds, every probe served.
 func TestOverloadWorldIsolatesControlLane(t *testing.T) {
 	vclock := simtime.NewVirtual(time.Unix(0, 0))
-	w, err := NewWorld(WorldConfig{
-		Seed:      7,
-		TickEvery: 50 * time.Millisecond,
-		Clock:     vclock,
-		Liveness:  true,
-		Overload:  true,
-	})
+	w, err := NewWorld(WorldConfig{Seed: 7, Overload: true}, vclock, nil)
 	if err != nil {
 		t.Fatalf("world: %v", err)
 	}
@@ -28,25 +22,24 @@ func TestOverloadWorldIsolatesControlLane(t *testing.T) {
 
 	const ticks = 12
 	for i := 0; i < ticks; i++ {
-		vclock.Advance(w.TickEvery())
+		vclock.Advance(TickEvery)
 		w.Tick(i)
 	}
 
-	ctlOK, ctlShed := w.ControlOKTrace(), w.ControlShedTrace()
-	bulkAdm, bulkShed := w.BulkAdmitTrace(), w.BulkShedTrace()
-	if len(ctlOK) != ticks || len(bulkAdm) != ticks {
-		t.Fatalf("trace lengths %d/%d, want %d", len(ctlOK), len(bulkAdm), ticks)
+	recs := w.Ticks()
+	if len(recs) != ticks {
+		t.Fatalf("trace length %d, want %d", len(recs), ticks)
 	}
 	okCtl, shedCtl, admitted, shedBulk := 0, 0, 0, 0
-	for i := 0; i < ticks; i++ {
-		if ctlOK[i] {
+	for _, r := range recs {
+		if r.CtlOK {
 			okCtl++
 		}
-		if ctlShed[i] {
+		if r.CtlShed {
 			shedCtl++
 		}
-		admitted += bulkAdm[i]
-		shedBulk += bulkShed[i]
+		admitted += r.BulkAdmitted
+		shedBulk += r.BulkShed
 	}
 	if shedCtl != 0 {
 		t.Fatalf("%d/%d control probes shed; the reservation must hold them all", shedCtl, ticks)
@@ -59,13 +52,13 @@ func TestOverloadWorldIsolatesControlLane(t *testing.T) {
 	if admitted == 0 || shedBulk == 0 {
 		t.Fatalf("bulk admitted=%d shed=%d; the burst must both serve and shed", admitted, shedBulk)
 	}
-	if v := (PriorityIsolation{}).Check(w, nil); len(v) != 0 {
+	if v := priorityIsolation(w, nil); len(v) != 0 {
 		t.Fatalf("priority-isolation violations on a clean run: %v", v)
 	}
 
 	// Tail capture: every client-observed shed must be retained server-side
 	// as a wide event with its topic and reason attached.
-	if v := (TailCapture{}).Check(w, nil); len(v) != 0 {
+	if v := tailCapture(w, nil); len(v) != 0 {
 		t.Fatalf("tail-capture violations on a clean run: %v", v)
 	}
 	retained := 0
@@ -90,11 +83,10 @@ func TestOverloadWorldIsolatesControlLane(t *testing.T) {
 // priority-isolation.
 func TestOverloadScenarioShort(t *testing.T) {
 	res, err := RunScenario(ScenarioConfig{
-		Seed:     11,
-		Ticks:    30,
-		Windows:  3,
-		Overload: true,
-		TraceDir: os.Getenv("NDSM_CHAOS_TRACE_DIR"),
+		WorldConfig: WorldConfig{Seed: 11, Overload: true},
+		Ticks:       30,
+		Windows:     3,
+		TraceDir:    os.Getenv("NDSM_CHAOS_TRACE_DIR"),
 	})
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
@@ -111,12 +103,12 @@ func TestOverloadSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed soak skipped in short mode")
 	}
-	report, err := Soak(SoakConfig{
-		Scenarios: 20,
-		BaseSeed:  401,
-		Scenario:  ScenarioConfig{Ticks: 60, Windows: 4, Overload: true},
-		TraceDir:  os.Getenv("NDSM_CHAOS_TRACE_DIR"),
-	})
+	report, err := Soak(ScenarioConfig{
+		WorldConfig: WorldConfig{Seed: 401, Overload: true},
+		Ticks:       60,
+		Windows:     4,
+		TraceDir:    os.Getenv("NDSM_CHAOS_TRACE_DIR"),
+	}, 20)
 	if err != nil {
 		t.Fatalf("soak: %v", err)
 	}

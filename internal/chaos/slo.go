@@ -17,8 +17,8 @@ const (
 	sloClearAfter       = 2
 )
 
-// Objective names the SLO world installs. Invariants and experiments key the
-// alert trace by "<objective>/<node>".
+// Objective names the SLO world installs. Invariants and experiments key
+// TickRecord.Alerts by "<objective>/<node>".
 const (
 	FreshnessObjective = "telemetry-freshness"
 	ControlObjective   = "control-deadline-miss"
@@ -33,12 +33,12 @@ const (
 func (w *World) buildSLO() error {
 	eng, err := slo.New(slo.Options{
 		Aggregator: w.agg,
-		Clock:      w.cfg.Clock,
+		Clock:      w.clock,
 	})
 	if err != nil {
 		return fmt.Errorf("chaos: slo engine: %w", err)
 	}
-	tick := w.cfg.TickEvery
+	const tick = TickEvery
 	objectives := []slo.Objective{{
 		Name:        FreshnessObjective,
 		Description: "every reporting node's telemetry stays fresh",
@@ -66,7 +66,7 @@ func (w *World) buildSLO() error {
 			ClearAfter:  sloClearAfter,
 		})
 	}
-	if w.cfg.RegistryCluster >= 2 {
+	if w.cfg.Cluster {
 		objectives = append(objectives, slo.Objective{
 			Name:        LookupObjective,
 			Description: "cached cluster lookups keep answering",
@@ -93,11 +93,11 @@ func (w *World) buildSLO() error {
 	}
 
 	w.flight = flightrec.NewRecorder(flightrec.Options{
-		Clock: w.cfg.Clock,
+		Clock: w.clock,
 		// One bundle per tick at most: a multi-node critical cascade within a
 		// tick records once, with the rest counted as suppressed.
 		MinInterval: tick,
-		Spans:       w.cfg.SpanCollector,
+		Spans:       w.spans,
 		Health:      w.health,
 		Aggregator:  w.agg,
 	})
@@ -122,39 +122,36 @@ func (w *World) buildSLO() error {
 	return nil
 }
 
-// tickCounters is one tick's workload outcome, folded into the consumer's
-// self-ingested telemetry report.
-type tickCounters struct {
-	ctlIssued bool
-	ctlOK     bool
-	lookupOK  bool
-	bulkAdm   int
-	bulkShed  int
-}
-
 // sloStep runs the alerting plane's per-tick work: ingest the consumer's own
-// counters, evaluate every objective once at the tick's clock, and append the
-// severity snapshot the alert-latency invariant replays.
-func (w *World) sloStep(c tickCounters) {
+// workload counters from the tick's record, evaluate every objective once at
+// the tick's clock, and return the severity snapshot the alert-latency
+// invariant replays.
+func (w *World) sloStep(rec TickRecord) map[string]slo.Severity {
 	w.sloSeq++
+	lookupOK := rec.LookupOK
+	if w.clusterProbe != nil {
+		// Cluster worlds judge availability on the cached cluster path — the
+		// mechanism under test — not the flood-backed full view.
+		lookupOK = rec.ClusterOK
+	}
 	counters := map[string]int64{"lookup.total": 1}
-	if !c.lookupOK {
+	if !lookupOK {
 		counters["lookup.fail"] = 1
 	}
-	if c.ctlIssued {
+	if rec.CtlIssued {
 		counters["ctl.total"] = 1
-		if !c.ctlOK {
+		if !rec.CtlOK {
 			counters["ctl.miss"] = 1
 		}
 	}
-	if c.bulkAdm+c.bulkShed > 0 {
-		counters["bulk.total"] = int64(c.bulkAdm + c.bulkShed)
-		counters["bulk.shed"] = int64(c.bulkShed)
+	if rec.BulkAdmitted+rec.BulkShed > 0 {
+		counters["bulk.total"] = int64(rec.BulkAdmitted + rec.BulkShed)
+		counters["bulk.shed"] = int64(rec.BulkShed)
 	}
 	_ = w.agg.Ingest(&telemetry.Report{
 		Node:     ConsumerID,
 		Seq:      w.sloSeq,
-		Time:     w.cfg.Clock.Now(),
+		Time:     w.clock.Now(),
 		Counters: counters,
 	})
 	w.sloEngine.Evaluate()
@@ -162,11 +159,9 @@ func (w *World) sloStep(c tickCounters) {
 	states := w.sloEngine.States()
 	snap := make(map[string]slo.Severity, len(states))
 	for _, st := range states {
-		snap[st.Objective+"/"+st.Node] = st.Severity
+		snap[sloKey(st.Objective, st.Node)] = st.Severity
 	}
-	w.mu.Lock()
-	w.alertTrace = append(w.alertTrace, snap)
-	w.mu.Unlock()
+	return snap
 }
 
 // SLO returns the consumer's burn-rate engine (nil unless the world was
@@ -176,14 +171,6 @@ func (w *World) SLO() *slo.Engine { return w.sloEngine }
 // FlightRecorder returns the consumer's flight recorder (nil unless SLO).
 func (w *World) FlightRecorder() *flightrec.Recorder { return w.flight }
 
-// AlertTrace returns, per tick, the end-of-tick severity of every alert
-// instance, keyed "<objective>/<node>" (empty unless SLO).
-func (w *World) AlertTrace() []map[string]slo.Severity {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]map[string]slo.Severity(nil), w.alertTrace...)
-}
-
 // AlertTransitions returns every alert state change over the run, in order
 // (empty unless SLO). A calm soak asserts this is empty.
 func (w *World) AlertTransitions() []slo.Transition {
@@ -192,17 +179,5 @@ func (w *World) AlertTransitions() []slo.Transition {
 	return append([]slo.Transition(nil), w.alertTrans...)
 }
 
-// sloKey builds an alert-trace key.
+// sloKey builds a TickRecord.Alerts key.
 func sloKey(objective, node string) string { return objective + "/" + node }
-
-// freshnessCriticalWithin reports whether the freshness objective for node
-// went critical in trace ticks [from, to].
-func freshnessCriticalWithin(trace []map[string]slo.Severity, node string, from, to int) bool {
-	key := sloKey(FreshnessObjective, node)
-	for i := from; i <= to && i < len(trace); i++ {
-		if i >= 0 && trace[i] != nil && trace[i][key] >= slo.Critical {
-			return true
-		}
-	}
-	return false
-}

@@ -17,14 +17,8 @@ import (
 // the transition cuts a flight-recorder bundle, and after the heal the alert
 // steps back down to ok through hysteresis.
 func TestAlertLatencyAroundPartition(t *testing.T) {
-	const tickEvery = 50 * time.Millisecond
 	vclock := simtime.NewVirtual(time.Unix(0, 0))
-	w, err := NewWorld(WorldConfig{
-		Seed:      1,
-		TickEvery: tickEvery,
-		Clock:     vclock,
-		SLO:       true,
-	})
+	w, err := NewWorld(WorldConfig{Seed: 1, NoLiveness: true, SLO: true}, vclock, nil)
 	if err != nil {
 		t.Fatalf("world: %v", err)
 	}
@@ -33,13 +27,13 @@ func TestAlertLatencyAroundPartition(t *testing.T) {
 	engine := NewEngine(vclock)
 	w.RegisterInjectors(engine)
 	const total = 60
-	sched := partitionSchedule("s2", 5, 25, tickEvery)
-	cutAt := w.TickOf(sched[0].At)
-	healTick := w.TickOf(sched[0].At + sched[0].Duration)
+	sched := partitionSchedule("s2", 5, 25)
+	cutAt := tickOf(sched[0].At)
+	healTick := tickOf(sched[0].At + sched[0].Duration)
 	engine.Load(sched)
 
 	for i := 0; i < total; i++ {
-		vclock.Advance(tickEvery)
+		vclock.Advance(TickEvery)
 		if err := engine.Step(); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -49,7 +43,7 @@ func TestAlertLatencyAroundPartition(t *testing.T) {
 		t.Fatalf("finish: %v", err)
 	}
 
-	trace := w.AlertTrace()
+	trace := w.Ticks()
 	if len(trace) != total {
 		t.Fatalf("alert trace has %d entries, want %d", len(trace), total)
 	}
@@ -57,14 +51,14 @@ func TestAlertLatencyAroundPartition(t *testing.T) {
 
 	// Before the cut: ok. Within the alert bound of the cut: critical.
 	for i := 0; i < cutAt; i++ {
-		if trace[i][key] != slo.OK {
-			t.Fatalf("s2 freshness %v at tick %d, before the partition", trace[i][key], i)
+		if trace[i].Alerts[key] != slo.OK {
+			t.Fatalf("s2 freshness %v at tick %d, before the partition", trace[i].Alerts[key], i)
 		}
 	}
 	const bound = 10
 	critAt := -1
 	for i := cutAt; i <= cutAt+bound; i++ {
-		if trace[i][key] == slo.Critical {
+		if trace[i].Alerts[key] == slo.Critical {
 			critAt = i
 			break
 		}
@@ -76,8 +70,8 @@ func TestAlertLatencyAroundPartition(t *testing.T) {
 
 	// Critical holds (no flapping) until the heal.
 	for i := critAt; i < healTick; i++ {
-		if trace[i][key] != slo.Critical {
-			t.Fatalf("s2 freshness dropped to %v at tick %d while still partitioned", trace[i][key], i)
+		if trace[i].Alerts[key] != slo.Critical {
+			t.Fatalf("s2 freshness dropped to %v at tick %d while still partitioned", trace[i].Alerts[key], i)
 		}
 	}
 
@@ -86,7 +80,7 @@ func TestAlertLatencyAroundPartition(t *testing.T) {
 	recoverBy := healTick + sloWindowTicks + 2*sloClearAfter + 4
 	okAt := -1
 	for i := healTick; i <= recoverBy && i < total; i++ {
-		if trace[i][key] == slo.OK {
+		if trace[i].Alerts[key] == slo.OK {
 			okAt = i
 			break
 		}
@@ -122,7 +116,7 @@ func TestAlertLatencyAroundPartition(t *testing.T) {
 
 	// The invariant agrees with the direct reading.
 	events := engine.Events()
-	if v := (AlertLatency{Bound: bound}).Check(w, events); len(v) != 0 {
+	if v := alertLatency(w, events); len(v) != 0 {
 		t.Fatalf("alert-latency violations on a detected run: %v", v)
 	}
 }
@@ -132,17 +126,14 @@ func TestAlertLatencyAroundPartition(t *testing.T) {
 // clean (the crash is detected in time), and the scenario surfaces the alert
 // transitions.
 func TestAlertLatencyScenarioCrash(t *testing.T) {
-	const tickEvery = 50 * time.Millisecond
 	res, err := RunScenario(ScenarioConfig{
-		Seed:      4,
-		Ticks:     60,
-		TickEvery: tickEvery,
-		SLO:       true,
+		WorldConfig: WorldConfig{Seed: 4, SLO: true},
+		Ticks:       60,
 		Schedule: Schedule{{
-			At:       8 * tickEvery,
+			At:       8 * TickEvery,
 			Fault:    FaultCrashSupplier,
 			Target:   "s2",
-			Duration: 30 * tickEvery,
+			Duration: 30 * TickEvery,
 		}},
 	})
 	if err != nil {
@@ -162,26 +153,24 @@ func TestAlertLatencyScenarioCrash(t *testing.T) {
 	}
 }
 
-// TestAlertLatencyFlightDump forces a violating SLO run (an impossible
-// 1-tick alert bound) and checks the black box lands on disk next to the
-// causal trace, as one parseable bundle document.
+// TestAlertLatencyFlightDump forces a violating SLO run (a schedule step
+// naming an unknown fault, beside the partition that drives an alert) and
+// checks the black box lands on disk next to the causal trace, as one
+// parseable bundle document.
 func TestAlertLatencyFlightDump(t *testing.T) {
-	const tickEvery = 50 * time.Millisecond
 	dir := t.TempDir()
 	res, err := RunScenario(ScenarioConfig{
-		Seed:       5,
-		Ticks:      50,
-		TickEvery:  tickEvery,
-		SLO:        true,
-		AlertBound: 1, // unmeetable: staleness marking alone takes ~3 ticks
-		Schedule:   partitionSchedule("s2", 5, 30, tickEvery),
-		TraceDir:   dir,
+		WorldConfig: WorldConfig{Seed: 5, SLO: true},
+		Ticks:       50,
+		Schedule: append(partitionSchedule("s2", 5, 30),
+			Step{At: 40 * TickEvery, Fault: FaultKind("no-such-fault"), Target: "x"}),
+		TraceDir: dir,
 	})
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
 	}
 	if len(res.Violations) == 0 {
-		t.Fatal("1-tick alert bound was met; the forced violation vanished")
+		t.Fatal("the unknown fault was injected; the forced violation vanished")
 	}
 	if res.FlightFile == "" {
 		t.Fatal("violating SLO run dumped no flight file")
@@ -217,26 +206,20 @@ func TestCalmWorldNoAlerts(t *testing.T) {
 	if testing.Short() {
 		seeds, ticks = 3, 25
 	}
-	report, err := Soak(SoakConfig{
-		Scenarios: seeds,
-		BaseSeed:  501,
-		Scenario: ScenarioConfig{
-			Ticks:    ticks,
-			SLO:      true,
-			Overload: true,
-			NoFaults: true,
-		},
-	})
+	report, err := Soak(ScenarioConfig{
+		WorldConfig: WorldConfig{Seed: 501, SLO: true, Overload: true},
+		Ticks:       ticks,
+	}, seeds)
 	if err != nil {
 		t.Fatalf("soak: %v", err)
 	}
 	for _, res := range report.Results {
 		for _, v := range res.Violations {
-			t.Errorf("seed %d violation on a calm world: %s", res.Seed, v)
+			t.Errorf("seed %d violation on a calm world: %s", res.Config.Seed, v)
 		}
 		for _, tr := range res.Alerts {
 			t.Errorf("seed %d false-positive alert: %s/%s %s -> %s (burn %.2f)",
-				res.Seed, tr.Objective, tr.Node, tr.From, tr.To, tr.BurnLong)
+				res.Config.Seed, tr.Objective, tr.Node, tr.From, tr.To, tr.BurnLong)
 		}
 	}
 }
@@ -246,12 +229,10 @@ func TestCalmWorldNoAlerts(t *testing.T) {
 // including alert-latency.
 func TestSLOScenarioSmoke(t *testing.T) {
 	res, err := RunScenario(ScenarioConfig{
-		Seed:     13,
-		Ticks:    40,
-		Windows:  3,
-		SLO:      true,
-		Overload: true,
-		TraceDir: os.Getenv("NDSM_CHAOS_TRACE_DIR"),
+		WorldConfig: WorldConfig{Seed: 13, SLO: true, Overload: true},
+		Ticks:       40,
+		Windows:     3,
+		TraceDir:    os.Getenv("NDSM_CHAOS_TRACE_DIR"),
 	})
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
@@ -263,11 +244,11 @@ func TestSLOScenarioSmoke(t *testing.T) {
 
 // severityTrace renders one alert key's severities over [from, to] for
 // failure messages.
-func severityTrace(trace []map[string]slo.Severity, key string, from, to int) []slo.Severity {
+func severityTrace(trace []TickRecord, key string, from, to int) []slo.Severity {
 	var out []slo.Severity
 	for i := from; i <= to && i < len(trace); i++ {
 		if i >= 0 {
-			out = append(out, trace[i][key])
+			out = append(out, trace[i].Alerts[key])
 		}
 	}
 	return out

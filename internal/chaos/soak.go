@@ -15,125 +15,47 @@ import (
 	"ndsm/internal/trace"
 )
 
-// ScenarioConfig sizes one seeded chaos scenario.
+// ScenarioConfig is one seeded chaos scenario: a world kind plus the run's
+// length and faults. Printed with %#v it is the Go literal that replays the
+// run.
 type ScenarioConfig struct {
-	// Seed fixes the fault schedule and the substrate RNG. The same seed
-	// reproduces the same schedule and the same invariant verdicts.
-	Seed int64
-	// Ticks is the workload length (default 90).
+	// WorldConfig is the world the scenario runs on. Its Seed also fixes the
+	// generated fault schedule: the same config reproduces the same schedule
+	// and the same invariant verdicts.
+	WorldConfig
+	// Ticks is the workload length.
 	Ticks int
-	// TickEvery is the virtual time per tick (default 50ms).
-	TickEvery time.Duration
-	// Suppliers sizes the world (default 3).
-	Suppliers int
-	// Windows is how many faults the generator draws (default 5).
+	// Windows is how many faults the generator draws over the run. Zero
+	// with no Schedule runs the world calm: with SLO on, that is the
+	// false-positive soak — a calm run must end with zero alert transitions.
 	Windows int
-	// RebindBound and ConvergeBound are the invariant tick budgets
-	// (default 8 each).
-	RebindBound   int
-	ConvergeBound int
-	// SuspectBound is the suspect-before-violate detection budget
-	// (default 8).
-	SuspectBound int
-	// DisableLiveness turns the health layer off: long leases, no failure
-	// detector, no breaker — the reactive-only baseline E11 measures
-	// against. Scenarios run with liveness on by default.
-	DisableLiveness bool
-	// Telemetry turns the in-band telemetry plane on: the consumer hosts an
-	// aggregator, live suppliers publish one report per tick, and the
-	// telemetry-freshness invariant is checked over the run.
-	Telemetry bool
-	// FreshBound is the telemetry-freshness tick budget (default 5).
-	FreshBound int
-	// RegistryCluster, when >= 2, runs the replicated sharded registry world
-	// of that many members: the generator draws single-member kills instead
-	// of whole-registry kills, and the cluster availability and replication
-	// invariants are checked over the run.
-	RegistryCluster int
-	// ReplicationFactor is the cluster's owner-set size (default 2; cluster
-	// scenarios only).
-	ReplicationFactor int
-	// ClusterBound is the cluster-lookup-availability tick allowance after a
-	// member kill (default 3).
-	ClusterBound int
-	// Overload runs the priority-lane overload world: lane-aware admission
-	// on every supplier, a per-tick bulk burst plus control probe at the
-	// bound supplier, and the priority-isolation invariant checked over the
-	// run.
-	Overload bool
-	// SLO runs the alerting plane (implies Telemetry; see WorldConfig.SLO)
-	// and checks the alert-latency invariant: silencing faults must drive
-	// the freshness objective critical within AlertBound ticks. Violating
-	// runs additionally dump the flight recorder's bundles next to the
-	// causal trace when TraceDir is set.
-	SLO bool
-	// AlertBound is the alert-latency tick budget (default 10).
-	AlertBound int
-	// NoFaults suppresses schedule generation entirely: the world runs calm.
-	// With SLO on, this is the false-positive soak — a calm run must end
-	// with zero alert transitions.
-	NoFaults bool
 	// Schedule overrides the generated fault schedule (Seed still fixes the
 	// substrate RNG). Experiments use this to replay one hand-built kill
 	// schedule under different world configurations.
 	Schedule Schedule
-	// Dir overrides the world's WAL root (default: fresh temp dir).
-	Dir string
 	// TraceDir, when set, runs the whole scenario under a shared tracer and
 	// — the payoff — dumps the full causal trace of any violating run as
 	// Chrome trace-event JSON at <TraceDir>/chaos-seed-<seed>.json, so a
-	// reproducing failure seed arrives with its timeline attached. Clean
-	// runs dump nothing.
+	// reproducing failure seed arrives with its timeline attached. Violating
+	// SLO runs additionally dump the flight recorder's bundles beside it, and
+	// violating overload runs their shed records. Clean runs dump nothing.
 	TraceDir string
-}
-
-func (c ScenarioConfig) withDefaults() ScenarioConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Ticks <= 0 {
-		c.Ticks = 90
-	}
-	if c.TickEvery <= 0 {
-		c.TickEvery = 50 * time.Millisecond
-	}
-	if c.Suppliers <= 0 {
-		c.Suppliers = 3
-	}
-	if c.Windows <= 0 {
-		c.Windows = 5
-	}
-	if c.RebindBound <= 0 {
-		c.RebindBound = 8
-	}
-	if c.ConvergeBound <= 0 {
-		c.ConvergeBound = 8
-	}
-	return c
 }
 
 // ScenarioResult is one scenario's outcome.
 type ScenarioResult struct {
-	Seed      int64
+	// Config is the configuration the scenario ran; RunScenario(Config)
+	// replays the same schedule, events and verdicts.
+	Config    ScenarioConfig
 	Schedule  Schedule
 	Events    []Event
-	Ticks     int
+	Ticks     []TickRecord
 	TicksOK   int
 	LookupsOK int
 	Rebinds   int64
 	// DeadAttempts counts ticks whose request was aimed at a dead supplier
 	// without liveness diversion (see World.DeadAttempts).
 	DeadAttempts int64
-	// OKByTick is the per-tick request outcome trace.
-	OKByTick []bool
-	// LookupOKByTick is the per-tick discovery probe trace (through the
-	// consumer's full registry view, flood fallback included).
-	LookupOKByTick []bool
-	// ClusterOKByTick is the per-tick cached cluster-path probe trace (nil
-	// for classic single-registry worlds).
-	ClusterOKByTick []bool
-	// ClusterLookupsOK counts the successful entries of ClusterOKByTick.
-	ClusterLookupsOK int
 	// Violations holds every invariant violation, prefixed by the invariant
 	// name. Empty means the run was clean.
 	Violations []string
@@ -143,7 +65,7 @@ type ScenarioResult struct {
 	// Spans counts the causal spans collected for a traced run.
 	Spans int
 	// Alerts is every SLO alert transition over the run, in order (empty
-	// unless ScenarioConfig.SLO). The calm-world soak asserts it stays
+	// unless the world runs SLO). The calm-world soak asserts it stays
 	// empty; faulty runs read detection latency off the At stamps.
 	Alerts []slo.Transition
 	// FlightFile is the flight-recorder bundle dump of a violating SLO run
@@ -190,51 +112,28 @@ func StandardChoices(w *World) []FaultChoice {
 // checks every invariant over the finished run.
 //
 // Determinism: the schedule and the applied-event trace are pure functions
-// of the seed. Per-tick outcomes can shift between runs (concurrent flood
-// replies consume substrate RNG draws in nondeterministic order), which is
-// why the invariant bounds are set conservatively — verdicts, not individual
-// ticks, are the reproducible artifact.
+// of the config — its seed, world kind, Ticks and Windows. Per-tick outcomes
+// can shift between runs (concurrent flood replies consume substrate RNG
+// draws in nondeterministic order), which is why the invariant bounds are
+// set conservatively — verdicts, not individual ticks, are the reproducible
+// artifact.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
-	cfg = cfg.withDefaults()
 	vclock := simtime.NewVirtual(time.Unix(0, 0))
-	var tracer *trace.Tracer
 	var collector *trace.Collector
 	if cfg.TraceDir != "" {
 		collector = trace.NewCollector(1 << 16)
-		// The tracer shares the scenario's virtual clock, so span timestamps
-		// land on the same timeline as the fault schedule (tick i starts at
-		// i*TickEvery).
-		tracer = trace.New(trace.Options{
-			Name:      fmt.Sprintf("seed-%d", cfg.Seed),
-			Clock:     vclock,
-			Collector: collector,
-		})
 	}
-	world, err := NewWorld(WorldConfig{
-		Seed:              cfg.Seed,
-		Suppliers:         cfg.Suppliers,
-		TickEvery:         cfg.TickEvery,
-		Clock:             vclock,
-		Dir:               cfg.Dir,
-		Liveness:          !cfg.DisableLiveness,
-		Telemetry:         cfg.Telemetry,
-		RegistryCluster:   cfg.RegistryCluster,
-		ReplicationFactor: cfg.ReplicationFactor,
-		Overload:          cfg.Overload,
-		SLO:               cfg.SLO,
-		SpanCollector:     collector,
-		Tracer:            tracer,
-	})
+	world, err := NewWorld(cfg.WorldConfig, vclock, collector)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: world seed %d: %w", cfg.Seed, err)
 	}
 	defer world.Close() //nolint:errcheck
 
 	schedule := cfg.Schedule
-	if len(schedule) == 0 && !cfg.NoFaults {
+	if len(schedule) == 0 {
 		schedule = Generate(GeneratorConfig{
 			Seed:    cfg.Seed,
-			Horizon: time.Duration(cfg.Ticks) * cfg.TickEvery,
+			Horizon: time.Duration(cfg.Ticks) * TickEvery,
 			Windows: cfg.Windows,
 			Choices: StandardChoices(world),
 		})
@@ -245,7 +144,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 
 	var injectErrs []string
 	for i := 0; i < cfg.Ticks; i++ {
-		vclock.Advance(cfg.TickEvery)
+		vclock.Advance(TickEvery)
 		if err := engine.Step(); err != nil {
 			injectErrs = append(injectErrs, err.Error())
 		}
@@ -257,51 +156,28 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	events := engine.Events()
 
 	res := &ScenarioResult{
-		Seed:         cfg.Seed,
+		Config:       cfg,
 		Schedule:     schedule,
 		Events:       events,
-		Ticks:        cfg.Ticks,
+		Ticks:        world.Ticks(),
 		Rebinds:      world.Binding().Rebinds.Load(),
 		DeadAttempts: world.DeadAttempts(),
-		OKByTick:     world.TickOK(),
+		Alerts:       world.AlertTransitions(),
 	}
-	for _, ok := range world.TickOK() {
-		if ok {
+	for _, r := range res.Ticks {
+		if r.OK {
 			res.TicksOK++
 		}
-	}
-	res.LookupOKByTick = world.LookupOK()
-	for _, ok := range res.LookupOKByTick {
-		if ok {
+		if r.LookupOK {
 			res.LookupsOK++
-		}
-	}
-	res.ClusterOKByTick = world.ClusterLookupOK()
-	for _, ok := range res.ClusterOKByTick {
-		if ok {
-			res.ClusterLookupsOK++
 		}
 	}
 	for _, msg := range injectErrs {
 		res.Violations = append(res.Violations, "inject: "+msg)
 	}
-	res.Alerts = world.AlertTransitions()
-	invariants := []Invariant{
-		AckedDurable{},
-		RebindRecovery{Bound: cfg.RebindBound},
-		DiscoveryConvergence{Bound: cfg.ConvergeBound},
-		SuspectBeforeViolate{Bound: cfg.SuspectBound},
-		TelemetryFreshness{Bound: cfg.FreshBound},
-		ClusterLookupAvailability{Bound: cfg.ClusterBound},
-		ClusterReplication{},
-		WALReplayClean{},
-		PriorityIsolation{},
-		TailCapture{},
-		AlertLatency{Bound: cfg.AlertBound},
-	}
 	for _, inv := range invariants {
-		for _, v := range inv.Check(world, events) {
-			res.Violations = append(res.Violations, inv.Name()+": "+v)
+		for _, v := range inv.check(world, events) {
+			res.Violations = append(res.Violations, inv.name+": "+v)
 		}
 	}
 	if collector != nil {
@@ -363,42 +239,20 @@ func writeFlightFile(path string, rec *flightrec.Recorder) error {
 	return f.Close()
 }
 
-// SoakConfig sizes a multi-scenario soak.
-type SoakConfig struct {
-	// Scenarios is how many seeds to run (default 5).
-	Scenarios int
-	// BaseSeed is the first seed; scenario i runs seed BaseSeed+i
-	// (default 1).
-	BaseSeed int64
-	// Scenario sizes each run (its Seed field is overridden).
-	Scenario ScenarioConfig
-	// TraceDir propagates to every scenario (see ScenarioConfig.TraceDir):
-	// each violating seed dumps its causal trace there.
-	TraceDir string
-}
-
 // SoakReport aggregates a soak's scenario results.
 type SoakReport struct {
 	Results []*ScenarioResult
 }
 
-// Soak runs N seeded scenarios and aggregates their results. Any violation
-// comes back tagged with the seed that reproduces it.
-func Soak(cfg SoakConfig) (*SoakReport, error) {
-	if cfg.Scenarios <= 0 {
-		cfg.Scenarios = 5
-	}
-	if cfg.BaseSeed == 0 {
-		cfg.BaseSeed = 1
-	}
+// Soak runs n scenarios of sc's kind, seeds sc.Seed … sc.Seed+n-1, and
+// aggregates their results. Any violation comes back tagged with the seed
+// that reproduces it.
+func Soak(sc ScenarioConfig, n int) (*SoakReport, error) {
 	report := &SoakReport{}
-	for i := 0; i < cfg.Scenarios; i++ {
-		sc := cfg.Scenario
-		sc.Seed = cfg.BaseSeed + int64(i)
-		if cfg.TraceDir != "" {
-			sc.TraceDir = cfg.TraceDir
-		}
-		res, err := RunScenario(sc)
+	for i := 0; i < n; i++ {
+		cfg := sc
+		cfg.Seed = sc.Seed + int64(i)
+		res, err := RunScenario(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -413,14 +267,14 @@ func (r *SoakReport) Violations() []string {
 	var out []string
 	for _, res := range r.Results {
 		for _, v := range res.Violations {
-			out = append(out, fmt.Sprintf("seed %d: %s", res.Seed, v))
+			out = append(out, fmt.Sprintf("seed %d: %s", res.Config.Seed, v))
 		}
 	}
 	return out
 }
 
-// String summarizes the soak, including the reproduction recipe for any
-// violation.
+// String summarizes the soak, including the reproduction recipe for each
+// violating seed: the Go literal of the config it ran.
 func (r *SoakReport) String() string {
 	var b strings.Builder
 	clean := 0
@@ -434,18 +288,19 @@ func (r *SoakReport) String() string {
 		fmt.Fprintf(&b, "  VIOLATION %s\n", v)
 	}
 	for _, res := range r.Results {
+		seed := res.Config.Seed
 		if res.TraceFile != "" {
-			fmt.Fprintf(&b, "  trace for seed %d: %s\n", res.Seed, res.TraceFile)
+			fmt.Fprintf(&b, "  trace for seed %d: %s\n", seed, res.TraceFile)
 		}
 		if res.FlightFile != "" {
-			fmt.Fprintf(&b, "  flight bundles for seed %d: %s\n", res.Seed, res.FlightFile)
+			fmt.Fprintf(&b, "  flight bundles for seed %d: %s\n", seed, res.FlightFile)
 		}
 		if res.TailFile != "" {
-			fmt.Fprintf(&b, "  shed tail records for seed %d: %s\n", res.Seed, res.TailFile)
+			fmt.Fprintf(&b, "  shed tail records for seed %d: %s\n", seed, res.TailFile)
 		}
-	}
-	if len(r.Violations()) > 0 {
-		b.WriteString("  reproduce with chaos.RunScenario(chaos.ScenarioConfig{Seed: <seed>})\n")
+		if len(res.Violations) > 0 {
+			fmt.Fprintf(&b, "  reproduce seed %d with chaos.RunScenario(%#v)\n", seed, res.Config)
+		}
 	}
 	return b.String()
 }

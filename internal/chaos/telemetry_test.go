@@ -10,12 +10,12 @@ import (
 // partitionSchedule severs every link of one node for a fixed tick window —
 // the telemetry plane's canonical failure: the node keeps running but its
 // reports stop arriving at the aggregator.
-func partitionSchedule(target string, fromTick, ticks int, tickEvery time.Duration) Schedule {
+func partitionSchedule(target string, fromTick, ticks int) Schedule {
 	return Schedule{{
-		At:       time.Duration(fromTick) * tickEvery,
+		At:       time.Duration(fromTick) * TickEvery,
 		Fault:    FaultPartition,
 		Target:   target,
-		Duration: time.Duration(ticks) * tickEvery,
+		Duration: time.Duration(ticks) * TickEvery,
 	}}
 }
 
@@ -23,14 +23,8 @@ func partitionSchedule(target string, fromTick, ticks int, tickEvery time.Durati
 // watches one supplier's freshness verdict flip stale while partitioned from
 // the aggregator and fresh again after the heal.
 func TestTelemetryFreshnessAroundPartition(t *testing.T) {
-	const tickEvery = 50 * time.Millisecond
 	vclock := simtime.NewVirtual(time.Unix(0, 0))
-	w, err := NewWorld(WorldConfig{
-		Seed:      1,
-		TickEvery: tickEvery,
-		Clock:     vclock,
-		Telemetry: true,
-	})
+	w, err := NewWorld(WorldConfig{Seed: 1, NoLiveness: true, Telemetry: true}, vclock, nil)
 	if err != nil {
 		t.Fatalf("world: %v", err)
 	}
@@ -41,16 +35,16 @@ func TestTelemetryFreshnessAroundPartition(t *testing.T) {
 	const total = 30
 	// Partition s2: it is not the initially bound supplier, so the workload
 	// keeps flowing and the run isolates the telemetry plane's reaction.
-	sched := partitionSchedule("s2", 5, 12, tickEvery)
+	sched := partitionSchedule("s2", 5, 12)
 	// The engine applies an action during the first tick whose clock has
 	// passed its offset, so map schedule time to tick indices the same way
 	// the invariants do.
-	cutAt := w.TickOf(sched[0].At)
-	healTick := w.TickOf(sched[0].At + sched[0].Duration)
+	cutAt := tickOf(sched[0].At)
+	healTick := tickOf(sched[0].At + sched[0].Duration)
 	engine.Load(sched)
 
 	for i := 0; i < total; i++ {
-		vclock.Advance(tickEvery)
+		vclock.Advance(TickEvery)
 		if err := engine.Step(); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -63,7 +57,10 @@ func TestTelemetryFreshnessAroundPartition(t *testing.T) {
 	if w.Aggregator() == nil {
 		t.Fatal("telemetry world has no aggregator")
 	}
-	fresh := w.FreshTrace()
+	fresh := make([]map[string]bool, 0, total)
+	for _, r := range w.Ticks() {
+		fresh = append(fresh, r.Fresh)
+	}
 	if len(fresh) != total {
 		t.Fatalf("freshness trace has %d entries, want %d", len(fresh), total)
 	}
@@ -131,13 +128,10 @@ func TestTelemetryFreshnessAroundPartition(t *testing.T) {
 // RunScenario with telemetry on: the telemetry-freshness invariant must judge
 // the run clean, alongside every pre-existing invariant.
 func TestTelemetryScenarioInvariantClean(t *testing.T) {
-	const tickEvery = 50 * time.Millisecond
 	res, err := RunScenario(ScenarioConfig{
-		Seed:      2,
-		Ticks:     30,
-		TickEvery: tickEvery,
-		Telemetry: true,
-		Schedule:  partitionSchedule("s1", 6, 10, tickEvery),
+		WorldConfig: WorldConfig{Seed: 2, Telemetry: true},
+		Ticks:       30,
+		Schedule:    partitionSchedule("s1", 6, 10),
 	})
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
@@ -151,12 +145,10 @@ func TestTelemetryScenarioInvariantClean(t *testing.T) {
 // without telemetry carry no aggregator, and the invariant must pass through
 // without verdicts rather than flag every partition as undetected.
 func TestTelemetryInvariantSkipsPlainWorlds(t *testing.T) {
-	const tickEvery = 50 * time.Millisecond
 	res, err := RunScenario(ScenarioConfig{
-		Seed:      3,
-		Ticks:     20,
-		TickEvery: tickEvery,
-		Schedule:  partitionSchedule("s1", 4, 8, tickEvery),
+		WorldConfig: WorldConfig{Seed: 3},
+		Ticks:       20,
+		Schedule:    partitionSchedule("s1", 4, 8),
 	})
 	if err != nil {
 		t.Fatalf("scenario: %v", err)

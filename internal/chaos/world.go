@@ -32,62 +32,34 @@ import (
 	"ndsm/internal/wire"
 )
 
-// WorldConfig sizes a chaos world.
+// WorldConfig picks the kind of chaos world to build. Every size is a
+// constant below; each field here turns one plane on or off.
 type WorldConfig struct {
-	// Seed fixes the substrate's loss/jitter RNG.
+	// Seed fixes the substrate's loss/jitter RNG (and a scenario's fault
+	// schedule).
 	Seed int64
-	// Suppliers is how many supplier nodes serve the service (default 3).
-	Suppliers int
-	// Service is the service name suppliers offer (default "svc/chaos").
-	Service string
-	// TickEvery is the virtual time one workload tick represents; fault
-	// schedule offsets are mapped to tick indices through it (default 50ms).
-	TickEvery time.Duration
-	// Clock is the schedule clock (a *simtime.Virtual in tests). It times the
-	// adaptive registry's health probes; the data path runs on wall time so
-	// request timeouts fire while the driving goroutine is blocked inside a
-	// tick.
-	Clock simtime.Clock
-	// RequestTimeout is the consumer's real-time benefit deadline per
-	// request (default 120ms).
-	RequestTimeout time.Duration
-	// CollectWindow is the flood discovery reply-collection window
-	// (default 25ms, real time).
-	CollectWindow time.Duration
-	// Dir is the root for per-supplier WAL directories. Empty means a fresh
-	// temporary directory, removed on Close.
-	Dir string
-	// Liveness enables the health layer: supplier leases shrink to a few
-	// ticks and are renewed every tick (heartbeats piggybacked on the
-	// discovery traffic that already flows), and the consumer runs a
-	// failure detector + per-peer circuit breaker on the schedule clock, so
-	// killed suppliers are suspected, skipped, and fast-failed instead of
+	// NoLiveness turns the health layer off. On, supplier leases shrink to a
+	// few ticks and are renewed every tick (heartbeats piggybacked on the
+	// discovery traffic that already flows), and the consumer runs a failure
+	// detector + per-peer circuit breaker on the schedule clock, so killed
+	// suppliers are suspected, skipped, and fast-failed instead of
 	// re-selected. Off, the world behaves exactly like the detector-less
 	// stack (hour-long leases, reactive rebinds only) — the baseline E11
 	// measures against.
-	Liveness bool
-	// Tracer, when set, is shared by every component in the world — radio
-	// hops, discovery (central and flood), bindings, nodes, the health
-	// layer — so one consumer request yields a single connected causal tree
-	// across all simulated nodes. Nil leaves tracing off (process default).
-	Tracer *trace.Tracer
+	NoLiveness bool
 	// Telemetry turns on the cluster telemetry plane: the consumer node
 	// hosts an aggregator on its existing listener, every live supplier
 	// publishes one in-band report per tick (schedule-clock timestamps),
 	// and the world records each supplier's end-of-tick freshness verdict —
 	// the trace the telemetry-freshness invariant checks around partitions.
 	Telemetry bool
-	// RegistryCluster, when >= 2, replaces the single registry node with a
-	// replicated sharded cluster of that many members ("registry0" ..
-	// "registryN-1"): every endpoint resolves through a scatter-gather
-	// cluster resolver instead of one central client, the consumer
-	// additionally runs a lookup lease cache sized in ticks (TTL one tick,
-	// stale window four), and the world drives one anti-entropy round per
-	// member per tick. 0 or 1 keeps the classic single-registry world.
-	RegistryCluster int
-	// ReplicationFactor is the cluster's owner-set size R (default 2;
-	// cluster worlds only).
-	ReplicationFactor int
+	// Cluster replaces the single registry node with a replicated sharded
+	// cluster of ClusterSize members ("registry0" .. "registry2"): every
+	// endpoint resolves through a scatter-gather cluster resolver instead of
+	// one central client, the consumer additionally runs a lookup lease
+	// cache sized in ticks (TTL one tick, stale window four), and the world
+	// drives one anti-entropy round per member per tick.
+	Cluster bool
 	// Overload turns on the priority-lane overload workload: every supplier
 	// runs lane-aware admission control (a small MaxInFlight pool with one
 	// slot reserved for the control lane), serves a slow bulk topic, and each
@@ -104,42 +76,31 @@ type WorldConfig struct {
 	// judge. Objectives installed: telemetry-freshness over every reporting
 	// node, control-deadline-miss in overload worlds, and lookup-availability
 	// in cluster worlds. The engine evaluates once per tick; the per-tick
-	// severity trace is what the alert-latency invariant checks, and every
+	// severity snapshot is what the alert-latency invariant checks, and every
 	// transition to critical cuts a flight-recorder bundle.
 	SLO bool
-	// SpanCollector, when set alongside SLO, feeds recent spans into the
-	// flight recorder's bundles (RunScenario passes its trace collector
-	// through when TraceDir is configured).
-	SpanCollector *trace.Collector
 }
 
-func (c WorldConfig) withDefaults() WorldConfig {
-	if c.SLO {
-		c.Telemetry = true
-	}
-	if c.Suppliers <= 0 {
-		c.Suppliers = 3
-	}
-	if c.Service == "" {
-		c.Service = "svc/chaos"
-	}
-	if c.TickEvery <= 0 {
-		c.TickEvery = 50 * time.Millisecond
-	}
-	if c.Clock == nil {
-		c.Clock = simtime.Real{}
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 120 * time.Millisecond
-	}
-	if c.CollectWindow <= 0 {
-		c.CollectWindow = 25 * time.Millisecond
-	}
-	if c.RegistryCluster >= 2 && c.ReplicationFactor <= 0 {
-		c.ReplicationFactor = cluster.DefaultReplicationFactor
-	}
-	return c
-}
+// World sizes. Every world and scenario runs these.
+const (
+	// TickEvery is the virtual time one workload tick represents; fault
+	// schedule offsets are mapped to tick indices through it.
+	TickEvery = 50 * time.Millisecond
+	// ClusterSize is a cluster world's member count.
+	ClusterSize = 3
+	// replicationFactor is a cluster world's owner-set size R.
+	replicationFactor = cluster.DefaultReplicationFactor
+	// suppliers is how many supplier nodes serve the service.
+	suppliers = 3
+	// service is the service name suppliers offer.
+	service = "svc/chaos"
+	// requestTimeout is the consumer's real-time benefit deadline per
+	// request.
+	requestTimeout = 120 * time.Millisecond
+	// collectWindow is the flood discovery reply-collection window (real
+	// time).
+	collectWindow = 25 * time.Millisecond
+)
 
 // RegistryID is the centralized registry's node ID in a World.
 const RegistryID = "registry"
@@ -221,9 +182,12 @@ type worldNode struct {
 // so injected faults exercise the same code paths the experiments measure.
 type World struct {
 	cfg WorldConfig
-	dir string
-	// ownDir marks a World-created temp dir (removed on Close).
-	ownDir bool
+	dir string // the suppliers' WAL root, a temp dir removed on Close
+	// clock is the schedule clock; tracer and spans are nil unless the world
+	// was built with a span collector.
+	clock  simtime.Clock
+	tracer *trace.Tracer
+	spans  *trace.Collector
 
 	Net *netsim.Network
 
@@ -231,7 +195,7 @@ type World struct {
 	registryTr     *transport.Sim
 	registryServer *discovery.Server
 
-	// Cluster-mode registry plane (empty unless WorldConfig.RegistryCluster).
+	// Cluster-mode registry plane (empty unless WorldConfig.Cluster).
 	clusterMembers []string
 	clusterNodes   []*cluster.Node
 	clusterMuxes   []*netmux.Mux
@@ -242,7 +206,7 @@ type World struct {
 	binding  *core.Binding
 	probe    discovery.Resolver // the consumer's registry view, for lookup probes
 	supplier []string           // supplier IDs in creation order
-	health   *health.Monitor    // consumer's liveness monitor (nil unless Liveness)
+	health   *health.Monitor    // consumer's liveness monitor (nil with NoLiveness)
 
 	// Telemetry plane (nil/empty unless WorldConfig.Telemetry).
 	agg        *telemetry.Aggregator
@@ -267,24 +231,43 @@ type World struct {
 	states        map[string]*keySetState
 	dead          map[string]bool // suppliers currently crash-killed
 	deadRegistry  map[string]bool // cluster members currently crash-killed
-	tickOK        []bool
-	lookupOK      []bool
-	clusterOK     []bool            // per-tick cached cluster-resolver probe outcomes
-	freshness     []map[string]bool // per-tick aggregator freshness per supplier
-	preBound      []string          // peer the binding pointed at entering each tick
-	bound         []string          // peer the binding pointed at leaving each tick
-	suspected     []map[string]bool // per-tick detector verdict per supplier
-	openCircuits  []map[string]bool // per-tick breaker-open flag per supplier
+	ticks         []TickRecord
 	deadAttempts  int64
 	acked         []string
 	ackedBy       map[string][]string
 	walViolations []string
-	ctlOKTrace    []bool                    // per-tick control probe success (overload worlds)
-	ctlShedTrace  []bool                    // per-tick control probe shed verdict
-	bulkAdmitTick []int                     // per-tick bulk requests admitted and served
-	bulkShedTick  []int                     // per-tick bulk requests shed
-	alertTrace    []map[string]slo.Severity // per-tick severity per "objective/node" (SLO worlds)
-	alertTrans    []slo.Transition          // every alert transition over the run (SLO worlds)
+	alertTrans    []slo.Transition // every alert transition over the run (SLO worlds)
+}
+
+// TickRecord is what one Tick observed. Its maps are keyed by supplier ID
+// and nil when the world lacks the plane that fills them.
+type TickRecord struct {
+	// OK is the consumer's request outcome.
+	OK bool
+	// LookupOK is the discovery probe through the consumer's full registry
+	// view, flood fallback included.
+	LookupOK bool
+	// ClusterOK is the cached cluster-resolver probe, without flood fallback
+	// (cluster worlds).
+	ClusterOK bool
+	// Attempted and Bound are the peers the binding pointed at entering and
+	// leaving the tick, before and after any rebinds the tick triggered.
+	Attempted, Bound string
+	// Suspected and Open are the detector's verdict and the breaker-open
+	// flag at the end of the tick (liveness worlds).
+	Suspected, Open map[string]bool
+	// Fresh is the aggregator's end-of-tick freshness verdict (telemetry
+	// worlds).
+	Fresh map[string]bool
+	// CtlIssued, CtlOK and CtlShed are the control probe's outcome: sent,
+	// completed, shed by the supplier's admission control; BulkAdmitted and
+	// BulkShed count the bulk burst's requests served and shed (overload
+	// worlds; see overloadStep).
+	CtlIssued, CtlOK, CtlShed bool
+	BulkAdmitted, BulkShed    int
+	// Alerts is the end-of-tick severity of every alert instance, keyed
+	// "<objective>/<node>" (SLO worlds).
+	Alerts map[string]slo.Severity
 }
 
 // muxDatagram presents one netmux protocol channel as the sim transport's
@@ -303,12 +286,24 @@ func (m muxDatagram) Recv(id netsim.NodeID) (<-chan netsim.Packet, error) {
 	return m.mux.Channel(transport.ProtoSim), nil
 }
 
-// NewWorld builds and starts the scenario world.
-func NewWorld(cfg WorldConfig) (*World, error) {
-	cfg = cfg.withDefaults()
+// NewWorld builds and starts a world of the given kind. The clock is the
+// schedule clock (a *simtime.Virtual in scenarios; nil means wall time). It
+// times the adaptive registry's health probes; the data path runs on wall
+// time so request timeouts fire while the driving goroutine is blocked inside
+// a tick. A non-nil spans collector turns tracing on: one tracer, on the
+// schedule clock, is shared by every component in the world — radio hops,
+// discovery (central and flood), bindings, nodes, the health layer — so one
+// consumer request yields a single connected causal tree across all
+// simulated nodes, and SLO worlds feed recent spans into their flight
+// bundles.
+func NewWorld(cfg WorldConfig, clock simtime.Clock, spans *trace.Collector) (*World, error) {
+	if clock == nil {
+		clock = simtime.Real{}
+	}
 	w := &World{
 		cfg:          cfg,
-		dir:          cfg.Dir,
+		clock:        clock,
+		spans:        spans,
 		nodes:        make(map[string]*worldNode),
 		managers:     make(map[string]*recovery.Manager),
 		states:       make(map[string]*keySetState),
@@ -317,14 +312,14 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		ackedBy:      make(map[string][]string),
 		reqlogs:      make(map[string]*reqlog.Recorder),
 	}
-	if w.dir == "" {
-		dir, err := os.MkdirTemp("", "ndsm-chaos-*")
-		if err != nil {
-			return nil, fmt.Errorf("chaos: temp dir: %w", err)
-		}
-		w.dir = dir
-		w.ownDir = true
+	if spans != nil {
+		w.tracer = trace.New(trace.Options{Name: fmt.Sprintf("seed-%d", cfg.Seed), Clock: clock, Collector: spans})
 	}
+	dir, err := os.MkdirTemp("", "ndsm-chaos-*")
+	if err != nil {
+		return nil, fmt.Errorf("chaos: temp dir: %w", err)
+	}
+	w.dir = dir
 	if err := w.build(); err != nil {
 		_ = w.Close()
 		return nil, err
@@ -335,22 +330,22 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 func (w *World) build() error {
 	cfg := w.cfg
 	// The radio runs on wall time (latency spikes are real delays) while the
-	// fault schedule runs on cfg.Clock; energy is unlimited so the only
+	// fault schedule runs on w.clock; energy is unlimited so the only
 	// deaths are the injected ones.
 	w.Net = netsim.New(netsim.Config{
 		Range:     500,
 		InboxSize: 1024,
 		Unlimited: true,
 		Seed:      cfg.Seed,
-		Tracer:    cfg.Tracer,
+		Tracer:    w.tracer,
 	})
 
-	if cfg.RegistryCluster >= 2 {
+	if cfg.Cluster {
 		// Replicated sharded registry: N members, each a full cluster node
 		// (shard table + gossip) on its own radio. Anti-entropy is driven
 		// synchronously by the world — one SyncNow per live member per tick —
 		// so gossip progress is deterministic against the fault schedule.
-		for i := 0; i < cfg.RegistryCluster; i++ {
+		for i := 0; i < ClusterSize; i++ {
 			w.clusterMembers = append(w.clusterMembers, fmt.Sprintf("registry%d", i))
 		}
 		for i, id := range w.clusterMembers {
@@ -374,14 +369,14 @@ func (w *World) build() error {
 			node, err := cluster.NewNode(tr, l, cluster.NodeOptions{
 				Self:              id,
 				Members:           w.clusterMembers,
-				ReplicationFactor: cfg.ReplicationFactor,
+				ReplicationFactor: replicationFactor,
 				// Lease clocks run on the schedule clock, like the classic
 				// store; gossip exchanges are data-path traffic and time out
 				// in wall time like every registry call.
-				Clock:         cfg.Clock,
+				Clock:         w.clock,
 				DefaultTTL:    time.Hour,
 				GossipTimeout: clientTimeout,
-				Tracer:        cfg.Tracer,
+				Tracer:        w.tracer,
 			})
 			if err != nil {
 				return err
@@ -410,8 +405,8 @@ func (w *World) build() error {
 		// The store runs on the schedule clock so short liveness leases expire in
 		// virtual time, in lockstep with the fault schedule. The hour default
 		// keeps detector-less worlds lease-stable, exactly as before.
-		w.registryServer = discovery.NewServer(discovery.NewStore(cfg.Clock, time.Hour), l)
-		w.registryServer.SetTracer(cfg.Tracer)
+		w.registryServer = discovery.NewServer(discovery.NewStore(w.clock, time.Hour), l)
+		w.registryServer.SetTracer(w.tracer)
 	}
 
 	// The liveness layer is the consumer's: heartbeats arrive through its
@@ -423,19 +418,19 @@ func (w *World) build() error {
 	// suspicion by roughly five ticks — inside the suspect-before-violate
 	// bound with margin.
 	leaseTTL := time.Hour
-	if cfg.Liveness {
-		leaseTTL = 5 * cfg.TickEvery / 2
+	if !cfg.NoLiveness {
+		leaseTTL = 5 * TickEvery / 2
 		w.health = health.NewMonitor(health.Options{
-			Clock:            cfg.Clock,
+			Clock:            w.clock,
 			WindowSize:       16,
 			MinSamples:       3,
 			PhiThreshold:     3,
-			FallbackTimeout:  7 * cfg.TickEvery / 2,
+			FallbackTimeout:  7 * TickEvery / 2,
 			FailureThreshold: 2,
-			OpenTimeout:      4 * cfg.TickEvery,
+			OpenTimeout:      4 * TickEvery,
 			HalfOpenProbes:   1,
 			Name:             "chaos.health",
-			Tracer:           cfg.Tracer,
+			Tracer:           w.tracer,
 		})
 	}
 
@@ -455,31 +450,31 @@ func (w *World) build() error {
 		}
 		agent := discovery.NewAgent(mux, discovery.AgentConfig{
 			QueryTTL:      2,
-			CollectWindow: cfg.CollectWindow,
-			MaxResults:    cfg.Suppliers,
+			CollectWindow: collectWindow,
+			MaxResults:    suppliers,
 		})
-		agent.SetTracer(cfg.Tracer)
+		agent.SetTracer(w.tracer)
 		var central discovery.Resolver
 		if len(w.clusterMembers) > 0 {
 			cres, err := cluster.NewResolver(tr, cluster.ResolverOptions{
 				Members:           w.clusterMembers,
-				ReplicationFactor: cfg.ReplicationFactor,
+				ReplicationFactor: replicationFactor,
 			})
 			if err != nil {
 				mux.Close()
 				return nil, err
 			}
 			cres.SetCallTimeout(clientTimeout, nil)
-			cres.SetTracer(cfg.Tracer)
+			cres.SetTracer(w.tracer)
 			// The lease cache sits on the consumer's lookup path: one tick
 			// of freshness, four of stale-serve-while-revalidate. Suspicion
 			// invalidations (forwarded down the watched -> adaptive ->
 			// cached stack) keep a suspected corpse from riding out the
 			// stale window.
 			cached := discovery.NewCached(cres, discovery.CacheOptions{
-				Clock:    cfg.Clock,
-				TTL:      cfg.TickEvery,
-				StaleFor: 4 * cfg.TickEvery,
+				Clock:    w.clock,
+				TTL:      TickEvery,
+				StaleFor: 4 * TickEvery,
 			})
 			if id == ConsumerID {
 				w.clusterProbe = cached
@@ -488,13 +483,13 @@ func (w *World) build() error {
 		} else {
 			client := discovery.NewClient(tr, RegistryID)
 			client.SetCallTimeout(clientTimeout, nil)
-			client.SetTracer(cfg.Tracer)
+			client.SetTracer(w.tracer)
 			central = client
 		}
 		adaptive := discovery.NewAdaptive(central, agent,
 			func() int { return w.Net.Density(netsim.NodeID(id)) },
-			discovery.DensityPolicy(1), cfg.Clock)
-		nodeCfg := core.Config{Name: id, Transport: tr, Registry: adaptive, Health: h, Tracer: cfg.Tracer}
+			discovery.DensityPolicy(1), w.clock)
+		nodeCfg := core.Config{Name: id, Transport: tr, Registry: adaptive, Health: h, Tracer: w.tracer}
 		if cfg.Overload && id != ConsumerID {
 			// Lane-aware admission on every supplier: a tiny pool, one slot
 			// reserved for the control lane, a short benefit-aware queue. The
@@ -533,7 +528,7 @@ func (w *World) build() error {
 		return wn, nil
 	}
 
-	for i := 0; i < cfg.Suppliers; i++ {
+	for i := 0; i < suppliers; i++ {
 		id := fmt.Sprintf("s%d", i)
 		wn, err := mkEndpoint(id, float64(10+5*i), nil)
 		if err != nil {
@@ -550,7 +545,7 @@ func (w *World) build() error {
 
 		sid := id
 		desc := &svcdesc.Description{
-			Name: cfg.Service,
+			Name: service,
 			// Distinct reliabilities keep QoS selection tie-free, which keeps
 			// rebind decisions — and therefore invariant verdicts —
 			// deterministic across runs.
@@ -597,10 +592,10 @@ func (w *World) build() error {
 	// detector's heartbeat source.
 	w.probe = consumer.node.Registry()
 	spec := &qos.Spec{
-		Query: svcdesc.Query{Name: cfg.Service},
+		Query: svcdesc.Query{Name: service},
 		Benefit: qos.Benefit{
-			FullUntil: cfg.RequestTimeout / 2,
-			ZeroAfter: cfg.RequestTimeout,
+			FullUntil: requestTimeout / 2,
+			ZeroAfter: requestTimeout,
 		},
 	}
 	binding, err := consumer.node.Bind(spec, core.BindOptions{})
@@ -609,7 +604,7 @@ func (w *World) build() error {
 	}
 	w.binding = binding
 
-	if cfg.Telemetry {
+	if cfg.Telemetry || cfg.SLO {
 		if err := w.buildTelemetry(consumer); err != nil {
 			return err
 		}
@@ -675,8 +670,8 @@ const publishTimeout = 100 * time.Millisecond
 // clock, so freshness verdicts are deterministic in virtual time.
 func (w *World) buildTelemetry(consumer *worldNode) error {
 	w.agg = telemetry.NewAggregator(telemetry.AggregatorOptions{
-		Clock:      w.cfg.Clock,
-		StaleAfter: 5 * w.cfg.TickEvery / 2,
+		Clock:      w.clock,
+		StaleAfter: 5 * TickEvery / 2,
 	})
 	consumer.node.HandleTopic(telemetry.Topic, w.agg.Handler())
 	w.publishers = make(map[string]*telemetry.Publisher, len(w.supplier))
@@ -694,7 +689,7 @@ func (w *World) buildTelemetry(consumer *worldNode) error {
 			// the plane's freshness signal is what the chaos invariant
 			// exercises, and tiny reports keep partition timeouts cheap.
 			Registry: obs.NewRegistry(),
-			Clock:    w.cfg.Clock,
+			Clock:    w.clock,
 			Send:     telemetry.CallerSend(caller, id, ConsumerID, publishTimeout),
 		})
 		if err != nil {
@@ -718,17 +713,14 @@ func (w *World) SupplierIDs() []string { return append([]string(nil), w.supplier
 // Binding exposes the consumer's binding (rebind counters etc.).
 func (w *World) Binding() *core.Binding { return w.binding }
 
-// TickEvery returns the virtual duration of one tick.
-func (w *World) TickEvery() time.Duration { return w.cfg.TickEvery }
-
-// TickOf maps a schedule offset to the index of the first tick that runs
+// tickOf maps a schedule offset to the index of the first tick that runs
 // with the action applied (the driver advances the clock and steps the
 // engine before each tick).
-func (w *World) TickOf(at time.Duration) int {
+func tickOf(at time.Duration) int {
 	if at <= 0 {
 		return 0
 	}
-	n := (int64(at) + int64(w.cfg.TickEvery) - 1) / int64(w.cfg.TickEvery)
+	n := (int64(at) + int64(TickEvery) - 1) / int64(TickEvery)
 	return int(n) - 1
 }
 
@@ -737,7 +729,7 @@ func (w *World) TickOf(at time.Duration) int {
 // request (ack recorded on success, attributed to the answering supplier),
 // and one discovery probe through the consumer's registry view.
 func (w *World) Tick(i int) {
-	if w.cfg.Liveness {
+	if w.health != nil {
 		w.renewLeases()
 	}
 	if len(w.clusterNodes) > 0 {
@@ -751,96 +743,73 @@ func (w *World) Tick(i int) {
 	// liveness layer would divert a request to it. Sampling Suspect here is
 	// exact, not racy: the schedule clock only advances between ticks, so the
 	// binding's own pre-request Suspect call sees the same verdict.
-	pre := w.binding.Peer()
-	preSuspected := w.health != nil && pre != "" && w.health.Suspect(pre)
+	rec := TickRecord{Attempted: w.binding.Peer()}
+	preSuspected := w.health != nil && rec.Attempted != "" && w.health.Suspect(rec.Attempted)
 	w.mu.Lock()
-	preDead := w.dead[pre]
+	preDead := w.dead[rec.Attempted]
 	w.mu.Unlock()
 
 	key := fmt.Sprintf("op-%06d", i)
 	out, err := w.binding.Request([]byte(key))
-	ok := err == nil
+	rec.OK = err == nil
 
-	descs, lerr := w.probe.Lookup(&svcdesc.Query{Name: w.cfg.Service})
-	found := lerr == nil && len(descs) > 0
+	descs, lerr := w.probe.Lookup(&svcdesc.Query{Name: service})
+	rec.LookupOK = lerr == nil && len(descs) > 0
 
 	// In cluster worlds, also probe the cached cluster resolver directly
 	// (no flood fallback): the trace the cluster-lookup-availability
 	// invariant judges, and the load that exercises the lease cache.
-	clusterFound := false
 	if w.clusterProbe != nil {
-		cdescs, cerr := w.clusterProbe.Lookup(&svcdesc.Query{Name: w.cfg.Service})
-		clusterFound = cerr == nil && len(cdescs) > 0
+		cdescs, cerr := w.clusterProbe.Lookup(&svcdesc.Query{Name: service})
+		rec.ClusterOK = cerr == nil && len(cdescs) > 0
 	}
 
 	// Overload workload: a bulk burst plus one control probe at the bound
 	// supplier, after the tick's regular request so the two never contend.
-	var ctlIssued, ctlOK, ctlShed bool
-	var bulkAdm, bulkShed int
 	if w.overBulk != nil {
-		ctlIssued, ctlOK, ctlShed, bulkAdm, bulkShed = w.overloadStep(w.binding.Peer())
+		w.overloadStep(w.binding.Peer(), &rec)
 	}
 
-	post := w.binding.Peer()
-	var sus, open map[string]bool
+	rec.Bound = w.binding.Peer()
 	if w.health != nil {
-		sus = make(map[string]bool, len(w.supplier))
-		open = make(map[string]bool, len(w.supplier))
+		rec.Suspected = make(map[string]bool, len(w.supplier))
+		rec.Open = make(map[string]bool, len(w.supplier))
 		for _, id := range w.supplier {
-			sus[id] = w.health.Suspect(id)
-			open[id] = w.health.State(id) == health.Open
+			rec.Suspected[id] = w.health.Suspect(id)
+			rec.Open[id] = w.health.State(id) == health.Open
 		}
 	}
-	var fresh map[string]bool
 	if w.agg != nil {
-		fresh = make(map[string]bool, len(w.supplier))
+		rec.Fresh = make(map[string]bool, len(w.supplier))
 		for _, id := range w.supplier {
-			fresh[id] = w.agg.Fresh(id)
+			rec.Fresh[id] = w.agg.Fresh(id)
 		}
+	}
+	if w.sloEngine != nil {
+		rec.Alerts = w.sloStep(rec)
 	}
 
 	w.mu.Lock()
-	w.tickOK = append(w.tickOK, ok)
-	w.lookupOK = append(w.lookupOK, found)
-	if w.clusterProbe != nil {
-		w.clusterOK = append(w.clusterOK, clusterFound)
-	}
-	w.freshness = append(w.freshness, fresh)
-	w.preBound = append(w.preBound, pre)
-	w.bound = append(w.bound, post)
-	w.suspected = append(w.suspected, sus)
-	w.openCircuits = append(w.openCircuits, open)
+	w.ticks = append(w.ticks, rec)
 	if preDead && !preSuspected {
 		// The workload aimed this tick's request at a dead supplier and the
 		// liveness layer (if any) had not yet diverted it: a wasted attempt.
 		w.deadAttempts++
 	}
-	if ok {
+	if rec.OK {
 		w.acked = append(w.acked, key)
 		by := string(out)
 		w.ackedBy[by] = append(w.ackedBy[by], key)
 	}
-	if w.overBulk != nil {
-		w.ctlOKTrace = append(w.ctlOKTrace, ctlOK)
-		w.ctlShedTrace = append(w.ctlShedTrace, ctlShed)
-		w.bulkAdmitTick = append(w.bulkAdmitTick, bulkAdm)
-		w.bulkShedTick = append(w.bulkShedTick, bulkShed)
-	}
 	w.mu.Unlock()
+}
 
-	if w.sloEngine != nil {
-		lookupVerdict := found
-		if w.clusterProbe != nil {
-			// Cluster worlds judge availability on the cached cluster path —
-			// the mechanism under test — not the flood-backed full view.
-			lookupVerdict = clusterFound
-		}
-		w.sloStep(tickCounters{
-			ctlIssued: ctlIssued, ctlOK: ctlOK,
-			lookupOK: lookupVerdict,
-			bulkAdm:  bulkAdm, bulkShed: bulkShed,
-		})
-	}
+// Ticks returns one record per tick run so far, in tick order. The records
+// are shared with the world, not copied: read them, do not modify them.
+func (w *World) Ticks() []TickRecord {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.ticks[:len(w.ticks):len(w.ticks)]
 }
 
 // overloadStep drives one tick of the overload workload at target: a burst
@@ -849,11 +818,11 @@ func (w *World) Tick(i int) {
 // classified client-side: a shed is the server's deliberate rejection; any
 // other failure (radio loss, partition timeout, dead supplier) counts as
 // neither admitted nor shed, so network faults cannot fake an isolation
-// violation. Skipped (issued false, all zeros) when the binding points
+// violation. Skipped (CtlIssued false, all zeros) when the binding points
 // nowhere or at a crash-killed supplier — a skipped probe is not a deadline
 // miss, so the control SLO only burns on genuine admission or network
 // failures.
-func (w *World) overloadStep(target string) (issued, ctlOK, ctlShed bool, admitted, shed int) {
+func (w *World) overloadStep(target string, rec *TickRecord) {
 	if target == "" {
 		return
 	}
@@ -867,68 +836,23 @@ func (w *World) overloadStep(target string) (issued, ctlOK, ctlShed bool, admitt
 	if bulk == nil || ctl == nil {
 		return
 	}
-	issued = true
+	rec.CtlIssued = true
 	futs := make([]*endpoint.Future, 0, overloadBulkBurst)
 	for i := 0; i < overloadBulkBurst; i++ {
 		futs = append(futs, bulk.Go(&endpoint.Call{Topic: BulkTopic, Timeout: overloadTimeout}))
 	}
 	_, cerr := ctl.Do(&endpoint.Call{Topic: CtlTopic, Timeout: overloadTimeout})
-	ctlOK = cerr == nil
-	ctlShed = endpoint.IsShed(cerr)
+	rec.CtlOK = cerr == nil
+	rec.CtlShed = endpoint.IsShed(cerr)
 	for _, f := range futs {
 		_, err := f.Wait()
 		switch {
 		case err == nil:
-			admitted++
+			rec.BulkAdmitted++
 		case endpoint.IsShed(err):
-			shed++
+			rec.BulkShed++
 		}
 	}
-	return
-}
-
-// ControlOKTrace returns, per tick, whether the overload world's control
-// probe completed (empty unless WorldConfig.Overload).
-func (w *World) ControlOKTrace() []bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]bool(nil), w.ctlOKTrace...)
-}
-
-// ControlShedTrace returns, per tick, whether the control probe was shed by
-// the supplier's admission control (empty unless WorldConfig.Overload).
-func (w *World) ControlShedTrace() []bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]bool(nil), w.ctlShedTrace...)
-}
-
-// BulkAdmitTrace returns, per tick, how many bulk-burst requests were
-// admitted and served (empty unless WorldConfig.Overload).
-func (w *World) BulkAdmitTrace() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]int(nil), w.bulkAdmitTick...)
-}
-
-// BulkShedTrace returns, per tick, how many bulk-burst requests the
-// supplier shed (empty unless WorldConfig.Overload).
-func (w *World) BulkShedTrace() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]int(nil), w.bulkShedTick...)
-}
-
-// ReqLogs returns each supplier's wide-event recorder (empty unless
-// WorldConfig.Overload). Recorders stay readable after Close — the rings are
-// plain memory — so invariants and artifact dumps run against the finished
-// world.
-func (w *World) ReqLogs() map[string]*reqlog.Recorder {
-	out := make(map[string]*reqlog.Recorder, len(w.reqlogs))
-	for id, rl := range w.reqlogs {
-		out[id] = rl
-	}
-	return out
 }
 
 // ShedRecords returns every shed wide event retained across all supplier
@@ -1003,27 +927,13 @@ func (w *World) SettleCluster() {
 // single-registry worlds).
 func (w *World) ClusterMembers() []string { return append([]string(nil), w.clusterMembers...) }
 
-// ClusterNodes exposes the cluster members (invariant checkers introspect
-// replication through their tables).
-func (w *World) ClusterNodes() []*cluster.Node {
-	return append([]*cluster.Node(nil), w.clusterNodes...)
-}
-
 // ReplicationFactor returns the cluster's owner-set size (0 for classic
 // worlds).
 func (w *World) ReplicationFactor() int {
 	if len(w.clusterMembers) == 0 {
 		return 0
 	}
-	return w.cfg.ReplicationFactor
-}
-
-// ClusterLookupOK returns the per-tick cached cluster-resolver probe
-// outcomes (empty for classic worlds).
-func (w *World) ClusterLookupOK() []bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]bool(nil), w.clusterOK...)
+	return replicationFactor
 }
 
 // publishTelemetry ships one report from every live supplier, concurrently
@@ -1055,35 +965,13 @@ func (w *World) setDead(id string, dead bool) {
 	w.mu.Unlock()
 }
 
-// TickOK returns the per-tick request outcomes.
-func (w *World) TickOK() []bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]bool(nil), w.tickOK...)
-}
-
-// LookupOK returns the per-tick discovery probe outcomes.
-func (w *World) LookupOK() []bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]bool(nil), w.lookupOK...)
-}
-
-// Health returns the consumer's liveness monitor (nil unless the world was
-// built with Liveness).
+// Health returns the consumer's liveness monitor (nil when the world was
+// built with NoLiveness).
 func (w *World) Health() *health.Monitor { return w.health }
 
 // Aggregator returns the consumer-hosted telemetry aggregator (nil unless
 // the world was built with Telemetry).
 func (w *World) Aggregator() *telemetry.Aggregator { return w.agg }
-
-// FreshTrace returns, per tick, the aggregator's end-of-tick freshness
-// verdict per supplier (nil entries when the world runs without Telemetry).
-func (w *World) FreshTrace() []map[string]bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]map[string]bool(nil), w.freshness...)
-}
 
 // DeadAttempts counts ticks whose request was aimed at a crash-killed
 // supplier without the liveness layer having diverted it first — the waste
@@ -1092,38 +980,6 @@ func (w *World) DeadAttempts() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.deadAttempts
-}
-
-// AttemptedTrace returns, per tick, the supplier the binding pointed at
-// entering the tick (before any proactive or reactive rebinds).
-func (w *World) AttemptedTrace() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]string(nil), w.preBound...)
-}
-
-// BoundTrace returns, per tick, the supplier the binding pointed at leaving
-// the tick (after any rebinds the tick triggered).
-func (w *World) BoundTrace() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]string(nil), w.bound...)
-}
-
-// SuspectedTrace returns, per tick, the detector's end-of-tick verdict per
-// supplier (nil entries when the world runs without liveness).
-func (w *World) SuspectedTrace() []map[string]bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]map[string]bool(nil), w.suspected...)
-}
-
-// OpenCircuits returns, per tick, which suppliers' breakers were open at the
-// end of the tick (nil entries when the world runs without liveness).
-func (w *World) OpenCircuits() []map[string]bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]map[string]bool(nil), w.openCircuits...)
 }
 
 // Acked returns every operation key the consumer holds an ack for.
@@ -1149,17 +1005,9 @@ func (w *World) Durable(key string) bool {
 	return false
 }
 
-// WALViolations returns replay-fidelity violations recorded by wal-crash
-// injections.
-func (w *World) WALViolations() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]string(nil), w.walViolations...)
-}
-
 // RegisterInjectors wires every standard fault kind to this world.
 func (w *World) RegisterInjectors(e *Engine) {
-	e.Register(FaultLossBurst, InjectorFunc(func(target string) (func() error, error) {
+	e.Register(FaultLossBurst, func(target string) (func() error, error) {
 		rate := 0.5
 		if target != "" {
 			if v, err := strconv.ParseFloat(target, 64); err == nil {
@@ -1168,8 +1016,8 @@ func (w *World) RegisterInjectors(e *Engine) {
 		}
 		prev := w.Net.SetLossRate(rate)
 		return func() error { w.Net.SetLossRate(prev); return nil }, nil
-	}))
-	e.Register(FaultLatencySpike, InjectorFunc(func(target string) (func() error, error) {
+	})
+	e.Register(FaultLatencySpike, func(target string) (func() error, error) {
 		lat := 30 * time.Millisecond
 		if target != "" {
 			if v, err := time.ParseDuration(target); err == nil {
@@ -1178,13 +1026,13 @@ func (w *World) RegisterInjectors(e *Engine) {
 		}
 		prevLat, prevJit := w.Net.SetLatency(lat, lat/3)
 		return func() error { w.Net.SetLatency(prevLat, prevJit); return nil }, nil
-	}))
-	e.Register(FaultPartition, InjectorFunc(func(target string) (func() error, error) {
+	})
+	e.Register(FaultPartition, func(target string) (func() error, error) {
 		id := netsim.NodeID(target)
 		w.Net.Isolate(id)
 		return func() error { w.Net.Rejoin(id); return nil }, nil
-	}))
-	e.Register(FaultCrashSupplier, InjectorFunc(func(target string) (func() error, error) {
+	})
+	e.Register(FaultCrashSupplier, func(target string) (func() error, error) {
 		id := netsim.NodeID(target)
 		if err := w.Net.Kill(id); err != nil {
 			return nil, err
@@ -1194,14 +1042,14 @@ func (w *World) RegisterInjectors(e *Engine) {
 			w.setDead(target, false)
 			return w.Net.Revive(id)
 		}, nil
-	}))
-	e.Register(FaultKillRegistry, InjectorFunc(func(string) (func() error, error) {
+	})
+	e.Register(FaultKillRegistry, func(string) (func() error, error) {
 		if err := w.Net.Kill(RegistryID); err != nil {
 			return nil, err
 		}
 		return func() error { return w.Net.Revive(RegistryID) }, nil
-	}))
-	e.Register(FaultKillRegistryNode, InjectorFunc(func(target string) (func() error, error) {
+	})
+	e.Register(FaultKillRegistryNode, func(target string) (func() error, error) {
 		id := netsim.NodeID(target)
 		if err := w.Net.Kill(id); err != nil {
 			return nil, err
@@ -1215,10 +1063,10 @@ func (w *World) RegisterInjectors(e *Engine) {
 			w.mu.Unlock()
 			return w.Net.Revive(id)
 		}, nil
-	}))
-	e.Register(FaultWALCrash, InjectorFunc(func(target string) (func() error, error) {
+	})
+	e.Register(FaultWALCrash, func(target string) (func() error, error) {
 		return nil, w.walCrash(target)
-	}))
+	})
 }
 
 // walCrash crash-cycles a supplier's durable storage: the manager is closed
@@ -1262,7 +1110,7 @@ func (w *World) recordWALViolation(msg string) {
 }
 
 // Close tears the world down: workload, endpoints, registry, substrate,
-// storage, and (when World-owned) the WAL directory.
+// storage, and the WAL directory.
 func (w *World) Close() error {
 	for _, pub := range w.publishers {
 		_ = pub.Close()
@@ -1317,8 +1165,6 @@ func (w *World) Close() error {
 	for _, m := range managers {
 		_ = m.Close()
 	}
-	if w.ownDir {
-		_ = os.RemoveAll(w.dir)
-	}
+	_ = os.RemoveAll(w.dir)
 	return nil
 }

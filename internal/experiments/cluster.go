@@ -17,46 +17,41 @@ import (
 // compare lookup availability inside the kill window; the cluster row also
 // reports the cache-backed cluster path probed without any flood fallback.
 func e12(quick bool) (Result, error) {
-	const (
-		tickEvery = 50 * time.Millisecond
-		members   = 3 // the cluster run's size, RF 2
-	)
 	ticks := pick(quick, 40, 60)
 	killAt := pick(quick, 8, 10)     // tick of the registry kill
 	killTicks := pick(quick, 15, 20) // how long the killed node stays down
-	windowOK := func(trace []bool) float64 {
-		ok, n := 0, 0
-		for i := killAt; i < killAt+killTicks && i < len(trace); i++ {
+	windowOK := func(res *chaos.ScenarioResult, ok func(chaos.TickRecord) bool) float64 {
+		hits, n := 0, 0
+		for i := killAt; i < killAt+killTicks && i < len(res.Ticks); i++ {
 			n++
-			if trace[i] {
-				ok++
+			if ok(res.Ticks[i]) {
+				hits++
 			}
 		}
 		if n == 0 {
 			return 0
 		}
-		return 100 * float64(ok) / float64(n)
+		return 100 * float64(hits) / float64(n)
 	}
-	run := func(members int, fault chaos.FaultKind, target string) (*chaos.ScenarioResult, error) {
+	lookupOK := func(r chaos.TickRecord) bool { return r.LookupOK }
+	run := func(cluster bool, fault chaos.FaultKind, target string) (*chaos.ScenarioResult, error) {
 		return chaos.RunScenario(chaos.ScenarioConfig{
-			Seed:            9,
-			Ticks:           ticks,
-			TickEvery:       tickEvery,
-			RegistryCluster: members,
+			WorldConfig: chaos.WorldConfig{Seed: 9, Cluster: cluster},
+			Ticks:       ticks,
 			Schedule: chaos.Schedule{{
-				At:       time.Duration(killAt) * tickEvery,
+				At:       time.Duration(killAt) * chaos.TickEvery,
 				Fault:    fault,
 				Target:   target,
-				Duration: time.Duration(killTicks) * tickEvery,
+				Duration: time.Duration(killTicks) * chaos.TickEvery,
 			}},
 		})
 	}
 
-	classic, err := run(0, chaos.FaultKillRegistry, chaos.RegistryID)
+	classic, err := run(false, chaos.FaultKillRegistry, chaos.RegistryID)
 	if err != nil {
 		return Result{}, fmt.Errorf("E12 classic: %w", err)
 	}
-	clustered, err := run(members, chaos.FaultKillRegistryNode, "registry1")
+	clustered, err := run(true, chaos.FaultKillRegistryNode, "registry1")
 	if err != nil {
 		return Result{}, fmt.Errorf("E12 cluster: %w", err)
 	}
@@ -65,16 +60,16 @@ func e12(quick bool) (Result, error) {
 		"world", "requests ok %", "lookups ok %", "lookup ok % in kill window",
 		"central-path ok % in kill window", "violations")
 	table.AddRow("single registry",
-		100*float64(classic.TicksOK)/float64(classic.Ticks),
-		100*float64(classic.LookupsOK)/float64(classic.Ticks),
-		windowOK(classic.LookupOKByTick),
+		100*float64(classic.TicksOK)/float64(len(classic.Ticks)),
+		100*float64(classic.LookupsOK)/float64(len(classic.Ticks)),
+		windowOK(classic, lookupOK),
 		"n/a (registry dead)",
 		len(classic.Violations))
-	table.AddRow(fmt.Sprintf("cluster(%d) RF=2", members),
-		100*float64(clustered.TicksOK)/float64(clustered.Ticks),
-		100*float64(clustered.LookupsOK)/float64(clustered.Ticks),
-		windowOK(clustered.LookupOKByTick),
-		windowOK(clustered.ClusterOKByTick),
+	table.AddRow(fmt.Sprintf("cluster(%d) RF=2", chaos.ClusterSize),
+		100*float64(clustered.TicksOK)/float64(len(clustered.Ticks)),
+		100*float64(clustered.LookupsOK)/float64(len(clustered.Ticks)),
+		windowOK(clustered, lookupOK),
+		windowOK(clustered, func(r chaos.TickRecord) bool { return r.ClusterOK }),
 		len(clustered.Violations))
 
 	notes := []string{

@@ -24,22 +24,19 @@ import (
 // bounded by detection time instead of compounding.
 func e11(quick bool) (Result, error) {
 	const (
-		tickEvery = 50 * time.Millisecond
 		// The ticks of the two permanent supplier kills.
 		firstKill  = 5
 		secondKill = 15
 	)
 	schedule := chaos.Schedule{
-		{At: time.Duration(firstKill) * tickEvery, Fault: chaos.FaultCrashSupplier, Target: "s0"},
-		{At: time.Duration(secondKill) * tickEvery, Fault: chaos.FaultCrashSupplier, Target: "s1"},
+		{At: time.Duration(firstKill) * chaos.TickEvery, Fault: chaos.FaultCrashSupplier, Target: "s0"},
+		{At: time.Duration(secondKill) * chaos.TickEvery, Fault: chaos.FaultCrashSupplier, Target: "s1"},
 	}
 	run := func(disable bool) (*chaos.ScenarioResult, error) {
 		return chaos.RunScenario(chaos.ScenarioConfig{
-			Seed:            9,
-			Ticks:           pick(quick, 40, 60),
-			TickEvery:       tickEvery,
-			Schedule:        schedule,
-			DisableLiveness: disable,
+			WorldConfig: chaos.WorldConfig{Seed: 9, NoLiveness: disable},
+			Ticks:       pick(quick, 40, 60),
+			Schedule:    schedule,
 		})
 	}
 	on, err := run(false)
@@ -55,9 +52,9 @@ func e11(quick bool) (Result, error) {
 	// two runs diverge.
 	tailOK := func(res *chaos.ScenarioResult) float64 {
 		ok, n := 0, 0
-		for i := secondKill; i < len(res.OKByTick); i++ {
+		for i := secondKill; i < len(res.Ticks); i++ {
 			n++
-			if res.OKByTick[i] {
+			if res.Ticks[i].OK {
 				ok++
 			}
 		}
@@ -74,7 +71,7 @@ func e11(quick bool) (Result, error) {
 		res  *chaos.ScenarioResult
 	}{{"on", on}, {"off (baseline)", off}} {
 		table.AddRow(row.name,
-			100*float64(row.res.TicksOK)/float64(row.res.Ticks),
+			100*float64(row.res.TicksOK)/float64(len(row.res.Ticks)),
 			tailOK(row.res),
 			row.res.Rebinds,
 			row.res.DeadAttempts,

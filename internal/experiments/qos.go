@@ -222,13 +222,13 @@ func e4Run(requests, suppliers int, killRate float64, adaptive bool) (successRat
 	// a virtual clock that advances one tick per request.
 	clock := simtime.NewVirtual(time.Unix(0, 0))
 	engine := chaos.NewEngine(clock)
-	engine.Register(chaos.FaultCrashSupplier, chaos.InjectorFunc(func(target string) (func() error, error) {
+	engine.Register(chaos.FaultCrashSupplier, func(target string) (func() error, error) {
 		if target == "@peer" {
 			target = binding.Peer() // always kill the supplier in use: worst case
 		}
 		kill(target)
 		return nil, nil
-	}))
+	})
 	engine.Load(e4Schedule(requests, killRate))
 
 	ok := 0

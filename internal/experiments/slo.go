@@ -64,12 +64,8 @@ var e14Gates = []Gate{
 // alert" is deterministic ticks; the overload leg is wall-clock like E13.
 func e14(quick bool) (Result, error) {
 	const (
-		seed      = 14 // fixes the chaos substrate RNG
-		tickEvery = 50 * time.Millisecond
-		faultAt   = 10 // tick of the injected fault
-		// The registry cluster of the member-kill leg, RF 2: two members die
-		// at once, so quorum lookups must fail.
-		members = 3
+		seed    = 14 // fixes the chaos substrate RNG
+		faultAt = 10 // tick of the injected fault
 	)
 	ticks := pick(quick, 60, 70)      // each simulated leg's length
 	faultTicks := pick(quick, 18, 25) // how long the fault holds
@@ -85,61 +81,50 @@ func e14(quick bool) (Result, error) {
 
 	// Leg 1: partition one supplier; the freshness objective must notice.
 	partition, err := e14ChaosLeg(chaos.ScenarioConfig{
-		Seed:      seed,
-		Ticks:     ticks,
-		TickEvery: tickEvery,
-		SLO:       true,
+		WorldConfig: chaos.WorldConfig{Seed: seed, SLO: true},
+		Ticks:       ticks,
 		Schedule: chaos.Schedule{{
-			At:       time.Duration(faultAt) * tickEvery,
+			At:       time.Duration(faultAt) * chaos.TickEvery,
 			Fault:    chaos.FaultPartition,
 			Target:   "s2",
-			Duration: time.Duration(faultTicks) * tickEvery,
+			Duration: time.Duration(faultTicks) * chaos.TickEvery,
 		}},
-	}, chaos.FreshnessObjective, "s2", tickEvery, faultAt, healAt)
+	}, chaos.FreshnessObjective, "s2", faultAt, healAt)
 	if err != nil {
 		return Result{}, fmt.Errorf("E14 partition: %w", err)
 	}
 
-	// Leg 2: kill two of three cluster members at once. RF 2 means some owner
-	// sets are now fully dead and the N-RF+1 quorum is unreachable, so cached
-	// lookups start failing when the stale window runs out.
+	// Leg 2: kill two of the cluster's three members at once. RF 2 means some
+	// owner sets are now fully dead and the N-RF+1 quorum is unreachable, so
+	// cached lookups start failing when the stale window runs out.
 	memberKill, err := e14ChaosLeg(chaos.ScenarioConfig{
-		Seed:            seed,
-		Ticks:           ticks,
-		TickEvery:       tickEvery,
-		SLO:             true,
-		RegistryCluster: members,
+		WorldConfig: chaos.WorldConfig{Seed: seed, SLO: true, Cluster: true},
+		Ticks:       ticks,
 		Schedule: chaos.Schedule{
 			{
-				At:       time.Duration(faultAt) * tickEvery,
+				At:       time.Duration(faultAt) * chaos.TickEvery,
 				Fault:    chaos.FaultKillRegistryNode,
 				Target:   "registry1",
-				Duration: time.Duration(faultTicks) * tickEvery,
+				Duration: time.Duration(faultTicks) * chaos.TickEvery,
 			},
 			{
-				At:       time.Duration(faultAt) * tickEvery,
+				At:       time.Duration(faultAt) * chaos.TickEvery,
 				Fault:    chaos.FaultKillRegistryNode,
 				Target:   "registry2",
-				Duration: time.Duration(faultTicks) * tickEvery,
+				Duration: time.Duration(faultTicks) * chaos.TickEvery,
 			},
 		},
-	}, chaos.LookupObjective, chaos.ConsumerID, tickEvery, faultAt, healAt)
+	}, chaos.LookupObjective, chaos.ConsumerID, faultAt, healAt)
 	if err != nil {
 		return Result{}, fmt.Errorf("E14 member kill: %w", err)
 	}
 
 	// Leg 3: the calm control. Same worlds, workload on, faults suppressed.
 	calmAlerts, calmViolations := 0, 0
-	calmReport, err := chaos.Soak(chaos.SoakConfig{
-		Scenarios: calmSeeds,
-		BaseSeed:  seed * 100,
-		Scenario: chaos.ScenarioConfig{
-			Ticks:    ticks / 2,
-			SLO:      true,
-			Overload: true,
-			NoFaults: true,
-		},
-	})
+	calmReport, err := chaos.Soak(chaos.ScenarioConfig{
+		WorldConfig: chaos.WorldConfig{Seed: seed * 100, SLO: true, Overload: true},
+		Ticks:       ticks / 2,
+	}, calmSeeds)
 	if err != nil {
 		return Result{}, fmt.Errorf("E14 calm soak: %w", err)
 	}
@@ -212,8 +197,9 @@ func e14(quick bool) (Result, error) {
 // e14ChaosLeg runs one fault schedule through a chaos SLO world and reads the
 // named alert instance's detection latency off the transition stamps. The
 // substrate's virtual epoch is time.Unix(0,0) and each tick evaluates after
-// the clock advances, so a transition stamped t happened on tick t/tickEvery-1.
-func e14ChaosLeg(cfg chaos.ScenarioConfig, objective, node string, tickEvery time.Duration, faultAt, healAt int) (e14Detection, error) {
+// the clock advances, so a transition stamped t happened on tick
+// t/chaos.TickEvery-1.
+func e14ChaosLeg(cfg chaos.ScenarioConfig, objective, node string, faultAt, healAt int) (e14Detection, error) {
 	res, err := chaos.RunScenario(cfg)
 	if err != nil {
 		return e14Detection{}, err
@@ -225,7 +211,7 @@ func e14ChaosLeg(cfg chaos.ScenarioConfig, objective, node string, tickEvery tim
 			continue
 		}
 		d.transitions++
-		tick := int(tr.At.Sub(epoch)/tickEvery) - 1
+		tick := int(tr.At.Sub(epoch)/chaos.TickEvery) - 1
 		if tr.To == slo.Critical && d.alertTicks == e14Missing {
 			d.alertTicks = tick - faultAt
 		}
