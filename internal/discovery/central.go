@@ -161,24 +161,22 @@ func (s *Server) handleRegister(req *wire.Message) (*wire.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.backing.Register(d); err != nil {
-		return nil, err
+	if s.store != nil {
+		// The decoded description is valid, shares nothing with the request
+		// (whose buffer is recycled once this returns) and is nobody else's,
+		// so a plain Store keeps it without the copy Register makes.
+		s.store.keep(d)
+		return nil, nil // the endpoint acknowledges
 	}
-	return &wire.Message{Kind: wire.KindAck}, nil
+	return nil, s.backing.Register(d)
 }
 
 func (s *Server) handleUnregister(req *wire.Message) (*wire.Message, error) {
-	if err := s.backing.Unregister(string(req.Payload)); err != nil {
-		return nil, err
-	}
-	return &wire.Message{Kind: wire.KindAck}, nil
+	return nil, s.backing.Unregister(string(req.Payload))
 }
 
 func (s *Server) handleRenew(req *wire.Message) (*wire.Message, error) {
-	if err := s.backing.Renew(string(req.Payload)); err != nil {
-		return nil, err
-	}
-	return &wire.Message{Kind: wire.KindAck}, nil
+	return nil, s.backing.Renew(string(req.Payload))
 }
 
 func (s *Server) handleLookup(req *wire.Message) (*wire.Message, error) {
@@ -257,11 +255,29 @@ func (c *Client) SetTracer(t *trace.Tracer) { c.traceRef.Set(t) }
 
 // Register implements Registry.
 func (c *Client) Register(d *svcdesc.Description) error {
-	payload, err := svcdesc.MarshalDescription(d)
+	bp := descBufs.Get().(*[]byte)
+	defer descBufs.Put(bp)
+	payload, err := marshalInto(bp, d)
 	if err != nil {
 		return err
 	}
 	return c.send(TopicRegister, payload)
+}
+
+// descBufs holds the buffers registrations are written into. A transport has
+// copied or written a payload by the time Do or Go returns (transport.Conn
+// keeps nothing it is handed), so a buffer is free again as soon as its
+// request is sent.
+var descBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// marshalInto writes d's canonical form over the buffer *bp, keeping the
+// buffer if it had to grow, and returns the form.
+func marshalInto(bp *[]byte, d *svcdesc.Description) ([]byte, error) {
+	b, err := svcdesc.AppendDescription((*bp)[:0], d)
+	if err == nil {
+		*bp = b
+	}
+	return b, err
 }
 
 // Unregister implements Registry.
@@ -364,8 +380,10 @@ func (c *Client) RegisterBatch(ds []*svcdesc.Description) error {
 	timeout := c.callTimeout()
 	futs := make([]*endpoint.Future, 0, len(ds))
 	var firstErr error
+	bp := descBufs.Get().(*[]byte)
+	defer descBufs.Put(bp)
 	for _, d := range ds {
-		payload, err := svcdesc.MarshalDescription(d)
+		payload, err := marshalInto(bp, d)
 		if err != nil {
 			firstErr = err
 			break

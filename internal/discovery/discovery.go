@@ -120,16 +120,24 @@ func NewStore(clock simtime.Clock, defaultTTL time.Duration) *Store {
 	}
 }
 
-// Register implements Registry.
+// Register implements Registry. The store copies what an in-process caller
+// hands it, so the caller may go on changing d; only what its own registry
+// server has just decoded does it keep as it is (keep).
 func (s *Store) Register(d *svcdesc.Description) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
+	s.keep(d.Clone())
+	return nil
+}
+
+// keep stores d itself under its key, leased from now. d must be valid and
+// referenced by nothing else.
+func (s *Store) keep(d *svcdesc.Description) {
 	ttl := d.TTL
 	if ttl <= 0 {
 		ttl = s.defaultTTL
 	}
-	d = d.Clone()
 	s.mu.Lock()
 	expires := s.clock.Now().Add(ttl)
 	if len(s.entries) == 0 || expires.Before(s.soonest) {
@@ -138,7 +146,6 @@ func (s *Store) Register(d *svcdesc.Description) error {
 	s.entries[d.Key()] = storeEntry{desc: d, expires: expires}
 	s.mu.Unlock()
 	s.version.Add(1)
-	return nil
 }
 
 // Unregister implements Registry.

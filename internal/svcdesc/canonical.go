@@ -3,6 +3,7 @@ package svcdesc
 import (
 	"bytes"
 	"encoding/xml"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -13,13 +14,17 @@ import (
 // xml.Marshal(xmlDescription) produces: attributes and children in field
 // order, omitempty fields left out when zero, floats in strconv's shortest
 // 'g' form, every string escaped as xml.EscapeText escapes it. This file
-// writes that form by hand and reads it back with a scanner that knows
-// nothing else: registering, looking up, flooding and gossiping all move
-// descriptions this tree wrote itself, and none of them needs reflection.
-// XML some other middleware wrote (§3.9) is still read by encoding/xml.
+// writes that form by hand and reads it back, straight into a Description,
+// with a scanner that knows nothing else: registering, looking up, flooding
+// and gossiping all move descriptions this tree wrote itself, and none of
+// them needs reflection. XML some other middleware wrote (§3.9) is still read
+// by encoding/xml. A query's canonical form is xml.Marshal(xmlQuery), written
+// the same way; queries are read by encoding/xml alone.
 
-// appendDescription appends d's canonical form to b.
-func appendDescription(b []byte, d *Description) ([]byte, error) {
+// AppendDescription appends d's canonical form — the bytes MarshalDescription
+// returns — to b, so a caller that sends many descriptions can write them all
+// into one buffer.
+func AppendDescription(b []byte, d *Description) ([]byte, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -72,7 +77,13 @@ func appendDescription(b []byte, d *Description) ([]byte, error) {
 		b = strconv.AppendInt(b, ms, 10)
 		b = append(b, "</ttlMillis>"...)
 	}
-	for _, k := range sortedKeys(d.Attributes) {
+	var onStack [8]string // the keys of nearly every description, sorted without a heap slice
+	keys := onStack[:0]
+	for k := range d.Attributes {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
 		b = append(b, `<attr key="`...)
 		b = appendText(b, k)
 		b = append(b, `">`...)
@@ -85,6 +96,64 @@ func appendDescription(b []byte, d *Description) ([]byte, error) {
 		b = append(b, "</interface>"...)
 	}
 	return append(b, "</service>"...), nil
+}
+
+// appendQuery appends q's canonical form to b.
+func appendQuery(b []byte, q *Query) []byte {
+	b = append(b, "<query"...)
+	if q.Name != "" {
+		b = append(b, ` name="`...)
+		b = appendText(b, q.Name)
+		b = append(b, '"')
+	}
+	if q.MinVersion != "" {
+		b = append(b, ` minVersion="`...)
+		b = appendText(b, q.MinVersion)
+		b = append(b, '"')
+	}
+	if q.MinReliability != 0 {
+		b = append(b, ` minReliability="`...)
+		b = appendFloat(b, q.MinReliability)
+		b = append(b, '"')
+	}
+	if q.MinPower != 0 {
+		b = append(b, ` minPower="`...)
+		b = appendFloat(b, q.MinPower)
+		b = append(b, '"')
+	}
+	b = append(b, '>')
+	if q.Password != "" {
+		b = append(b, "<password>"...)
+		b = appendText(b, q.Password)
+		b = append(b, "</password>"...)
+	}
+	if q.Near != nil {
+		b = append(b, `<near x="`...)
+		b = appendFloat(b, q.Near.X)
+		b = append(b, `" y="`...)
+		b = appendFloat(b, q.Near.Y)
+		b = append(b, `"></near>`...)
+	}
+	if q.MaxDistance != 0 {
+		b = append(b, "<maxDistance>"...)
+		b = appendFloat(b, q.MaxDistance)
+		b = append(b, "</maxDistance>"...)
+	}
+	for _, c := range q.Constraints {
+		b = append(b, `<where attr="`...)
+		b = appendText(b, c.Attr)
+		b = append(b, `" op="`...)
+		b = appendText(b, c.Op.String())
+		b = append(b, `">`...)
+		b = appendText(b, c.Value)
+		b = append(b, "</where>"...)
+	}
+	for _, s := range q.RequireInterfaces {
+		b = append(b, "<requireInterface>"...)
+		b = appendText(b, s)
+		b = append(b, "</requireInterface>"...)
+	}
+	return append(b, "</query>"...)
 }
 
 func appendFloat(b []byte, f float64) []byte {
@@ -133,11 +202,13 @@ func writerEntity(s string) (c byte, n int) {
 // writer would not have produced sets failed, which stops every later step,
 // and the caller then hands the whole document to encoding/xml: the scanner
 // never has to decide what odd XML means, only whether it is looking at its
-// own output.
+// own output. err is the first error descriptionFromXML would report on the
+// same bytes: text the writer did write that does not read back.
 type scanner struct {
 	s      string
 	i      int
 	failed bool
+	err    error
 }
 
 // lit consumes p when the input continues with it.
@@ -213,39 +284,55 @@ func (sc *scanner) float() float64 {
 	return f
 }
 
-// description consumes one <service> element.
-func (sc *scanner) description() (x xmlDescription) {
+// instant consumes an availability bound, which ends at end. The writer
+// writes years time.Parse refuses, so a bound that does not parse is still
+// canonical: it sets err, not failed. An empty bound is no bound, as in
+// descriptionFromXML.
+func (sc *scanner) instant(field, end string) time.Time {
+	v := sc.text(end)
+	if sc.failed || v == "" {
+		return time.Time{}
+	}
+	t, err := parseInstant(field, v)
+	if err != nil && sc.err == nil {
+		sc.err = err
+	}
+	return t
+}
+
+// description consumes one <service> element into d.
+func (sc *scanner) description(d *Description) {
 	sc.must(`<service name="`)
-	x.Name = sc.text(`"`)
+	d.Name = sc.text(`"`)
 	sc.must(` provider="`)
-	x.Provider = sc.text(`"`)
+	d.Provider = sc.text(`"`)
 	if sc.lit(` instance="`) {
-		x.InstanceID = sc.text(`"`)
+		d.InstanceID = sc.text(`"`)
 	}
 	if sc.lit(` version="`) {
-		x.Version = sc.text(`"`)
+		d.Version = sc.text(`"`)
 	}
 	if sc.lit(` reliability="`) {
-		x.Reliability = sc.float()
+		d.Reliability = sc.float()
 	}
 	if sc.lit(` power="`) {
-		x.PowerLevel = sc.float()
+		d.PowerLevel = sc.float()
 	}
 	sc.must(">")
 	if sc.lit("<availableFrom>") {
-		x.From = sc.text("</availableFrom>")
+		d.AvailableFrom = sc.instant("availableFrom", "</availableFrom>")
 	}
 	if sc.lit("<availableUntil>") {
-		x.Until = sc.text("</availableUntil>")
+		d.AvailableUntil = sc.instant("availableUntil", "</availableUntil>")
 	}
 	if sc.lit("<passwordHash>") {
-		x.Password = sc.text("</passwordHash>")
+		d.PasswordHash = sc.text("</passwordHash>")
 	}
 	if sc.lit(`<location x="`) {
-		x.Location = new(xmlPoint)
-		x.Location.X = sc.float()
+		d.Location = new(Location)
+		d.Location.X = sc.float()
 		sc.must(` y="`)
-		x.Location.Y = sc.float()
+		d.Location.Y = sc.float()
 		sc.must("></location>")
 	}
 	if sc.lit("<ttlMillis>") {
@@ -253,55 +340,76 @@ func (sc *scanner) description() (x xmlDescription) {
 		if err != nil {
 			sc.failed = true
 		}
-		x.TTLMillis = ms
+		d.TTL = time.Duration(ms) * time.Millisecond
 	}
 	for sc.lit(`<attr key="`) {
 		key := sc.text(`"`)
 		sc.must(">")
-		x.Attributes = append(x.Attributes, xmlAttr{Key: key, Value: sc.text("</attr>")})
+		if d.Attributes == nil {
+			d.Attributes = make(map[string]string)
+		}
+		d.Attributes[key] = sc.text("</attr>") // a repeated key keeps its last value, as in descriptionFromXML
 	}
 	for sc.lit("<interface>") {
-		x.Interfaces = append(x.Interfaces, sc.text("</interface>"))
+		d.Interfaces = append(d.Interfaces, sc.text("</interface>"))
 	}
 	sc.must("</service>")
-	return x
 }
 
-// scanDescription reads data when it is exactly one canonical description,
-// and returns the zero value when it is not.
-func scanDescription(data []byte) (xmlDescription, bool) {
+// scanDescription reads data when it is exactly one canonical description;
+// ok is false when it is not. When ok, the result and error are what
+// encoding/xml and descriptionFromXML make of the same bytes. The result
+// shares no memory with data (its strings are cut from one copy of it), so
+// data may be reused as soon as it returns.
+func scanDescription(data []byte) (d *Description, ok bool, err error) {
 	sc := scanner{s: string(data)}
-	x := sc.description()
+	d = new(Description)
+	sc.description(d)
 	if sc.failed || sc.i != len(sc.s) {
-		return xmlDescription{}, false
+		return nil, false, nil
 	}
-	return x, true
+	if sc.err == nil {
+		sc.err = d.Validate()
+	}
+	if sc.err != nil {
+		return nil, true, sc.err
+	}
+	return d, true, nil
 }
 
 // scanDescriptionList reads data when it is exactly a canonical <services>
-// document. Each description gets a string of its own, so keeping one does
-// not keep the whole reply alive: canonical text holds no raw '<', which
-// makes the first "</service>" the end of the element, and a chunk cut
-// anywhere else is refused by the scanner.
-func scanDescriptionList(data []byte) ([]xmlDescription, bool) {
+// document, with scanDescription's contract; the error is the first item's,
+// and is reported only once the whole document has scanned, because
+// encoding/xml reads all of it before descriptionFromXML sees an item. Each
+// description gets a string of its own, so keeping one does not keep the
+// whole reply alive: canonical text holds no raw '<', which makes the first
+// "</service>" the end of the element, and a chunk cut anywhere else is
+// refused by the scanner.
+func scanDescriptionList(data []byte) (descs []*Description, ok bool, err error) {
 	const open, closeItem, closeList = "<services>", "</service>", "</services>"
 	if !bytes.HasPrefix(data, []byte(open)) {
-		return nil, false
+		return nil, false, nil
 	}
 	data = data[len(open):]
-	items := make([]xmlDescription, 0, bytes.Count(data, []byte(closeItem)))
+	descs = make([]*Description, 0, bytes.Count(data, []byte(closeItem)))
 	for string(data) != closeList {
 		end := bytes.Index(data, []byte(closeItem))
 		if end < 0 {
-			return nil, false
+			return nil, false, nil
 		}
 		end += len(closeItem)
-		x, ok := scanDescription(data[:end])
+		d, ok, derr := scanDescription(data[:end])
 		if !ok {
-			return nil, false
+			return nil, false, nil
 		}
-		items = append(items, x)
+		if err == nil {
+			err = derr
+		}
+		descs = append(descs, d)
 		data = data[end:]
 	}
-	return items, true
+	if err != nil {
+		return nil, true, err
+	}
+	return descs, true, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -40,6 +41,15 @@ func referenceMarshal(d *Description) ([]byte, error) {
 		x.Attributes = append(x.Attributes, xmlAttr{Key: k, Value: d.Attributes[k]})
 	}
 	return xml.Marshal(x)
+}
+
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // referenceUnmarshal is UnmarshalDescription without the scanner: the reader
@@ -222,11 +232,10 @@ func TestCanonicalWriterMatchesEncodingXML(t *testing.T) {
 			t.Fatalf("%+v:\nwriter      %q\nxml.Marshal %q", d, got, want)
 		}
 
-		x, ok := scanDescription(got)
+		scanned, ok, serr := scanDescription(got)
 		if !ok {
 			t.Fatalf("scanner declined the writer's own output %q", got)
 		}
-		scanned, serr := descriptionFromXML(x)
 		ref, rerr := referenceUnmarshal(want)
 		if (serr == nil) != (rerr == nil) || !sameDescription(scanned, ref) {
 			t.Fatalf("%q:\nscanner      %+v, %v\nencoding/xml %+v, %v", got, scanned, serr, ref, rerr)
@@ -265,7 +274,7 @@ func checkList(t *testing.T, descs []*Description) {
 	if string(got) != string(want) {
 		t.Fatalf("list:\nwriter    %q\nreference %q", got, want)
 	}
-	items, ok := scanDescriptionList(got)
+	items, ok, _ := scanDescriptionList(got)
 	if !ok || len(items) != len(descs) {
 		t.Fatalf("list scanner declined the writer's own output (%d of %d) %q", len(items), len(descs), got)
 	}
@@ -347,11 +356,11 @@ var declined = map[string]string{
 
 func TestScannerDeclines(t *testing.T) {
 	for why, doc := range declined {
-		if x, ok := scanDescription([]byte(doc)); ok {
+		if x, ok, _ := scanDescription([]byte(doc)); ok {
 			t.Errorf("%s: scanner took %q as %+v", why, doc, x)
 		}
 		list := "<services>" + doc + "</services>"
-		if items, ok := scanDescriptionList([]byte(list)); ok && doc != "" {
+		if items, ok, _ := scanDescriptionList([]byte(list)); ok && doc != "" {
 			t.Errorf("%s: list scanner took %q as %+v", why, list, items)
 		}
 		// Declining is not failing: the public reader still answers as
@@ -366,9 +375,96 @@ func TestScannerDeclines(t *testing.T) {
 		`<services>`, `<services></services> `, `<services><service name="a" provider="p"></service>`,
 		"<services>\n</services>", `<services/>`, `<services></service></services>`,
 	} {
-		if items, ok := scanDescriptionList([]byte(list)); ok {
+		if items, ok, _ := scanDescriptionList([]byte(list)); ok {
 			t.Errorf("list scanner took %q as %+v", list, items)
 		}
+	}
+}
+
+// referenceMarshalQuery is MarshalQuery as it was before the hand-written
+// writer.
+func referenceMarshalQuery(q *Query) ([]byte, error) {
+	x := xmlQuery{
+		Name:           q.Name,
+		MinVersion:     q.MinVersion,
+		MinReliability: q.MinReliability,
+		MinPower:       q.MinPower,
+		Password:       q.Password,
+		MaxDistance:    q.MaxDistance,
+		Interfaces:     q.RequireInterfaces,
+	}
+	if q.Near != nil {
+		x.Near = &xmlPoint{X: q.Near.X, Y: q.Near.Y}
+	}
+	for _, c := range q.Constraints {
+		x.Constraints = append(x.Constraints, xmlConstraint{Attr: c.Attr, Op: c.Op.String(), Value: c.Value})
+	}
+	return xml.Marshal(x)
+}
+
+// checkQuery requires MarshalQuery to write what xml.Marshal writes: a cache
+// key, a flood message and a lookup request stay the bytes they were.
+func checkQuery(t *testing.T, q *Query) {
+	t.Helper()
+	got, err := MarshalQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, werr := referenceMarshalQuery(q)
+	if werr != nil {
+		t.Fatalf("%+v: xml.Marshal error %v", q, werr)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("%+v:\nwriter      %q\nxml.Marshal %q", q, got, want)
+	}
+}
+
+// genHostileQuery draws every optional field present or absent, from the same
+// awkward values as genHostileDescription, and operators valid or not.
+func genHostileQuery(r *rand.Rand) *Query {
+	q := &Query{}
+	if r.Intn(3) > 0 {
+		q.Name = genHostile(r)
+	}
+	if r.Intn(2) == 0 {
+		q.MinVersion = genHostile(r)
+	}
+	if r.Intn(2) == 0 {
+		q.MinReliability = genFloat(r)
+	}
+	if r.Intn(2) == 0 {
+		q.MinPower = genFloat(r)
+	}
+	if r.Intn(3) == 0 {
+		q.Password = genHostile(r)
+	}
+	if r.Intn(2) == 0 {
+		q.Near = &Location{X: genFloat(r), Y: genFloat(r)}
+	}
+	if r.Intn(2) == 0 {
+		q.MaxDistance = genFloat(r)
+	}
+	for n := r.Intn(4); n > 0; n-- {
+		q.Constraints = append(q.Constraints, Constraint{Attr: genHostile(r), Op: Op(r.Intn(11) - 1), Value: genHostile(r)})
+	}
+	for n := r.Intn(3); n > 0; n-- {
+		q.RequireInterfaces = append(q.RequireInterfaces, genHostile(r))
+	}
+	return q
+}
+
+func TestQueryWriterMatchesEncodingXML(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	n := 20000
+	if testing.Short() {
+		n = 2000
+	}
+	for i := 0; i < n; i++ {
+		checkQuery(t, genHostileQuery(r))
+	}
+	checkQuery(t, &Query{})
+	if got, _ := MarshalQuery(&Query{Name: "sensor/*"}); string(got) != `<query name="sensor/*"></query>` {
+		t.Fatalf("query form changed: %s", got)
 	}
 }
 
@@ -382,9 +478,10 @@ func allocDesc() *Description {
 }
 
 // The point of the codec is what it does not allocate, so the counts are
-// pinned. Writer: the output buffer and the sorted attribute keys. Reader: the
-// document as one string (every field is a substring of it), the attribute
-// slice growing to two, the map and the Description.
+// pinned. Writer: the output buffer, and nothing when it appends to a buffer
+// the caller reuses (the attribute keys are sorted on the stack). Reader: the
+// document as one string (every field is a substring of it), the
+// Description, and the attribute map (its header and its one group).
 func TestDescriptionCodecAllocs(t *testing.T) {
 	d := allocDesc()
 	data, err := MarshalDescription(d)
@@ -395,14 +492,30 @@ func TestDescriptionCodecAllocs(t *testing.T) {
 		if _, err := MarshalDescription(d); err != nil {
 			t.Fatal(err)
 		}
-	}); avg > 2 {
-		t.Errorf("MarshalDescription allocates %.1f times, want at most 2 (xml.Marshal: 27)", avg)
+	}); avg > 1 {
+		t.Errorf("MarshalDescription allocates %.1f times, want at most 1 (xml.Marshal: 27)", avg)
+	}
+	buf := make([]byte, 0, 512)
+	if avg := testing.AllocsPerRun(1000, func() {
+		if buf, err = AppendDescription(buf[:0], d); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 0 {
+		t.Errorf("AppendDescription into a reused buffer allocates %.1f times, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
 		if _, err := UnmarshalDescription(data); err != nil {
 			t.Fatal(err)
 		}
-	}); avg > 7 {
-		t.Errorf("UnmarshalDescription allocates %.1f times, want at most 7 (xml.Unmarshal: 76)", avg)
+	}); avg > 4 {
+		t.Errorf("UnmarshalDescription allocates %.1f times, want at most 4 (xml.Unmarshal: 76)", avg)
+	}
+	q := &Query{Name: "sensor/*", MinReliability: 0.5, Constraints: []Constraint{{Attr: "rate", Op: OpGe, Value: "100"}}}
+	if avg := testing.AllocsPerRun(1000, func() {
+		if _, err := MarshalQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 1 {
+		t.Errorf("MarshalQuery allocates %.1f times, want at most 1 (xml.Marshal: 16)", avg)
 	}
 }

@@ -2,6 +2,7 @@ package svcdesc
 
 import (
 	"encoding/xml"
+	"math"
 	"testing"
 	"time"
 )
@@ -78,11 +79,11 @@ func FuzzMatch(f *testing.F) {
 	})
 }
 
-// FuzzDescriptionXML holds the scanner to its contract on arbitrary bytes:
-// it either declines, or encoding/xml accepts the same bytes and the two
-// agree on the description and on whether it is valid. The public readers
-// must not panic on anything, and whatever they accept the writer must turn
-// back into something the scanner itself takes.
+// FuzzDescriptionXML holds the decoder to its contract on arbitrary bytes:
+// it either declines, or encoding/xml accepts the same bytes and
+// descriptionFromXML makes of them the same description, or the same error.
+// The public readers must not panic on anything, and whatever they accept the
+// writer must turn back into something the decoder itself takes.
 func FuzzDescriptionXML(f *testing.F) {
 	full := printerDesc()
 	full.AvailableFrom, full.PasswordHash = now, "h&sh"
@@ -99,22 +100,20 @@ func FuzzDescriptionXML(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if x, ok := scanDescription(data); ok {
+		if got, ok, gerr := scanDescription(data); ok {
 			var ref xmlDescription
 			if err := xml.Unmarshal(data, &ref); err != nil {
-				t.Fatalf("scanner took %q, encoding/xml refuses it: %v", data, err)
+				t.Fatalf("decoder took %q, encoding/xml refuses it: %v", data, err)
 			}
-			got, gerr := descriptionFromXML(x)
 			want, werr := descriptionFromXML(ref)
-			if (gerr == nil) != (werr == nil) || !sameDescription(got, want) {
-				t.Fatalf("%q:\nscanner      %+v, %v\nencoding/xml %+v, %v", data, got, gerr, want, werr)
+			if !sameOutcome(gerr, werr) || !sameDescription(got, want) {
+				t.Fatalf("%q:\ndecoder      %+v, %v\nencoding/xml %+v, %v", data, got, gerr, want, werr)
 			}
 		}
-		if _, ok := scanDescriptionList(data); ok {
-			got, gerr := UnmarshalDescriptionList(data)
+		if got, ok, gerr := scanDescriptionList(data); ok {
 			want, werr := referenceUnmarshalList(data)
-			if (gerr == nil) != (werr == nil) || !sameDescriptions(got, want) {
-				t.Fatalf("list %q:\nscanner      %v, %v\nencoding/xml %v, %v", data, got, gerr, want, werr)
+			if !sameOutcome(gerr, werr) || !sameDescriptions(got, want) {
+				t.Fatalf("list %q:\ndecoder      %v, %v\nencoding/xml %v, %v", data, got, gerr, want, werr)
 			}
 		}
 
@@ -126,8 +125,39 @@ func FuzzDescriptionXML(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%q parsed to %+v, which does not marshal: %v", data, d, err)
 		}
-		if _, ok := scanDescription(out); !ok {
-			t.Fatalf("scanner declined the writer's output %q", out)
+		if _, ok, _ := scanDescription(out); !ok {
+			t.Fatalf("decoder declined the writer's output %q", out)
 		}
+	})
+}
+
+// sameOutcome reports whether two readers failed alike: both not at all, or
+// both with the same message.
+func sameOutcome(a, b error) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Error() == b.Error()
+}
+
+// FuzzQueryMarshal holds the query writer to xml.Marshal, byte for byte, on
+// any field values.
+func FuzzQueryMarshal(f *testing.F) {
+	f.Add("sensor/*", "1.2", 0.5, 0.0, "pw", true, 1.5, -2.0, 10.0, "rate", byte(5), "9.5", "read")
+	f.Add("", "", 0.0, 0.0, "", false, 0.0, 0.0, 0.0, "", byte(0), "", "")
+	f.Add("a<b", "\xff\n", math.NaN(), math.Inf(-1), "&#34;", true, math.Copysign(0, -1), 1e21, 1e-7, "k\"", byte(200), "]]>", "\ufffe")
+
+	f.Fuzz(func(t *testing.T, name, minVersion string, minRel, minPower float64, password string,
+		near bool, x, y, maxDist float64, attr string, op byte, value, iface string) {
+		q := &Query{
+			Name: name, MinVersion: minVersion, MinReliability: minRel, MinPower: minPower,
+			Password: password, MaxDistance: maxDist,
+			Constraints:       []Constraint{{Attr: attr, Op: Op(op % 10), Value: value}, {Attr: value, Op: OpExists}},
+			RequireInterfaces: []string{iface, name},
+		}
+		if near {
+			q.Near = &Location{X: x, Y: y}
+		}
+		checkQuery(t, q)
 	})
 }

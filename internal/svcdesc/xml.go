@@ -3,13 +3,14 @@ package svcdesc
 import (
 	"encoding/xml"
 	"fmt"
-	"sort"
 	"time"
 )
 
 // XML forms of Description and Query. These are the interoperable
 // representations (§3.3, §3.9): any middleware able to parse XML can
-// advertise into or query our registries.
+// advertise into or query our registries. The structs below are what
+// encoding/xml reads XML this tree did not write into; canonical.go writes
+// both forms and reads descriptions without them.
 
 type xmlDescription struct {
 	XMLName     xml.Name  `xml:"service"`
@@ -46,18 +47,30 @@ type xmlAttr struct {
 // MarshalDescription serializes a description to XML.
 func MarshalDescription(d *Description) ([]byte, error) {
 	// Most descriptions fit, so the buffer is allocated once.
-	return appendDescription(make([]byte, 0, 256), d)
+	return AppendDescription(make([]byte, 0, 256), d)
 }
 
-// UnmarshalDescription parses a description from XML.
+// UnmarshalDescription parses a description from XML. The result shares no
+// memory with data.
 func UnmarshalDescription(data []byte) (*Description, error) {
-	x, ok := scanDescription(data)
-	if !ok {
-		if err := xml.Unmarshal(data, &x); err != nil {
-			return nil, fmt.Errorf("svcdesc: parse description: %w", err)
-		}
+	if d, ok, err := scanDescription(data); ok {
+		return d, err
+	}
+	var x xmlDescription
+	if err := xml.Unmarshal(data, &x); err != nil {
+		return nil, fmt.Errorf("svcdesc: parse description: %w", err)
 	}
 	return descriptionFromXML(x)
+}
+
+// parseInstant reads an availability bound, for descriptionFromXML and the
+// scanner alike.
+func parseInstant(field, s string) (time.Time, error) {
+	t, err := time.Parse(time.RFC3339Nano, s)
+	if err != nil {
+		return time.Time{}, fmt.Errorf("svcdesc: %s: %w", field, err)
+	}
+	return t.UTC(), nil
 }
 
 // descriptionFromXML converts the parsed XML form into a validated
@@ -74,19 +87,16 @@ func descriptionFromXML(x xmlDescription) (*Description, error) {
 		Interfaces:   x.Interfaces,
 		TTL:          time.Duration(x.TTLMillis) * time.Millisecond,
 	}
+	var err error
 	if x.From != "" {
-		t, err := time.Parse(time.RFC3339Nano, x.From)
-		if err != nil {
-			return nil, fmt.Errorf("svcdesc: availableFrom: %w", err)
+		if d.AvailableFrom, err = parseInstant("availableFrom", x.From); err != nil {
+			return nil, err
 		}
-		d.AvailableFrom = t.UTC()
 	}
 	if x.Until != "" {
-		t, err := time.Parse(time.RFC3339Nano, x.Until)
-		if err != nil {
-			return nil, fmt.Errorf("svcdesc: availableUntil: %w", err)
+		if d.AvailableUntil, err = parseInstant("availableUntil", x.Until); err != nil {
+			return nil, err
 		}
-		d.AvailableUntil = t.UTC()
 	}
 	if x.Location != nil {
 		d.Location = &Location{X: x.Location.X, Y: x.Location.Y}
@@ -108,7 +118,7 @@ func MarshalDescriptionList(descs []*Description) ([]byte, error) {
 	buf := []byte("<services>")
 	for _, d := range descs {
 		var err error
-		if buf, err = appendDescription(buf, d); err != nil {
+		if buf, err = AppendDescription(buf, d); err != nil {
 			return nil, err
 		}
 	}
@@ -117,16 +127,15 @@ func MarshalDescriptionList(descs []*Description) ([]byte, error) {
 
 // UnmarshalDescriptionList parses a <services> document.
 func UnmarshalDescriptionList(data []byte) ([]*Description, error) {
-	items, ok := scanDescriptionList(data)
-	if !ok {
-		var list xmlDescriptionList
-		if err := xml.Unmarshal(data, &list); err != nil {
-			return nil, fmt.Errorf("svcdesc: parse service list: %w", err)
-		}
-		items = list.Items
+	if descs, ok, err := scanDescriptionList(data); ok {
+		return descs, err
 	}
-	out := make([]*Description, 0, len(items))
-	for _, x := range items {
+	var list xmlDescriptionList
+	if err := xml.Unmarshal(data, &list); err != nil {
+		return nil, fmt.Errorf("svcdesc: parse service list: %w", err)
+	}
+	out := make([]*Description, 0, len(list.Items))
+	for _, x := range list.Items {
 		d, err := descriptionFromXML(x)
 		if err != nil {
 			return nil, err
@@ -155,24 +164,11 @@ type xmlConstraint struct {
 	Value string `xml:",chardata"`
 }
 
-// MarshalQuery serializes a query to XML.
+// MarshalQuery serializes a query to XML: the bytes xml.Marshal makes of
+// xmlQuery, written without reflection (canonical.go). Its error is always
+// nil.
 func MarshalQuery(q *Query) ([]byte, error) {
-	x := xmlQuery{
-		Name:           q.Name,
-		MinVersion:     q.MinVersion,
-		MinReliability: q.MinReliability,
-		MinPower:       q.MinPower,
-		Password:       q.Password,
-		MaxDistance:    q.MaxDistance,
-		Interfaces:     q.RequireInterfaces,
-	}
-	if q.Near != nil {
-		x.Near = &xmlPoint{X: q.Near.X, Y: q.Near.Y}
-	}
-	for _, c := range q.Constraints {
-		x.Constraints = append(x.Constraints, xmlConstraint{Attr: c.Attr, Op: c.Op.String(), Value: c.Value})
-	}
-	return xml.Marshal(x)
+	return appendQuery(make([]byte, 0, 128), q), nil
 }
 
 // UnmarshalQuery parses a query from XML.
@@ -201,13 +197,4 @@ func UnmarshalQuery(data []byte) (*Query, error) {
 		q.Constraints = append(q.Constraints, Constraint{Attr: c.Attr, Op: op, Value: c.Value})
 	}
 	return q, nil
-}
-
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
