@@ -229,6 +229,47 @@ func TestCloseFailsOutstanding(t *testing.T) {
 	}
 }
 
+// A Go future with no deadline waits on its reply alone, with no timer beside
+// it: the teardown of its connection must still end it, whether the server
+// drops the connection or the caller closes.
+func TestGoNoTimeoutEndsOnTeardown(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		teardown func(s *Server, c *Caller)
+		want     error
+	}{
+		{"server drops the connection", func(s *Server, _ *Caller) { go s.Close() }, ErrUnavailable},
+		{"caller closes", func(_ *Server, c *Caller) { _ = c.Close() }, ErrClosed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, c := newPair(t, ServerOptions{}, CallerOptions{})
+			started, release := make(chan struct{}), make(chan struct{})
+			defer close(release) // lets the server's Close finish
+			s.Handle("hang", func(req *wire.Message) (*wire.Message, error) {
+				close(started)
+				<-release
+				return &wire.Message{Kind: wire.KindReply}, nil
+			})
+			f := c.Go(&Call{Topic: "hang", Timeout: NoTimeout})
+			<-started
+			done := make(chan error, 1)
+			go func() {
+				_, err := f.Wait()
+				done <- err
+			}()
+			tc.teardown(s, c)
+			select {
+			case err := <-done:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("Wait: err = %v, want %v", err, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("NoTimeout future not ended by the teardown")
+			}
+		})
+	}
+}
+
 func TestEagerDialFailure(t *testing.T) {
 	tr := transport.NewMem(transport.NewFabric())
 	if _, err := NewCaller(tr, "nobody", CallerOptions{Eager: true}); !errors.Is(err, ErrUnavailable) {

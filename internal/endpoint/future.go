@@ -67,6 +67,12 @@ func (f *Future) waitLocked() (*wire.Message, error) {
 	if f.done {
 		return f.m, f.err
 	}
+	if f.deadline.IsZero() {
+		// Nothing to time: the reply, or the teardown that fails the call,
+		// is the only way out.
+		f.settleLocked(<-f.w.ch)
+		return f.m, f.err
+	}
 	// A pipelining caller usually finds the reply already there. Take it
 	// before arming a timer at all.
 	select {
@@ -75,23 +81,21 @@ func (f *Future) waitLocked() (*wire.Message, error) {
 		return f.m, f.err
 	default:
 	}
+	remaining := f.deadline.Sub(f.clock.Now())
+	if remaining <= 0 {
+		f.expireLocked()
+		return f.m, f.err
+	}
 	var timer <-chan time.Time
-	armed := false
-	if !f.deadline.IsZero() {
-		remaining := f.deadline.Sub(f.clock.Now())
-		if remaining <= 0 {
-			f.expireLocked()
-			return f.m, f.err
-		}
-		if _, real := f.clock.(simtime.Real); real {
-			// time.After's timer cannot be stopped, and under go 1.22 an
-			// unstopped timer stays allocated until it fires: at 100 k req/s
-			// with a 5 s deadline that is half a million live timers. The
-			// waiter's own timer is stopped once the reply wins, and reused.
-			timer, armed = f.w.arm(remaining).C, true
-		} else {
-			timer = f.clock.After(remaining)
-		}
+	_, armed := f.clock.(simtime.Real)
+	if armed {
+		// time.After's timer cannot be stopped, and under go 1.22 an
+		// unstopped timer stays allocated until it fires: at 100 k req/s
+		// with a 5 s deadline that is half a million live timers. The
+		// waiter's own timer is stopped once the reply wins, and reused.
+		timer = f.w.arm(remaining).C
+	} else {
+		timer = f.clock.After(remaining)
 	}
 	select {
 	case r := <-f.w.ch:

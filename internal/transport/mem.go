@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"ndsm/internal/wire"
 )
@@ -196,78 +197,105 @@ func (l *memListener) Close() error {
 	return nil
 }
 
-// memConn is one side of an in-memory duplex pipe.
+// memConn is one side of an in-memory duplex pipe. In steady state a hand-off
+// is one channel operation each way: Send puts a clone on out, Recv takes it
+// off in. Closing, the rare case, is not selected on there: it is a flag both
+// ends read, plus a nil wake-up for a Recv parked on an empty queue.
 type memConn struct {
 	local  string
 	remote string
 	out    chan *wire.Message
 	in     chan *wire.Message
-
-	closeOnce  sync.Once
-	closed     chan struct{}   // this side closed
-	peerClosed <-chan struct{} // other side closed
+	shut   *memShut // shared by both ends
 }
 
-// newMemPair builds both ends of a pipe. a is the dialer end.
+// memShut is the closed state both ends of a pipe share: the first Close of
+// either side closes the pipe both ways.
+type memShut struct {
+	once   sync.Once
+	closed atomic.Bool   // read by every Send, and by a Recv that finds its queue empty
+	done   chan struct{} // closed with the flag, for a Send blocked on a full queue
+}
+
+// newMemPair builds both ends of a pipe.
 func newMemPair(dialerAddr, listenerAddr string) (dialer, listener *memConn) {
 	ab := make(chan *wire.Message, memConnBuffer)
 	ba := make(chan *wire.Message, memConnBuffer)
-	aClosed := make(chan struct{})
-	bClosed := make(chan struct{})
-	dialer = &memConn{
-		local: dialerAddr, remote: listenerAddr,
-		out: ab, in: ba,
-		closed: aClosed, peerClosed: bClosed,
-	}
-	listener = &memConn{
-		local: listenerAddr, remote: dialerAddr,
-		out: ba, in: ab,
-		closed: bClosed, peerClosed: aClosed,
-	}
+	shut := &memShut{done: make(chan struct{})}
+	dialer = &memConn{local: dialerAddr, remote: listenerAddr, out: ab, in: ba, shut: shut}
+	listener = &memConn{local: listenerAddr, remote: dialerAddr, out: ba, in: ab, shut: shut}
 	return dialer, listener
 }
 
+// Send returns ErrClosed once either side has closed; a message it accepted
+// before that is still delivered.
 func (c *memConn) Send(m *wire.Message) error {
 	if err := m.Validate(); err != nil {
 		return err
+	}
+	if c.shut.closed.Load() {
+		return ErrClosed
 	}
 	// Clone so sender-side mutation after Send doesn't race the receiver;
 	// a real network would have serialized the bytes already.
 	m = m.Clone()
 	select {
-	case <-c.closed:
-		return ErrClosed
-	case <-c.peerClosed:
-		return ErrClosed
 	case c.out <- m:
 		return nil
+	default:
+	}
+	// The queue is full: wait for room, as a socket write waits for its send
+	// buffer, or for either side to close.
+	select {
+	case c.out <- m:
+		return nil
+	case <-c.shut.done:
+		wire.Recycle(m)
+		return ErrClosed
 	}
 }
 
 func (c *memConn) Recv() (*wire.Message, error) {
-	select {
-	case m := <-c.in:
-		return m, nil
-	case <-c.closed:
-		// Drain anything already queued before reporting close.
+	return recvQueue(c.in, &c.shut.closed)
+}
+
+// recvQueue is Recv for a conn whose messages all arrive on in: it returns
+// what is queued, in order, and ErrClosed only once in is empty and closed is
+// set. Whoever sets closed then offers in a nil (wake), which recvQueue skips;
+// if in is full, the receiver finds the flag once it has drained it.
+func recvQueue(in chan *wire.Message, closed *atomic.Bool) (*wire.Message, error) {
+	for {
+		var m *wire.Message
 		select {
-		case m := <-c.in:
-			return m, nil
+		case m = <-in:
 		default:
-			return nil, ErrClosed
+			if closed.Load() {
+				return nil, ErrClosed
+			}
+			m = <-in
 		}
-	case <-c.peerClosed:
-		select {
-		case m := <-c.in:
+		if m != nil {
 			return m, nil
-		default:
-			return nil, ErrClosed
 		}
 	}
 }
 
+// wake offers q the nil that ends a recvQueue parked on it, without waiting.
+func wake(q chan *wire.Message) {
+	select {
+	case q <- nil:
+	default:
+	}
+}
+
 func (c *memConn) Close() error {
-	c.closeOnce.Do(func() { close(c.closed) })
+	s := c.shut
+	s.once.Do(func() {
+		s.closed.Store(true)
+		close(s.done)
+		wake(c.in)
+		wake(c.out)
+	})
 	return nil
 }
 

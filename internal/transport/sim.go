@@ -173,7 +173,6 @@ func (t *Sim) newConnLocked(remote netsim.NodeID, id uint64, dialed bool) *simCo
 		id:     id,
 		dialed: dialed,
 		in:     make(chan *wire.Message, simConnBuffer),
-		closed: make(chan struct{}),
 	}
 	t.conns[c.key()] = c
 	return c
@@ -315,7 +314,7 @@ type simConn struct {
 	in     chan *wire.Message
 
 	closeOnce sync.Once
-	closed    chan struct{}
+	closed    atomic.Bool
 }
 
 func (c *simConn) key() string { return connKey(c.remote, c.id, c.dialed) }
@@ -332,10 +331,8 @@ func (c *simConn) header(flag byte) []byte {
 }
 
 func (c *simConn) Send(m *wire.Message) error {
-	select {
-	case <-c.closed:
+	if c.closed.Load() {
 		return ErrClosed
-	default:
 	}
 	body, err := c.t.codec.Encode(m)
 	if err != nil {
@@ -349,17 +346,7 @@ func (c *simConn) Send(m *wire.Message) error {
 }
 
 func (c *simConn) Recv() (*wire.Message, error) {
-	select {
-	case m := <-c.in:
-		return m, nil
-	case <-c.closed:
-		select {
-		case m := <-c.in:
-			return m, nil
-		default:
-			return nil, ErrClosed
-		}
-	}
+	return recvQueue(c.in, &c.closed)
 }
 
 func (c *simConn) Close() error {
@@ -371,7 +358,8 @@ func (c *simConn) Close() error {
 // datagram is attempted (best effort — it may be lost).
 func (c *simConn) closeLocal(sendFin bool) {
 	c.closeOnce.Do(func() {
-		close(c.closed)
+		c.closed.Store(true)
+		wake(c.in)
 		if sendFin {
 			_ = c.t.svc.Send(c.t.local, c.remote, c.header(simFlagFin))
 		}

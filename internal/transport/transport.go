@@ -36,6 +36,10 @@ type Conn interface {
 	// implementations either serialize the message before returning or clone
 	// it. Callers rely on this to recycle request envelopes through pools
 	// the moment Send returns.
+	//
+	// On mem, Send after either side's Close returns ErrClosed, every time.
+	// tcp and sim learn of the peer's Close only from the network, so there
+	// a Send shortly after it may still succeed, and the message is lost.
 	Send(m *wire.Message) error
 	// Recv blocks for the next message. It returns ErrClosed after the
 	// connection closes and all buffered messages are drained.

@@ -230,36 +230,58 @@ func TestConformanceMultipleConns(t *testing.T) {
 	}
 }
 
+// A Recv parked on an empty connection ends with ErrClosed when either side
+// closes: its own side at once, the peer's once the close reaches it.
 func TestConformanceCloseUnblocksRecv(t *testing.T) {
 	for _, h := range harnesses() {
 		t.Run(h.name, func(t *testing.T) {
-			lt, addr, dt := h.setup(t)
-			l, err := lt.Listen(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			startEcho(t, l)
-			conn, err := dt.Dial(l.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			done := make(chan error, 1)
-			go func() {
-				_, err := conn.Recv()
-				done <- err
-			}()
-			time.Sleep(10 * time.Millisecond)
-			if err := conn.Close(); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case err := <-done:
-				if !errors.Is(err, ErrClosed) {
-					t.Fatalf("Recv after close: err = %v, want ErrClosed", err)
+			for _, peer := range []bool{false, true} {
+				name := "own close"
+				if peer {
+					name = "peer close"
 				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("Recv not unblocked by Close")
+				t.Run(name, func(t *testing.T) {
+					lt, addr, dt := h.setup(t)
+					l, err := lt.Listen(addr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					conn, err := dt.Dial(l.Addr())
+					if err != nil {
+						t.Fatal(err)
+					}
+					// sim makes the accepting side on the first frame.
+					if err := conn.Send(&wire.Message{ID: 1, Kind: wire.KindData}); err != nil {
+						t.Fatal(err)
+					}
+					server, err := l.Accept()
+					if err != nil {
+						t.Fatal(err)
+					}
+					recvWithTimeout(t, server)
+
+					done := make(chan error, 1)
+					go func() {
+						_, err := conn.Recv()
+						done <- err
+					}()
+					time.Sleep(10 * time.Millisecond)
+					closer := conn
+					if peer {
+						closer = server
+					}
+					if err := closer.Close(); err != nil {
+						t.Fatal(err)
+					}
+					select {
+					case err := <-done:
+						if !errors.Is(err, ErrClosed) {
+							t.Fatalf("Recv after close: err = %v, want ErrClosed", err)
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatal("Recv not unblocked by Close")
+					}
+				})
 			}
 		})
 	}
