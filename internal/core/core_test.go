@@ -411,6 +411,33 @@ func TestTransactionRecorded(t *testing.T) {
 	}
 }
 
+func TestBindCloseCyclesLeaveNoTransactions(t *testing.T) {
+	w := newWorld(t)
+	sup := w.node("supplier")
+	con := w.node("consumer")
+	if err := sup.Serve(bpDesc(0.9), echoHandler("x:")); err != nil {
+		t.Fatal(err)
+	}
+	spec := &qos.Spec{Query: svcdesc.Query{Name: "sensor/bp"}}
+	for i := 0; i < 1000; i++ {
+		b, err := con.Bind(spec, BindOptions{})
+		if err != nil {
+			t.Fatalf("bind %d: %v", i, err)
+		}
+		// A round trip per cycle keeps the supplier's accept loop level
+		// with the dials (the mem listener refuses past 16 waiting).
+		if _, err := b.Request([]byte("read")); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatalf("close %d: %v", i, err)
+		}
+	}
+	if n := con.Transactions().Len(); n != 0 {
+		t.Fatalf("transaction table holds %d records after 1000 bind/close cycles, want 0", n)
+	}
+}
+
 func TestConcurrentBindingsShareSupplier(t *testing.T) {
 	w := newWorld(t)
 	sup := w.node("supplier")

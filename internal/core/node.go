@@ -200,9 +200,6 @@ func (n *Node) LaneQuota(lane endpoint.Lane) int { return n.ep.LaneQuota(lane) }
 // node's existing listener instead of opening a protocol of their own.
 func (n *Node) HandleTopic(topic string, h endpoint.Handler) { n.ep.Handle(topic, h) }
 
-// UnhandleTopic removes a HandleTopic registration.
-func (n *Node) UnhandleTopic(topic string) { n.ep.Unhandle(topic) }
-
 // SetTracer swaps the node's tracer at runtime (nil reverts to the process
 // default). Existing bindings pick it up on their next call.
 func (n *Node) SetTracer(t *trace.Tracer) { n.traceRef.Set(t) }

@@ -50,13 +50,6 @@ func DensityPolicy(threshold int) Policy {
 	}
 }
 
-// AlwaysCentral and AlwaysFlood pin the mode (useful as experiment
-// baselines).
-func AlwaysCentral(Env) Mode { return ModeCentral }
-
-// AlwaysFlood pins the distributed mode.
-func AlwaysFlood(Env) Mode { return ModeFlood }
-
 // Adaptive is the adaptive organization: it owns a centralized client and a
 // distributed agent and routes each operation per policy, falling back to
 // the other mode on failure. Registrations always go to both worlds — the

@@ -368,39 +368,3 @@ func translateErr(topic string, timeout time.Duration, err error) error {
 	}
 	return fmt.Errorf("discovery: %s: %w", topic, err)
 }
-
-// RegisterBatch registers many descriptions in one pipelined burst: every
-// request is on the wire before the first reply is awaited, so a supplier
-// advertising N services pays roughly one round trip instead of N (and the
-// requests coalesce into batched frames on transports that support it). It
-// returns the first error encountered; registrations after a marshal
-// failure are not sent, but requests already pipelined still complete on
-// the registry.
-func (c *Client) RegisterBatch(ds []*svcdesc.Description) error {
-	timeout := c.callTimeout()
-	futs := make([]*endpoint.Future, 0, len(ds))
-	var firstErr error
-	bp := descBufs.Get().(*[]byte)
-	defer descBufs.Put(bp)
-	for _, d := range ds {
-		payload, err := marshalInto(bp, d)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		futs = append(futs, c.caller.Go(&endpoint.Call{
-			Kind:    wire.KindControl,
-			Topic:   TopicRegister,
-			Payload: payload,
-			Timeout: timeout,
-		}))
-	}
-	for _, fut := range futs {
-		reply, err := fut.Wait()
-		wire.Recycle(reply) // each future is waited on once, here
-		if err != nil && firstErr == nil {
-			firstErr = translateErr(TopicRegister, timeout, err)
-		}
-	}
-	return firstErr
-}

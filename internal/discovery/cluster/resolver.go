@@ -89,9 +89,6 @@ func NewResolver(tr transport.Transport, opts ResolverOptions) (*Resolver, error
 // Members returns the canonical cluster membership.
 func (r *Resolver) Members() []string { return r.ring.Members() }
 
-// Quorum returns the lookup responder quorum (N-R+1).
-func (r *Resolver) Quorum() int { return r.quorum }
-
 // SetCallTimeout bounds each member call (see discovery.Client.SetCallTimeout).
 func (r *Resolver) SetCallTimeout(d time.Duration, clock simtime.Clock) {
 	r.mu.Lock()

@@ -696,9 +696,6 @@ func TestAdaptiveWithoutCentral(t *testing.T) {
 }
 
 func TestAdaptivePinnedPolicies(t *testing.T) {
-	if AlwaysCentral(Env{}) != ModeCentral || AlwaysFlood(Env{}) != ModeFlood {
-		t.Fatal("pinned policies wrong")
-	}
 	pol := DensityPolicy(5)
 	if pol(Env{Density: 5, CentralHealthy: true}) != ModeCentral {
 		t.Fatal("dense healthy should pick central")
@@ -964,31 +961,5 @@ func TestFloodTracePropagatesAcrossNetmuxHop(t *testing.T) {
 	}
 	if !seenN2 {
 		t.Error("supplier node n2 recorded no spans in the lookup trace")
-	}
-}
-
-func TestCentralRegisterBatch(t *testing.T) {
-	_, cli := newCentralPair(t)
-	var ds []*svcdesc.Description
-	for i := 0; i < 12; i++ {
-		ds = append(ds, desc(fmt.Sprintf("n%d", i), fmt.Sprintf("svc/%d", i)))
-	}
-	if err := cli.RegisterBatch(ds); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cli.Lookup(&svcdesc.Query{Name: "svc/*"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ds) {
-		t.Fatalf("lookup after batch = %d descriptions, want %d", len(got), len(ds))
-	}
-	if err := cli.RegisterBatch(nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
-	}
-	// A marshal failure surfaces and stops the batch.
-	bad := []*svcdesc.Description{desc("ok", "svc/ok"), {}}
-	if err := cli.RegisterBatch(bad); err == nil {
-		t.Fatal("invalid description accepted in batch")
 	}
 }

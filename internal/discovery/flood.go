@@ -181,9 +181,6 @@ func NewAgent(mux *netmux.Mux, cfg AgentConfig) *Agent {
 	return a
 }
 
-// Local returns the agent's own-service store.
-func (a *Agent) Local() *Store { return a.local }
-
 // SetTracer installs the agent's tracer (nil reverts to the process
 // default).
 func (a *Agent) SetTracer(t *trace.Tracer) { a.traceRef.Set(t) }

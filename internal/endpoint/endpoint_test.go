@@ -629,27 +629,6 @@ func TestServerMetricsInterceptor(t *testing.T) {
 	}
 }
 
-func TestServerDeadlineSheds(t *testing.T) {
-	clock := simtime.NewVirtual(time.Unix(1000, 0))
-	var served atomic.Int64
-	h := chainServer([]ServerInterceptor{WithServerDeadline(clock)},
-		func(req *wire.Message) (*wire.Message, error) {
-			served.Add(1)
-			return &wire.Message{Kind: wire.KindReply}, nil
-		})
-	// Live deadline: served.
-	if _, err := h(&wire.Message{Topic: "x", Deadline: clock.Now().Add(time.Second)}); err != nil {
-		t.Fatalf("live request: %v", err)
-	}
-	// Expired deadline: shed.
-	if _, err := h(&wire.Message{Topic: "x", Deadline: clock.Now().Add(-time.Second)}); err == nil {
-		t.Fatal("expired request not shed")
-	}
-	if got := served.Load(); got != 1 {
-		t.Fatalf("served = %d, want 1", got)
-	}
-}
-
 func TestOnSendOnRecvHooks(t *testing.T) {
 	var sent, recvd atomic.Int64
 	s, c := newPair(t, ServerOptions{}, CallerOptions{

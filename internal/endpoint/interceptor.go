@@ -280,20 +280,3 @@ func WithServerMetrics(reg *obs.Registry, name string, clock simtime.Clock) Serv
 		}
 	}
 }
-
-// WithServerDeadline sheds requests whose propagated deadline has already
-// passed on arrival: the caller has given up, so running the handler and
-// sending a reply is pure waste. Expired requests get a KindError reply.
-func WithServerDeadline(clock simtime.Clock) ServerInterceptor {
-	if clock == nil {
-		clock = simtime.Real{}
-	}
-	return func(next Handler) Handler {
-		return func(req *wire.Message) (*wire.Message, error) {
-			if !req.Deadline.IsZero() && clock.Now().After(req.Deadline) {
-				return nil, fmt.Errorf("endpoint: deadline exceeded before dispatch of %s", req.Topic)
-			}
-			return next(req)
-		}
-	}
-}

@@ -64,16 +64,6 @@ func ParseTopicLanes(data []byte) (*LaneTable, error) {
 	return t, nil
 }
 
-// NewLaneTable builds a table from already-parsed exact mappings (tests and
-// programmatic config).
-func NewLaneTable(exact map[string]Lane) *LaneTable {
-	t := &LaneTable{exact: make(map[string]Lane, len(exact))}
-	for topic, lane := range exact {
-		t.exact[topic] = lane
-	}
-	return t
-}
-
 // Lookup resolves a topic's configured lane. ok=false means the table has
 // no opinion (the caller falls through to its default lane).
 func (t *LaneTable) Lookup(topic string) (Lane, bool) {

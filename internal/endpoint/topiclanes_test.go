@@ -73,7 +73,10 @@ func TestLaneTableNilAndLookupAllocFree(t *testing.T) {
 	if nilTbl.Len() != 0 {
 		t.Error("nil table Len != 0")
 	}
-	tbl := NewLaneTable(map[string]Lane{"hot": LaneControl})
+	tbl, err := ParseTopicLanes([]byte(`{"hot": "control"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if avg := testing.AllocsPerRun(1000, func() {
 		_, _ = tbl.Lookup("hot")
 		_, _ = tbl.Lookup("miss")

@@ -416,28 +416,3 @@ func (m *Monitor) Status() []PeerStatus {
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
 }
-
-// SuspectedPeers lists every currently suspected peer.
-func (m *Monitor) SuspectedPeers() []string {
-	now := m.opts.Clock.Now()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
-	for name, ps := range m.peers {
-		if m.suspectLocked(ps, now) {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// Forget drops all state for a peer (decommissioned supplier, shrinking
-// fleet) so stale windows don't linger.
-func (m *Monitor) Forget(peer string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ps := m.peers[peer]; ps != nil && ps.suspected {
-		m.suspectedG.Add(-1)
-	}
-	delete(m.peers, peer)
-}

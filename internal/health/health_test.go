@@ -174,23 +174,6 @@ func TestSuccessIsHeartbeat(t *testing.T) {
 	}
 }
 
-func TestSuspectedPeersAndForget(t *testing.T) {
-	clock := simtime.NewVirtual(time.Unix(0, 0))
-	m := newTestMonitor(clock, obs.NewRegistry())
-	m.Heartbeat("s0")
-	m.Heartbeat("s1")
-	clock.Advance(600 * time.Millisecond)
-	m.Heartbeat("s1") // only s0 stays silent
-	sus := m.SuspectedPeers()
-	if len(sus) != 1 || sus[0] != "s0" {
-		t.Fatalf("SuspectedPeers = %v, want [s0]", sus)
-	}
-	m.Forget("s0")
-	if m.Suspect("s0") {
-		t.Fatal("forgotten peer still suspect")
-	}
-}
-
 // fakeRegistry is a canned-response discovery registry.
 type fakeRegistry struct {
 	descs []*svcdesc.Description

@@ -8,9 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"ndsm/internal/discovery"
 	"ndsm/internal/simtime"
-	"ndsm/internal/svcdesc"
 	"ndsm/internal/transport"
 )
 
@@ -341,43 +339,5 @@ func TestPushAsyncQueueFull(t *testing.T) {
 	}
 	if err := c.PushAsync("q", []byte("b")).Wait(); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
-	}
-}
-
-func TestDialServiceResolvesBroker(t *testing.T) {
-	fabric := transport.NewFabric()
-	tr := transport.NewMem(fabric)
-	l, err := tr.Listen("broker-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBroker(l, 0, nil)
-	defer b.Close() //nolint:errcheck
-
-	reg := discovery.NewStore(nil, 0)
-	if err := reg.Register(&svcdesc.Description{
-		Name:        "mq/telemetry",
-		Provider:    "broker-1",
-		Reliability: 0.9,
-		PowerLevel:  1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := DialService(transport.NewMem(fabric), reg, &svcdesc.Query{Name: "mq/*"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close() //nolint:errcheck
-	if err := c.Push("q", []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Pop("q", 0)
-	if err != nil || string(got) != "hello" {
-		t.Fatalf("pop = %q, %v", got, err)
-	}
-
-	if _, err := DialService(transport.NewMem(fabric), reg, &svcdesc.Query{Name: "nothing"}); err == nil {
-		t.Fatal("DialService matched a broker for an empty query result")
 	}
 }

@@ -9,7 +9,6 @@ package rpc
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"ndsm/internal/endpoint"
@@ -37,9 +36,6 @@ type Handler func(payload []byte) ([]byte, error)
 type Server struct {
 	ep       *endpoint.Server
 	traceRef *trace.Ref
-
-	mu    sync.Mutex
-	calls map[string]int64
 }
 
 // ServerConfig tunes an RPC server's admission control: MaxInFlight bounds
@@ -61,7 +57,7 @@ func NewServer(l transport.Listener) *Server {
 // NewServerWith starts serving on the listener with the given admission
 // configuration.
 func NewServerWith(l transport.Listener, cfg ServerConfig) *Server {
-	s := &Server{calls: make(map[string]int64), traceRef: trace.NewRef(nil)}
+	s := &Server{traceRef: trace.NewRef(nil)}
 	s.ep = endpoint.NewServer(l, endpoint.ServerOptions{
 		Kinds:       []wire.Kind{wire.KindRequest},
 		MaxInFlight: cfg.MaxInFlight,
@@ -69,7 +65,6 @@ func NewServerWith(l transport.Listener, cfg ServerConfig) *Server {
 		ReqLog:      cfg.ReqLog,
 		Interceptors: []endpoint.ServerInterceptor{
 			endpoint.WithServerTracing(s.traceRef, "rpc.serve"),
-			s.countCalls,
 			endpoint.WithServerMetrics(nil, "rpc.server", nil),
 		},
 		Fallback: func(req *wire.Message) (*wire.Message, error) {
@@ -77,17 +72,6 @@ func NewServerWith(l transport.Listener, cfg ServerConfig) *Server {
 		},
 	})
 	return s
-}
-
-// countCalls tallies every dispatched method, known or not (the pre-endpoint
-// server counted unknown methods too, and tests rely on it).
-func (s *Server) countCalls(next endpoint.Handler) endpoint.Handler {
-	return func(req *wire.Message) (*wire.Message, error) {
-		s.mu.Lock()
-		s.calls[req.Topic]++
-		s.mu.Unlock()
-		return next(req)
-	}
 }
 
 // Handle registers a handler for a method name; it replaces any previous
@@ -105,17 +89,6 @@ func (s *Server) Handle(method string, h Handler) {
 // SetTracer installs the server's tracer (nil reverts to the process
 // default).
 func (s *Server) SetTracer(t *trace.Tracer) { s.traceRef.Set(t) }
-
-// Calls returns a copy of the per-method call counters.
-func (s *Server) Calls() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.calls))
-	for k, v := range s.calls {
-		out[k] = v
-	}
-	return out
-}
 
 // Close stops the server and waits for in-flight handlers.
 func (s *Server) Close() error { return s.ep.Close() }

@@ -77,8 +77,6 @@ type Space struct {
 	tuples   []Tuple
 	waiters  []*waiter
 	notifies map[*notification]struct{}
-	// notifyDropped counts reaction deliveries lost to full channels.
-	notifyDropped int64
 }
 
 // NewSpace returns an empty space timing blocking operations against clock
@@ -121,8 +119,7 @@ func (s *Space) Out(t Tuple) {
 			if n.consume {
 				consumed = true
 			}
-		default:
-			s.notifyDropped++
+		default: // a full reaction channel loses the copy; Out never blocks
 		}
 	}
 
@@ -186,13 +183,6 @@ func (s *Space) notify(template Tuple, consume bool) (<-chan Tuple, func()) {
 		})
 	}
 	return n.ch, cancel
-}
-
-// NotifyDropped reports reaction deliveries lost to full channels.
-func (s *Space) NotifyDropped() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.notifyDropped
 }
 
 // RdP returns a copy of a matching tuple without removing it (non-blocking).

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -427,15 +428,21 @@ func TestNotifyTakeSingleClaim(t *testing.T) {
 	}
 }
 
-func TestNotifyOverflowCounted(t *testing.T) {
+func TestNotifyOverflowDropsWithoutBlocking(t *testing.T) {
 	s := NewSpace(nil)
-	_, cancel := s.Notify(Tuple{"flood", "*"})
+	ch, cancel := s.Notify(Tuple{"flood", "*"})
 	defer cancel()
 	for i := 0; i < notifyBuffer+10; i++ {
-		s.Out(Tuple{"flood", "x"})
+		s.Out(Tuple{"flood", strconv.Itoa(i)})
 	}
-	if got := s.NotifyDropped(); got != 10 {
-		t.Fatalf("NotifyDropped = %d, want 10", got)
+	if got := len(ch); got != notifyBuffer {
+		t.Fatalf("reaction channel holds %d tuples, want %d", got, notifyBuffer)
+	}
+	if first := <-ch; first[1] != "0" {
+		t.Fatalf("first delivered tuple = %v, want the first written", first)
+	}
+	if got := s.Len(); got != notifyBuffer+10 {
+		t.Fatalf("space holds %d tuples, want %d: a reaction copy must not consume", got, notifyBuffer+10)
 	}
 }
 

@@ -104,9 +104,6 @@ type Gateway struct {
 	dropped     atomic.Int64
 }
 
-// ErrGatewayClosed reports use after Close.
-var ErrGatewayClosed = errors.New("interop: gateway closed")
-
 // NewGateway starts bridging.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if cfg.Listener == nil || cfg.Dial == nil {

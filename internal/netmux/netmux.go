@@ -95,17 +95,6 @@ func (m *Mux) Dropped(proto byte) int64 {
 	return m.dropped[proto]
 }
 
-// DroppedCounts returns a copy of the full per-protocol drop tally.
-func (m *Mux) DroppedCounts() map[byte]int64 {
-	m.droppedMu.Lock()
-	defer m.droppedMu.Unlock()
-	out := make(map[byte]int64, len(m.dropped))
-	for proto, n := range m.dropped {
-		out[proto] = n
-	}
-	return out
-}
-
 // Close stops the demux loop.
 func (m *Mux) Close() {
 	m.mu.Lock()

@@ -196,8 +196,7 @@ func TestChannelOverflowRegistersObs(t *testing.T) {
 	if got := obs.Default().Counter("netmux.dropped.9").Value() - before; got != m.Dropped(0x09) {
 		t.Fatalf("obs mirror = %d, mux tally = %d", got, m.Dropped(0x09))
 	}
-	counts := m.DroppedCounts()
-	if counts[0x09] != m.Dropped(0x09) || counts[0x09] == 0 {
-		t.Fatalf("DroppedCounts = %v, want [9]=%d", counts, m.Dropped(0x09))
+	if m.Dropped(0x09) == 0 {
+		t.Fatal("no drops tallied for protocol 9")
 	}
 }

@@ -251,19 +251,6 @@ func (n *Network) AddNodeEnergy(id NodeID, pos Position, energy float64) error {
 	return nil
 }
 
-// RemoveNode deletes a node entirely (its inbox channel is closed).
-func (n *Network) RemoveNode(id NodeID) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	node, ok := n.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
-	}
-	delete(n.nodes, id)
-	close(node.inbox)
-	return nil
-}
-
 // Kill marks a node dead (crash-stop failure); its inbox stays open but it
 // no longer sends or receives.
 func (n *Network) Kill(id NodeID) error {
@@ -410,19 +397,6 @@ func (n *Network) TotalConsumed() float64 {
 	return sum
 }
 
-// AliveCount returns the number of alive nodes.
-func (n *Network) AliveCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c := 0
-	for _, node := range n.nodes {
-		if node.alive {
-			c++
-		}
-	}
-	return c
-}
-
 // SetLossRate replaces the per-packet loss probability at runtime and
 // returns the previous rate. Fault-injection harnesses use it to model loss
 // bursts: raise the rate for a window, then restore the returned value.
@@ -464,31 +438,6 @@ func (n *Network) SetLatency(latency, jitter time.Duration) (time.Duration, time
 	return prevLat, prevJit
 }
 
-// Sever cuts the bidirectional link between a and b (partition modelling).
-func (n *Network) Sever(a, b NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.severed[linkKey(a, b)] = true
-}
-
-// Heal restores a severed link.
-func (n *Network) Heal(a, b NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.severed, linkKey(a, b))
-}
-
-// Partition severs every link between the two groups.
-func (n *Network) Partition(groupA, groupB []NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, a := range groupA {
-		for _, b := range groupB {
-			n.severed[linkKey(a, b)] = true
-		}
-	}
-}
-
 // Isolate severs every link between id and all other current nodes — the
 // single-node partition a fault injector uses to cut an infrastructure node
 // off without killing it. Undo with Rejoin.
@@ -511,13 +460,6 @@ func (n *Network) Rejoin(id NodeID) {
 			delete(n.severed, k)
 		}
 	}
-}
-
-// HealAll removes all severed links.
-func (n *Network) HealAll() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.severed = make(map[[2]NodeID]bool)
 }
 
 func linkKey(a, b NodeID) [2]NodeID {

@@ -49,7 +49,7 @@ func TestRadioEnergyModel(t *testing.T) {
 	}
 }
 
-func TestAddRemoveNode(t *testing.T) {
+func TestAddNodeRejectsDuplicate(t *testing.T) {
 	n := testNet(t, Config{})
 	mustAdd(t, n, "a", Position{0, 0})
 	if err := n.AddNode("a", Position{1, 1}); !errors.Is(err, ErrDuplicateNode) {
@@ -57,15 +57,6 @@ func TestAddRemoveNode(t *testing.T) {
 	}
 	if got := n.Nodes(); len(got) != 1 || got[0] != "a" {
 		t.Fatalf("Nodes = %v", got)
-	}
-	if err := n.RemoveNode("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.RemoveNode("a"); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("second remove: err = %v", err)
-	}
-	if len(n.Nodes()) != 0 {
-		t.Fatal("node not removed")
 	}
 }
 
@@ -277,47 +268,35 @@ func TestNeighborsAndDensity(t *testing.T) {
 	}
 }
 
-func TestSeverAndHeal(t *testing.T) {
-	n := testNet(t, Config{Range: 10})
-	mustAdd(t, n, "a", Position{0, 0})
-	mustAdd(t, n, "b", Position{1, 0})
-	n.Sever("a", "b")
-	if err := n.Send("a", "b", nil); !errors.Is(err, ErrLinkSevered) {
-		t.Fatalf("err = %v, want ErrLinkSevered", err)
-	}
-	if err := n.Send("b", "a", nil); !errors.Is(err, ErrLinkSevered) {
-		t.Fatalf("reverse direction: err = %v", err)
-	}
-	if n.Density("a") != 0 {
-		t.Fatal("severed link still counted as neighbour")
-	}
-	n.Heal("a", "b")
-	if err := n.Send("a", "b", nil); err != nil {
-		t.Fatalf("after heal: %v", err)
-	}
-}
-
-func TestPartitionGroups(t *testing.T) {
+func TestIsolateAndRejoin(t *testing.T) {
 	n := testNet(t, Config{Range: 100})
-	for _, id := range []NodeID{"a1", "a2", "b1", "b2"} {
+	for _, id := range []NodeID{"a", "b", "c"} {
 		mustAdd(t, n, id, Position{0, 0})
 	}
-	n.Partition([]NodeID{"a1", "a2"}, []NodeID{"b1", "b2"})
-	if err := n.Send("a1", "b1", nil); !errors.Is(err, ErrLinkSevered) {
-		t.Fatalf("cross-group: %v", err)
+	n.Isolate("a")
+	for _, dst := range []NodeID{"b", "c"} {
+		if err := n.Send("a", dst, nil); !errors.Is(err, ErrLinkSevered) {
+			t.Fatalf("a -> %s: err = %v, want ErrLinkSevered", dst, err)
+		}
+		if err := n.Send(dst, "a", nil); !errors.Is(err, ErrLinkSevered) {
+			t.Fatalf("%s -> a: err = %v, want ErrLinkSevered", dst, err)
+		}
 	}
-	if err := n.Send("a1", "a2", nil); err != nil {
-		t.Fatalf("intra-group: %v", err)
+	if err := n.Send("b", "c", nil); err != nil {
+		t.Fatalf("link not involving the isolated node: %v", err)
+	}
+	if got := n.Density("a"); got != 0 {
+		t.Fatalf("Density of isolated node = %d, want 0", got)
 	}
 	if Connected(n) {
-		t.Fatal("partitioned network reported connected")
+		t.Fatal("network with an isolated node reported connected")
 	}
-	n.HealAll()
-	if err := n.Send("a1", "b1", nil); err != nil {
-		t.Fatalf("after HealAll: %v", err)
+	n.Rejoin("a")
+	if err := n.Send("a", "b", nil); err != nil {
+		t.Fatalf("after Rejoin: %v", err)
 	}
 	if !Connected(n) {
-		t.Fatal("healed network reported disconnected")
+		t.Fatal("network reported disconnected after Rejoin")
 	}
 }
 
@@ -464,38 +443,6 @@ func TestMoveNodeAffectsRange(t *testing.T) {
 	}
 }
 
-func TestUniformField(t *testing.T) {
-	n := testNet(t, Config{Range: 30})
-	ids, e := UniformField(n, "s", 50, 100, 7)
-	if e != nil {
-		t.Fatal(e)
-	}
-	if len(ids) != 50 || len(n.Nodes()) != 50 {
-		t.Fatalf("placed %d nodes", len(ids))
-	}
-	for _, id := range ids {
-		p, err := n.PositionOf(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.X < 0 || p.X > 100 || p.Y < 0 || p.Y > 100 {
-			t.Fatalf("node %s outside field: %+v", id, p)
-		}
-	}
-	// Same seed reproduces the same layout.
-	n2 := testNet(t, Config{Range: 30})
-	if _, e := UniformField(n2, "s", 50, 100, 7); e != nil {
-		t.Fatal(e)
-	}
-	for _, id := range ids {
-		p1, _ := n.PositionOf(id)
-		p2, _ := n2.PositionOf(id)
-		if p1 != p2 {
-			t.Fatalf("layout not reproducible for %s: %v vs %v", id, p1, p2)
-		}
-	}
-}
-
 func TestGridFieldConnected(t *testing.T) {
 	n := testNet(t, Config{Range: 10})
 	ids, e := GridField(n, "g", 16, 10)
@@ -554,18 +501,5 @@ func TestWaypointStepSize(t *testing.T) {
 			t.Fatalf("step %d moved %v > speed 2", i, d)
 		}
 		prev = cur
-	}
-}
-
-func TestAliveCount(t *testing.T) {
-	n := testNet(t, Config{Range: 10})
-	mustAdd(t, n, "a", Position{0, 0})
-	mustAdd(t, n, "b", Position{1, 0})
-	if got := n.AliveCount(); got != 2 {
-		t.Fatalf("AliveCount = %d, want 2", got)
-	}
-	_ = n.Kill("a")
-	if got := n.AliveCount(); got != 1 {
-		t.Fatalf("AliveCount after kill = %d, want 1", got)
 	}
 }

@@ -7,22 +7,6 @@ import (
 	"sort"
 )
 
-// UniformField places n nodes named prefix0..prefix{n-1} uniformly at random
-// on a size×size field, using the given seed for reproducibility.
-func UniformField(net *Network, prefix string, n int, size float64, seed int64) ([]NodeID, error) {
-	rng := rand.New(rand.NewSource(seed))
-	ids := make([]NodeID, 0, n)
-	for i := 0; i < n; i++ {
-		id := NodeID(fmt.Sprintf("%s%d", prefix, i))
-		pos := Position{X: rng.Float64() * size, Y: rng.Float64() * size}
-		if err := net.AddNode(id, pos); err != nil {
-			return nil, err
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
-}
-
 // GridField places nodes on a √n×√n grid with the given spacing, guaranteeing
 // a connected topology when spacing <= radio range.
 func GridField(net *Network, prefix string, n int, spacing float64) ([]NodeID, error) {

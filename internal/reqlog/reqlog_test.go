@@ -203,59 +203,3 @@ func TestQuantileAndTopKAccessors(t *testing.T) {
 		t.Error("TopKBinary nil after traffic")
 	}
 }
-
-func TestCodecRoundTripAndValidation(t *testing.T) {
-	rec := Record{
-		Time: time.Unix(1_700_000_000, 12345).UTC(), Kind: KindClient,
-		Topic: "orders/create", Peer: "node-2", Lane: "bulk",
-		Outcome: OutcomeShed, ShedReason: "preempted by higher-benefit work",
-		Latency: 3 * time.Millisecond, QueueWait: 700 * time.Microsecond,
-		Retries: 2, DeadlineSlack: -time.Millisecond, HasDeadline: true,
-		TraceID: 0xdeadbeef, SpanID: 0x1234,
-	}
-	data, err := EncodeRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeRecord(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Time.Equal(rec.Time) || back != (func() Record { r := rec; r.Time = back.Time; return r }()) {
-		t.Errorf("round trip: %+v vs %+v", back, rec)
-	}
-
-	bad := []Record{
-		{Time: rec.Time, Kind: "neither", Topic: "t", Outcome: OutcomeOK},
-		{Time: rec.Time, Kind: KindClient, Topic: "", Outcome: OutcomeOK},
-		{Time: rec.Time, Kind: KindClient, Topic: "t", Outcome: "fine"},
-		{Time: rec.Time, Kind: KindClient, Topic: "t", Outcome: OutcomeOK, Latency: -1},
-		{Time: rec.Time, Kind: KindClient, Topic: "t", Outcome: OutcomeOK, ShedReason: "x"},
-		{Kind: KindClient, Topic: "t", Outcome: OutcomeOK}, // zero time
-	}
-	for i, b := range bad {
-		data, _ := EncodeRecord(b)
-		if _, err := DecodeRecord(data); err == nil {
-			t.Errorf("bad record %d accepted: %+v", i, b)
-		}
-	}
-	if _, err := DecodeRecord([]byte(`{"time":"2024-01-01T00:00:00Z","kind":"client","topic":"t","outcome":"ok","bogus":1}`)); err == nil {
-		t.Error("unknown field accepted")
-	}
-	if _, err := DecodeRecord(append(data, []byte(` {"x":1}`)...)); err == nil {
-		t.Error("trailing data accepted")
-	}
-
-	// Array codec.
-	arr, err := EncodeRecords([]Record{rec, rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := DecodeRecords(arr)
-	if err != nil || len(recs) != 2 {
-		t.Fatalf("DecodeRecords: %v (%d)", err, len(recs))
-	}
-	if empty, err := EncodeRecords(nil); err != nil || string(empty) != "[]" {
-		t.Errorf("nil slice encodes as %s", empty)
-	}
-}

@@ -35,15 +35,6 @@ func NewMesh(net *netsim.Network, factory func() Strategy) (*Mesh, error) {
 // Router returns the router for a node (nil if absent).
 func (m *Mesh) Router(id netsim.NodeID) *Router { return m.routers[id] }
 
-// Routers returns all routers in deterministic node order.
-func (m *Mesh) Routers() []*Router {
-	out := make([]*Router, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.routers[id])
-	}
-	return out
-}
-
 // Close stops every router.
 func (m *Mesh) Close() {
 	for _, r := range m.routers {

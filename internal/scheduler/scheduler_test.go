@@ -355,9 +355,11 @@ func TestHandoffAbortsWhenNoReplacement(t *testing.T) {
 	if report.Moved != 0 || report.Aborted != 1 {
 		t.Fatalf("report = %+v", report)
 	}
-	got, _ := table.Get(txn.ID)
-	if got.State != transaction.StateAborted {
-		t.Fatalf("state = %v", got.State)
+	if len(report.Results) != 1 || report.Results[0].TxnID != txn.ID || report.Results[0].Rebound {
+		t.Fatalf("results = %+v", report.Results)
+	}
+	if _, err := table.Get(txn.ID); !errors.Is(err, transaction.ErrUnknownTxn) {
+		t.Fatalf("Get after abort: err = %v, want ErrUnknownTxn", err)
 	}
 }
 

@@ -105,7 +105,7 @@ func TestDigestShippingAndClusterMerge(t *testing.T) {
 	if len(view.Topics) != 2 || len(view.HotTopics) == 0 {
 		t.Fatalf("view topics = %+v hot = %+v", view.Topics, view.HotTopics)
 	}
-	page := string(RenderDash(view))
+	page := string(RenderDashAlerts(view, nil))
 	if !strings.Contains(page, "Request attribution") || !strings.Contains(page, "svc/hot") {
 		t.Error("dash missing attribution panel")
 	}

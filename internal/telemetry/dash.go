@@ -27,16 +27,13 @@ type DashAlert struct {
 	Since     time.Time
 }
 
-// RenderDash renders the cluster view as a single self-contained HTML page:
-// one card per node (freshness badge, per-peer health, trace depth) with an
-// inline-SVG sparkline per metric series. No scripts, no external assets —
-// it must work from the embedded web server of a constrained device, which
-// is the paper's §2 deployment target.
-func RenderDash(v ClusterView) []byte { return RenderDashAlerts(v, nil) }
-
-// RenderDashAlerts is RenderDash plus an alerts panel above the node cards:
-// every SLO alert instance with its severity, long-window burn rate, and
-// how long it has held its level.
+// RenderDashAlerts renders the cluster view as a single self-contained HTML
+// page: one card per node (freshness badge, per-peer health, trace depth)
+// with an inline-SVG sparkline per metric series, under an alerts panel
+// listing every SLO alert instance with its severity, long-window burn rate,
+// and how long it has held its level (none when alerts is nil). No scripts,
+// no external assets — it must work from the embedded web server of a
+// constrained device, which is the paper's §2 deployment target.
 func RenderDashAlerts(v ClusterView, alerts []DashAlert) []byte {
 	var b strings.Builder
 	b.WriteString(`<!DOCTYPE html>

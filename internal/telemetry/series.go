@@ -9,15 +9,13 @@ type Point struct {
 }
 
 // Series is a fixed-capacity ring buffer of points: the windowed storage
-// behind every per-node, per-metric aggregator series. Appends are O(1), the
-// newest Cap points win, and eviction is counted so a view can say how much
-// history it no longer holds. Series is not safe for concurrent use; the
+// behind every per-node, per-metric aggregator series. Appends are O(1) and
+// the newest Cap points win. Series is not safe for concurrent use; the
 // Aggregator serializes access under its own lock.
 type Series struct {
-	buf     []Point
-	next    int
-	full    bool
-	evicted uint64
+	buf  []Point
+	next int
+	full bool
 }
 
 // NewSeries builds a series holding up to capacity points (default 128 when
@@ -39,7 +37,6 @@ func (s *Series) Append(p Point) {
 		}
 		return
 	}
-	s.evicted++
 	s.buf[s.next] = p
 	s.next = (s.next + 1) % len(s.buf)
 }
@@ -49,9 +46,6 @@ func (s *Series) Len() int { return len(s.buf) }
 
 // Cap reports the window capacity.
 func (s *Series) Cap() int { return cap(s.buf) }
-
-// Evicted reports how many points fell out of the window.
-func (s *Series) Evicted() uint64 { return s.evicted }
 
 // Points returns the retained points oldest-first.
 func (s *Series) Points() []Point {

@@ -23,9 +23,6 @@ func TestSeriesRingWindow(t *testing.T) {
 	if s.Len() != 4 {
 		t.Fatalf("len = %d, want 4", s.Len())
 	}
-	if s.Evicted() != 2 {
-		t.Fatalf("evicted = %d, want 2", s.Evicted())
-	}
 	pts := s.Points()
 	for i, p := range pts {
 		want := float64(i + 2) // 0 and 1 were evicted
@@ -410,7 +407,7 @@ func TestRenderDash(t *testing.T) {
 	}
 	clock.Advance(5 * time.Second) // now "dead" is stale too... and n<1> long stale
 
-	page := string(RenderDash(a.View()))
+	page := string(RenderDashAlerts(a.View(), nil))
 	for _, want := range []string{
 		"<!DOCTYPE html", "<svg", "polyline", "stale", "reqs", "n&lt;1&gt;",
 	} {
@@ -426,7 +423,7 @@ func TestRenderDash(t *testing.T) {
 	}
 
 	// An empty cluster still renders a page.
-	empty := string(RenderDash(NewAggregator(AggregatorOptions{Registry: obs.NewRegistry()}).View()))
+	empty := string(RenderDashAlerts(NewAggregator(AggregatorOptions{Registry: obs.NewRegistry()}).View(), nil))
 	if !strings.Contains(empty, "<!DOCTYPE html") {
 		t.Error("empty dash is not a page")
 	}

@@ -62,8 +62,9 @@ var (
 	ErrBadState   = errors.New("transaction: invalid state transition")
 )
 
-// Table is a node's transaction registry. All methods are safe for
-// concurrent use.
+// Table is a node's registry of live transactions: Complete and Abort drop
+// the record, so a long-running node holds one per open binding. All
+// methods are safe for concurrent use.
 type Table struct {
 	mu     sync.Mutex
 	nextID uint64
@@ -105,12 +106,13 @@ func (t *Table) Get(id uint64) (Txn, error) {
 	return *txn, nil
 }
 
-// Complete marks an active or handing-off transaction finished.
+// Complete finishes an active or handing-off transaction and drops its
+// record.
 func (t *Table) Complete(id uint64) error {
 	return t.transition(id, StateCompleted, StateActive, StateHandingOff)
 }
 
-// Abort marks a transaction failed.
+// Abort fails an active or handing-off transaction and drops its record.
 func (t *Table) Abort(id uint64) error {
 	return t.transition(id, StateAborted, StateActive, StateHandingOff)
 }
@@ -150,6 +152,9 @@ func (t *Table) transition(id uint64, to State, from ...State) error {
 	for _, f := range from {
 		if txn.State == f {
 			txn.State = to
+			if to == StateCompleted || to == StateAborted {
+				delete(t.txns, id)
+			}
 			return nil
 		}
 	}
@@ -168,15 +173,14 @@ func (t *Table) Tracker(id uint64) (*qos.Tracker, error) {
 	return txn.Tracker, nil
 }
 
-// ByPeer returns copies of all non-terminal transactions bound to peer,
-// ordered by ID — the set the scheduler must hand off when that peer
-// departs.
+// ByPeer returns copies of all transactions bound to peer, ordered by ID —
+// the set the scheduler must hand off when that peer departs.
 func (t *Table) ByPeer(peer string) []Txn {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []Txn
 	for _, txn := range t.txns {
-		if txn.Peer == peer && (txn.State == StateActive || txn.State == StateHandingOff) {
+		if txn.Peer == peer {
 			out = append(out, *txn)
 		}
 	}
@@ -198,24 +202,9 @@ func (t *Table) Active() []Txn {
 	return out
 }
 
-// Len returns the total number of records (any state).
+// Len returns the number of live (active or handing-off) transactions.
 func (t *Table) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.txns)
-}
-
-// Purge removes terminal (completed/aborted) records and returns how many
-// were removed.
-func (t *Table) Purge() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for id, txn := range t.txns {
-		if txn.State == StateCompleted || txn.State == StateAborted {
-			delete(t.txns, id)
-			n++
-		}
-	}
-	return n
 }

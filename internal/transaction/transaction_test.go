@@ -384,7 +384,9 @@ func TestTableLifecycle(t *testing.T) {
 	if err := tbl.Complete(txn.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Complete(txn.ID); !errors.Is(err, ErrBadState) {
+	// A finished transaction leaves the table, so finishing it again finds
+	// nothing.
+	if err := tbl.Complete(txn.ID); !errors.Is(err, ErrUnknownTxn) {
 		t.Fatalf("double complete: %v", err)
 	}
 	if _, err := tbl.Get(999); !errors.Is(err, ErrUnknownTxn) {
@@ -432,9 +434,11 @@ func TestTableAbortDuringHandoff(t *testing.T) {
 	if err := tbl.Abort(txn.ID); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := tbl.Get(txn.ID)
-	if got.State != StateAborted {
-		t.Fatalf("state = %v", got.State)
+	if _, err := tbl.Get(txn.ID); !errors.Is(err, ErrUnknownTxn) {
+		t.Fatalf("Get after abort: err = %v, want ErrUnknownTxn", err)
+	}
+	if err := tbl.Abort(txn.ID); !errors.Is(err, ErrUnknownTxn) {
+		t.Fatalf("second abort: err = %v, want ErrUnknownTxn", err)
 	}
 }
 
@@ -452,19 +456,27 @@ func TestTableByPeer(t *testing.T) {
 	}
 }
 
+// TestTableActiveAndPurge: a completed or aborted record purges itself, so
+// Active and Len see only live transactions.
 func TestTableActiveAndPurge(t *testing.T) {
 	tbl := NewTable()
 	t1 := tbl.Open("a", "p", Continuous, 0, qos.Benefit{}, epoch)
 	t2 := tbl.Open("b", "p", Continuous, 0, qos.Benefit{}, epoch)
-	_ = tbl.Complete(t2.ID)
+	t3 := tbl.Open("c", "p", Continuous, 0, qos.Benefit{}, epoch)
+	if err := tbl.Complete(t2.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Abort(t3.ID); err != nil {
+		t.Fatal(err)
+	}
 	if act := tbl.Active(); len(act) != 1 || act[0].ID != t1.ID {
 		t.Fatalf("Active = %+v", act)
 	}
-	if n := tbl.Purge(); n != 1 {
-		t.Fatalf("Purge = %d", n)
-	}
 	if tbl.Len() != 1 {
-		t.Fatalf("Len = %d", tbl.Len())
+		t.Fatalf("Len = %d, want 1: finished records must leave the table", tbl.Len())
+	}
+	if err := tbl.Complete(t2.ID); !errors.Is(err, ErrUnknownTxn) {
+		t.Fatalf("second complete: err = %v, want ErrUnknownTxn", err)
 	}
 }
 

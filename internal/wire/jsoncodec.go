@@ -103,17 +103,3 @@ func CodecByContentType(ct byte) (Codec, error) {
 		return nil, fmt.Errorf("wire: unknown content type %d", ct)
 	}
 }
-
-// CodecByName returns the codec with the given Name.
-func CodecByName(name string) (Codec, error) {
-	switch name {
-	case "binary":
-		return Binary{}, nil
-	case "xml":
-		return XML{}, nil
-	case "json":
-		return JSON{}, nil
-	default:
-		return nil, fmt.Errorf("wire: unknown codec %q", name)
-	}
-}

@@ -37,9 +37,8 @@ var (
 	New = netsim.New
 	// DefaultRadio returns the LEACH first-order energy constants.
 	DefaultRadio = netsim.DefaultRadio
-	// UniformField and GridField place node populations.
-	UniformField = netsim.UniformField
-	GridField    = netsim.GridField
+	// GridField places a node population on a grid.
+	GridField = netsim.GridField
 	// Connected reports single-component connectivity.
 	Connected = netsim.Connected
 	// NewWaypoint creates a mobility model.
