@@ -87,19 +87,20 @@ type Server struct {
 
 	// tasks hands a request to a parked worker. It is unbuffered on purpose:
 	// a non-blocking send succeeds exactly when a worker is blocked receiving,
-	// so a request is never left waiting behind a busy one. quit, closed by
-	// Close, wakes the parked workers so they exit; parked counts them.
+	// so a request is never left waiting behind a busy one. Close wakes the
+	// parked workers through served.Done so they exit; parked counts them.
 	tasks  chan task
-	quit   chan struct{}
 	parked atomic.Int32
 	// started counts worker goroutines ever started (read by tests).
 	started atomic.Int64
 
+	// served runs the accept loop and the connections' read loops; wg counts
+	// the handler goroutines.
+	served transport.Served
+	wg     sync.WaitGroup
+
 	mu       sync.Mutex
 	handlers map[string]Handler
-	conns    map[transport.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // NewServer starts serving on the listener in a background accept loop.
@@ -122,9 +123,7 @@ func NewServer(l transport.Listener, opts ServerOptions) *Server {
 		accepts:  make(map[wire.Kind]bool, len(kinds)),
 		oneway:   make(map[wire.Kind]bool, len(opts.OneWayKinds)),
 		handlers: make(map[string]Handler),
-		conns:    make(map[transport.Conn]struct{}),
 		tasks:    make(chan task),
-		quit:     make(chan struct{}),
 		rec:      opts.ReqLog,
 		clock:    clock,
 	}
@@ -154,8 +153,7 @@ func NewServer(l transport.Listener, opts ServerOptions) *Server {
 		s.oneway[k] = true
 	}
 	s.dispatch = chainServer(opts.Interceptors, s.route)
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.served.Serve(l, s.serveConn)
 	return s
 }
 
@@ -200,24 +198,10 @@ func (s *Server) LaneQuota(lane Lane) int {
 
 // Close stops accepting, closes all connections, and waits for in-flight
 // handlers and for every parked handler goroutine to exit. Queued
-// (admitted-pending) requests are dropped.
+// (admitted-pending) requests are dropped. The read loops are waited for
+// first, so none can start a worker while Close waits on s.wg.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.quit)
-	conns := make([]transport.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	_ = s.listener.Close()
-	for _, c := range conns {
-		_ = c.Close()
-	}
+	s.served.Close()
 	if s.adm != nil {
 		s.adm.close()
 	}
@@ -239,34 +223,7 @@ func (s *Server) route(req *wire.Message) (*wire.Message, error) {
 	return h(req)
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
 func (s *Server) serveConn(conn transport.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	// Replies are written straight from handler goroutines: Conn.Send is
 	// safe for concurrent use, and on coalescing transports concurrent
 	// replies share one frame batch — serializing them here would cap every
@@ -313,9 +270,9 @@ type task struct {
 // handler takes, and nothing queues behind a busy worker. Reuse is for the
 // stack: a worker that has sent one reply has already grown to the depth a
 // dispatch and an encode need, where a new goroutine would copy its stack on
-// every request. The callers hold s.wg (a connection's read loop, a worker
-// releasing its slot, setQuota), so the Add below never meets Close's Wait
-// at zero.
+// every request. The Add below never meets Close's Wait at zero: a worker
+// releasing its slot and setQuota hold s.wg, and Close waits for the
+// connections' read loops before it waits on s.wg.
 func (s *Server) spawn(req *wire.Message, conn transport.Conn, tok admitToken, wait time.Duration) {
 	t := task{req: req, conn: conn, tok: tok, wait: wait}
 	select {
@@ -349,7 +306,7 @@ func (s *Server) park() (task, bool) {
 	select {
 	case t := <-s.tasks:
 		return t, true
-	case <-s.quit:
+	case <-s.served.Done():
 		return task{}, false
 	}
 }

@@ -106,26 +106,16 @@ func e10Gateway(ops int) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	go func() {
+	var echo transport.Served
+	echo.Serve(lB, func(conn transport.Conn) {
 		for {
-			conn, err := lB.Accept()
-			if err != nil {
+			m, err := conn.Recv()
+			if err != nil || conn.Send(&wire.Message{Kind: wire.KindReply, Corr: m.ID, Payload: m.Payload}) != nil {
 				return
 			}
-			go func() {
-				defer conn.Close()
-				for {
-					m, err := conn.Recv()
-					if err != nil {
-						return
-					}
-					if err := conn.Send(&wire.Message{Kind: wire.KindReply, Corr: m.ID, Payload: m.Payload}); err != nil {
-						return
-					}
-				}
-			}()
 		}
-	}()
+	})
+	defer echo.Close()
 
 	rtt := func(dial func() (transport.Conn, error)) (float64, error) {
 		conn, err := dial()

@@ -4,11 +4,13 @@
 // are fully decoupled in time — the asynchrony §3.6 demands.
 //
 // The Client is an endpoint.Caller, like the clients of the other three
-// styles. The Broker keeps its own read loop, because order is its contract:
-// pushes pipelined on one connection are enqueued inline, in the order they
-// arrived, and endpoint.Server runs every request on a goroutine of its own
+// styles. The Broker shares endpoint.Server's listener lifecycle
+// (transport.Served: one accept loop, connection set and Close) but not its
+// dispatch, because order is its contract: pushes pipelined on one connection
+// are enqueued inline by its per-connection loop, in the order they arrived,
+// and endpoint.Server runs every request on a goroutine of its own
 // (TestPushAsyncPipelined fails on it at once). Only long-polling pops leave
-// the loop.
+// the loop, on goroutines Close waits for.
 package mq
 
 import (
@@ -88,10 +90,21 @@ func (q *queue) pop(clock simtime.Clock, wait time.Duration, done <-chan struct{
 	w := make(chan []byte, 1)
 	q.waiters = append(q.waiters, w)
 	q.mu.Unlock()
+	var timeout <-chan time.Time
+	if _, wall := clock.(simtime.Real); wall {
+		// time.After's timer cannot be stopped, and under go 1.22 an
+		// unstopped timer stays in the heap until it fires: every pop a push
+		// answers early would hold one for the rest of its wait.
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
+		timeout = timer.C
+	} else {
+		timeout = clock.After(wait)
+	}
 	select {
 	case item = <-w:
 		return item, true
-	case <-clock.After(wait):
+	case <-timeout:
 	case <-done:
 	}
 	q.mu.Lock()
@@ -118,15 +131,10 @@ type Broker struct {
 	clock    simtime.Clock
 	maxDepth int
 
-	mu       sync.Mutex
-	queues   map[string]*queue
-	conns    map[transport.Conn]struct{}
-	listener transport.Listener
-	closed   bool
-	// done closes with Close, so parked pops give up instead of holding
-	// Close for the rest of their wait.
-	done chan struct{}
-	wg   sync.WaitGroup
+	served transport.Served
+
+	mu     sync.Mutex
+	queues map[string]*queue
 }
 
 // NewBroker starts a broker on the listener. maxDepth bounds each queue
@@ -142,34 +150,15 @@ func NewBroker(l transport.Listener, maxDepth int, clock simtime.Clock) *Broker 
 		clock:    clock,
 		maxDepth: maxDepth,
 		queues:   make(map[string]*queue),
-		conns:    make(map[transport.Conn]struct{}),
-		listener: l,
-		done:     make(chan struct{}),
 	}
-	b.wg.Add(1)
-	go b.acceptLoop()
+	b.served.Serve(l, b.serveConn)
 	return b
 }
 
-// Close stops the broker.
+// Close stops the broker. Parked pops give up at once instead of holding it
+// for the rest of their wait.
 func (b *Broker) Close() error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return nil
-	}
-	b.closed = true
-	close(b.done)
-	conns := make([]transport.Conn, 0, len(b.conns))
-	for c := range b.conns {
-		conns = append(conns, c)
-	}
-	b.mu.Unlock()
-	_ = b.listener.Close()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	b.wg.Wait()
+	b.served.Close()
 	return nil
 }
 
@@ -195,26 +184,6 @@ func (b *Broker) queue(name string) *queue {
 	return q
 }
 
-func (b *Broker) acceptLoop() {
-	defer b.wg.Done()
-	for {
-		conn, err := b.listener.Accept()
-		if err != nil {
-			return
-		}
-		b.mu.Lock()
-		if b.closed {
-			b.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		b.conns[conn] = struct{}{}
-		b.mu.Unlock()
-		b.wg.Add(1)
-		go b.serveConn(conn)
-	}
-}
-
 // popRequest is the pop call's JSON body.
 type popRequest struct {
 	Queue string `json:"queue"`
@@ -223,13 +192,6 @@ type popRequest struct {
 }
 
 func (b *Broker) serveConn(conn transport.Conn) {
-	defer b.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		b.mu.Lock()
-		delete(b.conns, conn)
-		b.mu.Unlock()
-	}()
 	// Conn.Send is safe for concurrent use (long-poll replies come from
 	// their own goroutines), and unserialized sends coalesce on TCP.
 	reply := func(req *wire.Message, kind wire.Kind, payload []byte) {
@@ -261,16 +223,14 @@ func (b *Broker) serveConn(conn transport.Conn) {
 			}
 			// Long-poll in its own goroutine so one blocked pop doesn't
 			// stall other requests on this connection.
-			b.wg.Add(1)
-			go func(req *wire.Message, pr popRequest) {
-				defer b.wg.Done()
-				item, ok := b.queue(pr.Queue).pop(b.clock, time.Duration(pr.WaitMillis)*time.Millisecond, b.done)
+			b.served.Go(func() {
+				item, ok := b.queue(pr.Queue).pop(b.clock, time.Duration(pr.WaitMillis)*time.Millisecond, b.served.Done())
 				if !ok {
 					reply(req, wire.KindError, []byte(ErrEmpty.Error()))
 					return
 				}
 				reply(req, wire.KindReply, item)
-			}(req, pr)
+			})
 		case topicDepth:
 			name := req.Headers["queue"]
 			reply(req, wire.KindReply, []byte(fmt.Sprintf("%d", b.Depth(name))))

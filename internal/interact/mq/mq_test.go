@@ -341,3 +341,96 @@ func TestPushAsyncQueueFull(t *testing.T) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 }
+
+// Close with a pop parked for an hour on the real clock must return, and
+// every goroutine the broker and its client started must end.
+func TestCloseWithParkedPopLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	fabric := transport.NewFabric()
+	tr := transport.NewMem(fabric)
+	l, err := tr.Listen("mq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(l, 0, nil)
+	c, err := Dial(transport.NewMem(fabric), "mq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	popped := make(chan error, 1)
+	go func() {
+		_, err := c.Pop("q", time.Hour)
+		popped <- err
+	}()
+	parked := func() bool {
+		q := b.queue("q")
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return len(q.waiters) > 0
+	}
+	for deadline := time.Now().Add(5 * time.Second); !parked(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("pop never parked")
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		_ = b.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still waiting on a parked pop after 5 s")
+	}
+	if err := <-popped; err == nil {
+		t.Fatal("pop on a closed broker returned an item")
+	}
+	_ = c.Close()
+	_ = tr.Close()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before NewBroker", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// A pop that a push answers early must not leave its deadline timer behind:
+// under go 1.22 semantics an unstopped timer, and the channel it fires on,
+// stay in the heap until it fires, here an hour later.
+func TestAnsweredPopLeavesNoTimer(t *testing.T) {
+	const n = 4000
+	q := &queue{max: DefaultMaxDepth}
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	for i := 0; i < n; i++ {
+		got := make(chan []byte)
+		go func() {
+			item, _ := q.pop(simtime.Real{}, time.Hour, nil)
+			got <- item
+		}()
+		for {
+			q.mu.Lock()
+			parked := len(q.waiters) > 0
+			q.mu.Unlock()
+			if parked {
+				break
+			}
+			runtime.Gosched()
+		}
+		if err := q.push([]byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+	}
+	after := live()
+	t.Logf("live heap %d -> %d bytes over %d answered pops", before, after, n)
+	if grown := int64(after) - int64(before); grown > n*32 {
+		t.Fatalf("live heap grew %d bytes over %d answered pops (%d a pop): their timers are still armed", grown, n, grown/n)
+	}
+}

@@ -10,11 +10,13 @@
 //
 // The Client is an endpoint.Caller, like the clients of the other three
 // styles; events reach it as the caller's uncorrelated messages. The Broker
-// keeps its own read loop: it fans each publish out inline, in connection
-// order, before it acknowledges (endpoint.Server runs every request on a
-// goroutine of its own, which gives that order up), and it pushes to
-// connections that sent no request and drops a connection's subscriptions
-// when it goes — push and disconnect are not endpoint concepts.
+// shares endpoint.Server's listener lifecycle (transport.Served: one accept
+// loop, connection set and Close) but not its dispatch: its per-connection
+// loop fans each publish out inline, in connection order, before it
+// acknowledges (endpoint.Server runs every request on a goroutine of its
+// own, which gives that order up), and it pushes to connections that sent no
+// request and drops a connection's subscriptions when it goes — push and
+// disconnect are not endpoint concepts.
 package pubsub
 
 import (
@@ -73,11 +75,8 @@ type Broker struct {
 	mu sync.Mutex
 	// subs is every registration. It is replaced, never changed in place, so
 	// a publish fans out over the slice it read without holding mu.
-	subs     []subscription
-	conns    map[transport.Conn]struct{}
-	listener transport.Listener
-	closed   bool
-	wg       sync.WaitGroup
+	subs   []subscription
+	served transport.Served
 
 	// Published and Dropped count events through the broker.
 	Published atomic.Int64
@@ -86,33 +85,14 @@ type Broker struct {
 
 // NewBroker starts a broker on the listener.
 func NewBroker(l transport.Listener) *Broker {
-	b := &Broker{
-		conns:    make(map[transport.Conn]struct{}),
-		listener: l,
-	}
-	b.wg.Add(1)
-	go b.acceptLoop()
+	b := &Broker{}
+	b.served.Serve(l, b.serveConn)
 	return b
 }
 
 // Close stops the broker.
 func (b *Broker) Close() error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return nil
-	}
-	b.closed = true
-	conns := make([]transport.Conn, 0, len(b.conns))
-	for c := range b.conns {
-		conns = append(conns, c)
-	}
-	b.mu.Unlock()
-	_ = b.listener.Close()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	b.wg.Wait()
+	b.served.Close()
 	return nil
 }
 
@@ -137,35 +117,8 @@ func (b *Broker) replaceSubs(drop func(subscription) bool, add ...subscription) 
 	b.subs = append(next, add...)
 }
 
-func (b *Broker) acceptLoop() {
-	defer b.wg.Done()
-	for {
-		conn, err := b.listener.Accept()
-		if err != nil {
-			return
-		}
-		b.mu.Lock()
-		if b.closed {
-			b.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		b.conns[conn] = struct{}{}
-		b.mu.Unlock()
-		b.wg.Add(1)
-		go b.serveConn(conn)
-	}
-}
-
 func (b *Broker) serveConn(conn transport.Conn) {
-	defer b.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		b.replaceSubs(func(sub subscription) bool { return sub.conn == conn })
-		b.mu.Lock()
-		delete(b.conns, conn)
-		b.mu.Unlock()
-	}()
+	defer b.replaceSubs(func(sub subscription) bool { return sub.conn == conn })
 	ack := &wire.Message{} // one for the connection: Send neither keeps nor changes it
 	for {
 		req, err := conn.Recv()

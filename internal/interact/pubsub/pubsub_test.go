@@ -3,6 +3,7 @@ package pubsub
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -550,6 +551,57 @@ func (w *fanoutWorld) publish(t *testing.T) {
 	for i, ch := range w.events {
 		if ev := <-ch; ev.Topic != topic {
 			t.Fatalf("subscriber %d got an event on %s, want %s", i, ev.Topic, topic)
+		}
+	}
+}
+
+// Close with a subscriber attached while events flow must return, and every
+// goroutine the broker and its clients started must end.
+func TestCloseUnderTrafficLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	fabric := transport.NewFabric()
+	tr := transport.NewMem(fabric)
+	l, err := tr.Listen("bus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(l)
+	pub, err := Dial(transport.NewMem(fabric), "bus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := Dial(transport.NewMem(fabric), "bus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := sub.Subscribe("stream/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	publishing := make(chan struct{})
+	go func() {
+		defer close(publishing)
+		for pub.Publish("stream/a", []byte("x")) == nil {
+		}
+	}()
+	recvEvent(t, events) // the stream is flowing into the subscriber
+	closed := make(chan struct{})
+	go func() {
+		_ = b.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still waiting after 5 s")
+	}
+	<-publishing // the broker is gone, so a publish fails
+	_ = pub.Close()
+	_ = sub.Close()
+	_ = tr.Close()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before NewBroker", runtime.NumGoroutine(), before)
 		}
 	}
 }

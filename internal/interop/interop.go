@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"ndsm/internal/transport"
@@ -90,12 +89,8 @@ type GatewayConfig struct {
 
 // Gateway bridges two middleware domains.
 type Gateway struct {
-	cfg GatewayConfig
-
-	mu     sync.Mutex
-	conns  map[transport.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	cfg    GatewayConfig
+	served transport.Served
 
 	// Forwarded counts messages relayed per direction; Droppedcounts
 	// messages filtered by rules.
@@ -109,9 +104,8 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if cfg.Listener == nil || cfg.Dial == nil {
 		return nil, errors.New("interop: gateway needs Listener and Dial")
 	}
-	g := &Gateway{cfg: cfg, conns: make(map[transport.Conn]struct{})}
-	g.wg.Add(1)
-	go g.acceptLoop()
+	g := &Gateway{cfg: cfg}
+	g.served.Serve(cfg.Listener, g.bridge)
 	return g, nil
 }
 
@@ -125,74 +119,27 @@ func (g *Gateway) Dropped() int64 { return g.dropped.Load() }
 
 // Close stops the gateway and all bridged connections.
 func (g *Gateway) Close() error {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return nil
-	}
-	g.closed = true
-	conns := make([]transport.Conn, 0, len(g.conns))
-	for c := range g.conns {
-		conns = append(conns, c)
-	}
-	g.mu.Unlock()
-	_ = g.cfg.Listener.Close()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	g.wg.Wait()
+	g.served.Close()
 	return nil
 }
 
-func (g *Gateway) track(c transport.Conn) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return false
+// bridge serves one A-side connection: it dials B, pumps B→A on a goroutine
+// of its own and A→B itself. A failed dial closes the A side.
+func (g *Gateway) bridge(aConn transport.Conn) {
+	bConn, err := g.cfg.Dial()
+	if err != nil {
+		return
 	}
-	g.conns[c] = struct{}{}
-	return true
-}
-
-func (g *Gateway) untrack(c transport.Conn) {
-	g.mu.Lock()
-	delete(g.conns, c)
-	g.mu.Unlock()
-}
-
-func (g *Gateway) acceptLoop() {
-	defer g.wg.Done()
-	for {
-		aConn, err := g.cfg.Listener.Accept()
-		if err != nil {
-			return
-		}
-		bConn, err := g.cfg.Dial()
-		if err != nil {
-			_ = aConn.Close()
-			continue
-		}
-		if !g.track(aConn) || !g.track(bConn) {
-			_ = aConn.Close()
-			_ = bConn.Close()
-			return
-		}
-		g.wg.Add(2)
-		go g.pump(aConn, bConn, g.cfg.AtoB, &g.forwardedAB)
-		go g.pump(bConn, aConn, g.cfg.BtoA, &g.forwardedBA)
+	if g.served.Go(func() { g.pump(bConn, aConn, g.cfg.BtoA, &g.forwardedBA) }, bConn) {
+		g.pump(aConn, bConn, g.cfg.AtoB, &g.forwardedAB)
 	}
 }
 
-// pump copies messages src→dst applying rules; it tears both sides down on
-// the first error so the peer notices the bridge is gone.
+// pump copies messages src→dst applying rules. Its caller closes src when it
+// returns; pump closes dst, so both sides go down on the first error and the
+// peer notices the bridge is gone.
 func (g *Gateway) pump(src, dst transport.Conn, rules []Rule, counter *atomic.Int64) {
-	defer g.wg.Done()
-	defer func() {
-		_ = src.Close()
-		_ = dst.Close()
-		g.untrack(src)
-		g.untrack(dst)
-	}()
+	defer dst.Close()
 	for {
 		m, err := src.Recv()
 		if err != nil {

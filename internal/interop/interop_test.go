@@ -1,6 +1,7 @@
 package interop
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -84,17 +85,12 @@ func TestDropTopicRule(t *testing.T) {
 	}
 }
 
-// gatewayFixture bridges domain A (one fabric) to domain B (another
-// fabric) where an echo server lives.
-func gatewayFixture(t *testing.T, cfgRules func(*GatewayConfig)) (*Gateway, transport.Transport) {
+// echoDomain starts domain B on a fabric of its own: an echo server at
+// "service-b", stopped when the returned transport closes.
+func echoDomain(t *testing.T) transport.Transport {
 	t.Helper()
-	fabricA := transport.NewFabric()
-	fabricB := transport.NewFabric()
-	trA := transport.NewMem(fabricA)
-	trB := transport.NewMem(fabricB)
-	t.Cleanup(func() { _ = trA.Close(); _ = trB.Close() })
-
-	// Domain B: echo server.
+	trB := transport.NewMem(transport.NewFabric())
+	t.Cleanup(func() { _ = trB.Close() })
 	lB, err := trB.Listen("service-b")
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +116,16 @@ func gatewayFixture(t *testing.T, cfgRules func(*GatewayConfig)) (*Gateway, tran
 			}()
 		}
 	}()
+	return trB
+}
 
+// gatewayFixture bridges domain A (one fabric) to domain B (another
+// fabric) where an echo server lives.
+func gatewayFixture(t *testing.T, cfgRules func(*GatewayConfig)) (*Gateway, transport.Transport) {
+	t.Helper()
+	trB := echoDomain(t)
+	trA := transport.NewMem(transport.NewFabric())
+	t.Cleanup(func() { _ = trA.Close() })
 	// Gateway listens in domain A, dials domain B.
 	lA, err := trA.Listen("gateway")
 	if err != nil {
@@ -268,5 +273,55 @@ func TestGatewayDialFailureClosesClient(t *testing.T) {
 func TestNewGatewayValidation(t *testing.T) {
 	if _, err := NewGateway(GatewayConfig{}); err == nil {
 		t.Fatal("empty config accepted")
+	}
+}
+
+// Close with a bridged pair open must return, and every goroutine the
+// gateway and both domains started must end.
+func TestGatewayCloseLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	trB := echoDomain(t)
+	trA := transport.NewMem(transport.NewFabric())
+	lA, err := trA.Listen("gateway")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := NewGateway(GatewayConfig{
+		Listener: lA,
+		Dial:     func() (transport.Conn, error) { return trB.Dial("service-b") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := trA.Dial("gateway")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Send(&wire.Message{ID: 1, Kind: wire.KindRequest, Topic: "svc/echo"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Recv(); err != nil { // the pair is bridged
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		_ = gw.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still waiting after 5 s")
+	}
+	if _, err := conn.Recv(); err == nil {
+		t.Fatal("bridged connection still open after Close")
+	}
+	_ = conn.Close()
+	_ = trA.Close()
+	_ = trB.Close()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before NewGateway", runtime.NumGoroutine(), before)
+		}
 	}
 }
