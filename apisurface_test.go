@@ -80,6 +80,48 @@ func TestNoExportedFuncOnlyTestsReach(t *testing.T) {
 	where := map[string]string{} // name -> one declaring file, for the report
 	uses := map[string]int{}     // word -> occurrences outside comments
 	fset := token.NewFileSet()
+	for _, sf := range nonTestFiles(t, fset) {
+		for _, decl := range sf.f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.IsExported() {
+				decls[fn.Name.Name]++
+				where[fn.Name.Name] = sf.path
+			}
+		}
+		countWords(fset, sf.path, sf.src, uses)
+	}
+
+	var unreached []string
+	for name, n := range decls {
+		if uses[name] > n || interfaceMethods[name] {
+			continue
+		}
+		if _, ok := apiAllowlist[name]; !ok {
+			unreached = append(unreached, name+" ("+where[name]+")")
+		}
+	}
+	sort.Strings(unreached)
+	for _, u := range unreached {
+		t.Errorf("exported %s appears only at its declaration: delete it or allowlist it with a reason", u)
+	}
+	for name := range apiAllowlist {
+		if decls[name] == 0 || uses[name] > decls[name] {
+			t.Errorf("allowlisted %s is undeclared or has a caller: drop it from apiAllowlist", name)
+		}
+	}
+}
+
+// sourceFile is one parsed non-test Go file of the tree.
+type sourceFile struct {
+	path string
+	src  []byte
+	f    *ast.File
+}
+
+// nonTestFiles parses every non-test Go file under the module root,
+// benchmark/ included, skipping hidden directories and testdata.
+func nonTestFiles(t *testing.T, fset *token.FileSet) []sourceFile {
+	t.Helper()
+	var files []sourceFile
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -102,37 +144,13 @@ func TestNoExportedFuncOnlyTestsReach(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.IsExported() {
-				decls[fn.Name.Name]++
-				where[fn.Name.Name] = path
-			}
-		}
-		countWords(fset, path, src, uses)
+		files = append(files, sourceFile{path: path, src: src, f: f})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var unreached []string
-	for name, n := range decls {
-		if uses[name] > n || interfaceMethods[name] {
-			continue
-		}
-		if _, ok := apiAllowlist[name]; !ok {
-			unreached = append(unreached, name+" ("+where[name]+")")
-		}
-	}
-	sort.Strings(unreached)
-	for _, u := range unreached {
-		t.Errorf("exported %s appears only at its declaration: delete it or allowlist it with a reason", u)
-	}
-	for name := range apiAllowlist {
-		if decls[name] == 0 || uses[name] > decls[name] {
-			t.Errorf("allowlisted %s is undeclared or has a caller: drop it from apiAllowlist", name)
-		}
-	}
+	return files
 }
 
 // countWords adds every identifier, and every word inside a string literal,

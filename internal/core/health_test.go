@@ -208,14 +208,14 @@ func TestNodeHealthAccessors(t *testing.T) {
 	if n.Health() != m {
 		t.Fatal("Health() accessor lost the monitor")
 	}
-	if n.Registry() == discovery.Registry(w.registry) {
+	if n.Registry() == discovery.Resolver(w.registry) {
 		t.Fatal("registry not wrapped by the health watcher")
 	}
 	plain := w.node("n2")
 	if plain.Health() != nil {
 		t.Fatal("nil-health node reports a monitor")
 	}
-	if plain.Registry() != discovery.Registry(w.registry) {
+	if plain.Registry() != discovery.Resolver(w.registry) {
 		t.Fatal("nil-health node should keep the raw registry")
 	}
 }

@@ -56,7 +56,7 @@ func DensityPolicy(threshold int) Policy {
 // local agent answers floods regardless of mode, and the central registry
 // stays warm for when the policy flips.
 type Adaptive struct {
-	central   Registry
+	central   Resolver
 	flood     *Agent
 	policy    Policy
 	densityFn func() int
@@ -71,12 +71,12 @@ type Adaptive struct {
 	Decisions stats.Counter
 }
 
-var _ Registry = (*Adaptive)(nil)
+var _ Resolver = (*Adaptive)(nil)
 
 // NewAdaptive builds an adaptive registry. densityFn reports the node's
 // current radio density (e.g. closing over netsim.Network.Density). policy
 // defaults to DensityPolicy(6).
-func NewAdaptive(central Registry, flood *Agent, densityFn func() int, policy Policy, clock simtime.Clock) *Adaptive {
+func NewAdaptive(central Resolver, flood *Agent, densityFn func() int, policy Policy, clock simtime.Clock) *Adaptive {
 	if policy == nil {
 		policy = DensityPolicy(6)
 	}
@@ -122,7 +122,7 @@ func (a *Adaptive) shouldReprobe() bool {
 	return !a.centralOK && a.clock.Now().Sub(a.lastProbe) >= a.probeInterval
 }
 
-// Register implements Registry: into the local flood store always, and into
+// Register implements Resolver: into the local flood store always, and into
 // the central registry when reachable.
 func (a *Adaptive) Register(d *svcdesc.Description) error {
 	floodErr := a.flood.Register(d)
@@ -137,7 +137,7 @@ func (a *Adaptive) Register(d *svcdesc.Description) error {
 	return floodErr
 }
 
-// Unregister implements Registry.
+// Unregister implements Resolver.
 func (a *Adaptive) Unregister(key string) error {
 	floodErr := a.flood.Unregister(key)
 	if a.central != nil {
@@ -149,7 +149,7 @@ func (a *Adaptive) Unregister(key string) error {
 	return floodErr
 }
 
-// Renew implements Registry.
+// Renew implements Resolver.
 func (a *Adaptive) Renew(key string) error {
 	floodErr := a.flood.Renew(key)
 	if a.central != nil {
@@ -161,7 +161,7 @@ func (a *Adaptive) Renew(key string) error {
 	return floodErr
 }
 
-// Lookup implements Registry: policy picks the mode; failure falls back to
+// Lookup implements Resolver: policy picks the mode; failure falls back to
 // the other mode and updates health.
 func (a *Adaptive) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
 	mode := a.policy(a.env())
@@ -222,7 +222,7 @@ func (a *Adaptive) InvalidateProvider(provider string) {
 	}
 }
 
-// Close implements Registry.
+// Close implements Resolver.
 func (a *Adaptive) Close() error {
 	var firstErr error
 	if a.central != nil {

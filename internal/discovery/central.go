@@ -195,7 +195,7 @@ func (s *Server) handleLookup(req *wire.Message) (*wire.Message, error) {
 	return &wire.Message{Kind: wire.KindReply, Payload: payload}, nil
 }
 
-// Client is the centralized organization's Registry implementation: the
+// Client is the centralized organization's Resolver implementation: the
 // registry protocol spoken through an endpoint.Caller, with lazy dialing,
 // one redial-and-retry on connection-level failures, and per-call timeouts.
 type Client struct {
@@ -210,7 +210,7 @@ type Client struct {
 	Messages stats.Counter
 }
 
-var _ Registry = (*Client)(nil)
+var _ Resolver = (*Client)(nil)
 
 // NewClient returns a client that will connect lazily to the registry at
 // addr over tr.
@@ -225,9 +225,8 @@ func NewClient(tr transport.Transport, addr string) *Client {
 			endpoint.WithTracing(c.traceRef, "disc.call"),
 			// The pre-endpoint client reconnected and re-sent exactly once
 			// after a torn-down connection or an expired wait; retry Max 1
-			// with no backoff reproduces that.
-			endpoint.WithRetry(nil, endpoint.RetryPolicy{Max: 1, RetryTimeouts: true},
-				nil, "discovery.client"),
+			// reproduces that.
+			endpoint.WithRetry(endpoint.RetryPolicy{Max: 1, RetryTimeouts: true}, nil, "discovery.client"),
 			endpoint.WithMetrics(nil, "discovery.client", nil),
 		},
 		OnSend: func(*wire.Message) { c.Messages.Inc("sent", 1) },
@@ -253,7 +252,7 @@ func (c *Client) SetCallTimeout(d time.Duration, clock simtime.Clock) {
 // default).
 func (c *Client) SetTracer(t *trace.Tracer) { c.traceRef.Set(t) }
 
-// Register implements Registry.
+// Register implements Resolver.
 func (c *Client) Register(d *svcdesc.Description) error {
 	bp := descBufs.Get().(*[]byte)
 	defer descBufs.Put(bp)
@@ -280,17 +279,17 @@ func marshalInto(bp *[]byte, d *svcdesc.Description) ([]byte, error) {
 	return b, err
 }
 
-// Unregister implements Registry.
+// Unregister implements Resolver.
 func (c *Client) Unregister(key string) error {
 	return c.send(TopicUnregister, []byte(key))
 }
 
-// Renew implements Registry.
+// Renew implements Resolver.
 func (c *Client) Renew(key string) error {
 	return c.send(TopicRenew, []byte(key))
 }
 
-// Lookup implements Registry.
+// Lookup implements Resolver.
 func (c *Client) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
 	payload, err := svcdesc.MarshalQuery(q)
 	if err != nil {
@@ -318,7 +317,7 @@ func (c *Client) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
 	return descs, err
 }
 
-// Close implements Registry.
+// Close implements Resolver.
 func (c *Client) Close() error { return c.caller.Close() }
 
 // call performs one request/response exchange through the endpoint and maps

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"ndsm/internal/simtime"
 	"ndsm/internal/svcdesc"
 	"ndsm/internal/transport"
+	"ndsm/internal/wire"
 )
 
 var epoch = time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -28,8 +31,8 @@ func desc(provider, name string) *svcdesc.Description {
 // --- ring ---
 
 func TestRingCanonicalAndDeterministic(t *testing.T) {
-	a := NewRing([]string{"r2", "r0", "r1", "r0", ""}, 32)
-	b := NewRing([]string{"r1", "r2", "r0"}, 32)
+	a := NewRing([]string{"r2", "r0", "r1", "r0", ""})
+	b := NewRing([]string{"r1", "r2", "r0"})
 	if !reflect.DeepEqual(a.Members(), []string{"r0", "r1", "r2"}) {
 		t.Fatalf("Members = %v", a.Members())
 	}
@@ -43,7 +46,7 @@ func TestRingCanonicalAndDeterministic(t *testing.T) {
 }
 
 func TestRingOwnersDistinctAndClamped(t *testing.T) {
-	r := NewRing([]string{"r0", "r1", "r2"}, 0)
+	r := NewRing([]string{"r0", "r1", "r2"})
 	owners := r.Owners("some|key|", 5)
 	if len(owners) != 3 {
 		t.Fatalf("Owners clamp = %v", owners)
@@ -61,7 +64,7 @@ func TestRingOwnersDistinctAndClamped(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := NewRing([]string{"r0", "r1", "r2"}, 0)
+	r := NewRing([]string{"r0", "r1", "r2"})
 	counts := map[string]int{}
 	const keys = 3000
 	for i := 0; i < keys; i++ {
@@ -77,7 +80,7 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingOwnsAgreesWithOwners(t *testing.T) {
-	r := NewRing([]string{"r0", "r1", "r2", "r3", "r4"}, 16)
+	r := NewRing([]string{"r0", "r1", "r2", "r3", "r4"})
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("p%d|s%d|", i, i)
 		owners := r.Owners(key, 2)
@@ -153,8 +156,8 @@ func TestGossipDecodeRejects(t *testing.T) {
 
 func TestTableLWWConvergence(t *testing.T) {
 	clock := simtime.NewVirtual(epoch)
-	a := NewTable("ra", clock, time.Minute, time.Minute)
-	b := NewTable("rb", clock, time.Minute, time.Minute)
+	a := NewTable("ra", clock, time.Minute)
+	b := NewTable("rb", clock, time.Minute)
 	all := func(string) bool { return true }
 
 	d := desc("n1", "sensor/bp")
@@ -197,8 +200,8 @@ func TestTableLWWConvergence(t *testing.T) {
 
 func TestTableLeaseTravelsAsRemainingTTL(t *testing.T) {
 	clock := simtime.NewVirtual(epoch)
-	a := NewTable("ra", clock, time.Minute, time.Minute)
-	b := NewTable("rb", clock, time.Minute, time.Minute)
+	a := NewTable("ra", clock, time.Minute)
+	b := NewTable("rb", clock, time.Minute)
 	all := func(string) bool { return true }
 
 	d := desc("n1", "printer")
@@ -223,7 +226,7 @@ func TestTableLeaseTravelsAsRemainingTTL(t *testing.T) {
 
 func TestTableSweepRemovesExpired(t *testing.T) {
 	clock := simtime.NewVirtual(epoch)
-	tab := NewTable("ra", clock, 10*time.Second, 5*time.Second)
+	tab := NewTable("ra", clock, 10*time.Second)
 	d := desc("n1", "sensor/bp")
 	if err := tab.Register(d); err != nil {
 		t.Fatal(err)
@@ -238,11 +241,11 @@ func TestTableSweepRemovesExpired(t *testing.T) {
 	if tab.Len() != 2 {
 		t.Fatalf("Len = %d", tab.Len())
 	}
-	clock.Advance(6 * time.Second)
-	if got := tab.Sweep(); got != 1 { // the tombstone (5s) expired, the lease (10s) not
+	clock.Advance(11 * time.Second)
+	if got := tab.Sweep(); got != 1 { // the lease (10s) expired, the tombstone not
 		t.Fatalf("Sweep = %d", got)
 	}
-	clock.Advance(5 * time.Second)
+	clock.Advance(DefaultTombstoneTTL - 10*time.Second)
 	if got := tab.Sweep(); got != 1 {
 		t.Fatalf("second Sweep = %d", got)
 	}
@@ -253,8 +256,8 @@ func TestTableSweepRemovesExpired(t *testing.T) {
 
 func TestTableRenewBumpsSequence(t *testing.T) {
 	clock := simtime.NewVirtual(epoch)
-	a := NewTable("ra", clock, 10*time.Second, time.Minute)
-	b := NewTable("rb", clock, 10*time.Second, time.Minute)
+	a := NewTable("ra", clock, 10*time.Second)
+	b := NewTable("rb", clock, 10*time.Second)
 	all := func(string) bool { return true }
 
 	d := desc("n1", "sensor/bp")
@@ -280,7 +283,7 @@ func TestTableRenewBumpsSequence(t *testing.T) {
 }
 
 func TestTableApplyFiltersOwnership(t *testing.T) {
-	tab := NewTable("ra", simtime.NewVirtual(epoch), time.Minute, time.Minute)
+	tab := NewTable("ra", simtime.NewVirtual(epoch), time.Minute)
 	de := DeltaEntry{Key: "n1|printer|", Seq: 1, Origin: "rb", TTLMillis: 60000}
 	if n := tab.apply([]DeltaEntry{de}, func(string) bool { return false }); n != 0 {
 		t.Fatalf("applied a key this member does not own: %d", n)
@@ -291,7 +294,7 @@ func TestTableApplyFiltersOwnership(t *testing.T) {
 }
 
 func TestTableRejectsMalformedDesc(t *testing.T) {
-	tab := NewTable("ra", simtime.NewVirtual(epoch), time.Minute, time.Minute)
+	tab := NewTable("ra", simtime.NewVirtual(epoch), time.Minute)
 	all := func(string) bool { return true }
 	de := DeltaEntry{Key: "n1|printer|", Seq: 1, Origin: "rb", TTLMillis: 60000, Desc: []byte("junk")}
 	if n := tab.apply([]DeltaEntry{de}, all); n != 0 {
@@ -522,18 +525,142 @@ func TestClusterUnregisterPropagates(t *testing.T) {
 	if err := res.Unregister(d.Key()); err != nil {
 		t.Fatal(err)
 	}
+	// Both writes returned at their first owner's answer. Close waits for
+	// the other owner's copies: until they land, that owner may serve the
+	// Register whose Unregister is still queued behind it.
+	if err := res.Close(); err != nil {
+		t.Fatal(err)
+	}
 	tc.settle(t)
 	for _, node := range tc.nodes {
 		if node.Table().HasLive(d.Key()) {
 			t.Fatalf("%s still serves the unregistered key", node.Self())
 		}
 	}
-	got, err := res.Lookup(&svcdesc.Query{Name: "printer"})
+	got, err := tc.resolver(t, 2).Lookup(&svcdesc.Query{Name: "printer"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
 		t.Fatalf("lookup after unregister = %+v", got)
+	}
+}
+
+// holdRegister is a transport whose first Register to member waits in Send
+// until release: until member answers an Unregister, or the test releases
+// it. held is closed once it waits, sent once it is sent.
+type holdRegister struct {
+	transport.Transport
+	member              string
+	held, release, sent chan struct{}
+	hold, releaseOnce   sync.Once
+	unregister          atomic.Uint64 // request ID of the Unregister sent to member
+}
+
+type holdConn struct {
+	transport.Conn
+	h *holdRegister
+}
+
+func newHoldRegister(tr transport.Transport, member string) *holdRegister {
+	return &holdRegister{Transport: tr, member: member,
+		held: make(chan struct{}), release: make(chan struct{}), sent: make(chan struct{})}
+}
+
+func (h *holdRegister) Release() { h.releaseOnce.Do(func() { close(h.release) }) }
+
+func (h *holdRegister) Dial(addr string) (transport.Conn, error) {
+	c, err := h.Transport.Dial(addr)
+	if err != nil || addr != h.member {
+		return c, err
+	}
+	return &holdConn{Conn: c, h: h}, nil
+}
+
+func (c *holdConn) Send(m *wire.Message) error {
+	switch m.Topic {
+	case discovery.TopicUnregister:
+		c.h.unregister.Store(m.ID)
+	case discovery.TopicRegister:
+		held := false
+		c.h.hold.Do(func() {
+			held = true
+			close(c.h.held)
+			<-c.h.release
+		})
+		if held {
+			defer close(c.h.sent)
+		}
+	}
+	return c.Conn.Send(m)
+}
+
+func (c *holdConn) Recv() (*wire.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && m.Corr == c.h.unregister.Load() {
+		c.h.Release()
+	}
+	return m, err
+}
+
+// entrySeq is the sequence of node's entry for key (0: none).
+func entrySeq(n *Node, key string) uint64 {
+	n.table.mu.Lock()
+	defer n.table.mu.Unlock()
+	if e := n.table.entries[key]; e != nil {
+		return e.seq
+	}
+	return 0
+}
+
+// TestClusterLateRegisterCopyCannotResurrect holds one owner's copy of a
+// Register until after the Unregister that follows it. Anti-entropy has
+// taught that owner a later Lamport sequence in between, so a copy applied
+// out of order would outrank both tombstones and gossip the key back.
+func TestClusterLateRegisterCopyCannotResurrect(t *testing.T) {
+	tc := newTestCluster(t, 2, 2) // both members own every key
+	late := tc.nodes[1]
+	hold := newHoldRegister(transport.NewMem(tc.fabric), late.Self())
+	res, err := NewResolver(hold, ResolverOptions{Members: tc.members, ReplicationFactor: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = res.Close() })
+	d := desc("n1", "printer")
+	if err := res.Register(d); err != nil { // answered by the other owner
+		t.Fatal(err)
+	}
+	<-hold.held
+	tc.settle(t) // the late owner learns the other's copy, seq 1
+	if err := res.Unregister(d.Key()); err != nil {
+		t.Fatal(err)
+	}
+	// Unordered writes send the late owner its Unregister copy now, and its
+	// answer releases the Register. Ordered ones queue that copy behind the
+	// held Register, so nothing answers it until the Register is let go.
+	select {
+	case <-hold.release:
+	case <-time.After(100 * time.Millisecond):
+		hold.Release()
+	}
+	<-hold.sent
+	if err := res.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The late owner has now applied three writes, in whatever order they
+	// reached it: the gossiped copy, its Register copy and its tombstone.
+	deadline := time.Now().Add(5 * time.Second)
+	for entrySeq(late, d.Key()) < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("late owner's copy stuck at seq %d", entrySeq(late, d.Key()))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	tc.settle(t)
+	for _, node := range tc.nodes {
+		if node.Table().HasLive(d.Key()) {
+			t.Fatalf("%s serves the key again after its Unregister", node.Self())
+		}
 	}
 }
 

@@ -38,18 +38,12 @@ type NodeOptions struct {
 	// ReplicationFactor is the owner-set size R (default
 	// DefaultReplicationFactor, clamped to the membership size).
 	ReplicationFactor int
-	// VNodes is the consistent-hash virtual-node count per member (default
-	// DefaultVNodes). Every member and every client must agree on it.
-	VNodes int
 	// Clock times leases, the sync loop, and the sweep ticker (default
 	// real).
 	Clock simtime.Clock
 	// DefaultTTL is the advertisement lease applied when a description
 	// carries none (default discovery.DefaultTTL).
 	DefaultTTL time.Duration
-	// TombstoneTTL is how long unregister tombstones survive for
-	// anti-entropy to propagate (default DefaultTombstoneTTL).
-	TombstoneTTL time.Duration
 	// SyncEvery is the anti-entropy period: each interval the member
 	// push-pull exchanges with the next peer in round-robin order. Zero
 	// disables the background loop — the owner drives SyncNow explicitly
@@ -99,7 +93,7 @@ func NewNode(tr transport.Transport, l transport.Listener, opts NodeOptions) (*N
 	if opts.Self == "" {
 		return nil, errors.New("cluster: node needs a Self address")
 	}
-	ring := NewRing(opts.Members, opts.VNodes)
+	ring := NewRing(opts.Members)
 	selfIncluded := false
 	for _, m := range ring.Members() {
 		if m == opts.Self {
@@ -127,7 +121,7 @@ func NewNode(tr transport.Transport, l transport.Listener, opts NodeOptions) (*N
 		self:    opts.Self,
 		ring:    ring,
 		rf:      rf,
-		table:   NewTable(opts.Self, opts.Clock, opts.DefaultTTL, opts.TombstoneTTL),
+		table:   NewTable(opts.Self, opts.Clock, opts.DefaultTTL),
 		tr:      tr,
 		clock:   opts.Clock,
 		timeout: opts.GossipTimeout,
@@ -201,7 +195,7 @@ func (n *Node) caller(peer string) (*endpoint.Caller, error) {
 			// registry client: a peer restart tears the old connection down
 			// and the round should survive it. Timeouts are not retried —
 			// against a dead peer that would double every round's stall.
-			endpoint.WithRetry(nil, endpoint.RetryPolicy{Max: 1}, nil, "cluster.gossip"),
+			endpoint.WithRetry(endpoint.RetryPolicy{Max: 1}, nil, "cluster.gossip"),
 		},
 	})
 	if err != nil {

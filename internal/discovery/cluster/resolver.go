@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ndsm/internal/discovery"
-	"ndsm/internal/health"
 	"ndsm/internal/obs"
 	"ndsm/internal/simtime"
 	"ndsm/internal/svcdesc"
@@ -24,23 +23,16 @@ type ResolverOptions struct {
 	// DefaultReplicationFactor, clamped to the membership size). It must
 	// match the nodes' factor.
 	ReplicationFactor int
-	// VNodes is the consistent-hash virtual-node count (default
-	// DefaultVNodes). It must match the nodes' count.
-	VNodes int
-	// Monitor, when set, watches the member set: every successful call
-	// heartbeats the member, every failure is reported, so the consumer's
-	// failure detector tracks registry nodes exactly like service peers.
-	Monitor *health.Monitor
 	// Metrics receives the resolver's instruments (process default if nil).
 	Metrics *obs.Registry
 }
 
 // Resolver is the cluster-aware client side of the sharded registry: writes
-// go to every owner of the key concurrently and return on the first success
-// (anti-entropy repairs the rest), lookups scatter-gather the whole
-// membership and succeed once a quorum of N-R+1 members answered — the
-// smallest responder set guaranteed to intersect every key's owner set, so a
-// quorum-complete merge misses nothing.
+// go to every owner of the key concurrently, in order per owner, and return
+// on the first success (anti-entropy repairs the rest); lookups
+// scatter-gather the whole membership and succeed once a quorum of N-R+1
+// members answered — the smallest responder set guaranteed to intersect
+// every key's owner set, so a quorum-complete merge misses nothing.
 //
 // A Resolver is what consumers wrap in discovery.NewCached: the cache
 // absorbs the scatter-gather cost so the steady state is a local hit.
@@ -49,22 +41,33 @@ type Resolver struct {
 	rf      int
 	quorum  int
 	tr      transport.Transport
-	monitor *health.Monitor
 	metrics *obs.Registry
 
 	mu           sync.Mutex
 	clients      map[string]*discovery.Client
+	writes       map[ownerKey]*ownerWrite // see write
+	writers      sync.WaitGroup           // one per key in writes
 	callTimeout  time.Duration
 	timeoutClock simtime.Clock
 	tracer       *trace.Tracer
 	closed       bool
 }
 
+// ownerKey names one owner's copy of one key.
+type ownerKey struct{ key, member string }
+
+// ownerWrite is a write waiting for its owner: op, and the channel of every
+// fanout its result answers.
+type ownerWrite struct {
+	op      func(c *discovery.Client) error
+	waiters []chan<- error
+}
+
 var _ discovery.Resolver = (*Resolver)(nil)
 
 // NewResolver creates a resolver over the given cluster membership.
 func NewResolver(tr transport.Transport, opts ResolverOptions) (*Resolver, error) {
-	ring := NewRing(opts.Members, opts.VNodes)
+	ring := NewRing(opts.Members)
 	if ring.Size() == 0 {
 		return nil, fmt.Errorf("cluster: resolver needs at least one member")
 	}
@@ -80,9 +83,9 @@ func NewResolver(tr transport.Transport, opts ResolverOptions) (*Resolver, error
 		rf:      rf,
 		quorum:  ring.Size() - rf + 1,
 		tr:      tr,
-		monitor: opts.Monitor,
 		metrics: obs.Or(opts.Metrics),
 		clients: make(map[string]*discovery.Client),
+		writes:  make(map[ownerKey]*ownerWrite),
 	}, nil
 }
 
@@ -116,8 +119,14 @@ func (r *Resolver) client(member string) (*discovery.Client, error) {
 	if r.closed {
 		return nil, discovery.ErrClosed
 	}
+	return r.clientLocked(member), nil
+}
+
+// clientLocked is client for a write already accepted: Close waits for it
+// before it closes the clients, so it may still run after Close began.
+func (r *Resolver) clientLocked(member string) *discovery.Client {
 	if c := r.clients[member]; c != nil {
-		return c, nil
+		return c
 	}
 	c := discovery.NewClient(r.tr, member)
 	if r.callTimeout > 0 {
@@ -127,38 +136,17 @@ func (r *Resolver) client(member string) (*discovery.Client, error) {
 		c.SetTracer(r.tracer)
 	}
 	r.clients[member] = c
-	return c, nil
+	return c
 }
 
-// observe feeds the optional member-set monitor.
-func (r *Resolver) observe(member string, err error) {
-	if r.monitor == nil {
-		return
-	}
-	if err == nil {
-		r.monitor.Heartbeat(member)
-		r.monitor.ReportSuccess(member)
-	} else {
-		r.monitor.ReportFailure(member)
-	}
-}
-
-// fanout runs op against every owner of key concurrently and returns on the
-// first success; stragglers finish in the background (their results only
-// feed the monitor). With all owners down it returns the first error.
+// fanout writes op to every owner of key concurrently and returns on the
+// first success; the other owners' copies finish in the background, and
+// Close waits for them. With all owners down it returns the first error.
 func (r *Resolver) fanout(key string, op func(c *discovery.Client) error) error {
 	owners := r.ring.Owners(key, r.rf)
 	errc := make(chan error, len(owners))
 	for _, m := range owners {
-		m := m
-		go func() {
-			c, err := r.client(m)
-			if err == nil {
-				err = op(c)
-			}
-			r.observe(m, err)
-			errc <- err
-		}()
+		r.write(ownerKey{key, m}, op, errc)
 	}
 	var firstErr error
 	for range owners {
@@ -171,6 +159,56 @@ func (r *Resolver) fanout(key string, op func(c *discovery.Client) error) error 
 		}
 	}
 	return firstErr
+}
+
+// write sends op to one owner after every earlier write of this resolver to
+// that owner's copy of the key, and answers on errc. Unordered, a straggling
+// Register could land after the Unregister that followed it, take a later
+// Lamport sequence, and be spread back by anti-entropy. A write that finds
+// another already queued replaces it and inherits its waiters: only the
+// newest write decides the copy, so a slow owner holds one in-flight and one
+// queued write per key however often leases are renewed.
+func (r *Resolver) write(k ownerKey, op func(c *discovery.Client) error, errc chan<- error) {
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		errc <- discovery.ErrClosed
+		return
+	}
+	w := &ownerWrite{op: op, waiters: []chan<- error{errc}}
+	if queued, busy := r.writes[k]; busy {
+		if queued != nil {
+			w.waiters = append(queued.waiters, errc)
+		}
+		r.writes[k] = w
+		r.mu.Unlock()
+		return
+	}
+	r.writes[k] = nil
+	r.writers.Add(1)
+	r.mu.Unlock()
+	go r.drain(k, w)
+}
+
+// drain runs one owner's writes to one key in order until none is queued.
+func (r *Resolver) drain(k ownerKey, w *ownerWrite) {
+	defer r.writers.Done()
+	for w != nil {
+		r.mu.Lock()
+		c := r.clientLocked(k.member)
+		r.mu.Unlock()
+		err := w.op(c)
+		for _, errc := range w.waiters {
+			errc <- err
+		}
+		r.mu.Lock()
+		if w = r.writes[k]; w != nil {
+			r.writes[k] = nil
+		} else {
+			delete(r.writes, k)
+		}
+		r.mu.Unlock()
+	}
 }
 
 // Register implements discovery.Resolver: the advertisement is written to
@@ -213,7 +251,6 @@ func (r *Resolver) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
 			if err == nil {
 				descs, err = c.Lookup(q)
 			}
-			r.observe(m, err)
 			resc <- result{descs: descs, err: err}
 		}()
 	}
@@ -255,7 +292,8 @@ func (r *Resolver) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
 		successes, r.quorum, firstErr)
 }
 
-// Close implements discovery.Resolver, closing every member client.
+// Close implements discovery.Resolver: it waits for the owner writes in
+// flight, then closes every member client.
 func (r *Resolver) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -263,6 +301,9 @@ func (r *Resolver) Close() error {
 		return nil
 	}
 	r.closed = true
+	r.mu.Unlock()
+	r.writers.Wait()
+	r.mu.Lock()
 	clients := make([]*discovery.Client, 0, len(r.clients))
 	for _, c := range r.clients {
 		clients = append(clients, c)

@@ -19,14 +19,13 @@ import (
 	"ndsm/internal/svcdesc"
 )
 
-// DefaultVNodes is how many ring points each member contributes when
-// unspecified — enough to keep shard imbalance within a few percent at
+// DefaultVNodes is how many ring points each member contributes — enough to keep shard imbalance within a few percent at
 // single-digit cluster sizes.
 const DefaultVNodes = 64
 
 // Ring is a consistent-hash ring over the cluster membership. It is
 // immutable after construction; placement is a pure function of (members,
-// vnodes, key), so every client and every member computes identical owner
+// key), so every client and every member computes identical owner
 // sets with no coordination.
 type Ring struct {
 	members []string
@@ -39,12 +38,10 @@ type ringPoint struct {
 }
 
 // NewRing builds the ring. Members are deduplicated and sorted so the ring
-// is canonical regardless of argument order; vnodes defaults to
-// DefaultVNodes when <= 0.
-func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// is canonical regardless of argument order. Every member and every
+// resolver builds it with DefaultVNodes points a member, so they agree on
+// every owner set.
+func NewRing(members []string) *Ring {
 	seen := make(map[string]bool, len(members))
 	uniq := make([]string, 0, len(members))
 	for _, m := range members {
@@ -54,9 +51,9 @@ func NewRing(members []string, vnodes int) *Ring {
 		}
 	}
 	sort.Strings(uniq)
-	r := &Ring{members: uniq, points: make([]ringPoint, 0, len(uniq)*vnodes)}
+	r := &Ring{members: uniq, points: make([]ringPoint, 0, len(uniq)*DefaultVNodes)}
 	for i, m := range uniq {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVNodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:   svcdesc.KeyHash(m + "#" + strconv.Itoa(v)),
 				member: i,

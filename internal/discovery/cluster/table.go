@@ -41,10 +41,9 @@ func newer(aSeq uint64, aOrigin string, b *replEntry) bool {
 // Server can expose it on the wire unchanged) plus the gossip bookkeeping —
 // Lamport sequence assignment, tombstones, and digest/delta construction.
 type Table struct {
-	self         string
-	clock        simtime.Clock
-	defaultTTL   time.Duration
-	tombstoneTTL time.Duration
+	self       string
+	clock      simtime.Clock
+	defaultTTL time.Duration
 
 	mu      sync.Mutex
 	entries map[string]*replEntry
@@ -58,23 +57,19 @@ var (
 
 // NewTable creates the member's table. self names this member in LWW
 // tie-breaks; clock defaults to simtime.Real; defaultTTL to
-// discovery.DefaultTTL; tombstoneTTL to DefaultTombstoneTTL.
-func NewTable(self string, clock simtime.Clock, defaultTTL, tombstoneTTL time.Duration) *Table {
+// discovery.DefaultTTL. Tombstones live DefaultTombstoneTTL.
+func NewTable(self string, clock simtime.Clock, defaultTTL time.Duration) *Table {
 	if clock == nil {
 		clock = simtime.Real{}
 	}
 	if defaultTTL <= 0 {
 		defaultTTL = discovery.DefaultTTL
 	}
-	if tombstoneTTL <= 0 {
-		tombstoneTTL = DefaultTombstoneTTL
-	}
 	return &Table{
-		self:         self,
-		clock:        clock,
-		defaultTTL:   defaultTTL,
-		tombstoneTTL: tombstoneTTL,
-		entries:      make(map[string]*replEntry),
+		self:       self,
+		clock:      clock,
+		defaultTTL: defaultTTL,
+		entries:    make(map[string]*replEntry),
 	}
 }
 
@@ -127,7 +122,7 @@ func (t *Table) Unregister(key string) error {
 		seq:     t.nextSeqLocked(),
 		origin:  t.self,
 		deleted: true,
-		expires: t.clock.Now().Add(t.tombstoneTTL),
+		expires: t.clock.Now().Add(DefaultTombstoneTTL),
 	}
 	return nil
 }

@@ -45,10 +45,6 @@ type Resolver interface {
 	Close() error
 }
 
-// Registry is the historical name for Resolver, kept as an alias so existing
-// call sites and implementations need no change.
-type Registry = Resolver
-
 // Invalidator is implemented by resolvers that keep local lookup state (the
 // lease cache, and any wrapper forwarding to one). Consumers call it when
 // out-of-band evidence — a failure detector suspecting a peer, a rebind away
@@ -102,7 +98,7 @@ type Store struct {
 	version atomic.Int64
 }
 
-var _ Registry = (*Store)(nil)
+var _ Resolver = (*Store)(nil)
 
 // NewStore creates a store expiring entries against the given clock
 // (simtime.Real if nil), defaulting leases to defaultTTL (DefaultTTL if 0).
@@ -120,7 +116,7 @@ func NewStore(clock simtime.Clock, defaultTTL time.Duration) *Store {
 	}
 }
 
-// Register implements Registry. The store copies what an in-process caller
+// Register implements Resolver. The store copies what an in-process caller
 // hands it, so the caller may go on changing d; only what its own registry
 // server has just decoded does it keep as it is (keep).
 func (s *Store) Register(d *svcdesc.Description) error {
@@ -148,7 +144,7 @@ func (s *Store) keep(d *svcdesc.Description) {
 	s.version.Add(1)
 }
 
-// Unregister implements Registry.
+// Unregister implements Resolver.
 func (s *Store) Unregister(key string) error {
 	s.mu.Lock()
 	_, ok := s.entries[key]
@@ -161,7 +157,7 @@ func (s *Store) Unregister(key string) error {
 	return nil
 }
 
-// Renew implements Registry.
+// Renew implements Resolver.
 func (s *Store) Renew(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -178,7 +174,7 @@ func (s *Store) Renew(key string) error {
 	return nil
 }
 
-// Lookup implements Registry. Expired entries never match.
+// Lookup implements Resolver. Expired entries never match.
 func (s *Store) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
 	now := s.clock.Now()
 	s.mu.Lock()
@@ -200,7 +196,7 @@ func (s *Store) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
 	return out, nil
 }
 
-// Close implements Registry (a Store holds no external resources).
+// Close implements Resolver (a Store holds no external resources).
 func (s *Store) Close() error { return nil }
 
 // Sweep removes expired entries and returns how many were removed. Servers

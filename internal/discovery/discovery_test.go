@@ -518,7 +518,6 @@ func TestFloodGossipCacheAnswers(t *testing.T) {
 	_, agents := floodField(t, 2, AgentConfig{
 		Gossip:        true,
 		CollectWindow: 100 * time.Millisecond,
-		CacheTTL:      time.Minute,
 	})
 	if err := agents[1].Register(desc("n1", "svc")); err != nil {
 		t.Fatal(err)
@@ -599,7 +598,7 @@ func (failingRegistry) Close() error { return nil }
 
 // --- adaptive organization ---
 
-func adaptiveFixture(t *testing.T, central Registry, density int, policy Policy) (*Adaptive, []*Agent) {
+func adaptiveFixture(t *testing.T, central Resolver, density int, policy Policy) (*Adaptive, []*Agent) {
 	t.Helper()
 	_, agents := floodField(t, 3, AgentConfig{CollectWindow: 150 * time.Millisecond})
 	a := NewAdaptive(central, agents[0], func() int { return density }, policy, nil)
@@ -765,7 +764,8 @@ func TestUnknownTopicError(t *testing.T) {
 // neighbour rebroadcasts) makes queries survive a lossy radio; repeated
 // lookups converge on finding the service even at 20% per-packet loss.
 func TestFloodLookupUnderLoss(t *testing.T) {
-	net := netsim.New(netsim.Config{Range: 100, LossRate: 0.2, Unlimited: true, Seed: 77})
+	net := netsim.New(netsim.Config{Range: 100, Unlimited: true, Seed: 77})
+	net.SetLossRate(0.2)
 	t.Cleanup(net.Close)
 	// A dense clique of 6 nodes: many redundant paths.
 	var agents []*Agent

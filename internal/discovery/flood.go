@@ -88,6 +88,10 @@ func decodeFloodMsg(data []byte) (*floodMsg, error) {
 	return &m, nil
 }
 
+// gossipCacheTTL bounds the entries an agent caches from its neighbours'
+// advertisements, whatever the supplier's own lease.
+const gossipCacheTTL = 10 * time.Second
+
 // AgentConfig tunes a distributed discovery agent.
 type AgentConfig struct {
 	// QueryTTL bounds query flooding in hops (default 8).
@@ -107,8 +111,6 @@ type AgentConfig struct {
 	// (peers dedup on origin/qid, so re-flooding the old one would die one
 	// hop out) aliased to the same pending query.
 	QueryRetry bool
-	// CacheTTL bounds gossip cache entries (default 10s).
-	CacheTTL time.Duration
 	// Clock drives collection windows and cache expiry (default real).
 	Clock simtime.Clock
 }
@@ -119,9 +121,6 @@ func (c AgentConfig) withDefaults() AgentConfig {
 	}
 	if c.CollectWindow <= 0 {
 		c.CollectWindow = 100 * time.Millisecond
-	}
-	if c.CacheTTL <= 0 {
-		c.CacheTTL = 10 * time.Second
 	}
 	if c.Clock == nil {
 		c.Clock = simtime.Real{}
@@ -161,7 +160,7 @@ type Agent struct {
 	Messages stats.Counter
 }
 
-var _ Registry = (*Agent)(nil)
+var _ Resolver = (*Agent)(nil)
 
 // NewAgent starts a discovery agent on the node's mux.
 func NewAgent(mux *netmux.Mux, cfg AgentConfig) *Agent {
@@ -170,7 +169,7 @@ func NewAgent(mux *netmux.Mux, cfg AgentConfig) *Agent {
 		cfg:      cfg,
 		mux:      mux,
 		local:    NewStore(cfg.Clock, 0),
-		cache:    NewStore(cfg.Clock, cfg.CacheTTL),
+		cache:    NewStore(cfg.Clock, gossipCacheTTL),
 		traceRef: trace.NewRef(nil),
 		seen:     make(map[string]bool),
 		pending:  make(map[uint64]*pendingQuery),
@@ -191,16 +190,16 @@ func (a *Agent) CacheLen() int {
 	return a.cache.Len()
 }
 
-// Register implements Registry: services live in the node's local store.
+// Register implements Resolver: services live in the node's local store.
 func (a *Agent) Register(d *svcdesc.Description) error { return a.local.Register(d) }
 
-// Unregister implements Registry.
+// Unregister implements Resolver.
 func (a *Agent) Unregister(key string) error { return a.local.Unregister(key) }
 
-// Renew implements Registry.
+// Renew implements Resolver.
 func (a *Agent) Renew(key string) error { return a.local.Renew(key) }
 
-// Close implements Registry.
+// Close implements Resolver.
 func (a *Agent) Close() error {
 	a.mu.Lock()
 	if a.closed {
@@ -214,7 +213,7 @@ func (a *Agent) Close() error {
 	return nil
 }
 
-// Lookup implements Registry: local matches are free; with gossip enabled
+// Lookup implements Resolver: local matches are free; with gossip enabled
 // the cache may answer instantly; otherwise the query floods and replies are
 // collected for the configured window. When a tracer is installed the flood
 // runs under a "flood.lookup" span, with one "flood.round" child per query
@@ -544,7 +543,7 @@ func (a *Agent) handleAdvert(msg *floodMsg) {
 	}
 	for _, d := range descs {
 		// Cache under the gossip TTL regardless of the supplier's own lease.
-		d.TTL = a.cfg.CacheTTL
+		d.TTL = gossipCacheTTL
 		_ = a.cache.Register(d)
 	}
 }

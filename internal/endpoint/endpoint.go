@@ -16,7 +16,7 @@
 //     and writes the correlated reply.
 //
 // Both halves run their traffic through a composable interceptor chain —
-// retry with jittered exponential backoff, metrics, deadline propagation,
+// bounded immediate retry, metrics, deadline propagation,
 // trace logging — so policy lives in middleware, not in every protocol
 // (the "policy-free middleware" argument of Dearle et al.).
 package endpoint
@@ -77,8 +77,8 @@ func IsRemote(err error) (*RemoteError, bool) {
 
 // ShedError is a load-shed rejection (a wire.KindShed reply): the peer was at
 // its admission bound and refused the request before dispatching it. Unlike
-// RemoteError the request never executed, so retrying (with backoff, so the
-// overloaded peer gets air) is safe even for non-idempotent protocols.
+// RemoteError the request never executed, so retrying is safe even for
+// non-idempotent protocols.
 //
 // A Caller settles every shed of one topic and lane into the same ShedError,
 // so the value is shared: read it, never change it.

@@ -370,27 +370,16 @@ func flakyTerminal(n int) (ClientFunc, *atomic.Int64) {
 
 func TestRetryInterceptor(t *testing.T) {
 	reg := obs.NewRegistry()
-	clock := simtime.NewVirtual(time.Unix(0, 0))
 	term, calls := flakyTerminal(2)
 	fn := chainClient([]ClientInterceptor{
-		WithRetry(clock, RetryPolicy{Max: 3, BaseDelay: 10 * time.Millisecond}, reg, "t"),
+		WithRetry(RetryPolicy{Max: 3}, reg, "t"),
 	}, term)
-
-	done := make(chan error, 1)
-	go func() {
-		m, err := fn(&Call{Topic: "x"})
-		if err == nil && string(m.Payload) != "ok" {
-			err = fmt.Errorf("bad payload %q", m.Payload)
-		}
-		done <- err
-	}()
-	// Drive the two backoff sleeps deterministically.
-	for i := 0; i < 2; i++ {
-		waitPending(t, clock, 1)
-		clock.AdvanceToNext()
-	}
-	if err := <-done; err != nil {
+	m, err := fn(&Call{Topic: "x"})
+	if err != nil {
 		t.Fatalf("retried call: %v", err)
+	}
+	if string(m.Payload) != "ok" {
+		t.Fatalf("bad payload %q", m.Payload)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("attempts = %d, want 3", got)
@@ -407,7 +396,7 @@ func TestRetryExhausted(t *testing.T) {
 	reg := obs.NewRegistry()
 	term, calls := flakyTerminal(100)
 	fn := chainClient([]ClientInterceptor{
-		WithRetry(nil, RetryPolicy{Max: 2}, reg, "t"), // zero BaseDelay: no sleeps
+		WithRetry(RetryPolicy{Max: 2}, reg, "t"),
 	}, term)
 	_, err := fn(&Call{Topic: "x"})
 	if !errors.Is(err, ErrUnavailable) {
@@ -432,7 +421,7 @@ func TestRetryNeverRetriesRemoteOrClosed(t *testing.T) {
 	} {
 		var calls atomic.Int64
 		fn := chainClient([]ClientInterceptor{
-			WithRetry(nil, RetryPolicy{Max: 5}, obs.NewRegistry(), "t"),
+			WithRetry(RetryPolicy{Max: 5}, obs.NewRegistry(), "t"),
 		}, func(call *Call) (*wire.Message, error) {
 			calls.Add(1)
 			return nil, tc.err
@@ -447,7 +436,7 @@ func TestRetryNeverRetriesRemoteOrClosed(t *testing.T) {
 func TestRetryTimeoutsOptIn(t *testing.T) {
 	var calls atomic.Int64
 	fn := chainClient([]ClientInterceptor{
-		WithRetry(nil, RetryPolicy{Max: 1, RetryTimeouts: true}, obs.NewRegistry(), "t"),
+		WithRetry(RetryPolicy{Max: 1, RetryTimeouts: true}, obs.NewRegistry(), "t"),
 	}, func(call *Call) (*wire.Message, error) {
 		calls.Add(1)
 		return nil, fmt.Errorf("%w: x", ErrTimeout)

@@ -3,8 +3,6 @@ package endpoint
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
 	"ndsm/internal/obs"
@@ -13,82 +11,32 @@ import (
 	"ndsm/internal/wire"
 )
 
-// RetryPolicy parameterizes WithRetry: jittered exponential backoff over a
-// bounded number of re-attempts. Only transport-level failures are retried;
-// peer-reported errors and deliberate shutdown never are (see Retryable).
+// RetryPolicy parameterizes WithRetry: a bounded number of immediate
+// re-attempts (the reconnect-once idiom). Only transport-level failures are
+// retried; peer-reported errors and deliberate shutdown never are (see
+// Retryable).
 type RetryPolicy struct {
 	// Max is the number of additional attempts after the first (default 2).
 	Max int
-	// BaseDelay is the first backoff (0: immediate retry, the
-	// reconnect-once idiom).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff growth (default 10×BaseDelay).
-	MaxDelay time.Duration
-	// Multiplier grows the delay each attempt (default 2).
-	Multiplier float64
-	// Jitter is the fraction of each delay drawn uniformly at random and
-	// added, de-synchronizing retry storms (default 0.2 when BaseDelay > 0).
-	Jitter float64
 	// RetryTimeouts also retries calls that timed out. Off by default: a
 	// timed-out call may still execute on the peer, so only idempotent
 	// protocols should set it.
 	RetryTimeouts bool
-	// Seed seeds the jitter RNG (default 1; fixed for reproducible tests).
-	Seed int64
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
+// WithRetry re-attempts transport-level failures at once, up to p.Max times.
+// reg (nil: the default registry) counts retries under "<name>.retries" and
+// exhausted calls under "<name>.retries_exhausted".
+func WithRetry(p RetryPolicy, reg *obs.Registry, name string) ClientInterceptor {
 	if p.Max <= 0 {
 		p.Max = 2
 	}
-	if p.Multiplier <= 0 {
-		p.Multiplier = 2
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 10 * p.BaseDelay
-	}
-	if p.Jitter == 0 && p.BaseDelay > 0 {
-		p.Jitter = 0.2
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	return p
-}
-
-// WithRetry retries transport-level failures with jittered exponential
-// backoff on the given clock. reg (nil: the default registry) counts retries
-// under "<name>.retries" and exhausted calls under "<name>.retries_exhausted".
-func WithRetry(clock simtime.Clock, p RetryPolicy, reg *obs.Registry, name string) ClientInterceptor {
-	if clock == nil {
-		clock = simtime.Real{}
-	}
-	p = p.withDefaults()
 	retries := obs.Or(reg).Counter(name + ".retries")
 	exhausted := obs.Or(reg).Counter(name + ".retries_exhausted")
-	var mu sync.Mutex
-	rng := rand.New(rand.NewSource(p.Seed))
-	jitter := func(d time.Duration) time.Duration {
-		if p.Jitter <= 0 || d <= 0 {
-			return d
-		}
-		mu.Lock()
-		f := rng.Float64()
-		mu.Unlock()
-		return d + time.Duration(f*p.Jitter*float64(d))
-	}
 	return func(next ClientFunc) ClientFunc {
 		return func(call *Call) (*wire.Message, error) {
 			m, err := next(call)
-			delay := p.BaseDelay
 			for attempt := 0; attempt < p.Max && Retryable(err, p.RetryTimeouts); attempt++ {
-				if d := jitter(delay); d > 0 {
-					clock.Sleep(d)
-				}
-				delay = time.Duration(float64(delay) * p.Multiplier)
-				if delay > p.MaxDelay {
-					delay = p.MaxDelay
-				}
 				retries.Inc(1)
 				call.attempts++
 				m, err = next(call)

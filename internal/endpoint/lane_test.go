@@ -362,7 +362,7 @@ func TestShedBurstDoesNotTripBreaker(t *testing.T) {
 	s, c := newPair(t, ServerOptions{Name: "srv", MaxInFlight: 1, Metrics: reg}, CallerOptions{
 		Interceptors: []ClientInterceptor{
 			WithBreaker(b, "srv", reg, "client"),
-			WithRetry(nil, RetryPolicy{Max: 1}, reg, "client"),
+			WithRetry(RetryPolicy{Max: 1}, reg, "client"),
 		},
 	})
 	t.Cleanup(unblock)

@@ -196,7 +196,7 @@ func TestAdmissionControlShedsAtCapacity(t *testing.T) {
 func TestRetryBacksOffOnShedButNotOnRemote(t *testing.T) {
 	// A shed reply is retryable: WithRetry re-attempts until capacity frees.
 	attempts := 0
-	chain := WithRetry(nil, RetryPolicy{Max: 3}, obs.NewRegistry(), "test")(
+	chain := WithRetry(RetryPolicy{Max: 3}, obs.NewRegistry(), "test")(
 		func(*Call) (*wire.Message, error) {
 			attempts++
 			if attempts < 3 {
@@ -213,7 +213,7 @@ func TestRetryBacksOffOnShedButNotOnRemote(t *testing.T) {
 
 	// A remote error is terminal: one attempt, no retries.
 	attempts = 0
-	chain = WithRetry(nil, RetryPolicy{Max: 3}, obs.NewRegistry(), "test")(
+	chain = WithRetry(RetryPolicy{Max: 3}, obs.NewRegistry(), "test")(
 		func(*Call) (*wire.Message, error) {
 			attempts++
 			return nil, &RemoteError{Topic: "x", Msg: "boom"}

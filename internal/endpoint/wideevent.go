@@ -20,9 +20,6 @@ type WideEventOptions struct {
 	Clock simtime.Clock
 	// Peer labels events whose call has no Dst (the caller's dial address).
 	Peer string
-	// DefaultTimeout mirrors CallerOptions.Timeout so calls that inherit the
-	// caller-level deadline still report slack.
-	DefaultTimeout time.Duration
 }
 
 // WithWideEvents records one wide event per logical call — after retries, so
@@ -63,13 +60,9 @@ func WithWideEvents(opts WideEventOptions) ClientInterceptor {
 			if ev.Peer == "" {
 				ev.Peer = opts.Peer
 			}
-			timeout := call.Timeout
-			if timeout == 0 {
-				timeout = opts.DefaultTimeout
-			}
-			if timeout > 0 {
+			if call.Timeout > 0 {
 				ev.HasDeadline = true
-				ev.DeadlineSlack = timeout - ev.Latency
+				ev.DeadlineSlack = call.Timeout - ev.Latency
 			}
 			// The tracing interceptor (inside this one) replaced call.Headers
 			// with a trace-stamped copy; lift the IDs as exemplars.

@@ -25,7 +25,7 @@ func TestWideEventsClientInterceptor(t *testing.T) {
 	rec := newTestRecorder()
 	clk := simtime.NewVirtual(time.Unix(1_700_000_000, 0))
 	ic := WithWideEvents(WideEventOptions{
-		Recorder: rec, Clock: clk, Peer: "srv-1", DefaultTimeout: 100 * time.Millisecond,
+		Recorder: rec, Clock: clk, Peer: "srv-1",
 	})
 
 	cases := []struct {
@@ -44,7 +44,7 @@ func TestWideEventsClientInterceptor(t *testing.T) {
 			clk.Advance(7 * time.Millisecond)
 			return nil, tc.err
 		})
-		_, _ = fn(&Call{Topic: "topic/" + tc.name, Lane: LaneBulk})
+		_, _ = fn(&Call{Topic: "topic/" + tc.name, Lane: LaneBulk, Timeout: 100 * time.Millisecond})
 		got := rec.Snapshot(reqlog.Filter{Topic: "topic/" + tc.name})
 		if len(got) != 1 {
 			t.Fatalf("%s: %d records, want 1", tc.name, len(got))
@@ -73,7 +73,7 @@ func TestWideEventsCountRetries(t *testing.T) {
 	reg := obs.NewRegistry()
 	chain := chainClient([]ClientInterceptor{
 		WithWideEvents(WideEventOptions{Recorder: rec, Clock: clk}),
-		WithRetry(clk, RetryPolicy{Max: 3}, reg, "test"),
+		WithRetry(RetryPolicy{Max: 3}, reg, "test"),
 	}, func() ClientFunc {
 		n := 0
 		return func(call *Call) (*wire.Message, error) {

@@ -37,9 +37,6 @@ type Options struct {
 	Clock simtime.Clock
 	// Capacity bounds the retained bundle ring (default 8; oldest evicted).
 	Capacity int
-	// MaxSpans bounds the spans copied per bundle (default 256, newest
-	// kept) — a post-mortem wants the last moments, not the whole ring.
-	MaxSpans int
 	// MinInterval rate-limits snapshots: triggers arriving sooner after the
 	// previous bundle are counted but not recorded (default 0: no limit).
 	// A flapping alert must not turn the recorder into an allocation storm.
@@ -58,10 +55,15 @@ type Options struct {
 	// exemplars (sheds, errors, deadline-tight calls) retained at snapshot
 	// time.
 	ReqLog *reqlog.Recorder
-	// MaxRequests bounds the tail records copied per bundle (default 128,
-	// newest kept).
-	MaxRequests int
 }
+
+const (
+	// maxSpans bounds the spans copied per bundle, newest kept: a
+	// post-mortem wants the last moments, not the whole ring.
+	maxSpans = 256
+	// maxRequests bounds the tail records copied per bundle, newest kept.
+	maxRequests = 128
+)
 
 // Trigger describes why a bundle was cut — the firing SLO and its window
 // values, or any caller-defined reason.
@@ -131,12 +133,6 @@ func NewRecorder(opts Options) *Recorder {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 8
 	}
-	if opts.MaxSpans <= 0 {
-		opts.MaxSpans = 256
-	}
-	if opts.MaxRequests <= 0 {
-		opts.MaxRequests = 128
-	}
 	return &Recorder{opts: opts}
 }
 
@@ -154,8 +150,8 @@ func (r *Recorder) Snapshot(t Trigger) *Bundle {
 	b := &Bundle{Seq: r.seq, Time: now, Trigger: t}
 	if c := r.opts.Spans; c != nil {
 		spans := c.Spans()
-		if len(spans) > r.opts.MaxSpans {
-			spans = spans[len(spans)-r.opts.MaxSpans:]
+		if len(spans) > maxSpans {
+			spans = spans[len(spans)-maxSpans:]
 		}
 		b.Spans = spans
 		b.SpanTotal = c.Total()
@@ -182,8 +178,8 @@ func (r *Recorder) Snapshot(t Trigger) *Bundle {
 	}
 	if rec := r.opts.ReqLog; rec != nil {
 		reqs := rec.Tail()
-		if len(reqs) > r.opts.MaxRequests {
-			reqs = reqs[:r.opts.MaxRequests] // newest first: keep the head
+		if len(reqs) > maxRequests {
+			reqs = reqs[:maxRequests] // newest first: keep the head
 		}
 		b.Requests = reqs
 	}

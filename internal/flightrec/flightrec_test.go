@@ -131,24 +131,28 @@ func TestRingBoundAndRateLimit(t *testing.T) {
 // TestMaxSpansKeepsNewest bounds the per-bundle span copy to the tail.
 func TestMaxSpansKeepsNewest(t *testing.T) {
 	vc := simtime.NewVirtual(time.Unix(0, 0))
-	col := trace.NewCollector(64)
-	for i := 0; i < 10; i++ {
+	const n = maxSpans + 10
+	col := trace.NewCollector(n)
+	for i := 0; i < n; i++ {
 		col.Record(trace.Span{TraceID: 1, SpanID: uint64(i + 1), Name: "op", Node: "n1"})
 	}
-	rec := NewRecorder(Options{Clock: vc, Spans: col, MaxSpans: 3})
+	rec := NewRecorder(Options{Clock: vc, Spans: col})
 	b := rec.Snapshot(Trigger{Objective: "x", Severity: "critical"})
-	if len(b.Spans) != 3 || b.Spans[2].SpanID != 10 {
-		t.Fatalf("span tail wrong: %+v", b.Spans)
+	if len(b.Spans) != maxSpans || b.Spans[0].SpanID != n-maxSpans+1 || b.Spans[maxSpans-1].SpanID != n {
+		t.Fatalf("span tail wrong: %d spans, first %d", len(b.Spans), b.Spans[0].SpanID)
 	}
 }
 
 // TestBundleCarriesRequestTail pins the wide-event plane: a bundle embeds
 // the reqlog tail ring (sheds and errors), newest first, bounded by
-// MaxRequests, and healthy sampled records stay out of it.
+// maxRequests, and healthy sampled records stay out of it.
 func TestBundleCarriesRequestTail(t *testing.T) {
 	vc := simtime.NewVirtual(time.Unix(0, 0))
-	rl := reqlog.New(reqlog.Options{Capacity: 64, SampleEvery: 1, Registry: obs.NewRegistry()})
-	for i := 0; i < 5; i++ {
+	// Capacity 256 keeps a 192-record tail ring, room for more sheds than a
+	// bundle copies.
+	rl := reqlog.New(reqlog.Options{Capacity: 256, SampleEvery: 1, Registry: obs.NewRegistry()})
+	const sheds = maxRequests + 5
+	for i := 0; i < sheds; i++ {
 		rl.Record(reqlog.Record{
 			Time: vc.Now().Add(time.Duration(i) * time.Second), Kind: reqlog.KindServer,
 			Topic: fmt.Sprintf("t%d", i), Outcome: reqlog.OutcomeShed, ShedReason: "server at capacity",
@@ -157,12 +161,13 @@ func TestBundleCarriesRequestTail(t *testing.T) {
 	rl.Record(reqlog.Record{Time: vc.Now(), Kind: reqlog.KindClient, Topic: "healthy",
 		Outcome: reqlog.OutcomeOK, Latency: time.Millisecond})
 
-	rec := NewRecorder(Options{Clock: vc, ReqLog: rl, MaxRequests: 3})
+	rec := NewRecorder(Options{Clock: vc, ReqLog: rl})
 	b := rec.Snapshot(Trigger{Objective: "x", Severity: "critical"})
-	if len(b.Requests) != 3 {
-		t.Fatalf("bundle holds %d requests, want MaxRequests=3", len(b.Requests))
+	if len(b.Requests) != maxRequests {
+		t.Fatalf("bundle holds %d requests, want maxRequests=%d", len(b.Requests), maxRequests)
 	}
-	if b.Requests[0].Topic != "t4" || b.Requests[2].Topic != "t2" {
+	if b.Requests[0].Topic != fmt.Sprintf("t%d", sheds-1) ||
+		b.Requests[maxRequests-1].Topic != fmt.Sprintf("t%d", sheds-maxRequests) {
 		t.Fatalf("request tail not newest-first: %+v", b.Requests)
 	}
 	for _, r := range b.Requests {

@@ -228,7 +228,7 @@ func TestWatchRegistryHeartbeatsListedProviders(t *testing.T) {
 // WatchRegistry must pass nil monitors through untouched.
 func TestWatchRegistryNilMonitor(t *testing.T) {
 	inner := &fakeRegistry{}
-	if got := WatchRegistry(inner, nil); got != discovery.Registry(inner) {
+	if got := WatchRegistry(inner, nil); got != discovery.Resolver(inner) {
 		t.Fatal("nil monitor should return the inner registry unchanged")
 	}
 }

@@ -100,40 +100,17 @@ type Client struct {
 	traceRef *trace.Ref
 }
 
-// ClientConfig tunes a client's observability and lane classification.
-type ClientConfig struct {
-	// ReqLog records one wide event per logical call; nil disables it.
-	ReqLog *reqlog.Recorder
-	// TopicLanes classifies calls by method when no explicit lane is passed
-	// (CallLane's lane wins).
-	TopicLanes *endpoint.LaneTable
-}
-
 // Dial connects a client to an RPC server.
 func Dial(tr transport.Transport, addr string, clock simtime.Clock) (*Client, error) {
-	return DialWith(tr, addr, clock, ClientConfig{})
-}
-
-// DialWith is Dial with request analytics and lane-table configuration.
-func DialWith(tr transport.Transport, addr string, clock simtime.Clock, cfg ClientConfig) (*Client, error) {
 	c := &Client{traceRef: trace.NewRef(nil)}
-	interceptors := []endpoint.ClientInterceptor{
-		// With no tracer installed this is a pass-through that keeps the
-		// hot path allocation-free (BenchmarkInteractRPC's band).
-		endpoint.WithTracing(c.traceRef, "rpc.call"),
-	}
-	if cfg.ReqLog != nil {
-		interceptors = append([]endpoint.ClientInterceptor{
-			endpoint.WithWideEvents(endpoint.WideEventOptions{
-				Recorder: cfg.ReqLog, Clock: clock, Peer: addr,
-			}),
-		}, interceptors...)
-	}
 	caller, err := endpoint.NewCaller(tr, addr, endpoint.CallerOptions{
-		Clock:        clock,
-		Eager:        true,
-		Interceptors: interceptors,
-		TopicLanes:   cfg.TopicLanes,
+		Clock: clock,
+		Eager: true,
+		Interceptors: []endpoint.ClientInterceptor{
+			// With no tracer installed this is a pass-through that keeps the
+			// hot path allocation-free (BenchmarkInteractRPC's band).
+			endpoint.WithTracing(c.traceRef, "rpc.call"),
+		},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)

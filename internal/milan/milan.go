@@ -115,10 +115,9 @@ type System struct {
 	Sink netsim.NodeID
 	// SinkPos is used for per-round energy estimation.
 	SinkPos netsim.Position
-	// Range is the radio range for hop estimation (default 25).
+	// Range is the radio range for hop estimation (default 25). Energy
+	// follows netsim.DefaultRadio.
 	Range float64
-	// Radio is the energy model (default netsim.DefaultRadio).
-	Radio netsim.RadioParams
 }
 
 // Validate checks the system.
@@ -159,13 +158,6 @@ func (s *System) radioRange() float64 {
 		return s.Range
 	}
 	return 25
-}
-
-func (s *System) radio() netsim.RadioParams {
-	if s.Radio != (netsim.RadioParams{}) {
-		return s.Radio
-	}
-	return netsim.DefaultRadio()
 }
 
 // SetQuality computes the combined quality the sensor subset (indices into
@@ -214,11 +206,11 @@ func (s *System) roundCost(i int, positions map[netsim.NodeID]netsim.Position) f
 	sn := s.Sensors[i]
 	pos, ok := positions[sn.Node]
 	if !ok {
-		return s.radio().TxEnergy(sn.SampleBytes, s.radioRange())
+		return netsim.DefaultRadio().TxEnergy(sn.SampleBytes, s.radioRange())
 	}
 	d := pos.Distance(s.SinkPos)
 	hop := math.Min(d, s.radioRange())
-	return s.radio().TxEnergy(sn.SampleBytes, hop)
+	return netsim.DefaultRadio().TxEnergy(sn.SampleBytes, hop)
 }
 
 // PredictedLifetime estimates how many reporting rounds the subset survives:

@@ -84,12 +84,15 @@ func (r RadioParams) RxEnergy(n int) float64 {
 	return r.ElecJPerBit * float64(n*8)
 }
 
-// Config parameterizes a Network.
+// initialEnergy is each node's starting budget in joules under AddNode (use
+// Config.Unlimited for no budget).
+const initialEnergy = 2.0
+
+// Config parameterizes a Network. Every network spends energy by
+// DefaultRadio and starts lossless; SetLossRate changes that at runtime.
 type Config struct {
 	// Range is the radio range in meters (default 25).
 	Range float64
-	// LossRate is the independent per-packet loss probability (default 0).
-	LossRate float64
 	// Latency is the fixed one-hop delivery delay (default 0: synchronous
 	// delivery).
 	Latency time.Duration
@@ -98,11 +101,6 @@ type Config struct {
 	// InboxSize is each node's receive queue capacity; packets arriving at a
 	// full queue are dropped and counted (default 256).
 	InboxSize int
-	// Radio is the energy model (default DefaultRadio).
-	Radio RadioParams
-	// InitialEnergy is each node's starting budget in joules (default 2 J;
-	// 0 keeps the default, use Unlimited for no budget).
-	InitialEnergy float64
 	// Unlimited disables energy accounting deaths (consumption still
 	// tracked).
 	Unlimited bool
@@ -124,12 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InboxSize <= 0 {
 		c.InboxSize = 256
-	}
-	if c.Radio == (RadioParams{}) {
-		c.Radio = DefaultRadio()
-	}
-	if c.InitialEnergy <= 0 {
-		c.InitialEnergy = 2
 	}
 	if c.Clock == nil {
 		c.Clock = simtime.Real{}
@@ -167,11 +159,12 @@ type Network struct {
 	cfg      Config
 	traceRef *trace.Ref
 
-	mu      sync.Mutex
-	rng     *rand.Rand
-	nodes   map[NodeID]*simNode
-	severed map[[2]NodeID]bool
-	closed  bool
+	mu       sync.Mutex
+	rng      *rand.Rand
+	lossRate float64 // independent per-packet loss probability
+	nodes    map[NodeID]*simNode
+	severed  map[[2]NodeID]bool
+	closed   bool
 
 	wg   sync.WaitGroup
 	stop chan struct{}
@@ -228,7 +221,7 @@ func (n *Network) Close() {
 
 // AddNode places a node on the field with the default energy budget.
 func (n *Network) AddNode(id NodeID, pos Position) error {
-	return n.AddNodeEnergy(id, pos, n.cfg.InitialEnergy)
+	return n.AddNodeEnergy(id, pos, initialEnergy)
 }
 
 // AddNodeEnergy places a node with an explicit energy budget in joules.
@@ -409,16 +402,9 @@ func (n *Network) SetLossRate(p float64) float64 {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	prev := n.cfg.LossRate
-	n.cfg.LossRate = p
+	prev := n.lossRate
+	n.lossRate = p
 	return prev
-}
-
-// LossRate returns the current per-packet loss probability.
-func (n *Network) LossRate() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.cfg.LossRate
 }
 
 // SetLatency replaces the fixed one-hop delay and jitter at runtime and
@@ -537,7 +523,7 @@ func (n *Network) send(from, to NodeID, data []byte) (time.Time, error) {
 		return time.Time{}, fmt.Errorf("%w: %s -> %s", ErrLinkSevered, from, to)
 	}
 
-	n.chargeLocked(src, n.cfg.Radio.TxEnergy(len(data), d))
+	n.chargeLocked(src, DefaultRadio().TxEnergy(len(data), d))
 	n.count("sent", 1)
 	n.count("bytes", int64(len(data)))
 
@@ -545,12 +531,12 @@ func (n *Network) send(from, to NodeID, data []byte) (time.Time, error) {
 		n.mu.Unlock()
 		return time.Time{}, fmt.Errorf("%w: %s", ErrNodeDead, to)
 	}
-	if n.cfg.LossRate > 0 && n.rng.Float64() < n.cfg.LossRate {
+	if n.lossRate > 0 && n.rng.Float64() < n.lossRate {
 		n.mu.Unlock()
 		n.count("lost", 1)
 		return time.Time{}, fmt.Errorf("%w: %s -> %s", ErrPacketLost, from, to)
 	}
-	n.chargeLocked(dst, n.cfg.Radio.RxEnergy(len(data)))
+	n.chargeLocked(dst, DefaultRadio().RxEnergy(len(data)))
 	if !dst.alive { // RX cost may have exhausted the destination
 		n.mu.Unlock()
 		return time.Time{}, fmt.Errorf("%w: %s", ErrNodeDead, to)
@@ -612,7 +598,7 @@ func (n *Network) broadcast(from NodeID, data []byte) (int, time.Time, error) {
 		n.mu.Unlock()
 		return 0, time.Time{}, fmt.Errorf("%w: %s", ErrNodeDead, from)
 	}
-	n.chargeLocked(src, n.cfg.Radio.TxEnergy(len(data), n.cfg.Range))
+	n.chargeLocked(src, DefaultRadio().TxEnergy(len(data), n.cfg.Range))
 	n.count("sent", 1)
 	n.count("broadcasts", 1)
 	n.count("bytes", int64(len(data)))
@@ -631,11 +617,11 @@ func (n *Network) broadcast(from NodeID, data []byte) (int, time.Time, error) {
 		if src.pos.Distance(other.pos) > n.cfg.Range || n.severedLocked(from, oid) {
 			continue
 		}
-		if n.cfg.LossRate > 0 && n.rng.Float64() < n.cfg.LossRate {
+		if n.lossRate > 0 && n.rng.Float64() < n.lossRate {
 			n.count("lost", 1)
 			continue
 		}
-		n.chargeLocked(other, n.cfg.Radio.RxEnergy(len(data)))
+		n.chargeLocked(other, DefaultRadio().RxEnergy(len(data)))
 		if !other.alive {
 			continue
 		}

@@ -138,7 +138,8 @@ func TestSendUnknownAndDead(t *testing.T) {
 }
 
 func TestLossRate(t *testing.T) {
-	n := testNet(t, Config{Range: 10, LossRate: 1.0, Unlimited: true})
+	n := testNet(t, Config{Range: 10, Unlimited: true})
+	n.SetLossRate(1.0)
 	mustAdd(t, n, "a", Position{0, 0})
 	mustAdd(t, n, "b", Position{1, 0})
 	for i := 0; i < 5; i++ {
@@ -152,7 +153,8 @@ func TestLossRate(t *testing.T) {
 }
 
 func TestLossRateStatistical(t *testing.T) {
-	n := testNet(t, Config{Range: 10, LossRate: 0.3, Unlimited: true, Seed: 42})
+	n := testNet(t, Config{Range: 10, Unlimited: true, Seed: 42})
+	n.SetLossRate(0.3)
 	mustAdd(t, n, "a", Position{0, 0})
 	mustAdd(t, n, "b", Position{1, 0})
 	rx, _ := n.Recv("b")

@@ -30,7 +30,7 @@ func pushBounded(ring []Record, rec Record, capacity int) []Record {
 }
 
 func (m *model) record(rec Record) {
-	if rec.tailWorthy(m.slow) {
+	if rec.tailWorthy() {
 		m.tail = pushBounded(m.tail, rec, m.tailCap)
 	} else if m.seen++; m.seen%m.every == 0 {
 		m.healthy = pushBounded(m.healthy, rec, m.healthyCap)
@@ -89,9 +89,8 @@ func runModelOps(t *testing.T, data []byte) {
 		return
 	}
 	capacity, every := 8+int(data[0])%57, 1+int(data[1])%4
-	r := New(Options{Capacity: capacity, SampleEvery: every,
-		SlowThreshold: 50 * time.Millisecond, Registry: obs.NewRegistry()})
-	m := &model{slow: 50 * time.Millisecond, every: uint64(every),
+	r := New(Options{Capacity: capacity, SampleEvery: every, Registry: obs.NewRegistry()})
+	m := &model{every: uint64(every),
 		tailCap: capacity * 3 / 4, healthyCap: capacity - capacity*3/4}
 	pick := func(from []string, b byte) string { return from[int(b)%len(from)] }
 
@@ -101,7 +100,7 @@ func runModelOps(t *testing.T, data []byte) {
 			Topic: pick(modelTopics, ops[0]), Peer: pick(modelPeers, ops[0]>>4),
 			Lane: pick(modelLanes, ops[1]), Kind: pick(modelKinds, ops[1]>>4),
 			Outcome: pick(modelOutcomes, ops[2]), ShedReason: pick(modelReasons, ops[2]>>4),
-			Latency:     []time.Duration{time.Millisecond, 0, 60 * time.Millisecond, 49 * time.Millisecond}[ops[3]%4],
+			Latency:     []time.Duration{time.Millisecond, 0, slowThreshold + 10*time.Millisecond, slowThreshold - time.Millisecond}[ops[3]%4],
 			QueueWait:   time.Duration(ops[3]>>2) * time.Microsecond,
 			HasDeadline: ops[4]&1 != 0, DeadlineSlack: time.Duration(int8(ops[4]>>1)) * time.Millisecond,
 			Retries: int(ops[4] >> 6), TraceID: uint64(ops[3])<<56 | 1, SpanID: uint64(ops[4]),

@@ -57,9 +57,16 @@ const (
 	OutcomeUnavailable = "unavailable"
 )
 
-// OverflowTopic absorbs per-topic digests beyond MaxTopics, keeping the
+// OverflowTopic absorbs per-topic digests beyond maxTopics, keeping the
 // aggregate plane cardinality-bounded whatever the topic space does.
 const OverflowTopic = "~other"
+
+const (
+	// maxTopics bounds per-topic digest cardinality.
+	maxTopics = 64
+	// slowThreshold marks a healthy request tail-worthy by latency alone.
+	slowThreshold = 100 * time.Millisecond
+)
 
 // Record is one wide event. Durations are nanoseconds on the wire (Go's
 // native Duration encoding); exemplar IDs are the in-band trace context, so
@@ -93,14 +100,14 @@ type Record struct {
 }
 
 // tailWorthy classifies a record for retention: anything anomalous — a
-// non-ok outcome, latency at or beyond the slow threshold, a deadline
+// non-ok outcome, latency at or beyond slowThreshold, a deadline
 // finished tight (under a quarter of its budget left) or blown — is always
 // kept. Healthy traffic is sampled instead.
-func (r *Record) tailWorthy(slow time.Duration) bool {
+func (r *Record) tailWorthy() bool {
 	if r.Outcome != OutcomeOK {
 		return true
 	}
-	if slow > 0 && r.Latency >= slow {
+	if r.Latency >= slowThreshold {
 		return true
 	}
 	if r.HasDeadline {
@@ -122,12 +129,6 @@ type Options struct {
 	Capacity int
 	// SampleEvery keeps one in N healthy records (default 64; 1 keeps all).
 	SampleEvery int
-	// SlowThreshold marks a healthy request tail-worthy by latency alone
-	// (default 100ms; <0 disables the latency criterion).
-	SlowThreshold time.Duration
-	// MaxTopics bounds per-topic digest cardinality; overflow folds into
-	// OverflowTopic (default 64).
-	MaxTopics int
 	// Registry receives the recorder's counters (nil: the process default):
 	// "reqlog.recorded", "reqlog.tail", "reqlog.sampled".
 	Registry *obs.Registry
@@ -142,15 +143,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SampleEvery <= 0 {
 		o.SampleEvery = 64
-	}
-	if o.SlowThreshold == 0 {
-		o.SlowThreshold = 100 * time.Millisecond
-	}
-	if o.SlowThreshold < 0 {
-		o.SlowThreshold = 0
-	}
-	if o.MaxTopics <= 0 {
-		o.MaxTopics = 64
 	}
 	return o
 }
@@ -325,7 +317,7 @@ func New(opts Options) *Recorder {
 		sampled:  reg.Counter("reqlog.sampled"),
 		tail:     ring{buf: make([]slot, tailCap), names: names},
 		healthy:  ring{buf: make([]slot, healthyCap), names: names},
-		topics:   make(map[string]*sketch.Hist, opts.MaxTopics),
+		topics:   make(map[string]*sketch.Hist, maxTopics),
 		topk:     sketch.NewTopK(sketch.DefaultTopKCapacity),
 	}
 }
@@ -341,7 +333,7 @@ func (r *Recorder) Record(rec Record) {
 		lat = r.newTopicLocked(rec.Topic)
 	}
 	lat.Add(float64(rec.Latency) / float64(time.Millisecond))
-	if rec.tailWorthy(r.opts.SlowThreshold) {
+	if rec.tailWorthy() {
 		r.tail.push(rec)
 		r.mu.Unlock()
 		r.tailKept.Inc(1)
@@ -360,7 +352,7 @@ func (r *Recorder) Record(rec Record) {
 
 // newTopicLocked creates (or overflows) a topic's aggregate slot.
 func (r *Recorder) newTopicLocked(topic string) *sketch.Hist {
-	if len(r.topics) >= r.opts.MaxTopics {
+	if len(r.topics) >= maxTopics {
 		if r.overflow == nil {
 			r.overflow = new(sketch.Hist)
 			r.topics[OverflowTopic] = r.overflow

@@ -11,10 +11,9 @@ import (
 
 func testOpts() Options {
 	return Options{
-		Capacity:      64, // 48 tail + 16 healthy
-		SampleEvery:   4,
-		SlowThreshold: 50 * time.Millisecond,
-		Registry:      obs.NewRegistry(),
+		Capacity:    64, // 48 tail + 16 healthy
+		SampleEvery: 4,
+		Registry:    obs.NewRegistry(),
 	}
 }
 
@@ -69,7 +68,7 @@ func TestTailRetentionSurvivesHealthyFlood(t *testing.T) {
 
 // TestTailClassification walks the classifier's boundaries.
 func TestTailClassification(t *testing.T) {
-	slow := 50 * time.Millisecond
+	slow := slowThreshold
 	cases := []struct {
 		name string
 		rec  Record
@@ -89,7 +88,7 @@ func TestTailClassification(t *testing.T) {
 			HasDeadline: true, DeadlineSlack: 40 * time.Millisecond}, false},
 	}
 	for _, tc := range cases {
-		if got := tc.rec.tailWorthy(slow); got != tc.want {
+		if got := tc.rec.tailWorthy(); got != tc.want {
 			t.Errorf("%s: tailWorthy = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -158,22 +157,22 @@ func TestSnapshotFilters(t *testing.T) {
 }
 
 func TestTopicOverflowFoldsIntoOther(t *testing.T) {
-	r := New(Options{Capacity: 64, MaxTopics: 4, SampleEvery: 1, Registry: obs.NewRegistry()})
+	r := New(Options{Capacity: 64, SampleEvery: 1, Registry: obs.NewRegistry()})
 	base := time.Unix(1_700_000_000, 0)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < maxTopics+16; i++ {
 		rec := okRecord(base.Add(time.Duration(i)*time.Second), fmt.Sprintf("topic-%d", i))
 		rec.Latency = 5 * time.Millisecond
 		r.Record(rec)
 	}
 	topics := r.Topics()
-	if len(topics) != 5 { // 4 real + ~other
-		t.Fatalf("topics = %v, want 4 + overflow", topics)
+	if len(topics) != maxTopics+1 {
+		t.Fatalf("topics = %v, want %d + overflow", topics, maxTopics)
 	}
 	if q, ok := r.TopicQuantile(OverflowTopic, 0.5); !ok || q <= 0 {
 		t.Errorf("overflow digest quantile = %v, %v", q, ok)
 	}
 	// Digest payloads decode and cover all slots.
-	if d := r.TopicDigests(); len(d) != 5 {
+	if d := r.TopicDigests(); len(d) != maxTopics+1 {
 		t.Errorf("TopicDigests len = %d", len(d))
 	}
 }

@@ -29,10 +29,6 @@ type QuotaAdapterOptions struct {
 	// Boost is the widened quota applied while the objective burns at
 	// warning or worse (must exceed Base).
 	Boost int
-	// Step is how many slots each calm evaluation decays the quota by on
-	// the way back down (default 1) — recovery is gradual so a flapping
-	// burn does not slam the shared pool open and shut.
-	Step int
 	// Servers are the admission controllers to retune (at least one).
 	Servers []LaneServer
 	// Registry receives the adapter's instruments (nil: process default):
@@ -43,7 +39,7 @@ type QuotaAdapterOptions struct {
 // QuotaAdapter is the end-to-end reactive consumer of the alert feed: while
 // its objective burns, the control lane's reserved quota widens to Boost —
 // borrowing from the shared pool so bulk work funds the control loop's
-// headroom — and after recovery it decays back to Base one step per calm
+// headroom — and after recovery it decays back to Base one slot per calm
 // evaluation. It closes the PR-8 loop: quotas stop being a hand-tuned
 // constant and start following the telemetry the lanes themselves emit.
 type QuotaAdapter struct {
@@ -73,9 +69,6 @@ func NewQuotaAdapter(e *Engine, opts QuotaAdapterOptions) (*QuotaAdapter, error)
 	if opts.Base < 0 || opts.Boost <= opts.Base {
 		return nil, fmt.Errorf("slo: quota adapter needs Boost (%d) > Base (%d) >= 0", opts.Boost, opts.Base)
 	}
-	if opts.Step <= 0 {
-		opts.Step = 1
-	}
 	r := obs.Or(opts.Registry)
 	a := &QuotaAdapter{
 		opts:    opts,
@@ -90,17 +83,15 @@ func NewQuotaAdapter(e *Engine, opts QuotaAdapterOptions) (*QuotaAdapter, error)
 
 // step is the per-evaluation decision: burning (warning or worse) jumps the
 // quota to Boost at once — widening late defeats the point — while calm
-// evaluations walk it back toward Base by Step.
+// evaluations walk it back toward Base one slot at a time, so a flapping burn
+// does not slam the shared pool open and shut.
 func (a *QuotaAdapter) step(sev Severity) {
 	a.mu.Lock()
 	next := a.current
 	if sev >= Warning {
 		next = a.opts.Boost
 	} else if a.current > a.opts.Base {
-		next = a.current - a.opts.Step
-		if next < a.opts.Base {
-			next = a.opts.Base
-		}
+		next = a.current - 1
 	}
 	changed := next != a.current
 	boosted := changed && next == a.opts.Boost && a.current < next

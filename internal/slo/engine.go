@@ -24,11 +24,12 @@ type Options struct {
 	// default): "slo.evaluations", "slo.transitions", and the
 	// "slo.alerts.warning" / "slo.alerts.critical" gauges.
 	Registry *obs.Registry
-	// FreshnessWindow caps the per-node sample ring freshness objectives
-	// evaluate over (default 64 samples). Bounded: a freshness objective
-	// costs a fixed ring per node, nothing more.
-	FreshnessWindow int
 }
+
+// freshnessWindow caps the per-node sample ring freshness and quantile
+// objectives evaluate over. Bounded: such an objective costs a fixed ring
+// per node, nothing more.
+const freshnessWindow = 64
 
 // Transition is one alert state change.
 type Transition struct {
@@ -170,9 +171,6 @@ func New(opts Options) (*Engine, error) {
 	if opts.Clock == nil {
 		opts.Clock = simtime.Real{}
 	}
-	if opts.FreshnessWindow <= 0 {
-		opts.FreshnessWindow = 64
-	}
 	r := obs.Or(opts.Registry)
 	return &Engine{
 		opts:        opts,
@@ -254,7 +252,7 @@ func (e *Engine) Evaluate() []Transition {
 			if inst == nil {
 				inst = &alertInstance{obj: o, node: node, since: now}
 				if o.Kind == KindFreshness || o.Kind == KindQuantile {
-					inst.freshRing = make([]telemetry.Point, e.opts.FreshnessWindow)
+					inst.freshRing = make([]telemetry.Point, freshnessWindow)
 				}
 				e.instances[k] = inst
 			}

@@ -38,14 +38,15 @@ const reliableHeader = "tx-rel"
 // dedupeWindow bounds the receiver's duplicate-suppression memory per peer.
 const dedupeWindow = 4096
 
+// recvBuffer is the delivered-message queue depth.
+const recvBuffer = 64
+
 // LinkConfig tunes a reliable link.
 type LinkConfig struct {
 	// RetryInterval is the retransmission period (default 50ms).
 	RetryInterval time.Duration
 	// MaxRetries bounds retransmissions per message (default 5).
 	MaxRetries int
-	// RecvBuffer is the delivered-message queue depth (default 64).
-	RecvBuffer int
 	// Clock drives retransmission timers (default real).
 	Clock simtime.Clock
 }
@@ -56,9 +57,6 @@ func (c LinkConfig) withDefaults() LinkConfig {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 5
-	}
-	if c.RecvBuffer <= 0 {
-		c.RecvBuffer = 64
 	}
 	if c.Clock == nil {
 		c.Clock = simtime.Real{}
@@ -99,7 +97,7 @@ func NewLink(conn transport.Conn, cfg LinkConfig) *Link {
 		waiters: make(map[uint64]chan struct{}),
 		seen:    make(map[string]map[uint64]bool),
 		seenOrd: make(map[string][]uint64),
-		recv:    make(chan *wire.Message, cfg.withDefaults().RecvBuffer),
+		recv:    make(chan *wire.Message, recvBuffer),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}

@@ -15,7 +15,8 @@ import (
 // packets, and every message still arrives exactly once — the §3.6 delivery
 // guarantee built from an unreliable substrate.
 func TestReliableLinkOverLossyRadio(t *testing.T) {
-	net := netsim.New(netsim.Config{Range: 50, LossRate: 0.3, Unlimited: true, Seed: 99})
+	net := netsim.New(netsim.Config{Range: 50, Unlimited: true, Seed: 99})
+	net.SetLossRate(0.3)
 	t.Cleanup(net.Close)
 	for _, id := range []netsim.NodeID{"a", "b"} {
 		if err := net.AddNode(id, netsim.Position{}); err != nil {

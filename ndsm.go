@@ -143,12 +143,8 @@ var (
 
 // --- discovery (§3.3) ---
 
-// Resolver is the uniform discovery API all organizations implement;
-// Registry is its historical alias.
-type (
-	Resolver = discovery.Resolver
-	Registry = discovery.Registry
-)
+// Resolver is the uniform discovery API all organizations implement.
+type Resolver = discovery.Resolver
 
 // Store is the in-process leased advertisement table.
 type Store = discovery.Store
