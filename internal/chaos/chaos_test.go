@@ -317,7 +317,6 @@ func TestWorldCloseStopsGoroutines(t *testing.T) {
 	}{
 		{"plain", WorldConfig{Seed: 1, NoLiveness: true}},
 		{"liveness", WorldConfig{Seed: 1}},
-		{"telemetry", WorldConfig{Seed: 1, Telemetry: true}},
 		{"slo", WorldConfig{Seed: 1, SLO: true}},
 		{"overload", WorldConfig{Seed: 1, Overload: true}},
 		{"cluster", WorldConfig{Seed: 1, Cluster: true}},

@@ -185,7 +185,8 @@ func suspectBeforeViolate(w *World, events []Event) []string {
 }
 
 // telemetryFreshness checks the telemetry plane's staleness contract around
-// network partitions (it only applies to worlds built with Telemetry):
+// network partitions (it only applies to worlds built with SLO, which builds
+// the telemetry plane):
 //
 //  1. Stale on silence: once a supplier is partitioned away from the
 //     aggregator, its reports stop arriving, so the aggregator must mark it

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,12 +21,13 @@ func partitionSchedule(target string, fromTick, ticks int) Schedule {
 	}}
 }
 
-// TestTelemetryFreshnessAroundPartition drives a telemetry world directly and
-// watches one supplier's freshness verdict flip stale while partitioned from
-// the aggregator and fresh again after the heal.
+// TestTelemetryFreshnessAroundPartition drives an SLO world (the world that
+// builds the telemetry plane) directly and watches one supplier's freshness
+// verdict flip stale while partitioned from the aggregator and fresh again
+// after the heal.
 func TestTelemetryFreshnessAroundPartition(t *testing.T) {
 	vclock := simtime.NewVirtual(time.Unix(0, 0))
-	w, err := NewWorld(WorldConfig{Seed: 1, NoLiveness: true, Telemetry: true}, vclock, nil)
+	w, err := NewWorld(WorldConfig{Seed: 1, NoLiveness: true, SLO: true}, vclock, nil)
 	if err != nil {
 		t.Fatalf("world: %v", err)
 	}
@@ -117,19 +120,26 @@ func TestTelemetryFreshnessAroundPartition(t *testing.T) {
 		}
 	}
 
-	// The aggregator's merged view carries one series set per supplier.
+	// The aggregator's merged view carries one series set per supplier, and
+	// one for the consumer's own self-ingested workload report.
 	view := w.Aggregator().View()
-	if len(view.Nodes) != len(w.SupplierIDs()) {
-		t.Fatalf("cluster view has %d nodes, want %d", len(view.Nodes), len(w.SupplierIDs()))
+	want := append(w.SupplierIDs(), ConsumerID)
+	sort.Strings(want)
+	var got []string
+	for _, nv := range view.Nodes {
+		got = append(got, nv.Node)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("cluster view has nodes %v, want %v", got, want)
 	}
 }
 
 // TestTelemetryScenarioInvariantClean runs the same partition window through
-// RunScenario with telemetry on: the telemetry-freshness invariant must judge
-// the run clean, alongside every pre-existing invariant.
+// RunScenario with the SLO plane on: the telemetry-freshness invariant must
+// judge the run clean, alongside every pre-existing invariant.
 func TestTelemetryScenarioInvariantClean(t *testing.T) {
 	res, err := RunScenario(ScenarioConfig{
-		WorldConfig: WorldConfig{Seed: 2, Telemetry: true},
+		WorldConfig: WorldConfig{Seed: 2, SLO: true},
 		Ticks:       30,
 		Schedule:    partitionSchedule("s1", 6, 10),
 	})

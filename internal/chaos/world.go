@@ -47,12 +47,6 @@ type WorldConfig struct {
 	// stack (hour-long leases, reactive rebinds only) — the baseline E11
 	// measures against.
 	NoLiveness bool
-	// Telemetry turns on the cluster telemetry plane: the consumer node
-	// hosts an aggregator on its existing listener, every live supplier
-	// publishes one in-band report per tick (schedule-clock timestamps),
-	// and the world records each supplier's end-of-tick freshness verdict —
-	// the trace the telemetry-freshness invariant checks around partitions.
-	Telemetry bool
 	// Cluster replaces the single registry node with a replicated sharded
 	// cluster of ClusterSize members ("registry0" .. "registry2"): every
 	// endpoint resolves through a scatter-gather cluster resolver instead of
@@ -69,8 +63,13 @@ type WorldConfig struct {
 	// judges: bulk may shed freely, but no control probe may shed on a tick
 	// where bulk traffic was admitted.
 	Overload bool
-	// SLO turns on the alerting plane (implies Telemetry): the consumer runs
-	// a burn-rate engine over the aggregator, self-ingesting one report per
+	// SLO turns on the cluster telemetry plane and the alerting plane over
+	// it. Telemetry: the consumer node hosts an aggregator on its existing
+	// listener, every live supplier publishes one in-band report per tick
+	// (schedule-clock timestamps), and the world records each supplier's
+	// end-of-tick freshness verdict — the trace the telemetry-freshness
+	// invariant checks around partitions. Alerting: the consumer runs a
+	// burn-rate engine over the aggregator, self-ingesting one report per
 	// tick with its own workload counters (control-probe outcomes, lookup
 	// outcomes, bulk admit/shed totals) so ratio objectives have series to
 	// judge. Objectives installed: telemetry-freshness over every reporting
@@ -208,7 +207,7 @@ type World struct {
 	supplier []string           // supplier IDs in creation order
 	health   *health.Monitor    // consumer's liveness monitor (nil with NoLiveness)
 
-	// Telemetry plane (nil/empty unless WorldConfig.Telemetry).
+	// Telemetry plane (nil/empty unless WorldConfig.SLO).
 	agg        *telemetry.Aggregator
 	publishers map[string]*telemetry.Publisher
 	pubCallers map[string]*endpoint.Caller
@@ -604,12 +603,10 @@ func (w *World) build() error {
 	}
 	w.binding = binding
 
-	if cfg.Telemetry || cfg.SLO {
+	if cfg.SLO {
 		if err := w.buildTelemetry(consumer); err != nil {
 			return err
 		}
-	}
-	if cfg.SLO {
 		if err := w.buildSLO(); err != nil {
 			return err
 		}
@@ -970,7 +967,7 @@ func (w *World) setDead(id string, dead bool) {
 func (w *World) Health() *health.Monitor { return w.health }
 
 // Aggregator returns the consumer-hosted telemetry aggregator (nil unless
-// the world was built with Telemetry).
+// the world was built with SLO).
 func (w *World) Aggregator() *telemetry.Aggregator { return w.agg }
 
 // DeadAttempts counts ticks whose request was aimed at a crash-killed

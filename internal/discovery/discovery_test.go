@@ -900,11 +900,7 @@ func TestFloodTracePropagatesAcrossNetmuxHop(t *testing.T) {
 	col := trace.NewCollector(256)
 	tracers := make([]*trace.Tracer, 3)
 	for i := range tracers {
-		tracers[i] = trace.New(trace.Options{
-			Name:      fmt.Sprintf("n%d", i),
-			Collector: col,
-			Seed:      int64(i + 1),
-		})
+		tracers[i] = trace.New(trace.Options{Name: fmt.Sprintf("n%d", i), Collector: col})
 	}
 	_, agents := floodField(t, 3, AgentConfig{CollectWindow: 200 * time.Millisecond})
 	for i, a := range agents {

@@ -675,8 +675,8 @@ func waitPending(t *testing.T, clock *simtime.Virtual, n int) {
 // new server's span is parented under it.
 func TestTracingSurvivesRedial(t *testing.T) {
 	col := trace.NewCollector(64)
-	ctr := trace.New(trace.Options{Name: "client", Collector: col, Seed: 1})
-	str := trace.New(trace.Options{Name: "server", Collector: col, Seed: 2})
+	ctr := trace.New(trace.Options{Name: "client", Collector: col})
+	str := trace.New(trace.Options{Name: "server", Collector: col})
 	cref := trace.NewRef(ctr)
 	sref := trace.NewRef(str)
 

@@ -149,9 +149,6 @@ func WithTracing(ref *trace.Ref, name string) ClientInterceptor {
 				return next(call)
 			}
 			sp := t.StartSpan(name, trace.Context{})
-			if sp == nil { // trace sampled out
-				return next(call)
-			}
 			sp.SetAttr("topic", call.Topic)
 			if call.Dst != "" {
 				sp.SetAttr("dst", call.Dst)

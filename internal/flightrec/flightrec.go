@@ -35,8 +35,6 @@ import (
 type Options struct {
 	// Clock stamps bundles and paces the rate limit (default real time).
 	Clock simtime.Clock
-	// Capacity bounds the retained bundle ring (default 8; oldest evicted).
-	Capacity int
 	// MinInterval rate-limits snapshots: triggers arriving sooner after the
 	// previous bundle are counted but not recorded (default 0: no limit).
 	// A flapping alert must not turn the recorder into an allocation storm.
@@ -58,6 +56,8 @@ type Options struct {
 }
 
 const (
+	// capacity bounds the retained bundle ring, oldest evicted.
+	capacity = 8
 	// maxSpans bounds the spans copied per bundle, newest kept: a
 	// post-mortem wants the last moments, not the whole ring.
 	maxSpans = 256
@@ -130,9 +130,6 @@ func NewRecorder(opts Options) *Recorder {
 	if opts.Clock == nil {
 		opts.Clock = simtime.Real{}
 	}
-	if opts.Capacity <= 0 {
-		opts.Capacity = 8
-	}
 	return &Recorder{opts: opts}
 }
 
@@ -186,8 +183,8 @@ func (r *Recorder) Snapshot(t Trigger) *Bundle {
 	r.lastCut = now
 	r.hasCut = true
 	r.ring = append(r.ring, b)
-	if len(r.ring) > r.opts.Capacity {
-		r.ring = r.ring[len(r.ring)-r.opts.Capacity:]
+	if len(r.ring) > capacity {
+		r.ring = r.ring[len(r.ring)-capacity:]
 	}
 	r.mu.Unlock()
 	return b

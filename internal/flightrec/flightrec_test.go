@@ -103,28 +103,30 @@ func TestSnapshotCapturesAllPlanes(t *testing.T) {
 // TestRingBoundAndRateLimit checks eviction and MinInterval suppression.
 func TestRingBoundAndRateLimit(t *testing.T) {
 	vc := simtime.NewVirtual(time.Unix(0, 0))
-	rec, _ := fullRecorder(t, vc, Options{Capacity: 3, MinInterval: time.Second})
+	rec, _ := fullRecorder(t, vc, Options{MinInterval: time.Second})
 
-	for i := 0; i < 5; i++ {
+	const cuts = capacity + 2
+	for i := 0; i < cuts; i++ {
 		vc.Advance(time.Second)
 		if b := rec.Snapshot(Trigger{Objective: fmt.Sprintf("o%d", i), Severity: "critical"}); b == nil {
 			t.Fatalf("snapshot %d suppressed despite interval", i)
 		}
 	}
-	if rec.Len() != 3 || rec.Total() != 5 {
-		t.Fatalf("ring len %d total %d, want 3/5", rec.Len(), rec.Total())
+	if rec.Len() != capacity || rec.Total() != cuts {
+		t.Fatalf("ring len %d total %d, want %d/%d", rec.Len(), rec.Total(), capacity, cuts)
 	}
 	bundles := rec.Bundles()
-	if bundles[0].Trigger.Objective != "o2" || bundles[2].Trigger.Objective != "o4" {
-		t.Fatalf("eviction order wrong: %s..%s", bundles[0].Trigger.Objective, bundles[2].Trigger.Objective)
+	first, last := bundles[0].Trigger.Objective, bundles[capacity-1].Trigger.Objective
+	if first != "o2" || last != fmt.Sprintf("o%d", cuts-1) {
+		t.Fatalf("eviction order wrong: %s..%s", first, last)
 	}
 
 	// A flapping alert inside MinInterval is counted, not recorded.
 	if b := rec.Snapshot(Trigger{Objective: "flap", Severity: "critical"}); b != nil {
 		t.Fatal("rate limit did not suppress")
 	}
-	if rec.Suppressed() != 1 || rec.Total() != 5 {
-		t.Fatalf("suppressed %d total %d, want 1/5", rec.Suppressed(), rec.Total())
+	if rec.Suppressed() != 1 || rec.Total() != cuts {
+		t.Fatalf("suppressed %d total %d, want 1/%d", rec.Suppressed(), rec.Total(), cuts)
 	}
 }
 

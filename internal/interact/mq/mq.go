@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"ndsm/internal/endpoint"
-	"ndsm/internal/reqlog"
 	"ndsm/internal/simtime"
 	"ndsm/internal/trace"
 	"ndsm/internal/transport"
@@ -246,48 +245,17 @@ func (b *Broker) serveConn(conn transport.Conn) {
 type Client struct {
 	caller   *endpoint.Caller
 	traceRef *trace.Ref
-	lane     endpoint.Lane
 }
 
 // Dial connects to a broker.
 func Dial(tr transport.Transport, addr string) (*Client, error) {
-	return DialLane(tr, addr, endpoint.LaneDefault)
-}
-
-// DialLane connects to a broker with every request classified into an
-// admission lane (stamped in-band at the endpoint layer). Queue traffic is
-// the textbook bulk workload: a client feeding a telemetry or batch pipeline
-// dials with endpoint.LaneBulk so bounded servers along the path shed its
-// pushes before any control-lane work.
-func DialLane(tr transport.Transport, addr string, lane endpoint.Lane) (*Client, error) {
-	return DialWith(tr, addr, DialConfig{Lane: lane})
-}
-
-// DialConfig tunes a client's lane classification and request analytics.
-type DialConfig struct {
-	// Lane classifies every request from this client (DialLane's parameter).
-	Lane endpoint.Lane
-	// ReqLog records one wide event per queue operation; nil disables it.
-	ReqLog *reqlog.Recorder
-}
-
-// DialWith is Dial with full configuration.
-func DialWith(tr transport.Transport, addr string, cfg DialConfig) (*Client, error) {
-	c := &Client{traceRef: trace.NewRef(nil), lane: cfg.Lane}
-	interceptors := []endpoint.ClientInterceptor{
-		endpoint.WithTracing(c.traceRef, "mq.call"),
-		endpoint.WithMetrics(nil, "mq.client", nil),
-	}
-	if cfg.ReqLog != nil {
-		interceptors = append([]endpoint.ClientInterceptor{
-			endpoint.WithWideEvents(endpoint.WideEventOptions{
-				Recorder: cfg.ReqLog, Peer: addr,
-			}),
-		}, interceptors...)
-	}
+	c := &Client{traceRef: trace.NewRef(nil)}
 	caller, err := endpoint.NewCaller(tr, addr, endpoint.CallerOptions{
-		Eager:        true,
-		Interceptors: interceptors,
+		Eager: true,
+		Interceptors: []endpoint.ClientInterceptor{
+			endpoint.WithTracing(c.traceRef, "mq.call"),
+			endpoint.WithMetrics(nil, "mq.client", nil),
+		},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mq: dial %s: %w", addr, err)
@@ -308,7 +276,6 @@ func (c *Client) request(topic string, headers map[string]string, payload []byte
 		Topic:   topic,
 		Headers: headers,
 		Payload: payload,
-		Lane:    c.lane,
 		// The broker owns all waiting (long-poll bounded by WaitMillis), so
 		// the client itself waits without a local deadline, as before.
 		Timeout: endpoint.NoTimeout,
@@ -336,7 +303,6 @@ func (c *Client) PushAsync(queueName string, data []byte) *PushHandle {
 		Topic:   topicPush,
 		Headers: map[string]string{"queue": queueName},
 		Payload: data,
-		Lane:    c.lane,
 		Timeout: endpoint.NoTimeout,
 	})
 	return &PushHandle{fut: fut}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ndsm/internal/endpoint"
-	"ndsm/internal/reqlog"
 	"ndsm/internal/simtime"
 	"ndsm/internal/trace"
 	"ndsm/internal/transport"
@@ -38,31 +37,11 @@ type Server struct {
 	traceRef *trace.Ref
 }
 
-// ServerConfig tunes an RPC server's admission control: MaxInFlight bounds
-// concurrent dispatches (0 unlimited) and Lanes layers priority-lane quotas
-// and benefit-aware queue shedding over that bound (see endpoint.LaneConfig).
-type ServerConfig struct {
-	MaxInFlight int
-	Lanes       *endpoint.LaneConfig
-	// ReqLog records one wide event per dispatched or shed call (see
-	// reqlog); nil disables request analytics.
-	ReqLog *reqlog.Recorder
-}
-
 // NewServer starts serving on the listener with unlimited admission.
 func NewServer(l transport.Listener) *Server {
-	return NewServerWith(l, ServerConfig{})
-}
-
-// NewServerWith starts serving on the listener with the given admission
-// configuration.
-func NewServerWith(l transport.Listener, cfg ServerConfig) *Server {
 	s := &Server{traceRef: trace.NewRef(nil)}
 	s.ep = endpoint.NewServer(l, endpoint.ServerOptions{
-		Kinds:       []wire.Kind{wire.KindRequest},
-		MaxInFlight: cfg.MaxInFlight,
-		Lanes:       cfg.Lanes,
-		ReqLog:      cfg.ReqLog,
+		Kinds: []wire.Kind{wire.KindRequest},
 		Interceptors: []endpoint.ServerInterceptor{
 			endpoint.WithServerTracing(s.traceRef, "rpc.serve"),
 			endpoint.WithServerMetrics(nil, "rpc.server", nil),

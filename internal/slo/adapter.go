@@ -20,10 +20,6 @@ type QuotaAdapterOptions struct {
 	// Objective names the SLO whose burn drives the adapter — typically the
 	// control lane's deadline-miss ratio (required).
 	Objective string
-	// Lane is the lane whose reservation widens. The zero value means
-	// LaneControl — the adapter exists to protect hard-deadline traffic,
-	// and the default lane has no reservation to widen.
-	Lane endpoint.Lane
 	// Base is the steady-state reserved quota the adapter decays back to.
 	Base int
 	// Boost is the widened quota applied while the objective burns at
@@ -62,9 +58,6 @@ func NewQuotaAdapter(e *Engine, opts QuotaAdapterOptions) (*QuotaAdapter, error)
 	}
 	if len(opts.Servers) == 0 {
 		return nil, fmt.Errorf("slo: quota adapter needs at least one server")
-	}
-	if opts.Lane == endpoint.LaneDefault {
-		opts.Lane = endpoint.LaneControl
 	}
 	if opts.Base < 0 || opts.Boost <= opts.Base {
 		return nil, fmt.Errorf("slo: quota adapter needs Boost (%d) > Base (%d) >= 0", opts.Boost, opts.Base)
@@ -105,10 +98,12 @@ func (a *QuotaAdapter) step(sev Severity) {
 	}
 }
 
-// apply pushes the quota to every server and records it.
+// apply pushes the control lane's quota to every server and records it: the
+// adapter exists to protect hard-deadline traffic, and the default lane has
+// no reservation to widen.
 func (a *QuotaAdapter) apply(quota int) {
 	for _, s := range a.opts.Servers {
-		s.SetLaneQuota(a.opts.Lane, quota)
+		s.SetLaneQuota(endpoint.LaneControl, quota)
 	}
 	a.gauge.Set(float64(quota))
 }

@@ -132,15 +132,13 @@ type alertInstance struct {
 	obj  *Objective
 	node string
 
-	sev        Severity
-	since      time.Time
-	calm       int // consecutive evaluations below the current level
-	burnLong   float64
-	burnShort  float64
-	badFrac    float64
-	freshRing  []telemetry.Point // KindFreshness: engine-recorded samples
-	freshStart int
-	freshLen   int
+	sev       Severity
+	since     time.Time
+	calm      int // consecutive evaluations below the current level
+	burnLong  float64
+	burnShort float64
+	badFrac   float64
+	fresh     *telemetry.Series // KindFreshness, KindQuantile: engine-recorded samples
 }
 
 // Engine evaluates objectives against the aggregator on demand (Evaluate)
@@ -252,7 +250,7 @@ func (e *Engine) Evaluate() []Transition {
 			if inst == nil {
 				inst = &alertInstance{obj: o, node: node, since: now}
 				if o.Kind == KindFreshness || o.Kind == KindQuantile {
-					inst.freshRing = make([]telemetry.Point, freshnessWindow)
+					inst.fresh = telemetry.NewSeries(freshnessWindow)
 				}
 				e.instances[k] = inst
 			}
@@ -319,8 +317,8 @@ func (e *Engine) judgeLocked(inst *alertInstance, now time.Time) (Transition, bo
 		if !e.opts.Aggregator.Fresh(inst.node) {
 			stale = 1
 		}
-		inst.pushFresh(telemetry.Point{T: now, V: stale})
-		pts := inst.freshPoints()
+		inst.fresh.Append(telemetry.Point{T: now, V: stale})
+		pts := inst.fresh.Points()
 		longFrac, longOK = overFraction(pts, now, o.Window, 0.5)
 		shortFrac, shortOK = overFraction(pts, now, o.ShortWindow, 0.5)
 	case KindQuantile:
@@ -329,9 +327,9 @@ func (e *Engine) judgeLocked(inst *alertInstance, now time.Time) (Transition, bo
 		// quantile (like a staleness verdict) is not a stored series. No
 		// digests yet: no sample, and the windows stay inconclusive.
 		if v, ok := e.opts.Aggregator.TopicQuantile(o.Topic, o.Quantile); ok {
-			inst.pushFresh(telemetry.Point{T: now, V: v})
+			inst.fresh.Append(telemetry.Point{T: now, V: v})
 		}
-		pts := inst.freshPoints()
+		pts := inst.fresh.Points()
 		longFrac, longOK = overFraction(pts, now, o.Window, o.Max)
 		shortFrac, shortOK = overFraction(pts, now, o.ShortWindow, o.Max)
 	}
@@ -394,27 +392,6 @@ func ratioOver(bad, total []telemetry.Point, now time.Time, w time.Duration) (fl
 		badD = totalD
 	}
 	return badD / totalD, true
-}
-
-// pushFresh appends one staleness sample to the instance's bounded ring.
-func (inst *alertInstance) pushFresh(p telemetry.Point) {
-	n := len(inst.freshRing)
-	inst.freshRing[(inst.freshStart+inst.freshLen)%n] = p
-	if inst.freshLen < n {
-		inst.freshLen++
-	} else {
-		inst.freshStart = (inst.freshStart + 1) % n
-	}
-}
-
-// freshPoints returns the ring oldest-first. The slice is rebuilt per
-// evaluation; freshness objectives are few and the ring is small.
-func (inst *alertInstance) freshPoints() []telemetry.Point {
-	out := make([]telemetry.Point, 0, inst.freshLen)
-	for i := 0; i < inst.freshLen; i++ {
-		out = append(out, inst.freshRing[(inst.freshStart+i)%len(inst.freshRing)])
-	}
-	return out
 }
 
 // States snapshots every alert instance, sorted by objective then node.

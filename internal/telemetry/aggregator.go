@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ndsm/internal/endpoint"
-	"ndsm/internal/health"
 	"ndsm/internal/obs"
 	"ndsm/internal/simtime"
 	"ndsm/internal/sketch"
@@ -20,8 +19,6 @@ type AggregatorOptions struct {
 	// should advance in lockstep with the publishers' clocks — the cluster's
 	// shared time discipline, virtual in simulated worlds.
 	Clock simtime.Clock
-	// Window is the per-series point capacity (default 128).
-	Window int
 	// StaleAfter marks a node stale when no report has arrived for this
 	// long (default 15s — three missed publishes at the default interval).
 	StaleAfter time.Duration
@@ -34,14 +31,14 @@ func (o AggregatorOptions) withDefaults() AggregatorOptions {
 	if o.Clock == nil {
 		o.Clock = simtime.Real{}
 	}
-	if o.Window <= 0 {
-		o.Window = 128
-	}
 	if o.StaleAfter <= 0 {
 		o.StaleAfter = 15 * time.Second
 	}
 	return o
 }
+
+// seriesWindow is the point capacity of every aggregator series.
+const seriesWindow = 128
 
 // nodeState is everything the aggregator holds for one reporting node.
 type nodeState struct {
@@ -51,7 +48,6 @@ type nodeState struct {
 	reports  uint64
 	totals   map[string]int64 // cumulative counter totals (sum of deltas)
 	series   map[string]*Series
-	health   []health.PeerStatus
 	traceLen int
 	traceTot uint64
 	traceDrp uint64
@@ -103,14 +99,7 @@ func (a *Aggregator) Ingest(r *Report) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ns := a.nodes[r.Node]
-	if ns == nil {
-		ns = &nodeState{
-			totals: make(map[string]int64),
-			series: make(map[string]*Series),
-		}
-		a.nodes[r.Node] = ns
-	}
-	if ns.reports > 0 {
+	if ns != nil {
 		if r.Seq <= ns.lastSeq {
 			a.rejected.Inc(1)
 			return fmt.Errorf("telemetry: ingest %s: seq %d not after %d (duplicate or reorder)", r.Node, r.Seq, ns.lastSeq)
@@ -143,6 +132,15 @@ func (a *Aggregator) Ingest(r *Report) error {
 		}
 		topk = tk
 	}
+	// A node exists once one of its reports is accepted: a rejected first
+	// report leaves nothing behind to be judged stale.
+	if ns == nil {
+		ns = &nodeState{
+			totals: make(map[string]int64),
+			series: make(map[string]*Series),
+		}
+		a.nodes[r.Node] = ns
+	}
 	ns.lastSeq = r.Seq
 	ns.lastTime = r.Time
 	ns.lastSeen = now
@@ -157,7 +155,6 @@ func (a *Aggregator) Ingest(r *Report) error {
 	for name, v := range r.Gauges {
 		a.append(ns, name, r.Time, v)
 	}
-	ns.health = r.Health
 	ns.traceLen = r.TraceLen
 	ns.traceTot = r.TraceTotal
 	ns.traceDrp = r.TraceDropped
@@ -174,7 +171,7 @@ func (a *Aggregator) Ingest(r *Report) error {
 func (a *Aggregator) append(ns *nodeState, name string, t time.Time, v float64) {
 	s := ns.series[name]
 	if s == nil {
-		s = NewSeries(a.opts.Window)
+		s = NewSeries(seriesWindow)
 		ns.series[name] = s
 	}
 	s.Append(Point{T: t, V: v})
@@ -231,17 +228,16 @@ func (a *Aggregator) Series(node, metric string) []Point {
 
 // NodeView is one node's slice of the merged cluster view.
 type NodeView struct {
-	Node       string              `json:"node"`
-	Seq        uint64              `json:"seq"`
-	Reports    uint64              `json:"reports"`
-	LastReport time.Time           `json:"lastReport"`
-	Age        time.Duration       `json:"ageNs"`
-	Fresh      bool                `json:"fresh"`
-	Series     map[string][]Point  `json:"series"`
-	Health     []health.PeerStatus `json:"health,omitempty"`
-	TraceLen   int                 `json:"traceLen,omitempty"`
-	TraceTotal uint64              `json:"traceTotal,omitempty"`
-	TraceDrops uint64              `json:"traceDropped,omitempty"`
+	Node       string             `json:"node"`
+	Seq        uint64             `json:"seq"`
+	Reports    uint64             `json:"reports"`
+	LastReport time.Time          `json:"lastReport"`
+	Age        time.Duration      `json:"ageNs"`
+	Fresh      bool               `json:"fresh"`
+	Series     map[string][]Point `json:"series"`
+	TraceLen   int                `json:"traceLen,omitempty"`
+	TraceTotal uint64             `json:"traceTotal,omitempty"`
+	TraceDrops uint64             `json:"traceDropped,omitempty"`
 }
 
 // ClusterView is the merged view webbridge serves on GET /cluster.
@@ -258,7 +254,7 @@ type ClusterView struct {
 }
 
 // View snapshots the whole cluster: every node's series (copied), freshness
-// verdict, health view, and trace depth, sorted by node name.
+// verdict and trace depth, sorted by node name.
 func (a *Aggregator) View() ClusterView {
 	now := a.opts.Clock.Now()
 	a.mu.Lock()
@@ -272,7 +268,6 @@ func (a *Aggregator) View() ClusterView {
 			Age:        now.Sub(ns.lastSeen),
 			Fresh:      now.Sub(ns.lastSeen) <= a.opts.StaleAfter,
 			Series:     make(map[string][]Point, len(ns.series)),
-			Health:     append([]health.PeerStatus(nil), ns.health...),
 			TraceLen:   ns.traceLen,
 			TraceTotal: ns.traceTot,
 			TraceDrops: ns.traceDrp,

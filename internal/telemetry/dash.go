@@ -28,7 +28,7 @@ type DashAlert struct {
 }
 
 // RenderDashAlerts renders the cluster view as a single self-contained HTML
-// page: one card per node (freshness badge, per-peer health, trace depth)
+// page: one card per node (freshness badge, trace depth)
 // with an inline-SVG sparkline per metric series, under an alerts panel
 // listing every SLO alert instance with its severity, long-window burn rate,
 // and how long it has held its level (none when alerts is nil). No scripts,
@@ -49,7 +49,6 @@ table{border-collapse:collapse;font-size:.85em}
 td,th{padding:.1em .6em;text-align:left;border-bottom:1px solid #2a2a2a}
 .spark{vertical-align:middle} .val{color:#9cf}
 .peers{color:#aaa;font-size:.85em;margin:.3em 0}
-.sus{color:#f99}
 .alerts{border:1px solid #333;border-radius:6px;padding:.8em 1em;margin:.8em 0;background:#181818}
 .alerts h2{font-size:1em;margin:0 0 .4em}
 .sev-ok{background:#153;color:#9f9} .sev-warning{background:#542;color:#fc6} .sev-critical{background:#511;color:#f99}
@@ -71,21 +70,6 @@ td,th{padding:.1em .6em;text-align:left;border-bottom:1px solid #2a2a2a}
 			fmt.Fprintf(&b, " &middot; trace %d held / %d total / %d dropped", n.TraceLen, n.TraceTotal, n.TraceDrops)
 		}
 		b.WriteString("</p>\n")
-		if len(n.Health) > 0 {
-			b.WriteString(`<p class="peers">peers:`)
-			for _, p := range n.Health {
-				cls := ""
-				if p.Suspected {
-					cls = ` class="sus"`
-				}
-				fmt.Fprintf(&b, " <span%s>%s(%s", cls, html.EscapeString(p.Peer), html.EscapeString(p.Breaker))
-				if p.Suspected {
-					b.WriteString(", suspected")
-				}
-				b.WriteString(")</span>")
-			}
-			b.WriteString("</p>\n")
-		}
 		writeSeriesTable(&b, n.Series)
 		b.WriteString("</div>\n")
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ndsm/internal/endpoint"
-	"ndsm/internal/health"
 	"ndsm/internal/obs"
 	"ndsm/internal/reqlog"
 	"ndsm/internal/simtime"
@@ -21,9 +20,6 @@ type PublisherOptions struct {
 	// Each publish diffs it against the previous publish's snapshot, so
 	// reports carry deltas.
 	Registry *obs.Registry
-	// Health, when set, embeds the node's per-peer detector view in every
-	// report.
-	Health *health.Monitor
 	// Spans, when set, embeds the node's trace-collector depth.
 	Spans *trace.Collector
 	// ReqLog, when set, embeds the node's request-analytics sketches — the
@@ -80,7 +76,7 @@ func NewPublisher(opts PublisherOptions) (*Publisher, error) {
 	return p, nil
 }
 
-// Publish builds one report — snapshot delta, rates, health, trace depth —
+// Publish builds one report — snapshot delta, rates, trace depth, sketches —
 // and ships it synchronously through Send. Safe for concurrent use with a
 // running Start loop; each report consumes the delta exactly once.
 func (p *Publisher) Publish() error {
@@ -113,9 +109,6 @@ func (p *Publisher) Publish() error {
 		}
 		r.Gauges[name+".p50"] = h.P50
 		r.Gauges[name+".p99"] = h.P99
-	}
-	if p.opts.Health != nil {
-		r.Health = p.opts.Health.Status()
 	}
 	if c := p.opts.Spans; c != nil {
 		r.TraceLen = c.Len()

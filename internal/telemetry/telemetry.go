@@ -5,8 +5,8 @@
 //
 // Each node runs a Publisher that periodically serializes a compact Report —
 // the obs.Snapshot delta since its previous report, per-second rates derived
-// from that delta, gauge readings, the health monitor's per-peer verdicts,
-// and the trace collector's depth — stamped with the node's (possibly
+// from that delta, gauge readings, request-analytics sketches and the trace
+// collector's depth — stamped with the node's (possibly
 // simulated) clock. Reports ship in-band over the existing endpoint/wire
 // layer under the Topic constant: the plane piggybacks on the request/reply
 // substrate the way health heartbeats piggyback on discovery, so it costs no
@@ -25,8 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"ndsm/internal/health"
 )
 
 // Topic is the endpoint topic telemetry reports ride on. Any node hosting an
@@ -57,8 +55,6 @@ type Report struct {
 	Rates map[string]float64 `json:"rates,omitempty"`
 	// Gauges are instantaneous readings.
 	Gauges map[string]float64 `json:"gauges,omitempty"`
-	// Health is the node's failure-detector view of its peers.
-	Health []health.PeerStatus `json:"health,omitempty"`
 	// TraceLen, TraceTotal, and TraceDropped describe the node's span
 	// collector (zero when the node runs untraced).
 	TraceLen     int    `json:"traceLen,omitempty"`

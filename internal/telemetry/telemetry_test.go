@@ -83,6 +83,12 @@ func TestReportEncodeDecodeRoundtrip(t *testing.T) {
 	if _, err := DecodeReport([]byte("not json")); err == nil {
 		t.Fatal("decoding garbage succeeded")
 	}
+	// Reports once carried the publisher's per-peer detector view; one from
+	// such a publisher still decodes, its "health" key ignored.
+	old := `{"node":"n0","seq":2,"health":[{"peer":"p","breaker":"closed"}],"gauges":{"g":1}}`
+	if got, err := DecodeReport([]byte(old)); err != nil || got.Seq != 2 || got.Gauges["g"] != 1 {
+		t.Fatalf("report with a health key: %+v, %v", got, err)
+	}
 }
 
 // TestPublisherDeltasAndRates walks a publisher through two intervals on a

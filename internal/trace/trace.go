@@ -20,6 +20,7 @@ package trace
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -42,11 +43,11 @@ type Context struct {
 	SpanID  uint64
 }
 
-// Valid reports whether the context identifies a real sampled span.
+// Valid reports whether the context identifies a real span.
 func (c Context) Valid() bool { return c.TraceID != 0 && c.SpanID != 0 }
 
 // Inject writes c into a header map, allocating one when h is nil. Invalid
-// contexts (unsampled or disabled tracing) inject nothing and return h
+// contexts (disabled tracing) inject nothing and return h
 // unchanged — downstream stays untraced at zero cost.
 func Inject(c Context, h map[string]string) map[string]string {
 	if !c.Valid() {
@@ -120,8 +121,8 @@ type Span struct {
 	ended  bool
 }
 
-// Context returns the span's propagation context (zero for nil / unsampled
-// spans, so Inject on it is a no-op).
+// Context returns the span's propagation context (zero for a nil span, so
+// Inject on it is a no-op).
 func (s *Span) Context() Context {
 	if s == nil {
 		return Context{}
@@ -191,9 +192,12 @@ func (s *Span) Activate() func() {
 var noopRelease = func() {}
 
 // Options configures a Tracer. The zero value works: real clock, private
-// 4096-span collector, every trace sampled.
+// 4096-span collector. Every trace is recorded.
 type Options struct {
-	// Name stamps spans' Node field (default "node").
+	// Name stamps spans' Node field (default "node") and seeds the tracer's
+	// IDs: they are deterministic functions of Name and a counter, so a
+	// replayed run yields byte-identical traces, and tracers that share a
+	// collector need distinct names to keep distinct ID streams.
 	Name string
 	// Clock supplies span timestamps (default real time; pass the world's
 	// *simtime.Virtual so traces line up with the fault schedule).
@@ -202,26 +206,16 @@ type Options struct {
 	// simulated world to get a single merged timeline (default: a fresh
 	// collector of DefaultCollectorCap spans).
 	Collector *Collector
-	// SampleEvery records every Nth root trace (default 1: all). Unsampled
-	// traces cost one counter increment; their spans are nil and propagate
-	// nothing.
-	SampleEvery int
-	// Seed differentiates the ID streams of tracers that share a collector
-	// (default 1). IDs are deterministic functions of Seed and a counter, so
-	// seeded runs yield byte-identical traces.
-	Seed int64
 }
 
 // Tracer mints spans. Safe for concurrent use; nil is a valid no-op tracer.
 type Tracer struct {
-	name   string
-	clock  simtime.Clock
-	col    *Collector
-	sample uint64
-	seed   uint64
+	name  string
+	clock simtime.Clock
+	col   *Collector
+	seed  uint64
 
-	idCtr   atomic.Uint64
-	rootCtr atomic.Uint64
+	idCtr atomic.Uint64
 
 	mu      sync.Mutex
 	ambient []Context
@@ -238,18 +232,13 @@ func New(o Options) *Tracer {
 	if o.Collector == nil {
 		o.Collector = NewCollector(0)
 	}
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = 1
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
+	h := fnv.New64a()
+	h.Write([]byte(o.Name))
 	return &Tracer{
-		name:   o.Name,
-		clock:  o.Clock,
-		col:    o.Collector,
-		sample: uint64(o.SampleEvery),
-		seed:   uint64(o.Seed),
+		name:  o.Name,
+		clock: o.Clock,
+		col:   o.Collector,
+		seed:  h.Sum64(),
 	}
 }
 
@@ -277,7 +266,7 @@ func (t *Tracer) now() time.Time {
 }
 
 // newID derives the next ID with a splitmix64 finalizer over a seeded
-// counter: deterministic per (Seed, call order), never zero.
+// counter: deterministic per (name, call order), never zero.
 func (t *Tracer) newID() uint64 {
 	z := t.idCtr.Add(1)*0x9E3779B97F4A7C15 + t.seed*0xBF58476D1CE4E5B9
 	z ^= z >> 30
@@ -292,9 +281,8 @@ func (t *Tracer) newID() uint64 {
 }
 
 // StartSpan starts a span under parent. An invalid parent falls back to the
-// tracer's ambient span; with no ambient either, a new root trace starts
-// (subject to sampling). Returns nil — a valid no-op span — when tracing is
-// disabled or the root was sampled out.
+// tracer's ambient span; with no ambient either, a new root trace starts.
+// Returns nil — a valid no-op span — when tracing is disabled.
 func (t *Tracer) StartSpan(name string, parent Context) *Span {
 	if t == nil {
 		return nil
@@ -306,9 +294,6 @@ func (t *Tracer) StartSpan(name string, parent Context) *Span {
 	if parent.Valid() {
 		traceID, parentID = parent.TraceID, parent.SpanID
 	} else {
-		if t.sample > 1 && (t.rootCtr.Add(1)-1)%t.sample != 0 {
-			return nil
-		}
 		traceID = t.newID()
 	}
 	return &Span{
@@ -332,9 +317,6 @@ func (t *Tracer) Scope(name string) (*Span, func()) {
 		return nil, noopRelease
 	}
 	sp := t.StartSpan(name, Context{})
-	if sp == nil {
-		return nil, noopRelease
-	}
 	release := sp.Activate()
 	return sp, func() {
 		release()
@@ -351,9 +333,6 @@ func (t *Tracer) Event(name string, kv ...string) {
 		return
 	}
 	sp := t.StartSpan(name, Context{})
-	if sp == nil {
-		return
-	}
 	for i := 0; i+1 < len(kv); i += 2 {
 		sp.SetAttr(kv[i], kv[i+1])
 	}

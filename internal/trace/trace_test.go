@@ -152,31 +152,6 @@ func TestCollectorRingWrap(t *testing.T) {
 	}
 }
 
-func TestSampling(t *testing.T) {
-	col := NewCollector(64)
-	tr := New(Options{Name: "s", Collector: col, SampleEvery: 3})
-	kept := 0
-	for i := 0; i < 9; i++ {
-		sp := tr.StartSpan("root", Context{})
-		if sp != nil {
-			kept++
-			// Children of a sampled trace are always recorded.
-			ch := tr.StartSpan("child", sp.Context())
-			if ch == nil {
-				t.Fatal("child of sampled root was dropped")
-			}
-			ch.Finish()
-			sp.Finish()
-		}
-	}
-	if kept != 3 {
-		t.Errorf("kept %d of 9 roots with SampleEvery=3, want 3", kept)
-	}
-	if got := col.Total(); got != 6 {
-		t.Errorf("recorded %d spans, want 6 (3 roots + 3 children)", got)
-	}
-}
-
 func TestNilTracerAndSpanAreNoops(t *testing.T) {
 	var tr *Tracer
 	if sp := tr.StartSpan("x", Context{}); sp != nil {
@@ -266,26 +241,53 @@ func TestFinishAtClampsToStart(t *testing.T) {
 }
 
 func TestDeterministicIDs(t *testing.T) {
-	mk := func(seed int64) []uint64 {
-		tr := New(Options{Seed: seed, Collector: NewCollector(4)})
+	mk := func(name string) []uint64 {
+		tr := New(Options{Name: name, Collector: NewCollector(4)})
 		var ids []uint64
 		for i := 0; i < 4; i++ {
 			ids = append(ids, tr.newID())
 		}
 		return ids
 	}
-	a, b := mk(7), mk(7)
+	a, b := mk("alpha"), mk("alpha")
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at %d: %x vs %x", i, a[i], b[i])
+			t.Fatalf("same name diverged at %d: %x vs %x", i, a[i], b[i])
 		}
 		if a[i] == 0 {
 			t.Fatalf("zero ID minted at %d", i)
 		}
 	}
-	c := mk(8)
+	c := mk("beta")
 	if a[0] == c[0] {
-		t.Error("different seeds produced the same first ID")
+		t.Error("different names produced the same first ID")
+	}
+}
+
+// TestSharedCollectorDistinctIDs: tracers with distinct names that record
+// into one collector mint disjoint ID streams, so no span or trace ID in the
+// merged timeline is claimed twice.
+func TestSharedCollectorDistinctIDs(t *testing.T) {
+	const n = 10000
+	col := NewCollector(n)
+	trs := []*Tracer{
+		New(Options{Name: "client", Collector: col}),
+		New(Options{Name: "server", Collector: col}),
+	}
+	for i := 0; i < n; i++ {
+		trs[i%2].StartSpan("op", Context{}).Finish()
+	}
+	seen := make(map[uint64]bool, 2*n)
+	for _, s := range col.Spans() {
+		for _, id := range []uint64{s.TraceID, s.SpanID} {
+			if seen[id] {
+				t.Fatalf("ID %x minted twice", id)
+			}
+			seen[id] = true
+		}
+	}
+	if len(seen) != 2*n {
+		t.Fatalf("saw %d distinct IDs, want %d", len(seen), 2*n)
 	}
 }
 
@@ -386,8 +388,8 @@ func TestWriteJSONL(t *testing.T) {
 func TestWriteChromeTrace(t *testing.T) {
 	colA := NewCollector(16)
 	vc := simtime.NewVirtual(time.Unix(2000, 0))
-	trA := New(Options{Name: "alpha", Clock: vc, Collector: colA, Seed: 1})
-	trB := New(Options{Name: "beta", Clock: vc, Collector: colA, Seed: 2})
+	trA := New(Options{Name: "alpha", Clock: vc, Collector: colA})
+	trB := New(Options{Name: "beta", Clock: vc, Collector: colA})
 
 	sp := trA.StartSpan("client.call", Context{})
 	vc.Advance(3 * time.Millisecond)

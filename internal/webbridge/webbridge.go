@@ -280,7 +280,7 @@ func (b *Bridge) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCluster serves the telemetry aggregator's merged view: per-node
-// windowed time series, per-node freshness, health, and trace depth.
+// windowed time series, per-node freshness and trace depth.
 func (b *Bridge) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)

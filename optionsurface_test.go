@@ -52,20 +52,6 @@ var optionAllowlist = map[string]string{
 	"health.Options.Registry":          "test seam: a private instrument registry",
 	"slo.Options.Registry":             "test seam: a private instrument registry",
 	"endpoint.CallerOptions.Timeout":   "test seam: one deadline for every call a test makes",
-
-	// Only tests set these; each is the next audit's to make a constant or
-	// delete (ROADMAP item 8(g)).
-	"chaos.WorldConfig.Telemetry":        "next audit: only chaos tests build the telemetry plane alone",
-	"flightrec.Options.Capacity":         "next audit: only tests size the bundle ring",
-	"mq.DialConfig.ReqLog":               "next audit: no program records mq client wide events",
-	"rpc.ServerConfig.Lanes":             "next audit: no program starts an rpc server through NewServerWith",
-	"rpc.ServerConfig.MaxInFlight":       "next audit: no program starts an rpc server through NewServerWith",
-	"rpc.ServerConfig.ReqLog":            "next audit: no program starts an rpc server through NewServerWith",
-	"slo.QuotaAdapterOptions.Lane":       "next audit: every program widens the control lane",
-	"telemetry.AggregatorOptions.Window": "next audit: only tests size the series window",
-	"telemetry.PublisherOptions.Health":  "next audit: no program publishes its detector view",
-	"trace.Options.SampleEvery":          "next audit: every program traces every root",
-	"trace.Options.Seed":                 "next audit: no program shares a collector between tracers",
 }
 
 // optionSuffixes are the type-name endings of the structs a caller fills to
@@ -230,7 +216,9 @@ func TestNoOptionOnlyTestsSet(t *testing.T) {
 
 	var unset []string
 	seen := map[string]bool{}
+	count := 0
 	for s, names := range fields {
+		count += len(names)
 		for _, name := range names {
 			id := pkgNames[s.dir] + "." + s.name + "." + name
 			seen[id] = true
@@ -247,6 +235,7 @@ func TestNoOptionOnlyTestsSet(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("checked %d exported option fields", count)
 	sort.Strings(unset)
 	for _, u := range unset {
 		t.Errorf("option field %s is set by no program: make it a constant or allowlist it with a reason", u)
