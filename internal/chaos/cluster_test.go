@@ -35,9 +35,6 @@ func TestClusterWorldAbsorbsMemberKill(t *testing.T) {
 	if got := len(w.ClusterMembers()); got != 3 {
 		t.Fatalf("cluster has %d members, want 3", got)
 	}
-	if got := w.ReplicationFactor(); got != 2 {
-		t.Fatalf("replication factor %d, want the default 2", got)
-	}
 
 	engine := NewEngine(vclock)
 	w.RegisterInjectors(engine)

@@ -64,7 +64,7 @@ func TestLivenessDetectorCatchesKill(t *testing.T) {
 		t.Fatalf("finish: %v", err)
 	}
 
-	if w.Health() == nil {
+	if w.health == nil {
 		t.Fatal("liveness world has no monitor")
 	}
 	ticks := w.Ticks()

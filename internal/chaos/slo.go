@@ -164,10 +164,6 @@ func (w *World) sloStep(rec TickRecord) map[string]slo.Severity {
 	return snap
 }
 
-// SLO returns the consumer's burn-rate engine (nil unless the world was
-// built with SLO).
-func (w *World) SLO() *slo.Engine { return w.sloEngine }
-
 // FlightRecorder returns the consumer's flight recorder (nil unless SLO).
 func (w *World) FlightRecorder() *flightrec.Recorder { return w.flight }
 

@@ -93,7 +93,7 @@ func TestAlertLatencyAroundPartition(t *testing.T) {
 	// The critical transition cut exactly the post-mortem bundle wiring
 	// promises: trigger names the objective and node, windows carry burns.
 	rec := w.FlightRecorder()
-	if rec == nil || rec.Len() == 0 {
+	if rec == nil || len(rec.Bundles()) == 0 {
 		t.Fatal("critical transition cut no flight bundle")
 	}
 	b := rec.Bundles()[0]

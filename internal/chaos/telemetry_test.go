@@ -57,7 +57,7 @@ func TestTelemetryFreshnessAroundPartition(t *testing.T) {
 		t.Fatalf("finish: %v", err)
 	}
 
-	if w.Aggregator() == nil {
+	if w.agg == nil {
 		t.Fatal("telemetry world has no aggregator")
 	}
 	fresh := make([]map[string]bool, 0, total)
@@ -122,7 +122,7 @@ func TestTelemetryFreshnessAroundPartition(t *testing.T) {
 
 	// The aggregator's merged view carries one series set per supplier, and
 	// one for the consumer's own self-ingested workload report.
-	view := w.Aggregator().View()
+	view := w.agg.View()
 	want := append(w.SupplierIDs(), ConsumerID)
 	sort.Strings(want)
 	var got []string

@@ -463,7 +463,7 @@ func (w *World) build() error {
 				mux.Close()
 				return nil, err
 			}
-			cres.SetCallTimeout(clientTimeout, nil)
+			cres.SetCallTimeout(clientTimeout)
 			cres.SetTracer(w.tracer)
 			// The lease cache sits on the consumer's lookup path: one tick
 			// of freshness, four of stale-serve-while-revalidate. Suspicion
@@ -481,7 +481,7 @@ func (w *World) build() error {
 			central = cached
 		} else {
 			client := discovery.NewClient(tr, RegistryID)
-			client.SetCallTimeout(clientTimeout, nil)
+			client.SetCallTimeout(clientTimeout)
 			client.SetTracer(w.tracer)
 			central = client
 		}
@@ -924,15 +924,6 @@ func (w *World) SettleCluster() {
 // single-registry worlds).
 func (w *World) ClusterMembers() []string { return append([]string(nil), w.clusterMembers...) }
 
-// ReplicationFactor returns the cluster's owner-set size (0 for classic
-// worlds).
-func (w *World) ReplicationFactor() int {
-	if len(w.clusterMembers) == 0 {
-		return 0
-	}
-	return replicationFactor
-}
-
 // publishTelemetry ships one report from every live supplier, concurrently
 // (a partitioned supplier burns its publishTimeout without stalling the
 // others). Crash-killed suppliers stay silent — their process is gone, which
@@ -961,14 +952,6 @@ func (w *World) setDead(id string, dead bool) {
 	w.dead[id] = dead
 	w.mu.Unlock()
 }
-
-// Health returns the consumer's liveness monitor (nil when the world was
-// built with NoLiveness).
-func (w *World) Health() *health.Monitor { return w.health }
-
-// Aggregator returns the consumer-hosted telemetry aggregator (nil unless
-// the world was built with SLO).
-func (w *World) Aggregator() *telemetry.Aggregator { return w.agg }
 
 // DeadAttempts counts ticks whose request was aimed at a crash-killed
 // supplier without the liveness layer having diverted it first — the waste

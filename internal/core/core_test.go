@@ -10,6 +10,7 @@ import (
 
 	"ndsm/internal/discovery"
 	"ndsm/internal/qos"
+	"ndsm/internal/simtime"
 	"ndsm/internal/svcdesc"
 	"ndsm/internal/transaction"
 	"ndsm/internal/transport"
@@ -269,8 +270,8 @@ func TestWithdraw(t *testing.T) {
 	if err := sup.Serve(bpDesc(0.9), echoHandler("x:")); err != nil {
 		t.Fatal(err)
 	}
-	if got := sup.Services(); len(got) != 1 || got[0] != "sensor/bp" {
-		t.Fatalf("services = %v", got)
+	if _, ok := sup.suppliers["sensor/bp"]; !ok || len(sup.suppliers) != 1 {
+		t.Fatalf("services = %v", sup.suppliers)
 	}
 	if err := sup.Withdraw("sensor/bp"); err != nil {
 		t.Fatal(err)
@@ -307,17 +308,20 @@ func TestServeValidation(t *testing.T) {
 }
 
 func TestRenewLeases(t *testing.T) {
+	clk := simtime.NewVirtual(time.Unix(0, 0))
 	w := newWorld(t)
+	w.registry = discovery.NewStore(clk, 10*time.Second)
 	sup := w.node("supplier")
 	if err := sup.Serve(bpDesc(0.9), echoHandler("x:")); err != nil {
 		t.Fatal(err)
 	}
-	v := w.registry.Version()
+	clk.Advance(6 * time.Second)
 	if err := sup.RenewLeases(); err != nil {
 		t.Fatal(err)
 	}
-	if w.registry.Version() == v {
-		t.Fatal("renew did not touch the registry")
+	clk.Advance(6 * time.Second)
+	if descs, _ := w.registry.Lookup(&svcdesc.Query{Name: "sensor/bp"}); len(descs) != 1 {
+		t.Fatal("renew did not extend the lease")
 	}
 }
 
@@ -381,12 +385,12 @@ func TestNodeCloseIdempotentAndEvents(t *testing.T) {
 
 func TestEventBusDropsWhenFull(t *testing.T) {
 	var bus Bus
-	_ = bus.Subscribe() // never drained
+	ch := bus.Subscribe() // never drained
 	for i := 0; i < eventBuffer+5; i++ {
 		bus.Publish(Event{Type: EventServiceUp})
 	}
-	if bus.Dropped() != 5 {
-		t.Fatalf("dropped = %d, want 5", bus.Dropped())
+	if len(ch) != eventBuffer {
+		t.Fatalf("queued = %d, want %d", len(ch), eventBuffer)
 	}
 }
 
@@ -401,12 +405,12 @@ func TestTransactionRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	active := con.Transactions().Active()
-	if len(active) != 1 || active[0].Peer != "supplier" || active[0].Topic != "sensor/bp" {
+	active := con.table.ByPeer("supplier")
+	if len(active) != 1 || active[0].State != transaction.StateActive || active[0].Topic != "sensor/bp" {
 		t.Fatalf("active = %+v", active)
 	}
 	_ = b.Close()
-	if len(con.Transactions().Active()) != 0 {
+	if len(con.table.ByPeer("supplier")) != 0 {
 		t.Fatal("transaction still active after binding close")
 	}
 }
@@ -433,7 +437,7 @@ func TestBindCloseCyclesLeaveNoTransactions(t *testing.T) {
 			t.Fatalf("close %d: %v", i, err)
 		}
 	}
-	if n := con.Transactions().Len(); n != 0 {
+	if n := len(con.table.ByPeer("supplier")); n != 0 {
 		t.Fatalf("transaction table holds %d records after 1000 bind/close cycles, want 0", n)
 	}
 }

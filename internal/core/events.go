@@ -43,15 +43,14 @@ type Event struct {
 	Peer string
 }
 
-// eventBuffer is each subscriber's queue depth; slow subscribers lose the
-// oldest semantics and instead drop new events (counted by the bus).
+// eventBuffer is each subscriber's queue depth; a slow subscriber misses
+// new events rather than stall the publisher.
 const eventBuffer = 64
 
 // Bus is the node-local event manager.
 type Bus struct {
-	mu      sync.Mutex
-	subs    []chan Event
-	dropped int64
+	mu   sync.Mutex
+	subs []chan Event
 }
 
 // Subscribe returns a channel of future events.
@@ -71,14 +70,6 @@ func (b *Bus) Publish(ev Event) {
 		select {
 		case ch <- ev:
 		default:
-			b.dropped++
 		}
 	}
-}
-
-// Dropped reports events lost to full subscriber queues.
-func (b *Bus) Dropped() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
 }

@@ -169,19 +169,12 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Name returns the node's address.
-func (n *Node) Name() string { return n.name }
-
 // Registry returns the node's registry view (health-watched when a monitor
 // is configured).
 func (n *Node) Registry() discovery.Resolver { return n.registry }
 
 // Health returns the node's liveness monitor (nil when disabled).
 func (n *Node) Health() *health.Monitor { return n.health }
-
-// Metrics resolves the node's metrics registry (the process default when
-// none was configured).
-func (n *Node) Metrics() *obs.Registry { return obs.Or(n.metrics) }
 
 // SetLaneQuota re-reserves one lane's admission quota on the node's server
 // at runtime (see endpoint.Server.SetLaneQuota). False without lane-aware
@@ -191,24 +184,11 @@ func (n *Node) SetLaneQuota(lane endpoint.Lane, quota int) bool {
 	return n.ep.SetLaneQuota(lane, quota)
 }
 
-// LaneQuota reads one lane's current reserved quota on the node's server.
-func (n *Node) LaneQuota(lane endpoint.Lane) int { return n.ep.LaneQuota(lane) }
-
 // HandleTopic registers a raw endpoint handler on the node's listener for a
 // topic outside the hosted-service namespace — no discovery registration, no
 // QoS. This is how in-band control planes (the telemetry aggregator) ride a
 // node's existing listener instead of opening a protocol of their own.
 func (n *Node) HandleTopic(topic string, h endpoint.Handler) { n.ep.Handle(topic, h) }
-
-// SetTracer swaps the node's tracer at runtime (nil reverts to the process
-// default). Existing bindings pick it up on their next call.
-func (n *Node) SetTracer(t *trace.Tracer) { n.traceRef.Set(t) }
-
-// Tracer resolves the node's effective tracer (nil when tracing is off).
-func (n *Node) Tracer() *trace.Tracer { return n.traceRef.Get() }
-
-// Transactions exposes the node's transaction table.
-func (n *Node) Transactions() *transaction.Table { return n.table }
 
 // Close withdraws all services, closes all bindings and stops the node.
 func (n *Node) Close() error {
@@ -310,15 +290,4 @@ func (n *Node) RenewLeases() error {
 		}
 	}
 	return firstErr
-}
-
-// Services lists hosted service names.
-func (n *Node) Services() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.suppliers))
-	for name := range n.suppliers {
-		out = append(out, name)
-	}
-	return out
 }

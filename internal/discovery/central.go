@@ -136,10 +136,6 @@ func (s *Server) SetTracer(t *trace.Tracer) { s.traceRef.Set(t) }
 // Addr returns the listener's bound address.
 func (s *Server) Addr() string { return s.ep.Addr() }
 
-// Store returns the server's backing store (nil when the backing is not a
-// plain *Store).
-func (s *Server) Store() *Store { return s.store }
-
 // Handle registers an extra topic on the server's listener — how a cluster
 // node rides its registry listener for gossip without a second protocol
 // port.
@@ -240,9 +236,8 @@ func NewClient(tr transport.Transport, addr string) *Client {
 // timeout a lost reply datagram blocks the caller forever — unacceptable on
 // lossy radio substrates, where the adaptive registry needs the central
 // organization to *fail* so it can fall back to flooding. A zero d restores
-// unbounded waits; a nil clock means wall time.
-func (c *Client) SetCallTimeout(d time.Duration, clock simtime.Clock) {
-	c.caller.SetClock(clock)
+// unbounded waits.
+func (c *Client) SetCallTimeout(d time.Duration) {
 	c.mu.Lock()
 	c.timeout = d
 	c.mu.Unlock()

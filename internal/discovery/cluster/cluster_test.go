@@ -238,8 +238,8 @@ func TestTableSweepRemovesExpired(t *testing.T) {
 	if err := tab.Unregister(d2.Key()); err != nil {
 		t.Fatal(err)
 	}
-	if tab.Len() != 2 {
-		t.Fatalf("Len = %d", tab.Len())
+	if len(tab.entries) != 2 {
+		t.Fatalf("Len = %d", len(tab.entries))
 	}
 	clock.Advance(11 * time.Second)
 	if got := tab.Sweep(); got != 1 { // the lease (10s) expired, the tombstone not
@@ -249,8 +249,8 @@ func TestTableSweepRemovesExpired(t *testing.T) {
 	if got := tab.Sweep(); got != 1 {
 		t.Fatalf("second Sweep = %d", got)
 	}
-	if tab.Len() != 0 {
-		t.Fatalf("Len after sweeps = %d", tab.Len())
+	if len(tab.entries) != 0 {
+		t.Fatalf("Len after sweeps = %d", len(tab.entries))
 	}
 }
 
@@ -288,7 +288,7 @@ func TestTableApplyFiltersOwnership(t *testing.T) {
 	if n := tab.apply([]DeltaEntry{de}, func(string) bool { return false }); n != 0 {
 		t.Fatalf("applied a key this member does not own: %d", n)
 	}
-	if tab.Len() != 0 {
+	if len(tab.entries) != 0 {
 		t.Fatal("misrouted entry stored")
 	}
 }
@@ -431,7 +431,7 @@ func TestClusterLookupMergesShards(t *testing.T) {
 func TestClusterSurvivesSingleNodeKill(t *testing.T) {
 	tc := newTestCluster(t, 3, 2)
 	res := tc.resolver(t, 2)
-	res.SetCallTimeout(500*time.Millisecond, nil)
+	res.SetCallTimeout(500 * time.Millisecond)
 	for i := 0; i < 12; i++ {
 		if err := res.Register(desc(fmt.Sprintf("node-%d", i), "sensor/bp")); err != nil {
 			t.Fatal(err)
@@ -463,7 +463,7 @@ func TestClusterSurvivesSingleNodeKill(t *testing.T) {
 func TestClusterLookupFailsBelowQuorum(t *testing.T) {
 	tc := newTestCluster(t, 3, 2)
 	res := tc.resolver(t, 2)
-	res.SetCallTimeout(300*time.Millisecond, nil)
+	res.SetCallTimeout(300 * time.Millisecond)
 	if err := res.Register(desc("n1", "printer")); err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestClusterLookupFailsBelowQuorum(t *testing.T) {
 func TestClusterAntiEntropyRepairsKilledReplica(t *testing.T) {
 	tc := newTestCluster(t, 3, 2)
 	res := tc.resolver(t, 2)
-	res.SetCallTimeout(500*time.Millisecond, nil)
+	res.SetCallTimeout(500 * time.Millisecond)
 	var keys []string
 	for i := 0; i < 12; i++ {
 		d := desc(fmt.Sprintf("node-%d", i), fmt.Sprintf("svc/%d", i))

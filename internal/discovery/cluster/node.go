@@ -152,9 +152,6 @@ func NewNode(tr transport.Transport, l transport.Listener, opts NodeOptions) (*N
 // Self returns the member's address.
 func (n *Node) Self() string { return n.self }
 
-// Addr returns the listener's bound address.
-func (n *Node) Addr() string { return n.srv.Addr() }
-
 // Table exposes the member's replicated table (simulations and invariant
 // checkers introspect replication through it).
 func (n *Node) Table() *Table { return n.table }
@@ -304,9 +301,6 @@ func (n *Node) handleDelta(req *wire.Message) (*wire.Message, error) {
 	}
 	return &wire.Message{Kind: wire.KindAck}, nil
 }
-
-// SetTracer installs the member's server tracer.
-func (n *Node) SetTracer(t *trace.Tracer) { n.srv.SetTracer(t) }
 
 // Close stops the sync loop, the gossip callers, and the server.
 func (n *Node) Close() error {

@@ -8,7 +8,6 @@ import (
 
 	"ndsm/internal/discovery"
 	"ndsm/internal/obs"
-	"ndsm/internal/simtime"
 	"ndsm/internal/svcdesc"
 	"ndsm/internal/trace"
 	"ndsm/internal/transport"
@@ -43,14 +42,13 @@ type Resolver struct {
 	tr      transport.Transport
 	metrics *obs.Registry
 
-	mu           sync.Mutex
-	clients      map[string]*discovery.Client
-	writes       map[ownerKey]*ownerWrite // see write
-	writers      sync.WaitGroup           // one per key in writes
-	callTimeout  time.Duration
-	timeoutClock simtime.Clock
-	tracer       *trace.Tracer
-	closed       bool
+	mu          sync.Mutex
+	clients     map[string]*discovery.Client
+	writes      map[ownerKey]*ownerWrite // see write
+	writers     sync.WaitGroup           // one per key in writes
+	callTimeout time.Duration
+	tracer      *trace.Tracer
+	closed      bool
 }
 
 // ownerKey names one owner's copy of one key.
@@ -89,16 +87,13 @@ func NewResolver(tr transport.Transport, opts ResolverOptions) (*Resolver, error
 	}, nil
 }
 
-// Members returns the canonical cluster membership.
-func (r *Resolver) Members() []string { return r.ring.Members() }
-
 // SetCallTimeout bounds each member call (see discovery.Client.SetCallTimeout).
-func (r *Resolver) SetCallTimeout(d time.Duration, clock simtime.Clock) {
+func (r *Resolver) SetCallTimeout(d time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.callTimeout, r.timeoutClock = d, clock
+	r.callTimeout = d
 	for _, c := range r.clients {
-		c.SetCallTimeout(d, clock)
+		c.SetCallTimeout(d)
 	}
 }
 
@@ -130,7 +125,7 @@ func (r *Resolver) clientLocked(member string) *discovery.Client {
 	}
 	c := discovery.NewClient(r.tr, member)
 	if r.callTimeout > 0 {
-		c.SetCallTimeout(r.callTimeout, r.timeoutClock)
+		c.SetCallTimeout(r.callTimeout)
 	}
 	if r.tracer != nil {
 		c.SetTracer(r.tracer)

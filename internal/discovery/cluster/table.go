@@ -190,13 +190,6 @@ func (t *Table) Sweep() int {
 	return removed
 }
 
-// Len returns the number of entries, tombstones included.
-func (t *Table) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.entries)
-}
-
 // LiveKeys returns the keys of unexpired, non-tombstone entries, sorted.
 func (t *Table) LiveKeys() []string {
 	now := t.clock.Now()

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ndsm/internal/simtime"
@@ -93,9 +92,6 @@ type Store struct {
 	// Register lowers it, a Sweep that scanned recomputes it, and Renew and
 	// Unregister leave it low, which costs one scan that finds nothing.
 	soonest time.Time
-	// version increments on every mutation; callers use it for cheap change
-	// detection.
-	version atomic.Int64
 }
 
 var _ Resolver = (*Store)(nil)
@@ -141,7 +137,6 @@ func (s *Store) keep(d *svcdesc.Description) {
 	}
 	s.entries[d.Key()] = storeEntry{desc: d, expires: expires}
 	s.mu.Unlock()
-	s.version.Add(1)
 }
 
 // Unregister implements Resolver.
@@ -153,7 +148,6 @@ func (s *Store) Unregister(key string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	s.version.Add(1)
 	return nil
 }
 
@@ -222,9 +216,6 @@ func (s *Store) Sweep() int {
 		}
 	}
 	s.soonest = soonest
-	if removed > 0 {
-		s.version.Add(1)
-	}
 	return removed
 }
 
@@ -234,9 +225,6 @@ func (s *Store) Len() int {
 	defer s.mu.Unlock()
 	return len(s.entries)
 }
-
-// Version returns the mutation counter.
-func (s *Store) Version() int64 { return s.version.Load() }
 
 // All returns every unexpired description, sorted by key.
 func (s *Store) All() []*svcdesc.Description {

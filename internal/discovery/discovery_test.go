@@ -271,20 +271,6 @@ func TestStoreSweepEarliestExpiry(t *testing.T) {
 	})
 }
 
-func TestStoreVersionBumps(t *testing.T) {
-	s := NewStore(nil, 0)
-	v0 := s.Version()
-	_ = s.Register(desc("n1", "svc"))
-	if s.Version() == v0 {
-		t.Fatal("version not bumped on register")
-	}
-	v1 := s.Version()
-	_ = s.Unregister(desc("n1", "svc").Key())
-	if s.Version() == v1 {
-		t.Fatal("version not bumped on unregister")
-	}
-}
-
 func TestStoreReRegisterRenews(t *testing.T) {
 	clk := simtime.NewVirtual(epoch)
 	s := NewStore(clk, 10*time.Second)
@@ -535,7 +521,7 @@ func TestFloodGossipCacheAnswers(t *testing.T) {
 	if err != nil || len(got) != 1 {
 		t.Fatalf("cache lookup = %v, %v", got, err)
 	}
-	if agents[0].Messages.Get("query_sent") != 0 {
+	if agents[0].Messages.Snapshot()["query_sent"] != 0 {
 		t.Fatal("cache hit still flooded a query")
 	}
 }
@@ -580,7 +566,7 @@ func TestFloodDedupSuppression(t *testing.T) {
 	}
 	// n3 received the query from n0 directly and from n1/n2 forwards, but
 	// must have replied exactly once.
-	if sent := agents[3].Messages.Get("reply_sent"); sent != 1 {
+	if sent := agents[3].Messages.Snapshot()["reply_sent"]; sent != 1 {
 		t.Fatalf("n3 replied %d times, want 1", sent)
 	}
 }
@@ -616,7 +602,7 @@ func TestAdaptivePrefersCentralWhenDense(t *testing.T) {
 	if err != nil || len(got) != 1 {
 		t.Fatalf("lookup = %v, %v", got, err)
 	}
-	if ad.Decisions.Get(string(ModeCentral)) != 1 {
+	if ad.Decisions.Snapshot()[string(ModeCentral)] != 1 {
 		t.Fatalf("decisions = %v", ad.Decisions.Snapshot())
 	}
 }
@@ -631,7 +617,7 @@ func TestAdaptiveFloodsWhenSparse(t *testing.T) {
 	if err != nil || len(got) != 1 {
 		t.Fatalf("lookup = %v, %v", got, err)
 	}
-	if ad.Decisions.Get(string(ModeFlood)) != 1 {
+	if ad.Decisions.Snapshot()[string(ModeFlood)] != 1 {
 		t.Fatalf("decisions = %v", ad.Decisions.Snapshot())
 	}
 }
@@ -883,10 +869,10 @@ func TestFloodQueryRetry(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("lookup never returned after retry")
 	}
-	if got := agents[0].Messages.Get("query_retry"); got != 1 {
+	if got := agents[0].Messages.Snapshot()["query_retry"]; got != 1 {
 		t.Fatalf("query_retry = %d, want 1", got)
 	}
-	if got := agents[0].Messages.Get("query_sent"); got != 1 {
+	if got := agents[0].Messages.Snapshot()["query_sent"]; got != 1 {
 		t.Fatalf("query_sent = %d, want 1 (retries are counted separately)", got)
 	}
 }

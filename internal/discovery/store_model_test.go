@@ -15,12 +15,10 @@ import (
 )
 
 // storeModel is the reference Store is checked against: every lease the
-// table holds, expired or not, until a Sweep or an Unregister takes it, and
-// the mutation count.
+// table holds, expired or not, until a Sweep or an Unregister takes it.
 type storeModel struct {
 	defaultTTL time.Duration
 	leases     map[string]modelLease
-	version    int64
 }
 
 type modelLease struct {
@@ -37,15 +35,11 @@ func (m *storeModel) ttl(d *svcdesc.Description) time.Duration {
 
 func (m *storeModel) register(d *svcdesc.Description, now time.Time) {
 	m.leases[d.Key()] = modelLease{desc: d.Clone(), expires: now.Add(m.ttl(d))}
-	m.version++
 }
 
 func (m *storeModel) unregister(key string) bool {
 	_, ok := m.leases[key]
 	delete(m.leases, key)
-	if ok {
-		m.version++
-	}
 	return ok
 }
 
@@ -66,9 +60,6 @@ func (m *storeModel) sweep(now time.Time) int {
 			delete(m.leases, k)
 			removed++
 		}
-	}
-	if removed > 0 {
-		m.version++
 	}
 	return removed
 }
@@ -179,9 +170,6 @@ func runStoreOps(t *testing.T, data []byte) {
 // sweep bound: no held lease, expired or not, ends before soonest.
 func auditStore(t *testing.T, seq int, s *Store, m *storeModel) {
 	t.Helper()
-	if got := s.Version(); got != m.version {
-		t.Fatalf("step %d: Version %d, model %d", seq, got, m.version)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.entries) != len(m.leases) {

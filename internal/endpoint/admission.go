@@ -405,13 +405,6 @@ func (a *admitter) setQuota(r, quota int) int {
 	return applied
 }
 
-// laneQuota reads rank r's current reservation.
-func (a *admitter) laneQuota(r int) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.quota[r]
-}
-
 // close drops every queued entry (the server is shutting down; their
 // connections are closing anyway) and stops further promotion.
 func (a *admitter) close() {

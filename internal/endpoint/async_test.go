@@ -32,9 +32,6 @@ func TestGoAndWait(t *testing.T) {
 	if err2 != nil || m2 != m {
 		t.Fatalf("second Wait diverged: %v %v", m2, err2)
 	}
-	if !fut.Done() {
-		t.Fatal("resolved future reports not done")
-	}
 }
 
 // Pipelining: many requests in flight on the one connection before any reply
@@ -73,9 +70,6 @@ func TestOneWayDispatch(t *testing.T) {
 	m, err := fut.Wait()
 	if err != nil || m != nil {
 		t.Fatalf("one-way Wait = %v, %v; want nil, nil", m, err)
-	}
-	if !fut.Done() {
-		t.Fatal("one-way future not immediately done")
 	}
 	select {
 	case p := <-delivered:
@@ -400,11 +394,11 @@ func TestWaitOnBornResolvedFutureTakesNoLock(t *testing.T) {
 			call := &Call{Topic: "ingest", OneWay: true} // Go resolves the lane into it
 			for i := 0; i < 200; i++ {
 				fut := c.Go(call)
-				if m, err := fut.Wait(); m != nil || err != nil || !fut.Done() {
-					t.Errorf("one-way future: Wait = %v, %v, Done = %v", m, err, fut.Done())
+				if m, err := fut.Wait(); m != nil || err != nil {
+					t.Errorf("one-way future: Wait = %v, %v", m, err)
 					return
 				}
-				if _, err := failed.Wait(); !errors.Is(err, ErrClosed) || !failed.Done() {
+				if _, err := failed.Wait(); !errors.Is(err, ErrClosed) {
 					t.Errorf("failed future: Wait = %v", err)
 					return
 				}

@@ -72,12 +72,12 @@ type Caller struct {
 	tr     transport.Transport
 	addr   string
 	opts   CallerOptions
+	clock  simtime.Clock
 	invoke ClientFunc
 
 	nextID atomic.Uint64
 
 	mu      sync.Mutex
-	clock   simtime.Clock
 	conn    transport.Conn
 	gen     uint64 // bumped on every successful dial
 	dialed  bool   // at least one dial attempt happened
@@ -123,20 +123,6 @@ func NewCaller(tr transport.Transport, addr string, opts CallerOptions) (*Caller
 		}
 	}
 	return c, nil
-}
-
-// Addr returns the caller's target address.
-func (c *Caller) Addr() string { return c.addr }
-
-// SetClock replaces the timeout clock (virtual-time tests reconfigure
-// long-lived clients).
-func (c *Caller) SetClock(clock simtime.Clock) {
-	if clock == nil {
-		clock = simtime.Real{}
-	}
-	c.mu.Lock()
-	c.clock = clock
-	c.mu.Unlock()
 }
 
 // Do performs one call through the interceptor chain. The chain works on a

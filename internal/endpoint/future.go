@@ -131,29 +131,6 @@ func (w *waiter) stopTimer() {
 	}
 }
 
-// Done reports whether the future has resolved, without waiting for the
-// reply (it can contend briefly with a concurrent Wait). A true result means
-// Wait will return immediately.
-func (f *Future) Done() bool {
-	if f.bornResolved() {
-		return true
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.done {
-		return true
-	}
-	// A buffered result means the demux already resolved the call; settle it
-	// now so the waiter can be pooled.
-	select {
-	case r := <-f.w.ch:
-		f.settleLocked(r)
-		return true
-	default:
-		return false
-	}
-}
-
 // expireLocked resolves the future as timed out — unless a result raced in,
 // in which case the result wins. Caller holds f.mu.
 func (f *Future) expireLocked() {

@@ -187,15 +187,6 @@ func (s *Server) SetLaneQuota(lane Lane, quota int) bool {
 	return true
 }
 
-// LaneQuota reads a lane's current reserved quota (0 without lane-aware
-// admission).
-func (s *Server) LaneQuota(lane Lane) int {
-	if s.adm == nil || !s.adm.laneAware {
-		return 0
-	}
-	return s.adm.laneQuota(lane.rank())
-}
-
 // Close stops accepting, closes all connections, and waits for in-flight
 // handlers and for every parked handler goroutine to exit. Queued
 // (admitted-pending) requests are dropped. The read loops are waited for

@@ -578,7 +578,7 @@ func newPairTCP(t testing.TB) (*Server, *Caller) {
 	return s, c
 }
 
-// A call that settles without arming a timer (Done found its reply) leaves
+// A call that settles without arming a timer (Wait found its reply) leaves
 // the waiter's stopped timer alone. Stop on a stopped timer reports false,
 // as on a fired one, so a waiter stops its timer only when it armed it:
 // stopping it regardless drops it, and the next armed Wait makes a new one
@@ -600,7 +600,7 @@ func TestUnarmedSettleKeepsTimerAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := c.Go(fast)
-		for !f.Done() {
+		for len(f.w.ch) == 0 { // the reply is buffered before Wait looks
 			runtime.Gosched()
 		}
 		if _, err := f.Wait(); err != nil {

@@ -392,7 +392,7 @@ func e2ClusterScenario(size, lookups int) (mode string, okCount int, err error) 
 	if err := central.Register(bpService("s")); err != nil {
 		return "", 0, err
 	}
-	central.SetCallTimeout(50*time.Millisecond, nil)
+	central.SetCallTimeout(50 * time.Millisecond)
 
 	// One member dies. Replication (RF 2, clamped to 1 for the single-member
 	// cluster) and the N-RF+1 lookup quorum decide whether the centralized

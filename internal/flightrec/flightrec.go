@@ -217,14 +217,8 @@ func (r *Recorder) Bundles() []*Bundle {
 	return append([]*Bundle(nil), r.ring...)
 }
 
-// Len is the retained bundle count; Total counts every bundle ever cut;
-// Suppressed counts triggers the rate limit swallowed.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.ring)
-}
-
+// Total counts every bundle ever cut; Suppressed counts triggers the rate
+// limit swallowed.
 func (r *Recorder) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -112,8 +112,8 @@ func TestRingBoundAndRateLimit(t *testing.T) {
 			t.Fatalf("snapshot %d suppressed despite interval", i)
 		}
 	}
-	if rec.Len() != capacity || rec.Total() != cuts {
-		t.Fatalf("ring len %d total %d, want %d/%d", rec.Len(), rec.Total(), capacity, cuts)
+	if len(rec.ring) != capacity || rec.Total() != cuts {
+		t.Fatalf("ring len %d total %d, want %d/%d", len(rec.ring), rec.Total(), capacity, cuts)
 	}
 	bundles := rec.Bundles()
 	first, last := bundles[0].Trigger.Objective, bundles[capacity-1].Trigger.Objective

@@ -184,10 +184,6 @@ func NewMonitor(opts Options) *Monitor {
 	}
 }
 
-// SetTracer installs the monitor's tracer (nil reverts to the process
-// default).
-func (m *Monitor) SetTracer(t *trace.Tracer) { m.traceRef.Set(t) }
-
 func (m *Monitor) peer(name string) *peerState {
 	ps := m.peers[name]
 	if ps == nil {
@@ -230,22 +226,10 @@ func (m *Monitor) heartbeatLocked(ps *peerState, now time.Time) {
 	ps.hasLast = true
 }
 
-// Phi returns the peer's current suspicion level: 0 for a peer heard from
-// just now (or never heard from at all), growing without bound as silence
-// stretches past the sampled inter-arrival mean. Following the exponential
-// approximation used by production phi-accrual implementations,
-// phi = elapsed / (mean * ln 10).
-func (m *Monitor) Phi(peer string) float64 {
-	now := m.opts.Clock.Now()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ps := m.peers[peer]
-	if ps == nil {
-		return 0
-	}
-	return m.phiLocked(ps, now)
-}
-
+// phiLocked is the peer's current suspicion level: 0 for a peer heard from
+// just now, growing without bound as silence stretches past the sampled
+// inter-arrival mean. Following the exponential approximation used by
+// production phi-accrual implementations, phi = elapsed / (mean * ln 10).
 func (m *Monitor) phiLocked(ps *peerState, now time.Time) float64 {
 	if !ps.hasLast || ps.n == 0 {
 		return 0

@@ -30,7 +30,7 @@ func TestUnknownPeerNotSuspect(t *testing.T) {
 	if m.Suspect("ghost") {
 		t.Fatal("never-seen peer must not be suspect")
 	}
-	if got := m.Phi("ghost"); got != 0 {
+	if got := phi(m, "ghost"); got != 0 {
 		t.Fatalf("phi of unknown peer = %v, want 0", got)
 	}
 	if m.State("ghost") != Closed {
@@ -46,12 +46,12 @@ func TestPhiGrowsWithSilence(t *testing.T) {
 		m.Heartbeat("s0")
 		clock.Advance(50 * time.Millisecond)
 	}
-	low := m.Phi("s0")
+	low := phi(m, "s0")
 	if m.Suspect("s0") {
 		t.Fatalf("fresh peer suspected (phi=%v)", low)
 	}
 	clock.Advance(400 * time.Millisecond)
-	high := m.Phi("s0")
+	high := phi(m, "s0")
 	if high <= low {
 		t.Fatalf("phi did not grow with silence: %v -> %v", low, high)
 	}
@@ -231,4 +231,17 @@ func TestWatchRegistryNilMonitor(t *testing.T) {
 	if got := WatchRegistry(inner, nil); got != discovery.Resolver(inner) {
 		t.Fatal("nil monitor should return the inner registry unchanged")
 	}
+}
+
+// phi reads peer's suspicion level as Suspect judges it: 0 for a peer never
+// heard from.
+func phi(m *Monitor, peer string) float64 {
+	now := m.opts.Clock.Now()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ps := m.peers[peer]
+	if ps == nil {
+		return 0
+	}
+	return m.phiLocked(ps, now)
 }

@@ -22,16 +22,14 @@ import (
 
 	"ndsm/internal/endpoint"
 	"ndsm/internal/simtime"
-	"ndsm/internal/trace"
 	"ndsm/internal/transport"
 	"ndsm/internal/wire"
 )
 
 // Queue protocol topics.
 const (
-	topicPush  = "mq.push"
-	topicPop   = "mq.pop"
-	topicDepth = "mq.depth"
+	topicPush = "mq.push"
+	topicPop  = "mq.pop"
 )
 
 // MQ errors.
@@ -119,12 +117,6 @@ func (q *queue) pop(clock simtime.Clock, wait time.Duration, done <-chan struct{
 	return <-w, true
 }
 
-func (q *queue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
 // Broker hosts named queues over a transport listener.
 type Broker struct {
 	clock    simtime.Clock
@@ -159,17 +151,6 @@ func NewBroker(l transport.Listener, maxDepth int, clock simtime.Clock) *Broker 
 func (b *Broker) Close() error {
 	b.served.Close()
 	return nil
-}
-
-// Depth reports a queue's current backlog.
-func (b *Broker) Depth(name string) int {
-	b.mu.Lock()
-	q := b.queues[name]
-	b.mu.Unlock()
-	if q == nil {
-		return 0
-	}
-	return q.depth()
 }
 
 func (b *Broker) queue(name string) *queue {
@@ -230,9 +211,6 @@ func (b *Broker) serveConn(conn transport.Conn) {
 				}
 				reply(req, wire.KindReply, item)
 			})
-		case topicDepth:
-			name := req.Headers["queue"]
-			reply(req, wire.KindReply, []byte(fmt.Sprintf("%d", b.Depth(name))))
 		default:
 			reply(req, wire.KindError, []byte(fmt.Sprintf("mq: unknown topic %q", req.Topic)))
 		}
@@ -243,17 +221,17 @@ func (b *Broker) serveConn(conn transport.Conn) {
 // concurrent use; pops long-poll, so replies can arrive out of order and are
 // demultiplexed by correlation ID inside the caller.
 type Client struct {
-	caller   *endpoint.Caller
-	traceRef *trace.Ref
+	caller *endpoint.Caller
 }
 
-// Dial connects to a broker.
+// Dial connects to a broker. The client traces with the process default
+// tracer.
 func Dial(tr transport.Transport, addr string) (*Client, error) {
-	c := &Client{traceRef: trace.NewRef(nil)}
+	c := &Client{}
 	caller, err := endpoint.NewCaller(tr, addr, endpoint.CallerOptions{
 		Eager: true,
 		Interceptors: []endpoint.ClientInterceptor{
-			endpoint.WithTracing(c.traceRef, "mq.call"),
+			endpoint.WithTracing(nil, "mq.call"),
 			endpoint.WithMetrics(nil, "mq.client", nil),
 		},
 	})
@@ -263,10 +241,6 @@ func Dial(tr transport.Transport, addr string) (*Client, error) {
 	c.caller = caller
 	return c, nil
 }
-
-// SetTracer installs the client's tracer (nil reverts to the process
-// default).
-func (c *Client) SetTracer(t *trace.Tracer) { c.traceRef.Set(t) }
 
 // Close shuts the client down.
 func (c *Client) Close() error { return c.caller.Close() }
@@ -336,20 +310,6 @@ func (c *Client) Pop(queueName string, wait time.Duration) ([]byte, error) {
 	m.Payload = nil
 	wire.Recycle(m)
 	return item, nil
-}
-
-// Depth reports a queue's backlog.
-func (c *Client) Depth(queueName string) (int, error) {
-	m, err := c.request(topicDepth, map[string]string{"queue": queueName}, nil)
-	if err != nil {
-		return 0, err
-	}
-	defer wire.Recycle(m)
-	var n int
-	if _, err := fmt.Sscanf(string(m.Payload), "%d", &n); err != nil {
-		return 0, fmt.Errorf("mq: bad depth reply %q", m.Payload)
-	}
-	return n, nil
 }
 
 // clientErr translates a failed call: the broker's error strings back to

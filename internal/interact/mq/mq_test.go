@@ -119,7 +119,7 @@ func TestPushAfterTimedOutPopIsKept(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := b.Depth("q"); n != 2 {
+	if n := depth(b, "q"); n != 2 {
 		t.Fatalf("depth after two acknowledged pushes = %d, want 2", n)
 	}
 	for _, want := range []string{"x", "y"} {
@@ -187,26 +187,6 @@ func TestQueueFull(t *testing.T) {
 	}
 	if err := c.Push("q", []byte("3")); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
-	}
-}
-
-func TestDepth(t *testing.T) {
-	b, c := fixture(t, 0)
-	if err := c.Push("q", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Push("q", []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	n, err := c.Depth("q")
-	if err != nil || n != 2 {
-		t.Fatalf("Depth = %d, %v", n, err)
-	}
-	if b.Depth("q") != 2 {
-		t.Fatal("broker depth disagrees")
-	}
-	if b.Depth("missing") != 0 {
-		t.Fatal("missing queue should have depth 0")
 	}
 }
 
@@ -433,4 +413,12 @@ func TestAnsweredPopLeavesNoTimer(t *testing.T) {
 	if grown := int64(after) - int64(before); grown > n*32 {
 		t.Fatalf("live heap grew %d bytes over %d answered pops (%d a pop): their timers are still armed", grown, n, grown/n)
 	}
+}
+
+// depth is the backlog of b's queue name.
+func depth(b *Broker, name string) int {
+	q := b.queue(name)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.items)
 }

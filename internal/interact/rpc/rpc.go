@@ -13,7 +13,6 @@ import (
 
 	"ndsm/internal/endpoint"
 	"ndsm/internal/simtime"
-	"ndsm/internal/trace"
 	"ndsm/internal/transport"
 	"ndsm/internal/wire"
 )
@@ -33,17 +32,17 @@ type Handler func(payload []byte) ([]byte, error)
 
 // Server dispatches calls to registered handlers.
 type Server struct {
-	ep       *endpoint.Server
-	traceRef *trace.Ref
+	ep *endpoint.Server
 }
 
-// NewServer starts serving on the listener with unlimited admission.
+// NewServer starts serving on the listener with unlimited admission. It
+// traces with the process default tracer.
 func NewServer(l transport.Listener) *Server {
-	s := &Server{traceRef: trace.NewRef(nil)}
+	s := &Server{}
 	s.ep = endpoint.NewServer(l, endpoint.ServerOptions{
 		Kinds: []wire.Kind{wire.KindRequest},
 		Interceptors: []endpoint.ServerInterceptor{
-			endpoint.WithServerTracing(s.traceRef, "rpc.serve"),
+			endpoint.WithServerTracing(nil, "rpc.serve"),
 			endpoint.WithServerMetrics(nil, "rpc.server", nil),
 		},
 		Fallback: func(req *wire.Message) (*wire.Message, error) {
@@ -65,30 +64,26 @@ func (s *Server) Handle(method string, h Handler) {
 	})
 }
 
-// SetTracer installs the server's tracer (nil reverts to the process
-// default).
-func (s *Server) SetTracer(t *trace.Tracer) { s.traceRef.Set(t) }
-
 // Close stops the server and waits for in-flight handlers.
 func (s *Server) Close() error { return s.ep.Close() }
 
 // Client issues calls over one connection, multiplexing any number of
 // concurrent calls by correlation ID.
 type Client struct {
-	caller   *endpoint.Caller
-	traceRef *trace.Ref
+	caller *endpoint.Caller
 }
 
-// Dial connects a client to an RPC server.
+// Dial connects a client to an RPC server. It traces with the process
+// default tracer.
 func Dial(tr transport.Transport, addr string, clock simtime.Clock) (*Client, error) {
-	c := &Client{traceRef: trace.NewRef(nil)}
+	c := &Client{}
 	caller, err := endpoint.NewCaller(tr, addr, endpoint.CallerOptions{
 		Clock: clock,
 		Eager: true,
 		Interceptors: []endpoint.ClientInterceptor{
 			// With no tracer installed this is a pass-through that keeps the
 			// hot path allocation-free (BenchmarkInteractRPC's band).
-			endpoint.WithTracing(c.traceRef, "rpc.call"),
+			endpoint.WithTracing(nil, "rpc.call"),
 		},
 	})
 	if err != nil {
@@ -97,10 +92,6 @@ func Dial(tr transport.Transport, addr string, clock simtime.Clock) (*Client, er
 	c.caller = caller
 	return c, nil
 }
-
-// SetTracer installs the client's tracer (nil reverts to the process
-// default).
-func (c *Client) SetTracer(t *trace.Tracer) { c.traceRef.Set(t) }
 
 // Close shuts the client down; outstanding calls fail with ErrClosed.
 func (c *Client) Close() error { return c.caller.Close() }
@@ -150,8 +141,7 @@ func translate(m *wire.Message, err error, method string, timeout time.Duration)
 // GoCall starts method without waiting for the reply and returns its future:
 // the pipelined form of Call. The request is on the wire when GoCall
 // returns, so back-to-back GoCalls keep the connection full instead of
-// alternating send/wait. Resolve with fut.Wait (endpoint error vocabulary);
-// Go wraps this with the rpc translation.
+// alternating send/wait. Resolve with fut.Wait (endpoint error vocabulary).
 func (c *Client) GoCall(method string, payload []byte, timeout time.Duration) *endpoint.Future {
 	return c.GoCallLane(method, payload, timeout, endpoint.LaneDefault)
 }
@@ -163,24 +153,4 @@ func (c *Client) GoCallLane(method string, payload []byte, timeout time.Duration
 		t = endpoint.NoTimeout
 	}
 	return c.caller.Go(&endpoint.Call{Topic: method, Payload: payload, Timeout: t, Lane: lane})
-}
-
-// Go invokes method asynchronously; the returned channel receives the single
-// result. The request is pipelined onto the wire before Go returns — only
-// the wait parks a goroutine.
-func (c *Client) Go(method string, payload []byte, timeout time.Duration) <-chan Result {
-	fut := c.GoCall(method, payload, timeout)
-	out := make(chan Result, 1)
-	go func() {
-		m, err := fut.Wait()
-		data, err := translate(m, err, method, timeout)
-		out <- Result{Data: data, Err: err}
-	}()
-	return out
-}
-
-// Result is an asynchronous call outcome.
-type Result struct {
-	Data []byte
-	Err  error
 }

@@ -112,15 +112,15 @@ func TestSlowCallDoesNotBlockFastCall(t *testing.T) {
 	})
 	srv.Handle("fast", func([]byte) ([]byte, error) { return []byte("fast-done"), nil })
 
-	slowRes := cli.Go("slow", nil, 10*time.Second)
+	slow := cli.GoCall("slow", nil, 10*time.Second)
 	got, err := cli.Call("fast", nil, 5*time.Second)
 	if err != nil || string(got) != "fast-done" {
 		t.Fatalf("fast call behind slow call: %q, %v", got, err)
 	}
 	close(release)
-	res := <-slowRes
-	if res.Err != nil || string(res.Data) != "slow-done" {
-		t.Fatalf("slow result: %+v", res)
+	res, err := slow.Wait()
+	if err != nil || string(res.Payload) != "slow-done" {
+		t.Fatalf("slow result: %v, %v", res, err)
 	}
 }
 

@@ -59,13 +59,11 @@ type waiter struct {
 	ch       chan Tuple // capacity 1
 }
 
-// notification is a standing subscription to future matching tuples
-// (a LIME-style reaction).
+// notification is a standing claim on future matching tuples (a LIME-style
+// reaction).
 type notification struct {
 	template Tuple
 	ch       chan Tuple
-	// consume removes the matching tuple instead of copying it.
-	consume bool
 }
 
 // Space is the in-process tuple space. All methods are safe for concurrent
@@ -88,17 +86,10 @@ func NewSpace(clock simtime.Clock) *Space {
 	return &Space{clock: clock}
 }
 
-// Len reports how many tuples the space holds.
-func (s *Space) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.tuples)
-}
-
 // Out writes a tuple into the space, waking matching blocked readers: every
 // pending Rd gets a copy; the oldest pending In consumes it (in which case
-// the tuple is not stored). Standing notifications (Notify) receive copies;
-// a consuming notification (NotifyTake) may also claim the tuple.
+// the tuple is not stored). A reaction (NotifyTake) with room claims it
+// before any of them.
 func (s *Space) Out(t Tuple) {
 	t = t.clone()
 	s.mu.Lock()
@@ -106,20 +97,18 @@ func (s *Space) Out(t Tuple) {
 
 	consumed := false
 	// Reactions fire before blocked readers: they are standing requests
-	// registered earlier by definition.
+	// registered earlier by definition. At most one claims the tuple.
 	for n := range s.notifies {
 		if !t.Matches(n.template) {
 			continue
 		}
-		if n.consume && consumed {
-			continue
-		}
 		select {
 		case n.ch <- t.clone():
-			if n.consume {
-				consumed = true
-			}
-		default: // a full reaction channel loses the copy; Out never blocks
+			consumed = true
+		default: // a full reaction channel passes the tuple on; Out never blocks
+		}
+		if consumed {
+			break
 		}
 	}
 
@@ -152,21 +141,12 @@ func (s *Space) Out(t Tuple) {
 // notifyBuffer is each reaction channel's depth.
 const notifyBuffer = 64
 
-// Notify registers a standing reaction: every future tuple matching the
-// template is copied to the returned channel (the tuple is still stored).
+// NotifyTake registers a standing reaction: every future tuple matching the
+// template is delivered to the returned channel instead of being stored (at
+// most one reaction claims each tuple; a full channel leaves it stored).
 // Call the cancel function to deregister; the channel is closed then.
-func (s *Space) Notify(template Tuple) (<-chan Tuple, func()) {
-	return s.notify(template, false)
-}
-
-// NotifyTake is the consuming variant: matching tuples are delivered to the
-// channel instead of being stored (at most one consumer claims each tuple).
 func (s *Space) NotifyTake(template Tuple) (<-chan Tuple, func()) {
-	return s.notify(template, true)
-}
-
-func (s *Space) notify(template Tuple, consume bool) (<-chan Tuple, func()) {
-	n := &notification{template: template.clone(), ch: make(chan Tuple, notifyBuffer), consume: consume}
+	n := &notification{template: template.clone(), ch: make(chan Tuple, notifyBuffer)}
 	s.mu.Lock()
 	if s.notifies == nil {
 		s.notifies = make(map[*notification]struct{})
@@ -213,12 +193,6 @@ func (s *Space) InP(template Tuple) (Tuple, bool) {
 // Rd blocks until a matching tuple exists (or timeout) and returns a copy.
 func (s *Space) Rd(template Tuple, timeout time.Duration) (Tuple, error) {
 	return s.blocking(template, false, timeout)
-}
-
-// In blocks until a matching tuple exists (or timeout), removes and returns
-// it.
-func (s *Space) In(template Tuple, timeout time.Duration) (Tuple, error) {
-	return s.blocking(template, true, timeout)
 }
 
 func (s *Space) blocking(template Tuple, consume bool, timeout time.Duration) (Tuple, error) {
@@ -298,9 +272,6 @@ func NewServer(space *Space, l transport.Listener) *Server {
 	s.ep.Handle(topicRd, s.take(false))
 	return s
 }
-
-// Space returns the served space.
-func (s *Server) Space() *Space { return s.space }
 
 // Close stops the server and waits for blocked In/Rd requests to run out
 // their waits.

@@ -36,21 +36,21 @@ func TestTupleMatches(t *testing.T) {
 func TestOutRdPInP(t *testing.T) {
 	s := NewSpace(nil)
 	s.Out(Tuple{"temp", "room1", "22.5"})
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+	if stored(s) != 1 {
+		t.Fatalf("stored = %d", stored(s))
 	}
 	got, ok := s.RdP(Tuple{"temp", "*", "*"})
 	if !ok || got[2] != "22.5" {
 		t.Fatalf("RdP = %v, %v", got, ok)
 	}
-	if s.Len() != 1 {
+	if stored(s) != 1 {
 		t.Fatal("RdP removed the tuple")
 	}
 	got, ok = s.InP(Tuple{"temp", "room1", "*"})
 	if !ok || got[1] != "room1" {
 		t.Fatalf("InP = %v, %v", got, ok)
 	}
-	if s.Len() != 0 {
+	if stored(s) != 0 {
 		t.Fatal("InP did not remove the tuple")
 	}
 	if _, ok := s.InP(Tuple{"temp", "*", "*"}); ok {
@@ -85,7 +85,7 @@ func TestInBlocksUntilOut(t *testing.T) {
 	got := make(chan Tuple, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		tp, err := s.In(Tuple{"job", "*"}, 5*time.Second)
+		tp, err := s.blocking(Tuple{"job", "*"}, true, 5*time.Second)
 		if err != nil {
 			errCh <- err
 			return
@@ -104,14 +104,14 @@ func TestInBlocksUntilOut(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("In never woke")
 	}
-	if s.Len() != 0 {
+	if stored(s) != 0 {
 		t.Fatal("consumed tuple still stored")
 	}
 }
 
 func TestInTimesOut(t *testing.T) {
 	s := NewSpace(nil)
-	_, err := s.In(Tuple{"never"}, 30*time.Millisecond)
+	_, err := s.blocking(Tuple{"never"}, true, 30*time.Millisecond)
 	if !errors.Is(err, ErrNoMatch) {
 		t.Fatalf("err = %v", err)
 	}
@@ -141,7 +141,7 @@ func TestRdDoesNotConsume(t *testing.T) {
 			t.Fatal("rd waiter starved")
 		}
 	}
-	if s.Len() != 1 {
+	if stored(s) != 1 {
 		t.Fatal("rd consumed the tuple")
 	}
 }
@@ -155,7 +155,7 @@ func TestOnlyOneInConsumes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := s.In(Tuple{"one", "*"}, 200*time.Millisecond)
+			_, err := s.blocking(Tuple{"one", "*"}, true, 200*time.Millisecond)
 			mu.Lock()
 			if err == nil {
 				okCount++
@@ -250,7 +250,7 @@ func TestRemoteOutInRd(t *testing.T) {
 	if err := cli.Out(Tuple{"config", "rate", "10"}); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Space().Len() != 1 {
+	if stored(srv.space) != 1 {
 		t.Fatal("tuple not stored server-side")
 	}
 	got, err := cli.Rd(Tuple{"config", "*", "*"}, 0)
@@ -261,7 +261,7 @@ func TestRemoteOutInRd(t *testing.T) {
 	if err != nil || got[2] != "10" {
 		t.Fatalf("In = %v, %v", got, err)
 	}
-	if srv.Space().Len() != 0 {
+	if stored(srv.space) != 0 {
 		t.Fatal("In did not consume")
 	}
 }
@@ -286,7 +286,7 @@ func TestRemoteBlockingIn(t *testing.T) {
 		}
 	}()
 	time.Sleep(20 * time.Millisecond)
-	srv.Space().Out(Tuple{"job", "7"})
+	srv.space.Out(Tuple{"job", "7"})
 	select {
 	case tp := <-got:
 		if tp[1] != "7" {
@@ -357,7 +357,7 @@ func TestRemoteDialFailure(t *testing.T) {
 func TestNotifyReceivesFutureTuples(t *testing.T) {
 	s := NewSpace(nil)
 	s.Out(Tuple{"pre", "1"}) // before registration: not delivered
-	ch, cancel := s.Notify(Tuple{"pre", "*"})
+	ch, cancel := s.NotifyTake(Tuple{"pre", "*"})
 	defer cancel()
 	select {
 	case tp := <-ch:
@@ -373,15 +373,14 @@ func TestNotifyReceivesFutureTuples(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("reaction never fired")
 	}
-	// Non-consuming: the tuple is stored too.
-	if _, ok := s.RdP(Tuple{"pre", "2"}); !ok {
-		t.Fatal("notified tuple not stored")
+	if _, ok := s.RdP(Tuple{"pre", "2"}); ok {
+		t.Fatal("claimed tuple also stored")
 	}
 }
 
 func TestNotifyCancel(t *testing.T) {
 	s := NewSpace(nil)
-	ch, cancel := s.Notify(Tuple{"x"})
+	ch, cancel := s.NotifyTake(Tuple{"x"})
 	cancel()
 	cancel() // idempotent
 	s.Out(Tuple{"x"})
@@ -403,7 +402,7 @@ func TestNotifyTakeConsumes(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("consuming reaction never fired")
 	}
-	if s.Len() != 0 {
+	if stored(s) != 0 {
 		t.Fatal("consumed tuple still stored")
 	}
 }
@@ -430,7 +429,7 @@ func TestNotifyTakeSingleClaim(t *testing.T) {
 
 func TestNotifyOverflowDropsWithoutBlocking(t *testing.T) {
 	s := NewSpace(nil)
-	ch, cancel := s.Notify(Tuple{"flood", "*"})
+	ch, cancel := s.NotifyTake(Tuple{"flood", "*"})
 	defer cancel()
 	for i := 0; i < notifyBuffer+10; i++ {
 		s.Out(Tuple{"flood", strconv.Itoa(i)})
@@ -441,8 +440,8 @@ func TestNotifyOverflowDropsWithoutBlocking(t *testing.T) {
 	if first := <-ch; first[1] != "0" {
 		t.Fatalf("first delivered tuple = %v, want the first written", first)
 	}
-	if got := s.Len(); got != notifyBuffer+10 {
-		t.Fatalf("space holds %d tuples, want %d: a reaction copy must not consume", got, notifyBuffer+10)
+	if got := stored(s); got != 10 {
+		t.Fatalf("space holds %d tuples, want the 10 a full reaction passed on", got)
 	}
 }
 
@@ -473,7 +472,7 @@ func TestRemoteBlockedInDoesNotDelayOut(t *testing.T) {
 		_, err := cli.In(Tuple{"gate", "*"}, 10*time.Second)
 		inDone <- err
 	}()
-	waitBlocked(t, srv.Space())
+	waitBlocked(t, srv.space)
 
 	outDone := make(chan error, 1)
 	go func() { outDone <- cli.Out(Tuple{"other", "1"}) }()
@@ -487,8 +486,8 @@ func TestRemoteBlockedInDoesNotDelayOut(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Out waited behind a blocked In on the same connection")
 	}
-	if srv.Space().Len() != 1 {
-		t.Fatalf("Len = %d, want the one stored tuple", srv.Space().Len())
+	if stored(srv.space) != 1 {
+		t.Fatalf("stored = %d, want the one stored tuple", stored(srv.space))
 	}
 
 	if err := cli.Out(Tuple{"gate", "open"}); err != nil {
@@ -509,7 +508,7 @@ func TestServerCloseWithBlockedIn(t *testing.T) {
 		_, err := cli.In(Tuple{"never", "*"}, wait)
 		inDone <- err
 	}()
-	waitBlocked(t, srv.Space())
+	waitBlocked(t, srv.space)
 
 	closed := make(chan struct{})
 	go func() {
@@ -541,4 +540,11 @@ func TestOutAfterServerGone(t *testing.T) {
 			t.Fatalf("Out %d after server close = %v, want ErrClosed", i, err)
 		}
 	}
+}
+
+// stored is how many tuples s holds.
+func stored(s *Space) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.tuples)
 }

@@ -28,10 +28,9 @@ type Mux struct {
 	stop chan struct{}
 	done chan struct{}
 
-	droppedMu sync.Mutex
-	dropped   map[byte]int64
-	// obsDropped mirrors per-protocol drops into the shared observability
+	// obsDropped counts per-protocol drops in the shared observability
 	// registry under "netmux.dropped.<proto>", created on first drop.
+	droppedMu  sync.Mutex
 	obsDropped map[byte]*obs.Counter
 }
 
@@ -44,13 +43,11 @@ func New(net *netsim.Network, id netsim.NodeID) (*Mux, error) {
 		return nil, fmt.Errorf("netmux: %w", err)
 	}
 	m := &Mux{
-		net:     net,
-		id:      id,
-		chans:   make(map[byte]chan netsim.Packet),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		dropped: make(map[byte]int64),
-
+		net:        net,
+		id:         id,
+		chans:      make(map[byte]chan netsim.Packet),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
 		obsDropped: make(map[byte]*obs.Counter),
 	}
 	go m.loop(inbox)
@@ -85,14 +82,6 @@ func (m *Mux) Send(to netsim.NodeID, data []byte) error {
 // Broadcast transmits a datagram to all radio neighbours.
 func (m *Mux) Broadcast(data []byte) (int, error) {
 	return m.net.Broadcast(m.id, data)
-}
-
-// Dropped reports packets discarded for a protocol (unknown protocol bytes
-// are tallied under their own byte value).
-func (m *Mux) Dropped(proto byte) int64 {
-	m.droppedMu.Lock()
-	defer m.droppedMu.Unlock()
-	return m.dropped[proto]
 }
 
 // Close stops the demux loop.
@@ -144,7 +133,6 @@ func (m *Mux) dispatch(pkt netsim.Packet) {
 
 func (m *Mux) drop(proto byte) {
 	m.droppedMu.Lock()
-	m.dropped[proto]++
 	c := m.obsDropped[proto]
 	if c == nil {
 		c = obs.Default().Counter(fmt.Sprintf("netmux.dropped.%d", proto))

@@ -2,6 +2,7 @@ package netmux
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -65,11 +66,12 @@ func TestUnknownProtocolDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
+	before := drops(0xEE)
 	if err := net.Send("a", "b", []byte{0xEE, 9}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for m.Dropped(0xEE) == 0 {
+	for drops(0xEE) == before {
 		if time.Now().After(deadline) {
 			t.Fatal("unknown-protocol packet not counted dropped")
 		}
@@ -152,8 +154,9 @@ func TestChannelOverflowCounted(t *testing.T) {
 	// Keep sending until the mux-level drop counter moves: the raw netsim
 	// inbox can also overflow while the mux loop lags, so we pace sends and
 	// tolerate inbox-full errors.
+	before := drops(0x07)
 	deadline := time.Now().Add(10 * time.Second)
-	for m.Dropped(0x07) == 0 {
+	for drops(0x07) == before {
 		if time.Now().After(deadline) {
 			t.Fatal("overflow never counted")
 		}
@@ -166,37 +169,8 @@ func TestChannelOverflowCounted(t *testing.T) {
 	}
 }
 
-func TestChannelOverflowRegistersObs(t *testing.T) {
-	net := pairNet(t)
-	m, err := New(net, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
-	_ = m.Channel(0x09) // registered but never drained
-	// The obs registry is process-wide, so assert on the delta.
-	before := obs.Default().Counter("netmux.dropped.9").Value()
-	deadline := time.Now().Add(10 * time.Second)
-	for m.Dropped(0x09) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("overflow never counted")
-		}
-		for i := 0; i < channelSize; i++ {
-			if err := net.Send("a", "b", []byte{0x09}); err != nil && !errors.Is(err, netsim.ErrInboxFull) {
-				t.Fatal(err)
-			}
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Let the mux drain the queued backlog so the tallies stop moving.
-	for prev := int64(-1); prev != m.Dropped(0x09); {
-		prev = m.Dropped(0x09)
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := obs.Default().Counter("netmux.dropped.9").Value() - before; got != m.Dropped(0x09) {
-		t.Fatalf("obs mirror = %d, mux tally = %d", got, m.Dropped(0x09))
-	}
-	if m.Dropped(0x09) == 0 {
-		t.Fatal("no drops tallied for protocol 9")
-	}
+// drops reads the process-wide count of packets muxes dropped for proto; the
+// registry is shared, so tests compare it with a reading taken before.
+func drops(proto byte) int64 {
+	return obs.Default().Counter(fmt.Sprintf("netmux.dropped.%d", proto)).Value()
 }

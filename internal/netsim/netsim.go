@@ -195,10 +195,6 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// SetTracer installs the network's tracer (nil reverts to the process
-// default).
-func (n *Network) SetTracer(t *trace.Tracer) { n.traceRef.Set(t) }
-
 // count bumps a traffic counter in both the local snapshot (Counters) and
 // the shared observability registry.
 func (n *Network) count(name string, delta int64) {

@@ -30,9 +30,6 @@ type Counter struct {
 // Inc adds delta (which should be non-negative) to the counter.
 func (c *Counter) Inc(delta int64) { c.v.Add(delta) }
 
-// Add is an alias for Inc, for call-site readability with computed deltas.
-func (c *Counter) Add(delta int64) { c.v.Add(delta) }
-
 // Value returns the current tally.
 func (c *Counter) Value() int64 { return c.v.Load() }
 

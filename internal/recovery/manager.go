@@ -49,9 +49,6 @@ func NewManager(dir string, sm StateMachine, opts WALOptions) (*Manager, error) 
 // Close releases the WAL.
 func (m *Manager) Close() error { return m.wal.Close() }
 
-// WAL exposes the underlying log (for size/metrics).
-func (m *Manager) WAL() *WAL { return m.wal }
-
 // Log durably records an operation and applies it. opKey de-duplicates
 // client retries: an operation whose key was already applied is skipped
 // (and reports applied=false).

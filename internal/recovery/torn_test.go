@@ -26,11 +26,7 @@ func buildWAL(t *testing.T, n int) ([]byte, []int64) {
 		if _, err := w.Append(Record{Type: RecordOp, OpKey: fmt.Sprintf("op-%d", i), Data: payload}); err != nil {
 			t.Fatal(err)
 		}
-		size, err := w.Size()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ends = append(ends, size)
+		ends = append(ends, walSize(t, w))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -202,7 +198,7 @@ func TestManagerRecoverAfterTornTail(t *testing.T) {
 	}
 	// The manager keeps logging: the WAL's LSN sequence continues right
 	// after the surviving prefix (4 records survived, so the next is 5).
-	if next := mgr2.WAL().NextLSN(); next != 5 {
+	if next := mgr2.wal.NextLSN(); next != 5 {
 		t.Fatalf("post-recovery NextLSN %d, want 5", next)
 	}
 	if _, err := mgr2.Log("k5", setOp("k5", "v5")); err != nil {

@@ -212,20 +212,6 @@ func (w *WAL) NextLSN() uint64 {
 	return w.nextLSN
 }
 
-// Size returns the current log size in bytes.
-func (w *WAL) Size() (int64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, ErrWALClosed
-	}
-	st, err := w.f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("recovery: stat: %w", err)
-	}
-	return st.Size(), nil
-}
-
 // Close syncs and closes the log.
 func (w *WAL) Close() error {
 	w.mu.Lock()

@@ -421,18 +421,6 @@ func (r *Recorder) Tail() []Record {
 	return out
 }
 
-// Topics lists topics with aggregate state, sorted.
-func (r *Recorder) Topics() []string {
-	r.mu.Lock()
-	out := make([]string, 0, len(r.topics))
-	for t := range r.topics {
-		out = append(out, t)
-	}
-	r.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
 // TopicQuantile reads one topic's local latency quantile in milliseconds.
 func (r *Recorder) TopicQuantile(topic string, q float64) (float64, bool) {
 	r.mu.Lock()

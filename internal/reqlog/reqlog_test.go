@@ -164,9 +164,8 @@ func TestTopicOverflowFoldsIntoOther(t *testing.T) {
 		rec.Latency = 5 * time.Millisecond
 		r.Record(rec)
 	}
-	topics := r.Topics()
-	if len(topics) != maxTopics+1 {
-		t.Fatalf("topics = %v, want %d + overflow", topics, maxTopics)
+	if n := len(r.topics); n != maxTopics+1 {
+		t.Fatalf("topics = %d, want %d + overflow", n, maxTopics)
 	}
 	if q, ok := r.TopicQuantile(OverflowTopic, 0.5); !ok || q <= 0 {
 		t.Errorf("overflow digest quantile = %v, %v", q, ok)

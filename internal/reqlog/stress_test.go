@@ -51,7 +51,6 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 				_ = r.TopKBinary()
 				_ = r.TopK(5)
 				_, _ = r.TopicQuantile("topic-1", 0.99)
-				_ = r.Topics()
 			}
 		}()
 	}

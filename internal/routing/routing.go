@@ -136,10 +136,6 @@ type Router struct {
 	done   chan struct{}
 	closed atomic.Bool
 
-	// forwarded counts packets this node relayed for others.
-	forwarded atomic.Int64
-	// dropped counts packets discarded (TTL, dedup overflow, no route).
-	dropped atomic.Int64
 	// handled counts every inbound radio packet processed; Mesh.Settle uses
 	// it to detect quiescence.
 	handled atomic.Int64
@@ -182,15 +178,6 @@ func (r *Router) ID() netsim.NodeID { return r.id }
 
 // Network returns the underlying substrate (used by strategies).
 func (r *Router) Network() *netsim.Network { return r.net }
-
-// Strategy returns the plugged strategy.
-func (r *Router) Strategy() Strategy { return r.strategy }
-
-// Forwarded reports how many packets this router relayed for other nodes.
-func (r *Router) Forwarded() int64 { return r.forwarded.Load() }
-
-// Dropped reports packets this router discarded.
-func (r *Router) Dropped() int64 { return r.dropped.Load() }
 
 // Close stops the router's demux loop.
 func (r *Router) Close() {
@@ -263,7 +250,6 @@ func (r *Router) route(p *packet) error {
 	}
 	hop, ok := r.strategy.NextHop(r, p.dest)
 	if !ok {
-		r.dropped.Add(1)
 		return fmt.Errorf("%w: %s -> %s (%s)", ErrNoRoute, r.id, p.dest, r.strategy.Name())
 	}
 	if err := r.net.Send(r.id, hop, p.encode()); err != nil {
@@ -295,7 +281,6 @@ func (r *Router) handle(raw netsim.Packet) {
 	defer r.handled.Add(1)
 	p, err := decodePacket(raw.Data)
 	if err != nil {
-		r.dropped.Add(1)
 		return
 	}
 	switch p.ptype {
@@ -303,8 +288,6 @@ func (r *Router) handle(raw netsim.Packet) {
 		r.strategy.HandleAdvertisement(r, raw.From, p.payload)
 	case typeData:
 		r.handleData(p)
-	default:
-		r.dropped.Add(1)
 	}
 }
 
@@ -319,12 +302,10 @@ func (r *Router) handleData(p *packet) {
 			return
 		}
 		if p.ttl <= 1 {
-			r.dropped.Add(1)
 			return
 		}
 		fwd := *p
 		fwd.ttl--
-		r.forwarded.Add(1)
 		_, _ = r.net.Broadcast(r.id, fwd.encode())
 		return
 	}
@@ -334,27 +315,21 @@ func (r *Router) handleData(p *packet) {
 		return
 	}
 	if p.ttl <= 1 {
-		r.dropped.Add(1)
 		return
 	}
 	hop, ok := r.strategy.NextHop(r, p.dest)
 	if !ok {
-		r.dropped.Add(1)
 		return
 	}
 	fwd := *p
 	fwd.ttl--
-	r.forwarded.Add(1)
-	if err := r.net.Send(r.id, hop, fwd.encode()); err != nil {
-		r.dropped.Add(1)
-	}
+	_ = r.net.Send(r.id, hop, fwd.encode())
 }
 
 func (r *Router) deliver(pkt netsim.Packet) {
 	select {
 	case r.out <- pkt:
-	default:
-		r.dropped.Add(1)
+	default: // a full delivery queue loses the packet
 	}
 }
 

@@ -161,16 +161,17 @@ func TestFloodingTTLBounds(t *testing.T) {
 }
 
 func TestDVConvergesAndRoutes(t *testing.T) {
-	net, ids := lineNet(t)
+	net, _ := lineNet(t)
 	m := newMesh(t, net, func() Strategy { return NewDistanceVector(HopCost) })
 	if !m.Converge(6) {
 		t.Fatal("mesh did not quiesce")
 	}
-	dv := m.Router("a").Strategy().(*DistanceVector)
+	dv := m.Router("a").strategy.(*DistanceVector)
 	routes := dv.Routes()
 	if cost, ok := routes["e"]; !ok || cost != 4 {
 		t.Fatalf("a's route to e = %v (ok=%v), want cost 4", cost, ok)
 	}
+	sent := net.Counters()["sent"]
 	if err := m.Router("a").Send("a", "e", []byte("dv-hello")); err != nil {
 		t.Fatal(err)
 	}
@@ -178,13 +179,10 @@ func TestDVConvergesAndRoutes(t *testing.T) {
 	if pkt.From != "a" || string(pkt.Data) != "dv-hello" {
 		t.Fatalf("bad delivery: %+v", pkt)
 	}
-	// Exactly the 3 intermediate nodes forwarded once each.
-	var forwards int64
-	for _, id := range ids {
-		forwards += m.Router(id).Forwarded()
-	}
-	if forwards != 3 {
-		t.Fatalf("forwards = %d, want 3", forwards)
+	// The first hop, then exactly the 3 intermediate nodes forwarding once
+	// each.
+	if hops := net.Counters()["sent"] - sent; hops != 4 {
+		t.Fatalf("hops = %d, want 4", hops)
 	}
 }
 
@@ -219,7 +217,7 @@ func TestDVRepairAfterNodeDeath(t *testing.T) {
 
 	// Kill whichever relay a is using; the stale-route check plus fresh
 	// advertisements must repair via the other corner.
-	dv := m.Router("a").Strategy().(*DistanceVector)
+	dv := m.Router("a").strategy.(*DistanceVector)
 	dv.mu.Lock()
 	relay := dv.routes["d"].nextHop
 	dv.mu.Unlock()
@@ -259,7 +257,7 @@ func TestEnergyAwareAvoidsDrainedRelay(t *testing.T) {
 		return NewDistanceVector(EnergyCost(128, 0.05))
 	})
 	m.Converge(5)
-	dv := m.Router("src").Strategy().(*DistanceVector)
+	dv := m.Router("src").strategy.(*DistanceVector)
 	dv.mu.Lock()
 	hop := dv.routes["dst"].nextHop
 	dv.mu.Unlock()

@@ -71,7 +71,7 @@ func TestDepartureSweepHandsOff(t *testing.T) {
 	if len(reports) != 1 || reports[0].Peer != "mobile" || reports[0].Moved != 1 {
 		t.Fatalf("reports = %+v", reports)
 	}
-	got, _ := table.Get(txn.ID)
+	got, _ := txnOn(table, "backup", txn.ID)
 	if got.Peer != "backup" || got.State != transaction.StateActive {
 		t.Fatalf("txn = %+v", got)
 	}

@@ -21,8 +21,6 @@ type Clock interface {
 	// After returns a channel that receives the then-current time once d has
 	// elapsed on this clock.
 	After(d time.Duration) <-chan time.Time
-	// Sleep blocks until d has elapsed on this clock.
-	Sleep(d time.Duration)
 }
 
 // Real is a Clock backed by the wall clock.
@@ -35,9 +33,6 @@ func (Real) Now() time.Time { return time.Now() }
 
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-// Sleep implements Clock.
-func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
 // waiter is a pending timer on a virtual clock.
 type waiter struct {
@@ -104,12 +99,6 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time {
 	v.seq++
 	heap.Push(&v.waiters, &waiter{at: v.now.Add(d), ch: ch, seq: v.seq})
 	return ch
-}
-
-// Sleep implements Clock. It blocks until another goroutine advances the
-// clock past the deadline.
-func (v *Virtual) Sleep(d time.Duration) {
-	<-v.After(d)
 }
 
 // Advance moves the clock forward by d, firing every timer whose deadline is

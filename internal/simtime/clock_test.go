@@ -112,25 +112,6 @@ func TestVirtualFiringOrder(t *testing.T) {
 	}
 }
 
-func TestVirtualSleepUnblocksOnAdvance(t *testing.T) {
-	v := NewVirtual(epoch)
-	done := make(chan struct{})
-	go func() {
-		v.Sleep(time.Minute)
-		close(done)
-	}()
-	// Wait for the sleeper to register.
-	for v.Pending() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	v.Advance(time.Minute)
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Sleep did not return after Advance")
-	}
-}
-
 func TestVirtualAdvanceToNext(t *testing.T) {
 	v := NewVirtual(epoch)
 	ch1 := v.After(5 * time.Second)

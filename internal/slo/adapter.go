@@ -12,7 +12,6 @@ import (
 // adapter drives: runtime re-reservation of one lane's admission quota.
 type LaneServer interface {
 	SetLaneQuota(lane endpoint.Lane, quota int) bool
-	LaneQuota(lane endpoint.Lane) int
 }
 
 // QuotaAdapterOptions wires a QuotaAdapter.

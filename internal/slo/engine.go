@@ -71,36 +71,12 @@ type Summary struct {
 	Critical int `json:"critical"`
 }
 
-// Alerts is the engine's transition feed. Subscribers get every transition
-// after they subscribe; a slow subscriber's channel drops (the live state is
-// always recoverable from Engine.States, so the feed is a nudge, not a log).
+// Alerts is the engine's transition feed: callbacks get every transition
+// after they register (the live state is always recoverable from
+// Engine.States, so the feed is a nudge, not a log).
 type Alerts struct {
-	mu    sync.Mutex
-	chans []chan Transition
-	fns   []func(Transition)
-}
-
-// Subscribe returns a buffered channel of future transitions and a cancel
-// function. buffer <= 0 gets a default of 16.
-func (a *Alerts) Subscribe(buffer int) (<-chan Transition, func()) {
-	if buffer <= 0 {
-		buffer = 16
-	}
-	ch := make(chan Transition, buffer)
-	a.mu.Lock()
-	a.chans = append(a.chans, ch)
-	a.mu.Unlock()
-	cancel := func() {
-		a.mu.Lock()
-		for i, c := range a.chans {
-			if c == ch {
-				a.chans = append(a.chans[:i], a.chans[i+1:]...)
-				break
-			}
-		}
-		a.mu.Unlock()
-	}
-	return ch, cancel
+	mu  sync.Mutex
+	fns []func(Transition)
 }
 
 // Notify registers a synchronous callback invoked (outside the engine lock)
@@ -113,15 +89,8 @@ func (a *Alerts) Notify(fn func(Transition)) {
 
 func (a *Alerts) emit(t Transition) {
 	a.mu.Lock()
-	chans := append([]chan Transition(nil), a.chans...)
 	fns := append([]func(Transition){}, a.fns...)
 	a.mu.Unlock()
-	for _, ch := range chans {
-		select {
-		case ch <- t:
-		default: // slow subscriber: drop rather than wedge evaluation
-		}
-	}
 	for _, fn := range fns {
 		fn(t)
 	}

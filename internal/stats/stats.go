@@ -23,13 +23,6 @@ func (c *Counter) Inc(name string, delta int64) {
 	c.mu.Unlock()
 }
 
-// Get returns the named tally.
-func (c *Counter) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
 // Snapshot returns a copy of all tallies.
 func (c *Counter) Snapshot() map[string]int64 {
 	c.mu.Lock()

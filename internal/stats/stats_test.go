@@ -8,13 +8,13 @@ import (
 
 func TestCounter(t *testing.T) {
 	var c Counter
-	if got := c.Get("x"); got != 0 {
+	if got := c.Snapshot()["x"]; got != 0 {
 		t.Fatalf("Get on empty = %d, want 0", got)
 	}
 	c.Inc("x", 2)
 	c.Inc("x", 3)
 	c.Inc("y", 1)
-	if got := c.Get("x"); got != 5 {
+	if got := c.Snapshot()["x"]; got != 5 {
 		t.Fatalf("x = %d, want 5", got)
 	}
 	snap := c.Snapshot()
@@ -22,7 +22,7 @@ func TestCounter(t *testing.T) {
 		t.Fatalf("bad snapshot: %v", snap)
 	}
 	snap["x"] = 99
-	if got := c.Get("x"); got != 5 {
+	if got := c.Snapshot()["x"]; got != 5 {
 		t.Fatal("snapshot must be a copy")
 	}
 }
@@ -40,7 +40,7 @@ func TestCounterConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := c.Get("n"); got != 4000 {
+	if got := c.Snapshot()["n"]; got != 4000 {
 		t.Fatalf("n = %d, want 4000", got)
 	}
 }

@@ -33,10 +33,3 @@ func TestKeyHashMatchesStdlib(t *testing.T) {
 		}
 	}
 }
-
-func TestDescriptionKeyHash(t *testing.T) {
-	d := &Description{Name: "printer", Provider: "node-1", InstanceID: "0"}
-	if got, want := d.KeyHash(), KeyHash(d.Key()); got != want {
-		t.Errorf("KeyHash() = %#x, want KeyHash(Key()) = %#x", got, want)
-	}
-}

@@ -74,15 +74,12 @@ func (d *Description) Key() string {
 	return d.Provider + "|" + d.Name + "|" + d.InstanceID
 }
 
-// KeyHash returns the stable 64-bit hash of the advertisement key — the
-// value sharded registries place on their consistent-hash ring. See KeyHash.
-func (d *Description) KeyHash() uint64 { return KeyHash(d.Key()) }
-
-// KeyHash is FNV-1a over the key bytes. The function is pinned by test: it
-// must never change, because every member of a registry cluster (and every
-// client routing writes to shard owners) derives placement from it — two
-// builds disagreeing on the hash would scatter one service's advertisement
-// across disjoint owner sets.
+// KeyHash is the stable 64-bit hash of an advertisement key, the value
+// sharded registries place on their consistent-hash ring: FNV-1a over the
+// key bytes. The function is pinned by test: it must never change, because
+// every member of a registry cluster (and every client routing writes to
+// shard owners) derives placement from it — two builds disagreeing on the
+// hash would scatter one service's advertisement across disjoint owner sets.
 func KeyHash(key string) uint64 {
 	const (
 		offset64 = 14695981039346656037

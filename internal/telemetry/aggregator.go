@@ -83,9 +83,6 @@ func NewAggregator(opts AggregatorOptions) *Aggregator {
 	}
 }
 
-// StaleAfter returns the configured staleness horizon.
-func (a *Aggregator) StaleAfter() time.Duration { return a.opts.StaleAfter }
-
 // Ingest folds one report in. Reports must arrive with strictly increasing
 // sequence numbers and timestamps per node; duplicates, reorders, and
 // time-travel are rejected so every stored series stays monotone in the

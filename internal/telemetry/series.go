@@ -41,9 +41,6 @@ func (s *Series) Append(p Point) {
 	s.next = (s.next + 1) % len(s.buf)
 }
 
-// Len reports how many points the window holds.
-func (s *Series) Len() int { return len(s.buf) }
-
 // Cap reports the window capacity.
 func (s *Series) Cap() int { return cap(s.buf) }
 

@@ -20,10 +20,10 @@ func TestSeriesRingWindow(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		s.Append(Point{T: base.Add(time.Duration(i) * time.Second), V: float64(i)})
 	}
-	if s.Len() != 4 {
-		t.Fatalf("len = %d, want 4", s.Len())
-	}
 	pts := s.Points()
+	if len(pts) != 4 {
+		t.Fatalf("len = %d, want 4", len(pts))
+	}
 	for i, p := range pts {
 		want := float64(i + 2) // 0 and 1 were evicted
 		if p.V != want {

@@ -73,13 +73,3 @@ func (c *Collector) Dropped() uint64 {
 	defer c.mu.Unlock()
 	return c.dropped
 }
-
-// Reset discards all retained spans and zeroes the counters.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.buf = c.buf[:0]
-	c.next = 0
-	c.total = 0
-	c.dropped = 0
-}

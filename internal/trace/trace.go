@@ -242,14 +242,6 @@ func New(o Options) *Tracer {
 	}
 }
 
-// Name returns the tracer's node name ("" for nil).
-func (t *Tracer) Name() string {
-	if t == nil {
-		return ""
-	}
-	return t.name
-}
-
 // Collector returns the tracer's span sink (nil for a nil tracer).
 func (t *Tracer) Collector() *Collector {
 	if t == nil {

@@ -146,10 +146,6 @@ func TestCollectorRingWrap(t *testing.T) {
 			t.Errorf("spans[%d] retains its tracer", i)
 		}
 	}
-	col.Reset()
-	if col.Len() != 0 || col.Total() != 0 || col.Dropped() != 0 {
-		t.Errorf("Reset left state: len=%d total=%d dropped=%d", col.Len(), col.Total(), col.Dropped())
-	}
 }
 
 func TestNilTracerAndSpanAreNoops(t *testing.T) {
@@ -163,7 +159,7 @@ func TestNilTracerAndSpanAreNoops(t *testing.T) {
 	}
 	done()
 	tr.Event("x", "k", "v")
-	if tr.Collector() != nil || tr.Name() != "" || tr.Ambient().Valid() {
+	if tr.Collector() != nil || tr.Ambient().Valid() {
 		t.Error("nil tracer accessors not zero")
 	}
 

@@ -31,8 +31,6 @@ func (c Class) String() string {
 // Schedule decides when a transaction's next proactive transmission should
 // happen.
 type Schedule interface {
-	// Class reports which transaction class the schedule realizes.
-	Class() Class
 	// Next returns the time of the next transmission after now, or false if
 	// transmissions only happen on demand.
 	Next(now time.Time) (time.Time, bool)
@@ -48,9 +46,6 @@ type Periodic struct {
 
 var _ Schedule = Periodic{}
 
-// Class implements Schedule.
-func (Periodic) Class() Class { return Continuous }
-
 // Next implements Schedule.
 func (p Periodic) Next(now time.Time) (time.Time, bool) { return now.Add(p.Period), true }
 
@@ -61,9 +56,6 @@ func (Periodic) Observe(time.Time) {}
 type Demand struct{}
 
 var _ Schedule = Demand{}
-
-// Class implements Schedule.
-func (Demand) Class() Class { return OnDemand }
 
 // Next implements Schedule.
 func (Demand) Next(time.Time) (time.Time, bool) { return time.Time{}, false }
@@ -89,9 +81,6 @@ type Predictor struct {
 }
 
 var _ Schedule = (*Predictor)(nil)
-
-// Class implements Schedule.
-func (*Predictor) Class() Class { return Intermittent }
 
 // Observe implements Schedule.
 func (p *Predictor) Observe(at time.Time) {
@@ -157,14 +146,10 @@ type Pump struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
-
-	mu   sync.Mutex
-	sent int
-	errs int
 }
 
 // NewPump starts pumping. source returns the next payload (false ends the
-// pump); emit transmits it (errors are counted, not fatal).
+// pump); emit transmits it (an error is not fatal: the pump carries on).
 func NewPump(clock simtime.Clock, schedule Schedule, source func() ([]byte, bool), emit func([]byte) error) *Pump {
 	if clock == nil {
 		clock = simtime.Real{}
@@ -187,13 +172,6 @@ func (p *Pump) Stop() {
 	<-p.done
 }
 
-// Stats reports how many payloads were sent and how many emits failed.
-func (p *Pump) Stats() (sent, errs int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sent, p.errs
-}
-
 func (p *Pump) run() {
 	defer close(p.done)
 	for {
@@ -212,13 +190,6 @@ func (p *Pump) run() {
 			return
 		}
 		p.schedule.Observe(p.clock.Now())
-		err := p.emit(payload)
-		p.mu.Lock()
-		if err != nil {
-			p.errs++
-		} else {
-			p.sent++
-		}
-		p.mu.Unlock()
+		_ = p.emit(payload)
 	}
 }

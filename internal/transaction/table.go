@@ -95,17 +95,6 @@ func (t *Table) Open(topic, peer string, class Class, priority uint8, benefit qo
 	return txn
 }
 
-// Get returns a copy of the transaction record.
-func (t *Table) Get(id uint64) (Txn, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	txn, ok := t.txns[id]
-	if !ok {
-		return Txn{}, fmt.Errorf("%w: %d", ErrUnknownTxn, id)
-	}
-	return *txn, nil
-}
-
 // Complete finishes an active or handing-off transaction and drops its
 // record.
 func (t *Table) Complete(id uint64) error {
@@ -161,18 +150,6 @@ func (t *Table) transition(id uint64, to State, from ...State) error {
 	return fmt.Errorf("%w: %s -> %s", ErrBadState, txn.State, to)
 }
 
-// Tracker returns the live QoS tracker of a transaction (shared, not a
-// copy).
-func (t *Table) Tracker(id uint64) (*qos.Tracker, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	txn, ok := t.txns[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownTxn, id)
-	}
-	return txn.Tracker, nil
-}
-
 // ByPeer returns copies of all transactions bound to peer, ordered by ID —
 // the set the scheduler must hand off when that peer departs.
 func (t *Table) ByPeer(peer string) []Txn {
@@ -186,25 +163,4 @@ func (t *Table) ByPeer(peer string) []Txn {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Active returns copies of all active transactions, ordered by ID.
-func (t *Table) Active() []Txn {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []Txn
-	for _, txn := range t.txns {
-		if txn.State == StateActive {
-			out = append(out, *txn)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Len returns the number of live (active or handing-off) transactions.
-func (t *Table) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.txns)
 }

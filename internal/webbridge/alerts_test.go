@@ -101,7 +101,7 @@ func TestAlertsEndpoint(t *testing.T) {
 // TestFlightEndpoint serves the recorder's post-mortem bundles.
 func TestFlightEndpoint(t *testing.T) {
 	srv, _, rec := sloFixture(t)
-	if rec.Len() == 0 {
+	if len(rec.Bundles()) == 0 {
 		t.Fatal("critical transition cut no bundle")
 	}
 	resp, err := http.Get(srv.URL + "/flight")

@@ -42,6 +42,7 @@ package webbridge
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -65,7 +66,7 @@ import (
 	"ndsm/internal/trace"
 )
 
-// maxCallBody bounds POST /call payloads.
+// maxCallBody bounds POST /call payloads; a longer body is refused with 413.
 const maxCallBody = 1 << 20
 
 // serverConfig is the bridge's one resolved lookup path for every
@@ -577,8 +578,14 @@ func (b *Bridge) handleCall(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing service name", http.StatusBadRequest)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxCallBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCallBody))
 	if err != nil {
+		// A cut body would reach the service as a different request.
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("body over %d bytes", maxCallBody), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -1,9 +1,11 @@
 package webbridge
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"net/http"
@@ -176,6 +178,50 @@ func TestCallMethodAndPathValidation(t *testing.T) {
 	}
 }
 
+// A body over maxCallBody is refused whole with 413 before any binding is
+// made: the service never sees it, cut short or otherwise.
+func TestCallRejectsOversizedBody(t *testing.T) {
+	fabric := transport.NewFabric()
+	registry := discovery.NewStore(nil, 0)
+	sup, err := core.NewNode(core.Config{Name: "sup", Transport: transport.NewMem(fabric), Registry: registry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = sup.Close() })
+	var calls atomic.Int64
+	if err := sup.Serve(&svcdesc.Description{Name: "sink", Reliability: 0.9, PowerLevel: 1},
+		func(p []byte) ([]byte, error) { calls.Add(1); return nil, nil }); err != nil {
+		t.Fatal(err)
+	}
+	web, err := core.NewNode(core.Config{Name: "web", Transport: transport.NewMem(fabric), Registry: registry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = web.Close() })
+	bridge := New(registry, web)
+	t.Cleanup(func() { _ = bridge.Close() })
+	srv := httptest.NewServer(bridge)
+	t.Cleanup(srv.Close)
+
+	resp, err := http.Post(srv.URL+"/call/sink", "application/octet-stream", bytes.NewReader(make([]byte, maxCallBody+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("code = %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("the service ran %d times on an oversized body", n)
+	}
+	bridge.mu.Lock()
+	bound := len(bridge.bindings)
+	bridge.mu.Unlock()
+	if bound != 0 {
+		t.Fatalf("%d bindings made for a refused call", bound)
+	}
+}
+
 func TestCallDisabledWithoutNode(t *testing.T) {
 	registry := discovery.NewStore(nil, 0)
 	bridge := New(registry, nil)
@@ -249,11 +295,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(mux.Close)
+	muxDrops := obs.Default().Counter("netmux.dropped.238")
+	dropsBefore := muxDrops.Value()
 	if err := net.Send("a", "b", []byte{0xEE}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for mux.Dropped(0xEE) == 0 {
+	for muxDrops.Value() == dropsBefore {
 		if time.Now().After(deadline) {
 			t.Fatal("netmux never dropped the unknown-protocol packet")
 		}

@@ -52,13 +52,14 @@ func TestTelemetryClusterE2E(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = tr.Close() })
+		// A per-node registry is what gives the aggregator per-node
+		// series instead of one merged blur.
+		metrics := obs.NewRegistry()
 		node, err := core.NewNode(core.Config{
 			Name:      id,
 			Transport: tr,
 			Registry:  store,
-			// A per-node registry is what gives the aggregator per-node
-			// series instead of one merged blur.
-			Metrics: obs.NewRegistry(),
+			Metrics:   metrics,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +90,7 @@ func TestTelemetryClusterE2E(t *testing.T) {
 		t.Cleanup(func() { _ = caller.Close() })
 		pub, err := telemetry.NewPublisher(telemetry.PublisherOptions{
 			Node:     id,
-			Registry: node.Metrics(),
+			Registry: metrics,
 			Clock:    vclock,
 			Send:     telemetry.CallerSend(caller, id, "n0", 2*time.Second),
 		})

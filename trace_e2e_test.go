@@ -25,6 +25,10 @@ func TestRPCThroughDiscoveryConnectedTraceTree(t *testing.T) {
 	// timeline of the whole simulated world.
 	col := trace.NewCollector(1024)
 	tr := trace.New(trace.Options{Name: "world", Collector: col})
+	// The rpc server and client trace with the process default.
+	prev := trace.Default()
+	trace.SetDefault(tr)
+	t.Cleanup(func() { trace.SetDefault(prev) })
 
 	// Radio layer: three nodes in a line, ranges only reach neighbours, so
 	// the flood query takes a multi-hop path to the supplier.
@@ -57,7 +61,6 @@ func TestRPCThroughDiscoveryConnectedTraceTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := rpc.NewServer(l)
-	srv.SetTracer(tr)
 	t.Cleanup(func() { _ = srv.Close() })
 	srv.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
 	if err := agents[2].Register(&svcdesc.Description{
@@ -82,7 +85,6 @@ func TestRPCThroughDiscoveryConnectedTraceTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli.SetTracer(tr)
 	t.Cleanup(func() { _ = cli.Close() })
 	out, err := cli.Call("echo", []byte("ping"), 2*time.Second)
 	if err != nil || string(out) != "ping" {
