@@ -6,6 +6,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"ndsm/internal/discovery"
@@ -49,7 +50,8 @@ func TestBindingRequestAllocs(t *testing.T) {
 // both nodes: the AsyncReply, which holds its call's endpoint.Future, and the
 // reply's payload, which the consumer keeps. The Call stays on the stack
 // (Caller.Start), the reply envelope is endpoint.NewReply's, and both decodes
-// draw shells the other side gave back.
+// draw shells the other side gave back. The two are 224 B: 160 for the
+// AsyncReply's size class (TestAsyncHandleSizes) and 64 for the payload.
 func TestBindingRequestAsyncAllocsTCP(t *testing.T) {
 	store := discovery.NewStore(nil, 0)
 	node := func() *Node {
@@ -89,4 +91,24 @@ func TestBindingRequestAsyncAllocsTCP(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, request); allocs > want {
 		t.Fatalf("RequestAsync and Wait on TCP allocate %.2f objects, want at most %d", allocs, want)
 	}
+	// The slack is for what the runtime and the test allocate beside the
+	// calls, a few bytes a call, well short of the next size class.
+	const wantBytes, slack = 224, 8
+	if bytes := bytesPerRun(1000, request); bytes > wantBytes+slack {
+		t.Fatalf("RequestAsync and Wait on TCP allocate %.1f B, want at most %d", bytes, wantBytes)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes allocated
+// per call of f, on one processor, from runtime.MemStats.TotalAlloc.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

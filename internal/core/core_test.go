@@ -5,11 +5,16 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ndsm/internal/discovery"
+	"ndsm/internal/endpoint"
+	"ndsm/internal/obs"
 	"ndsm/internal/qos"
+	"ndsm/internal/reqlog"
 	"ndsm/internal/simtime"
 	"ndsm/internal/svcdesc"
 	"ndsm/internal/transaction"
@@ -30,11 +35,14 @@ func newWorld(t *testing.T) *world {
 
 func (w *world) node(name string) *Node {
 	w.t.Helper()
-	n, err := NewNode(Config{
-		Name:      name,
-		Transport: transport.NewMem(w.fabric),
-		Registry:  w.registry,
-	})
+	return w.nodeWith(Config{Name: name})
+}
+
+// nodeWith starts a node from cfg, on the world's fabric and registry.
+func (w *world) nodeWith(cfg Config) *Node {
+	w.t.Helper()
+	cfg.Transport, cfg.Registry = transport.NewMem(w.fabric), w.registry
+	n, err := NewNode(cfg)
 	if err != nil {
 		w.t.Fatal(err)
 	}
@@ -661,5 +669,178 @@ func TestRequestAsyncAfterClose(t *testing.T) {
 	_ = b.Close()
 	if _, err := b.RequestAsync(nil).Wait(); !errors.Is(err, ErrNodeClosed) {
 		t.Fatalf("err = %v, want ErrNodeClosed", err)
+	}
+}
+
+// Sixteen goroutines waiting on one AsyncReply all get the same reply, and
+// the QoS tracker observes the call once.
+func TestRequestAsyncConcurrentWaits(t *testing.T) {
+	w := newWorld(t)
+	if err := w.node("supplier-1").Serve(bpDesc(0.9), echoHandler("bp:")); err != nil {
+		t.Fatal(err)
+	}
+	b, err := w.node("consumer-1").Bind(&qos.Spec{Query: svcdesc.Query{Name: "sensor/bp"}}, BindOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	r := b.RequestAsync([]byte("once"))
+	var wg sync.WaitGroup
+	outs := make([][]byte, 16)
+	errs := make([]error, len(outs))
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], errs[i] = r.Wait()
+		}(i)
+	}
+	wg.Wait()
+	for i := range outs {
+		if errs[i] != nil || string(outs[i]) != "bp:once" || &outs[i][0] != &outs[0][0] {
+			t.Fatalf("waiter %d got %q, %v; want the one reply bp:once", i, outs[i], errs[i])
+		}
+	}
+	if rep := b.Tracker().Report(); rep.Delivered != 1 || rep.Failed != 0 {
+		t.Fatalf("tracker = %+v, want one delivery", rep)
+	}
+}
+
+// An async call that outlives the binding's QoS deadline fails with the
+// message that names the peer and the deadline, both derived from the
+// binding rather than carried by the AsyncReply, and counts one failure.
+func TestRequestAsyncTimeoutNamesPeer(t *testing.T) {
+	w := newWorld(t)
+	block := make(chan struct{})
+	defer close(block)
+	if err := w.node("supplier-1").Serve(bpDesc(0.9), func(p []byte) ([]byte, error) {
+		<-block
+		return p, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := w.node("consumer-1").Bind(&qos.Spec{
+		Query:   svcdesc.Query{Name: "sensor/bp"},
+		Benefit: qos.Benefit{FullUntil: 20 * time.Millisecond, ZeroAfter: 40 * time.Millisecond},
+	}, BindOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	r := b.RequestAsync([]byte("late"))
+	const want = "core: request to supplier-1 timed out after 40ms"
+	for i := 0; i < 2; i++ {
+		if _, err := r.Wait(); err == nil || err.Error() != want {
+			t.Fatalf("Wait %d = %v, want %q", i, err, want)
+		}
+	}
+	if rep := b.Tracker().Report(); rep.Delivered != 0 || rep.Failed != 1 {
+		t.Fatalf("tracker = %+v, want one failure", rep)
+	}
+}
+
+// A node on a virtual clock times its dispatch metrics on that clock, as it
+// does its deadlines and wide events: a handler that takes 250 virtual
+// milliseconds records 250 in core.node.latency_ms, not the wall time the
+// call really took.
+func TestNodeServerMetricsUseNodeClock(t *testing.T) {
+	w := newWorld(t)
+	clock := simtime.NewVirtual(time.Unix(1000, 0))
+	reg := obs.NewRegistry()
+	slow := func(p []byte) ([]byte, error) {
+		clock.Advance(250 * time.Millisecond)
+		return p, nil
+	}
+	if err := w.nodeWith(Config{Name: "supplier-1", Clock: clock, Metrics: reg}).Serve(bpDesc(0.9), slow); err != nil {
+		t.Fatal(err)
+	}
+	b, err := w.nodeWith(Config{Name: "consumer-1", Clock: clock}).Bind(&qos.Spec{Query: svcdesc.Query{Name: "sensor/bp"}}, BindOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if _, err := b.Request([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Histogram("core.node.latency_ms").Summary(); got.Count != 1 || got.Mean < 249 || got.Mean > 251 {
+		t.Fatalf("core.node.latency_ms = %+v, want one observation of 250", got)
+	}
+}
+
+// countingClock is wall time that counts its reads.
+type countingClock struct {
+	simtime.Real
+	reads atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads.Add(1)
+	return time.Now()
+}
+
+// Every clock read on a call's path is the node clock's, so a counting clock
+// on both nodes counts them all. With request logs on both nodes, as in the
+// rpc_small_tcp benchmark, a bound Request on mem reads it 10 times: the
+// binding 2 (issue and delivery), the client's wide event 2 and metrics 2,
+// the server's dispatch record 2 and metrics 2. RequestAsync and Wait skip the
+// client interceptors: 6. The caller's deadline sweep adds one read per 256
+// calls. A read is not free: time.Now costs 84-90 ns on a virtualized Intel
+// Xeon, 16.6 % of a mem Binding.Request CPU profile and 4.9 % of
+// rpc_small_tcp's, so these ceilings are there to come down (one stopwatch
+// per call).
+func TestClockReadsPerCall(t *testing.T) {
+	w := newWorld(t)
+	clock := &countingClock{}
+	node := func(name string) *Node {
+		return w.nodeWith(Config{Name: name, Clock: clock, ReqLog: reqlog.New(reqlog.Options{SampleEvery: 64})})
+	}
+	if err := node("supplier-1").Serve(bpDesc(0.9), echoHandler("")); err != nil {
+		t.Fatal(err)
+	}
+	b, err := node("consumer-1").Bind(&qos.Spec{Query: svcdesc.Query{Name: "sensor/bp"}}, BindOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	const calls = 256 // one deadline sweep each
+	readsPer := func(call func() error) float64 {
+		for i := 0; i < 10; i++ {
+			if err := call(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := clock.reads.Load()
+		for i := 0; i < calls; i++ {
+			if err := call(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return float64(clock.reads.Load()-before) / calls
+	}
+	const sweep = 1.0 / calls
+	syncReads := readsPer(func() error { _, err := b.Request([]byte("x")); return err })
+	asyncReads := readsPer(func() error { _, err := b.RequestAsync([]byte("x")).Wait(); return err })
+	t.Logf("clock reads per call: Request %.3f, RequestAsync+Wait %.3f", syncReads, asyncReads)
+	if syncReads > 10+sweep {
+		t.Errorf("Binding.Request reads the clock %.3f times, want at most 10", syncReads)
+	}
+	if asyncReads > 6+sweep {
+		t.Errorf("RequestAsync and Wait read the clock %.3f times, want at most 6", asyncReads)
+	}
+}
+
+// A pipelined call's handles hold nothing their binding or their pooled
+// waiter already holds. The Future is 64 B, a size class of its own, and the
+// AsyncReply around it 152 B, which allocates as 160: with a 64 B reply's
+// payload, 224 B per RequestAsync (TestBindingRequestAsyncAllocsTCP counts
+// them). A field added to either moves it up a class: to 80 and 176 B.
+func TestAsyncHandleSizes(t *testing.T) {
+	var fut endpoint.Future
+	var r AsyncReply
+	if got := unsafe.Sizeof(fut); got > 64 {
+		t.Errorf("endpoint.Future is %d B, want at most 64", got)
+	}
+	if got := unsafe.Sizeof(r); got > 160 {
+		t.Errorf("AsyncReply is %d B, want at most 160", got)
 	}
 }

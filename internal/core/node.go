@@ -42,7 +42,7 @@ type Config struct {
 	// Registry is the discovery organization the node uses (centralized
 	// client, flood agent, mirrored, adaptive — anything).
 	Registry discovery.Resolver
-	// Clock times QoS and leases (default real).
+	// Clock times QoS, leases and dispatch metrics (default real).
 	Clock simtime.Clock
 	// Health is the optional liveness layer. When set, the node's registry
 	// lookups feed it heartbeats (providers listed in results are alive),
@@ -160,7 +160,7 @@ func NewNode(cfg Config) (*Node, error) {
 			// Tracing outermost so the server span brackets the metrics
 			// observation and any handler-side downstream calls.
 			endpoint.WithServerTracing(n.traceRef, "core.node.serve"),
-			endpoint.WithServerMetrics(cfg.Metrics, "core.node", nil),
+			endpoint.WithServerMetrics(cfg.Metrics, "core.node", cfg.Clock),
 		},
 		Fallback: func(req *wire.Message) (*wire.Message, error) {
 			return nil, fmt.Errorf("%w: %s", ErrUnknownService, req.Topic)

@@ -36,7 +36,8 @@ type Sweeper interface {
 
 // ServerOptions tunes a registry server beyond its defaults.
 type ServerOptions struct {
-	// Clock times the sweep ticker (simtime.Real if nil).
+	// Clock times the sweep ticker and the dispatch metrics (simtime.Real if
+	// nil).
 	Clock simtime.Clock
 	// SweepEvery drives lease expiry from a ticker so a quiet registry still
 	// sheds dead leases: without it, expiry only happens opportunistically on
@@ -79,10 +80,11 @@ func NewResolverServer(backing Resolver, l transport.Listener, opts ServerOption
 	s.sweeper, _ = backing.(Sweeper)
 	s.ep = endpoint.NewServer(l, endpoint.ServerOptions{
 		Kinds: []wire.Kind{wire.KindControl, wire.KindRequest},
+		Clock: opts.Clock,
 		Interceptors: []endpoint.ServerInterceptor{
 			endpoint.WithServerTracing(s.traceRef, "disc.serve"),
 			s.sweepAndCount,
-			endpoint.WithServerMetrics(opts.Metrics, "discovery.server", nil),
+			endpoint.WithServerMetrics(opts.Metrics, "discovery.server", opts.Clock),
 		},
 		Fallback: func(req *wire.Message) (*wire.Message, error) {
 			return nil, fmt.Errorf("discovery: unknown topic %q", req.Topic)

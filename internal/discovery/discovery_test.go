@@ -9,6 +9,7 @@ import (
 
 	"ndsm/internal/netmux"
 	"ndsm/internal/netsim"
+	"ndsm/internal/obs"
 	"ndsm/internal/simtime"
 	"ndsm/internal/svcdesc"
 	"ndsm/internal/trace"
@@ -943,5 +944,41 @@ func TestFloodTracePropagatesAcrossNetmuxHop(t *testing.T) {
 	}
 	if !seenN2 {
 		t.Error("supplier node n2 recorded no spans in the lookup trace")
+	}
+}
+
+// slowRegister is a Resolver backing whose Register takes 250 ms of the
+// server's virtual clock.
+type slowRegister struct {
+	*Store
+	clock *simtime.Virtual
+}
+
+func (s slowRegister) Register(d *svcdesc.Description) error {
+	s.clock.Advance(250 * time.Millisecond)
+	return s.Store.Register(d)
+}
+
+// A registry server on a virtual clock times its dispatch metrics on that
+// clock, as it does its leases: a Register that takes 250 virtual
+// milliseconds records 250 in discovery.server.latency_ms, not the wall time
+// the call really took.
+func TestServerMetricsUseServerClock(t *testing.T) {
+	clock := simtime.NewVirtual(epoch)
+	reg := obs.NewRegistry()
+	tr := transport.NewMem(transport.NewFabric())
+	l, err := tr.Listen("registry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewResolverServer(slowRegister{NewStore(clock, time.Hour), clock}, l, ServerOptions{Clock: clock, Metrics: reg})
+	defer srv.Close() //nolint:errcheck
+	c := NewClient(tr, "registry")
+	defer c.Close() //nolint:errcheck
+	if err := c.Register(desc("n1", "sensor/bp")); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Histogram("discovery.server.latency_ms").Summary(); got.Count != 1 || got.Mean < 249 || got.Mean > 251 {
+		t.Fatalf("discovery.server.latency_ms = %+v, want one observation of 250", got)
 	}
 }

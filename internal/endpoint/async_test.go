@@ -3,6 +3,7 @@ package endpoint
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -254,6 +255,55 @@ func TestFutureWaitDeadline(t *testing.T) {
 	close(block)
 	if _, err := c.Do(&Call{Topic: "echo", Timeout: NoTimeout}); err != nil {
 		t.Fatalf("connection unusable after future timeout: %v", err)
+	}
+}
+
+// A call's topic, timeout and deadline live in its pooled waiter, not in its
+// Future. Each error a call settles into still names that call's topic: a
+// deadline expiry, a shed reply and a remote error. A waiter recycled into the
+// next call keeps nothing of the call before.
+func TestFutureErrorsNameTheirCall(t *testing.T) {
+	clock := simtime.NewVirtual(time.Unix(1000, 0))
+	block := make(chan struct{})
+	defer close(block)
+	s, c := newPair(t, ServerOptions{}, CallerOptions{Clock: clock})
+	s.Handle("stall", func(req *wire.Message) (*wire.Message, error) {
+		<-block
+		return &wire.Message{Kind: wire.KindReply}, nil
+	})
+	s.Handle("shed", func(req *wire.Message) (*wire.Message, error) {
+		return &wire.Message{Kind: wire.KindShed, Priority: LaneBulk.priority()}, nil
+	})
+	s.Handle("fail", func(req *wire.Message) (*wire.Message, error) {
+		return nil, errors.New("boom")
+	})
+
+	fut := c.Go(&Call{Topic: "stall", Timeout: 1500 * time.Millisecond})
+	clock.Advance(2 * time.Second)
+	if _, err := fut.Wait(); !errors.Is(err, ErrTimeout) || !strings.HasSuffix(err.Error(), ": stall after 1.5s") {
+		t.Fatalf("expired Wait = %v, want ErrTimeout naming stall after 1.5s", err)
+	}
+	_, err := c.Go(&Call{Topic: "shed", Timeout: NoTimeout}).Wait()
+	if shed, ok := err.(*ShedError); !ok || shed.Topic != "shed" || shed.Lane != LaneBulk {
+		t.Fatalf("shed Wait = %#v, want a ShedError for shed on the bulk lane", err)
+	}
+	_, err = c.Go(&Call{Topic: "fail", Timeout: NoTimeout}).Wait()
+	if re, ok := IsRemote(err); !ok || re.Topic != "fail" || re.Msg != "boom" {
+		t.Fatalf("failed Wait = %#v, want a RemoteError for fail", err)
+	}
+
+	for i := 0; i < 8; i++ {
+		fut := c.Go(&Call{Topic: "shed", Timeout: NoTimeout})
+		if w := fut.w; w.topic != "shed" || w.timeout != 0 || !w.deadline.IsZero() {
+			t.Fatalf("call %d: waiter holds topic %q, timeout %v, deadline %v; want shed and none", i, w.topic, w.timeout, w.deadline)
+		}
+		_, _ = fut.Wait()
+	}
+	w := getWaiter()
+	w.gen, w.topic, w.timeout, w.deadline = 7, "stall", time.Second, clock.Now()
+	putWaiter(w)
+	if w.gen != 0 || w.topic != "" || w.timeout != 0 || !w.deadline.IsZero() {
+		t.Fatalf("pooled waiter keeps gen %d, topic %q, timeout %v, deadline %v", w.gen, w.topic, w.timeout, w.deadline)
 	}
 }
 

@@ -52,9 +52,11 @@ type CallerOptions struct {
 // safely drained and recycled.
 type waiter struct {
 	ch       chan waitResult
-	gen      uint64      // connection generation the call was sent on
-	deadline time.Time   // for the periodic sweep; zero means none
-	timer    *time.Timer // a blocking Wait's deadline timer, stopped between calls
+	gen      uint64        // connection generation the call was sent on
+	topic    string        // the call's, for the errors it settles into
+	timeout  time.Duration // the call's, for its ErrTimeout
+	deadline time.Time     // zero means none; read by Wait and the sweep
+	timer    *time.Timer   // a blocking Wait's deadline timer, stopped between calls
 }
 
 // sweepInterval is how many calls go by between deadline sweeps of the
@@ -294,8 +296,8 @@ func (c *Caller) shedError(topic string, lane Lane) *ShedError {
 // pipelining any number of requests onto the one connection. With OneWay set
 // the returned future resolves as soon as the frame is accepted for sending
 // (a shared pre-resolved future on success — the fire-and-forget path
-// performs zero allocations in steady state); otherwise the Future is the
-// call's one heap object beyond what Do costs.
+// performs zero allocations in steady state); otherwise the 64 B Future is the
+// call's one heap object beyond what Do costs (its constants are in the waiter).
 //
 // Go bypasses the client interceptor chain: retry, breaker, and tracing
 // interceptors are synchronous round-trip policies and apply only to Do.
@@ -315,9 +317,10 @@ func (c *Caller) Go(call *Call) *Future {
 
 // Start is Go for a Future that lives inside an object of the caller's own —
 // core.AsyncReply holds one by value — so an asynchronous call is one heap
-// object, not two. It issues call and fills fut in: as the future for the
-// reply, as one already resolved for a one-way call, or as one already failed
-// when the request never left, whose Wait returns the error Start returns.
+// object, not two, holding none of the call's constants. It issues call and
+// fills fut in: as the future for the reply, as one already resolved for a
+// one-way call, or as one already failed when the request never left, whose
+// Wait returns the error Start returns.
 // fut must not be in use; Start keeps no reference to it.
 func (c *Caller) Start(call *Call, fut *Future) error {
 	call.Lane = c.laneFor(call)
@@ -349,7 +352,6 @@ func (c *Caller) start(call *Call, fut *Future) error {
 		c.mu.Unlock()
 		return err
 	}
-	clock := c.clock
 	id := c.nextID.Add(1)
 
 	timeout := call.Timeout
@@ -363,22 +365,21 @@ func (c *Caller) start(call *Call, fut *Future) error {
 	if timeout > 0 {
 		// Deadline propagation: the server (and anything downstream) sees
 		// how long this call stays worth serving.
-		deadline = clock.Now().Add(timeout)
+		deadline = c.clock.Now().Add(timeout)
 	}
 
 	var w *waiter
 	if !call.OneWay {
 		w = getWaiter()
-		w.gen = gen
-		w.deadline = deadline
+		w.gen, w.topic, w.timeout, w.deadline = gen, call.Topic, timeout, deadline
 		c.waiters[id] = w
-		*fut = Future{c: c, id: id, w: w, topic: call.Topic, timeout: timeout, deadline: deadline, clock: clock}
+		*fut = Future{c: c, id: id, w: w}
 	}
 	if id%sweepInterval == 0 {
 		// Amortized cleanup for futures nobody waits on: without it an
 		// abandoned future's waiter would sit in the map until the connection
 		// dies.
-		c.sweepLocked(clock.Now())
+		c.sweepLocked(c.clock.Now())
 	}
 	c.mu.Unlock()
 

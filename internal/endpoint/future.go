@@ -15,14 +15,12 @@ import (
 // outcome. A Future whose Wait is never called does not leak: the caller's
 // periodic deadline sweep (or connection teardown) resolves it internally.
 //
-// A Future is safe for concurrent use.
+// A Future is safe for concurrent use. The call's topic, timeout and deadline
+// live in its pooled waiter, read before the waiter goes back to the pool, so
+// the handle is 64 B: one size class.
 type Future struct {
-	c        *Caller
-	id       uint64
-	topic    string
-	timeout  time.Duration
-	deadline time.Time // zero: wait forever
-	clock    simtime.Clock
+	c  *Caller
+	id uint64
 
 	mu   sync.Mutex
 	w    *waiter // nil once resolved
@@ -67,7 +65,7 @@ func (f *Future) waitLocked() (*wire.Message, error) {
 	if f.done {
 		return f.m, f.err
 	}
-	if f.deadline.IsZero() {
+	if f.w.deadline.IsZero() {
 		// Nothing to time: the reply, or the teardown that fails the call,
 		// is the only way out.
 		f.settleLocked(<-f.w.ch)
@@ -81,13 +79,13 @@ func (f *Future) waitLocked() (*wire.Message, error) {
 		return f.m, f.err
 	default:
 	}
-	remaining := f.deadline.Sub(f.clock.Now())
+	remaining := f.w.deadline.Sub(f.c.clock.Now())
 	if remaining <= 0 {
 		f.expireLocked()
 		return f.m, f.err
 	}
 	var timer <-chan time.Time
-	_, armed := f.clock.(simtime.Real)
+	_, armed := f.c.clock.(simtime.Real)
 	if armed {
 		// time.After's timer cannot be stopped, and under go 1.22 an
 		// unstopped timer stays allocated until it fires: at 100 k req/s
@@ -95,7 +93,7 @@ func (f *Future) waitLocked() (*wire.Message, error) {
 		// waiter's own timer is stopped once the reply wins, and reused.
 		timer = f.w.arm(remaining).C
 	} else {
-		timer = f.clock.After(remaining)
+		timer = f.c.clock.After(remaining)
 	}
 	select {
 	case r := <-f.w.ch:
@@ -137,7 +135,7 @@ func (f *Future) expireLocked() {
 	if f.c.cancelWaiter(f.id, f.w) {
 		// We removed the demux entry, so no result was (or ever will be)
 		// delivered: the call timed out.
-		f.settleLocked(waitResult{err: fmt.Errorf("%w: %s after %v", ErrTimeout, f.topic, f.timeout)})
+		f.settleLocked(waitResult{err: fmt.Errorf("%w: %s after %v", ErrTimeout, f.w.topic, f.w.timeout)})
 		return
 	}
 	// The entry was already removed by the demux, sweep, or teardown — all of
@@ -154,9 +152,9 @@ func (f *Future) settleLocked(r waitResult) {
 	if err == nil {
 		switch m.Kind {
 		case wire.KindShed:
-			err = f.c.shedError(f.topic, laneOf(m, nil))
+			err = f.c.shedError(f.w.topic, laneOf(m, nil))
 		case wire.KindError:
-			err = &RemoteError{Topic: f.topic, Msg: string(m.Payload)}
+			err = &RemoteError{Topic: f.w.topic, Msg: string(m.Payload)}
 		}
 	}
 	if err != nil && m != nil {
@@ -183,8 +181,7 @@ func putWaiter(w *waiter) {
 	case <-w.ch: // drop an undelivered result (cancelled before Wait)
 	default:
 	}
-	w.gen = 0
-	w.deadline = time.Time{}
+	w.gen, w.topic, w.timeout, w.deadline = 0, "", 0, time.Time{}
 	waiterPool.Put(w)
 }
 

@@ -175,7 +175,9 @@ func TestLaneAndShedSurviveTranscode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &Future{c: &Caller{}, topic: "work", w: getWaiter()}
+	w := getWaiter()
+	w.topic = "work"
+	f := &Future{c: &Caller{}, w: w}
 	f.settleLocked(waitResult{m: transcode(sent)})
 	wantShed(t, "transcoded shed reply", f.err, LaneBulk)
 }
