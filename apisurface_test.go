@@ -43,25 +43,23 @@ var apiAllowlist = map[string]string{
 	"mq.PushHandle.Wait":               "paper feature: §3.1 pipelined message-queue push",
 
 	// Test seams: how a test observes live behaviour.
-	"simtime.Virtual.Pending":             "test seam: simtime.Virtual timers",
-	"simtime.Virtual.AdvanceToNext":       "test seam: simtime.Virtual timers",
-	"webbridge.Bridge.SetHealth":          "test seam: webbridge wiring",
-	"webbridge.Bridge.SetMetricsRegistry": "test seam: webbridge wiring",
-	"webbridge.Bridge.SetTraceCollector":  "test seam: webbridge wiring",
-	"recovery.WAL.NextLSN":                "test seam: WAL position",
-	"transport.Sim.DroppedFrames":         "test seam: sim transport loss",
-	"wire.BatchWriter.Stats":              "test seam: batched-write coalescing and yields",
-	"routing.DistanceVector.Routes":       "test seam: distance-vector table",
-	"discovery.Agent.CacheLen":            "test seam: discovery agent cache",
-	"slo.Engine.Objectives":               "test seam: SLO engine",
-	"telemetry.Aggregator.TopicStats":     "test seam: telemetry aggregator",
-	"transaction.Predictor.Predicted":     "test seam: continuous-transaction predictor",
-	"core.Node.Withdraw":                  "test seam: supplier departure in the integration test",
-	"pubsub.Broker.Subscriptions":         "test seam: pub/sub broker registrations",
-	"chaos.ScenarioResult.EventsString":   "test seam: chaos event trace",
-	"telemetry.Series.Cap":                "test seam: telemetry series window",
-	"telemetry.Series.Last":               "test seam: telemetry series window",
-	"bibliometrics.MonotoneAfterOnset":    "test seam: bibliometrics series shape",
+	"simtime.Virtual.Pending":           "test seam: simtime.Virtual timers",
+	"simtime.Virtual.AdvanceToNext":     "test seam: simtime.Virtual timers",
+	"webbridge.Bridge.SetHealth":        "test seam: webbridge wiring",
+	"recovery.WAL.NextLSN":              "test seam: WAL position",
+	"transport.Sim.DroppedFrames":       "test seam: sim transport loss",
+	"wire.BatchWriter.Stats":            "test seam: batched-write coalescing and yields",
+	"routing.DistanceVector.Routes":     "test seam: distance-vector table",
+	"discovery.Agent.CacheLen":          "test seam: discovery agent cache",
+	"slo.Engine.Objectives":             "test seam: SLO engine",
+	"telemetry.Aggregator.TopicStats":   "test seam: telemetry aggregator",
+	"transaction.Predictor.Predicted":   "test seam: continuous-transaction predictor",
+	"core.Node.Withdraw":                "test seam: supplier departure in the integration test",
+	"pubsub.Broker.Subscriptions":       "test seam: pub/sub broker registrations",
+	"chaos.ScenarioResult.EventsString": "test seam: chaos event trace",
+	"telemetry.Series.Cap":              "test seam: telemetry series window",
+	"telemetry.Series.Last":             "test seam: telemetry series window",
+	"bibliometrics.MonotoneAfterOnset":  "test seam: bibliometrics series shape",
 
 	// References the tests hold the fast paths to.
 	"wire.AppendFrame":   "test reference: FuzzFrameStream and TestAppendFrameMatchesWriteFrame",

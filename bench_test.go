@@ -414,10 +414,10 @@ func BenchmarkInteractRPC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := rpc.NewServer(l)
+	srv := rpc.NewServer(l, nil)
 	defer srv.Close() //nolint:errcheck
 	srv.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
-	cli, err := rpc.Dial(transport.NewMem(fabric), "svc", nil)
+	cli, err := rpc.Dial(transport.NewMem(fabric), "svc", nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func BenchmarkInteractMQ(b *testing.B) {
 	}
 	br := mq.NewBroker(l, 0, nil)
 	defer br.Close() //nolint:errcheck
-	cli, err := mq.Dial(transport.NewMem(fabric), "broker")
+	cli, err := mq.Dial(transport.NewMem(fabric), "broker", nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -541,9 +541,9 @@ func BenchmarkInteractTupleSpace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := tuplespace.NewServer(tuplespace.NewSpace(nil), l)
+	srv := tuplespace.NewServer(tuplespace.NewSpace(nil), l, nil)
 	defer srv.Close() //nolint:errcheck
-	cli, err := tuplespace.Dial(transport.NewMem(fabric), "space")
+	cli, err := tuplespace.Dial(transport.NewMem(fabric), "space", nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,7 +9,6 @@
 //	ndsm-bench -quick          # shrunken workloads (seconds)
 //	ndsm-bench -run E6,E1      # selected experiments
 //	ndsm-bench -list           # list experiment IDs
-//	ndsm-bench -quick -metrics # append the middleware metrics snapshot (JSON)
 //	ndsm-bench -quick -trace out.json
 //	                           # capture the run's causal spans as Chrome
 //	                           # trace-event JSON (open in chrome://tracing
@@ -28,14 +27,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"ndsm/internal/experiments"
-	"ndsm/internal/obs"
 	"ndsm/internal/trace"
 )
 
@@ -45,7 +42,6 @@ type cliOptions struct {
 	quick      bool
 	run        string
 	list       bool
-	metrics    bool
 	traceFile  string
 	baseline   string
 	compare    string
@@ -57,7 +53,6 @@ func main() {
 	flag.BoolVar(&opts.quick, "quick", false, "run shrunken workloads")
 	flag.StringVar(&opts.run, "run", "", "comma-separated experiment IDs (default all)")
 	flag.BoolVar(&opts.list, "list", false, "list experiment IDs and exit")
-	flag.BoolVar(&opts.metrics, "metrics", false, "after the run, dump the middleware metrics snapshot as JSON")
 	flag.StringVar(&opts.traceFile, "trace", "", "capture causal spans and write them as Chrome trace-event JSON to this file")
 	flag.StringVar(&opts.baseline, "baseline", "", "write a machine-readable baseline (every experiment cell) to this file")
 	flag.StringVar(&opts.compare, "compare", "", "compare against this baseline file; exit non-zero on an experiment past its absolute bound or missing a gated cell (experiment drift only warns)")
@@ -110,15 +105,15 @@ func realMain(opts cliOptions) error {
 		}
 		return nil
 	}
+	runner := experiments.Runner{QuickMode: opts.quick}
 	var collector *trace.Collector
 	if opts.traceFile != "" {
-		// Installing a process-default tracer turns on every trace.Ref in the
-		// stack at once: endpoint callers, discovery, bindings, radio hops.
+		// One tracer, handed to the experiments, which hand it to every
+		// component they build: radio hops, discovery, nodes and bindings,
+		// interaction clients and servers, chaos worlds.
 		collector = trace.NewCollector(1 << 18)
-		trace.SetDefault(trace.New(trace.Options{Name: "bench", Collector: collector}))
-		defer trace.SetDefault(nil)
+		runner.Tracer = trace.New(trace.Options{Name: "bench", Collector: collector})
 	}
-	runner := experiments.Runner{QuickMode: opts.quick}
 	if opts.run == "" {
 		if err := runner.RunAll(os.Stdout); err != nil {
 			return err
@@ -132,11 +127,6 @@ func realMain(opts cliOptions) error {
 			fmt.Print(experiments.Render(res))
 		}
 	}
-	if opts.metrics {
-		if err := dumpMetrics(os.Stdout); err != nil {
-			return err
-		}
-	}
 	if collector != nil {
 		if err := trace.WriteChromeFile(opts.traceFile, collector.Spans()); err != nil {
 			return err
@@ -145,12 +135,4 @@ func realMain(opts cliOptions) error {
 			collector.Len(), collector.Dropped(), opts.traceFile)
 	}
 	return nil
-}
-
-// dumpMetrics prints the process-wide observability snapshot — every counter,
-// gauge, and histogram the experiments touched — as indented JSON.
-func dumpMetrics(w *os.File) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(obs.Default().Snapshot())
 }

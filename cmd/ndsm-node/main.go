@@ -74,7 +74,7 @@ func main() {
 	lookup := flag.String("lookup", "", "one-shot lookup of a service name pattern")
 	call := flag.Bool("call", false, "with -lookup: bind best supplier and request one sample")
 	httpAddr := flag.String("http", "", "also serve the HTTP bridge (GET /services, POST /call/<svc>, GET /metrics) on this address")
-	traced := flag.Bool("trace", false, "collect causal spans process-wide; the HTTP bridge serves them at GET /trace")
+	traced := flag.Bool("trace", false, "collect this node's causal spans; the HTTP bridge serves them at GET /trace")
 	renewEvery := flag.Duration("renew", 10*time.Second, "lease renewal interval")
 	walPath := flag.String("wal", "", "journal service registrations to this write-ahead log file")
 	pprofOn := flag.Bool("pprof", false, "expose Go profiling endpoints at /debug/pprof/ on the HTTP bridge (opt-in)")
@@ -88,12 +88,10 @@ func main() {
 	reqlogSample := flag.Int("reqlog-sample", 0, "keep 1 in N healthy requests as exemplars (with -reqlog; default 64)")
 	topicLanes := flag.String("topic-lanes", "", "JSON object mapping topic patterns (trailing * for prefixes) to admission lanes for this node's outbound calls")
 	flag.Parse()
-	if *traced {
-		// One process-wide tracer: every trace.Ref in the stack follows it,
-		// and the web bridge's GET /trace serves the collected timeline.
-		trace.SetDefault(trace.New(trace.Options{Name: *listen}))
-	}
+	// The program owns the node's one registry and, with -trace, one tracer,
+	// and hands them to every component it builds.
 	opts := serveOptions{
+		Metrics:      obs.NewRegistry(),
 		HTTPAddr:     *httpAddr,
 		WALPath:      *walPath,
 		RenewEvery:   *renewEvery,
@@ -109,6 +107,9 @@ func main() {
 		TopicLanes:   *topicLanes,
 	}
 	opts.RegistryCluster = *registryCluster
+	if *traced {
+		opts.Tracer = trace.New(trace.Options{Name: *listen})
+	}
 	if err := run(*registry, *listen, *config, *lookup, *call, opts); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -117,8 +118,11 @@ func main() {
 
 // serveOptions carries serve's optional subsystems: the HTTP bridge, the
 // registration WAL, and the telemetry plane's two roles (aggregator host
-// and report publisher).
+// and report publisher), and the registry and tracer (nil without -trace)
+// every component shares.
 type serveOptions struct {
+	Metrics      *obs.Registry
+	Tracer       *trace.Tracer
 	HTTPAddr     string
 	WALPath      string
 	RenewEvery   time.Duration
@@ -149,9 +153,9 @@ type serveOptions struct {
 }
 
 func run(registryAddr, listen, configPath, lookup string, call bool, opts serveOptions) error {
-	// Instrument makes every TCP connection feed the process-wide metrics
+	// Instrument makes every TCP connection feed the node's metrics
 	// registry, surfaced over the HTTP bridge's GET /metrics.
-	tr := transport.Instrument(transport.NewTCP(nil), nil)
+	tr := transport.Instrument(transport.NewTCP(nil), opts.Metrics)
 	defer tr.Close() //nolint:errcheck
 	var registry discovery.Resolver
 	if opts.RegistryCluster != "" {
@@ -161,7 +165,7 @@ func run(registryAddr, listen, configPath, lookup string, call bool, opts serveO
 				members = append(members, m)
 			}
 		}
-		cres, err := cluster.NewResolver(tr, cluster.ResolverOptions{Members: members})
+		cres, err := cluster.NewResolver(tr, cluster.ResolverOptions{Members: members, Metrics: opts.Metrics, Tracer: opts.Tracer})
 		if err != nil {
 			return err
 		}
@@ -170,15 +174,16 @@ func run(registryAddr, listen, configPath, lookup string, call bool, opts serveO
 		registry = discovery.NewCached(cres, discovery.CacheOptions{
 			TTL:      10 * time.Second,
 			StaleFor: 30 * time.Second,
+			Metrics:  opts.Metrics,
 		})
 		fmt.Printf("resolving through %d-member registry cluster\n", len(members))
 	} else {
-		registry = discovery.NewClient(tr, registryAddr)
+		registry = discovery.NewInstrumentedClient(tr, registryAddr, opts.Metrics, opts.Tracer)
 	}
 	defer registry.Close() //nolint:errcheck
 
 	if lookup != "" {
-		return doLookup(tr, registry, listen, lookup, call)
+		return doLookup(tr, registry, listen, lookup, call, opts)
 	}
 	if configPath == "" {
 		return fmt.Errorf("need -config to serve or -lookup to query")
@@ -186,7 +191,7 @@ func run(registryAddr, listen, configPath, lookup string, call bool, opts serveO
 	return serve(tr, registry, listen, configPath, opts)
 }
 
-func doLookup(tr transport.Transport, registry discovery.Resolver, listen, pattern string, call bool) error {
+func doLookup(tr transport.Transport, registry discovery.Resolver, listen, pattern string, call bool, opts serveOptions) error {
 	descs, err := registry.Lookup(&svcdesc.Query{Name: pattern})
 	if err != nil {
 		return err
@@ -205,7 +210,7 @@ func doLookup(tr transport.Transport, registry discovery.Resolver, listen, patte
 	if !call {
 		return nil
 	}
-	node, err := core.NewNode(core.Config{Name: listen, Transport: tr, Registry: registry})
+	node, err := core.NewNode(core.Config{Name: listen, Transport: tr, Registry: registry, Metrics: opts.Metrics, Tracer: opts.Tracer})
 	if err != nil {
 		return err
 	}
@@ -241,7 +246,7 @@ func serve(tr transport.Transport, registry discovery.Resolver, listen, configPa
 	// reconstruct what the node had advertised before a crash.
 	var wal *recovery.WAL
 	if opts.WALPath != "" {
-		wal, err = recovery.OpenWAL(opts.WALPath, recovery.WALOptions{SyncEveryAppend: true})
+		wal, err = recovery.OpenWAL(opts.WALPath, recovery.WALOptions{SyncEveryAppend: true, Metrics: opts.Metrics})
 		if err != nil {
 			return err
 		}
@@ -262,7 +267,7 @@ func serve(tr transport.Transport, registry discovery.Resolver, listen, configPa
 		if sample <= 0 {
 			sample = 64 // the recorder's own default, echoed for the log line
 		}
-		rec = reqlog.New(reqlog.Options{SampleEvery: sample})
+		rec = reqlog.New(reqlog.Options{SampleEvery: sample, Registry: opts.Metrics})
 		fmt.Printf("request analytics on (healthy sample 1-in-%d)\n", sample)
 	}
 	var lanes *endpoint.LaneTable
@@ -279,6 +284,7 @@ func serve(tr transport.Transport, registry discovery.Resolver, listen, configPa
 
 	node, err := core.NewNode(core.Config{
 		Name: listen, Transport: tr, Registry: registry,
+		Metrics: opts.Metrics, Tracer: opts.Tracer,
 		ReqLog: rec, TopicLanes: lanes,
 	})
 	if err != nil {
@@ -333,6 +339,7 @@ func serve(tr transport.Transport, registry discovery.Resolver, listen, configPa
 	if opts.Aggregate {
 		agg = telemetry.NewAggregator(telemetry.AggregatorOptions{
 			StaleAfter: 3 * opts.PublishEvery,
+			Registry:   opts.Metrics,
 		})
 		node.HandleTopic(telemetry.Topic, agg.Handler())
 		fmt.Printf("telemetry aggregator on %s (topic %s)\n", listen, telemetry.Topic)
@@ -345,7 +352,8 @@ func serve(tr transport.Transport, registry discovery.Resolver, listen, configPa
 		defer caller.Close() //nolint:errcheck
 		pub, err := telemetry.NewPublisher(telemetry.PublisherOptions{
 			Node:     listen,
-			Spans:    trace.Default().Collector(),
+			Registry: opts.Metrics,
+			Spans:    opts.Tracer.Collector(),
 			ReqLog:   rec,
 			Interval: opts.PublishEvery,
 			Send:     telemetry.CallerSend(caller, listen, opts.PublishTo, 0),
@@ -368,7 +376,7 @@ func serve(tr transport.Transport, registry discovery.Resolver, listen, configPa
 		if agg == nil {
 			return fmt.Errorf("-slo needs -aggregate: the engine judges the aggregated telemetry")
 		}
-		eng, err = slo.New(slo.Options{Aggregator: agg})
+		eng, err = slo.New(slo.Options{Aggregator: agg, Registry: opts.Metrics})
 		if err != nil {
 			return err
 		}
@@ -390,8 +398,8 @@ func serve(tr transport.Transport, registry discovery.Resolver, listen, configPa
 		}
 		flight = flightrec.NewRecorder(flightrec.Options{
 			MinInterval: opts.PublishEvery,
-			Spans:       trace.Default().Collector(),
-			Metrics:     obs.Or(nil),
+			Spans:       opts.Tracer.Collector(),
+			Metrics:     opts.Metrics,
 			Aggregator:  agg,
 			ReqLog:      rec,
 		})
@@ -416,9 +424,9 @@ func serve(tr transport.Transport, registry discovery.Resolver, listen, configPa
 		fmt.Printf("slo engine: %d objectives, evaluating every %v\n", len(objectives), opts.PublishEvery)
 	}
 
-	// Runtime introspection gauges ride the process-default registry whether
-	// or not the bridge is up: a -publish node ships them in its reports.
-	sampleRuntime := obs.RuntimeGauges(nil)
+	// Runtime introspection gauges ride the node's registry whether or not
+	// the bridge is up: a -publish node ships them in its reports.
+	sampleRuntime := obs.RuntimeGauges(opts.Metrics)
 
 	// Optional embedded web server (§2 of the paper: HTTP access to the
 	// middleware from browsers and plain web clients).
@@ -426,6 +434,8 @@ func serve(tr transport.Transport, registry discovery.Resolver, listen, configPa
 	if opts.HTTPAddr != "" {
 		bridge := webbridge.New(registry, node)
 		defer bridge.Close() //nolint:errcheck
+		bridge.SetMetricsRegistry(opts.Metrics)
+		bridge.SetTraceCollector(opts.Tracer.Collector())
 		bridge.EnableRuntimeMetrics()
 		if agg != nil {
 			bridge.SetAggregator(agg)

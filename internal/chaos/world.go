@@ -78,6 +78,10 @@ type WorldConfig struct {
 	// severity snapshot is what the alert-latency invariant checks, and every
 	// transition to critical cuts a flight-recorder bundle.
 	SLO bool
+	// Tracer, when set and NewWorld is given no span collector, is the
+	// tracer every component of the world records into, the collector its
+	// SLO flight bundles read (ndsm-bench -trace).
+	Tracer *trace.Tracer
 }
 
 // World sizes. Every world and scenario runs these.
@@ -294,7 +298,7 @@ func (m muxDatagram) Recv(id netsim.NodeID) (<-chan netsim.Packet, error) {
 // discovery (central and flood), bindings, nodes, the health layer — so one
 // consumer request yields a single connected causal tree across all
 // simulated nodes, and SLO worlds feed recent spans into their flight
-// bundles.
+// bundles. Without a collector, WorldConfig.Tracer plays that part.
 func NewWorld(cfg WorldConfig, clock simtime.Clock, spans *trace.Collector) (*World, error) {
 	if clock == nil {
 		clock = simtime.Real{}
@@ -313,6 +317,8 @@ func NewWorld(cfg WorldConfig, clock simtime.Clock, spans *trace.Collector) (*Wo
 	}
 	if spans != nil {
 		w.tracer = trace.New(trace.Options{Name: fmt.Sprintf("seed-%d", cfg.Seed), Clock: clock, Collector: spans})
+	} else if cfg.Tracer != nil {
+		w.tracer, w.spans = cfg.Tracer, cfg.Tracer.Collector()
 	}
 	dir, err := os.MkdirTemp("", "ndsm-chaos-*")
 	if err != nil {
@@ -375,6 +381,7 @@ func (w *World) build() error {
 				Clock:         w.clock,
 				DefaultTTL:    time.Hour,
 				GossipTimeout: clientTimeout,
+				Metrics:       w.Net.Metrics(netsim.NodeID(id)),
 				Tracer:        w.tracer,
 			})
 			if err != nil {
@@ -404,8 +411,7 @@ func (w *World) build() error {
 		// The store runs on the schedule clock so short liveness leases expire in
 		// virtual time, in lockstep with the fault schedule. The hour default
 		// keeps detector-less worlds lease-stable, exactly as before.
-		w.registryServer = discovery.NewServer(discovery.NewStore(w.clock, time.Hour), l)
-		w.registryServer.SetTracer(w.tracer)
+		w.registryServer = discovery.NewResolverServer(discovery.NewStore(w.clock, time.Hour), l, discovery.ServerOptions{Tracer: w.tracer})
 	}
 
 	// The liveness layer is the consumer's: heartbeats arrive through its
@@ -451,20 +457,21 @@ func (w *World) build() error {
 			QueryTTL:      2,
 			CollectWindow: collectWindow,
 			MaxResults:    suppliers,
+			Tracer:        w.tracer,
 		})
-		agent.SetTracer(w.tracer)
 		var central discovery.Resolver
 		if len(w.clusterMembers) > 0 {
 			cres, err := cluster.NewResolver(tr, cluster.ResolverOptions{
 				Members:           w.clusterMembers,
 				ReplicationFactor: replicationFactor,
+				Metrics:           w.Net.Metrics(netsim.NodeID(id)),
+				Tracer:            w.tracer,
 			})
 			if err != nil {
 				mux.Close()
 				return nil, err
 			}
 			cres.SetCallTimeout(clientTimeout)
-			cres.SetTracer(w.tracer)
 			// The lease cache sits on the consumer's lookup path: one tick
 			// of freshness, four of stale-serve-while-revalidate. Suspicion
 			// invalidations (forwarded down the watched -> adaptive ->
@@ -480,15 +487,16 @@ func (w *World) build() error {
 			}
 			central = cached
 		} else {
-			client := discovery.NewClient(tr, RegistryID)
+			client := discovery.NewInstrumentedClient(tr, RegistryID, w.Net.Metrics(netsim.NodeID(id)), w.tracer)
 			client.SetCallTimeout(clientTimeout)
-			client.SetTracer(w.tracer)
 			central = client
 		}
 		adaptive := discovery.NewAdaptive(central, agent,
 			func() int { return w.Net.Density(netsim.NodeID(id)) },
 			discovery.DensityPolicy(1), w.clock)
-		nodeCfg := core.Config{Name: id, Transport: tr, Registry: adaptive, Health: h, Tracer: w.tracer}
+		// The node counts into its radio node's registry, beside its mux,
+		// flood agent and discovery client.
+		nodeCfg := core.Config{Name: id, Transport: tr, Registry: adaptive, Health: h, Metrics: w.Net.Metrics(netsim.NodeID(id)), Tracer: w.tracer}
 		if cfg.Overload && id != ConsumerID {
 			// Lane-aware admission on every supplier: a tiny pool, one slot
 			// reserved for the control lane, a short benefit-aware queue. The

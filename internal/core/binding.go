@@ -151,7 +151,7 @@ func (b *Binding) connect(peer string) error {
 		}, interceptors...)
 	}
 	interceptors = append([]endpoint.ClientInterceptor{
-		endpoint.WithTracing(b.node.traceRef, "binding.call"),
+		endpoint.WithTracing(b.node.tracer, "binding.call"),
 	}, interceptors...)
 	if b.node.reqlog != nil {
 		// Outermost of all: the wide event sees the final outcome, total
@@ -196,7 +196,7 @@ func (b *Binding) Rebind() error {
 	if closed {
 		return ErrNodeClosed
 	}
-	if t := b.node.traceRef.Get(); t != nil {
+	if t := b.node.tracer; t != nil {
 		sp, done := t.Scope("binding.rebind")
 		sp.SetAttr("service", b.spec.Query.Name)
 		sp.SetAttr("from", old)
@@ -240,7 +240,7 @@ func (b *Binding) rebindFrom(old string) error {
 // failure-triggered retry — runs under one "binding.request" span, so a
 // degraded request reads as a single subtree in the timeline.
 func (b *Binding) Request(payload []byte) ([]byte, error) {
-	if t := b.node.traceRef.Get(); t != nil {
+	if t := b.node.tracer; t != nil {
 		sp, done := t.Scope("binding.request")
 		sp.SetAttr("service", b.spec.Query.Name)
 		sp.SetAttr("peer", b.Peer())

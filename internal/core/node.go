@@ -60,14 +60,14 @@ type Config struct {
 	// node's Clock, the one its bindings stamp deadlines from.
 	Lanes *endpoint.LaneConfig
 	// Metrics receives the node's instruments — server dispatch counters,
-	// binding call latency, shed counts. Nil uses the process default; a
-	// per-node registry is what gives multi-node simulations (and the
-	// telemetry plane riding on them) per-node series instead of one merged
-	// blur.
+	// binding call latency, shed counts. Nil counts nowhere, and the metrics
+	// interceptors are left out. The program that owns the node makes its
+	// registry and hands the same one to the node's other components
+	// (transport, discovery client, WAL, telemetry), so one snapshot
+	// describes this node and no other.
 	Metrics *obs.Registry
 	// Tracer records causal spans for the node's bindings and dispatches.
-	// Nil follows the process default (trace.SetDefault); tracing stays off
-	// until one is installed.
+	// Nil leaves tracing off and the tracing interceptors out.
 	Tracer *trace.Tracer
 	// ReqLog is the node's wide-event recorder: every server dispatch and
 	// shed, and every binding call, lands in it as one structured record
@@ -88,7 +88,7 @@ type Node struct {
 	clock      simtime.Clock
 	health     *health.Monitor
 	metrics    *obs.Registry
-	traceRef   *trace.Ref
+	tracer     *trace.Tracer
 	reqlog     *reqlog.Recorder
 	topicLanes *endpoint.LaneTable
 
@@ -142,7 +142,7 @@ func NewNode(cfg Config) (*Node, error) {
 		clock:      cfg.Clock,
 		health:     cfg.Health,
 		metrics:    cfg.Metrics,
-		traceRef:   trace.NewRef(cfg.Tracer),
+		tracer:     cfg.Tracer,
 		reqlog:     cfg.ReqLog,
 		topicLanes: cfg.TopicLanes,
 		table:      transaction.NewTable(),
@@ -159,7 +159,7 @@ func NewNode(cfg Config) (*Node, error) {
 		Interceptors: []endpoint.ServerInterceptor{
 			// Tracing outermost so the server span brackets the metrics
 			// observation and any handler-side downstream calls.
-			endpoint.WithServerTracing(n.traceRef, "core.node.serve"),
+			endpoint.WithServerTracing(cfg.Tracer, "core.node.serve"),
 			endpoint.WithServerMetrics(cfg.Metrics, "core.node", cfg.Clock),
 		},
 		Fallback: func(req *wire.Message) (*wire.Message, error) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ndsm/internal/simtime"
-	"ndsm/internal/stats"
 	"ndsm/internal/svcdesc"
 )
 
@@ -66,9 +65,6 @@ type Adaptive struct {
 	centralOK     bool
 	lastProbe     time.Time
 	probeInterval time.Duration
-
-	// Decisions counts operations by mode chosen.
-	Decisions stats.Counter
 }
 
 var _ Resolver = (*Adaptive)(nil)
@@ -173,7 +169,7 @@ func (a *Adaptive) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
 	if mode == ModeFlood && a.central != nil && a.shouldReprobe() {
 		if descs, err := a.central.Lookup(q); err == nil {
 			a.markCentral(true)
-			a.Decisions.Inc(string(ModeCentral), 1)
+			a.decided(string(ModeCentral))
 			return descs, nil
 		}
 		a.markCentral(false)
@@ -185,7 +181,7 @@ func (a *Adaptive) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
 		if err == nil {
 			a.markCentral(true)
 			if len(descs) > 0 {
-				a.Decisions.Inc(string(ModeCentral), 1)
+				a.decided(string(ModeCentral))
 				return descs, nil
 			}
 			// Healthy but empty: the server may just have expired every
@@ -193,23 +189,29 @@ func (a *Adaptive) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
 			// themselves are alive and answering floods. One flood round can
 			// only add information — backfill from it, and return the
 			// confirmed emptiness only if the flood agrees.
-			a.Decisions.Inc("central_empty_flood", 1)
+			a.decided("central_empty_flood")
 			if fdescs, ferr := a.flood.Lookup(q); ferr == nil && len(fdescs) > 0 {
 				return fdescs, nil
 			}
 			return descs, nil
 		}
 		a.markCentral(false)
-		a.Decisions.Inc("central_failover", 1)
+		a.decided("central_failover")
 		fallthrough
 	default:
 		descs, err := a.flood.Lookup(q)
 		if err != nil {
 			return nil, err
 		}
-		a.Decisions.Inc(string(ModeFlood), 1)
+		a.decided(string(ModeFlood))
 		return descs, nil
 	}
+}
+
+// decided counts a lookup by the mode that answered it, in the flood agent's
+// node registry as "discovery.adaptive.<what>".
+func (a *Adaptive) decided(what string) {
+	a.flood.metrics.Counter("discovery.adaptive." + what).Inc(1)
 }
 
 // InvalidateProvider implements Invalidator, forwarding to the central side

@@ -26,8 +26,8 @@ type CacheOptions struct {
 	// background refresh is kicked off so the next lookup sees fresh data.
 	// Beyond the stale window the lookup blocks on the wire. Default TTL.
 	StaleFor time.Duration
-	// Metrics receives hit/miss/stale/coalesced counters (process default if
-	// nil).
+	// Metrics receives hit/miss/stale/coalesced counters (nil: counted
+	// nowhere).
 	Metrics *obs.Registry
 }
 
@@ -85,7 +85,7 @@ func NewCached(inner Resolver, opts CacheOptions) *Cached {
 		clock:    opts.Clock,
 		ttl:      opts.TTL,
 		staleFor: opts.StaleFor,
-		metrics:  obs.Or(opts.Metrics),
+		metrics:  opts.Metrics,
 		entries:  make(map[string]*cacheEntry),
 		flights:  make(map[string]*flight),
 	}

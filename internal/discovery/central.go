@@ -9,7 +9,6 @@ import (
 	"ndsm/internal/endpoint"
 	"ndsm/internal/obs"
 	"ndsm/internal/simtime"
-	"ndsm/internal/stats"
 	"ndsm/internal/svcdesc"
 	"ndsm/internal/trace"
 	"ndsm/internal/transport"
@@ -44,25 +43,23 @@ type ServerOptions struct {
 	// the next incoming request, and a registry nobody talks to keeps corpses
 	// forever. Zero disables the ticker (requests still sweep).
 	SweepEvery time.Duration
-	// Metrics receives the server's instruments (process default if nil).
+	// Metrics receives the server's instruments (nil: counted nowhere).
 	Metrics *obs.Registry
+	// Tracer continues the traces requests carry (nil: untraced).
+	Tracer *trace.Tracer
 }
 
 // Server exposes any Resolver backing over a transport listener via the
 // shared endpoint engine, speaking the centralized registry protocol.
 type Server struct {
-	backing  Resolver
-	store    *Store // non-nil when the backing is a plain Store
-	sweeper  Sweeper
-	ep       *endpoint.Server
-	traceRef *trace.Ref
+	backing Resolver
+	store   *Store // non-nil when the backing is a plain Store
+	sweeper Sweeper
+	ep      *endpoint.Server
 
 	stopSweep chan struct{}
 	sweepWG   sync.WaitGroup
 	closeOnce sync.Once
-
-	// Requests counts handled requests by topic.
-	Requests stats.Counter
 }
 
 // NewServer starts serving the store on the listener in a background
@@ -75,15 +72,15 @@ func NewServer(store *Store, l transport.Listener) *Server {
 // the same wire protocol NewServer speaks, over whatever lease table the
 // backing keeps.
 func NewResolverServer(backing Resolver, l transport.Listener, opts ServerOptions) *Server {
-	s := &Server{backing: backing, traceRef: trace.NewRef(nil)}
+	s := &Server{backing: backing}
 	s.store, _ = backing.(*Store)
 	s.sweeper, _ = backing.(Sweeper)
 	s.ep = endpoint.NewServer(l, endpoint.ServerOptions{
 		Kinds: []wire.Kind{wire.KindControl, wire.KindRequest},
 		Clock: opts.Clock,
 		Interceptors: []endpoint.ServerInterceptor{
-			endpoint.WithServerTracing(s.traceRef, "disc.serve"),
-			s.sweepAndCount,
+			endpoint.WithServerTracing(opts.Tracer, "disc.serve"),
+			s.sweepFirst,
 			endpoint.WithServerMetrics(opts.Metrics, "discovery.server", opts.Clock),
 		},
 		Fallback: func(req *wire.Message) (*wire.Message, error) {
@@ -119,21 +116,15 @@ func (s *Server) sweepLoop(clock simtime.Clock, every time.Duration) {
 	}
 }
 
-// sweepAndCount expires stale leases before every operation and tallies the
-// request by topic — unknown topics included, as before the endpoint port.
-func (s *Server) sweepAndCount(next endpoint.Handler) endpoint.Handler {
+// sweepFirst expires stale leases before every operation.
+func (s *Server) sweepFirst(next endpoint.Handler) endpoint.Handler {
 	return func(req *wire.Message) (*wire.Message, error) {
 		if s.sweeper != nil {
 			s.sweeper.Sweep()
 		}
-		s.Requests.Inc(req.Topic, 1)
 		return next(req)
 	}
 }
-
-// SetTracer installs the registry server's tracer (nil reverts to the
-// process default).
-func (s *Server) SetTracer(t *trace.Tracer) { s.traceRef.Set(t) }
 
 // Addr returns the listener's bound address.
 func (s *Server) Addr() string { return s.ep.Addr() }
@@ -197,38 +188,40 @@ func (s *Server) handleLookup(req *wire.Message) (*wire.Message, error) {
 // registry protocol spoken through an endpoint.Caller, with lazy dialing,
 // one redial-and-retry on connection-level failures, and per-call timeouts.
 type Client struct {
-	caller   *endpoint.Caller
-	traceRef *trace.Ref
+	caller  *endpoint.Caller
+	metrics *obs.Registry
 
 	mu      sync.Mutex
 	timeout time.Duration
-
-	// Messages counts protocol messages sent and received (the message-cost
-	// metric of experiments E1/E2).
-	Messages stats.Counter
 }
 
 var _ Resolver = (*Client)(nil)
 
 // NewClient returns a client that will connect lazily to the registry at
-// addr over tr.
+// addr over tr. It counts and traces nothing; see NewInstrumentedClient.
 func NewClient(tr transport.Transport, addr string) *Client {
-	c := &Client{traceRef: trace.NewRef(nil)}
+	return NewInstrumentedClient(tr, addr, nil, nil)
+}
+
+// NewInstrumentedClient is NewClient counting into reg, the registry of the
+// node the client runs on — its calls as "discovery.client.*", its lookups as
+// "discovery.lookup.*" — and tracing its calls under tracer. Either may be
+// nil.
+func NewInstrumentedClient(tr transport.Transport, addr string, reg *obs.Registry, tracer *trace.Tracer) *Client {
+	c := &Client{metrics: reg}
 	// NewCaller without Eager cannot fail: the dial happens on first use.
 	c.caller, _ = endpoint.NewCaller(tr, addr, endpoint.CallerOptions{
 		Redial: true,
 		Interceptors: []endpoint.ClientInterceptor{
 			// Tracing outermost: the span covers the retry loop, so one
 			// registry call with a redial is still one span on the timeline.
-			endpoint.WithTracing(c.traceRef, "disc.call"),
+			endpoint.WithTracing(tracer, "disc.call"),
 			// The pre-endpoint client reconnected and re-sent exactly once
 			// after a torn-down connection or an expired wait; retry Max 1
 			// reproduces that.
-			endpoint.WithRetry(endpoint.RetryPolicy{Max: 1, RetryTimeouts: true}, nil, "discovery.client"),
-			endpoint.WithMetrics(nil, "discovery.client", nil),
+			endpoint.WithRetry(endpoint.RetryPolicy{Max: 1, RetryTimeouts: true}, reg, "discovery.client"),
+			endpoint.WithMetrics(reg, "discovery.client", nil),
 		},
-		OnSend: func(*wire.Message) { c.Messages.Inc("sent", 1) },
-		OnRecv: func(*wire.Message) { c.Messages.Inc("received", 1) },
 	})
 	return c
 }
@@ -244,10 +237,6 @@ func (c *Client) SetCallTimeout(d time.Duration) {
 	c.timeout = d
 	c.mu.Unlock()
 }
-
-// SetTracer installs the client's tracer (nil reverts to the process
-// default).
-func (c *Client) SetTracer(t *trace.Tracer) { c.traceRef.Set(t) }
 
 // Register implements Resolver.
 func (c *Client) Register(d *svcdesc.Description) error {
@@ -292,7 +281,7 @@ func (c *Client) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := obs.Default()
+	r := c.metrics
 	r.Counter("discovery.lookup.queries").Inc(1)
 	start := time.Now()
 	reply, err := c.call(TopicLookup, payload)

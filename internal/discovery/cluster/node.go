@@ -55,9 +55,9 @@ type NodeOptions struct {
 	// GossipTimeout bounds one gossip exchange (default
 	// DefaultGossipTimeout).
 	GossipTimeout time.Duration
-	// Metrics receives the member's instruments (process default if nil).
+	// Metrics receives the member's instruments (nil: counted nowhere).
 	Metrics *obs.Registry
-	// Tracer records the member's server spans (nil: process default).
+	// Tracer records the member's server spans (nil: none).
 	Tracer *trace.Tracer
 }
 
@@ -125,7 +125,7 @@ func NewNode(tr transport.Transport, l transport.Listener, opts NodeOptions) (*N
 		tr:      tr,
 		clock:   opts.Clock,
 		timeout: opts.GossipTimeout,
-		metrics: obs.Or(opts.Metrics),
+		metrics: opts.Metrics,
 		callers: make(map[string]*endpoint.Caller),
 		stop:    make(chan struct{}),
 	}
@@ -138,8 +138,8 @@ func NewNode(tr transport.Transport, l transport.Listener, opts NodeOptions) (*N
 		Clock:      opts.Clock,
 		SweepEvery: opts.SweepEvery,
 		Metrics:    opts.Metrics,
+		Tracer:     opts.Tracer,
 	})
-	n.srv.SetTracer(opts.Tracer)
 	n.srv.Handle(TopicGossipDigest, n.handleDigest)
 	n.srv.Handle(TopicGossipDelta, n.handleDelta)
 	if opts.SyncEvery > 0 && len(n.peers) > 0 {

@@ -22,8 +22,11 @@ type ResolverOptions struct {
 	// DefaultReplicationFactor, clamped to the membership size). It must
 	// match the nodes' factor.
 	ReplicationFactor int
-	// Metrics receives the resolver's instruments (process default if nil).
+	// Metrics receives the resolver's instruments and its member clients'
+	// (nil: counted nowhere).
 	Metrics *obs.Registry
+	// Tracer traces the member clients' calls (nil: untraced).
+	Tracer *trace.Tracer
 }
 
 // Resolver is the cluster-aware client side of the sharded registry: writes
@@ -41,13 +44,13 @@ type Resolver struct {
 	quorum  int
 	tr      transport.Transport
 	metrics *obs.Registry
+	tracer  *trace.Tracer
 
 	mu          sync.Mutex
 	clients     map[string]*discovery.Client
 	writes      map[ownerKey]*ownerWrite // see write
 	writers     sync.WaitGroup           // one per key in writes
 	callTimeout time.Duration
-	tracer      *trace.Tracer
 	closed      bool
 }
 
@@ -81,7 +84,8 @@ func NewResolver(tr transport.Transport, opts ResolverOptions) (*Resolver, error
 		rf:      rf,
 		quorum:  ring.Size() - rf + 1,
 		tr:      tr,
-		metrics: obs.Or(opts.Metrics),
+		metrics: opts.Metrics,
+		tracer:  opts.Tracer,
 		clients: make(map[string]*discovery.Client),
 		writes:  make(map[ownerKey]*ownerWrite),
 	}, nil
@@ -94,16 +98,6 @@ func (r *Resolver) SetCallTimeout(d time.Duration) {
 	r.callTimeout = d
 	for _, c := range r.clients {
 		c.SetCallTimeout(d)
-	}
-}
-
-// SetTracer installs the tracer on every member client.
-func (r *Resolver) SetTracer(t *trace.Tracer) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tracer = t
-	for _, c := range r.clients {
-		c.SetTracer(t)
 	}
 }
 
@@ -123,12 +117,9 @@ func (r *Resolver) clientLocked(member string) *discovery.Client {
 	if c := r.clients[member]; c != nil {
 		return c
 	}
-	c := discovery.NewClient(r.tr, member)
+	c := discovery.NewInstrumentedClient(r.tr, member, r.metrics, r.tracer)
 	if r.callTimeout > 0 {
 		c.SetCallTimeout(r.callTimeout)
-	}
-	if r.tracer != nil {
-		c.SetTracer(r.tracer)
 	}
 	r.clients[member] = c
 	return c

@@ -363,33 +363,11 @@ func TestCentralInvalidRegister(t *testing.T) {
 	}
 }
 
-func TestCentralMessageCounters(t *testing.T) {
-	_, cli := newCentralPair(t)
-	_ = cli.Register(desc("n1", "svc"))
-	if _, err := cli.Lookup(&svcdesc.Query{}); err != nil {
-		t.Fatal(err)
-	}
-	snap := cli.Messages.Snapshot()
-	if snap["sent"] != 2 || snap["received"] != 2 {
-		t.Fatalf("counters = %v", snap)
-	}
-}
-
 func TestCentralClientClosed(t *testing.T) {
 	_, cli := newCentralPair(t)
 	_ = cli.Close()
 	if _, err := cli.Lookup(&svcdesc.Query{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestCentralServerCountsRequests(t *testing.T) {
-	srv, cli := newCentralPair(t)
-	_ = cli.Register(desc("n1", "svc"))
-	_, _ = cli.Lookup(&svcdesc.Query{})
-	snap := srv.Requests.Snapshot()
-	if snap[TopicRegister] != 1 || snap[TopicLookup] != 1 {
-		t.Fatalf("server counters = %v", snap)
 	}
 }
 
@@ -407,6 +385,12 @@ func TestCentralDialFailure(t *testing.T) {
 // with a mux and an agent.
 func floodField(t *testing.T, n int, cfg AgentConfig) (*netsim.Network, []*Agent) {
 	t.Helper()
+	return floodFieldEach(t, n, func(int) AgentConfig { return cfg })
+}
+
+// floodFieldEach is floodField with agent i configured by cfg(i).
+func floodFieldEach(t *testing.T, n int, cfg func(i int) AgentConfig) (*netsim.Network, []*Agent) {
+	t.Helper()
 	net := netsim.New(netsim.Config{Range: 12, Unlimited: true})
 	t.Cleanup(net.Close)
 	agents := make([]*Agent, n)
@@ -423,7 +407,7 @@ func floodField(t *testing.T, n int, cfg AgentConfig) (*netsim.Network, []*Agent
 			t.Fatal(err)
 		}
 		t.Cleanup(mux.Close)
-		a := NewAgent(mux, cfg)
+		a := NewAgent(mux, cfg(i))
 		t.Cleanup(func() { _ = a.Close() })
 		agents[i] = a
 	}
@@ -522,7 +506,7 @@ func TestFloodGossipCacheAnswers(t *testing.T) {
 	if err != nil || len(got) != 1 {
 		t.Fatalf("cache lookup = %v, %v", got, err)
 	}
-	if agents[0].Messages.Snapshot()["query_sent"] != 0 {
+	if floodCount(agents[0], "query_sent") != 0 {
 		t.Fatal("cache hit still flooded a query")
 	}
 }
@@ -567,7 +551,7 @@ func TestFloodDedupSuppression(t *testing.T) {
 	}
 	// n3 received the query from n0 directly and from n1/n2 forwards, but
 	// must have replied exactly once.
-	if sent := agents[3].Messages.Snapshot()["reply_sent"]; sent != 1 {
+	if sent := floodCount(agents[3], "reply_sent"); sent != 1 {
 		t.Fatalf("n3 replied %d times, want 1", sent)
 	}
 }
@@ -603,8 +587,8 @@ func TestAdaptivePrefersCentralWhenDense(t *testing.T) {
 	if err != nil || len(got) != 1 {
 		t.Fatalf("lookup = %v, %v", got, err)
 	}
-	if ad.Decisions.Snapshot()[string(ModeCentral)] != 1 {
-		t.Fatalf("decisions = %v", ad.Decisions.Snapshot())
+	if decisions(ad)[string(ModeCentral)] != 1 {
+		t.Fatalf("decisions = %v", decisions(ad))
 	}
 }
 
@@ -618,8 +602,8 @@ func TestAdaptiveFloodsWhenSparse(t *testing.T) {
 	if err != nil || len(got) != 1 {
 		t.Fatalf("lookup = %v, %v", got, err)
 	}
-	if ad.Decisions.Snapshot()[string(ModeFlood)] != 1 {
-		t.Fatalf("decisions = %v", ad.Decisions.Snapshot())
+	if decisions(ad)[string(ModeFlood)] != 1 {
+		t.Fatalf("decisions = %v", decisions(ad))
 	}
 }
 
@@ -632,7 +616,7 @@ func TestAdaptiveFailsOverToFlood(t *testing.T) {
 	if err != nil || len(got) != 1 {
 		t.Fatalf("lookup = %v, %v", got, err)
 	}
-	snap := ad.Decisions.Snapshot()
+	snap := decisions(ad)
 	if snap["central_failover"] != 1 || snap[string(ModeFlood)] != 1 {
 		t.Fatalf("decisions = %v", snap)
 	}
@@ -640,7 +624,7 @@ func TestAdaptiveFailsOverToFlood(t *testing.T) {
 	if _, err := ad.Lookup(&svcdesc.Query{Name: "svc"}); err != nil {
 		t.Fatal(err)
 	}
-	if snap := ad.Decisions.Snapshot(); snap["central_failover"] != 1 {
+	if snap := decisions(ad); snap["central_failover"] != 1 {
 		t.Fatalf("unhealthy central retried immediately: %v", snap)
 	}
 }
@@ -657,7 +641,7 @@ func TestAdaptiveBackfillsEmptyCentralFromFlood(t *testing.T) {
 	if err != nil || len(got) != 1 {
 		t.Fatalf("lookup = %v, %v (empty central should backfill from flood)", got, err)
 	}
-	snap := ad.Decisions.Snapshot()
+	snap := decisions(ad)
 	if snap["central_empty_flood"] != 1 {
 		t.Fatalf("decisions = %v", snap)
 	}
@@ -665,7 +649,7 @@ func TestAdaptiveBackfillsEmptyCentralFromFlood(t *testing.T) {
 	if _, err := ad.Lookup(&svcdesc.Query{Name: "no-such"}); err != nil {
 		t.Fatal(err)
 	}
-	if snap := ad.Decisions.Snapshot(); snap["central_failover"] != 0 {
+	if snap := decisions(ad); snap["central_failover"] != 0 {
 		t.Fatalf("empty central treated as failure: %v", snap)
 	}
 }
@@ -741,9 +725,6 @@ func TestUnknownTopicError(t *testing.T) {
 	}
 	if reply.Kind != wire.KindError || !strings.Contains(string(reply.Payload), "unknown topic") {
 		t.Fatalf("reply = %+v", reply)
-	}
-	if snap := srv.Requests.Snapshot(); snap["disc.bogus"] != 1 {
-		t.Fatalf("unknown topic not counted: %v", snap)
 	}
 }
 
@@ -870,10 +851,10 @@ func TestFloodQueryRetry(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("lookup never returned after retry")
 	}
-	if got := agents[0].Messages.Snapshot()["query_retry"]; got != 1 {
+	if got := floodCount(agents[0], "query_retry"); got != 1 {
 		t.Fatalf("query_retry = %d, want 1", got)
 	}
-	if got := agents[0].Messages.Snapshot()["query_sent"]; got != 1 {
+	if got := floodCount(agents[0], "query_sent"); got != 1 {
 		t.Fatalf("query_sent = %d, want 1 (retries are counted separately)", got)
 	}
 }
@@ -889,10 +870,9 @@ func TestFloodTracePropagatesAcrossNetmuxHop(t *testing.T) {
 	for i := range tracers {
 		tracers[i] = trace.New(trace.Options{Name: fmt.Sprintf("n%d", i), Collector: col})
 	}
-	_, agents := floodField(t, 3, AgentConfig{CollectWindow: 200 * time.Millisecond})
-	for i, a := range agents {
-		a.SetTracer(tracers[i])
-	}
+	_, agents := floodFieldEach(t, 3, func(i int) AgentConfig {
+		return AgentConfig{CollectWindow: 200 * time.Millisecond, Tracer: tracers[i]}
+	})
 	if err := agents[2].Register(desc("n2", "sensor/bp")); err != nil {
 		t.Fatal(err)
 	}
@@ -981,4 +961,22 @@ func TestServerMetricsUseServerClock(t *testing.T) {
 	if got := reg.Histogram("discovery.server.latency_ms").Summary(); got.Count != 1 || got.Mean < 249 || got.Mean > 251 {
 		t.Fatalf("discovery.server.latency_ms = %+v, want one observation of 250", got)
 	}
+}
+
+// floodCount reads how many flood datagrams of a kind an agent's node
+// counted.
+func floodCount(a *Agent, kind string) int64 {
+	return a.metrics.Counter("discovery.flood." + kind).Value()
+}
+
+// decisions reads an adaptive registry's lookups by answering mode from its
+// node's registry.
+func decisions(ad *Adaptive) map[string]int64 {
+	out := map[string]int64{}
+	for name, v := range ad.flood.metrics.Snapshot().Counters {
+		if mode, ok := strings.CutPrefix(name, "discovery.adaptive."); ok {
+			out[mode] = v
+		}
+	}
+	return out
 }

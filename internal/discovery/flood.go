@@ -12,7 +12,6 @@ import (
 	"ndsm/internal/netsim"
 	"ndsm/internal/obs"
 	"ndsm/internal/simtime"
-	"ndsm/internal/stats"
 	"ndsm/internal/svcdesc"
 	"ndsm/internal/trace"
 )
@@ -113,6 +112,9 @@ type AgentConfig struct {
 	QueryRetry bool
 	// Clock drives collection windows and cache expiry (default real).
 	Clock simtime.Clock
+	// Tracer records the agent's lookups and the queries and replies it
+	// handles (nil: untraced).
+	Tracer *trace.Tracer
 }
 
 func (c AgentConfig) withDefaults() AgentConfig {
@@ -140,11 +142,15 @@ type pendingQuery struct {
 // return along the reverse path. No infrastructure node exists, so the
 // organization survives any single failure — at O(N) query cost.
 type Agent struct {
-	cfg      AgentConfig
-	mux      *netmux.Mux
-	local    *Store
-	cache    *Store
-	traceRef *trace.Ref
+	cfg    AgentConfig
+	mux    *netmux.Mux
+	local  *Store
+	cache  *Store
+	tracer *trace.Tracer
+	// metrics is the node's registry (netsim.Network.Metrics): protocol
+	// datagrams count there by kind as "discovery.flood.<kind>" (E1/E2's
+	// cost metric).
+	metrics *obs.Registry
 
 	qid atomic.Uint64
 
@@ -155,9 +161,6 @@ type Agent struct {
 
 	stop chan struct{}
 	done chan struct{}
-
-	// Messages counts protocol datagrams by kind (E1/E2's cost metric).
-	Messages stats.Counter
 }
 
 var _ Resolver = (*Agent)(nil)
@@ -166,23 +169,20 @@ var _ Resolver = (*Agent)(nil)
 func NewAgent(mux *netmux.Mux, cfg AgentConfig) *Agent {
 	cfg = cfg.withDefaults()
 	a := &Agent{
-		cfg:      cfg,
-		mux:      mux,
-		local:    NewStore(cfg.Clock, 0),
-		cache:    NewStore(cfg.Clock, gossipCacheTTL),
-		traceRef: trace.NewRef(nil),
-		seen:     make(map[string]bool),
-		pending:  make(map[uint64]*pendingQuery),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		cfg:     cfg,
+		mux:     mux,
+		local:   NewStore(cfg.Clock, 0),
+		cache:   NewStore(cfg.Clock, gossipCacheTTL),
+		tracer:  cfg.Tracer,
+		metrics: mux.Network().Metrics(mux.ID()),
+		seen:    make(map[string]bool),
+		pending: make(map[uint64]*pendingQuery),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	go a.loop(mux.Channel(ProtoDiscovery))
 	return a
 }
-
-// SetTracer installs the agent's tracer (nil reverts to the process
-// default).
-func (a *Agent) SetTracer(t *trace.Tracer) { a.traceRef.Set(t) }
 
 // CacheLen reports how many gossiped descriptions are cached.
 func (a *Agent) CacheLen() int {
@@ -250,7 +250,7 @@ func (a *Agent) Lookup(q *svcdesc.Query) (out []*svcdesc.Description, err error)
 	if err != nil {
 		return nil, err
 	}
-	if tr := a.traceRef.Get(); tr != nil {
+	if tr := a.tracer; tr != nil {
 		sp, done := tr.Scope("flood.lookup")
 		sp.SetAttr("service", q.Name)
 		defer func() {
@@ -285,7 +285,7 @@ func (a *Agent) Lookup(q *svcdesc.Query) (out []*svcdesc.Description, err error)
 		// One child span per flood round; its context rides in the envelope
 		// so remote handlers join this trace. Active during the broadcast so
 		// the per-hop radio spans nest beneath it.
-		rsp := a.traceRef.Get().StartSpan("flood.round", trace.Context{})
+		rsp := a.tracer.StartSpan("flood.round", trace.Context{})
 		rsp.SetAttr("qid", fmt.Sprintf("%d", qid))
 		msg.setTraceContext(rsp.Context())
 		release := rsp.Activate()
@@ -334,11 +334,9 @@ func (a *Agent) Lookup(q *svcdesc.Query) (out []*svcdesc.Description, err error)
 	}
 }
 
-// count tallies a protocol event in the agent's Messages counter and mirrors
-// it into the shared observability registry.
+// count tallies a protocol event in the node's registry.
 func (a *Agent) count(name string) {
-	a.Messages.Inc(name, 1)
-	obs.Default().Counter("discovery.flood." + name).Inc(1)
+	a.metrics.Counter("discovery.flood." + name).Inc(1)
 }
 
 func (a *Agent) harvest(pq *pendingQuery, into map[string]*svcdesc.Description) {
@@ -435,7 +433,7 @@ func (a *Agent) handleQuery(msg *floodMsg) {
 	// untraced — no root span per handled flood.
 	var sp *trace.Span
 	if ctx := msg.traceContext(); ctx.Valid() {
-		sp = a.traceRef.Get().StartSpan("flood.handle_query", ctx)
+		sp = a.tracer.StartSpan("flood.handle_query", ctx)
 		sp.SetAttr("origin", msg.Origin)
 	}
 	release := sp.Activate()
@@ -487,7 +485,7 @@ func (a *Agent) handleReply(msg *floodMsg) {
 	}
 	var sp *trace.Span
 	if ctx := msg.traceContext(); ctx.Valid() {
-		sp = a.traceRef.Get().StartSpan("flood.handle_reply", ctx)
+		sp = a.tracer.StartSpan("flood.handle_reply", ctx)
 		sp.SetAttr("origin", msg.Origin)
 	}
 	release := sp.Activate()

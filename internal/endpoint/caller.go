@@ -2,6 +2,7 @@ package endpoint
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,13 +36,9 @@ type CallerOptions struct {
 	// the interceptor chain runs, so retry, metrics, and wide-event
 	// recording all see the effective lane.
 	TopicLanes *LaneTable
-	// OnSend and OnRecv observe every message put on / taken off the wire
-	// (protocol message-cost accounting). Both may be nil. OnSend observers
-	// must not retain the message past the callback: request envelopes are
-	// pooled and recycled as soon as the callback returns. OnRecv observers
-	// may keep the message's Payload, Headers and strings, but not the
-	// message: a message no call waits for is recycled once OnRecv returns.
-	OnSend func(*wire.Message)
+	// OnRecv observes every message taken off the wire (nil: none). It may
+	// keep the message's Payload, Headers and strings, but not the message:
+	// a message no call waits for is recycled once OnRecv returns.
 	OnRecv func(*wire.Message)
 }
 
@@ -115,7 +112,10 @@ func NewCaller(tr transport.Transport, addr string, opts CallerOptions) (*Caller
 		clock:   clock,
 		waiters: make(map[uint64]*waiter),
 	}
-	c.invoke = chainClient(opts.Interceptors, c.roundtrip)
+	// Nil interceptors do nothing; without them a caller that has none left
+	// takes Do's direct path.
+	c.opts.Interceptors = slices.DeleteFunc(slices.Clone(opts.Interceptors), func(i ClientInterceptor) bool { return i == nil })
+	c.invoke = chainClient(c.opts.Interceptors, c.roundtrip)
 	if opts.Eager {
 		c.mu.Lock()
 		_, _, err := c.ensureConnLocked()
@@ -411,10 +411,7 @@ func (c *Caller) start(call *Call, fut *Future) error {
 	req.Payload = call.Payload
 	req.Deadline = deadline
 	err = conn.Send(req)
-	if err == nil && c.opts.OnSend != nil {
-		c.opts.OnSend(req)
-	}
-	putMsg(req) // transports and OnSend observers must not retain (see transport.Conn)
+	putMsg(req) // transports must not retain it (see transport.Conn)
 	if err != nil {
 		if w != nil && c.cancelWaiter(id, w) {
 			putWaiter(w)

@@ -174,9 +174,10 @@ type Call struct {
 type ClientFunc func(*Call) (*wire.Message, error)
 
 // ClientInterceptor wraps a ClientFunc with cross-cutting behavior (retry,
-// metrics, tracing). Interceptors compose outermost-first. An interceptor may
-// change the *Call it is given but must not keep it after it returns:
-// Caller.Do clears that copy and reuses it for a later call.
+// metrics, tracing). Interceptors compose outermost-first; a nil one is left
+// out of the chain. An interceptor may change the *Call it is given but must
+// not keep it after it returns: Caller.Do clears that copy and reuses it for a
+// later call.
 type ClientInterceptor func(next ClientFunc) ClientFunc
 
 // Handler serves one inbound request and returns the reply message. The
@@ -200,10 +201,11 @@ type ClientInterceptor func(next ClientFunc) ClientFunc
 type Handler func(req *wire.Message) (*wire.Message, error)
 
 // ServerInterceptor wraps a Handler with cross-cutting behavior.
-// Interceptors compose outermost-first.
+// Interceptors compose outermost-first; a nil one is left out of the chain.
 type ServerInterceptor func(next Handler) Handler
 
-// chainClient composes interceptors around the terminal ClientFunc.
+// chainClient composes interceptors around the terminal ClientFunc (NewCaller
+// has dropped the nil ones).
 func chainClient(interceptors []ClientInterceptor, terminal ClientFunc) ClientFunc {
 	out := terminal
 	for i := len(interceptors) - 1; i >= 0; i-- {
@@ -212,11 +214,14 @@ func chainClient(interceptors []ClientInterceptor, terminal ClientFunc) ClientFu
 	return out
 }
 
-// chainServer composes interceptors around the terminal Handler.
+// chainServer composes interceptors around the terminal Handler, skipping
+// nil ones.
 func chainServer(interceptors []ServerInterceptor, terminal Handler) Handler {
 	out := terminal
 	for i := len(interceptors) - 1; i >= 0; i-- {
-		out = interceptors[i](out)
+		if interceptors[i] != nil {
+			out = interceptors[i](out)
+		}
 	}
 	return out
 }

@@ -188,7 +188,7 @@ func putWaiter(w *waiter) {
 // msgPool recycles the envelopes this package sends: a caller's requests, a
 // server's replies and rejections. A message is returned to the pool as soon
 // as Send accepts it — transports must not retain messages past Send (see
-// transport.Conn) and OnSend observers must not retain them past the callback.
+// transport.Conn).
 //
 // It is not wire's pool of decoded messages (wire.Recycle), and the two are
 // not to be made one: these envelopes borrow their payload and come back

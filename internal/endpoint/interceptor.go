@@ -25,14 +25,14 @@ type RetryPolicy struct {
 }
 
 // WithRetry re-attempts transport-level failures at once, up to p.Max times.
-// reg (nil: the default registry) counts retries under "<name>.retries" and
-// exhausted calls under "<name>.retries_exhausted".
+// reg counts retries under "<name>.retries" and exhausted calls under
+// "<name>.retries_exhausted" (nil: counted nowhere).
 func WithRetry(p RetryPolicy, reg *obs.Registry, name string) ClientInterceptor {
 	if p.Max <= 0 {
 		p.Max = 2
 	}
-	retries := obs.Or(reg).Counter(name + ".retries")
-	exhausted := obs.Or(reg).Counter(name + ".retries_exhausted")
+	retries := reg.Counter(name + ".retries")
+	exhausted := reg.Counter(name + ".retries_exhausted")
 	return func(next ClientFunc) ClientFunc {
 		return func(call *Call) (*wire.Message, error) {
 			m, err := next(call)
@@ -66,8 +66,8 @@ type Breaker interface {
 // WithBreaker gates calls through a per-peer circuit breaker: open circuits
 // fail fast with ErrCircuitOpen (no wire traffic, no timeout burned), and
 // call outcomes feed the breaker. peer keys the circuit; empty means each
-// call's Dst. reg (nil: the default registry) counts rejections under
-// "<name>.breaker_fast_fails".
+// call's Dst. reg counts rejections under "<name>.breaker_fast_fails" (nil:
+// counted nowhere).
 //
 // Outcome classification: transport-level failures (unavailable, timeout)
 // count against the peer; an answered call — success, RemoteError, or a
@@ -75,7 +75,7 @@ type Breaker interface {
 // failure, because the liveness question is "is the peer there", not "did
 // the request succeed".
 func WithBreaker(b Breaker, peer string, reg *obs.Registry, name string) ClientInterceptor {
-	fastFails := obs.Or(reg).Counter(name + ".breaker_fast_fails")
+	fastFails := reg.Counter(name + ".breaker_fast_fails")
 	return func(next ClientFunc) ClientFunc {
 		return func(call *Call) (*wire.Message, error) {
 			key := peer
@@ -103,14 +103,17 @@ func WithBreaker(b Breaker, peer string, reg *obs.Registry, name string) ClientI
 	}
 }
 
-// WithMetrics instruments calls in reg (nil: the default registry) under the
-// given name prefix: "<name>.calls", "<name>.errors", "<name>.timeouts", and
-// the latency histogram "<name>.latency_ms".
-func WithMetrics(reg *obs.Registry, name string, clock simtime.Clock) ClientInterceptor {
+// WithMetrics instruments calls in reg under the given name prefix:
+// "<name>.calls", "<name>.errors", "<name>.timeouts", and the latency
+// histogram "<name>.latency_ms". With no registry there is nothing to count,
+// and the interceptor is nil: left out of the chain.
+func WithMetrics(r *obs.Registry, name string, clock simtime.Clock) ClientInterceptor {
+	if r == nil {
+		return nil
+	}
 	if clock == nil {
 		clock = simtime.Real{}
 	}
-	r := obs.Or(reg)
 	calls := r.Counter(name + ".calls")
 	errs := r.Counter(name + ".errors")
 	timeouts := r.Counter(name + ".timeouts")
@@ -137,17 +140,14 @@ func WithMetrics(reg *obs.Registry, name string, clock simtime.Clock) ClientInte
 // peer regardless of codec. The span parents under the tracer's ambient span
 // (an enclosing binding.request, discovery round, or server dispatch) and is
 // itself ambient while the call runs, so downstream hops — retries, radio
-// sends — nest beneath it. ref resolves the tracer per call (nil follows
-// trace.SetDefault); when it yields no tracer the interceptor is a
-// zero-allocation pass-through, which keeps the disabled hot path inside the
-// BenchmarkInteractRPC band.
-func WithTracing(ref *trace.Ref, name string) ClientInterceptor {
+// sends — nest beneath it. A nil tracer — a component built without one —
+// leaves the interceptor out of the chain, so an untraced call pays nothing.
+func WithTracing(t *trace.Tracer, name string) ClientInterceptor {
+	if t == nil {
+		return nil
+	}
 	return func(next ClientFunc) ClientFunc {
 		return func(call *Call) (*wire.Message, error) {
-			t := ref.Get()
-			if t == nil {
-				return next(call)
-			}
 			sp := t.StartSpan(name, trace.Context{})
 			sp.SetAttr("topic", call.Topic)
 			if call.Dst != "" {
@@ -173,15 +173,14 @@ func WithTracing(ref *trace.Ref, name string) ClientInterceptor {
 // server-side span parented on the client span across the wire, ambient
 // while the handler runs so the handler's own downstream calls nest beneath
 // it. Requests without trace context stay untraced (tracing is opt-in per
-// call chain, not per server). ref resolves the tracer per dispatch; nil
-// follows trace.SetDefault.
-func WithServerTracing(ref *trace.Ref, name string) ServerInterceptor {
+// call chain, not per server). A nil tracer leaves the interceptor out of
+// the chain.
+func WithServerTracing(t *trace.Tracer, name string) ServerInterceptor {
+	if t == nil {
+		return nil
+	}
 	return func(next Handler) Handler {
 		return func(req *wire.Message) (*wire.Message, error) {
-			t := ref.Get()
-			if t == nil {
-				return next(req)
-			}
 			parent := trace.Extract(req.Headers)
 			if !parent.Valid() {
 				return next(req)
@@ -201,14 +200,16 @@ func WithServerTracing(ref *trace.Ref, name string) ServerInterceptor {
 	}
 }
 
-// WithServerMetrics instruments dispatches in reg (nil: the default
-// registry): "<name>.requests", "<name>.errors", and the handler latency
-// histogram "<name>.latency_ms".
-func WithServerMetrics(reg *obs.Registry, name string, clock simtime.Clock) ServerInterceptor {
+// WithServerMetrics instruments dispatches in reg: "<name>.requests",
+// "<name>.errors", and the handler latency histogram "<name>.latency_ms". A
+// nil registry leaves the interceptor out of the chain.
+func WithServerMetrics(r *obs.Registry, name string, clock simtime.Clock) ServerInterceptor {
+	if r == nil {
+		return nil
+	}
 	if clock == nil {
 		clock = simtime.Real{}
 	}
-	r := obs.Or(reg)
 	requests := r.Counter(name + ".requests")
 	errs := r.Counter(name + ".errors")
 	latency := r.Histogram(name + ".latency_ms")

@@ -43,7 +43,7 @@ type ServerOptions struct {
 	// that sheds lowest-benefit work first under overload. Nil keeps the
 	// flat single-counter bound.
 	Lanes *LaneConfig
-	// Metrics receives the admission counters (nil: the default registry):
+	// Metrics receives the admission counters (nil: counted nowhere):
 	// shed rejections under "<Name or endpoint.server>.shed", plus — with
 	// Lanes configured — "<name>.shed.expired", "<name>.shed.preempted",
 	// and per-lane "<name>.lane.<lane>.{admitted,shed,queued}".
@@ -140,11 +140,11 @@ func NewServer(l transport.Listener, opts ServerOptions) *Server {
 		}
 	}
 	if capacity > 0 {
-		s.adm = newAdmitter(s, capacity, opts.Lanes, metricName, obs.Or(opts.Metrics))
+		s.adm = newAdmitter(s, capacity, opts.Lanes, metricName, opts.Metrics)
 	} else {
 		// Register the shed counter even when unlimited, so the metric name
 		// exists (at zero) wherever a server runs.
-		obs.Or(opts.Metrics).Counter(metricName + ".shed")
+		opts.Metrics.Counter(metricName + ".shed")
 	}
 	for _, k := range kinds {
 		s.accepts[k] = true

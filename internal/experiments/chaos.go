@@ -5,6 +5,7 @@ import (
 
 	"ndsm/internal/chaos"
 	"ndsm/internal/stats"
+	"ndsm/internal/trace"
 )
 
 // e4x extends E4 from single-cause supplier kills to composed failures: each
@@ -16,8 +17,8 @@ import (
 // suspects a killed supplier before the binding stays on it, WAL replay
 // reproduces state). Every row is reproducible from its seed and the soak's
 // config.
-func e4x(quick bool) (Result, error) {
-	sc := chaos.ScenarioConfig{WorldConfig: chaos.WorldConfig{Seed: 101}, Ticks: pick(quick, 40, 60), Windows: 4}
+func e4x(quick bool, tr *trace.Tracer) (Result, error) {
+	sc := chaos.ScenarioConfig{WorldConfig: chaos.WorldConfig{Seed: 101, Tracer: tr}, Ticks: pick(quick, 40, 60), Windows: 4}
 	report, err := chaos.Soak(sc, pick(quick, 1, 3))
 	if err != nil {
 		return Result{}, fmt.Errorf("E4X: %w", err)

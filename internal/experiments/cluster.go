@@ -6,6 +6,7 @@ import (
 
 	"ndsm/internal/chaos"
 	"ndsm/internal/stats"
+	"ndsm/internal/trace"
 )
 
 // e12 is E11's question asked of the registry instead of the suppliers: at a
@@ -16,7 +17,7 @@ import (
 // surviving replica and the N-RF+1 lookup quorum still clears. The rows
 // compare lookup availability inside the kill window; the cluster row also
 // reports the cache-backed cluster path probed without any flood fallback.
-func e12(quick bool) (Result, error) {
+func e12(quick bool, tr *trace.Tracer) (Result, error) {
 	ticks := pick(quick, 40, 60)
 	killAt := pick(quick, 8, 10)     // tick of the registry kill
 	killTicks := pick(quick, 15, 20) // how long the killed node stays down
@@ -36,7 +37,7 @@ func e12(quick bool) (Result, error) {
 	lookupOK := func(r chaos.TickRecord) bool { return r.LookupOK }
 	run := func(cluster bool, fault chaos.FaultKind, target string) (*chaos.ScenarioResult, error) {
 		return chaos.RunScenario(chaos.ScenarioConfig{
-			WorldConfig: chaos.WorldConfig{Seed: 9, Cluster: cluster},
+			WorldConfig: chaos.WorldConfig{Seed: 9, Cluster: cluster, Tracer: tr},
 			Ticks:       ticks,
 			Schedule: chaos.Schedule{{
 				At:       time.Duration(killAt) * chaos.TickEvery,

@@ -13,6 +13,7 @@ import (
 	"ndsm/internal/sketch"
 	"ndsm/internal/stats"
 	"ndsm/internal/svcdesc"
+	"ndsm/internal/trace"
 	"ndsm/internal/transport"
 )
 
@@ -62,8 +63,8 @@ func buildRadioNode(net *netsim.Network, id netsim.NodeID, endpoint bool) (*radi
 
 // gridNet builds an n-node grid (spacing 10 m, range 12 m) with unlimited
 // energy, so message counts are the only cost metric.
-func gridNet(n int) (*netsim.Network, []netsim.NodeID, error) {
-	net := netsim.New(netsim.Config{Range: 12, Unlimited: true})
+func gridNet(n int, tr *trace.Tracer) (*netsim.Network, []netsim.NodeID, error) {
+	net := netsim.New(netsim.Config{Range: 12, Unlimited: true, Tracer: tr})
 	ids, err := netsim.GridField(net, "n", n, 10)
 	if err != nil {
 		net.Close()
@@ -75,7 +76,7 @@ func gridNet(n int) (*netsim.Network, []netsim.NodeID, error) {
 // registryCluster starts a size-member registry cluster, "registry0"
 // onwards, each member on its own mem transport on fabric. The returned
 // func closes every member whose slot the caller has not set to nil.
-func registryCluster(fabric *transport.Fabric, size int) ([]string, []*cluster.Node, func(), error) {
+func registryCluster(fabric *transport.Fabric, size int, tracer *trace.Tracer) ([]string, []*cluster.Node, func(), error) {
 	members := make([]string, size)
 	for i := range members {
 		members[i] = fmt.Sprintf("registry%d", i)
@@ -95,7 +96,7 @@ func registryCluster(fabric *transport.Fabric, size int) ([]string, []*cluster.N
 			closeAll()
 			return nil, nil, nil, err
 		}
-		n, err := cluster.NewNode(tr, l, cluster.NodeOptions{Self: id, Members: members})
+		n, err := cluster.NewNode(tr, l, cluster.NodeOptions{Self: id, Members: members, Tracer: tracer})
 		if err != nil {
 			closeAll()
 			return nil, nil, nil, err
@@ -116,7 +117,7 @@ func bpService(provider string) *svcdesc.Description {
 
 // e1 compares centralized vs distributed discovery: radio messages and
 // latency per lookup as the network grows.
-func e1(quick bool) (Result, error) {
+func e1(quick bool, tr *trace.Tracer) (Result, error) {
 	// 200 lookups per cluster size give a stable p50 on a microsecond-scale
 	// path, and the ≥10x cached-vs-wire bar needs that sample in quick mode
 	// too.
@@ -125,13 +126,13 @@ func e1(quick bool) (Result, error) {
 	table := stats.NewTable("E1: discovery cost vs network size",
 		"nodes", "organization", "radio msgs/lookup", "latency ms", "found")
 	for _, n := range pick(quick, []int{9, 16}, []int{9, 25, 49}) {
-		msgs, lat, found, err := e1Distributed(n, lookups)
+		msgs, lat, found, err := e1Distributed(n, lookups, tr)
 		if err != nil {
 			return Result{}, fmt.Errorf("E1 distributed n=%d: %w", n, err)
 		}
 		table.AddRow(n, "distributed (flood)", msgs, lat, found)
 
-		msgs, lat, found, err = e1Centralized(n, lookups)
+		msgs, lat, found, err = e1Centralized(n, lookups, tr)
 		if err != nil {
 			return Result{}, fmt.Errorf("E1 centralized n=%d: %w", n, err)
 		}
@@ -147,7 +148,7 @@ func e1(quick bool) (Result, error) {
 		"quorum scatter-gather over the wire vs the client-side lease cache.",
 	}
 	for _, size := range []int{1, 3, 5} {
-		wire, cachedP50, hit, err := e1Cluster(size, clusterLookups)
+		wire, cachedP50, hit, err := e1Cluster(size, clusterLookups, tr)
 		if err != nil {
 			return Result{}, fmt.Errorf("E1 cluster size=%d: %w", size, err)
 		}
@@ -174,15 +175,15 @@ func e1(quick bool) (Result, error) {
 // cluster of the given size on an in-memory fabric: the quorum scatter-gather
 // wire path, and the client lease cache serving fresh hits locally. Returns
 // the two p50s (µs) and the cache hit rate (%).
-func e1Cluster(size, lookups int) (wireP50, cachedP50, hitRate float64, err error) {
+func e1Cluster(size, lookups int, tr *trace.Tracer) (wireP50, cachedP50, hitRate float64, err error) {
 	fabric := transport.NewFabric()
-	members, _, closeCluster, err := registryCluster(fabric, size)
+	members, _, closeCluster, err := registryCluster(fabric, size, tr)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	defer closeCluster()
 
-	res, err := cluster.NewResolver(transport.NewMem(fabric), cluster.ResolverOptions{Members: members})
+	res, err := cluster.NewResolver(transport.NewMem(fabric), cluster.ResolverOptions{Members: members, Tracer: tr})
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -227,8 +228,8 @@ func e1Cluster(size, lookups int) (wireP50, cachedP50, hitRate float64, err erro
 
 // e1Distributed floods lookups from corner 0 for a service at the far
 // corner.
-func e1Distributed(n, lookups int) (msgs float64, latency float64, found bool, err error) {
-	net, ids, err := gridNet(n)
+func e1Distributed(n, lookups int, tr *trace.Tracer) (msgs float64, latency float64, found bool, err error) {
+	net, ids, err := gridNet(n, tr)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -244,6 +245,7 @@ func e1Distributed(n, lookups int) (msgs float64, latency float64, found bool, e
 			QueryTTL:      16,
 			CollectWindow: 120 * time.Millisecond,
 			MaxResults:    1,
+			Tracer:        tr,
 		})
 		defer a.Close() //nolint:errcheck
 		agents = append(agents, a)
@@ -257,8 +259,8 @@ func e1Distributed(n, lookups int) (msgs float64, latency float64, found bool, e
 
 // e1Centralized runs a registry at the grid center over the routed sim
 // transport and looks up from corner 0.
-func e1Centralized(n, lookups int) (msgs float64, latency float64, found bool, err error) {
-	net, ids, err := gridNet(n)
+func e1Centralized(n, lookups int, tr *trace.Tracer) (msgs float64, latency float64, found bool, err error) {
+	net, ids, err := gridNet(n, tr)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -287,17 +289,17 @@ func e1Centralized(n, lookups int) (msgs float64, latency float64, found bool, e
 	if err != nil {
 		return 0, 0, false, err
 	}
-	srv := discovery.NewServer(discovery.NewStore(nil, 0), l)
+	srv := discovery.NewResolverServer(discovery.NewStore(nil, 0), l, discovery.ServerOptions{Tracer: tr})
 	defer srv.Close() //nolint:errcheck
 
 	// The supplier at the far corner registers over the radio.
-	supplier := discovery.NewClient(byID[ids[n-1]].tr, string(registryNode.id))
+	supplier := discovery.NewInstrumentedClient(byID[ids[n-1]].tr, string(registryNode.id), nil, tr)
 	defer supplier.Close() //nolint:errcheck
 	if err := supplier.Register(bpService(string(ids[n-1]))); err != nil {
 		return 0, 0, false, err
 	}
 
-	client := discovery.NewClient(byID[ids[0]].tr, string(registryNode.id))
+	client := discovery.NewInstrumentedClient(byID[ids[0]].tr, string(registryNode.id), nil, tr)
 	defer client.Close() //nolint:errcheck
 	return e1Lookups(net, client.Lookup, lookups, 0)
 }
@@ -326,7 +328,7 @@ func e1Lookups(net *netsim.Network, lookup func(*svcdesc.Query) ([]*svcdesc.Desc
 // e2 shows the adaptive organization tracking the better mode as the
 // environment changes: density decides when the registry is healthy, and the
 // agent falls back to flooding when the registry dies.
-func e2(quick bool) (Result, error) {
+func e2(quick bool, tr *trace.Tracer) (Result, error) {
 	lookups := pick(quick, 2, 6)
 	table := stats.NewTable("E2: adaptive discovery mode selection",
 		"scenario", "density", "registry", "mode chosen", "lookups ok")
@@ -341,7 +343,7 @@ func e2(quick bool) (Result, error) {
 		{"sparse, registry up", 2, true},
 		{"dense, registry down", 10, false},
 	} {
-		mode, ok, err := e2Scenario(sc.density, sc.registryUp, lookups)
+		mode, ok, err := e2Scenario(sc.density, sc.registryUp, lookups, tr)
 		if err != nil {
 			return Result{}, fmt.Errorf("E2 %s: %w", sc.name, err)
 		}
@@ -352,7 +354,7 @@ func e2(quick bool) (Result, error) {
 		table.AddRow(sc.name, sc.density, reg, mode, fmt.Sprintf("%d/%d", ok, lookups))
 	}
 	for _, size := range []int{1, 3, 5} {
-		mode, ok, err := e2ClusterScenario(size, lookups)
+		mode, ok, err := e2ClusterScenario(size, lookups, tr)
 		if err != nil {
 			return Result{}, fmt.Errorf("E2 cluster(%d): %w", size, err)
 		}
@@ -377,15 +379,15 @@ func e2(quick bool) (Result, error) {
 // centralized side and one member killed: with enough members the lookup
 // quorum survives and the policy stays central; a 1-member cluster behaves
 // like the dead classic registry and the agent floods.
-func e2ClusterScenario(size, lookups int) (mode string, okCount int, err error) {
+func e2ClusterScenario(size, lookups int, tr *trace.Tracer) (mode string, okCount int, err error) {
 	// Cluster registry over mem transport (infrastructure network).
 	fabric := transport.NewFabric()
-	members, nodes, closeCluster, err := registryCluster(fabric, size)
+	members, nodes, closeCluster, err := registryCluster(fabric, size, tr)
 	if err != nil {
 		return "", 0, err
 	}
 	defer closeCluster()
-	central, err := cluster.NewResolver(transport.NewMem(fabric), cluster.ResolverOptions{Members: members})
+	central, err := cluster.NewResolver(transport.NewMem(fabric), cluster.ResolverOptions{Members: members, Tracer: tr})
 	if err != nil {
 		return "", 0, err
 	}
@@ -399,40 +401,36 @@ func e2ClusterScenario(size, lookups int) (mode string, okCount int, err error) 
 	// path survives it.
 	_ = nodes[0].Close()
 	nodes[0] = nil
-	return e2Adaptive(central, 10, lookups)
+	return e2Adaptive(central, 10, lookups, tr)
 }
 
-func e2Scenario(density int, registryUp bool, lookups int) (mode string, okCount int, err error) {
-	// Central registry over mem transport (infrastructure network).
-	var central discovery.Resolver
+func e2Scenario(density int, registryUp bool, lookups int, tr *trace.Tracer) (mode string, okCount int, err error) {
+	// Central registry over mem transport (infrastructure network). The
+	// client dials lazily, so with the registry down its address is dead.
 	fabric := transport.NewFabric()
 	mem := transport.NewMem(fabric)
 	defer mem.Close() //nolint:errcheck
+	cli := discovery.NewInstrumentedClient(transport.NewMem(fabric), "registry", nil, tr)
 	if registryUp {
 		l, err := mem.Listen("registry")
 		if err != nil {
 			return "", 0, err
 		}
-		srv := discovery.NewServer(discovery.NewStore(nil, 0), l)
+		srv := discovery.NewResolverServer(discovery.NewStore(nil, 0), l, discovery.ServerOptions{Tracer: tr})
 		defer srv.Close() //nolint:errcheck
-		cli := discovery.NewClient(transport.NewMem(fabric), "registry")
 		if err := cli.Register(bpService("s")); err != nil {
 			return "", 0, err
 		}
-		central = cli
-	} else {
-		// A client pointed at a dead address.
-		central = discovery.NewClient(transport.NewMem(fabric), "registry-gone")
 	}
-	return e2Adaptive(central, density, lookups)
+	return e2Adaptive(cli, density, lookups, tr)
 }
 
 // e2Adaptive runs lookups through the adaptive organization, with central
 // as its centralized side and flooding on a 3-node radio line (querier,
 // supplier neighbour, spare) as the other, and reports the mode it chose
 // more often and how many lookups found the service.
-func e2Adaptive(central discovery.Resolver, density, lookups int) (mode string, okCount int, err error) {
-	net := netsim.New(netsim.Config{Range: 12, Unlimited: true})
+func e2Adaptive(central discovery.Resolver, density, lookups int, tr *trace.Tracer) (mode string, okCount int, err error) {
+	net := netsim.New(netsim.Config{Range: 12, Unlimited: true, Tracer: tr})
 	defer net.Close()
 	ids := []netsim.NodeID{"q", "s", "r"}
 	for i, id := range ids {
@@ -447,7 +445,7 @@ func e2Adaptive(central discovery.Resolver, density, lookups int) (mode string, 
 			return "", 0, err
 		}
 		defer mux.Close()
-		a := discovery.NewAgent(mux, discovery.AgentConfig{CollectWindow: 100 * time.Millisecond, MaxResults: 1})
+		a := discovery.NewAgent(mux, discovery.AgentConfig{CollectWindow: 100 * time.Millisecond, MaxResults: 1, Tracer: tr})
 		defer a.Close() //nolint:errcheck
 		agents = append(agents, a)
 	}
@@ -462,8 +460,9 @@ func e2Adaptive(central discovery.Resolver, density, lookups int) (mode string, 
 			okCount++
 		}
 	}
-	dec := ad.Decisions.Snapshot()
-	if dec[string(discovery.ModeCentral)] >= dec[string(discovery.ModeFlood)] {
+	// The adaptive registry counts its decisions in its node's registry.
+	dec := net.Metrics("q").Snapshot().Counters
+	if dec["discovery.adaptive."+string(discovery.ModeCentral)] >= dec["discovery.adaptive."+string(discovery.ModeFlood)] {
 		mode = string(discovery.ModeCentral)
 	} else {
 		mode = string(discovery.ModeFlood)

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"ndsm/internal/trace"
 )
 
 // cell fetches a table cell by row/column index.
@@ -71,8 +73,8 @@ func TestRunAllKeepsGoing(t *testing.T) {
 	saved := experimentList
 	defer func() { experimentList = saved }()
 	experimentList = []experiment{
-		{"A", func(bool) (Result, error) { return Result{}, errors.New("broken") }},
-		{"B", func(bool) (Result, error) { return Result{ID: "B", Title: "b"}, nil }},
+		{"A", func(bool, *trace.Tracer) (Result, error) { return Result{}, errors.New("broken") }},
+		{"B", func(bool, *trace.Tracer) (Result, error) { return Result{ID: "B", Title: "b"}, nil }},
 	}
 	var sb strings.Builder
 	err := (Runner{QuickMode: true}).RunAll(&sb)

@@ -9,17 +9,18 @@ import (
 	"ndsm/internal/interact/rpc"
 	"ndsm/internal/interact/tuplespace"
 	"ndsm/internal/stats"
+	"ndsm/internal/trace"
 	"ndsm/internal/transport"
 )
 
 // e7 measures the four interaction styles of §3.1/§3.6 on an identical
 // round-trip workload over the mem transport: client-server RPC, message
 // queue, publish-subscribe, and tuple space.
-func e7(quick bool) (Result, error) {
+func e7(quick bool, tracer *trace.Tracer) (Result, error) {
 	ops := pick(quick, 200, 2000) // per style and payload size
 	table := stats.NewTable("E7: interaction styles",
 		"style", "payload", "ops/sec", "mean µs/op")
-	type styleFn func(size, ops int) (time.Duration, error)
+	type styleFn func(size, ops int, tracer *trace.Tracer) (time.Duration, error)
 	styles := []struct {
 		name string
 		run  styleFn
@@ -31,7 +32,7 @@ func e7(quick bool) (Result, error) {
 	}
 	for _, size := range pick(quick, []int{64}, []int{64, 4096}) {
 		for _, st := range styles {
-			elapsed, err := st.run(size, ops)
+			elapsed, err := st.run(size, ops, tracer)
 			if err != nil {
 				return Result{}, fmt.Errorf("E7 %s size=%d: %w", st.name, size, err)
 			}
@@ -55,7 +56,7 @@ func e7(quick bool) (Result, error) {
 	}, nil
 }
 
-func e7RPC(size, ops int) (time.Duration, error) {
+func e7RPC(size, ops int, tracer *trace.Tracer) (time.Duration, error) {
 	fabric := transport.NewFabric()
 	tr := transport.NewMem(fabric)
 	defer tr.Close() //nolint:errcheck
@@ -63,10 +64,10 @@ func e7RPC(size, ops int) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	srv := rpc.NewServer(l)
+	srv := rpc.NewServer(l, tracer)
 	defer srv.Close() //nolint:errcheck
 	srv.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
-	cli, err := rpc.Dial(transport.NewMem(fabric), "svc", nil)
+	cli, err := rpc.Dial(transport.NewMem(fabric), "svc", nil, tracer)
 	if err != nil {
 		return 0, err
 	}
@@ -82,7 +83,7 @@ func e7RPC(size, ops int) (time.Duration, error) {
 	return time.Since(start), nil
 }
 
-func e7MQ(size, ops int) (time.Duration, error) {
+func e7MQ(size, ops int, tracer *trace.Tracer) (time.Duration, error) {
 	fabric := transport.NewFabric()
 	tr := transport.NewMem(fabric)
 	defer tr.Close() //nolint:errcheck
@@ -92,7 +93,7 @@ func e7MQ(size, ops int) (time.Duration, error) {
 	}
 	b := mq.NewBroker(l, 0, nil)
 	defer b.Close() //nolint:errcheck
-	cli, err := mq.Dial(transport.NewMem(fabric), "broker")
+	cli, err := mq.Dial(transport.NewMem(fabric), "broker", tracer)
 	if err != nil {
 		return 0, err
 	}
@@ -111,7 +112,7 @@ func e7MQ(size, ops int) (time.Duration, error) {
 	return time.Since(start), nil
 }
 
-func e7PubSub(size, ops int) (time.Duration, error) {
+func e7PubSub(size, ops int, _ *trace.Tracer) (time.Duration, error) {
 	fabric := transport.NewFabric()
 	tr := transport.NewMem(fabric)
 	defer tr.Close() //nolint:errcheck
@@ -146,7 +147,7 @@ func e7PubSub(size, ops int) (time.Duration, error) {
 	return time.Since(start), nil
 }
 
-func e7Tuple(size, ops int) (time.Duration, error) {
+func e7Tuple(size, ops int, tracer *trace.Tracer) (time.Duration, error) {
 	fabric := transport.NewFabric()
 	tr := transport.NewMem(fabric)
 	defer tr.Close() //nolint:errcheck
@@ -154,9 +155,9 @@ func e7Tuple(size, ops int) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	srv := tuplespace.NewServer(tuplespace.NewSpace(nil), l)
+	srv := tuplespace.NewServer(tuplespace.NewSpace(nil), l, tracer)
 	defer srv.Close() //nolint:errcheck
-	cli, err := tuplespace.Dial(transport.NewMem(fabric), "space")
+	cli, err := tuplespace.Dial(transport.NewMem(fabric), "space", tracer)
 	if err != nil {
 		return 0, err
 	}

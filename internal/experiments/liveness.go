@@ -6,6 +6,7 @@ import (
 
 	"ndsm/internal/chaos"
 	"ndsm/internal/stats"
+	"ndsm/internal/trace"
 )
 
 // e11 measures bounded degradation under the liveness layer: the same seeded
@@ -22,7 +23,7 @@ import (
 // fallback turn each kill into suspicion within a few ticks, selection skips
 // the suspects, and the binding settles on the survivor: degradation stays
 // bounded by detection time instead of compounding.
-func e11(quick bool) (Result, error) {
+func e11(quick bool, tr *trace.Tracer) (Result, error) {
 	const (
 		// The ticks of the two permanent supplier kills.
 		firstKill  = 5
@@ -34,7 +35,7 @@ func e11(quick bool) (Result, error) {
 	}
 	run := func(disable bool) (*chaos.ScenarioResult, error) {
 		return chaos.RunScenario(chaos.ScenarioConfig{
-			WorldConfig: chaos.WorldConfig{Seed: 9, NoLiveness: disable},
+			WorldConfig: chaos.WorldConfig{Seed: 9, NoLiveness: disable, Tracer: tr},
 			Ticks:       pick(quick, 40, 60),
 			Schedule:    schedule,
 		})

@@ -7,6 +7,7 @@ import (
 	"ndsm/internal/milan"
 	"ndsm/internal/netsim"
 	"ndsm/internal/stats"
+	"ndsm/internal/trace"
 )
 
 const (
@@ -49,8 +50,8 @@ func e6System(perVariable int, rng *rand.Rand) *milan.System {
 	return sys
 }
 
-func e6Field(sys *milan.System, energy float64, rng *rand.Rand) (*netsim.Network, error) {
-	net := netsim.New(netsim.Config{Range: sys.Range})
+func e6Field(sys *milan.System, energy float64, rng *rand.Rand, tr *trace.Tracer) (*netsim.Network, error) {
+	net := netsim.New(netsim.Config{Range: sys.Range, Tracer: tr})
 	if err := net.AddNodeEnergy(sys.Sink, sys.SinkPos, 1e6); err != nil {
 		net.Close()
 		return nil, err
@@ -67,7 +68,7 @@ func e6Field(sys *milan.System, energy float64, rng *rand.Rand) (*netsim.Network
 
 // e6 is the headline reproduction: network lifetime under MiLAN's
 // lifetime-optimal feasible-set selection versus the baselines.
-func e6(quick bool) (Result, error) {
+func e6(quick bool, tr *trace.Tracer) (Result, error) {
 	perVariable, energy := pick(quick, 2, 4), pick(quick, 0.005, e6Energy)
 	table := stats.NewTable("E6: MiLAN network lifetime",
 		"selector", "lifetime rounds", "vs all-sensors", "reconfigs", "delivered", "first death round")
@@ -87,7 +88,7 @@ func e6(quick bool) (Result, error) {
 	for _, sel := range selectors {
 		rng := rand.New(rand.NewSource(e6Seed)) // identical deployments
 		sys := e6System(perVariable, rng)
-		net, err := e6Field(sys, energy, rng)
+		net, err := e6Field(sys, energy, rng, tr)
 		if err != nil {
 			return Result{}, err
 		}

@@ -12,6 +12,7 @@ import (
 	"ndsm/internal/simtime"
 	"ndsm/internal/stats"
 	"ndsm/internal/svcdesc"
+	"ndsm/internal/trace"
 	"ndsm/internal/transport"
 )
 
@@ -109,13 +110,13 @@ func e3(quick bool) (Result, error) {
 // e4 measures graceful degradation: request success ratio as suppliers are
 // killed at increasing rates, with the kernel's re-matching on versus a
 // static binding baseline.
-func e4(quick bool) (Result, error) {
+func e4(quick bool, tr *trace.Tracer) (Result, error) {
 	requests, suppliers := pick(quick, 60, 200), pick(quick, 3, 5)
 	table := stats.NewTable("E4: availability under supplier failures",
 		"kill rate", "mode", "success %", "rebinds", "suppliers left")
 	for _, killRate := range []float64{0, 0.01, 0.03} {
 		for _, adaptive := range []bool{true, false} {
-			success, rebinds, left, err := e4Run(requests, suppliers, killRate, adaptive)
+			success, rebinds, left, err := e4Run(requests, suppliers, killRate, adaptive, tr)
 			if err != nil {
 				return Result{}, fmt.Errorf("E4 rate=%v adaptive=%v: %w", killRate, adaptive, err)
 			}
@@ -161,7 +162,7 @@ func e4Schedule(requests int, killRate float64) chaos.Schedule {
 	return sched
 }
 
-func e4Run(requests, suppliers int, killRate float64, adaptive bool) (successRatio float64, rebinds int64, suppliersLeft int, err error) {
+func e4Run(requests, suppliers int, killRate float64, adaptive bool, tr *trace.Tracer) (successRatio float64, rebinds int64, suppliersLeft int, err error) {
 	fabric := transport.NewFabric()
 	registry := discovery.NewStore(nil, 0)
 
@@ -170,6 +171,7 @@ func e4Run(requests, suppliers int, killRate float64, adaptive bool) (successRat
 			Name:      name,
 			Transport: transport.NewMem(fabric),
 			Registry:  registry,
+			Tracer:    tr,
 		})
 	}
 

@@ -7,12 +7,13 @@ import (
 	"ndsm/internal/netsim"
 	"ndsm/internal/routing"
 	"ndsm/internal/stats"
+	"ndsm/internal/trace"
 )
 
 // e5 compares the four routing strategies on the same corner-to-corner
 // workload: delivery ratio, radio transmissions per delivered packet, energy
 // per delivered packet, and control traffic.
-func e5(quick bool) (Result, error) {
+func e5(quick bool, tr *trace.Tracer) (Result, error) {
 	nodes, packets := pick(quick, 16, 49), pick(quick, 5, 20)
 	table := stats.NewTable("E5: routing strategies",
 		"strategy", "delivered", "tx/delivered", "energy mJ/delivered", "control msgs")
@@ -30,7 +31,7 @@ func e5(quick bool) (Result, error) {
 		{"geographic", func() routing.Strategy { return routing.Geographic{} }, 0},
 	}
 	for _, st := range strategies {
-		row, err := e5Run(nodes, packets, st.factory, st.converge)
+		row, err := e5Run(nodes, packets, st.factory, st.converge, tr)
 		if err != nil {
 			return Result{}, fmt.Errorf("E5 %s: %w", st.name, err)
 		}
@@ -58,8 +59,8 @@ type e5Row struct {
 
 // e5Run sends packets corner to corner across a grid of nodes, each
 // packet 128 bytes.
-func e5Run(nodes, packets int, factory func() routing.Strategy, converge int) (e5Row, error) {
-	net := netsim.New(netsim.Config{Range: 12, Unlimited: true})
+func e5Run(nodes, packets int, factory func() routing.Strategy, converge int, tr *trace.Tracer) (e5Row, error) {
+	net := netsim.New(netsim.Config{Range: 12, Unlimited: true, Tracer: tr})
 	defer net.Close()
 	ids, err := netsim.GridField(net, "n", nodes, 10)
 	if err != nil {
@@ -117,11 +118,11 @@ collect:
 // disagree: the shortest path runs through a nearly-drained relay, a longer
 // detour through healthy ones. Hop count takes the short path and finishes
 // the weak node off; the energy metric pays the extra hop and spares it.
-func e5Ablation() (Result, error) {
+func e5Ablation(tr *trace.Tracer) (Result, error) {
 	table := stats.NewTable("E5a: DV metric ablation (drained shortcut)",
 		"metric", "relay used", "weak node residual J")
 	for _, metric := range []string{"hop", "energy"} {
-		relay, residual, err := e5Ablate(metric)
+		relay, residual, err := e5Ablate(metric, tr)
 		if err != nil {
 			return Result{}, err
 		}
@@ -134,8 +135,8 @@ func e5Ablation() (Result, error) {
 	}, nil
 }
 
-func e5Ablate(metric string) (relayUsed string, weakResidual float64, err error) {
-	net := netsim.New(netsim.Config{Range: 12})
+func e5Ablate(metric string, tr *trace.Tracer) (relayUsed string, weakResidual float64, err error) {
+	net := netsim.New(netsim.Config{Range: 12, Tracer: tr})
 	defer net.Close()
 	add := func(id netsim.NodeID, pos netsim.Position, energy float64) error {
 		return net.AddNodeEnergy(id, pos, energy)

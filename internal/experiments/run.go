@@ -4,42 +4,53 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"ndsm/internal/trace"
 )
 
 // Runner executes experiments by ID.
 type Runner struct {
 	// QuickMode shrinks workloads.
 	QuickMode bool
+	// Tracer, when set, is handed to every component the experiments build
+	// — radio networks, discovery, nodes, interaction clients and servers,
+	// chaos worlds — so one collector holds the run's causal spans.
+	Tracer *trace.Tracer
 }
 
 // experiment is one entry of the run order: an ID and its function, which
-// sizes itself from quick.
+// sizes itself from quick and traces into tr (nil: untraced).
 type experiment struct {
 	id  string
-	run func(quick bool) (Result, error)
+	run func(quick bool, tr *trace.Tracer) (Result, error)
 }
 
 // experimentList is every experiment in run order.
 var experimentList = []experiment{
-	{"F1", func(bool) (Result, error) { return f1(), nil }},
+	{"F1", untraced(func(bool) (Result, error) { return f1(), nil })},
 	{"E1", e1},
 	{"E2", e2},
-	{"E3", e3},
+	{"E3", untraced(e3)},
 	{"E4", e4},
 	{"E4x", e4x},
 	{"E5", e5},
-	{"E5a", func(bool) (Result, error) { return e5Ablation() }},
+	{"E5a", func(_ bool, tr *trace.Tracer) (Result, error) { return e5Ablation(tr) }},
 	{"E6", e6},
-	{"E6a", e6Ablation},
+	{"E6a", untraced(e6Ablation)},
 	{"E7", e7},
-	{"E8", e8},
-	{"E9", e9},
-	{"E10", e10},
+	{"E8", untraced(e8)},
+	{"E9", untraced(e9)},
+	{"E10", untraced(e10)},
 	{"E11", e11},
 	{"E12", e12},
-	{"E13", e13},
+	{"E13", untraced(e13)},
 	{"E14", e14},
-	{"E15", e15},
+	{"E15", untraced(e15)},
+}
+
+// untraced adapts an experiment that builds nothing a tracer records.
+func untraced(run func(quick bool) (Result, error)) func(bool, *trace.Tracer) (Result, error) {
+	return func(quick bool, _ *trace.Tracer) (Result, error) { return run(quick) }
 }
 
 // pick returns an experiment's quick-mode value or its full-mode one.
@@ -80,7 +91,7 @@ var Gates = map[string][]Gate{
 func (r Runner) Run(id string) (Result, error) {
 	for _, e := range experimentList {
 		if strings.EqualFold(e.id, id) {
-			return e.run(r.QuickMode)
+			return e.run(r.QuickMode, r.Tracer)
 		}
 	}
 	return Result{}, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))

@@ -10,6 +10,7 @@ import (
 	"ndsm/internal/slo"
 	"ndsm/internal/stats"
 	"ndsm/internal/telemetry"
+	"ndsm/internal/trace"
 )
 
 const (
@@ -62,7 +63,7 @@ var e14Gates = []Gate{
 //
 // The first two legs run on the chaos substrate's virtual clock, so "time to
 // alert" is deterministic ticks; the overload leg is wall-clock like E13.
-func e14(quick bool) (Result, error) {
+func e14(quick bool, tr *trace.Tracer) (Result, error) {
 	const (
 		seed    = 14 // fixes the chaos substrate RNG
 		faultAt = 10 // tick of the injected fault
@@ -81,7 +82,7 @@ func e14(quick bool) (Result, error) {
 
 	// Leg 1: partition one supplier; the freshness objective must notice.
 	partition, err := e14ChaosLeg(chaos.ScenarioConfig{
-		WorldConfig: chaos.WorldConfig{Seed: seed, SLO: true},
+		WorldConfig: chaos.WorldConfig{Seed: seed, SLO: true, Tracer: tr},
 		Ticks:       ticks,
 		Schedule: chaos.Schedule{{
 			At:       time.Duration(faultAt) * chaos.TickEvery,
@@ -98,7 +99,7 @@ func e14(quick bool) (Result, error) {
 	// owner sets are now fully dead and the N-RF+1 quorum is unreachable, so
 	// cached lookups start failing when the stale window runs out.
 	memberKill, err := e14ChaosLeg(chaos.ScenarioConfig{
-		WorldConfig: chaos.WorldConfig{Seed: seed, SLO: true, Cluster: true},
+		WorldConfig: chaos.WorldConfig{Seed: seed, SLO: true, Cluster: true, Tracer: tr},
 		Ticks:       ticks,
 		Schedule: chaos.Schedule{
 			{
@@ -122,7 +123,7 @@ func e14(quick bool) (Result, error) {
 	// Leg 3: the calm control. Same worlds, workload on, faults suppressed.
 	calmAlerts, calmViolations := 0, 0
 	calmReport, err := chaos.Soak(chaos.ScenarioConfig{
-		WorldConfig: chaos.WorldConfig{Seed: seed * 100, SLO: true, Overload: true},
+		WorldConfig: chaos.WorldConfig{Seed: seed * 100, SLO: true, Overload: true, Tracer: tr},
 		Ticks:       ticks / 2,
 	}, calmSeeds)
 	if err != nil {

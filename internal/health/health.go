@@ -90,13 +90,13 @@ type Options struct {
 	OpenTimeout time.Duration
 	// HalfOpenProbes is the half-open trial budget (default 1).
 	HalfOpenProbes int
-	// Registry receives transition counters (nil: the default registry).
+	// Registry receives transition counters (nil: counted nowhere).
 	Registry *obs.Registry
 	// Name prefixes the metric names (default "health").
 	Name string
 	// Tracer records liveness events (heartbeats, suspicion flips, breaker
-	// transitions) as zero-length spans on the timeline. Nil follows the
-	// process default.
+	// transitions) as zero-length spans on the timeline. Nil records
+	// nothing.
 	Tracer *trace.Tracer
 }
 
@@ -153,8 +153,7 @@ type peerState struct {
 // detector, call outcomes feed the circuit breaker, and Suspect/Allow expose
 // the combined verdict. Safe for concurrent use.
 type Monitor struct {
-	opts     Options
-	traceRef *trace.Ref
+	opts Options
 
 	mu    sync.Mutex
 	peers map[string]*peerState
@@ -170,10 +169,9 @@ type Monitor struct {
 // NewMonitor builds a monitor.
 func NewMonitor(opts Options) *Monitor {
 	opts = opts.withDefaults()
-	r := obs.Or(opts.Registry)
+	r := opts.Registry
 	return &Monitor{
 		opts:       opts,
-		traceRef:   trace.NewRef(opts.Tracer),
 		peers:      make(map[string]*peerState),
 		heartbeats: r.Counter(opts.Name + ".heartbeats"),
 		suspicions: r.Counter(opts.Name + ".suspicions"),
@@ -204,7 +202,7 @@ func (m *Monitor) Heartbeat(peer string) {
 	m.heartbeatLocked(m.peer(peer), now)
 	m.mu.Unlock()
 	m.heartbeats.Inc(1)
-	m.traceRef.Get().Event("health.heartbeat", "peer", peer)
+	m.opts.Tracer.Event("health.heartbeat", "peer", peer)
 }
 
 func (m *Monitor) heartbeatLocked(ps *peerState, now time.Time) {
@@ -263,11 +261,11 @@ func (m *Monitor) Suspect(peer string) bool {
 		if verdict {
 			m.suspicions.Inc(1)
 			m.suspectedG.Add(1)
-			m.traceRef.Get().Event("health.suspected", "peer", peer,
+			m.opts.Tracer.Event("health.suspected", "peer", peer,
 				"phi", fmt.Sprintf("%.2f", m.phiLocked(ps, now)))
 		} else {
 			m.suspectedG.Add(-1)
-			m.traceRef.Get().Event("health.recovered", "peer", peer)
+			m.opts.Tracer.Event("health.recovered", "peer", peer)
 		}
 	}
 	return verdict
@@ -302,7 +300,7 @@ func (m *Monitor) Allow(peer string) error {
 		ps.state = HalfOpen
 		ps.probes = 0
 		m.halfOpened.Inc(1)
-		m.traceRef.Get().Event("health.breaker_half_open", "peer", peer)
+		m.opts.Tracer.Event("health.breaker_half_open", "peer", peer)
 	}
 	if ps.state == HalfOpen {
 		if ps.probes >= m.opts.HalfOpenProbes {
@@ -327,7 +325,7 @@ func (m *Monitor) ReportSuccess(peer string) {
 	if ps.state != Closed {
 		ps.state = Closed
 		m.closedC.Inc(1)
-		m.traceRef.Get().Event("health.breaker_closed", "peer", peer)
+		m.opts.Tracer.Event("health.breaker_closed", "peer", peer)
 	}
 	m.heartbeatLocked(ps, now)
 	m.mu.Unlock()
@@ -351,13 +349,13 @@ func (m *Monitor) ReportFailure(peer string) {
 		ps.state = Open
 		ps.openedAt = now
 		m.opened.Inc(1)
-		m.traceRef.Get().Event("health.breaker_open", "peer", peer)
+		m.opts.Tracer.Event("health.breaker_open", "peer", peer)
 	case Closed:
 		if ps.fails >= m.opts.FailureThreshold {
 			ps.state = Open
 			ps.openedAt = now
 			m.opened.Inc(1)
-			m.traceRef.Get().Event("health.breaker_open", "peer", peer)
+			m.opts.Tracer.Event("health.breaker_open", "peer", peer)
 		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 
 	"ndsm/internal/endpoint"
 	"ndsm/internal/simtime"
+	"ndsm/internal/trace"
 	"ndsm/internal/transport"
 	"ndsm/internal/wire"
 )
@@ -224,15 +225,14 @@ type Client struct {
 	caller *endpoint.Caller
 }
 
-// Dial connects to a broker. The client traces with the process default
-// tracer.
-func Dial(tr transport.Transport, addr string) (*Client, error) {
+// Dial connects to a broker. Each operation records an "mq.call" span
+// under tracer (nil: untraced).
+func Dial(tr transport.Transport, addr string, tracer *trace.Tracer) (*Client, error) {
 	c := &Client{}
 	caller, err := endpoint.NewCaller(tr, addr, endpoint.CallerOptions{
 		Eager: true,
 		Interceptors: []endpoint.ClientInterceptor{
-			endpoint.WithTracing(nil, "mq.call"),
-			endpoint.WithMetrics(nil, "mq.client", nil),
+			endpoint.WithTracing(tracer, "mq.call"),
 		},
 	})
 	if err != nil {

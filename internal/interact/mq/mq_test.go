@@ -21,7 +21,7 @@ func fixture(t *testing.T, maxDepth int) (*Broker, *Client) {
 		t.Fatal(err)
 	}
 	b := NewBroker(l, maxDepth, nil)
-	c, err := Dial(transport.NewMem(fabric), "mq")
+	c, err := Dial(transport.NewMem(fabric), "mq", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestPopLongPollTimesOut(t *testing.T) {
 
 func TestPopLongPollWakesOnPush(t *testing.T) {
 	_, c := fixture(t, 0)
-	c2, err := Dial(transport.NewMem(transport.NewFabric()), "mq")
+	c2, err := Dial(transport.NewMem(transport.NewFabric()), "mq", nil)
 	if err == nil {
 		_ = c2.Close()
 		t.Fatal("expected isolated fabric dial to fail") // sanity of fixture
@@ -141,7 +141,7 @@ func TestCloseDoesNotWaitForParkedPop(t *testing.T) {
 	}
 	clock := simtime.NewVirtual(time.Unix(0, 0))
 	b := NewBroker(l, 0, clock)
-	c, err := Dial(transport.NewMem(fabric), "mq")
+	c, err := Dial(transport.NewMem(fabric), "mq", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestMultipleConsumersEachGetOne(t *testing.T) {
 	const consumers = 4
 	var clients []*Client
 	for i := 0; i < consumers; i++ {
-		c, err := Dial(transport.NewMem(fabric), "mq")
+		c, err := Dial(transport.NewMem(fabric), "mq", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestMultipleConsumersEachGetOne(t *testing.T) {
 		}(c)
 	}
 	time.Sleep(20 * time.Millisecond)
-	producer, err := Dial(transport.NewMem(fabric), "mq")
+	producer, err := Dial(transport.NewMem(fabric), "mq", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestClientClosed(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial(transport.NewMem(transport.NewFabric()), "nowhere"); err == nil {
+	if _, err := Dial(transport.NewMem(transport.NewFabric()), "nowhere", nil); err == nil {
 		t.Fatal("dial to nowhere succeeded")
 	}
 }
@@ -333,7 +333,7 @@ func TestCloseWithParkedPopLeavesNoGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewBroker(l, 0, nil)
-	c, err := Dial(transport.NewMem(fabric), "mq")
+	c, err := Dial(transport.NewMem(fabric), "mq", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

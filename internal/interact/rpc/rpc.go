@@ -13,6 +13,7 @@ import (
 
 	"ndsm/internal/endpoint"
 	"ndsm/internal/simtime"
+	"ndsm/internal/trace"
 	"ndsm/internal/transport"
 	"ndsm/internal/wire"
 )
@@ -35,15 +36,15 @@ type Server struct {
 	ep *endpoint.Server
 }
 
-// NewServer starts serving on the listener with unlimited admission. It
-// traces with the process default tracer.
-func NewServer(l transport.Listener) *Server {
+// NewServer starts serving on the listener with unlimited admission. A
+// request that carries trace context continues its trace under tracer (nil:
+// untraced).
+func NewServer(l transport.Listener, tracer *trace.Tracer) *Server {
 	s := &Server{}
 	s.ep = endpoint.NewServer(l, endpoint.ServerOptions{
 		Kinds: []wire.Kind{wire.KindRequest},
 		Interceptors: []endpoint.ServerInterceptor{
-			endpoint.WithServerTracing(nil, "rpc.serve"),
-			endpoint.WithServerMetrics(nil, "rpc.server", nil),
+			endpoint.WithServerTracing(tracer, "rpc.serve"),
 		},
 		Fallback: func(req *wire.Message) (*wire.Message, error) {
 			return nil, fmt.Errorf("%v: %s", ErrUnknownMethod, req.Topic)
@@ -73,17 +74,16 @@ type Client struct {
 	caller *endpoint.Caller
 }
 
-// Dial connects a client to an RPC server. It traces with the process
-// default tracer.
-func Dial(tr transport.Transport, addr string, clock simtime.Clock) (*Client, error) {
+// Dial connects a client to an RPC server. Each call records an "rpc.call"
+// span under tracer (nil: untraced, and the call takes the caller's direct
+// path).
+func Dial(tr transport.Transport, addr string, clock simtime.Clock, tracer *trace.Tracer) (*Client, error) {
 	c := &Client{}
 	caller, err := endpoint.NewCaller(tr, addr, endpoint.CallerOptions{
 		Clock: clock,
 		Eager: true,
 		Interceptors: []endpoint.ClientInterceptor{
-			// With no tracer installed this is a pass-through that keeps the
-			// hot path allocation-free (BenchmarkInteractRPC's band).
-			endpoint.WithTracing(nil, "rpc.call"),
+			endpoint.WithTracing(tracer, "rpc.call"),
 		},
 	})
 	if err != nil {

@@ -20,8 +20,8 @@ func fixture(t *testing.T) (*Server, *Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(l)
-	cli, err := Dial(transport.NewMem(fabric), "rpc", nil)
+	srv := NewServer(l, nil)
+	cli, err := Dial(transport.NewMem(fabric), "rpc", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial(transport.NewMem(transport.NewFabric()), "nowhere", nil); err == nil {
+	if _, err := Dial(transport.NewMem(transport.NewFabric()), "nowhere", nil, nil); err == nil {
 		t.Fatal("dial to nowhere succeeded")
 	}
 }

@@ -20,6 +20,7 @@ import (
 
 	"ndsm/internal/endpoint"
 	"ndsm/internal/simtime"
+	"ndsm/internal/trace"
 	"ndsm/internal/transport"
 	"ndsm/internal/wire"
 )
@@ -259,12 +260,13 @@ type Server struct {
 	ep    *endpoint.Server
 }
 
-// NewServer starts serving space on l.
-func NewServer(space *Space, l transport.Listener) *Server {
+// NewServer starts serving space on l. A request that carries trace context
+// continues its trace under tracer (nil: untraced).
+func NewServer(space *Space, l transport.Listener, tracer *trace.Tracer) *Server {
 	s := &Server{space: space}
 	s.ep = endpoint.NewServer(l, endpoint.ServerOptions{
 		Interceptors: []endpoint.ServerInterceptor{
-			endpoint.WithServerTracing(nil, "ts.serve"),
+			endpoint.WithServerTracing(tracer, "ts.serve"),
 		},
 	})
 	s.ep.Handle(topicOut, s.out)
@@ -335,12 +337,13 @@ type Client struct {
 	caller *endpoint.Caller
 }
 
-// Dial connects to a tuple space server.
-func Dial(tr transport.Transport, addr string) (*Client, error) {
+// Dial connects to a tuple space server. Each operation records a "ts.call"
+// span under tracer (nil: untraced).
+func Dial(tr transport.Transport, addr string, tracer *trace.Tracer) (*Client, error) {
 	caller, err := endpoint.NewCaller(tr, addr, endpoint.CallerOptions{
 		Eager: true,
 		Interceptors: []endpoint.ClientInterceptor{
-			endpoint.WithTracing(nil, "ts.call"),
+			endpoint.WithTracing(tracer, "ts.call"),
 		},
 	})
 	if err != nil {

@@ -232,8 +232,8 @@ func remoteFixture(t *testing.T) (*Server, *Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(NewSpace(nil), l)
-	cli, err := Dial(transport.NewMem(fabric), "ts")
+	srv := NewServer(NewSpace(nil), l, nil)
+	cli, err := Dial(transport.NewMem(fabric), "ts", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,14 +305,14 @@ func TestRemoteTwoClientsCoordinate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(NewSpace(nil), l)
+	srv := NewServer(NewSpace(nil), l, nil)
 	t.Cleanup(func() { _ = srv.Close() })
-	producer, err := Dial(transport.NewMem(fabric), "ts")
+	producer, err := Dial(transport.NewMem(fabric), "ts", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = producer.Close() })
-	consumer, err := Dial(transport.NewMem(fabric), "ts")
+	consumer, err := Dial(transport.NewMem(fabric), "ts", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestRemoteClientClosed(t *testing.T) {
 }
 
 func TestRemoteDialFailure(t *testing.T) {
-	if _, err := Dial(transport.NewMem(transport.NewFabric()), "nowhere"); err == nil {
+	if _, err := Dial(transport.NewMem(transport.NewFabric()), "nowhere", nil); err == nil {
 		t.Fatal("dial to nowhere succeeded")
 	}
 }

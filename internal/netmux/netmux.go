@@ -28,10 +28,9 @@ type Mux struct {
 	stop chan struct{}
 	done chan struct{}
 
-	// obsDropped counts per-protocol drops in the shared observability
-	// registry under "netmux.dropped.<proto>", created on first drop.
-	droppedMu  sync.Mutex
-	obsDropped map[byte]*obs.Counter
+	// metrics is the node's registry (netsim.Network.Metrics): drops count
+	// there under "netmux.dropped.<proto>".
+	metrics *obs.Registry
 }
 
 // New starts a mux for node id. The mux takes ownership of the node's
@@ -43,12 +42,12 @@ func New(net *netsim.Network, id netsim.NodeID) (*Mux, error) {
 		return nil, fmt.Errorf("netmux: %w", err)
 	}
 	m := &Mux{
-		net:        net,
-		id:         id,
-		chans:      make(map[byte]chan netsim.Packet),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-		obsDropped: make(map[byte]*obs.Counter),
+		net:     net,
+		id:      id,
+		chans:   make(map[byte]chan netsim.Packet),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
+		metrics: net.Metrics(id),
 	}
 	go m.loop(inbox)
 	return m, nil
@@ -132,12 +131,5 @@ func (m *Mux) dispatch(pkt netsim.Packet) {
 }
 
 func (m *Mux) drop(proto byte) {
-	m.droppedMu.Lock()
-	c := m.obsDropped[proto]
-	if c == nil {
-		c = obs.Default().Counter(fmt.Sprintf("netmux.dropped.%d", proto))
-		m.obsDropped[proto] = c
-	}
-	m.droppedMu.Unlock()
-	c.Inc(1)
+	m.metrics.Counter(fmt.Sprintf("netmux.dropped.%d", proto)).Inc(1)
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ndsm/internal/netsim"
-	"ndsm/internal/obs"
 )
 
 func pairNet(t *testing.T) *netsim.Network {
@@ -66,12 +65,11 @@ func TestUnknownProtocolDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	before := drops(0xEE)
 	if err := net.Send("a", "b", []byte{0xEE, 9}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for drops(0xEE) == before {
+	for drops(net, "b", 0xEE) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("unknown-protocol packet not counted dropped")
 		}
@@ -143,20 +141,23 @@ func TestCloseIdempotent(t *testing.T) {
 	m.Close()
 }
 
+// TestChannelOverflowCounted overflows b's channel while a runs a mux of its
+// own: the drops land in b's registry and a's stays at zero.
 func TestChannelOverflowCounted(t *testing.T) {
 	net := pairNet(t)
-	m, err := New(net, "b")
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range []netsim.NodeID{"a", "b"} {
+		m, err := New(net, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		_ = m.Channel(0x07) // registered but never drained
 	}
-	t.Cleanup(m.Close)
-	_ = m.Channel(0x07) // registered but never drained
 	// Keep sending until the mux-level drop counter moves: the raw netsim
 	// inbox can also overflow while the mux loop lags, so we pace sends and
 	// tolerate inbox-full errors.
-	before := drops(0x07)
 	deadline := time.Now().Add(10 * time.Second)
-	for drops(0x07) == before {
+	for drops(net, "b", 0x07) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("overflow never counted")
 		}
@@ -167,10 +168,12 @@ func TestChannelOverflowCounted(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	if got := drops(net, "a", 0x07); got != 0 {
+		t.Fatalf("a's registry counts %d of b's drops", got)
+	}
 }
 
-// drops reads the process-wide count of packets muxes dropped for proto; the
-// registry is shared, so tests compare it with a reading taken before.
-func drops(proto byte) int64 {
-	return obs.Default().Counter(fmt.Sprintf("netmux.dropped.%d", proto)).Value()
+// drops reads how many packets node id's mux dropped for proto.
+func drops(net *netsim.Network, id netsim.NodeID, proto byte) int64 {
+	return net.Metrics(id).Counter(fmt.Sprintf("netmux.dropped.%d", proto)).Value()
 }

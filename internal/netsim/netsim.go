@@ -10,8 +10,9 @@
 //     energy budgets and death on exhaustion,
 //   - node mobility (explicit moves plus a random-waypoint stepper),
 //   - network partitions (severed link pairs),
-//   - per-network traffic counters used by the adaptive discovery protocol
-//     and the experiment harness.
+//   - one metrics registry per node (Metrics), holding that node's traffic
+//     counters; the node's netmux, router and discovery agent count into it
+//     too, so a snapshot says which node sent, lost or dropped a packet.
 //
 // Multi-hop communication is built above this by internal/routing; the
 // simulator itself only ever delivers between radio neighbours.
@@ -23,12 +24,12 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"ndsm/internal/obs"
 	"ndsm/internal/simtime"
-	"ndsm/internal/stats"
 	"ndsm/internal/trace"
 )
 
@@ -110,8 +111,8 @@ type Config struct {
 	Seed int64
 	// Tracer records one span per radio hop (unicast send, broadcast) with
 	// the drop reason on failures, so a user-level call's timeline shows
-	// where each packet went. Nil follows the process default; span creation
-	// never touches the simulation RNG, so traced and untraced runs with the
+	// where each packet went. Nil records nothing; span creation never
+	// touches the simulation RNG, so traced and untraced runs with the
 	// same seed behave identically.
 	Tracer *trace.Tracer
 }
@@ -145,19 +146,23 @@ var (
 )
 
 type simNode struct {
-	id       NodeID
-	pos      Position
-	energy   float64
-	consumed float64
-	alive    bool
-	inbox    chan Packet
+	id     NodeID
+	pos    Position
+	energy float64
+	alive  bool
+	inbox  chan Packet
+
+	// metrics is the node's registry. Its traffic counts there as
+	// "netsim.<name>" — a transmission at its sender, a delivery, a loss and
+	// an inbox overflow at the receiver — and the energy it spent as the
+	// gauge "netsim.energy_consumed_j".
+	metrics *obs.Registry
 }
 
 // Network is a simulated radio field. All methods are safe for concurrent
 // use.
 type Network struct {
-	cfg      Config
-	traceRef *trace.Ref
+	cfg Config
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -168,38 +173,18 @@ type Network struct {
 
 	wg   sync.WaitGroup
 	stop chan struct{}
-
-	counters stats.Counter
-	// obsCounters mirror counters into the shared observability registry
-	// under "netsim.<name>"; energyGauge tracks total consumed energy.
-	obsCounters map[string]*obs.Counter
-	energyGauge *obs.Gauge
 }
 
 // New creates a network with the given configuration.
 func New(cfg Config) *Network {
 	cfg = cfg.withDefaults()
-	n := &Network{
-		cfg:         cfg,
-		traceRef:    trace.NewRef(cfg.Tracer),
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		nodes:       make(map[NodeID]*simNode),
-		severed:     make(map[[2]NodeID]bool),
-		stop:        make(chan struct{}),
-		obsCounters: make(map[string]*obs.Counter),
-		energyGauge: obs.Default().Gauge("netsim.energy_consumed_j"),
+	return &Network{
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		nodes:   make(map[NodeID]*simNode),
+		severed: make(map[[2]NodeID]bool),
+		stop:    make(chan struct{}),
 	}
-	for _, name := range []string{"sent", "bytes", "lost", "delivered", "dropped_full", "broadcasts"} {
-		n.obsCounters[name] = obs.Default().Counter("netsim." + name)
-	}
-	return n
-}
-
-// count bumps a traffic counter in both the local snapshot (Counters) and
-// the shared observability registry.
-func (n *Network) count(name string, delta int64) {
-	n.counters.Inc(name, delta)
-	n.obsCounters[name].Inc(delta)
 }
 
 // Close stops all in-flight deliveries and waits for them.
@@ -231,11 +216,25 @@ func (n *Network) AddNodeEnergy(id NodeID, pos Position, energy float64) error {
 		return fmt.Errorf("%w: %s", ErrDuplicateNode, id)
 	}
 	n.nodes[id] = &simNode{
-		id:     id,
-		pos:    pos,
-		energy: energy,
-		alive:  true,
-		inbox:  make(chan Packet, n.cfg.InboxSize),
+		id:      id,
+		pos:     pos,
+		energy:  energy,
+		alive:   true,
+		inbox:   make(chan Packet, n.cfg.InboxSize),
+		metrics: obs.NewRegistry(),
+	}
+	return nil
+}
+
+// Metrics returns the node's metrics registry, nil for an unknown node. The
+// simulator counts the node's traffic in it, and every component built on
+// (network, node) — its netmux, router and discovery agent, and in simulated
+// worlds its middleware node — counts there as well.
+func (n *Network) Metrics(id NodeID) *obs.Registry {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if node := n.nodes[id]; node != nil {
+		return node.metrics
 	}
 	return nil
 }
@@ -372,7 +371,7 @@ func (n *Network) Consumed(id NodeID) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownNode, id)
 	}
-	return node.consumed, nil
+	return node.metrics.Gauge("netsim.energy_consumed_j").Value(), nil
 }
 
 // TotalConsumed returns the energy spent across all nodes.
@@ -381,7 +380,7 @@ func (n *Network) TotalConsumed() float64 {
 	defer n.mu.Unlock()
 	var sum float64
 	for _, node := range n.nodes {
-		sum += node.consumed
+		sum += node.metrics.Gauge("netsim.energy_consumed_j").Value()
 	}
 	return sum
 }
@@ -455,10 +454,20 @@ func (n *Network) severedLocked(a, b NodeID) bool {
 	return n.severed[linkKey(a, b)]
 }
 
-// Counters returns a snapshot of the network's traffic counters:
-// sent, delivered, lost, dropped_full, broadcasts, bytes.
+// Counters sums the traffic counters of every node's registry: sent,
+// delivered, lost, dropped_full, broadcasts, bytes.
 func (n *Network) Counters() map[string]int64 {
-	return n.counters.Snapshot()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make(map[string]int64)
+	for _, node := range n.nodes {
+		for name, v := range node.metrics.Snapshot().Counters {
+			if name, ok := strings.CutPrefix(name, "netsim."); ok {
+				out[name] += v
+			}
+		}
+	}
+	return out
 }
 
 // Send transmits data from one node to a radio neighbour. It charges TX
@@ -470,7 +479,7 @@ func (n *Network) Counters() map[string]int64 {
 // sender's ambient span, closing at the packet's simulated arrival time so
 // the timeline shows the hop latency; failed hops record the drop reason.
 func (n *Network) Send(from, to NodeID, data []byte) error {
-	sp := n.traceRef.Get().StartSpan("radio.send", trace.Context{})
+	sp := n.cfg.Tracer.StartSpan("radio.send", trace.Context{})
 	if sp == nil {
 		_, err := n.send(from, to, data)
 		return err
@@ -520,8 +529,8 @@ func (n *Network) send(from, to NodeID, data []byte) (time.Time, error) {
 	}
 
 	n.chargeLocked(src, DefaultRadio().TxEnergy(len(data), d))
-	n.count("sent", 1)
-	n.count("bytes", int64(len(data)))
+	src.metrics.Counter("netsim.sent").Inc(1)
+	src.metrics.Counter("netsim.bytes").Inc(int64(len(data)))
 
 	if !dst.alive {
 		n.mu.Unlock()
@@ -529,7 +538,7 @@ func (n *Network) send(from, to NodeID, data []byte) (time.Time, error) {
 	}
 	if n.lossRate > 0 && n.rng.Float64() < n.lossRate {
 		n.mu.Unlock()
-		n.count("lost", 1)
+		dst.metrics.Counter("netsim.lost").Inc(1)
 		return time.Time{}, fmt.Errorf("%w: %s -> %s", ErrPacketLost, from, to)
 	}
 	n.chargeLocked(dst, DefaultRadio().RxEnergy(len(data)))
@@ -545,10 +554,9 @@ func (n *Network) send(from, to NodeID, data []byte) (time.Time, error) {
 		ArrivedAt: n.cfg.Clock.Now().Add(n.latencyLocked()),
 	}
 	delay := pkt.ArrivedAt.Sub(n.cfg.Clock.Now())
-	inbox := dst.inbox
 	n.mu.Unlock()
 
-	return pkt.ArrivedAt, n.deliver(inbox, pkt, delay)
+	return pkt.ArrivedAt, n.deliver(dst, pkt, delay)
 }
 
 // Broadcast transmits data from a node to every alive radio neighbour. The
@@ -560,7 +568,7 @@ func (n *Network) send(from, to NodeID, data []byte) (time.Time, error) {
 // span (delivered count as an attribute), closing at the latest simulated
 // arrival among the receivers.
 func (n *Network) Broadcast(from NodeID, data []byte) (int, error) {
-	sp := n.traceRef.Get().StartSpan("radio.broadcast", trace.Context{})
+	sp := n.cfg.Tracer.StartSpan("radio.broadcast", trace.Context{})
 	if sp == nil {
 		c, _, err := n.broadcast(from, data)
 		return c, err
@@ -595,12 +603,12 @@ func (n *Network) broadcast(from NodeID, data []byte) (int, time.Time, error) {
 		return 0, time.Time{}, fmt.Errorf("%w: %s", ErrNodeDead, from)
 	}
 	n.chargeLocked(src, DefaultRadio().TxEnergy(len(data), n.cfg.Range))
-	n.count("sent", 1)
-	n.count("broadcasts", 1)
-	n.count("bytes", int64(len(data)))
+	src.metrics.Counter("netsim.sent").Inc(1)
+	src.metrics.Counter("netsim.broadcasts").Inc(1)
+	src.metrics.Counter("netsim.bytes").Inc(int64(len(data)))
 
 	type target struct {
-		inbox chan Packet
+		node  *simNode
 		pkt   Packet
 		delay time.Duration
 	}
@@ -614,7 +622,7 @@ func (n *Network) broadcast(from NodeID, data []byte) (int, time.Time, error) {
 			continue
 		}
 		if n.lossRate > 0 && n.rng.Float64() < n.lossRate {
-			n.count("lost", 1)
+			other.metrics.Counter("netsim.lost").Inc(1)
 			continue
 		}
 		n.chargeLocked(other, DefaultRadio().RxEnergy(len(data)))
@@ -623,7 +631,7 @@ func (n *Network) broadcast(from NodeID, data []byte) (int, time.Time, error) {
 		}
 		lat := n.latencyLocked()
 		targets = append(targets, target{
-			inbox: other.inbox,
+			node: other,
 			pkt: Packet{
 				From:      from,
 				Data:      append([]byte(nil), data...),
@@ -637,7 +645,7 @@ func (n *Network) broadcast(from NodeID, data []byte) (int, time.Time, error) {
 	delivered := 0
 	var latest time.Time
 	for _, tg := range targets {
-		if err := n.deliver(tg.inbox, tg.pkt, tg.delay); err == nil {
+		if err := n.deliver(tg.node, tg.pkt, tg.delay); err == nil {
 			delivered++
 			if tg.pkt.ArrivedAt.After(latest) {
 				latest = tg.pkt.ArrivedAt
@@ -647,15 +655,15 @@ func (n *Network) broadcast(from NodeID, data []byte) (int, time.Time, error) {
 	return delivered, latest, nil
 }
 
-// deliver places pkt into inbox, after delay if one is configured.
-func (n *Network) deliver(inbox chan Packet, pkt Packet, delay time.Duration) error {
+// deliver places pkt into dst's inbox, after delay if one is configured.
+func (n *Network) deliver(dst *simNode, pkt Packet, delay time.Duration) error {
 	if delay <= 0 {
 		select {
-		case inbox <- pkt:
-			n.count("delivered", 1)
+		case dst.inbox <- pkt:
+			dst.metrics.Counter("netsim.delivered").Inc(1)
 			return nil
 		default:
-			n.count("dropped_full", 1)
+			dst.metrics.Counter("netsim.dropped_full").Inc(1)
 			return ErrInboxFull
 		}
 	}
@@ -668,10 +676,10 @@ func (n *Network) deliver(inbox chan Packet, pkt Packet, delay time.Duration) er
 			return
 		}
 		select {
-		case inbox <- pkt:
-			n.count("delivered", 1)
+		case dst.inbox <- pkt:
+			dst.metrics.Counter("netsim.delivered").Inc(1)
 		default:
-			n.count("dropped_full", 1)
+			dst.metrics.Counter("netsim.dropped_full").Inc(1)
 		}
 	}()
 	return nil
@@ -688,8 +696,7 @@ func (n *Network) latencyLocked() time.Duration {
 
 // chargeLocked deducts energy from a node and kills it on exhaustion.
 func (n *Network) chargeLocked(node *simNode, joules float64) {
-	node.consumed += joules
-	n.energyGauge.Add(joules)
+	node.metrics.Gauge("netsim.energy_consumed_j").Add(joules)
 	if n.cfg.Unlimited {
 		return
 	}

@@ -152,6 +152,38 @@ func TestLossRate(t *testing.T) {
 	}
 }
 
+// TestCountsLandAtTheirNode: each node's registry holds its own traffic. A
+// packet lost on its way to b counts as b's loss and not a's, a
+// transmission as its sender's, and Counters is the sum over the nodes.
+func TestCountsLandAtTheirNode(t *testing.T) {
+	n := testNet(t, Config{Range: 10, Unlimited: true})
+	mustAdd(t, n, "a", Position{0, 0})
+	mustAdd(t, n, "b", Position{1, 0})
+	n.SetLossRate(1.0)
+	if err := n.Send("a", "b", []byte("x")); !errors.Is(err, ErrPacketLost) {
+		t.Fatalf("err = %v, want ErrPacketLost", err)
+	}
+	if _, err := n.Broadcast("a", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	a, b := n.Metrics("a").Snapshot(), n.Metrics("b").Snapshot()
+	if b.Counters["netsim.lost"] != 2 || a.Counters["netsim.lost"] != 0 {
+		t.Fatalf("lost: a %d, b %d; want 0 and 2", a.Counters["netsim.lost"], b.Counters["netsim.lost"])
+	}
+	if a.Counters["netsim.sent"] != 2 || b.Counters["netsim.sent"] != 0 || a.Counters["netsim.broadcasts"] != 1 {
+		t.Fatalf("sent: a %v, b %v", a.Counters, b.Counters)
+	}
+	if a.Gauges["netsim.energy_consumed_j"] <= 0 || b.Gauges["netsim.energy_consumed_j"] != 0 {
+		t.Fatalf("energy: a %v, b %v", a.Gauges, b.Gauges)
+	}
+	if c := n.Counters(); c["lost"] != 2 || c["sent"] != 2 || c["bytes"] != 2 {
+		t.Fatalf("network counters = %v", c)
+	}
+	if n.Metrics("nobody") != nil {
+		t.Fatal("an unknown node should have no registry")
+	}
+}
+
 func TestLossRateStatistical(t *testing.T) {
 	n := testNet(t, Config{Range: 10, Unlimited: true, Seed: 42})
 	n.SetLossRate(0.3)

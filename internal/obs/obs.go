@@ -1,10 +1,13 @@
-// Package obs is the middleware's shared observability layer: a
-// zero-dependency metrics registry holding named counters, gauges, and
-// latency histograms. Every subsystem that owns a hot path — transports,
-// the netsim substrate, netmux, discovery, the recovery WAL, the endpoint
-// interceptor chain — registers its instruments here, so one snapshot of
-// the default registry describes the whole stack. The webbridge serves
-// that snapshot as JSON on /metrics and ndsm-bench dumps it with -metrics.
+// Package obs is the middleware's observability layer: a zero-dependency
+// metrics registry holding named counters, gauges, and latency histograms.
+// There is no process-wide registry. Every subsystem that owns a hot path —
+// transports, the netsim substrate, netmux, routing, discovery, the recovery
+// WAL, the endpoint interceptor chain — counts into the registry of the node
+// that owns it, handed over at construction, so one snapshot of a node's
+// registry describes that node and no other. A nil *Registry hands out nil
+// instruments, and every method of a nil instrument does nothing: a
+// component built without a registry counts nowhere. The webbridge serves a
+// node's snapshot as JSON on /metrics.
 //
 // Instruments are cheap enough for per-message paths: counters and gauges
 // are single atomics, histograms take one short mutex hold. Snapshots are
@@ -22,27 +25,45 @@ import (
 )
 
 // Counter is a monotonically increasing tally. The zero value is ready to
-// use; instances obtained from a Registry are shared by name.
+// use; instances obtained from a Registry are shared by name. A nil *Counter
+// counts nothing and reads zero.
 type Counter struct {
 	v atomic.Int64
 }
 
 // Inc adds delta (which should be non-negative) to the counter.
-func (c *Counter) Inc(delta int64) { c.v.Add(delta) }
+func (c *Counter) Inc(delta int64) {
+	if c != nil {
+		c.v.Add(delta)
+	}
+}
 
 // Value returns the current tally.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
-// Gauge is an instantaneous float64 value (queue depth, energy budget).
+// Gauge is an instantaneous float64 value (queue depth, energy budget). A
+// nil *Gauge ignores writes and reads zero.
 type Gauge struct {
 	bits atomic.Uint64
 }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Add shifts the gauge by delta.
 func (g *Gauge) Add(delta float64) {
+	if g == nil {
+		return
+	}
 	for {
 		old := g.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + delta)
@@ -53,12 +74,18 @@ func (g *Gauge) Add(delta float64) {
 }
 
 // Value returns the current gauge reading.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // Histogram is a sketch.Hist behind a mutex, plus the running sums a mean and
 // a standard deviation need. Observations are milliseconds wherever the
 // middleware records latency; see sketch.Hist for the grid and its error
-// bound. The zero value is ready to use.
+// bound. The zero value is ready to use; a nil *Histogram ignores
+// observations and summarises to zeros.
 type Histogram struct {
 	mu    sync.Mutex
 	hist  sketch.Hist
@@ -70,6 +97,9 @@ type Histogram struct {
 // counted (it ignores NaN and ±Inf), so count and sum describe the same
 // samples.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	h.mu.Lock()
 	if h.hist.Add(v) {
 		h.sum += v
@@ -79,8 +109,8 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Summary is a point-in-time digest of a Histogram. The JSON shape (lowercase
-// keys, quantiles as p50/p95/p99) is what /metrics and ndsm-bench -metrics
-// serve for every histogram. An empty histogram summarises to zeros.
+// keys, quantiles as p50/p95/p99) is what /metrics serves for every
+// histogram. An empty histogram summarises to zeros.
 type Summary struct {
 	Count  int     `json:"count"`
 	Mean   float64 `json:"mean"`
@@ -95,6 +125,9 @@ type Summary struct {
 // Summary digests the histogram: exact count, mean, extremes and standard
 // deviation, and sketch.Hist's estimate at the three standard quantiles.
 func (h *Histogram) Summary() Summary {
+	if h == nil {
+		return Summary{}
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	n := h.hist.Count()
@@ -118,6 +151,7 @@ func (h *Histogram) Summary() Summary {
 
 // Registry is a named set of instruments. Instruments are created on first
 // use and shared by name thereafter. All methods are safe for concurrent use.
+// A nil *Registry hands out nil instruments and snapshots empty.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
@@ -134,70 +168,46 @@ func NewRegistry() *Registry {
 	}
 }
 
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry that all middleware components
-// use unless they are given an explicit one.
-func Default() *Registry { return defaultRegistry }
-
-// Or returns r, or the default registry when r is nil — the idiom components
-// use to accept an optional registry.
-func Or(r *Registry) *Registry {
-	if r == nil {
-		return defaultRegistry
-	}
-	return r
-}
-
 // Counter returns (creating if needed) the named counter.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
+	if r == nil {
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return instrument(&r.mu, r.counters, name)
 }
 
 // Gauge returns (creating if needed) the named gauge.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
+	if r == nil {
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return instrument(&r.mu, r.gauges, name)
 }
 
 // Histogram returns (creating if needed) the named histogram.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
+	if r == nil {
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
+	return instrument(&r.mu, r.hists, name)
+}
+
+// instrument returns the named instrument of m, which mu guards, creating it
+// on first use.
+func instrument[T any](mu *sync.RWMutex, m map[string]*T, name string) *T {
+	mu.RLock()
+	v := m[name]
+	mu.RUnlock()
+	if v != nil {
+		return v
 	}
-	return h
+	mu.Lock()
+	defer mu.Unlock()
+	if v = m[name]; v == nil {
+		v = new(T)
+		m[name] = v
+	}
+	return v
 }
 
 // Snapshot is a point-in-time copy of every instrument in a registry. It
@@ -210,6 +220,9 @@ type Snapshot struct {
 
 // Snapshot captures all instruments.
 func (r *Registry) Snapshot() Snapshot {
+	if r == nil {
+		return Snapshot{Counters: map[string]int64{}, Gauges: map[string]float64{}, Histograms: map[string]Summary{}}
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := Snapshot{

@@ -181,13 +181,23 @@ func TestConcurrentSnapshotWhileWriting(t *testing.T) {
 	wg.Wait()
 }
 
-func TestOrDefault(t *testing.T) {
-	if Or(nil) != Default() {
-		t.Fatal("Or(nil) should be the default registry")
+// TestNilRegistryCountsNowhere: a component built without a registry gets
+// nil instruments, and every method on them is a no-op that reads zero.
+func TestNilRegistryCountsNowhere(t *testing.T) {
+	var r *Registry
+	c, g, h := r.Counter("c"), r.Gauge("g"), r.Histogram("h")
+	if c != nil || g != nil || h != nil {
+		t.Fatal("a nil registry should hand out nil instruments")
 	}
-	r := NewRegistry()
-	if Or(r) != r {
-		t.Fatal("Or(r) should be r")
+	c.Inc(1)
+	g.Set(2)
+	g.Add(3)
+	h.Observe(4)
+	if c.Value() != 0 || g.Value() != 0 || h.Summary() != (Summary{}) {
+		t.Fatal("nil instruments should read zero")
+	}
+	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 || s.Counters == nil {
+		t.Fatalf("nil registry snapshot = %+v, want empty maps", s)
 	}
 }
 

@@ -25,14 +25,12 @@ var runtimeSamples = []string{
 }
 
 // RuntimeGauges registers Go runtime introspection gauges — goroutine
-// count, live heap bytes, cumulative GC pause — in r (nil: the default
-// registry), sampled through runtime/metrics. It samples once immediately
-// and returns the update function; call it before taking snapshots (the
-// webbridge calls it per /metrics request) to refresh the readings.
-// Sampling on demand instead of on a timer keeps idle processes free of a
+// count, live heap bytes, cumulative GC pause — in r, sampled through
+// runtime/metrics. It samples once immediately and returns the update
+// function; call it before taking snapshots (the webbridge calls it per
+// /metrics request) to refresh the readings. Sampling on demand instead of on a timer keeps idle processes free of a
 // background goroutine.
 func RuntimeGauges(r *Registry) func() {
-	r = Or(r)
 	samples := make([]metrics.Sample, len(runtimeSamples))
 	for i, name := range runtimeSamples {
 		samples[i].Name = name

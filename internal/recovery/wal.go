@@ -62,6 +62,9 @@ type WALOptions struct {
 	// slow path of the E9 ablation. When false, callers decide when to call
 	// Sync (group commit).
 	SyncEveryAppend bool
+	// Metrics receives the log's counters — "wal.appends",
+	// "wal.append_bytes", "wal.syncs", "wal.replays" (nil: counted nowhere).
+	Metrics *obs.Registry
 }
 
 // WAL is an append-only record log. Safe for concurrent use.
@@ -135,13 +138,13 @@ func (w *WAL) Append(rec Record) (uint64, error) {
 	if _, err := w.f.Write(frame); err != nil {
 		return 0, fmt.Errorf("recovery: append: %w", err)
 	}
-	obs.Default().Counter("wal.appends").Inc(1)
-	obs.Default().Counter("wal.append_bytes").Inc(int64(len(frame)))
+	w.opts.Metrics.Counter("wal.appends").Inc(1)
+	w.opts.Metrics.Counter("wal.append_bytes").Inc(int64(len(frame)))
 	if w.opts.SyncEveryAppend {
 		if err := w.f.Sync(); err != nil {
 			return 0, fmt.Errorf("recovery: sync: %w", err)
 		}
-		obs.Default().Counter("wal.syncs").Inc(1)
+		w.opts.Metrics.Counter("wal.syncs").Inc(1)
 	}
 	w.nextLSN++
 	return rec.LSN, nil
@@ -157,7 +160,7 @@ func (w *WAL) Sync() error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	obs.Default().Counter("wal.syncs").Inc(1)
+	w.opts.Metrics.Counter("wal.syncs").Inc(1)
 	return nil
 }
 
@@ -169,7 +172,7 @@ func (w *WAL) Replay(fn func(Record) error) error {
 	if w.closed {
 		return ErrWALClosed
 	}
-	obs.Default().Counter("wal.replays").Inc(1)
+	w.opts.Metrics.Counter("wal.replays").Inc(1)
 	pos, err := w.f.Seek(0, io.SeekCurrent)
 	if err != nil {
 		return fmt.Errorf("recovery: seek: %w", err)

@@ -129,7 +129,7 @@ type Options struct {
 	Capacity int
 	// SampleEvery keeps one in N healthy records (default 64; 1 keeps all).
 	SampleEvery int
-	// Registry receives the recorder's counters (nil: the process default):
+	// Registry receives the recorder's counters (nil: counted nowhere):
 	// "reqlog.recorded", "reqlog.tail", "reqlog.sampled".
 	Registry *obs.Registry
 }
@@ -306,7 +306,7 @@ type Recorder struct {
 // New builds a recorder.
 func New(opts Options) *Recorder {
 	opts = opts.withDefaults()
-	reg := obs.Or(opts.Registry)
+	reg := opts.Registry
 	tailCap := opts.Capacity * 3 / 4
 	healthyCap := opts.Capacity - tailCap
 	names := newNames()

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"ndsm/internal/netsim"
+	"ndsm/internal/obs"
 )
 
 // Routed packet header constants.
@@ -136,6 +137,11 @@ type Router struct {
 	done   chan struct{}
 	closed atomic.Bool
 
+	// metrics is the node's registry (netsim.Network.Metrics). A packet
+	// the router gives up on counts there as "routing.dropped.<reason>":
+	// decode, ttl, no_route, send (a relay hop failed) or queue_full.
+	metrics *obs.Registry
+
 	// handled counts every inbound radio packet processed; Mesh.Settle uses
 	// it to detect quiescence.
 	handled atomic.Int64
@@ -168,6 +174,7 @@ func NewWithSource(net *netsim.Network, id netsim.NodeID, strategy Strategy, inb
 		out:       make(chan netsim.Packet, outboxSize),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
+		metrics:   net.Metrics(id),
 	}
 	go r.loop(inbox)
 	return r, nil
@@ -281,6 +288,7 @@ func (r *Router) handle(raw netsim.Packet) {
 	defer r.handled.Add(1)
 	p, err := decodePacket(raw.Data)
 	if err != nil {
+		r.drop("decode")
 		return
 	}
 	switch p.ptype {
@@ -292,45 +300,48 @@ func (r *Router) handle(raw netsim.Packet) {
 }
 
 func (r *Router) handleData(p *packet) {
-	if r.strategy.UsesFlooding() {
+	flooding := r.strategy.UsesFlooding()
+	if flooding {
 		if r.hasSeen(p.origin, p.seq) {
 			return // duplicate
 		}
 		r.markSeen(p.origin, p.seq)
-		if p.dest == r.id {
-			r.deliver(netsim.Packet{From: p.origin, To: r.id, Data: p.payload})
-			return
-		}
-		if p.ttl <= 1 {
-			return
-		}
-		fwd := *p
-		fwd.ttl--
-		_, _ = r.net.Broadcast(r.id, fwd.encode())
-		return
 	}
-
 	if p.dest == r.id {
 		r.deliver(netsim.Packet{From: p.origin, To: r.id, Data: p.payload})
 		return
 	}
 	if p.ttl <= 1 {
-		return
-	}
-	hop, ok := r.strategy.NextHop(r, p.dest)
-	if !ok {
+		r.drop("ttl")
 		return
 	}
 	fwd := *p
 	fwd.ttl--
-	_ = r.net.Send(r.id, hop, fwd.encode())
+	var err error
+	if flooding {
+		_, err = r.net.Broadcast(r.id, fwd.encode())
+	} else if hop, ok := r.strategy.NextHop(r, p.dest); ok {
+		err = r.net.Send(r.id, hop, fwd.encode())
+	} else {
+		r.drop("no_route")
+		return
+	}
+	if err != nil {
+		r.drop("send")
+	}
 }
 
 func (r *Router) deliver(pkt netsim.Packet) {
 	select {
 	case r.out <- pkt:
 	default: // a full delivery queue loses the packet
+		r.drop("queue_full")
 	}
+}
+
+// drop counts a packet the router gave up on.
+func (r *Router) drop(reason string) {
+	r.metrics.Counter("routing.dropped." + reason).Inc(1)
 }
 
 func (r *Router) hasSeen(origin netsim.NodeID, seq uint32) bool {

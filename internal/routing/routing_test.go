@@ -455,3 +455,78 @@ func TestFloodingCostExceedsDVCost(t *testing.T) {
 		t.Fatalf("flooding (%d) should cost well over dv (%d)", floodSent, dvSent)
 	}
 }
+
+// tableStrategy routes by a fixed next-hop table and advertises nothing.
+type tableStrategy map[netsim.NodeID]netsim.NodeID
+
+func (tableStrategy) Name() string       { return "table" }
+func (tableStrategy) UsesFlooding() bool { return false }
+func (s tableStrategy) NextHop(_ *Router, dest netsim.NodeID) (netsim.NodeID, bool) {
+	hop, ok := s[dest]
+	return hop, ok
+}
+func (tableStrategy) Advertisement(*Router) []byte                       { return nil }
+func (tableStrategy) HandleAdvertisement(*Router, netsim.NodeID, []byte) {}
+
+// TestDropsCountedByReason drives each way a router gives up on a packet at
+// the middle node b of a line a-b-c, and reads the counts from b's registry:
+// one drop of each reason there, none at a or c.
+func TestDropsCountedByReason(t *testing.T) {
+	net := netsim.New(netsim.Config{Range: 12, Unlimited: true})
+	t.Cleanup(net.Close)
+	ids := []netsim.NodeID{"a", "b", "c"}
+	routers := map[netsim.NodeID]*Router{}
+	for i, id := range ids {
+		if err := net.AddNode(id, netsim.Position{X: float64(i) * 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids {
+		// b relays to c, and towards "gone" through a node that does not
+		// exist, so that relay's send fails.
+		r, err := New(net, id, tableStrategy{"c": "c", "gone": "ghost"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		routers[id] = r
+	}
+	data := func(dest netsim.NodeID, ttl uint8) []byte {
+		return (&packet{ptype: typeData, origin: "a", dest: dest, seq: 1, ttl: ttl}).encode()
+	}
+	for _, raw := range [][]byte{
+		{0xFF, 1, 2},    // decode
+		data("c", 1),    // ttl: spent on arrival at b
+		data("z", 5),    // no_route: b's table has no "z"
+		data("gone", 5), // send: the relay hop does not exist
+	} {
+		if err := net.Send("a", "b", raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// queue_full: nobody drains b's delivery queue.
+	for i := 0; i <= outboxSize; i++ {
+		if err := routers["b"].Send("b", "b", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reasons := []string{"decode", "ttl", "no_route", "send", "queue_full"}
+	dropped := func(id netsim.NodeID, reason string) int64 {
+		return net.Metrics(id).Counter("routing.dropped." + reason).Value()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for routers["b"].Handled() < 4 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	for _, reason := range reasons {
+		if got := dropped("b", reason); got != 1 {
+			t.Errorf("b dropped %d packets for %s, want 1", got, reason)
+		}
+		for _, id := range []netsim.NodeID{"a", "c"} {
+			if got := dropped(id, reason); got != 0 {
+				t.Errorf("%s counts %d %s drops of b's", id, got, reason)
+			}
+		}
+	}
+	expectNone(t, routers["c"])
+}

@@ -26,7 +26,7 @@ type QuotaAdapterOptions struct {
 	Boost int
 	// Servers are the admission controllers to retune (at least one).
 	Servers []LaneServer
-	// Registry receives the adapter's instruments (nil: process default):
+	// Registry receives the adapter's instruments (nil: counted nowhere):
 	// the "slo.adapter.quota" gauge and "slo.adapter.boosts" counter.
 	Registry *obs.Registry
 }
@@ -61,7 +61,7 @@ func NewQuotaAdapter(e *Engine, opts QuotaAdapterOptions) (*QuotaAdapter, error)
 	if opts.Base < 0 || opts.Boost <= opts.Base {
 		return nil, fmt.Errorf("slo: quota adapter needs Boost (%d) > Base (%d) >= 0", opts.Boost, opts.Base)
 	}
-	r := obs.Or(opts.Registry)
+	r := opts.Registry
 	a := &QuotaAdapter{
 		opts:    opts,
 		gauge:   r.Gauge("slo.adapter.quota"),

@@ -20,8 +20,8 @@ type Options struct {
 	// time; a *simtime.Virtual makes burn-rate math deterministic in
 	// tests and simulated worlds).
 	Clock simtime.Clock
-	// Registry receives the engine's own instruments (nil: the process
-	// default): "slo.evaluations", "slo.transitions", and the
+	// Registry receives the engine's own instruments (nil: counted
+	// nowhere): "slo.evaluations", "slo.transitions", and the
 	// "slo.alerts.warning" / "slo.alerts.critical" gauges.
 	Registry *obs.Registry
 }
@@ -138,7 +138,7 @@ func New(opts Options) (*Engine, error) {
 	if opts.Clock == nil {
 		opts.Clock = simtime.Real{}
 	}
-	r := obs.Or(opts.Registry)
+	r := opts.Registry
 	return &Engine{
 		opts:        opts,
 		alerts:      &Alerts{},

@@ -2,48 +2,8 @@ package stats
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	if got := c.Snapshot()["x"]; got != 0 {
-		t.Fatalf("Get on empty = %d, want 0", got)
-	}
-	c.Inc("x", 2)
-	c.Inc("x", 3)
-	c.Inc("y", 1)
-	if got := c.Snapshot()["x"]; got != 5 {
-		t.Fatalf("x = %d, want 5", got)
-	}
-	snap := c.Snapshot()
-	if snap["x"] != 5 || snap["y"] != 1 {
-		t.Fatalf("bad snapshot: %v", snap)
-	}
-	snap["x"] = 99
-	if got := c.Snapshot()["x"]; got != 5 {
-		t.Fatal("snapshot must be a copy")
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				c.Inc("n", 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Snapshot()["n"]; got != 4000 {
-		t.Fatalf("n = %d, want 4000", got)
-	}
-}
 
 func TestTableRender(t *testing.T) {
 	tb := NewTable("demo", "name", "value")

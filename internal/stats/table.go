@@ -1,3 +1,7 @@
+// Package stats is the experiment harness's rendering kit: plain-text table /
+// CSV / ASCII-chart output for reporting experiment results in the shape the
+// paper's figures use. It measures nothing itself; counts come from obs
+// registries and latency quantiles from sketch.Hist.
 package stats
 
 import (

@@ -22,8 +22,8 @@ type AggregatorOptions struct {
 	// StaleAfter marks a node stale when no report has arrived for this
 	// long (default 15s — three missed publishes at the default interval).
 	StaleAfter time.Duration
-	// Registry receives the aggregator's own instruments (nil: the process
-	// default): "telemetry.reports" ingested and "telemetry.rejected".
+	// Registry receives the aggregator's own instruments (nil: counted
+	// nowhere): "telemetry.reports" ingested and "telemetry.rejected".
 	Registry *obs.Registry
 }
 
@@ -74,7 +74,7 @@ type Aggregator struct {
 // NewAggregator builds an aggregator.
 func NewAggregator(opts AggregatorOptions) *Aggregator {
 	opts = opts.withDefaults()
-	r := obs.Or(opts.Registry)
+	r := opts.Registry
 	return &Aggregator{
 		opts:     opts,
 		ingested: r.Counter("telemetry.reports"),

@@ -16,7 +16,7 @@ import (
 type PublisherOptions struct {
 	// Node names the reporting node (required).
 	Node string
-	// Registry is the node's metrics registry (nil: the process default).
+	// Registry is the node's metrics registry (nil: reports carry none).
 	// Each publish diffs it against the previous publish's snapshot, so
 	// reports carry deltas.
 	Registry *obs.Registry
@@ -71,7 +71,7 @@ func NewPublisher(opts PublisherOptions) (*Publisher, error) {
 		opts.Interval = 5 * time.Second
 	}
 	p := &Publisher{opts: opts}
-	p.prev = obs.Or(opts.Registry).Snapshot()
+	p.prev = opts.Registry.Snapshot()
 	p.prevTime = opts.Clock.Now()
 	return p, nil
 }
@@ -82,7 +82,7 @@ func NewPublisher(opts PublisherOptions) (*Publisher, error) {
 func (p *Publisher) Publish() error {
 	p.mu.Lock()
 	now := p.opts.Clock.Now()
-	snap := obs.Or(p.opts.Registry).Snapshot()
+	snap := p.opts.Registry.Snapshot()
 	diff := snap.Diff(p.prev)
 	elapsed := now.Sub(p.prevTime)
 	p.seq++

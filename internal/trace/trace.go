@@ -361,56 +361,3 @@ func (t *Tracer) push(ctx Context) func() {
 		}
 	}
 }
-
-// defaultTracer is the process-wide tracer (nil: tracing disabled), the
-// analogue of obs.Default for components not wired with an explicit tracer.
-var defaultTracer atomic.Pointer[Tracer]
-
-// Default returns the process-wide tracer, nil when tracing is off.
-func Default() *Tracer { return defaultTracer.Load() }
-
-// SetDefault installs (or, with nil, removes) the process-wide tracer.
-// ndsm-bench -trace uses it to turn every default-wired component's tracing
-// on for a run.
-func SetDefault(t *Tracer) { defaultTracer.Store(t) }
-
-// Or resolves an optional explicit tracer against the process default:
-// trace.Or(cfg.Tracer) is the call-time idiom for components whose tracer is
-// optional configuration.
-func Or(t *Tracer) *Tracer {
-	if t != nil {
-		return t
-	}
-	return Default()
-}
-
-// Ref is an atomically settable tracer cell for components that are
-// constructed before tracing is wired (long-lived clients, servers whose
-// interceptor chains are fixed at creation). A nil *Ref and an empty Ref
-// both resolve to the process default, so interceptors built around a Ref
-// follow SetDefault until an explicit tracer is Set.
-type Ref struct{ p atomic.Pointer[Tracer] }
-
-// NewRef returns a Ref pre-set to t (which may be nil).
-func NewRef(t *Tracer) *Ref {
-	r := &Ref{}
-	r.Set(t)
-	return r
-}
-
-// Set installs the explicit tracer (nil reverts to default-following).
-func (r *Ref) Set(t *Tracer) {
-	if r == nil {
-		return
-	}
-	r.p.Store(t)
-}
-
-// Get resolves the cell: the explicit tracer when set, else the process
-// default, else nil (tracing off).
-func (r *Ref) Get() *Tracer {
-	if r == nil {
-		return Default()
-	}
-	return Or(r.p.Load())
-}

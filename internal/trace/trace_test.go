@@ -287,44 +287,6 @@ func TestSharedCollectorDistinctIDs(t *testing.T) {
 	}
 }
 
-func TestRefAndDefault(t *testing.T) {
-	prev := Default()
-	defer SetDefault(prev)
-	SetDefault(nil)
-
-	var nilRef *Ref
-	if nilRef.Get() != nil {
-		t.Error("nil Ref with no default should resolve nil")
-	}
-	r := NewRef(nil)
-	if r.Get() != nil {
-		t.Error("empty Ref with no default should resolve nil")
-	}
-
-	dflt := New(Options{Name: "default", Collector: NewCollector(4)})
-	SetDefault(dflt)
-	if r.Get() != dflt {
-		t.Error("empty Ref should follow the process default")
-	}
-	if nilRef.Get() != dflt {
-		t.Error("nil Ref should follow the process default")
-	}
-
-	explicit := New(Options{Name: "explicit", Collector: NewCollector(4)})
-	r.Set(explicit)
-	if r.Get() != explicit {
-		t.Error("Set tracer should win over default")
-	}
-	r.Set(nil)
-	if r.Get() != dflt {
-		t.Error("Set(nil) should revert to default-following")
-	}
-
-	if Or(explicit) != explicit || Or(nil) != dflt {
-		t.Error("Or resolution wrong")
-	}
-}
-
 func TestWriteJSONL(t *testing.T) {
 	col := NewCollector(16)
 	tr, vc := newTestTracer(col)

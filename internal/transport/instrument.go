@@ -8,13 +8,16 @@ import (
 )
 
 // Instrument wraps a transport so every connection it dials or accepts
-// reports message and byte counts to reg (nil: the default registry), under
-// "transport.<name>.sent_msgs", ".sent_bytes", ".recv_msgs", ".recv_bytes",
-// plus the live-connection gauge "transport.<name>.open_conns". Byte counts
-// are payload sizes — the envelope overhead is codec-specific and the paper's
-// message-cost experiments count payload traffic.
-func Instrument(t Transport, reg *obs.Registry) Transport {
-	r := obs.Or(reg)
+// reports message and byte counts to r, under "transport.<name>.sent_msgs",
+// ".sent_bytes", ".recv_msgs", ".recv_bytes", plus the live-connection gauge
+// "transport.<name>.open_conns". Byte counts are payload sizes — the
+// envelope overhead is codec-specific and the paper's message-cost
+// experiments count payload traffic. With no registry there is nothing to
+// count, and t comes back unwrapped.
+func Instrument(t Transport, r *obs.Registry) Transport {
+	if r == nil {
+		return t
+	}
 	prefix := "transport." + t.Name()
 	return &instrumented{
 		inner:     t,

@@ -69,11 +69,11 @@ import (
 // maxCallBody bounds POST /call payloads; a longer body is refused with 413.
 const maxCallBody = 1 << 20
 
-// serverConfig is the bridge's one resolved lookup path for every
-// observability dependency. Handlers used to each re-derive their sources
-// (obs.Or sprinkled through /metrics, /healthz, /trace); now they take one
-// consistent copy per request via Bridge.config, and the Set*/Enable*
-// mutators swap fields under a single lock.
+// serverConfig is the bridge's one lookup path for every observability
+// dependency: handlers take one consistent copy per request via
+// Bridge.config, and the Set*/Enable* mutators swap fields under a single
+// lock. A source nobody set stays nil: /metrics serves an empty snapshot and
+// /trace answers 404.
 type serverConfig struct {
 	metrics *obs.Registry
 	health  *health.Monitor
@@ -108,7 +108,6 @@ func New(registry discovery.Resolver, node *core.Node) *Bridge {
 	b := &Bridge{
 		registry: registry,
 		node:     node,
-		cfg:      serverConfig{metrics: obs.Default()},
 		bindings: make(map[string]*core.Binding),
 	}
 	if node != nil {
@@ -117,27 +116,18 @@ func New(registry discovery.Resolver, node *core.Node) *Bridge {
 	return b
 }
 
-// config resolves the effective per-request configuration: the stored
-// fields plus the process-default fallbacks (metrics registry, the default
-// tracer's collector).
+// config returns the per-request configuration.
 func (b *Bridge) config() serverConfig {
 	b.cfgMu.RLock()
-	c := b.cfg
-	b.cfgMu.RUnlock()
-	if c.metrics == nil {
-		c.metrics = obs.Default()
-	}
-	if c.spans == nil {
-		c.spans = trace.Default().Collector()
-	}
-	return c
+	defer b.cfgMu.RUnlock()
+	return b.cfg
 }
 
-// SetMetricsRegistry points /metrics at a specific registry instead of the
-// process-wide default (isolated tests, embedded multi-stack processes).
+// SetMetricsRegistry points /metrics at a registry: the node's, which its
+// transport, discovery client and WAL count into as well.
 func (b *Bridge) SetMetricsRegistry(r *obs.Registry) {
 	b.cfgMu.Lock()
-	b.cfg.metrics = obs.Or(r)
+	b.cfg.metrics = r
 	b.cfgMu.Unlock()
 }
 
@@ -150,7 +140,7 @@ func (b *Bridge) SetHealth(m *health.Monitor) {
 }
 
 // SetTraceCollector points /trace at a span collector. Without one, /trace
-// falls back to the process-default tracer's collector.
+// answers 404.
 func (b *Bridge) SetTraceCollector(c *trace.Collector) {
 	b.cfgMu.Lock()
 	b.cfg.spans = c

@@ -256,24 +256,49 @@ func TestServicesMethodValidation(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint drives one workload through every instrumented layer —
-// an instrumented transport carrying a central discovery lookup, a netmux
-// overflow drop, and a WAL append — then asserts /metrics reports live
-// counters for all of them.
+// TestMetricsEndpoint drives one workload through every instrumented layer
+// of one simulated node — an instrumented transport carrying a central
+// discovery lookup, a netmux overflow drop, and a WAL append, all counting
+// into the node's registry — then asserts /metrics reports live counters for
+// all of them.
 func TestMetricsEndpoint(t *testing.T) {
-	before := obs.Default().Snapshot()
+	// Netmux: an unregistered protocol byte is dropped and counted in b's
+	// registry, which b's other components count into as well.
+	net := netsim.New(netsim.Config{Range: 100, Unlimited: true})
+	t.Cleanup(net.Close)
+	for _, id := range []netsim.NodeID{"a", "b"} {
+		if err := net.AddNode(id, netsim.Position{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := net.Metrics("b")
+	mux, err := netmux.New(net, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mux.Close)
+	muxDrops := reg.Counter("netmux.dropped.238")
+	if err := net.Send("a", "b", []byte{0xEE}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for muxDrops.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("netmux never dropped the unknown-protocol packet")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	// Transport + discovery: a central registry exercised over an
 	// instrumented mem transport.
 	fabric := transport.NewFabric()
-	tr := transport.Instrument(transport.NewMem(fabric), nil)
-	l, err := tr.Listen("registry")
+	l, err := transport.NewMem(fabric).Listen("registry")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dsrv := discovery.NewServer(discovery.NewStore(nil, 0), l)
 	t.Cleanup(func() { _ = dsrv.Close() })
-	dcli := discovery.NewClient(transport.Instrument(transport.NewMem(fabric), nil), "registry")
+	dcli := discovery.NewInstrumentedClient(transport.Instrument(transport.NewMem(fabric), reg), "registry", reg, nil)
 	t.Cleanup(func() { _ = dcli.Close() })
 	if err := dcli.Register(&svcdesc.Description{Name: "svc", Provider: "n1", Reliability: 0.9, PowerLevel: 1}); err != nil {
 		t.Fatal(err)
@@ -282,34 +307,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Netmux: an unregistered protocol byte is dropped and counted.
-	net := netsim.New(netsim.Config{Range: 100, Unlimited: true})
-	t.Cleanup(net.Close)
-	for _, id := range []netsim.NodeID{"a", "b"} {
-		if err := net.AddNode(id, netsim.Position{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mux, err := netmux.New(net, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(mux.Close)
-	muxDrops := obs.Default().Counter("netmux.dropped.238")
-	dropsBefore := muxDrops.Value()
-	if err := net.Send("a", "b", []byte{0xEE}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for muxDrops.Value() == dropsBefore {
-		if time.Now().After(deadline) {
-			t.Fatal("netmux never dropped the unknown-protocol packet")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
 	// WAL: one append.
-	wal, err := recovery.OpenWAL(filepath.Join(t.TempDir(), "wal.log"), recovery.WALOptions{})
+	wal, err := recovery.OpenWAL(filepath.Join(t.TempDir(), "wal.log"), recovery.WALOptions{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +318,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	bridge := New(discovery.NewStore(nil, 0), nil)
+	bridge.SetMetricsRegistry(reg)
 	srv := httptest.NewServer(bridge)
 	t.Cleanup(srv.Close)
 	code, body := get(t, srv.URL+"/metrics")
@@ -329,30 +329,31 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("metrics not JSON: %v\n%s", err, body)
 	}
-	diff := snap.Diff(before)
 	for _, counter := range []string{
+		"netsim.delivered",
 		"transport.mem.sent_msgs",
 		"transport.mem.recv_msgs",
 		"discovery.lookup.queries",
+		"discovery.lookup.hits",
+		"discovery.client.calls",
 		"netmux.dropped.238",
 		"wal.appends",
 	} {
-		if diff.Counters[counter] <= 0 {
-			t.Errorf("counter %s did not move: snapshot has %d (delta %d)",
-				counter, snap.Counters[counter], diff.Counters[counter])
+		if snap.Counters[counter] <= 0 {
+			t.Errorf("counter %s did not move: snapshot has %d", counter, snap.Counters[counter])
 		}
 	}
-	if diff.Counters["discovery.lookup.hits"] <= 0 {
-		t.Errorf("lookup hit not counted: %v", diff.Counters["discovery.lookup.hits"])
+	// a's registry is a's alone: it saw its own send and nothing of b's.
+	if got := net.Metrics("a").Snapshot().Counters; got["netmux.dropped.238"] != 0 || got["wal.appends"] != 0 || got["netsim.sent"] != 1 {
+		t.Errorf("a's registry = %v", got)
 	}
 }
 
 // TestMetricsEndpointLaneCounters sheds one bulk call at a lane-aware
-// endpoint server on the default registry and asserts /metrics exposes the
-// per-lane admission series (and /dash picks the node's prefix up as a
-// series group, since both render the same registry).
+// endpoint server and asserts /metrics, pointed at the server's registry,
+// exposes the per-lane admission series.
 func TestMetricsEndpointLaneCounters(t *testing.T) {
-	before := obs.Default().Snapshot()
+	reg := obs.NewRegistry()
 
 	fabric := transport.NewFabric()
 	tr := transport.NewMem(fabric)
@@ -366,6 +367,7 @@ func TestMetricsEndpointLaneCounters(t *testing.T) {
 		Name:        "lanesrv",
 		MaxInFlight: 1,
 		Lanes:       &endpoint.LaneConfig{Quota: map[endpoint.Lane]int{endpoint.LaneControl: 1}},
+		Metrics:     reg,
 	})
 	t.Cleanup(func() { _ = esrv.Close() })
 	esrv.Handle("w", func(req *wire.Message) (*wire.Message, error) {
@@ -384,6 +386,7 @@ func TestMetricsEndpointLaneCounters(t *testing.T) {
 	}
 
 	bridge := New(discovery.NewStore(nil, 0), nil)
+	bridge.SetMetricsRegistry(reg)
 	srv := httptest.NewServer(bridge)
 	t.Cleanup(srv.Close)
 	code, body := get(t, srv.URL+"/metrics")
@@ -394,14 +397,13 @@ func TestMetricsEndpointLaneCounters(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("metrics not JSON: %v\n%s", err, body)
 	}
-	diff := snap.Diff(before)
 	for _, counter := range []string{
 		"lanesrv.lane.bulk.shed",
 		"lanesrv.lane.control.admitted",
 		"lanesrv.shed",
 	} {
-		if diff.Counters[counter] <= 0 {
-			t.Errorf("counter %s did not move (delta %d)", counter, diff.Counters[counter])
+		if snap.Counters[counter] <= 0 {
+			t.Errorf("counter %s did not move", counter)
 		}
 	}
 }
@@ -556,13 +558,8 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestTraceEndpointDisabled: with no attached collector and no process
-// default tracer, /trace answers 404.
+// TestTraceEndpointDisabled: with no attached collector, /trace answers 404.
 func TestTraceEndpointDisabled(t *testing.T) {
-	prev := trace.Default()
-	trace.SetDefault(nil)
-	t.Cleanup(func() { trace.SetDefault(prev) })
-
 	bridge := New(discovery.NewStore(nil, 0), nil)
 	srv := httptest.NewServer(bridge)
 	t.Cleanup(srv.Close)

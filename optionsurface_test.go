@@ -44,10 +44,7 @@ var optionAllowlist = map[string]string{
 	"netsim.Config.Clock":              "test seam: a virtual clock",
 	"scheduler.DispatcherConfig.Clock": "test seam: a virtual clock",
 	"transaction.LinkConfig.Clock":     "test seam: a virtual clock",
-	"cluster.NodeOptions.Metrics":      "test seam: a private instrument registry",
-	"cluster.ResolverOptions.Metrics":  "test seam: a private instrument registry",
 	"health.Options.Registry":          "test seam: a private instrument registry",
-	"slo.Options.Registry":             "test seam: a private instrument registry",
 	"endpoint.CallerOptions.Timeout":   "test seam: one deadline for every call a test makes",
 }
 

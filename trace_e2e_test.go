@@ -25,10 +25,6 @@ func TestRPCThroughDiscoveryConnectedTraceTree(t *testing.T) {
 	// timeline of the whole simulated world.
 	col := trace.NewCollector(1024)
 	tr := trace.New(trace.Options{Name: "world", Collector: col})
-	// The rpc server and client trace with the process default.
-	prev := trace.Default()
-	trace.SetDefault(tr)
-	t.Cleanup(func() { trace.SetDefault(prev) })
 
 	// Radio layer: three nodes in a line, ranges only reach neighbours, so
 	// the flood query takes a multi-hop path to the supplier.
@@ -45,8 +41,7 @@ func TestRPCThroughDiscoveryConnectedTraceTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(mux.Close)
-		a := discovery.NewAgent(mux, discovery.AgentConfig{CollectWindow: 200 * time.Millisecond})
-		a.SetTracer(tr)
+		a := discovery.NewAgent(mux, discovery.AgentConfig{CollectWindow: 200 * time.Millisecond, Tracer: tr})
 		t.Cleanup(func() { _ = a.Close() })
 		agents[i] = a
 	}
@@ -60,7 +55,7 @@ func TestRPCThroughDiscoveryConnectedTraceTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := rpc.NewServer(l)
+	srv := rpc.NewServer(l, tr)
 	t.Cleanup(func() { _ = srv.Close() })
 	srv.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
 	if err := agents[2].Register(&svcdesc.Description{
@@ -81,7 +76,7 @@ func TestRPCThroughDiscoveryConnectedTraceTree(t *testing.T) {
 	if len(descs) != 1 || descs[0].Provider != "supplier" {
 		t.Fatalf("lookup = %+v", descs)
 	}
-	cli, err := rpc.Dial(transport.NewMem(fabric), descs[0].Provider, nil)
+	cli, err := rpc.Dial(transport.NewMem(fabric), descs[0].Provider, nil, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,15 +145,13 @@ func TestRPCThroughDiscoveryConnectedTraceTree(t *testing.T) {
 	}
 }
 
-// A tuple-space operation joins its caller's trace with no tuple-space
-// wiring: under the process-default tracer, one Out and one In each yield a
-// ts.call client span under the ambient root and a ts.serve server span
+// A tuple-space operation joins its caller's trace: with the caller's tracer
+// handed to the tuple-space server and client, one Out and one In each yield
+// a ts.call client span under the ambient root and a ts.serve server span
 // parented on it across the wire.
 func TestTupleSpaceJoinsDefaultTrace(t *testing.T) {
 	col := trace.NewCollector(64)
-	prev := trace.Default()
-	trace.SetDefault(trace.New(trace.Options{Name: "world", Collector: col}))
-	t.Cleanup(func() { trace.SetDefault(prev) })
+	tr := trace.New(trace.Options{Name: "world", Collector: col})
 
 	fabric := transport.NewFabric()
 	mt := transport.NewMem(fabric)
@@ -167,15 +160,15 @@ func TestTupleSpaceJoinsDefaultTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := tuplespace.NewServer(tuplespace.NewSpace(nil), l)
+	srv := tuplespace.NewServer(tuplespace.NewSpace(nil), l, tr)
 	t.Cleanup(func() { _ = srv.Close() })
-	cli, err := tuplespace.Dial(transport.NewMem(fabric), "space")
+	cli, err := tuplespace.Dial(transport.NewMem(fabric), "space", tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = cli.Close() })
 
-	root, done := trace.Default().Scope("user.request")
+	root, done := tr.Scope("user.request")
 	if root == nil {
 		t.Fatal("no root span")
 	}
