@@ -62,9 +62,6 @@ var apiAllowlist = map[string]string{
 	"bibliometrics.MonotoneAfterOnset":  "test seam: bibliometrics series shape",
 
 	// References the tests hold the fast paths to.
-	"wire.AppendFrame":   "test reference: FuzzFrameStream and TestAppendFrameMatchesWriteFrame",
-	"wire.WriteMessage":  "test reference: the unbatched message framing the wire tests read back",
-	"wire.ReadMessage":   "test reference: the one-shot frame reader the batched writer is read back with",
 	"wire.Message.Equal": "test reference: field equality the codec fuzzers and reader tests compare with",
 
 	// The root ndsm facade: one public name, no code path.

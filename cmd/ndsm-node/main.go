@@ -425,7 +425,9 @@ func serve(tr transport.Transport, registry discovery.Resolver, listen, configPa
 	}
 
 	// Runtime introspection gauges ride the node's registry whether or not
-	// the bridge is up: a -publish node ships them in its reports.
+	// the bridge is up: a -publish node ships them in its reports. The
+	// bridge's /metrics refreshes them through this same sampler, the
+	// registry's one.
 	sampleRuntime := obs.RuntimeGauges(opts.Metrics)
 
 	// Optional embedded web server (§2 of the paper: HTTP access to the

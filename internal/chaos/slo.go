@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ndsm/internal/flightrec"
+	"ndsm/internal/netsim"
 	"ndsm/internal/slo"
 	"ndsm/internal/telemetry"
 )
@@ -98,8 +99,13 @@ func (w *World) buildSLO() error {
 		// tick records once, with the rest counted as suppressed.
 		MinInterval: tick,
 		Spans:       w.spans,
-		Health:      w.health,
-		Aggregator:  w.agg,
+		// The consumer's own counts (its radio's netsim.*, its router's and
+		// mux's drops, its binding calls), so a bundle names what this node
+		// lost and dropped while the alert burned.
+		Metrics:    w.Net.Metrics(netsim.NodeID(ConsumerID)),
+		Health:     w.health,
+		Aggregator: w.agg,
+		ReqLog:     w.reqlogs[ConsumerID],
 	})
 	eng.Alerts().Notify(func(t slo.Transition) {
 		w.mu.Lock()

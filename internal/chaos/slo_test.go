@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ndsm/internal/flightrec"
 	"ndsm/internal/simtime"
 	"ndsm/internal/slo"
 )
@@ -118,6 +119,38 @@ func TestAlertLatencyAroundPartition(t *testing.T) {
 	events := engine.Events()
 	if v := alertLatency(w, events); len(v) != 0 {
 		t.Fatalf("alert-latency violations on a detected run: %v", v)
+	}
+}
+
+// A flight bundle cut in the SLO world carries the consumer's own counters:
+// its radio's netsim.* traffic in Obs, and in ObsDelta what it sent since the
+// bundle before.
+func TestFlightBundleCarriesConsumerCounters(t *testing.T) {
+	vclock := simtime.NewVirtual(time.Unix(0, 0))
+	w, err := NewWorld(WorldConfig{Seed: 1, NoLiveness: true, SLO: true}, vclock, nil)
+	if err != nil {
+		t.Fatalf("world: %v", err)
+	}
+	defer w.Close() //nolint:errcheck
+	tick := 0
+	cut := func() *flightrec.Bundle {
+		for end := tick + 3; tick < end; tick++ {
+			vclock.Advance(TickEvery)
+			w.Tick(tick)
+		}
+		b := w.FlightRecorder().Snapshot(flightrec.Trigger{Objective: "test", Node: ConsumerID, Severity: "critical"})
+		if b == nil {
+			t.Fatal("flight recorder cut no bundle")
+		}
+		return b
+	}
+	first := cut()
+	if first.Obs == nil || first.Obs.Counters["netsim.sent"] == 0 {
+		t.Fatalf("first bundle holds no consumer netsim.sent: %+v", first.Obs)
+	}
+	second := cut()
+	if second.ObsDelta == nil || second.ObsDelta.Counters["netsim.sent"] <= 0 {
+		t.Fatalf("second bundle's delta holds no consumer netsim.sent: %+v", second.ObsDelta)
 	}
 }
 

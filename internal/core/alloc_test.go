@@ -50,8 +50,8 @@ func TestBindingRequestAllocs(t *testing.T) {
 // both nodes: the AsyncReply, which holds its call's endpoint.Future, and the
 // reply's payload, which the consumer keeps. The Call stays on the stack
 // (Caller.Start), the reply envelope is endpoint.NewReply's, and both decodes
-// draw shells the other side gave back. The two are 224 B: 160 for the
-// AsyncReply's size class (TestAsyncHandleSizes) and 64 for the payload.
+// draw shells the other side gave back. The two are 192 B: 128 for the
+// AsyncReply (TestAsyncHandleSizes) and 64 for the payload.
 func TestBindingRequestAsyncAllocsTCP(t *testing.T) {
 	store := discovery.NewStore(nil, 0)
 	node := func() *Node {
@@ -93,7 +93,7 @@ func TestBindingRequestAsyncAllocsTCP(t *testing.T) {
 	}
 	// The slack is for what the runtime and the test allocate beside the
 	// calls, a few bytes a call, well short of the next size class.
-	const wantBytes, slack = 224, 8
+	const wantBytes, slack = 192, 8
 	if bytes := bytesPerRun(1000, request); bytes > wantBytes+slack {
 		t.Fatalf("RequestAsync and Wait on TCP allocate %.1f B, want at most %d", bytes, wantBytes)
 	}

@@ -143,7 +143,7 @@ func (b *Binding) connect(peer string) error {
 	// interceptor's call counts or latency histogram; tracing wraps both so
 	// the call span also records breaker fast-fails.
 	interceptors := []endpoint.ClientInterceptor{
-		endpoint.WithMetrics(b.node.metrics, "core.binding", b.node.clock),
+		endpoint.WithMetrics(b.node.metrics, "core.binding"),
 	}
 	if h := b.node.health; h != nil {
 		interceptors = append([]endpoint.ClientInterceptor{
@@ -159,7 +159,6 @@ func (b *Binding) connect(peer string) error {
 		interceptors = append([]endpoint.ClientInterceptor{
 			endpoint.WithWideEvents(endpoint.WideEventOptions{
 				Recorder: b.node.reqlog,
-				Clock:    b.node.clock,
 				Peer:     peer,
 			}),
 		}, interceptors...)
@@ -340,15 +339,15 @@ func (b *Binding) requestOnce(payload []byte) ([]byte, error) {
 	caller, peer := b.caller, b.peer
 	b.mu.Unlock()
 
-	start := b.node.clock.Now()
-	m, err := caller.Do(&endpoint.Call{
+	call := endpoint.Call{
 		Topic:   b.spec.Query.Name,
 		Src:     b.node.name,
 		Dst:     peer,
 		Payload: payload,
 		Timeout: b.callTimeout(),
 		Lane:    b.lane,
-	})
+	}
+	m, err := caller.Do(&call)
 	if err != nil {
 		if re, ok := endpoint.IsRemote(err); ok {
 			return nil, &remoteError{msg: re.Msg}
@@ -358,7 +357,8 @@ func (b *Binding) requestOnce(payload []byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	b.Tracker().ObserveDelivery(b.node.clock.Now().Sub(start))
+	// The caller timed the call once, for its interceptors and for this.
+	b.Tracker().ObserveDelivery(call.Elapsed())
 	return takePayload(m), nil
 }
 
@@ -405,7 +405,7 @@ func (b *Binding) RequestAsync(payload []byte) *AsyncReply {
 	caller, peer := b.caller, b.peer
 	b.mu.Unlock()
 
-	r := &AsyncReply{b: b, start: b.node.clock.Now()}
+	r := &AsyncReply{b: b}
 	// A pre-send failure resolves r.fut as failed, so Wait reports it and
 	// the tracker observes it there, like any transport-level failure.
 	_ = caller.Start(&endpoint.Call{
@@ -420,12 +420,12 @@ func (b *Binding) RequestAsync(payload []byte) *AsyncReply {
 }
 
 // AsyncReply is a pending RequestAsync: a promise for the supplier's reply.
-// It holds its future by value and no copy of what its binding holds, so an
-// async request costs one 152 B object (size class 160) besides its payload.
+// It holds its future by value and no copy of what its binding or its call's
+// pooled waiter holds — the future reports how long the call took — so an
+// async request costs one 128 B object besides its payload.
 type AsyncReply struct {
-	b     *Binding // nil: the binding was closed before the call
-	fut   endpoint.Future
-	start time.Time
+	b   *Binding // nil: the binding was closed before the call
+	fut endpoint.Future
 
 	once    sync.Once
 	payload []byte
@@ -458,7 +458,7 @@ func (r *AsyncReply) Wait() ([]byte, error) {
 			r.outErr = err
 			return
 		}
-		r.b.Tracker().ObserveDelivery(r.b.node.clock.Now().Sub(r.start))
+		r.b.Tracker().ObserveDelivery(r.fut.Elapsed())
 		r.payload = takePayload(m) // once: r.fut is waited on nowhere else
 	})
 	return r.payload, r.outErr

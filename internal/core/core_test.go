@@ -767,27 +767,35 @@ func TestNodeServerMetricsUseNodeClock(t *testing.T) {
 	}
 }
 
-// countingClock is wall time that counts its reads.
+// countingClock is wall time that counts its reads, Now and Since apart.
 type countingClock struct {
 	simtime.Real
-	reads atomic.Int64
+	nows, sinces atomic.Int64
 }
 
 func (c *countingClock) Now() time.Time {
-	c.reads.Add(1)
+	c.nows.Add(1)
 	return time.Now()
+}
+
+func (c *countingClock) Since(t time.Time) time.Duration {
+	c.sinces.Add(1)
+	return time.Since(t)
 }
 
 // Every clock read on a call's path is the node clock's, so a counting clock
 // on both nodes counts them all. With request logs on both nodes, as in the
-// rpc_small_tcp benchmark, a bound Request on mem reads it 10 times: the
-// binding 2 (issue and delivery), the client's wide event 2 and metrics 2,
-// the server's dispatch record 2 and metrics 2. RequestAsync and Wait skip the
-// client interceptors: 6. The caller's deadline sweep adds one read per 256
-// calls. A read is not free: time.Now costs 84-90 ns on a virtualized Intel
-// Xeon, 16.6 % of a mem Binding.Request CPU profile and 4.9 % of
-// rpc_small_tcp's, so these ceilings are there to come down (one stopwatch
-// per call).
+// rpc_small_tcp benchmark, each side times a call once: the caller reads Now
+// when the call starts (Do, before its interceptors; Start for RequestAsync)
+// and Since when the reply settles its future, and the binding's QoS
+// tracker, the client's wide event and its metrics all read that one
+// interval; the server reads Now and Since around a dispatch, which times
+// both its wide event and its metrics. So a bound Request and a
+// RequestAsync+Wait each read Now twice and Since twice (10 and 6 Nows
+// before), and the caller's deadline sweep adds one Now per 256 calls. A
+// read is not free: on a virtualized Intel Xeon (go1.24, one processor)
+// time.Now costs 64-72 ns and time.Since, which reads only the monotonic
+// clock, 35-39 ns.
 func TestClockReadsPerCall(t *testing.T) {
 	w := newWorld(t)
 	clock := &countingClock{}
@@ -803,44 +811,110 @@ func TestClockReadsPerCall(t *testing.T) {
 	}
 	defer b.Close()
 	const calls = 256 // one deadline sweep each
-	readsPer := func(call func() error) float64 {
+	readsPer := func(call func() error) (nows, sinces float64) {
 		for i := 0; i < 10; i++ {
 			if err := call(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		before := clock.reads.Load()
+		n, s := clock.nows.Load(), clock.sinces.Load()
 		for i := 0; i < calls; i++ {
 			if err := call(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return float64(clock.reads.Load()-before) / calls
+		return float64(clock.nows.Load()-n) / calls, float64(clock.sinces.Load()-s) / calls
 	}
 	const sweep = 1.0 / calls
-	syncReads := readsPer(func() error { _, err := b.Request([]byte("x")); return err })
-	asyncReads := readsPer(func() error { _, err := b.RequestAsync([]byte("x")).Wait(); return err })
-	t.Logf("clock reads per call: Request %.3f, RequestAsync+Wait %.3f", syncReads, asyncReads)
-	if syncReads > 10+sweep {
-		t.Errorf("Binding.Request reads the clock %.3f times, want at most 10", syncReads)
-	}
-	if asyncReads > 6+sweep {
-		t.Errorf("RequestAsync and Wait read the clock %.3f times, want at most 6", asyncReads)
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"Binding.Request", func() error { _, err := b.Request([]byte("x")); return err }},
+		{"RequestAsync and Wait", func() error { _, err := b.RequestAsync([]byte("x")).Wait(); return err }},
+	} {
+		nows, sinces := readsPer(c.call)
+		t.Logf("%s reads Now %.3f and Since %.3f times a call", c.name, nows, sinces)
+		if nows > 2+sweep || sinces > 2 {
+			t.Errorf("%s reads Now %.3f and Since %.3f times a call, want at most 2 each", c.name, nows, sinces)
+		}
 	}
 }
 
+// Each side times a call once and every layer reads that one interval. On a
+// virtual clock, a handler that takes 250 ms shows exactly 250 ms to all of
+// them: the binding's QoS tracker, core.binding.latency_ms and the client's
+// wide event (for a bound Request; RequestAsync skips the client
+// interceptors), and core.node.latency_ms and the server's wide event.
+func TestOneStopwatchPerSide(t *testing.T) {
+	w := newWorld(t)
+	clock := simtime.NewVirtual(time.Unix(1000, 0))
+	const took = 250 * time.Millisecond
+	node := func(name string, reg *obs.Registry, rec *reqlog.Recorder) *Node {
+		return w.nodeWith(Config{Name: name, Clock: clock, Metrics: reg, ReqLog: rec})
+	}
+	supReg, conReg := obs.NewRegistry(), obs.NewRegistry()
+	supLog, conLog := reqlog.New(reqlog.Options{SampleEvery: 1}), reqlog.New(reqlog.Options{SampleEvery: 1})
+	slow := func(p []byte) ([]byte, error) {
+		clock.Advance(took)
+		return p, nil
+	}
+	if err := node("supplier-1", supReg, supLog).Serve(bpDesc(0.9), slow); err != nil {
+		t.Fatal(err)
+	}
+	b, err := node("consumer-1", conReg, conLog).Bind(&qos.Spec{Query: svcdesc.Query{Name: "sensor/bp"}}, BindOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	wantMillis := func(name string, h *obs.Histogram, count int) {
+		t.Helper()
+		if got := h.Summary(); got.Count != count || got.Min != 250 || got.Max != 250 {
+			t.Errorf("%s = %+v, want %d observations of 250", name, got, count)
+		}
+	}
+	wantEvents := func(rec *reqlog.Recorder, kind string, count int) {
+		t.Helper()
+		evs := rec.Snapshot(reqlog.Filter{Kind: kind})
+		if len(evs) != count {
+			t.Fatalf("%d %s wide events, want %d", len(evs), kind, count)
+		}
+		for _, ev := range evs {
+			if ev.Latency != took {
+				t.Errorf("%s wide event latency %v, want %v", kind, ev.Latency, took)
+			}
+		}
+	}
+
+	if _, err := b.Request([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RequestAsync([]byte("x")).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := b.Tracker().Report(); rep.Delivered != 2 || rep.MeanDelay != took {
+		t.Errorf("tracker = %+v, want 2 deliveries of %v", rep, took)
+	}
+	wantMillis("core.binding.latency_ms", conReg.Histogram("core.binding.latency_ms"), 1)
+	wantEvents(conLog, reqlog.KindClient, 1)
+	wantMillis("core.node.latency_ms", supReg.Histogram("core.node.latency_ms"), 2)
+	wantEvents(supLog, reqlog.KindServer, 2)
+}
+
 // A pipelined call's handles hold nothing their binding or their pooled
-// waiter already holds. The Future is 64 B, a size class of its own, and the
-// AsyncReply around it 152 B, which allocates as 160: with a 64 B reply's
-// payload, 224 B per RequestAsync (TestBindingRequestAsyncAllocsTCP counts
-// them). A field added to either moves it up a class: to 80 and 176 B.
+// waiter already holds: the call's ID and start are the waiter's, and the
+// Future carries only the elapsed time its Wait measured. The Future is 64 B,
+// a size class of its own, and the AsyncReply around it 128 B, another: with
+// a 64 B reply's payload, 192 B per RequestAsync
+// (TestBindingRequestAsyncAllocsTCP counts them). A field added to either
+// moves it up a class: to 80 and 144 B.
 func TestAsyncHandleSizes(t *testing.T) {
 	var fut endpoint.Future
 	var r AsyncReply
 	if got := unsafe.Sizeof(fut); got > 64 {
 		t.Errorf("endpoint.Future is %d B, want at most 64", got)
 	}
-	if got := unsafe.Sizeof(r); got > 160 {
-		t.Errorf("AsyncReply is %d B, want at most 160", got)
+	if got := unsafe.Sizeof(r); got > 128 {
+		t.Errorf("AsyncReply is %d B, want at most 128", got)
 	}
 }

@@ -149,18 +149,16 @@ func NewNode(cfg Config) (*Node, error) {
 		suppliers:  make(map[string]*supplier),
 	}
 	n.ep = endpoint.NewServer(l, endpoint.ServerOptions{
-		Name:        cfg.Name,
-		Kinds:       []wire.Kind{wire.KindRequest},
-		MaxInFlight: cfg.MaxInFlight,
-		Lanes:       cfg.Lanes,
-		Metrics:     cfg.Metrics,
-		ReqLog:      cfg.ReqLog,
-		Clock:       cfg.Clock,
+		Name:            cfg.Name,
+		Kinds:           []wire.Kind{wire.KindRequest},
+		MaxInFlight:     cfg.MaxInFlight,
+		Lanes:           cfg.Lanes,
+		Metrics:         cfg.Metrics,
+		DispatchMetrics: "core.node",
+		ReqLog:          cfg.ReqLog,
+		Clock:           cfg.Clock,
 		Interceptors: []endpoint.ServerInterceptor{
-			// Tracing outermost so the server span brackets the metrics
-			// observation and any handler-side downstream calls.
 			endpoint.WithServerTracing(cfg.Tracer, "core.node.serve"),
-			endpoint.WithServerMetrics(cfg.Metrics, "core.node", cfg.Clock),
 		},
 		Fallback: func(req *wire.Message) (*wire.Message, error) {
 			return nil, fmt.Errorf("%w: %s", ErrUnknownService, req.Topic)

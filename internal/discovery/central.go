@@ -76,12 +76,13 @@ func NewResolverServer(backing Resolver, l transport.Listener, opts ServerOption
 	s.store, _ = backing.(*Store)
 	s.sweeper, _ = backing.(Sweeper)
 	s.ep = endpoint.NewServer(l, endpoint.ServerOptions{
-		Kinds: []wire.Kind{wire.KindControl, wire.KindRequest},
-		Clock: opts.Clock,
+		Kinds:           []wire.Kind{wire.KindControl, wire.KindRequest},
+		Clock:           opts.Clock,
+		Metrics:         opts.Metrics,
+		DispatchMetrics: "discovery.server",
 		Interceptors: []endpoint.ServerInterceptor{
 			endpoint.WithServerTracing(opts.Tracer, "disc.serve"),
 			s.sweepFirst,
-			endpoint.WithServerMetrics(opts.Metrics, "discovery.server", opts.Clock),
 		},
 		Fallback: func(req *wire.Message) (*wire.Message, error) {
 			return nil, fmt.Errorf("discovery: unknown topic %q", req.Topic)
@@ -220,7 +221,7 @@ func NewInstrumentedClient(tr transport.Transport, addr string, reg *obs.Registr
 			// after a torn-down connection or an expired wait; retry Max 1
 			// reproduces that.
 			endpoint.WithRetry(endpoint.RetryPolicy{Max: 1, RetryTimeouts: true}, reg, "discovery.client"),
-			endpoint.WithMetrics(reg, "discovery.client", nil),
+			endpoint.WithMetrics(reg, "discovery.client"),
 		},
 	})
 	return c

@@ -294,16 +294,16 @@ func TestFutureErrorsNameTheirCall(t *testing.T) {
 
 	for i := 0; i < 8; i++ {
 		fut := c.Go(&Call{Topic: "shed", Timeout: NoTimeout})
-		if w := fut.w; w.topic != "shed" || w.timeout != 0 || !w.deadline.IsZero() {
-			t.Fatalf("call %d: waiter holds topic %q, timeout %v, deadline %v; want shed and none", i, w.topic, w.timeout, w.deadline)
+		if w := fut.w; w.id == 0 || w.topic != "shed" || w.timeout != 0 || !w.start.Equal(clock.Now()) {
+			t.Fatalf("call %d: waiter holds id %d, topic %q, timeout %v, start %v; want an id, shed, none and now", i, w.id, w.topic, w.timeout, w.start)
 		}
 		_, _ = fut.Wait()
 	}
 	w := getWaiter()
-	w.gen, w.topic, w.timeout, w.deadline = 7, "stall", time.Second, clock.Now()
+	w.id, w.gen, w.topic, w.timeout, w.start = 9, 7, "stall", time.Second, clock.Now()
 	putWaiter(w)
-	if w.gen != 0 || w.topic != "" || w.timeout != 0 || !w.deadline.IsZero() {
-		t.Fatalf("pooled waiter keeps gen %d, topic %q, timeout %v, deadline %v", w.gen, w.topic, w.timeout, w.deadline)
+	if w.id != 0 || w.gen != 0 || w.topic != "" || w.timeout != 0 || !w.start.IsZero() {
+		t.Fatalf("pooled waiter keeps id %d, gen %d, topic %q, timeout %v, start %v", w.id, w.gen, w.topic, w.timeout, w.start)
 	}
 }
 
@@ -473,7 +473,7 @@ func TestCallAllocBudgetWithInterceptorsOn(t *testing.T) {
 		CallerOptions{
 			Timeout: 5 * time.Second,
 			Interceptors: []ClientInterceptor{
-				WithMetrics(reg, "bench", nil),
+				WithMetrics(reg, "bench"),
 				WithTracing(nil, "bench"),
 			},
 		})

@@ -48,12 +48,13 @@ type CallerOptions struct {
 // unreachable from the map, no further send can occur and the channel can be
 // safely drained and recycled.
 type waiter struct {
-	ch       chan waitResult
-	gen      uint64        // connection generation the call was sent on
-	topic    string        // the call's, for the errors it settles into
-	timeout  time.Duration // the call's, for its ErrTimeout
-	deadline time.Time     // zero means none; read by Wait and the sweep
-	timer    *time.Timer   // a blocking Wait's deadline timer, stopped between calls
+	ch      chan waitResult
+	id      uint64        // the call's correlation ID, its key in the map
+	gen     uint64        // connection generation the call was sent on
+	topic   string        // the call's, for the errors it settles into
+	timeout time.Duration // the call's (0: none); its deadline is start+timeout
+	start   time.Time     // when the call's attempt began, by the caller's clock
+	timer   *time.Timer   // a blocking Wait's deadline timer, stopped between calls
 }
 
 // sweepInterval is how many calls go by between deadline sweeps of the
@@ -134,21 +135,42 @@ func NewCaller(tr transport.Transport, addr string, opts CallerOptions) (*Caller
 // when the chain returns, which is why an interceptor must not keep it (see
 // ClientInterceptor). A caller with no interceptors makes the round trip
 // directly. Either way call can stay on its caller's stack.
+//
+// Do times the call once, for every layer: see Call.Elapsed.
 func (c *Caller) Do(call *Call) (*wire.Message, error) {
-	call.Lane = c.laneFor(call)
+	c.begin(call)
 	if len(c.opts.Interceptors) == 0 {
 		return c.roundtrip(call)
 	}
-	cp := callPool.Get().(*Call)
-	*cp = *call
-	m, err := c.invoke(cp)
-	*cp = Call{}
-	callPool.Put(cp)
+	cc := callPool.Get().(*chainCall)
+	cc.call = *call
+	// Stamped before the chain, so the interceptors' own time and every
+	// retry are inside what the layers above read.
+	cc.start = c.clock.Now()
+	cc.call.start = &cc.start
+	m, err := c.invoke(&cc.call)
+	call.elapsed = cc.call.elapsed
+	*cc = chainCall{}
+	callPool.Put(cc)
 	return m, err
 }
 
-// callPool holds the Call copies Do hands its interceptor chain.
-var callPool = sync.Pool{New: func() any { return new(Call) }}
+// begin readies call to be issued afresh: it resolves the effective lane and
+// clears the stopwatch and retry count a reused Call kept from its last issue.
+func (c *Caller) begin(call *Call) {
+	call.Lane = c.laneFor(call)
+	call.attempts, call.elapsed, call.start = 0, 0, nil
+}
+
+// chainCall is the copy of a Call that Do hands its interceptor chain, and
+// the instant Do stamped before the chain ran, which the copy points at.
+type chainCall struct {
+	call  Call
+	start time.Time
+}
+
+// callPool holds the chainCalls Do hands its interceptor chain.
+var callPool = sync.Pool{New: func() any { return new(chainCall) }}
 
 // laneFor resolves a call's effective admission lane: an explicit Call.Lane
 // wins, then the caller's topic table, then the caller default. Idempotent,
@@ -304,12 +326,12 @@ func (c *Caller) shedError(topic string, lane Lane) *ShedError {
 // Pre-send failures (closed caller, failed dial, send error) come back as an
 // already-failed future.
 func (c *Caller) Go(call *Call) *Future {
-	call.Lane = c.laneFor(call)
+	c.begin(call)
 	fut := resolvedFuture // what a one-way call returns; start leaves it alone
 	if !call.OneWay {
 		fut = new(Future)
 	}
-	if err := c.start(call, fut); err != nil {
+	if _, err := c.start(call, fut); err != nil {
 		return failedFuture(err)
 	}
 	return fut
@@ -323,8 +345,8 @@ func (c *Caller) Go(call *Call) *Future {
 // Wait returns the error Start returns.
 // fut must not be in use; Start keeps no reference to it.
 func (c *Caller) Start(call *Call, fut *Future) error {
-	call.Lane = c.laneFor(call)
-	err := c.start(call, fut)
+	c.begin(call)
+	_, err := c.start(call, fut)
 	if err != nil || call.OneWay {
 		*fut = Future{done: true, err: err}
 	}
@@ -333,27 +355,28 @@ func (c *Caller) Start(call *Call, fut *Future) error {
 
 // roundtrip is the terminal ClientFunc: one correlated exchange — a start
 // plus an immediate wait. Its future lives in this frame: nobody else can see
-// it, so it is neither allocated nor locked.
+// it, so it is neither allocated nor locked. It adds the attempt's time to
+// call.elapsed: the future's one clock read when the reply settles it, a
+// read of its own when nothing does.
 func (c *Caller) roundtrip(call *Call) (*wire.Message, error) {
 	var fut Future
-	if err := c.start(call, &fut); err != nil || call.OneWay {
+	began, err := c.start(call, &fut)
+	if err != nil || call.OneWay {
+		if !began.IsZero() {
+			call.elapsed += c.clock.Since(began)
+		}
 		return nil, err
 	}
-	return fut.waitLocked()
+	m, err := fut.waitLocked()
+	call.elapsed += fut.elapsed
+	return m, err
 }
 
 // start issues the request on the wire and, unless the call is one-way,
-// fills fut in as the future for its reply. It keeps no reference to fut, so
-// a caller may pass the address of a local.
-func (c *Caller) start(call *Call, fut *Future) error {
-	c.mu.Lock()
-	conn, gen, err := c.ensureConnLocked()
-	if err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	id := c.nextID.Add(1)
-
+// fills fut in as the future for its reply, and returns the instant the
+// attempt began (zero when nothing times it). It keeps no reference to fut,
+// so a caller may pass the address of a local.
+func (c *Caller) start(call *Call, fut *Future) (time.Time, error) {
 	timeout := call.Timeout
 	if timeout == 0 {
 		timeout = c.opts.Timeout
@@ -361,19 +384,36 @@ func (c *Caller) start(call *Call, fut *Future) error {
 	if timeout < 0 {
 		timeout = 0 // NoTimeout: wait forever
 	}
+	// The call's one stopwatch, which its deadline is measured on too: Do
+	// stamped it before the chain, and an attempt begins where the one
+	// before it ended, as WithRetry retries at once; otherwise the call
+	// starts here. A one-way call without a deadline has nothing to time.
+	var begin time.Time
+	if call.start != nil {
+		begin = call.start.Add(call.elapsed)
+	} else if !call.OneWay || timeout > 0 {
+		begin = c.clock.Now()
+	}
 	var deadline time.Time
 	if timeout > 0 {
 		// Deadline propagation: the server (and anything downstream) sees
 		// how long this call stays worth serving.
-		deadline = c.clock.Now().Add(timeout)
+		deadline = begin.Add(timeout)
 	}
 
+	c.mu.Lock()
+	conn, gen, err := c.ensureConnLocked()
+	if err != nil {
+		c.mu.Unlock()
+		return begin, err
+	}
+	id := c.nextID.Add(1)
 	var w *waiter
 	if !call.OneWay {
 		w = getWaiter()
-		w.gen, w.topic, w.timeout, w.deadline = gen, call.Topic, timeout, deadline
+		w.id, w.gen, w.topic, w.timeout, w.start = id, gen, call.Topic, timeout, begin
 		c.waiters[id] = w
-		*fut = Future{c: c, id: id, w: w}
+		*fut = Future{c: c, w: w}
 	}
 	if id%sweepInterval == 0 {
 		// Amortized cleanup for futures nobody waits on: without it an
@@ -413,7 +453,7 @@ func (c *Caller) start(call *Call, fut *Future) error {
 	err = conn.Send(req)
 	putMsg(req) // transports must not retain it (see transport.Conn)
 	if err != nil {
-		if w != nil && c.cancelWaiter(id, w) {
+		if w != nil && c.cancelWaiter(w) {
 			putWaiter(w)
 		}
 		c.mu.Lock()
@@ -421,21 +461,21 @@ func (c *Caller) start(call *Call, fut *Future) error {
 		closed := c.closed
 		c.mu.Unlock()
 		if closed {
-			return ErrClosed
+			return begin, ErrClosed
 		}
-		return fmt.Errorf("%w: send %s: %v", ErrUnavailable, call.Topic, err)
+		return begin, fmt.Errorf("%w: send %s: %v", ErrUnavailable, call.Topic, err)
 	}
-	return nil
+	return begin, nil
 }
 
-// cancelWaiter removes id's waiter from the demux map if it is still w, and
+// cancelWaiter removes w from the demux map if it is still there, and
 // reports whether it did. A false return means the waiter was already
 // resolved: its result is guaranteed buffered on w.ch.
-func (c *Caller) cancelWaiter(id uint64, w *waiter) bool {
+func (c *Caller) cancelWaiter(w *waiter) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.waiters[id] == w {
-		delete(c.waiters, id)
+	if c.waiters[w.id] == w {
+		delete(c.waiters, w.id)
 		return true
 	}
 	return false
@@ -445,7 +485,7 @@ func (c *Caller) cancelWaiter(id uint64, w *waiter) bool {
 // c.mu; sends are part of the removal critical section (see waiter).
 func (c *Caller) sweepLocked(now time.Time) {
 	for id, w := range c.waiters {
-		if !w.deadline.IsZero() && now.After(w.deadline) {
+		if w.timeout > 0 && now.Sub(w.start) > w.timeout {
 			delete(c.waiters, id)
 			w.ch <- waitResult{err: fmt.Errorf("%w: deadline passed before reply", ErrTimeout)}
 		}

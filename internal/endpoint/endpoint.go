@@ -134,10 +134,11 @@ func Retryable(err error, retryTimeouts bool) bool {
 	return errors.Is(err, ErrUnavailable)
 }
 
-// Call describes one request/reply exchange.
+// Call describes one request/reply exchange. Its three one-byte fields sit
+// together, after the rest, so that with Do's plumbing a Call is 112 B, the
+// size class it had without: a program that allocates one per request pays
+// nothing for the stopwatch (TestCallSize).
 type Call struct {
-	// Kind is the request's message kind (default wire.KindRequest).
-	Kind wire.Kind
 	// Topic names the method, registry operation, or queue verb addressed.
 	Topic string
 	// Src and Dst optionally stamp the envelope's addresses.
@@ -150,6 +151,8 @@ type Call struct {
 	// waits forever. The deadline also propagates on the wire (Message
 	// .Deadline) so servers and downstream hops can shed doomed work.
 	Timeout time.Duration
+	// Kind is the request's message kind (default wire.KindRequest).
+	Kind wire.Kind
 	// Lane is the call's admission priority class, stamped once here at the
 	// endpoint layer into the envelope's Priority byte — like trace context,
 	// in-band — so bounded servers along the path can isolate control traffic
@@ -164,10 +167,25 @@ type Call struct {
 	OneWay bool
 
 	// attempts counts extra attempts WithRetry spent on this call, read by
-	// the wide-event interceptor outside it. Interceptor-chain plumbing, not
-	// caller state: WithWideEvents zeroes it before the chain runs.
-	attempts int
+	// the wide-event interceptor outside it. start and elapsed are the
+	// call's one stopwatch: start points at the instant Do stamped before
+	// its interceptor chain ran (nil outside the chain), and each attempt's
+	// round trip adds its own time to elapsed, which so reads the time from
+	// the call's start to the end of its latest attempt. The layers above
+	// the round trip — metrics, wide events, the binding's QoS tracker —
+	// read these instead of the clock. Interceptor-chain plumbing, not
+	// caller state: Do, Go and Start reset all three.
+	attempts int32
+	elapsed  time.Duration
+	start    *time.Time
 }
+
+// Elapsed is how long the call's last Do took: from just before its
+// interceptor chain ran to the reply or failure that ended it, retries
+// included. It is zero for a call that never reached the round trip, and
+// for a one-way call made with no interceptors and no timeout, which nothing
+// times.
+func (c *Call) Elapsed() time.Duration { return c.elapsed }
 
 // ClientFunc performs a call: the terminal one is the caller's round-trip;
 // interceptors wrap it.

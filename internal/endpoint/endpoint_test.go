@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ndsm/internal/obs"
 	"ndsm/internal/simtime"
@@ -453,7 +454,7 @@ func TestRetryTimeoutsOptIn(t *testing.T) {
 func TestMetricsInterceptor(t *testing.T) {
 	reg := obs.NewRegistry()
 	term, _ := flakyTerminal(1)
-	fn := chainClient([]ClientInterceptor{WithMetrics(reg, "m", nil)}, term)
+	fn := chainClient([]ClientInterceptor{WithMetrics(reg, "m")}, term)
 	_, _ = fn(&Call{Topic: "x"}) // fails (unavailable)
 	_, _ = fn(&Call{Topic: "x"}) // succeeds
 	if got := reg.Counter("m.calls").Value(); got != 2 {
@@ -593,11 +594,9 @@ func TestInterceptorOrder(t *testing.T) {
 	}
 }
 
-func TestServerMetricsInterceptor(t *testing.T) {
+func TestServerDispatchMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, c := newPair(t, ServerOptions{
-		Interceptors: []ServerInterceptor{WithServerMetrics(reg, "srv", nil)},
-	}, CallerOptions{})
+	s, c := newPair(t, ServerOptions{Metrics: reg, DispatchMetrics: "srv"}, CallerOptions{})
 	s.Handle("ok", func(req *wire.Message) (*wire.Message, error) {
 		return &wire.Message{Kind: wire.KindReply}, nil
 	})
@@ -744,5 +743,15 @@ func TestTracingSurvivesRedial(t *testing.T) {
 		if !found {
 			t.Errorf("call %d (trace %x): no server span parented under client span %x", i, cs.TraceID, cs.SpanID)
 		}
+	}
+}
+
+// A Call is 112 B, one size class, with Do's stopwatch and retry count in it:
+// a program that allocates a Call per request (the overload benchmark's
+// callers do) pays no more for them. A field more, or the stopwatch's start
+// kept by value, moves it to 128 or 144 B.
+func TestCallSize(t *testing.T) {
+	if got := unsafe.Sizeof(Call{}); got > 112 {
+		t.Errorf("Call is %d B, want at most 112", got)
 	}
 }

@@ -15,18 +15,18 @@ import (
 // outcome. A Future whose Wait is never called does not leak: the caller's
 // periodic deadline sweep (or connection teardown) resolves it internally.
 //
-// A Future is safe for concurrent use. The call's topic, timeout and deadline
+// A Future is safe for concurrent use. The call's ID, topic, timeout and start
 // live in its pooled waiter, read before the waiter goes back to the pool, so
 // the handle is 64 B: one size class.
 type Future struct {
-	c  *Caller
-	id uint64
+	c *Caller
 
-	mu   sync.Mutex
-	w    *waiter // nil once resolved
-	done bool
-	m    *wire.Message
-	err  error
+	mu      sync.Mutex
+	w       *waiter // nil once resolved
+	done    bool
+	elapsed time.Duration
+	m       *wire.Message
+	err     error
 }
 
 // resolvedFuture is the shared already-succeeded future returned by one-way
@@ -65,7 +65,7 @@ func (f *Future) waitLocked() (*wire.Message, error) {
 	if f.done {
 		return f.m, f.err
 	}
-	if f.w.deadline.IsZero() {
+	if f.w.timeout == 0 {
 		// Nothing to time: the reply, or the teardown that fails the call,
 		// is the only way out.
 		f.settleLocked(<-f.w.ch)
@@ -79,7 +79,7 @@ func (f *Future) waitLocked() (*wire.Message, error) {
 		return f.m, f.err
 	default:
 	}
-	remaining := f.w.deadline.Sub(f.c.clock.Now())
+	remaining := f.w.timeout - f.c.clock.Since(f.w.start)
 	if remaining <= 0 {
 		f.expireLocked()
 		return f.m, f.err
@@ -132,7 +132,7 @@ func (w *waiter) stopTimer() {
 // expireLocked resolves the future as timed out — unless a result raced in,
 // in which case the result wins. Caller holds f.mu.
 func (f *Future) expireLocked() {
-	if f.c.cancelWaiter(f.id, f.w) {
+	if f.c.cancelWaiter(f.w) {
 		// We removed the demux entry, so no result was (or ever will be)
 		// delivered: the call timed out.
 		f.settleLocked(waitResult{err: fmt.Errorf("%w: %s after %v", ErrTimeout, f.w.topic, f.w.timeout)})
@@ -144,10 +144,23 @@ func (f *Future) expireLocked() {
 	f.settleLocked(<-f.w.ch)
 }
 
-// settleLocked records the outcome, translating error replies, and returns
-// the waiter to the pool. Caller holds f.mu; the waiter must no longer be
-// reachable from the demux map.
+// Elapsed is how long the call took, from its start to the Wait that settled
+// it: zero before then, and for a call that never left or was one-way.
+func (f *Future) Elapsed() time.Duration {
+	if f.bornResolved() {
+		return 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.elapsed
+}
+
+// settleLocked records the outcome, translating error replies, and the time
+// the call took — the clock read that times it for every layer above — and
+// returns the waiter to the pool. Caller holds f.mu; the waiter must no
+// longer be reachable from the demux map.
 func (f *Future) settleLocked(r waitResult) {
+	f.elapsed = f.c.clock.Since(f.w.start)
 	m, err := r.m, r.err
 	if err == nil {
 		switch m.Kind {
@@ -181,7 +194,7 @@ func putWaiter(w *waiter) {
 	case <-w.ch: // drop an undelivered result (cancelled before Wait)
 	default:
 	}
-	w.gen, w.topic, w.timeout, w.deadline = 0, "", 0, time.Time{}
+	w.id, w.gen, w.topic, w.timeout, w.start = 0, 0, "", 0, time.Time{}
 	waiterPool.Put(w)
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ndsm/internal/obs"
-	"ndsm/internal/simtime"
 	"ndsm/internal/trace"
 	"ndsm/internal/wire"
 )
@@ -106,13 +105,12 @@ func WithBreaker(b Breaker, peer string, reg *obs.Registry, name string) ClientI
 // WithMetrics instruments calls in reg under the given name prefix:
 // "<name>.calls", "<name>.errors", "<name>.timeouts", and the latency
 // histogram "<name>.latency_ms". With no registry there is nothing to count,
-// and the interceptor is nil: left out of the chain.
-func WithMetrics(r *obs.Registry, name string, clock simtime.Clock) ClientInterceptor {
+// and the interceptor is nil: left out of the chain. The latency is the
+// time the rest of the chain took, read off the call's stopwatch (see
+// Call.Elapsed) rather than the clock: inside WithRetry, each attempt's.
+func WithMetrics(r *obs.Registry, name string) ClientInterceptor {
 	if r == nil {
 		return nil
-	}
-	if clock == nil {
-		clock = simtime.Real{}
 	}
 	calls := r.Counter(name + ".calls")
 	errs := r.Counter(name + ".errors")
@@ -120,10 +118,10 @@ func WithMetrics(r *obs.Registry, name string, clock simtime.Clock) ClientInterc
 	latency := r.Histogram(name + ".latency_ms")
 	return func(next ClientFunc) ClientFunc {
 		return func(call *Call) (*wire.Message, error) {
-			start := clock.Now()
+			before := call.elapsed // where an earlier attempt ended, if any
 			m, err := next(call)
 			calls.Inc(1)
-			latency.Observe(float64(clock.Now().Sub(start)) / float64(time.Millisecond))
+			latency.Observe(millis(call.elapsed - before))
 			if err != nil {
 				errs.Inc(1)
 				if Retryable(err, true) && !Retryable(err, false) {
@@ -200,29 +198,5 @@ func WithServerTracing(t *trace.Tracer, name string) ServerInterceptor {
 	}
 }
 
-// WithServerMetrics instruments dispatches in reg: "<name>.requests",
-// "<name>.errors", and the handler latency histogram "<name>.latency_ms". A
-// nil registry leaves the interceptor out of the chain.
-func WithServerMetrics(r *obs.Registry, name string, clock simtime.Clock) ServerInterceptor {
-	if r == nil {
-		return nil
-	}
-	if clock == nil {
-		clock = simtime.Real{}
-	}
-	requests := r.Counter(name + ".requests")
-	errs := r.Counter(name + ".errors")
-	latency := r.Histogram(name + ".latency_ms")
-	return func(next Handler) Handler {
-		return func(req *wire.Message) (*wire.Message, error) {
-			start := clock.Now()
-			m, err := next(req)
-			requests.Inc(1)
-			latency.Observe(float64(clock.Now().Sub(start)) / float64(time.Millisecond))
-			if err != nil {
-				errs.Inc(1)
-			}
-			return m, err
-		}
-	}
-}
+// millis is d in the milliseconds latency histograms are kept in.
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

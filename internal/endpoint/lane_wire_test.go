@@ -10,6 +10,7 @@ import (
 
 	"ndsm/internal/interop"
 	"ndsm/internal/obs"
+	"ndsm/internal/simtime"
 	"ndsm/internal/transport"
 	"ndsm/internal/wire"
 )
@@ -177,7 +178,7 @@ func TestLaneAndShedSurviveTranscode(t *testing.T) {
 	}
 	w := getWaiter()
 	w.topic = "work"
-	f := &Future{c: &Caller{}, w: w}
+	f := &Future{c: &Caller{clock: simtime.Real{}}, w: w}
 	f.settleLocked(waitResult{m: transcode(sent)})
 	wantShed(t, "transcoded shed reply", f.err, LaneBulk)
 }

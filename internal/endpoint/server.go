@@ -48,6 +48,11 @@ type ServerOptions struct {
 	// Lanes configured — "<name>.shed.expired", "<name>.shed.preempted",
 	// and per-lane "<name>.lane.<lane>.{admitted,shed,queued}".
 	Metrics *obs.Registry
+	// DispatchMetrics names the dispatch instruments the server keeps in
+	// Metrics: "<DispatchMetrics>.requests", "<DispatchMetrics>.errors" and
+	// the handler latency histogram "<DispatchMetrics>.latency_ms", timed by
+	// the stopwatch that times ReqLog's events. Empty counts no dispatches.
+	DispatchMetrics string
 	// ReqLog receives one wide event per inbound request — dispatched work
 	// with queue wait and handler latency, shed work with its reason (sheds
 	// never reach the interceptor chain, so this is their only per-request
@@ -84,6 +89,13 @@ type Server struct {
 	rec      *reqlog.Recorder
 	recLanes map[string]Lane
 	clock    simtime.Clock
+
+	// The dispatch instruments (nil: uncounted). timed is set when they or
+	// rec are: then run reads the clock once at each end of a dispatch.
+	requests *obs.Counter
+	errs     *obs.Counter
+	latency  *obs.Histogram
+	timed    bool
 
 	// tasks hands a request to a parked worker. It is unbuffered on purpose:
 	// a non-blocking send succeeds exactly when a worker is blocked receiving,
@@ -130,6 +142,12 @@ func NewServer(l transport.Listener, opts ServerOptions) *Server {
 	if opts.Lanes != nil {
 		s.recLanes = opts.Lanes.TopicLanes
 	}
+	if name := opts.DispatchMetrics; name != "" && opts.Metrics != nil {
+		s.requests = opts.Metrics.Counter(name + ".requests")
+		s.errs = opts.Metrics.Counter(name + ".errors")
+		s.latency = opts.Metrics.Histogram(name + ".latency_ms")
+	}
+	s.timed = s.rec != nil || s.requests != nil
 	capacity := opts.MaxInFlight
 	if capacity == 0 && opts.Lanes != nil {
 		// Lanes without an explicit bound: the reservations are the bound.
@@ -306,7 +324,8 @@ func (s *Server) park() (task, bool) {
 // work onto it — when the handler finishes. The token release lives here and
 // nowhere else: whichever path admitted the request (straight off the read
 // loop or out of a lane queue), the slot cannot leak or double-free. One-way
-// kinds run the handler and write nothing back.
+// kinds run the handler and write nothing back. One clock read at each end
+// of the dispatch times both its wide event and its metrics.
 //
 // The server owns the request (see transport.Conn.Recv) and is its last owner
 // here: the handler has returned, the wide event is recorded and Send has
@@ -319,13 +338,12 @@ func (s *Server) run(t task) {
 	req := t.req
 	defer wire.Recycle(req)
 	var start time.Time
-	if s.rec != nil {
+	if s.timed {
 		start = s.clock.Now()
 	}
 	reply, err := s.dispatch(req)
-	if s.rec != nil {
-		now := s.clock.Now()
-		s.recordDispatch(req, t.wait, now.Sub(start), now, err)
+	if s.timed {
+		s.observe(req, t.wait, start, s.clock.Since(start), err)
 	}
 	if s.oneway[req.Kind] {
 		return
@@ -347,6 +365,19 @@ func (s *Server) run(t task) {
 	_ = t.conn.Send(reply)
 	if reply != req {
 		putMsg(reply)
+	}
+}
+
+// observe counts a dispatch that began at start and took elapsed, and records
+// its wide event.
+func (s *Server) observe(req *wire.Message, wait time.Duration, start time.Time, elapsed time.Duration, err error) {
+	s.requests.Inc(1)
+	s.latency.Observe(millis(elapsed))
+	if err != nil {
+		s.errs.Inc(1)
+	}
+	if s.rec != nil {
+		s.recordDispatch(req, wait, elapsed, start.Add(elapsed), err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ndsm/internal/reqlog"
-	"ndsm/internal/simtime"
 	"ndsm/internal/trace"
 	"ndsm/internal/wire"
 )
@@ -15,9 +14,6 @@ type WideEventOptions struct {
 	// Recorder receives one wide event per call. Nil makes the interceptor a
 	// zero-allocation pass-through (the same disabled-path idiom as tracing).
 	Recorder *reqlog.Recorder
-	// Clock times the call (default real time). Must agree with the caller's
-	// clock so deadline slack is meaningful.
-	Clock simtime.Clock
 	// Peer labels events whose call has no Dst (the caller's dial address).
 	Peer string
 }
@@ -25,7 +21,9 @@ type WideEventOptions struct {
 // WithWideEvents records one wide event per logical call — after retries, so
 // the event carries the attempt count and the final outcome. Place it
 // outermost: the tracing interceptor inside it injects trace context into the
-// call's headers, which is where the event's exemplar IDs come from.
+// call's headers, which is where the event's exemplar IDs come from. The
+// event is timed by the call's stopwatch (see Call.Elapsed), which Do starts
+// before the chain, on the caller's clock: the interceptor reads no clock.
 //
 // Together with the server-side recording built into Server (see
 // ServerOptions.ReqLog) this gives every rpc/mq/discovery/core exchange two
@@ -33,29 +31,25 @@ type WideEventOptions struct {
 // (queue wait, dispatch latency) — with no per-protocol call sites.
 func WithWideEvents(opts WideEventOptions) ClientInterceptor {
 	rec := opts.Recorder
-	clock := opts.Clock
-	if clock == nil {
-		clock = simtime.Real{}
-	}
 	return func(next ClientFunc) ClientFunc {
 		if rec == nil {
 			return next
 		}
 		return func(call *Call) (*wire.Message, error) {
-			start := clock.Now()
-			call.attempts = 0
+			before := call.elapsed
 			m, err := next(call)
-			end := clock.Now()
 
 			ev := reqlog.Record{
-				Time:    end,
 				Kind:    reqlog.KindClient,
 				Topic:   call.Topic,
 				Peer:    call.Dst,
 				Lane:    call.Lane.String(),
 				Outcome: clientOutcome(err),
-				Latency: end.Sub(start),
-				Retries: call.attempts,
+				Latency: call.elapsed - before,
+				Retries: int(call.attempts),
+			}
+			if call.start != nil { // nil only for a chain run outside Do
+				ev.Time = call.start.Add(call.elapsed)
 			}
 			if ev.Peer == "" {
 				ev.Peer = opts.Peer

@@ -1,6 +1,7 @@
 package endpoint
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,14 +20,23 @@ func newTestRecorder() *reqlog.Recorder {
 	})
 }
 
-// TestWideEventsClientInterceptor drives the interceptor directly and checks
-// the recorded event for each outcome class.
+// TestWideEventsClientInterceptor drives the interceptor through a caller on a
+// virtual clock, whose handler takes 7 ms, and checks the recorded event for
+// each outcome class: an interceptor inside it turns the reply into each
+// error in turn.
 func TestWideEventsClientInterceptor(t *testing.T) {
 	rec := newTestRecorder()
 	clk := simtime.NewVirtual(time.Unix(1_700_000_000, 0))
-	ic := WithWideEvents(WideEventOptions{
-		Recorder: rec, Clock: clk, Peer: "srv-1",
-	})
+	var outcome error
+	s, c := newPair(t, ServerOptions{}, CallerOptions{Clock: clk, Interceptors: []ClientInterceptor{
+		WithWideEvents(WideEventOptions{Recorder: rec, Peer: "srv-1"}),
+		func(next ClientFunc) ClientFunc {
+			return func(call *Call) (*wire.Message, error) {
+				_, _ = next(call)
+				return nil, outcome
+			}
+		},
+	}})
 
 	cases := []struct {
 		name        string
@@ -40,12 +50,15 @@ func TestWideEventsClientInterceptor(t *testing.T) {
 		{"remote", &RemoteError{Topic: "t", Msg: "boom"}, reqlog.OutcomeError},
 	}
 	for _, tc := range cases {
-		fn := ic(func(call *Call) (*wire.Message, error) {
+		topic := "topic/" + tc.name
+		s.Handle(topic, func(req *wire.Message) (*wire.Message, error) {
 			clk.Advance(7 * time.Millisecond)
-			return nil, tc.err
+			return NewReply(nil), nil
 		})
-		_, _ = fn(&Call{Topic: "topic/" + tc.name, Lane: LaneBulk, Timeout: 100 * time.Millisecond})
-		got := rec.Snapshot(reqlog.Filter{Topic: "topic/" + tc.name})
+		outcome = tc.err
+		start := clk.Now()
+		_, _ = c.Do(&Call{Topic: topic, Lane: LaneBulk, Timeout: 100 * time.Millisecond})
+		got := rec.Snapshot(reqlog.Filter{Topic: topic})
 		if len(got) != 1 {
 			t.Fatalf("%s: %d records, want 1", tc.name, len(got))
 		}
@@ -53,8 +66,8 @@ func TestWideEventsClientInterceptor(t *testing.T) {
 		if ev.Outcome != tc.wantOutcome || ev.Kind != reqlog.KindClient {
 			t.Errorf("%s: outcome=%s kind=%s", tc.name, ev.Outcome, ev.Kind)
 		}
-		if ev.Latency != 7*time.Millisecond {
-			t.Errorf("%s: latency = %v", tc.name, ev.Latency)
+		if ev.Latency != 7*time.Millisecond || !ev.Time.Equal(start.Add(7*time.Millisecond)) {
+			t.Errorf("%s: latency = %v, time = %v, want 7ms after %v", tc.name, ev.Latency, ev.Time, start)
 		}
 		if ev.Peer != "srv-1" || ev.Lane != "bulk" {
 			t.Errorf("%s: peer=%s lane=%s", tc.name, ev.Peer, ev.Lane)
@@ -69,10 +82,9 @@ func TestWideEventsClientInterceptor(t *testing.T) {
 // lands on the single wide event recorded for the logical call.
 func TestWideEventsCountRetries(t *testing.T) {
 	rec := newTestRecorder()
-	clk := simtime.NewVirtual(time.Unix(1_700_000_000, 0))
 	reg := obs.NewRegistry()
 	chain := chainClient([]ClientInterceptor{
-		WithWideEvents(WideEventOptions{Recorder: rec, Clock: clk}),
+		WithWideEvents(WideEventOptions{Recorder: rec}),
 		WithRetry(RetryPolicy{Max: 3}, reg, "test"),
 	}, func() ClientFunc {
 		n := 0
@@ -96,6 +108,48 @@ func TestWideEventsCountRetries(t *testing.T) {
 	}
 }
 
+// A call WithRetry retries gets one wide event, timed from before the first
+// attempt to the reply that ended the second: on a virtual clock, a first
+// attempt that times out after 60 ms and a second that takes 30 read 90.
+func TestWideEventSpansRetries(t *testing.T) {
+	rec := newTestRecorder()
+	clk := simtime.NewVirtual(time.Unix(1_700_000_000, 0))
+	s, c := newPair(t, ServerOptions{}, CallerOptions{Clock: clk, Interceptors: []ClientInterceptor{
+		WithWideEvents(WideEventOptions{Recorder: rec}),
+		WithRetry(RetryPolicy{Max: 1, RetryTimeouts: true}, nil, "test"),
+	}})
+	release := make(chan struct{})
+	defer close(release)
+	var calls atomic.Int32
+	s.Handle("slow", func(req *wire.Message) (*wire.Message, error) {
+		if calls.Add(1) == 1 {
+			// Once the caller waits on its deadline timer, pass it.
+			for clk.Pending() == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			clk.Advance(60 * time.Millisecond)
+			<-release
+			return nil, nil
+		}
+		clk.Advance(30 * time.Millisecond)
+		return NewReply(nil), nil
+	})
+	call := &Call{Topic: "slow", Timeout: 50 * time.Millisecond}
+	if _, err := c.Do(call); err != nil {
+		t.Fatal(err)
+	}
+	got := rec.Snapshot(reqlog.Filter{Topic: "slow"})
+	if len(got) != 1 {
+		t.Fatalf("retried call recorded %d events, want 1", len(got))
+	}
+	if ev := got[0]; ev.Retries != 1 || ev.Latency != 90*time.Millisecond || ev.Outcome != reqlog.OutcomeOK {
+		t.Errorf("event = %d retries, %v, %s; want 1 retry, 90ms, ok", ev.Retries, ev.Latency, ev.Outcome)
+	}
+	if call.Elapsed() != 90*time.Millisecond {
+		t.Errorf("Call.Elapsed = %v, want 90ms", call.Elapsed())
+	}
+}
+
 // TestWideEventsNilRecorderPassthrough pins the disabled path: no recorder,
 // no wrapper, zero allocations.
 func TestWideEventsNilRecorderPassthrough(t *testing.T) {
@@ -115,8 +169,7 @@ func TestWideEventsSampledOutAllocFree(t *testing.T) {
 		SampleEvery: 1 << 30,
 		Registry:    obs.NewRegistry(),
 	})
-	clk := simtime.NewVirtual(time.Unix(1_700_000_000, 0))
-	fn := WithWideEvents(WideEventOptions{Recorder: rec, Clock: clk})(
+	fn := WithWideEvents(WideEventOptions{Recorder: rec})(
 		func(call *Call) (*wire.Message, error) { return nil, nil })
 	call := &Call{Topic: "warm"}
 	for i := 0; i < 50_000; i++ {

@@ -157,6 +157,10 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+
+	// runtime is the registry's one runtime-gauge sampler (RuntimeGauges).
+	runtimeOnce sync.Once
+	runtime     func()
 }
 
 // NewRegistry returns an empty registry.

@@ -347,3 +347,25 @@ func TestRuntimeGauges(t *testing.T) {
 		t.Errorf("goroutine gauge = %v after spawning 10, want >= 11", after[GaugeGoroutines])
 	}
 }
+
+// A registry has one runtime sampler however many callers ask for it — a
+// node refreshing on its renewal tick and a web bridge refreshing per
+// /metrics request share it — and it may be called from both at once.
+func TestRuntimeGaugesOneSamplerPerRegistry(t *testing.T) {
+	r := NewRegistry()
+	updates := []func(){RuntimeGauges(r), RuntimeGauges(r)}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(update func()) {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				update()
+			}
+		}(updates[i%2])
+	}
+	wg.Wait()
+	if g := r.Snapshot().Gauges[GaugeGoroutines]; g < 1 {
+		t.Errorf("%s = %v, want >= 1", GaugeGoroutines, g)
+	}
+}

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"runtime/metrics"
+	"sync"
 )
 
 // Runtime gauge names RuntimeGauges maintains.
@@ -28,9 +29,22 @@ var runtimeSamples = []string{
 // count, live heap bytes, cumulative GC pause — in r, sampled through
 // runtime/metrics. It samples once immediately and returns the update
 // function; call it before taking snapshots (the webbridge calls it per
-// /metrics request) to refresh the readings. Sampling on demand instead of on a timer keeps idle processes free of a
-// background goroutine.
+// /metrics request) to refresh the readings. Sampling on demand instead of
+// on a timer keeps idle processes free of a background goroutine. A
+// registry has one sampler: every call for r samples and returns the same
+// update function, which is safe for concurrent use.
 func RuntimeGauges(r *Registry) func() {
+	if r == nil {
+		return func() {}
+	}
+	r.runtimeOnce.Do(func() { r.runtime = runtimeSampler(r) })
+	r.runtime()
+	return r.runtime
+}
+
+// runtimeSampler returns a function that reads the runtime series into r's
+// three gauges.
+func runtimeSampler(r *Registry) func() {
 	samples := make([]metrics.Sample, len(runtimeSamples))
 	for i, name := range runtimeSamples {
 		samples[i].Name = name
@@ -38,7 +52,10 @@ func RuntimeGauges(r *Registry) func() {
 	goroutines := r.Gauge(GaugeGoroutines)
 	heapBytes := r.Gauge(GaugeHeapBytes)
 	gcPause := r.Gauge(GaugeGCPauseMS)
-	update := func() {
+	var mu sync.Mutex // samples is read into in place
+	return func() {
+		mu.Lock()
+		defer mu.Unlock()
 		metrics.Read(samples)
 		for _, s := range samples {
 			switch s.Name {
@@ -57,8 +74,6 @@ func RuntimeGauges(r *Registry) func() {
 			}
 		}
 	}
-	update()
-	return update
 }
 
 // histTotal approximates a runtime histogram's total observed value as

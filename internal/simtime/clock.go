@@ -18,6 +18,10 @@ import (
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
+	// Since returns the time elapsed on this clock since t, an instant it
+	// returned from Now. It is the cheaper read for timing an interval: on
+	// the wall clock it reads only the monotonic clock.
+	Since(t time.Time) time.Duration
 	// After returns a channel that receives the then-current time once d has
 	// elapsed on this clock.
 	After(d time.Duration) <-chan time.Time
@@ -30,6 +34,9 @@ var _ Clock = Real{}
 
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
+
+// Since implements Clock.
+func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
 
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
@@ -85,6 +92,9 @@ func (v *Virtual) Now() time.Time {
 	defer v.mu.Unlock()
 	return v.now
 }
+
+// Since implements Clock.
+func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
 // After implements Clock. The returned channel has capacity one so firing
 // never blocks Advance.

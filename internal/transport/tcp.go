@@ -11,9 +11,10 @@ import (
 )
 
 // TCP is the wireline Transport over stdlib net. Messages are framed as in
-// wire.AppendFrame (length prefix + content-type tag + CRC32), so a single
-// connection can interleave codecs; this transport encodes with the codec
-// given at construction and decodes whatever tag each inbound frame carries.
+// wire.AppendMessageFrame (length prefix + content-type tag + CRC32), so a
+// single connection can interleave codecs; this transport encodes with the
+// codec given at construction and decodes whatever tag each inbound frame
+// carries.
 //
 // The send path coalesces: a connection's senders share a wire.BatchWriter
 // that knows the connection's reader, so while replies are still owed to the

@@ -182,7 +182,8 @@ func (b *Bridge) SetReqLog(r *reqlog.Recorder) {
 
 // EnableRuntimeMetrics registers the Go runtime gauges (goroutines, heap
 // bytes, GC pause total) in the bridge's metrics registry and refreshes them
-// on every /metrics request.
+// on every /metrics request, through the registry's one sampler: a program
+// that samples the same registry itself shares it (obs.RuntimeGauges).
 func (b *Bridge) EnableRuntimeMetrics() {
 	b.cfgMu.Lock()
 	update := obs.RuntimeGauges(b.cfg.metrics)
