@@ -589,16 +589,6 @@ func BenchmarkSchedulerQueueEDF(b *testing.B) {
 	}
 }
 
-func BenchmarkTokenBucket(b *testing.B) {
-	bucket := scheduler.NewTokenBucket(1e9, 1e9, time.Now())
-	now := time.Now()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now = now.Add(time.Microsecond)
-		bucket.Take(100, now)
-	}
-}
-
 // --- E9: recovery (ablation: sync policy) ---
 
 func BenchmarkRecoveryWALAppend(b *testing.B) {

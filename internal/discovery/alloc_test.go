@@ -48,7 +48,7 @@ func TestRegistrationAllocs(t *testing.T) {
 	}); avg > 5 {
 		t.Errorf("the server's decode and keep allocate %.1f times, want at most 5", avg)
 	}
-	if store.Len() != 1 {
-		t.Fatalf("store holds %d entries, want 1", store.Len())
+	if held(store) != 1 {
+		t.Fatalf("store holds %d entries, want 1", held(store))
 	}
 }

@@ -295,16 +295,16 @@ func TestServerSweepTicker(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	tickUntil := func(want int) {
 		t.Helper()
-		for store.Len() != want {
+		for held(store) != want {
 			if time.Now().After(deadline) {
-				t.Fatalf("sweep ticker never collected the expired lease: Len = %d, want %d", store.Len(), want)
+				t.Fatalf("sweep ticker never collected the expired lease: held %d, want %d", held(store), want)
 			}
 			clock.Advance(500 * time.Millisecond)
 			time.Sleep(time.Millisecond)
 		}
 	}
 	tickUntil(1)
-	if left := store.All(); len(left) != 1 || left[0].Provider != "n2" {
+	if left, _ := store.Lookup(&svcdesc.Query{}); len(left) != 1 || left[0].Provider != "n2" {
 		t.Fatalf("after the short lease went: %+v", left)
 	}
 	// The ticker has now swept, found one lease due and kept the other; it

@@ -3,8 +3,8 @@
 // design space the paper lays out —
 //
 //   - Centralized: a registry server over any Transport (Server/Client),
-//   - Distributed: TTL-bounded query flooding with reverse-path replies and
-//     optional advertisement gossip (Agent),
+//   - Distributed: TTL-bounded query flooding with reverse-path replies
+//     (Agent),
 //   - Hybrid: replicated registry members with fail-over (discovery/cluster),
 //   - Adaptive: picks centralized or distributed per operation from the
 //     observed environment — local density and registry health (Adaptive).
@@ -217,17 +217,4 @@ func (s *Store) Sweep() int {
 	}
 	s.soonest = soonest
 	return removed
-}
-
-// Len returns the number of (possibly expired) entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// All returns every unexpired description, sorted by key.
-func (s *Store) All() []*svcdesc.Description {
-	descs, _ := s.Lookup(&svcdesc.Query{})
-	return descs
 }

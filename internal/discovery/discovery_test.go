@@ -48,9 +48,16 @@ func TestStoreRegisterLookup(t *testing.T) {
 	if len(all) != 2 {
 		t.Fatalf("wildcard lookup = %d", len(all))
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
+	if held(s) != 2 {
+		t.Fatalf("held %d, want 2", held(s))
 	}
+}
+
+// held is how many entries s physically holds, expired ones included.
+func held(s *Store) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.entries)
 }
 
 func TestStoreRejectsInvalid(t *testing.T) {
@@ -155,13 +162,13 @@ func TestStoreSweep(t *testing.T) {
 		}
 	}
 	clk.Advance(2 * time.Second)
-	if s.Len() != 3 {
+	if held(s) != 3 {
 		t.Fatal("entries physically removed before sweep")
 	}
 	if removed := s.Sweep(); removed != 3 {
 		t.Fatalf("Sweep removed %d, want 3", removed)
 	}
-	if s.Len() != 0 {
+	if held(s) != 0 {
 		t.Fatal("entries survive sweep")
 	}
 	if s.Sweep() != 0 {
@@ -171,7 +178,7 @@ func TestStoreSweep(t *testing.T) {
 
 // Sweep skips the scan until the clock passes the earliest expiry the table
 // can hold. Each case moves that earliest expiry a different way and checks
-// what the table physically holds (Len) after every Sweep: an expired lease
+// what the table physically holds (held) after every Sweep: an expired lease
 // goes in the first Sweep after its time, whatever happened to the bound.
 func TestStoreSweepEarliestExpiry(t *testing.T) {
 	lease := func(s *Store, provider string, ttl time.Duration) string {
@@ -185,8 +192,8 @@ func TestStoreSweepEarliestExpiry(t *testing.T) {
 	}
 	sweep := func(s *Store, removed, left int) {
 		t.Helper()
-		if got := s.Sweep(); got != removed || s.Len() != left {
-			t.Fatalf("Sweep removed %d leaving %d, want %d leaving %d", got, s.Len(), removed, left)
+		if got := s.Sweep(); got != removed || held(s) != left {
+			t.Fatalf("Sweep removed %d leaving %d, want %d leaving %d", got, held(s), removed, left)
 		}
 	}
 	fresh := func() (*simtime.Virtual, *Store) {
@@ -482,32 +489,6 @@ func TestFloodMaxResultsEndsEarly(t *testing.T) {
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("MaxResults did not end collection early")
-	}
-}
-
-func TestFloodGossipCacheAnswers(t *testing.T) {
-	_, agents := floodField(t, 2, AgentConfig{
-		Gossip:        true,
-		CollectWindow: 100 * time.Millisecond,
-	})
-	if err := agents[1].Register(desc("n1", "svc")); err != nil {
-		t.Fatal(err)
-	}
-	agents[1].Tick() // gossip n1's services to n0
-
-	deadline := time.Now().Add(5 * time.Second)
-	for agents[0].CacheLen() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("gossip never reached the neighbour cache")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	got, err := agents[0].Lookup(&svcdesc.Query{Name: "svc"})
-	if err != nil || len(got) != 1 {
-		t.Fatalf("cache lookup = %v, %v", got, err)
-	}
-	if floodCount(agents[0], "query_sent") != 0 {
-		t.Fatal("cache hit still flooded a query")
 	}
 }
 

@@ -22,9 +22,8 @@ const ProtoDiscovery byte = 0xD1
 
 // Flood protocol message types.
 const (
-	floodQuery  = "query"
-	floodReply  = "reply"
-	floodAdvert = "advert"
+	floodQuery = "query"
+	floodReply = "reply"
 )
 
 // floodMsg is the distributed protocol envelope (JSON after the protocol
@@ -42,7 +41,7 @@ type floodMsg struct {
 	Path []string `json:"path,omitempty"`
 	// Query is the XML query (query messages).
 	Query []byte `json:"query,omitempty"`
-	// Matches is the XML service list (reply and advert messages).
+	// Matches is the XML service list (reply messages).
 	Matches []byte `json:"matches,omitempty"`
 	// Trace and Span carry causal trace context across nodes (hex, same
 	// format as the endpoint layer's wire headers). The flood protocol has no
@@ -87,10 +86,6 @@ func decodeFloodMsg(data []byte) (*floodMsg, error) {
 	return &m, nil
 }
 
-// gossipCacheTTL bounds the entries an agent caches from its neighbours'
-// advertisements, whatever the supplier's own lease.
-const gossipCacheTTL = 10 * time.Second
-
 // AgentConfig tunes a distributed discovery agent.
 type AgentConfig struct {
 	// QueryTTL bounds query flooding in hops (default 8).
@@ -100,17 +95,13 @@ type AgentConfig struct {
 	// MaxResults ends collection early once this many distinct matches
 	// arrived (0: no cap).
 	MaxResults int
-	// Gossip enables advertisement push: Tick broadcasts the node's own
-	// services to radio neighbours, and Lookup answers from the gossip cache
-	// without flooding when it can.
-	Gossip bool
 	// QueryRetry re-issues a query once, halfway through the collect window,
 	// when no reply has arrived yet — the flooding organization's parity with
 	// the central client's reconnect-and-retry. The retry uses a fresh QID
 	// (peers dedup on origin/qid, so re-flooding the old one would die one
 	// hop out) aliased to the same pending query.
 	QueryRetry bool
-	// Clock drives collection windows and cache expiry (default real).
+	// Clock drives collection windows and lease expiry (default real).
 	Clock simtime.Clock
 	// Tracer records the agent's lookups and the queries and replies it
 	// handles (nil: untraced).
@@ -145,7 +136,6 @@ type Agent struct {
 	cfg    AgentConfig
 	mux    *netmux.Mux
 	local  *Store
-	cache  *Store
 	tracer *trace.Tracer
 	// metrics is the node's registry (netsim.Network.Metrics): protocol
 	// datagrams count there by kind as "discovery.flood.<kind>" (E1/E2's
@@ -172,7 +162,6 @@ func NewAgent(mux *netmux.Mux, cfg AgentConfig) *Agent {
 		cfg:     cfg,
 		mux:     mux,
 		local:   NewStore(cfg.Clock, 0),
-		cache:   NewStore(cfg.Clock, gossipCacheTTL),
 		tracer:  cfg.Tracer,
 		metrics: mux.Network().Metrics(mux.ID()),
 		seen:    make(map[string]bool),
@@ -182,12 +171,6 @@ func NewAgent(mux *netmux.Mux, cfg AgentConfig) *Agent {
 	}
 	go a.loop(mux.Channel(ProtoDiscovery))
 	return a
-}
-
-// CacheLen reports how many gossiped descriptions are cached.
-func (a *Agent) CacheLen() int {
-	a.cache.Sweep()
-	return a.cache.Len()
 }
 
 // Register implements Resolver: services live in the node's local store.
@@ -213,11 +196,10 @@ func (a *Agent) Close() error {
 	return nil
 }
 
-// Lookup implements Resolver: local matches are free; with gossip enabled
-// the cache may answer instantly; otherwise the query floods and replies are
-// collected for the configured window. When a tracer is installed the flood
-// runs under a "flood.lookup" span, with one "flood.round" child per query
-// flood (initial plus retry) whose context travels inside the envelope.
+// Lookup implements Resolver: local matches are free; the query floods and
+// replies are collected for the configured window. When a tracer is installed
+// the flood runs under a "flood.lookup" span, with one "flood.round" child per
+// query flood (initial plus retry) whose context travels inside the envelope.
 func (a *Agent) Lookup(q *svcdesc.Query) (out []*svcdesc.Description, err error) {
 	a.mu.Lock()
 	closed := a.closed
@@ -230,20 +212,6 @@ func (a *Agent) Lookup(q *svcdesc.Query) (out []*svcdesc.Description, err error)
 	locals, _ := a.local.Lookup(q)
 	for _, d := range locals {
 		results[d.Key()] = d
-	}
-	if a.cfg.Gossip {
-		cached, _ := a.cache.Lookup(q)
-		for _, d := range cached {
-			results[d.Key()] = d
-		}
-		if a.cfg.MaxResults > 0 && len(results) >= a.cfg.MaxResults {
-			return mapToSlice(results), nil
-		}
-		if len(cached) > 0 {
-			// Cache answered; skip the flood entirely (the cost shift that
-			// makes gossip worthwhile under high query rates).
-			return mapToSlice(results), nil
-		}
 	}
 
 	queryXML, err := svcdesc.MarshalQuery(q)
@@ -360,25 +328,6 @@ func mapToSlice(m map[string]*svcdesc.Description) []*svcdesc.Description {
 	return out
 }
 
-// Tick gossips the node's own services one hop out (no-op unless Gossip).
-func (a *Agent) Tick() {
-	if !a.cfg.Gossip {
-		return
-	}
-	descs := a.local.All()
-	if len(descs) == 0 {
-		return
-	}
-	payload, err := svcdesc.MarshalDescriptionList(descs)
-	if err != nil {
-		return
-	}
-	msg := &floodMsg{Type: floodAdvert, Matches: payload}
-	if _, err := a.mux.Broadcast(msg.encode()); err == nil {
-		a.count("advert_sent")
-	}
-}
-
 func seenKey(origin string, qid uint64) string {
 	return fmt.Sprintf("%s/%d", origin, qid)
 }
@@ -409,8 +358,6 @@ func (a *Agent) handle(pkt netsim.Packet) {
 		a.handleQuery(msg)
 	case floodReply:
 		a.handleReply(msg)
-	case floodAdvert:
-		a.handleAdvert(msg)
 	default:
 		a.count("garbage")
 	}
@@ -530,18 +477,5 @@ func (a *Agent) deliverReply(msg *floodMsg) {
 	select {
 	case pq.notify <- struct{}{}:
 	default:
-	}
-}
-
-func (a *Agent) handleAdvert(msg *floodMsg) {
-	a.count("advert_recv")
-	descs, err := svcdesc.UnmarshalDescriptionList(msg.Matches)
-	if err != nil {
-		return
-	}
-	for _, d := range descs {
-		// Cache under the gossip TTL regardless of the supplier's own lease.
-		d.TTL = gossipCacheTTL
-		_ = a.cache.Register(d)
 	}
 }

@@ -4,14 +4,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"ndsm/internal/discovery"
 	"ndsm/internal/qos"
-	"ndsm/internal/simtime"
 	"ndsm/internal/svcdesc"
 	"ndsm/internal/transaction"
 )
@@ -88,46 +86,6 @@ func TestQueueEmptyPop(t *testing.T) {
 	}
 }
 
-func TestTokenBucketTake(t *testing.T) {
-	b := NewTokenBucket(100, 50, epoch) // 100 B/s, 50 B burst
-	if !b.Take(50, epoch) {
-		t.Fatal("initial burst refused")
-	}
-	if b.Take(1, epoch) {
-		t.Fatal("empty bucket granted")
-	}
-	// After 0.25s, 25 tokens refilled.
-	if !b.Take(25, epoch.Add(250*time.Millisecond)) {
-		t.Fatal("refill not granted")
-	}
-	if b.Take(1, epoch.Add(250*time.Millisecond)) {
-		t.Fatal("over-refill granted")
-	}
-}
-
-func TestTokenBucketCapacityCap(t *testing.T) {
-	b := NewTokenBucket(100, 50, epoch)
-	// After a long idle period tokens must cap at capacity.
-	if got := b.Available(epoch.Add(time.Hour)); got != 50 {
-		t.Fatalf("Available = %d, want 50", got)
-	}
-}
-
-func TestTokenBucketWaitTime(t *testing.T) {
-	b := NewTokenBucket(100, 100, epoch)
-	if w := b.WaitTime(100, epoch); w != 0 {
-		t.Fatalf("full bucket wait = %v", w)
-	}
-	b.Take(100, epoch)
-	if w := b.WaitTime(50, epoch); w != 500*time.Millisecond {
-		t.Fatalf("wait for 50B at 100B/s = %v, want 500ms", w)
-	}
-	// Requests above capacity wait only for a full bucket.
-	if w := b.WaitTime(1000, epoch); w != time.Second {
-		t.Fatalf("oversize wait = %v, want 1s", w)
-	}
-}
-
 func TestUtilizationAndBounds(t *testing.T) {
 	tasks := []Task{
 		{C: 10 * time.Millisecond, T: 100 * time.Millisecond}, // 0.1
@@ -171,137 +129,6 @@ func TestRMAdmission(t *testing.T) {
 	}
 	if Utilization([]Task{{C: 1, T: 0}}) != 0 {
 		t.Fatal("zero-period task should contribute 0")
-	}
-}
-
-func TestDispatcherExecutesInPriorityOrder(t *testing.T) {
-	d := NewDispatcher(DispatcherConfig{Policy: PriorityOrder})
-	var mu sync.Mutex
-	var order []int
-	var wg sync.WaitGroup
-	wg.Add(3)
-	record := func(id int) func() {
-		return func() {
-			mu.Lock()
-			order = append(order, id)
-			mu.Unlock()
-			wg.Done()
-		}
-	}
-	// Stall the dispatcher with a blocker so the queue orders before
-	// execution starts.
-	gate := make(chan struct{})
-	var gateWg sync.WaitGroup
-	gateWg.Add(1)
-	d.Submit(Item{Priority: 255, Do: func() { gateWg.Done(); <-gate }})
-	gateWg.Wait() // blocker is running; now queue the test items
-	d.Submit(Item{Priority: 1, Do: record(1)})
-	d.Submit(Item{Priority: 3, Do: record(3)})
-	d.Submit(Item{Priority: 2, Do: record(2)})
-	close(gate)
-	wg.Wait()
-	d.Stop()
-	mu.Lock()
-	defer mu.Unlock()
-	if order[0] != 3 || order[1] != 2 || order[2] != 1 {
-		t.Fatalf("order = %v", order)
-	}
-	dispatched, missed, dropped := d.Stats()
-	if dispatched != 4 || missed != 0 || dropped != 0 {
-		t.Fatalf("stats = %d/%d/%d", dispatched, missed, dropped)
-	}
-}
-
-func TestDispatcherCountsMisses(t *testing.T) {
-	clk := simtime.NewVirtual(epoch)
-	clk.Advance(time.Hour) // now = epoch+1h
-	d := NewDispatcher(DispatcherConfig{Policy: EDF, Clock: clk})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	d.Submit(Item{Deadline: epoch, Do: func() { wg.Done() }}) // long past
-	wg.Wait()
-	d.Stop()
-	dispatched, missed, dropped := d.Stats()
-	if dispatched != 1 || missed != 1 || dropped != 0 {
-		t.Fatalf("stats = %d/%d/%d", dispatched, missed, dropped)
-	}
-}
-
-func TestDispatcherDropLate(t *testing.T) {
-	clk := simtime.NewVirtual(epoch)
-	clk.Advance(time.Hour)
-	d := NewDispatcher(DispatcherConfig{Policy: EDF, Clock: clk, DropLate: true})
-	ran := make(chan struct{}, 1)
-	d.Submit(Item{Deadline: epoch, Do: func() { ran <- struct{}{} }})
-	// Submit an on-time item to observe progress past the dropped one.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	d.Submit(Item{Deadline: epoch.Add(2 * time.Hour), Do: func() { wg.Done() }})
-	wg.Wait()
-	d.Stop()
-	select {
-	case <-ran:
-		t.Fatal("late item executed despite DropLate")
-	default:
-	}
-	_, missed, dropped := d.Stats()
-	if missed != 1 || dropped != 1 {
-		t.Fatalf("missed/dropped = %d/%d", missed, dropped)
-	}
-}
-
-func TestDispatcherBandwidthThrottle(t *testing.T) {
-	clk := simtime.NewVirtual(epoch)
-	d := NewDispatcher(DispatcherConfig{
-		Policy:          FIFO,
-		RateBytesPerSec: 100,
-		BurstBytes:      100,
-		Clock:           clk,
-	})
-	var mu sync.Mutex
-	count := 0
-	var wg sync.WaitGroup
-	wg.Add(1)
-	// First 100B item passes on the initial burst.
-	d.Submit(Item{Size: 100, Do: func() {
-		mu.Lock()
-		count++
-		mu.Unlock()
-		wg.Done()
-	}})
-	wg.Wait()
-
-	done2 := make(chan struct{})
-	d.Submit(Item{Size: 100, Do: func() { close(done2) }})
-	// The second must wait ~1 virtual second; it cannot have run yet.
-	select {
-	case <-done2:
-		t.Fatal("second item ran without bandwidth")
-	case <-time.After(50 * time.Millisecond):
-	}
-	// Advance virtual time so the bucket refills.
-	deadline := time.Now().Add(5 * time.Second)
-	for clk.Pending() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("dispatcher never armed its bandwidth timer")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	clk.Advance(time.Second)
-	select {
-	case <-done2:
-	case <-time.After(5 * time.Second):
-		t.Fatal("second item never ran after refill")
-	}
-	d.Stop()
-}
-
-func TestDispatcherStopIdempotent(t *testing.T) {
-	d := NewDispatcher(DispatcherConfig{})
-	d.Stop()
-	d.Stop()
-	if d.Backlog() != 0 {
-		t.Fatal("backlog nonzero")
 	}
 }
 
@@ -454,41 +281,6 @@ func TestQueueOrderProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a token bucket never grants more than capacity within any
-// instant and never goes negative.
-func TestTokenBucketProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(53))
-	f := func() bool {
-		rate := 1 + r.Float64()*1000
-		capacity := 1 + r.Float64()*1000
-		b := NewTokenBucket(rate, capacity, epoch)
-		now := epoch
-		granted := 0.0
-		lastRefill := epoch
-		for i := 0; i < 50; i++ {
-			step := time.Duration(r.Intn(100)) * time.Millisecond
-			now = now.Add(step)
-			n := 1 + r.Intn(200)
-			if b.Take(n, now) {
-				granted += float64(n)
-			}
-			// Tokens granted since lastRefill cannot exceed capacity +
-			// rate*elapsed.
-			budget := capacity + rate*now.Sub(lastRefill).Seconds() + 1e-6
-			if granted > budget {
-				return false
-			}
-			if b.Available(now) < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -25,7 +25,7 @@
 //     Predictor, Demand), and the interaction styles in
 //     internal/interact (RPC, message queues, publish-subscribe, tuple
 //     spaces) surfaced through subpackages of this module.
-//   - Scheduling (§3.7): Queue, Dispatcher, TokenBucket, RMAdmissible,
+//   - Scheduling (§3.7): SchedulerQueue, RMAdmissible, EDFAdmissible,
 //     HandoffManager.
 //   - Recovery (§3.8): WAL, RecoveryManager.
 //   - Interoperability (§3.9): Transcode, Gateway, codecs (Binary/XML/JSON).
@@ -292,13 +292,10 @@ var NewPump = transaction.NewPump
 
 // Scheduling primitives.
 type (
-	SchedulerQueue   = scheduler.Queue
-	SchedulerItem    = scheduler.Item
-	Dispatcher       = scheduler.Dispatcher
-	DispatcherConfig = scheduler.DispatcherConfig
-	TokenBucket      = scheduler.TokenBucket
-	RTTask           = scheduler.Task
-	HandoffManager   = scheduler.HandoffManager
+	SchedulerQueue = scheduler.Queue
+	SchedulerItem  = scheduler.Item
+	RTTask         = scheduler.Task
+	HandoffManager = scheduler.HandoffManager
 )
 
 // Dispatch policies.
@@ -311,8 +308,6 @@ const (
 // Scheduler constructors and admission tests.
 var (
 	NewSchedulerQueue = scheduler.NewQueue
-	NewDispatcher     = scheduler.NewDispatcher
-	NewTokenBucket    = scheduler.NewTokenBucket
 	RMAdmissible      = scheduler.RMAdmissible
 	EDFAdmissible     = scheduler.EDFAdmissible
 	NewHandoffManager = scheduler.NewHandoffManager

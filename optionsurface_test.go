@@ -15,20 +15,14 @@ import (
 var optionAllowlist = map[string]string{
 	// Paper features no program configures. EXPERIMENTS.md lists them as
 	// built and unmeasured.
-	"core.BindOptions.MinDeliveryRatio":          "paper feature: §3.4 QoS floor",
-	"core.BindOptions.MinBenefit":                "paper feature: §3.4 QoS floor",
-	"core.BindOptions.MinSamples":                "paper feature: §3.4 QoS floor (attempts before it applies)",
-	"core.BindOptions.Lane":                      "paper feature: §3.7 priority lanes per binding",
-	"scheduler.DispatcherConfig.Policy":          "paper feature: §3.7 priority dispatch",
-	"scheduler.DispatcherConfig.RateBytesPerSec": "paper feature: §3.7 bandwidth constraints (token bucket)",
-	"scheduler.DispatcherConfig.BurstBytes":      "paper feature: §3.7 bandwidth constraints (token bucket)",
-	"scheduler.DispatcherConfig.MaxBacklog":      "paper feature: §3.7 priority dispatch",
-	"scheduler.DispatcherConfig.DropLate":        "paper feature: §3.7 priority dispatch",
-	"transaction.LinkConfig.RetryInterval":       "paper feature: §3.6 per-connection ack and retransmission",
-	"transaction.LinkConfig.MaxRetries":          "paper feature: §3.6 per-connection ack and retransmission",
-	"discovery.AgentConfig.Gossip":               "paper feature: §3.3 advertisement gossip",
-	"discovery.AgentConfig.QueryRetry":           "paper feature: §3.3 query re-flood",
-	"endpoint.LaneConfig.TopicLanes":             "paper feature: §3.7 server-side lanes for unstamped requests",
+	"core.BindOptions.MinDeliveryRatio":    "paper feature: §3.4 QoS floor",
+	"core.BindOptions.MinBenefit":          "paper feature: §3.4 QoS floor",
+	"core.BindOptions.MinSamples":          "paper feature: §3.4 QoS floor (attempts before it applies)",
+	"core.BindOptions.Lane":                "paper feature: §3.7 priority lanes per binding",
+	"transaction.LinkConfig.RetryInterval": "paper feature: §3.6 per-connection ack and retransmission",
+	"transaction.LinkConfig.MaxRetries":    "paper feature: §3.6 per-connection ack and retransmission",
+	"discovery.AgentConfig.QueryRetry":     "paper feature: §3.3 query re-flood",
+	"endpoint.LaneConfig.TopicLanes":       "paper feature: §3.7 server-side lanes for unstamped requests",
 
 	// Deployment settings: a rule set or a place, not a tuning knob.
 	"interop.GatewayConfig.BtoA":    "deployment rule set: the reverse bridging direction",
@@ -39,13 +33,12 @@ var optionAllowlist = map[string]string{
 	"netsim.Config.Jitter":  "set at runtime by SetLatency",
 
 	// Test seams: what tests substitute to observe or bound live behaviour.
-	"core.Config.Clock":                "test seam: a virtual clock",
-	"discovery.AgentConfig.Clock":      "test seam: a virtual clock",
-	"netsim.Config.Clock":              "test seam: a virtual clock",
-	"scheduler.DispatcherConfig.Clock": "test seam: a virtual clock",
-	"transaction.LinkConfig.Clock":     "test seam: a virtual clock",
-	"health.Options.Registry":          "test seam: a private instrument registry",
-	"endpoint.CallerOptions.Timeout":   "test seam: one deadline for every call a test makes",
+	"core.Config.Clock":              "test seam: a virtual clock",
+	"discovery.AgentConfig.Clock":    "test seam: a virtual clock",
+	"netsim.Config.Clock":            "test seam: a virtual clock",
+	"transaction.LinkConfig.Clock":   "test seam: a virtual clock",
+	"health.Options.Registry":        "test seam: a private instrument registry",
+	"endpoint.CallerOptions.Timeout": "test seam: one deadline for every call a test makes",
 }
 
 // optionSuffixes are the type-name endings of the structs a caller fills to

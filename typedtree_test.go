@@ -25,9 +25,10 @@ type typedPackage struct {
 // typedTree is every non-test package of the tree in dependency order, and
 // the importer that loaded them, which also serves the standard library.
 type typedTree struct {
-	fset *token.FileSet
-	pkgs []*typedPackage
-	imp  types.Importer
+	fset   *token.FileSet
+	pkgs   []*typedPackage
+	imp    types.Importer
+	loaded map[string]*types.Package
 }
 
 var (
@@ -48,20 +49,43 @@ func loadTree(t *testing.T) *typedTree {
 	return tree
 }
 
-// typeCheckTree lists the packages of the root module and of benchmark/ with
-// their dependencies, and type-checks the non-standard ones in that order
-// from their non-test files. The standard library comes from export data.
-func typeCheckTree() (*typedTree, error) {
+// newTypedTree returns an empty tree whose importer serves the packages added
+// to it and, from export data, the standard library.
+func newTypedTree() *typedTree {
 	fset := token.NewFileSet()
 	std := importer.ForCompiler(fset, "gc", nil)
-	loaded := map[string]*types.Package{}
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if p, ok := loaded[path]; ok {
+	tt := &typedTree{fset: fset, loaded: map[string]*types.Package{}}
+	tt.imp = importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := tt.loaded[path]; ok {
 			return p, nil
 		}
 		return std.Import(path)
 	})
-	tt := &typedTree{fset: fset, imp: imp}
+	return tt
+}
+
+// add type-checks one package from its parsed files; what it imports must
+// already be in the tree or in the standard library.
+func (tt *typedTree) add(path string, files []*ast.File) error {
+	p := &typedPackage{files: files, info: &types.Info{
+		Defs: map[*ast.Ident]types.Object{},
+		Uses: map[*ast.Ident]types.Object{},
+	}}
+	conf := types.Config{Importer: tt.imp}
+	var err error
+	if p.pkg, err = conf.Check(path, tt.fset, files, p.info); err != nil {
+		return fmt.Errorf("type-checking %s: %v", path, err)
+	}
+	tt.loaded[path] = p.pkg
+	tt.pkgs = append(tt.pkgs, p)
+	return nil
+}
+
+// typeCheckTree lists the packages of the root module and of benchmark/ with
+// their dependencies, and type-checks the non-standard ones in that order
+// from their non-test files. The standard library comes from export data.
+func typeCheckTree() (*typedTree, error) {
+	tt := newTypedTree()
 	for _, module := range []string{".", "benchmark"} {
 		cmd := exec.Command("go", "list", "-deps", "-f", "{{.ImportPath}}\t{{.Dir}}\t{{.Standard}}\t{{join .GoFiles \"\\t\"}}", "./...")
 		cmd.Dir = module
@@ -72,32 +96,44 @@ func typeCheckTree() (*typedTree, error) {
 		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 			f := strings.Split(line, "\t")
 			path, dir := f[0], f[1]
-			if f[2] == "true" || loaded[path] != nil {
+			if f[2] == "true" || tt.loaded[path] != nil {
 				continue
 			}
-			p := &typedPackage{info: &types.Info{
-				Defs: map[*ast.Ident]types.Object{},
-				Uses: map[*ast.Ident]types.Object{},
-			}}
+			var files []*ast.File
 			for _, name := range f[3:] {
-				file, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+				file, err := parser.ParseFile(tt.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 				if err != nil {
 					return nil, err
 				}
-				p.files = append(p.files, file)
+				files = append(files, file)
 			}
-			conf := types.Config{Importer: imp}
-			if p.pkg, err = conf.Check(path, fset, p.files, p.info); err != nil {
-				return nil, fmt.Errorf("type-checking %s: %v", path, err)
+			if err := tt.add(path, files); err != nil {
+				return nil, err
 			}
-			loaded[path] = p.pkg
-			tt.pkgs = append(tt.pkgs, p)
 		}
 	}
-	if loaded["ndsm/benchmark"] == nil {
+	if tt.loaded["ndsm/benchmark"] == nil {
 		return nil, fmt.Errorf("go list did not load ndsm/benchmark")
 	}
 	return tt, nil
+}
+
+// typeCheckSources type-checks small packages given as source, one file
+// each, in order: a package may import the standard library and the ones
+// before it.
+func typeCheckSources(t *testing.T, srcs ...[2]string) *typedTree {
+	t.Helper()
+	tt := newTypedTree()
+	for _, src := range srcs {
+		file, err := parser.ParseFile(tt.fset, src[0]+".go", src[1], parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tt.add(src[0], []*ast.File{file}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tt
 }
 
 type importerFunc func(path string) (*types.Package, error)
