@@ -79,7 +79,11 @@ func (t *TCP) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrConnectRefused, addr, err)
 	}
-	return t.wrap(nc), nil
+	c, err := t.wrap(nc)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // Close implements Transport.
@@ -105,7 +109,10 @@ func (t *TCP) Close() error {
 	return nil
 }
 
-func (t *TCP) wrap(nc net.Conn) *tcpConn {
+// wrap adopts nc as one of the transport's connections. A Dial or Accept in
+// flight when Close took its snapshot lands here after it: then nc is closed
+// and wrap returns ErrClosed, so no connection outlives the transport.
+func (t *TCP) wrap(nc net.Conn) (*tcpConn, error) {
 	c := &tcpConn{
 		t:  t,
 		nc: nc,
@@ -114,9 +121,14 @@ func (t *TCP) wrap(nc net.Conn) *tcpConn {
 	}
 	c.bw.ReplyTo(c.fr)
 	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		_ = nc.Close()
+		return nil, ErrClosed
+	}
 	t.conns[c] = struct{}{}
 	t.mu.Unlock()
-	return c
+	return c, nil
 }
 
 type tcpListener struct {
@@ -132,7 +144,11 @@ func (l *tcpListener) Accept() (Conn, error) {
 		}
 		return nil, fmt.Errorf("transport: tcp accept: %w", err)
 	}
-	return l.t.wrap(nc), nil
+	c, err := l.t.wrap(nc)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 func (l *tcpListener) Addr() string { return l.nl.Addr().String() }

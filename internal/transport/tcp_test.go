@@ -1,9 +1,13 @@
 package transport
 
 import (
+	"errors"
+	"io"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"ndsm/internal/wire"
 )
@@ -169,6 +173,29 @@ func TestTCPClosedConnsAreForgotten(t *testing.T) {
 	tr.mu.Unlock()
 	if live != 0 {
 		t.Fatalf("%d connections still held after 20 dial/close cycles", live)
+	}
+}
+
+// A connection whose Dial or Accept was in flight when Close ran is wrapped
+// after Close took its snapshot of the live set: wrap must close it then, or
+// its Recv never returns.
+func TestTCPWrapAfterCloseClosesConn(t *testing.T) {
+	tr := NewTCP(nil)
+	_ = tr.Close()
+	mine, peer := net.Pipe()
+	defer peer.Close()
+	if c, err := tr.wrap(mine); !errors.Is(err, ErrClosed) || c != nil {
+		t.Fatalf("wrap after Close = %v, %v; want nil, ErrClosed", c, err)
+	}
+	_ = peer.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := peer.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("peer read = %v, want io.EOF: the wrapped end was left open", err)
+	}
+	tr.mu.Lock()
+	live := len(tr.conns)
+	tr.mu.Unlock()
+	if live != 0 {
+		t.Fatalf("%d connections held by a closed transport", live)
 	}
 }
 

@@ -3,13 +3,15 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 )
 
 // Frame layout on stream transports:
 //
 //	[4 bytes big-endian body length] [1 byte content type] [body] [4 bytes CRC32 (IEEE) of type+body]
+//
+// The trailer is CRC-32/IEEE whichever way frameCRC computes it (the vector
+// kernel or hash/crc32), so the format does not depend on the CPU.
 //
 // The CRC detects corruption introduced by the simulated lossy links and by
 // real-network truncation; the content-type byte lets a single connection
@@ -42,8 +44,7 @@ func AppendMessageFrame(dst []byte, codec Codec, m *Message) ([]byte, error) {
 		return out[:start], ErrFrameTooLarge
 	}
 	binary.BigEndian.PutUint32(out[start:start+4], uint32(n))
-	crc := crc32.Update(0, crc32.IEEETable, out[start+4:])
-	return binary.BigEndian.AppendUint32(out, crc), nil
+	return binary.BigEndian.AppendUint32(out, frameCRC(0, out[start+4:])), nil
 }
 
 // unexpectEOF converts a clean EOF seen mid-frame into ErrUnexpectedEOF so

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync/atomic"
 )
@@ -113,8 +112,7 @@ func (fr *FrameReader) Next() (contentType byte, body []byte, err error) {
 		}
 	}
 	body = buf[:n]
-	crc := crc32.Update(crc32.Update(0, crc32.IEEETable, header[4:5]), crc32.IEEETable, body)
-	if crc != binary.BigEndian.Uint32(buf[n:]) {
+	if frameCRC(frameCRC(0, header[4:5]), body) != binary.BigEndian.Uint32(buf[n:]) {
 		return 0, nil, ErrFrameCRC
 	}
 	fr.frames.Add(1)

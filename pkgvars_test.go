@@ -34,6 +34,9 @@ var varAllowlist = map[string]string{
 	"endpoint.reasonExpiredInQueue":     "immutable value: a shed reason, compared by identity",
 	"endpoint.reasonPreempted":          "immutable value: a shed reason, compared by identity",
 	"trace.noopRelease":                 "immutable value: the release func of a span that is not traced",
+
+	// What the CPU can run, read once.
+	"wire.frameCRCKernel": "CPU feature flag: whether the frame CRC runs the vector kernel, from CPUID and XCR0",
 }
 
 // TestNoMutablePackageVars fails on a package-level variable in a non-test
