@@ -89,7 +89,6 @@ func (n *Node) Bind(spec *qos.Spec, opts BindOptions) (*Binding, error) {
 	n.mu.Lock()
 	n.bindings = append(n.bindings, b)
 	n.mu.Unlock()
-	n.Events.Publish(Event{Type: EventBound, Service: spec.Query.Name, Peer: peer})
 	return b, nil
 }
 
@@ -215,7 +214,6 @@ func (b *Binding) Rebind() error {
 func (b *Binding) rebindFrom(old string) error {
 	peer, err := b.selectPeer(old)
 	if err != nil {
-		b.node.Events.Publish(Event{Type: EventBindingLost, Service: b.spec.Query.Name, Peer: old})
 		return err
 	}
 	if err := b.connect(peer); err != nil {
@@ -225,7 +223,6 @@ func (b *Binding) rebindFrom(old string) error {
 		_ = b.node.table.CompleteHandoff(b.txn.ID, peer)
 	}
 	b.Rebinds.Add(1)
-	b.node.Events.Publish(Event{Type: EventRebound, Service: b.spec.Query.Name, Peer: peer})
 	return nil
 }
 
@@ -260,7 +257,6 @@ func (b *Binding) request(payload []byte) ([]byte, error) {
 			// re-match before burning a request (and its timeout) on it. A
 			// failed rebind is not fatal — suspicion may be false, and the
 			// request below will tell.
-			b.node.Events.Publish(Event{Type: EventPeerSuspected, Service: b.spec.Query.Name, Peer: peer})
 			// A cached resolver would re-serve the corpse for the rest of its
 			// lease; drop those results so the rebind's lookup re-resolves.
 			discovery.Invalidate(b.node.registry, peer)
@@ -270,7 +266,6 @@ func (b *Binding) request(payload []byte) ([]byte, error) {
 	if b.violated() {
 		// Proactive degradation handling: the current supplier is not
 		// delivering the demanded QoS even though it is still reachable.
-		b.node.Events.Publish(Event{Type: EventQoSViolated, Service: b.spec.Query.Name, Peer: b.Peer()})
 		// A failed proactive rebind is not fatal — the current supplier may
 		// still serve this request; the QoS floor simply stays violated.
 		_ = b.Rebind()
@@ -289,11 +284,7 @@ func (b *Binding) request(payload []byte) ([]byte, error) {
 	// lookup results naming the failed peer are dropped first — rebinding
 	// through a cache that still lists the corpse wastes the lease.
 	discovery.Invalidate(b.node.registry, b.Peer())
-	tracker := b.Tracker()
-	tracker.ObserveFailure()
-	if b.violated() {
-		b.node.Events.Publish(Event{Type: EventQoSViolated, Service: b.spec.Query.Name, Peer: b.Peer()})
-	}
+	b.Tracker().ObserveFailure()
 	if rerr := b.Rebind(); rerr != nil {
 		return nil, fmt.Errorf("core: request failed (%v) and rebind failed: %w", err, rerr)
 	}

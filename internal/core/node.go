@@ -1,3 +1,9 @@
+// Package core is the middleware kernel (§3.1): it hosts service suppliers
+// and service consumers on a Node, wires discovery, QoS selection,
+// transactions, and recovery together, and runs the adaptation loop that
+// gives applications plug-and-play behaviour and graceful degradation —
+// when a bound supplier fails or its achieved QoS collapses, the kernel
+// re-matches and rebinds without application involvement.
 package core
 
 import (
@@ -91,9 +97,6 @@ type Node struct {
 	tracer     *trace.Tracer
 	reqlog     *reqlog.Recorder
 	topicLanes *endpoint.LaneTable
-
-	// Events is the node's event manager.
-	Events Bus
 
 	table *transaction.Table
 
@@ -251,7 +254,6 @@ func (n *Node) Serve(desc *svcdesc.Description, handler Handler) error {
 		n.ep.Unhandle(d.Name)
 		return fmt.Errorf("core: register %s: %w", d.Name, err)
 	}
-	n.Events.Publish(Event{Type: EventServiceUp, Service: d.Name, Peer: n.name})
 	return nil
 }
 
@@ -267,9 +269,7 @@ func (n *Node) withdraw(service string) error {
 		return fmt.Errorf("%w: %s", ErrUnknownService, service)
 	}
 	n.ep.Unhandle(service)
-	err := n.registry.Unregister(sup.desc.Key())
-	n.Events.Publish(Event{Type: EventServiceDown, Service: service, Peer: n.name})
-	return err
+	return n.registry.Unregister(sup.desc.Key())
 }
 
 // RenewLeases re-registers all hosted services (lease keep-alive). Call it

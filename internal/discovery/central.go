@@ -276,7 +276,9 @@ func (c *Client) Renew(key string) error {
 	return c.send(TopicRenew, []byte(key))
 }
 
-// Lookup implements Resolver.
+// Lookup implements Resolver. Every query lands in exactly one of
+// discovery.lookup.hits, misses and errors, a reply that does not decode
+// among the errors; its latency is the call's own stopwatch.
 func (c *Client) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
 	payload, err := svcdesc.MarshalQuery(q)
 	if err != nil {
@@ -284,49 +286,50 @@ func (c *Client) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
 	}
 	r := c.metrics
 	r.Counter("discovery.lookup.queries").Inc(1)
-	start := time.Now()
-	reply, err := c.call(TopicLookup, payload)
-	r.Histogram("discovery.lookup.latency_ms").Observe(
-		float64(time.Since(start)) / float64(time.Millisecond))
-	if err != nil {
+	reply, elapsed, err := c.call(TopicLookup, payload)
+	r.Histogram("discovery.lookup.latency_ms").Observe(float64(elapsed) / float64(time.Millisecond))
+	var descs []*svcdesc.Description
+	if err == nil {
+		descs, err = svcdesc.UnmarshalDescriptionList(reply.Payload)
+		wire.Recycle(reply) // the descriptions copied what they hold
+	}
+	switch {
+	case err != nil:
 		r.Counter("discovery.lookup.errors").Inc(1)
 		return nil, err
+	case len(descs) > 0:
+		r.Counter("discovery.lookup.hits").Inc(1)
+	default:
+		r.Counter("discovery.lookup.misses").Inc(1)
 	}
-	descs, err := svcdesc.UnmarshalDescriptionList(reply.Payload)
-	wire.Recycle(reply) // the descriptions copied what they hold
-	if err == nil {
-		if len(descs) > 0 {
-			r.Counter("discovery.lookup.hits").Inc(1)
-		} else {
-			r.Counter("discovery.lookup.misses").Inc(1)
-		}
-	}
-	return descs, err
+	return descs, nil
 }
 
 // Close implements Resolver.
 func (c *Client) Close() error { return c.caller.Close() }
 
-// call performs one request/response exchange through the endpoint and maps
-// its errors back onto the discovery protocol's vocabulary.
-func (c *Client) call(topic string, payload []byte) (*wire.Message, error) {
+// call performs one request/response exchange through the endpoint, maps
+// its errors back onto the discovery protocol's vocabulary, and returns how
+// long the exchange took, retry included (endpoint.Call.Elapsed).
+func (c *Client) call(topic string, payload []byte) (*wire.Message, time.Duration, error) {
 	timeout := c.callTimeout()
-	reply, err := c.caller.Do(&endpoint.Call{
+	call := endpoint.Call{
 		Kind:    wire.KindControl,
 		Topic:   topic,
 		Payload: payload,
 		Timeout: timeout,
-	})
-	if err != nil {
-		return nil, translateErr(topic, timeout, err)
 	}
-	return reply, nil
+	reply, err := c.caller.Do(&call)
+	if err != nil {
+		return nil, call.Elapsed(), translateErr(topic, timeout, err)
+	}
+	return reply, call.Elapsed(), nil
 }
 
 // send is call for an operation whose reply says nothing but that it
 // succeeded: the reply goes back for the next decode (wire.Recycle).
 func (c *Client) send(topic string, payload []byte) error {
-	reply, err := c.call(topic, payload)
+	reply, _, err := c.call(topic, payload)
 	wire.Recycle(reply)
 	return err
 }

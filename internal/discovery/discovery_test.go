@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ndsm/internal/endpoint"
 	"ndsm/internal/netmux"
 	"ndsm/internal/netsim"
 	"ndsm/internal/obs"
@@ -383,6 +384,35 @@ func TestCentralDialFailure(t *testing.T) {
 	defer cli.Close()
 	if _, err := cli.Lookup(&svcdesc.Query{}); err == nil {
 		t.Fatal("lookup against missing registry succeeded")
+	}
+}
+
+// TestCentralLookupUndecodableReplyCountsError: a registry reply that is not
+// a description list fails the lookup and is counted as an error, so the
+// lookup counters still add up to the queries made.
+func TestCentralLookupUndecodableReplyCountsError(t *testing.T) {
+	fabric := transport.NewFabric()
+	l, err := transport.NewMem(fabric).Listen("registry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A stand-in registry that answers every lookup with garbage.
+	srv := endpoint.NewServer(l, endpoint.ServerOptions{Kinds: []wire.Kind{wire.KindControl}})
+	defer srv.Close()
+	srv.Handle(TopicLookup, func(*wire.Message) (*wire.Message, error) {
+		return endpoint.NewReply([]byte("not a description list")), nil
+	})
+	reg := obs.NewRegistry()
+	cli := NewInstrumentedClient(transport.NewMem(fabric), "registry", reg, nil)
+	defer cli.Close()
+
+	if got, err := cli.Lookup(&svcdesc.Query{Name: "svc"}); err == nil {
+		t.Fatalf("lookup decoded garbage into %v", got)
+	}
+	for name, want := range map[string]int64{"queries": 1, "errors": 1, "hits": 0, "misses": 0} {
+		if got := reg.Counter("discovery.lookup." + name).Value(); got != want {
+			t.Errorf("discovery.lookup.%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

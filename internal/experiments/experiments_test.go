@@ -275,6 +275,13 @@ func TestE6Shape(t *testing.T) {
 	if greedy <= all {
 		t.Fatalf("greedy lifetime %v <= all-sensors %v", greedy, all)
 	}
+	// E6 is seeded and virtual, so its quick run repeats cell for cell.
+	wantRows(t, res, [][]string{
+		{"all-sensors", "74", "1.00x", "1", "272", "50"},
+		{"random-feasible", "124", "1.68x", "2", "248", "74"},
+		{"milan-greedy", "124", "1.68x", "2", "248", "50"},
+		{"milan-exhaustive", "124", "1.68x", "1", "248", "74"},
+	})
 }
 
 func TestE6Ablation(t *testing.T) {
@@ -289,6 +296,26 @@ func TestE6Ablation(t *testing.T) {
 		gr := cellFloat(t, res, 0, i+1, 2)
 		if ex < gr {
 			t.Fatalf("row %d: exhaustive %v < greedy %v", i, ex, gr)
+		}
+	}
+	wantRows(t, res, [][]string{
+		{"4", "milan-exhaustive", "295.0329", "true"},
+		{"4", "milan-greedy", "197.4716", "true"},
+		{"8", "milan-exhaustive", "319.0526", "true"},
+		{"8", "milan-greedy", "227.1258", "true"},
+	})
+}
+
+// wantRows fails unless the first table of res holds exactly want.
+func wantRows(t *testing.T, res Result, want [][]string) {
+	t.Helper()
+	got := res.Tables[0].Rows
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", res.ID, len(got), len(want))
+	}
+	for i := range want {
+		if strings.Join(got[i], " | ") != strings.Join(want[i], " | ") {
+			t.Errorf("%s row %d = %q, want %q", res.ID, i, got[i], want[i])
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ndsm/internal/netsim"
+	"ndsm/internal/routing"
 )
 
 // Manager is MiLAN's runtime: each reporting round it (re)selects the
@@ -16,7 +17,8 @@ import (
 // design point: the middleware, not the application and not a separate
 // routing layer, decides which nodes transmit and which relay (§4: "we do
 // not exploit any existing routing algorithms, but rather the middleware
-// incorporates this functionality").
+// incorporates this functionality"). Each hop is routing.GreedyNextHop, the
+// step routing.Geographic takes too.
 type Manager struct {
 	sys      *System
 	net      *netsim.Network
@@ -174,8 +176,8 @@ func (m *Manager) Roles() map[netsim.NodeID]Role {
 	for _, i := range m.active {
 		cur := m.sys.Sensors[i].Node
 		for hops := 0; hops < 64; hops++ {
-			next, err := m.nextHop(cur)
-			if err != nil || next == m.sys.Sink {
+			next, ok := routing.GreedyNextHop(m.net, cur, m.sys.Sink)
+			if !ok || next == m.sys.Sink {
 				break
 			}
 			roles[next] = RoleRouter
@@ -239,9 +241,9 @@ func (m *Manager) routeToSink(from netsim.NodeID, payload []byte) error {
 		if cur == m.sys.Sink {
 			return nil
 		}
-		next, err := m.nextHop(cur)
-		if err != nil {
-			return err
+		next, ok := routing.GreedyNextHop(m.net, cur, m.sys.Sink)
+		if !ok {
+			return fmt.Errorf("milan: no route from %s toward sink", cur)
 		}
 		if err := m.net.Send(cur, next, payload); err != nil {
 			return err
@@ -256,34 +258,4 @@ func (m *Manager) routeToSink(from netsim.NodeID, payload []byte) error {
 		cur = next
 	}
 	return errors.New("milan: hop limit exceeded")
-}
-
-// nextHop picks the alive neighbour strictly closest to the sink.
-func (m *Manager) nextHop(cur netsim.NodeID) (netsim.NodeID, error) {
-	curPos, err := m.net.PositionOf(cur)
-	if err != nil {
-		return "", err
-	}
-	neighbors, err := m.net.Neighbors(cur)
-	if err != nil {
-		return "", err
-	}
-	best := netsim.NodeID("")
-	bestDist := curPos.Distance(m.sys.SinkPos)
-	for _, nb := range neighbors {
-		if nb == m.sys.Sink {
-			return nb, nil
-		}
-		pos, err := m.net.PositionOf(nb)
-		if err != nil {
-			continue
-		}
-		if d := pos.Distance(m.sys.SinkPos); d < bestDist {
-			best, bestDist = nb, d
-		}
-	}
-	if best == "" {
-		return "", fmt.Errorf("milan: no route from %s toward sink", cur)
-	}
-	return best, nil
 }

@@ -113,7 +113,8 @@ type System struct {
 	Combine Combine
 	// Sink is the node sensor data flows to.
 	Sink netsim.NodeID
-	// SinkPos is used for per-round energy estimation.
+	// SinkPos is where Sink sits, for per-round energy estimation; the
+	// manager's forwarding reads the sink's position from the network.
 	SinkPos netsim.Position
 	// Range is the radio range for hop estimation (default 25). Energy
 	// follows netsim.DefaultRadio.

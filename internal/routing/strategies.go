@@ -260,21 +260,29 @@ func (Geographic) UsesFlooding() bool { return false }
 
 // NextHop implements Strategy.
 func (Geographic) NextHop(r *Router, dest netsim.NodeID) (netsim.NodeID, bool) {
-	net := r.Network()
+	return GreedyNextHop(r.Network(), r.ID(), dest)
+}
+
+// GreedyNextHop is greedy geographic forwarding's one step: dest itself when
+// it is a neighbour of cur, else the alive neighbour strictly closer to dest
+// than cur and closest of all. False at a local minimum, or when cur or dest
+// is unknown to net. Geographic routes with it, and so does MiLAN's manager,
+// which forwards its samples to the sink hop by hop itself.
+func GreedyNextHop(net *netsim.Network, cur, dest netsim.NodeID) (netsim.NodeID, bool) {
 	destPos, err := net.PositionOf(dest)
 	if err != nil {
 		return "", false
 	}
-	myPos, err := net.PositionOf(r.ID())
+	curPos, err := net.PositionOf(cur)
 	if err != nil {
 		return "", false
 	}
-	neighbors, err := net.Neighbors(r.ID())
+	neighbors, err := net.Neighbors(cur)
 	if err != nil {
 		return "", false
 	}
 	best := netsim.NodeID("")
-	bestDist := myPos.Distance(destPos)
+	bestDist := curPos.Distance(destPos)
 	for _, nb := range neighbors {
 		if nb == dest {
 			return nb, true // destination in direct range
@@ -287,10 +295,7 @@ func (Geographic) NextHop(r *Router, dest netsim.NodeID) (netsim.NodeID, bool) {
 			best, bestDist = nb, d
 		}
 	}
-	if best == "" {
-		return "", false
-	}
-	return best, true
+	return best, best != ""
 }
 
 // Advertisement implements Strategy.

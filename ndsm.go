@@ -72,22 +72,6 @@ type Binding = core.Binding
 // BindOptions tunes a binding's degradation policy.
 type BindOptions = core.BindOptions
 
-// Event is a kernel notification; EventType classifies it.
-type (
-	Event     = core.Event
-	EventType = core.EventType
-)
-
-// Kernel event types.
-const (
-	EventServiceUp   = core.EventServiceUp
-	EventServiceDown = core.EventServiceDown
-	EventBound       = core.EventBound
-	EventRebound     = core.EventRebound
-	EventBindingLost = core.EventBindingLost
-	EventQoSViolated = core.EventQoSViolated
-)
-
 // --- service descriptions and matching (§3.3) ---
 
 // Description advertises a service; Query requests one.

@@ -156,26 +156,3 @@ func TestPublicLocationService(t *testing.T) {
 		t.Fatalf("entry = %+v, %v", e, err)
 	}
 }
-
-func TestPublicEvents(t *testing.T) {
-	fabric := ndsm.NewFabric()
-	registry := ndsm.NewStore(nil, 0)
-	n, err := ndsm.NewNode(ndsm.NodeConfig{Name: "n", Transport: ndsm.NewMemTransport(fabric), Registry: registry})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close() //nolint:errcheck
-	events := n.Events.Subscribe()
-	if err := n.Serve(&ndsm.Description{Name: "s", Reliability: 1, PowerLevel: 1},
-		func(p []byte) ([]byte, error) { return p, nil }); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-events:
-		if ev.Type != ndsm.EventServiceUp {
-			t.Fatalf("event = %+v", ev)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no event")
-	}
-}
