@@ -338,12 +338,11 @@ func milanBenchSystem(nPerVar int) (*milan.System, milan.Energies, map[netsim.No
 				"normal": {"bp": 0.8, "hr": 0.8},
 			},
 		},
-		Sink:    "sink",
-		SinkPos: netsim.Position{},
-		Range:   30,
+		Sink:  "sink",
+		Range: 30,
 	}
 	energies := make(milan.Energies)
-	positions := make(map[netsim.NodeID]netsim.Position)
+	positions := map[netsim.NodeID]netsim.Position{sys.Sink: {}}
 	for v, variable := range []milan.Variable{"bp", "hr"} {
 		for i := 0; i < nPerVar; i++ {
 			id := netsim.NodeID(fmt.Sprintf("s%d-%d", v, i))
@@ -383,7 +382,7 @@ func BenchmarkMilanRound(b *testing.B) {
 	sys, _, _ := milanBenchSystem(4)
 	net := netsim.New(netsim.Config{Range: sys.Range, Unlimited: true})
 	defer net.Close()
-	if err := net.AddNodeEnergy(sys.Sink, sys.SinkPos, 1e6); err != nil {
+	if err := net.AddNodeEnergy(sys.Sink, netsim.Position{}, 1e6); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))

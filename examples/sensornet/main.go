@@ -41,9 +41,8 @@ func buildSystem() *milan.System {
 				stEmergency: {varBP: 0.95, varHR: 0.9},
 			},
 		},
-		Sink:    "basestation",
-		SinkPos: simnet.Position{X: 0, Y: 0},
-		Range:   30,
+		Sink:  "basestation",
+		Range: 30,
 	}
 	// Four BP sensors and four HR sensors of varying individual quality.
 	qualities := []float64{0.85, 0.80, 0.75, 0.72}
@@ -67,7 +66,7 @@ func buildSystem() *milan.System {
 // lifetimes stay demo-sized.
 func buildField(sys *milan.System) (*simnet.Network, error) {
 	net := simnet.New(simnet.Config{Range: sys.Range})
-	if err := net.AddNodeEnergy(sys.Sink, sys.SinkPos, 1e6); err != nil {
+	if err := net.AddNodeEnergy(sys.Sink, simnet.Position{X: 0, Y: 0}, 1e6); err != nil {
 		return nil, err
 	}
 	for i, sn := range sys.Sensors {

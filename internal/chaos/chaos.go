@@ -133,9 +133,7 @@ type Engine struct {
 // NewEngine creates an engine on the given clock (wall clock if nil). The
 // schedule origin is the clock reading at Load.
 func NewEngine(clock simtime.Clock) *Engine {
-	if clock == nil {
-		clock = simtime.Real{}
-	}
+	clock = simtime.OrReal(clock)
 	return &Engine{clock: clock, start: clock.Now(), injectors: make(map[FaultKind]Injector)}
 }
 

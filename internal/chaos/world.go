@@ -300,9 +300,7 @@ func (m muxDatagram) Recv(id netsim.NodeID) (<-chan netsim.Packet, error) {
 // simulated nodes, and SLO worlds feed recent spans into their flight
 // bundles. Without a collector, WorldConfig.Tracer plays that part.
 func NewWorld(cfg WorldConfig, clock simtime.Clock, spans *trace.Collector) (*World, error) {
-	if clock == nil {
-		clock = simtime.Real{}
-	}
+	clock = simtime.OrReal(clock)
 	w := &World{
 		cfg:          cfg,
 		clock:        clock,

@@ -763,7 +763,10 @@ func (c *countingClock) Since(t time.Time) time.Duration {
 // interval; the server reads Now and Since around a dispatch, which times
 // both its wide event and its metrics. So a bound Request and a
 // RequestAsync+Wait each read Now twice and Since twice (10 and 6 Nows
-// before), and the caller's deadline sweep adds one Now per 256 calls. A
+// before), with a deadline too: a Wait that blocks arms its timer at the
+// instant the call ends and reads nothing (it read Since once more on the
+// wall clock, and twice more on a clock that wraps it). The caller's deadline
+// sweep adds one Now per 256 calls. A
 // read is not free: on a virtualized Intel Xeon (go1.24, one processor)
 // time.Now costs 64-72 ns and time.Since, which reads only the monotonic
 // clock, 35-39 ns.
@@ -776,11 +779,18 @@ func TestClockReadsPerCall(t *testing.T) {
 	if err := node("supplier-1").Serve(bpDesc(0.9), echoHandler("")); err != nil {
 		t.Fatal(err)
 	}
-	b, err := node("consumer-1").Bind(&qos.Spec{Query: svcdesc.Query{Name: "sensor/bp"}}, BindOptions{})
+	consumer := node("consumer-1")
+	b, err := consumer.Bind(&qos.Spec{Query: svcdesc.Query{Name: "sensor/bp"}}, BindOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
+	// A binding with a QoS deadline, so a Wait that blocks arms a timer.
+	timed, err := consumer.Bind(&qos.Spec{Query: svcdesc.Query{Name: "sensor/bp"}, Benefit: qos.Benefit{ZeroAfter: time.Hour}}, BindOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer timed.Close()
 	const calls = 256 // one deadline sweep each
 	readsPer := func(call func() error) (nows, sinces float64) {
 		for i := 0; i < 10; i++ {
@@ -803,6 +813,8 @@ func TestClockReadsPerCall(t *testing.T) {
 	}{
 		{"Binding.Request", func() error { _, err := b.Request([]byte("x")); return err }},
 		{"RequestAsync and Wait", func() error { _, err := b.RequestAsync([]byte("x")).Wait(); return err }},
+		{"Binding.Request with a deadline", func() error { _, err := timed.Request([]byte("x")); return err }},
+		{"RequestAsync and Wait with a deadline", func() error { _, err := timed.RequestAsync([]byte("x")).Wait(); return err }},
 	} {
 		nows, sinces := readsPer(c.call)
 		t.Logf("%s reads Now %.3f and Since %.3f times a call", c.name, nows, sinces)

@@ -127,9 +127,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Registry == nil {
 		return nil, errors.New("core: node needs a registry")
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = simtime.Real{}
-	}
+	cfg.Clock = simtime.OrReal(cfg.Clock)
 	l, err := cfg.Transport.Listen(cfg.Name)
 	if err != nil {
 		return nil, fmt.Errorf("core: listen %s: %w", cfg.Name, err)

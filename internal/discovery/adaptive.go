@@ -76,9 +76,7 @@ func NewAdaptive(central Resolver, flood *Agent, densityFn func() int, policy Po
 	if policy == nil {
 		policy = DensityPolicy(6)
 	}
-	if clock == nil {
-		clock = simtime.Real{}
-	}
+	clock = simtime.OrReal(clock)
 	return &Adaptive{
 		central:       central,
 		flood:         flood,

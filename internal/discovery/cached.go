@@ -71,9 +71,7 @@ var (
 
 // NewCached wraps inner with a lookup cache.
 func NewCached(inner Resolver, opts CacheOptions) *Cached {
-	if opts.Clock == nil {
-		opts.Clock = simtime.Real{}
-	}
+	opts.Clock = simtime.OrReal(opts.Clock)
 	if opts.TTL <= 0 {
 		opts.TTL = DefaultCacheTTL
 	}

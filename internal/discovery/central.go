@@ -57,9 +57,7 @@ type Server struct {
 	sweeper Sweeper
 	ep      *endpoint.Server
 
-	stopSweep chan struct{}
-	sweepWG   sync.WaitGroup
-	closeOnce sync.Once
+	sweep *simtime.Loop // nil without ServerOptions.SweepEvery
 }
 
 // NewServer starts serving the store on the listener in a background
@@ -93,28 +91,9 @@ func NewResolverServer(backing Resolver, l transport.Listener, opts ServerOption
 	s.ep.Handle(TopicRenew, s.handleRenew)
 	s.ep.Handle(TopicLookup, s.handleLookup)
 	if opts.SweepEvery > 0 && s.sweeper != nil {
-		clock := opts.Clock
-		if clock == nil {
-			clock = simtime.Real{}
-		}
-		s.stopSweep = make(chan struct{})
-		s.sweepWG.Add(1)
-		go s.sweepLoop(clock, opts.SweepEvery)
+		s.sweep = simtime.Every(simtime.OrReal(opts.Clock), opts.SweepEvery, func() { s.sweeper.Sweep() })
 	}
 	return s
-}
-
-// sweepLoop expires stale leases on the ticker until Close.
-func (s *Server) sweepLoop(clock simtime.Clock, every time.Duration) {
-	defer s.sweepWG.Done()
-	for {
-		select {
-		case <-clock.After(every):
-			s.sweeper.Sweep()
-		case <-s.stopSweep:
-			return
-		}
-	}
 }
 
 // sweepFirst expires stale leases before every operation.
@@ -137,12 +116,7 @@ func (s *Server) Handle(topic string, h endpoint.Handler) { s.ep.Handle(topic, h
 
 // Close stops the sweep ticker and the endpoint server.
 func (s *Server) Close() error {
-	s.closeOnce.Do(func() {
-		if s.stopSweep != nil {
-			close(s.stopSweep)
-		}
-	})
-	s.sweepWG.Wait()
+	s.sweep.Stop()
 	return s.ep.Close()
 }
 

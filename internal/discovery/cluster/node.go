@@ -82,9 +82,7 @@ type Node struct {
 	lastSync time.Time
 	closed   bool
 
-	stop      chan struct{}
-	loopWG    sync.WaitGroup
-	closeOnce sync.Once
+	syncRounds *simtime.Loop // anti-entropy, nil without SyncEvery or peers
 }
 
 // NewNode starts a cluster member serving on l over tr (tr also carries its
@@ -111,9 +109,7 @@ func NewNode(tr transport.Transport, l transport.Listener, opts NodeOptions) (*N
 	if rf > ring.Size() {
 		rf = ring.Size()
 	}
-	if opts.Clock == nil {
-		opts.Clock = simtime.Real{}
-	}
+	opts.Clock = simtime.OrReal(opts.Clock)
 	if opts.GossipTimeout <= 0 {
 		opts.GossipTimeout = DefaultGossipTimeout
 	}
@@ -127,7 +123,6 @@ func NewNode(tr transport.Transport, l transport.Listener, opts NodeOptions) (*N
 		timeout: opts.GossipTimeout,
 		metrics: opts.Metrics,
 		callers: make(map[string]*endpoint.Caller),
-		stop:    make(chan struct{}),
 	}
 	for _, m := range ring.Members() {
 		if m != opts.Self {
@@ -143,8 +138,7 @@ func NewNode(tr transport.Transport, l transport.Listener, opts NodeOptions) (*N
 	n.srv.Handle(TopicGossipDigest, n.handleDigest)
 	n.srv.Handle(TopicGossipDelta, n.handleDelta)
 	if opts.SyncEvery > 0 && len(n.peers) > 0 {
-		n.loopWG.Add(1)
-		go n.syncLoop(opts.SyncEvery)
+		n.syncRounds = simtime.Every(n.clock, opts.SyncEvery, func() { _ = n.SyncNow() })
 	}
 	return n, nil
 }
@@ -161,19 +155,6 @@ func (n *Node) Ring() *Ring { return n.ring }
 
 // ownsSelf reports whether this member owns key.
 func (n *Node) ownsSelf(key string) bool { return n.ring.Owns(n.self, key, n.rf) }
-
-// syncLoop runs anti-entropy rounds on the clock until Close.
-func (n *Node) syncLoop(every time.Duration) {
-	defer n.loopWG.Done()
-	for {
-		select {
-		case <-n.clock.After(every):
-			_ = n.SyncNow()
-		case <-n.stop:
-			return
-		}
-	}
-}
 
 // caller returns (creating lazily) the redial-safe caller to a peer.
 func (n *Node) caller(peer string) (*endpoint.Caller, error) {
@@ -304,8 +285,7 @@ func (n *Node) handleDelta(req *wire.Message) (*wire.Message, error) {
 
 // Close stops the sync loop, the gossip callers, and the server.
 func (n *Node) Close() error {
-	n.closeOnce.Do(func() { close(n.stop) })
-	n.loopWG.Wait()
+	n.syncRounds.Stop()
 	n.mu.Lock()
 	n.closed = true
 	callers := make([]*endpoint.Caller, 0, len(n.callers))

@@ -59,9 +59,7 @@ var (
 // tie-breaks; clock defaults to simtime.Real; defaultTTL to
 // discovery.DefaultTTL. Tombstones live DefaultTombstoneTTL.
 func NewTable(self string, clock simtime.Clock, defaultTTL time.Duration) *Table {
-	if clock == nil {
-		clock = simtime.Real{}
-	}
+	clock = simtime.OrReal(clock)
 	if defaultTTL <= 0 {
 		defaultTTL = discovery.DefaultTTL
 	}

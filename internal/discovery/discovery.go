@@ -99,9 +99,7 @@ var _ Resolver = (*Store)(nil)
 // NewStore creates a store expiring entries against the given clock
 // (simtime.Real if nil), defaulting leases to defaultTTL (DefaultTTL if 0).
 func NewStore(clock simtime.Clock, defaultTTL time.Duration) *Store {
-	if clock == nil {
-		clock = simtime.Real{}
-	}
+	clock = simtime.OrReal(clock)
 	if defaultTTL <= 0 {
 		defaultTTL = DefaultTTL
 	}

@@ -115,9 +115,7 @@ func (c AgentConfig) withDefaults() AgentConfig {
 	if c.CollectWindow <= 0 {
 		c.CollectWindow = 100 * time.Millisecond
 	}
-	if c.Clock == nil {
-		c.Clock = simtime.Real{}
-	}
+	c.Clock = simtime.OrReal(c.Clock)
 	return c
 }
 

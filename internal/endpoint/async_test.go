@@ -259,17 +259,17 @@ func TestFutureWaitDeadline(t *testing.T) {
 }
 
 // advancingClock is a virtual clock that moves on by jump inside the first
-// After, between a Wait reading the time its call has left and arming the
-// timer for it.
+// Timer, between a Wait fixing the instant its call ends and arming the timer
+// for it.
 type advancingClock struct {
 	*simtime.Virtual
 	jump time.Duration
 	once sync.Once
 }
 
-func (c *advancingClock) After(d time.Duration) <-chan time.Time {
+func (c *advancingClock) Timer(at time.Time) simtime.Timer {
 	c.once.Do(func() { c.Virtual.Advance(c.jump) })
-	return c.Virtual.After(d)
+	return c.Virtual.Timer(at)
 }
 
 // A clock that passes the deadline while Wait arms its timer still ends the
@@ -397,9 +397,9 @@ func TestFutureErrorsNameTheirCall(t *testing.T) {
 		}
 		_, _ = fut.Wait()
 	}
-	w := getWaiter()
+	w := c.getWaiter()
 	w.id, w.gen, w.topic, w.timeout, w.start = 9, 7, "stall", time.Second, clock.Now()
-	putWaiter(w)
+	c.putWaiter(w)
 	if w.id != 0 || w.gen != 0 || w.topic != "" || w.timeout != 0 || !w.start.IsZero() {
 		t.Fatalf("pooled waiter keeps id %d, gen %d, topic %q, timeout %v, start %v", w.id, w.gen, w.topic, w.timeout, w.start)
 	}

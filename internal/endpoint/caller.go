@@ -54,7 +54,7 @@ type waiter struct {
 	topic   string        // the call's, for the errors it settles into
 	timeout time.Duration // the call's (0: none); its deadline is start+timeout
 	start   time.Time     // when the call's attempt began, by the caller's clock
-	timer   *time.Timer   // a blocking Wait's deadline timer, stopped between calls
+	timer   simtime.Timer // a blocking Wait's deadline timer, stopped between calls
 }
 
 // sweepInterval is how many calls go by between deadline sweeps of the
@@ -75,7 +75,8 @@ type Caller struct {
 	clock  simtime.Clock
 	invoke ClientFunc
 
-	nextID atomic.Uint64
+	nextID     atomic.Uint64
+	waiterPool sync.Pool // of *waiter: see getWaiter
 
 	mu      sync.Mutex
 	conn    transport.Conn
@@ -102,10 +103,7 @@ const maxSheds = 64
 // NewCaller builds a caller for addr over tr. With Eager set the dial
 // happens (and can fail) here; otherwise the first call dials.
 func NewCaller(tr transport.Transport, addr string, opts CallerOptions) (*Caller, error) {
-	clock := opts.Clock
-	if clock == nil {
-		clock = simtime.Real{}
-	}
+	clock := simtime.OrReal(opts.Clock)
 	c := &Caller{
 		tr:      tr,
 		addr:    addr,
@@ -410,7 +408,7 @@ func (c *Caller) start(call *Call, fut *Future) (time.Time, error) {
 	id := c.nextID.Add(1)
 	var w *waiter
 	if !call.OneWay {
-		w = getWaiter()
+		w = c.getWaiter()
 		w.id, w.gen, w.topic, w.timeout, w.start = id, gen, call.Topic, timeout, begin
 		c.waiters[id] = w
 		*fut = Future{c: c, w: w}
@@ -454,7 +452,7 @@ func (c *Caller) start(call *Call, fut *Future) (time.Time, error) {
 	putMsg(req) // transports must not retain it (see transport.Conn)
 	if err != nil {
 		if w != nil && c.cancelWaiter(w) {
-			putWaiter(w)
+			c.putWaiter(w)
 		}
 		c.mu.Lock()
 		c.dropConnLocked(gen)

@@ -79,83 +79,28 @@ func (f *Future) waitLocked() (*wire.Message, error) {
 		return f.m, f.err
 	default:
 	}
-	remaining := f.w.timeout - f.c.clock.Since(f.w.start)
-	if remaining <= 0 {
-		f.expireLocked()
-		return f.m, f.err
-	}
-	var timer <-chan time.Time
-	_, armed := f.c.clock.(simtime.Real)
-	if armed {
-		// time.After's timer cannot be stopped, and under go 1.22 an
-		// unstopped timer stays allocated until it fires: at 100 k req/s
-		// with a 5 s deadline that is half a million live timers. The
-		// waiter's own timer is stopped once the reply wins, and reused.
-		timer = f.w.arm(remaining).C
-	} else {
-		// Another clock can move between reading the time left and arming
-		// the timer, which then counts from the later instant: a simulated
-		// clock advanced past the deadline there never fires it. Read the
-		// time left again after arming, and arm again only if the clock
-		// moved by more than armSlack — a wall clock moves on every read.
-		// Each pass takes more than armSlack off the time left, so the
-		// passes end.
-		for {
-			timer = f.c.clock.After(remaining)
-			left := f.w.timeout - f.c.clock.Since(f.w.start)
-			if left <= 0 {
-				f.expireLocked()
-				return f.m, f.err
-			}
-			if remaining-left <= armSlack {
-				break
-			}
-			select {
-			case r := <-f.w.ch:
-				f.settleLocked(r)
-				return f.m, f.err
-			default:
-			}
-			remaining = left
-		}
-	}
+	// The deadline is an instant on the caller's clock, which fires a timer
+	// armed past it at once: a Wait that starts late reads no clock.
+	deadline := f.w.arm(f.c.clock, f.w.start.Add(f.w.timeout))
 	select {
 	case r := <-f.w.ch:
-		if armed {
-			f.w.stopTimer()
-		}
+		f.w.timer.Stop()
 		f.settleLocked(r)
-	case <-timer: // received: the timer holds no tick and is reused as it is
+	case <-deadline: // received: the timer holds no tick and is reused as it is
 		f.expireLocked()
 	}
 	return f.m, f.err
 }
 
-// armSlack is how late Wait lets a deadline timer on a clock other than
-// simtime.Real fire because the clock moved while it was armed: about what a
-// wall-clock timer is late by under load anyway.
-const armSlack = time.Millisecond
-
-// arm returns w's deadline timer set to fire after d: made by the first Wait
-// that needs one, reset by later Waits on the pooled waiter (see stopTimer).
-func (w *waiter) arm(d time.Duration) *time.Timer {
+// arm returns the channel of w's deadline timer, set to fire at at: made by
+// the first Wait that needs one, reset by later Waits on the pooled waiter.
+func (w *waiter) arm(clock simtime.Clock, at time.Time) <-chan time.Time {
 	if w.timer == nil {
-		w.timer = time.NewTimer(d)
+		w.timer = clock.Timer(at)
 	} else {
-		w.timer.Reset(d)
+		w.timer.Reset(at)
 	}
-	return w.timer
-}
-
-// stopTimer stops w's armed timer for reuse, or drops it if it already fired:
-// the runtime sends a tick after releasing the timer, so under go.mod's go
-// 1.22 timer channels (asynctimerchan=1) a drain after Stop can miss a tick
-// still on its way, which would end a later Wait at once. The next Wait makes
-// a fresh timer, an allocation only when the deadline and the reply raced.
-func (w *waiter) stopTimer() {
-	if w.timer != nil && !w.timer.Stop() {
-		w.timer = nil
-	}
+	return w.timer.C()
 }
 
 // expireLocked resolves the future as timed out — unless a result raced in,
@@ -204,27 +149,30 @@ func (f *Future) settleLocked(r waitResult) {
 		m = nil
 	}
 	f.m, f.err, f.done = m, err, true
-	putWaiter(f.w)
+	f.c.putWaiter(f.w)
 	f.w = nil
 }
 
-// waiterPool recycles waiters (and their reply channels) across calls: the
-// demux discipline guarantees at most one buffered send per checkout, and
-// putWaiter drains it, and waitLocked never pools a timer that can still
-// tick, so a recycled waiter holds neither a result nor a tick.
-var waiterPool = sync.Pool{
-	New: func() any { return &waiter{ch: make(chan waitResult, 1)} },
+// getWaiter takes a waiter from c's pool. The pool recycles waiters (and
+// their reply channels and deadline timers) across c's calls: the demux
+// discipline guarantees at most one buffered send per checkout, and putWaiter
+// drains it, and waitLocked stops a timer it armed unless its tick was
+// received, so a recycled waiter holds neither a result nor a tick. The pool
+// is c's own because a waiter's timer is c's clock's.
+func (c *Caller) getWaiter() *waiter {
+	if w, ok := c.waiterPool.Get().(*waiter); ok {
+		return w
+	}
+	return &waiter{ch: make(chan waitResult, 1)}
 }
 
-func getWaiter() *waiter { return waiterPool.Get().(*waiter) }
-
-func putWaiter(w *waiter) {
+func (c *Caller) putWaiter(w *waiter) {
 	select {
 	case <-w.ch: // drop an undelivered result (cancelled before Wait)
 	default:
 	}
 	w.id, w.gen, w.topic, w.timeout, w.start = 0, 0, "", 0, time.Time{}
-	waiterPool.Put(w)
+	c.waiterPool.Put(w)
 }
 
 // msgPool recycles the envelopes this package sends: a caller's requests, a

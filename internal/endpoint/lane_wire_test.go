@@ -176,9 +176,10 @@ func TestLaneAndShedSurviveTranscode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := getWaiter()
+	c := &Caller{clock: simtime.Real{}}
+	w := c.getWaiter()
 	w.topic = "work"
-	f := &Future{c: &Caller{clock: simtime.Real{}}, w: w}
+	f := &Future{c: c, w: w}
 	f.settleLocked(waitResult{m: transcode(sent)})
 	wantShed(t, "transcoded shed reply", f.err, LaneBulk)
 }

@@ -125,10 +125,7 @@ func NewServer(l transport.Listener, opts ServerOptions) *Server {
 	if metricName == "" {
 		metricName = "endpoint.server"
 	}
-	clock := opts.Clock
-	if clock == nil {
-		clock = simtime.Real{}
-	}
+	clock := simtime.OrReal(opts.Clock)
 	s := &Server{
 		listener: l,
 		opts:     opts,

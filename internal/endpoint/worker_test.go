@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ndsm/internal/obs"
+	"ndsm/internal/simtime"
 	"ndsm/internal/transport"
 	"ndsm/internal/wire"
 )
@@ -455,55 +456,72 @@ func TestFutureWaitStopsDeadlineTimer(t *testing.T) {
 // once and reset for every later call, so after warm-up a round trip with a
 // deadline costs what one without it does: here the shell of the reply's
 // clone, which the caller keeps (NewReply's envelope and the request's clone
-// come from pools). A timer made per Wait was two objects more.
+// come from pools). A timer made per Wait was two objects more. Every form of
+// the wall clock takes that one path: a pointer to simtime.Real, and a clock
+// that embeds it, as a wrapper that counts reads does, cost what simtime.Real
+// does (4 objects each while Wait asked for the clock's type).
 func TestWaitDeadlineTimerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
 	}
-	s, c := newPair(t, ServerOptions{Name: "srv"}, CallerOptions{Timeout: time.Hour})
-	s.Handle("slow", func(*wire.Message) (*wire.Message, error) {
-		time.Sleep(50 * time.Microsecond) // the caller is in Wait by now, its deadline armed
-		return NewReply(nil), nil
-	})
-	call := &Call{Topic: "slow"}
-	do := func() {
-		if _, err := c.Do(call); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 20; i++ {
-		do()
-	}
-	const want = 1
-	if allocs := testing.AllocsPerRun(200, do); allocs > want {
-		t.Fatalf("round trip with an armed deadline allocates %.2f objects, want at most %d", allocs, want)
+	type wrapped struct{ simtime.Real }
+	for _, clock := range []struct {
+		name string
+		simtime.Clock
+	}{
+		{"Real", simtime.Real{}},
+		{"pointer to Real", &simtime.Real{}},
+		{"wrapper of Real", &wrapped{}},
+	} {
+		t.Run(clock.name, func(t *testing.T) {
+			s, c := newPair(t, ServerOptions{Name: "srv"}, CallerOptions{Clock: clock.Clock, Timeout: time.Hour})
+			s.Handle("slow", func(*wire.Message) (*wire.Message, error) {
+				time.Sleep(50 * time.Microsecond) // the caller is in Wait by now, its deadline armed
+				return NewReply(nil), nil
+			})
+			call := &Call{Topic: "slow"}
+			do := func() {
+				if _, err := c.Do(call); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 20; i++ {
+				do()
+			}
+			const want = 1
+			if allocs := testing.AllocsPerRun(200, do); allocs > want {
+				t.Fatalf("round trip with an armed deadline allocates %.2f objects, want at most %d", allocs, want)
+			}
+		})
 	}
 }
 
-// A timer that fired may still be sending its tick when Stop returns, so a
-// pooled waiter drops it rather than drain it: a tick that lands on a reused
-// timer would end the waiter's next Wait at once. A timer Stop caught in time
-// is kept. The loop arms timers that fire about when they are stopped, the
-// race a reply arriving at its deadline runs.
+// A timer that fired may still be sending its tick when Stop returns, so
+// simtime's wall-clock timer drops it rather than drain it, and the next arming
+// makes a fresh one: a tick that lands on a reused timer would end the
+// waiter's next Wait at once. A timer Stop caught in time is kept. A kept
+// timer ticks on the channel it had, a fresh one on a new channel. The loop
+// arms timers that fire about when they are stopped, the race a reply
+// arriving at its deadline runs.
 func TestFiredTimerIsNotReused(t *testing.T) {
 	var w waiter
-	kept := w.arm(time.Hour)
-	w.stopTimer()
-	if w.timer != kept {
+	clock := simtime.Real{}
+	in := func(d time.Duration) time.Time { return time.Now().Add(d) }
+	kept := w.arm(clock, in(time.Hour))
+	w.timer.Stop()
+	if w.arm(clock, in(time.Hour)) != kept {
 		t.Fatal("a timer stopped before it fired was dropped; the next Wait would make another")
 	}
-	w.arm(time.Millisecond)
+	w.timer.Stop()
+	fired := w.arm(clock, in(time.Millisecond))
 	time.Sleep(5 * time.Millisecond) // due, and nobody receives the tick
-	w.stopTimer()
-	if w.timer != nil {
+	w.timer.Stop()
+	if w.arm(clock, in(time.Hour)) == fired {
 		t.Fatal("a fired timer was kept for reuse")
 	}
 	stale := func(i int) {
-		if w.timer == nil {
-			return
-		}
 		select {
-		case <-w.timer.C:
+		case <-w.timer.C():
 			t.Fatalf("iteration %d: a timer armed for an hour held a tick of an earlier arming", i)
 		default:
 		}
@@ -511,11 +529,11 @@ func TestFiredTimerIsNotReused(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		stale(i)
 		d := time.Duration(i%16) * time.Microsecond
-		w.arm(d)
+		w.arm(clock, in(d))
 		for start := time.Now(); time.Since(start) < d; {
 		}
-		w.stopTimer()
-		w.arm(time.Hour)
+		w.timer.Stop()
+		w.arm(clock, in(time.Hour))
 	}
 	time.Sleep(time.Millisecond)
 	stale(10000)

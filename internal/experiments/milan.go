@@ -34,9 +34,8 @@ func e6System(perVariable int, rng *rand.Rand) *milan.System {
 				stateNormal: {varBP: 0.7, varHR: 0.7},
 			},
 		},
-		Sink:    "sink",
-		SinkPos: netsim.Position{X: 0, Y: 0},
-		Range:   30,
+		Sink:  "sink",
+		Range: 30,
 	}
 	for v, variable := range []milan.Variable{varBP, varHR} {
 		for i := 0; i < perVariable; i++ {
@@ -52,7 +51,7 @@ func e6System(perVariable int, rng *rand.Rand) *milan.System {
 
 func e6Field(sys *milan.System, energy float64, rng *rand.Rand, tr *trace.Tracer) (*netsim.Network, error) {
 	net := netsim.New(netsim.Config{Range: sys.Range, Tracer: tr})
-	if err := net.AddNodeEnergy(sys.Sink, sys.SinkPos, 1e6); err != nil {
+	if err := net.AddNodeEnergy(sys.Sink, netsim.Position{}, 1e6); err != nil {
 		net.Close()
 		return nil, err
 	}
@@ -136,7 +135,7 @@ func e6Ablation(quick bool) (Result, error) {
 		rng := rand.New(rand.NewSource(e6Seed))
 		sys := e6System(spv, rng)
 		energies := make(milan.Energies)
-		positions := make(map[netsim.NodeID]netsim.Position)
+		positions := map[netsim.NodeID]netsim.Position{sys.Sink: {}} // the origin, as in e6Field
 		for _, sn := range sys.Sensors {
 			energies[sn.Node] = e6Energy
 			positions[sn.Node] = netsim.Position{X: 5 + rng.Float64()*20, Y: rng.Float64() * 20}

@@ -127,9 +127,7 @@ type Recorder struct {
 
 // NewRecorder builds a recorder.
 func NewRecorder(opts Options) *Recorder {
-	if opts.Clock == nil {
-		opts.Clock = simtime.Real{}
-	}
+	opts.Clock = simtime.OrReal(opts.Clock)
 	return &Recorder{opts: opts}
 }
 

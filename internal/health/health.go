@@ -101,9 +101,7 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Clock == nil {
-		o.Clock = simtime.Real{}
-	}
+	o.Clock = simtime.OrReal(o.Clock)
 	if o.WindowSize <= 0 {
 		o.WindowSize = 32
 	}

@@ -88,21 +88,12 @@ func (q *queue) pop(clock simtime.Clock, wait time.Duration, done <-chan struct{
 	w := make(chan []byte, 1)
 	q.waiters = append(q.waiters, w)
 	q.mu.Unlock()
-	var timeout <-chan time.Time
-	if _, wall := clock.(simtime.Real); wall {
-		// time.After's timer cannot be stopped, and under go 1.22 an
-		// unstopped timer stays in the heap until it fires: every pop a push
-		// answers early would hold one for the rest of its wait.
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
-		timeout = timer.C
-	} else {
-		timeout = clock.After(wait)
-	}
+	timer := clock.Timer(clock.Now().Add(wait))
+	defer timer.Stop()
 	select {
 	case item = <-w:
 		return item, true
-	case <-timeout:
+	case <-timer.C():
 	case <-done:
 	}
 	q.mu.Lock()
@@ -135,9 +126,7 @@ func NewBroker(l transport.Listener, maxDepth int, clock simtime.Clock) *Broker 
 	if maxDepth <= 0 {
 		maxDepth = DefaultMaxDepth
 	}
-	if clock == nil {
-		clock = simtime.Real{}
-	}
+	clock = simtime.OrReal(clock)
 	b := &Broker{
 		clock:    clock,
 		maxDepth: maxDepth,

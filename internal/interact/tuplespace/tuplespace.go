@@ -81,9 +81,7 @@ type Space struct {
 // NewSpace returns an empty space timing blocking operations against clock
 // (real if nil).
 func NewSpace(clock simtime.Clock) *Space {
-	if clock == nil {
-		clock = simtime.Real{}
-	}
+	clock = simtime.OrReal(clock)
 	return &Space{clock: clock}
 }
 
@@ -212,14 +210,16 @@ func (s *Space) blocking(template Tuple, consume bool, timeout time.Duration) (T
 	s.waiters = append(s.waiters, w)
 	s.mu.Unlock()
 
-	var timer <-chan time.Time
+	var expired <-chan time.Time // nil: no timeout, wait for a tuple
 	if timeout > 0 {
-		timer = s.clock.After(timeout)
+		timer := s.clock.Timer(s.clock.Now().Add(timeout))
+		defer timer.Stop()
+		expired = timer.C()
 	}
 	select {
 	case t := <-w.ch:
 		return t, nil
-	case <-timer:
+	case <-expired:
 		s.mu.Lock()
 		for i, other := range s.waiters {
 			if other == w {

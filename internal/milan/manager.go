@@ -99,13 +99,17 @@ func (m *Manager) energies() Energies {
 	return e
 }
 
-// positions snapshots sensor positions.
+// positions snapshots the sensors' and the sink's positions.
 func (m *Manager) positions() map[netsim.NodeID]netsim.Position {
-	p := make(map[netsim.NodeID]netsim.Position, len(m.sys.Sensors))
-	for _, sn := range m.sys.Sensors {
-		if pos, err := m.net.PositionOf(sn.Node); err == nil {
-			p[sn.Node] = pos
+	p := make(map[netsim.NodeID]netsim.Position, len(m.sys.Sensors)+1)
+	add := func(id netsim.NodeID) {
+		if pos, err := m.net.PositionOf(id); err == nil {
+			p[id] = pos
 		}
+	}
+	add(m.sys.Sink)
+	for _, sn := range m.sys.Sensors {
+		add(sn.Node)
 	}
 	return p
 }

@@ -111,11 +111,9 @@ type System struct {
 	Sensors []Sensor
 	// Combine defaults to CombineProb.
 	Combine Combine
-	// Sink is the node sensor data flows to.
+	// Sink is the node sensor data flows to. Where it sits comes from the
+	// network, for forwarding and energy estimation alike.
 	Sink netsim.NodeID
-	// SinkPos is where Sink sits, for per-round energy estimation; the
-	// manager's forwarding reads the sink's position from the network.
-	SinkPos netsim.Position
 	// Range is the radio range for hop estimation (default 25). Energy
 	// follows netsim.DefaultRadio.
 	Range float64
@@ -202,15 +200,16 @@ type Energies map[netsim.NodeID]float64
 // roundCost estimates sensor i's energy per reporting round: transmit
 // SampleBytes toward the sink over ceil(dist/range) hops of at most range
 // meters each. A multi-hop path also costs the relays, but the *sensor's*
-// drain — which bounds its own lifetime — is the first hop.
+// drain — which bounds its own lifetime — is the first hop. Without the
+// sensor's or the sink's position the hop is a full range.
 func (s *System) roundCost(i int, positions map[netsim.NodeID]netsim.Position) float64 {
 	sn := s.Sensors[i]
 	pos, ok := positions[sn.Node]
-	if !ok {
+	sink, sinkOK := positions[s.Sink]
+	if !ok || !sinkOK {
 		return netsim.DefaultRadio().TxEnergy(sn.SampleBytes, s.radioRange())
 	}
-	d := pos.Distance(s.SinkPos)
-	hop := math.Min(d, s.radioRange())
+	hop := math.Min(pos.Distance(sink), s.radioRange())
 	return netsim.DefaultRadio().TxEnergy(sn.SampleBytes, hop)
 }
 
@@ -253,7 +252,8 @@ type Selector interface {
 	// Name identifies the selector for reporting.
 	Name() string
 	// Select returns sensor indices to activate, or an error when no
-	// feasible set exists among alive sensors.
+	// feasible set exists among alive sensors. positions holds the sensors'
+	// and the sink's.
 	Select(s *System, state State, energies Energies, positions map[netsim.NodeID]netsim.Position) ([]int, error)
 }
 

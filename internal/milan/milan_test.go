@@ -34,9 +34,8 @@ func demoSystem() *System {
 			{Node: "s2", QoS: map[Variable]float64{varHR: 0.85}, SampleBytes: 100},
 			{Node: "s3", QoS: map[Variable]float64{varHR: 0.7}, SampleBytes: 100},
 		},
-		Sink:    "sink",
-		SinkPos: netsim.Position{X: 0, Y: 0},
-		Range:   30,
+		Sink:  "sink",
+		Range: 30,
 	}
 }
 
@@ -48,8 +47,9 @@ func fullEnergies(s *System, e float64) Energies {
 	return out
 }
 
+// positionsAt places every sensor d from the sink, which sits at the origin.
 func positionsAt(s *System, d float64) map[netsim.NodeID]netsim.Position {
-	out := make(map[netsim.NodeID]netsim.Position)
+	out := map[netsim.NodeID]netsim.Position{s.Sink: {}}
 	for _, sn := range s.Sensors {
 		out[sn.Node] = netsim.Position{X: d, Y: 0}
 	}
@@ -258,9 +258,8 @@ func TestSelectorDominanceProperty(t *testing.T) {
 					stNormal: {varBP: 0.5 + r.Float64()*0.3, varHR: 0.5 + r.Float64()*0.3},
 				},
 			},
-			Sink:    "sink",
-			SinkPos: netsim.Position{},
-			Range:   30,
+			Sink:  "sink",
+			Range: 30,
 		}
 		for i := 0; i < n; i++ {
 			s.Sensors = append(s.Sensors, Sensor{
@@ -270,7 +269,7 @@ func TestSelectorDominanceProperty(t *testing.T) {
 			})
 		}
 		energies := fullEnergies(s, 0.5+r.Float64())
-		positions := make(map[netsim.NodeID]netsim.Position)
+		positions := map[netsim.NodeID]netsim.Position{s.Sink: {}}
 		for _, sn := range s.Sensors {
 			positions[sn.Node] = netsim.Position{X: r.Float64() * 50, Y: r.Float64() * 50}
 		}
@@ -335,7 +334,7 @@ func buildField(t *testing.T, sys *System, energy float64) *netsim.Network {
 	t.Helper()
 	net := netsim.New(netsim.Config{Range: sys.Range})
 	t.Cleanup(net.Close)
-	if err := net.AddNodeEnergy(sys.Sink, sys.SinkPos, 1000); err != nil {
+	if err := net.AddNodeEnergy(sys.Sink, netsim.Position{}, 1000); err != nil {
 		t.Fatal(err)
 	}
 	for i, sn := range sys.Sensors {
@@ -492,9 +491,8 @@ func TestManagerRoles(t *testing.T) {
 			{Node: "far", QoS: map[Variable]float64{varBP: 0.9}, SampleBytes: 50},
 			{Node: "mid", QoS: map[Variable]float64{varBP: 0.1}, SampleBytes: 50}, // useless for QoS
 		},
-		Sink:    "sink",
-		SinkPos: netsim.Position{X: 0, Y: 0},
-		Range:   12,
+		Sink:  "sink",
+		Range: 12,
 	}
 	net := netsim.New(netsim.Config{Range: 12})
 	t.Cleanup(net.Close)

@@ -124,9 +124,7 @@ func (c Config) withDefaults() Config {
 	if c.InboxSize <= 0 {
 		c.InboxSize = 256
 	}
-	if c.Clock == nil {
-		c.Clock = simtime.Real{}
-	}
+	c.Clock = simtime.OrReal(c.Clock)
 	if c.Seed == 0 {
 		c.Seed = 1
 	}

@@ -5,6 +5,10 @@
 // Using a virtual clock keeps simulation experiments reproducible and lets
 // the test suite exercise long simulated horizons (hours of network lifetime)
 // in microseconds of real time.
+//
+// Timers come from the clock too: a library that waits for a deadline arms
+// Clock.Timer, and one that works in rounds runs Every, so no code outside
+// this package asks which clock it was given.
 package simtime
 
 import (
@@ -25,12 +29,41 @@ type Clock interface {
 	// After returns a channel that receives the then-current time once d has
 	// elapsed on this clock.
 	After(d time.Duration) <-chan time.Time
+	// Timer arms a timer that fires at the instant at on this clock, at once
+	// if at is not after now.
+	Timer(at time.Time) Timer
+}
+
+// Timer is a one-shot timer armed at an absolute instant, like a time.Timer.
+// A deadline timer is stopped when what it guards wins, and can be re-armed.
+// Use one from a single goroutine at a time.
+type Timer interface {
+	// C is the channel the timer ticks on. It may change on Reset, so read it
+	// after arming.
+	C() <-chan time.Time
+	// Stop stops the timer and reports whether it was pending; false means it
+	// already fired or was stopped. Do not drain C after a false Stop: Reset
+	// is safe without it.
+	Stop() bool
+	// Reset re-arms the timer to fire at at. The timer must be pending,
+	// stopped, or have had its tick received; then no tick of an earlier
+	// arming arrives after Reset.
+	Reset(at time.Time)
 }
 
 // Real is a Clock backed by the wall clock.
 type Real struct{}
 
 var _ Clock = Real{}
+
+// OrReal returns c, or the wall clock if c is nil: the default of every
+// component's clock.
+func OrReal(c Clock) Clock {
+	if c == nil {
+		return Real{}
+	}
+	return c
+}
 
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
@@ -41,42 +74,86 @@ func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// waiter is a pending timer on a virtual clock.
-type waiter struct {
-	at time.Time
-	ch chan time.Time
-	// seq breaks ties so the heap pops waiters in registration order.
-	seq uint64
+// Timer implements Clock.
+func (Real) Timer(at time.Time) Timer { return &realTimer{t: time.NewTimer(time.Until(at))} }
+
+// realTimer is a time.Timer behind the Timer interface.
+//
+// go.mod's go 1.22 gives every timer the channel of Go before 1.23
+// (asynctimerchan=1): the runtime sends a tick after it releases the timer,
+// so Stop can report false while the tick is still on its way, and a drain
+// after Stop can miss it; the tick would then end the next arming at once. So
+// a timer that Stop finds fired is dropped, never drained, and the next Reset
+// makes a fresh one: an allocation only when a Stop races the deadline, or
+// stops a timer twice.
+type realTimer struct {
+	t     *time.Timer
+	spent bool // Stop found t fired: its tick may land after a Reset
 }
 
-// waiterHeap orders waiters by deadline, then registration order.
-type waiterHeap []*waiter
+func (r *realTimer) C() <-chan time.Time { return r.t.C }
 
-func (h waiterHeap) Len() int { return len(h) }
-func (h waiterHeap) Less(i, j int) bool {
+func (r *realTimer) Stop() bool {
+	stopped := r.t.Stop()
+	r.spent = !stopped
+	return stopped
+}
+
+func (r *realTimer) Reset(at time.Time) {
+	if r.spent {
+		r.t, r.spent = time.NewTimer(time.Until(at)), false
+		return
+	}
+	r.t.Reset(time.Until(at))
+}
+
+// vtimer is a timer on a virtual clock, pending while it sits in the clock's
+// heap.
+type vtimer struct {
+	v  *Virtual
+	at time.Time
+	ch chan time.Time // capacity one, so firing never blocks Advance
+	// seq breaks ties so the heap pops timers in registration order.
+	seq uint64
+	i   int // index in v.timers, -1 when not pending
+}
+
+// timerHeap orders timers by deadline, then registration order.
+type timerHeap []*vtimer
+
+func (h timerHeap) Len() int { return len(h) }
+func (h timerHeap) Less(i, j int) bool {
 	if !h[i].at.Equal(h[j].at) {
 		return h[i].at.Before(h[j].at)
 	}
 	return h[i].seq < h[j].seq
 }
-func (h waiterHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *waiterHeap) Push(x interface{}) { *h = append(*h, x.(*waiter)) }
-func (h *waiterHeap) Pop() interface{} {
+func (h timerHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].i, h[j].i = i, j
+}
+func (h *timerHeap) Push(x interface{}) {
+	t := x.(*vtimer)
+	t.i = len(*h)
+	*h = append(*h, t)
+}
+func (h *timerHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
-	w := old[n-1]
+	t := old[n-1]
 	old[n-1] = nil
+	t.i = -1
 	*h = old[:n-1]
-	return w
+	return t
 }
 
 // Virtual is a deterministic Clock that only moves when Advance is called.
 // The zero value is not usable; construct with NewVirtual.
 type Virtual struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters waiterHeap
-	seq     uint64
+	mu     sync.Mutex
+	now    time.Time
+	timers timerHeap
+	seq    uint64
 }
 
 var _ Clock = (*Virtual)(nil)
@@ -96,19 +173,77 @@ func (v *Virtual) Now() time.Time {
 // Since implements Clock.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
-// After implements Clock. The returned channel has capacity one so firing
-// never blocks Advance.
+// After implements Clock.
 func (v *Virtual) After(d time.Duration) <-chan time.Time {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	if d <= 0 {
-		ch <- v.now
-		return ch
+	return v.newTimer(v.now.Add(d)).ch
+}
+
+// Timer implements Clock. Arming and the clock's reading happen under one
+// lock, so the clock cannot move in between.
+func (v *Virtual) Timer(at time.Time) Timer {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.newTimer(at)
+}
+
+// newTimer makes a timer and arms it at at. Caller holds v.mu.
+func (v *Virtual) newTimer(at time.Time) *vtimer {
+	t := &vtimer{v: v, ch: make(chan time.Time, 1), i: -1}
+	v.arm(t, at)
+	return t
+}
+
+// arm fires t now if at is not after now, or puts it in the heap. Caller
+// holds v.mu.
+func (v *Virtual) arm(t *vtimer, at time.Time) {
+	if !at.After(v.now) {
+		t.ch <- v.now
+		return
 	}
 	v.seq++
-	heap.Push(&v.waiters, &waiter{at: v.now.Add(d), ch: ch, seq: v.seq})
-	return ch
+	t.at, t.seq = at, v.seq
+	heap.Push(&v.timers, t)
+}
+
+func (t *vtimer) C() <-chan time.Time { return t.ch }
+
+func (t *vtimer) Stop() bool {
+	t.v.mu.Lock()
+	defer t.v.mu.Unlock()
+	return t.stopLocked()
+}
+
+// stopLocked takes t out of the heap and reports whether it was there.
+// Caller holds t.v.mu.
+func (t *vtimer) stopLocked() bool {
+	if t.i < 0 {
+		return false
+	}
+	heap.Remove(&t.v.timers, t.i)
+	return true
+}
+
+// Reset implements Timer. Every tick is sent under the clock's lock, so the
+// drain here cannot miss one.
+func (t *vtimer) Reset(at time.Time) {
+	t.v.mu.Lock()
+	defer t.v.mu.Unlock()
+	t.stopLocked()
+	select {
+	case <-t.ch:
+	default:
+	}
+	t.v.arm(t, at)
+}
+
+// fireNext pops the earliest timer, moves the clock to its deadline and
+// sends it. Caller holds v.mu, and the heap is not empty.
+func (v *Virtual) fireNext() {
+	t := heap.Pop(&v.timers).(*vtimer)
+	v.now = t.at
+	t.ch <- t.at
 }
 
 // Advance moves the clock forward by d, firing every timer whose deadline is
@@ -116,10 +251,8 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time {
 func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Lock()
 	target := v.now.Add(d)
-	for len(v.waiters) > 0 && !v.waiters[0].at.After(target) {
-		w := heap.Pop(&v.waiters).(*waiter)
-		v.now = w.at
-		w.ch <- w.at
+	for len(v.timers) > 0 && !v.timers[0].at.After(target) {
+		v.fireNext()
 	}
 	v.now = target
 	v.mu.Unlock()
@@ -129,14 +262,11 @@ func (v *Virtual) Advance(d time.Duration) {
 // reports whether a timer fired.
 func (v *Virtual) AdvanceToNext() bool {
 	v.mu.Lock()
-	if len(v.waiters) == 0 {
-		v.mu.Unlock()
+	defer v.mu.Unlock()
+	if len(v.timers) == 0 {
 		return false
 	}
-	w := heap.Pop(&v.waiters).(*waiter)
-	v.now = w.at
-	w.ch <- w.at
-	v.mu.Unlock()
+	v.fireNext()
 	return true
 }
 
@@ -144,5 +274,5 @@ func (v *Virtual) AdvanceToNext() bool {
 func (v *Virtual) Pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return len(v.waiters)
+	return len(v.timers)
 }

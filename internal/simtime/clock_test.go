@@ -181,3 +181,151 @@ func TestVirtualTiesFireInRegistrationOrder(t *testing.T) {
 		t.Fatal("ch2 not fired")
 	}
 }
+
+func TestRealTimer(t *testing.T) {
+	c := Real{}
+	tm := c.Timer(time.Now().Add(time.Millisecond))
+	select {
+	case <-tm.C():
+	case <-time.After(5 * time.Second):
+		t.Fatal("Real.Timer never fired")
+	}
+	tm.Reset(time.Now().Add(time.Hour))
+	if !tm.Stop() {
+		t.Fatal("Stop of a timer armed for an hour = false, want true")
+	}
+	tm.Reset(time.Now().Add(-time.Second)) // a past instant fires at once
+	select {
+	case <-tm.C():
+	case <-time.After(5 * time.Second):
+		t.Fatal("a Real timer reset to a past instant never fired")
+	}
+}
+
+// A timer armed at an instant that is not after now fires at once, with the
+// clock's reading, and is never pending.
+func TestVirtualTimerInThePastFiresAtOnce(t *testing.T) {
+	v := NewVirtual(epoch)
+	for _, at := range []time.Time{epoch, epoch.Add(-time.Hour)} {
+		tm := v.Timer(at)
+		select {
+		case got := <-tm.C():
+			if !got.Equal(epoch) {
+				t.Fatalf("timer at %v ticked %v, want now (%v)", at, got, epoch)
+			}
+		default:
+			t.Fatalf("timer at %v, not after now, did not fire at once", at)
+		}
+		if v.Pending() != 0 {
+			t.Fatalf("Pending() = %d after a timer fired at once, want 0", v.Pending())
+		}
+	}
+}
+
+// Stop reports as time.Timer's does: true for a pending timer, which it takes
+// off the clock, and false for one stopped or fired.
+func TestVirtualTimerStop(t *testing.T) {
+	v := NewVirtual(epoch)
+	tm := v.Timer(epoch.Add(time.Second))
+	other := v.Timer(epoch.Add(2 * time.Second))
+	if v.Pending() != 2 {
+		t.Fatalf("Pending() = %d, want 2", v.Pending())
+	}
+	if !tm.Stop() {
+		t.Fatal("Stop of a pending timer = false, want true")
+	}
+	if v.Pending() != 1 {
+		t.Fatalf("Pending() after Stop = %d, want 1", v.Pending())
+	}
+	if tm.Stop() {
+		t.Fatal("second Stop = true, want false")
+	}
+	v.Advance(time.Hour)
+	select {
+	case <-tm.C():
+		t.Fatal("a stopped timer fired")
+	default:
+	}
+	if other.Stop() {
+		t.Fatal("Stop of a fired timer = true, want false")
+	}
+	if v.Pending() != 0 {
+		t.Fatalf("Pending() = %d, want 0", v.Pending())
+	}
+}
+
+// Reset re-arms a stopped or fired timer, and a tick of the earlier arming
+// that nobody received is gone.
+func TestVirtualTimerReset(t *testing.T) {
+	v := NewVirtual(epoch)
+	tm := v.Timer(epoch.Add(time.Second))
+	tm.Stop()
+	tm.Reset(epoch.Add(3 * time.Second))
+	v.Advance(2 * time.Second)
+	select {
+	case <-tm.C():
+		t.Fatal("a timer reset to +3s fired at +2s")
+	default:
+	}
+	v.Advance(time.Second) // fires; the tick stays unreceived
+	if v.Pending() != 0 {
+		t.Fatalf("Pending() = %d after the timer fired, want 0", v.Pending())
+	}
+	tm.Reset(epoch.Add(5 * time.Second))
+	select {
+	case <-tm.C():
+		t.Fatal("Reset kept the tick of the earlier arming")
+	default:
+	}
+	v.Advance(2 * time.Second)
+	select {
+	case at := <-tm.C():
+		if want := epoch.Add(5 * time.Second); !at.Equal(want) {
+			t.Fatalf("reset timer ticked %v, want %v", at, want)
+		}
+	default:
+		t.Fatal("reset timer did not fire")
+	}
+}
+
+// Timers fire in deadline order, ties in registration order, also after
+// Stop and Reset have moved timers within the clock's heap.
+func TestVirtualTimersFireInDeadlineThenRegistrationOrder(t *testing.T) {
+	v := NewVirtual(epoch)
+	at := func(s int) time.Time { return epoch.Add(time.Duration(s) * time.Second) }
+	c := v.Timer(at(3))
+	a := v.Timer(at(1))
+	gone := v.Timer(at(2))
+	b1 := v.Timer(at(2))
+	b2 := v.Timer(at(2))
+	d := v.Timer(at(9))
+	gone.Stop()
+	d.Reset(at(4))
+	fired := func(tm Timer) bool {
+		select {
+		case <-tm.C():
+			return true
+		default:
+			return false
+		}
+	}
+	// Advance fires exactly the timers due by its target.
+	v.Advance(time.Second)
+	if !fired(a) || fired(b1) || fired(b2) {
+		t.Fatal("Advance to +1s did not fire exactly the +1s timer")
+	}
+	// One at a time, the rest fire in order: the tie in registration order.
+	for i, want := range []Timer{b1, b2, c, d} {
+		if !v.AdvanceToNext() {
+			t.Fatalf("step %d: no timer pending", i)
+		}
+		for _, tm := range []Timer{b1, b2, c, d, gone} {
+			if got := fired(tm); got != (tm == want) {
+				t.Fatalf("step %d: fired = %v for a timer the order says %v", i, got, tm == want)
+			}
+		}
+	}
+	if v.AdvanceToNext() {
+		t.Fatal("a timer was left pending")
+	}
+}

@@ -125,8 +125,7 @@ type Engine struct {
 	objs      []*Objective
 	instances map[string]*alertInstance
 	afterEval []func()
-	stop      chan struct{}
-	done      chan struct{}
+	loop      *simtime.Loop // Start's, nil until then
 	closed    bool
 }
 
@@ -135,9 +134,7 @@ func New(opts Options) (*Engine, error) {
 	if opts.Aggregator == nil {
 		return nil, fmt.Errorf("slo: engine needs an aggregator")
 	}
-	if opts.Clock == nil {
-		opts.Clock = simtime.Real{}
-	}
+	opts.Clock = simtime.OrReal(opts.Clock)
 	r := opts.Registry
 	return &Engine{
 		opts:        opts,
@@ -432,40 +429,19 @@ func (e *Engine) Start(interval time.Duration) {
 		interval = 5 * time.Second
 	}
 	e.mu.Lock()
-	if e.closed || e.stop != nil {
-		e.mu.Unlock()
+	defer e.mu.Unlock()
+	if e.closed || e.loop != nil {
 		return
 	}
-	e.stop = make(chan struct{})
-	e.done = make(chan struct{})
-	stop, done := e.stop, e.done
-	e.mu.Unlock()
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-e.opts.Clock.After(interval):
-				e.Evaluate()
-			case <-stop:
-				return
-			}
-		}
-	}()
+	e.loop = simtime.Every(e.opts.Clock, interval, func() { e.Evaluate() })
 }
 
 // Close stops the Start loop, if running.
 func (e *Engine) Close() error {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
-	}
 	e.closed = true
-	stop, done := e.stop, e.done
+	loop := e.loop
 	e.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
+	loop.Stop()
 	return nil
 }

@@ -28,9 +28,7 @@ type AggregatorOptions struct {
 }
 
 func (o AggregatorOptions) withDefaults() AggregatorOptions {
-	if o.Clock == nil {
-		o.Clock = simtime.Real{}
-	}
+	o.Clock = simtime.OrReal(o.Clock)
 	if o.StaleAfter <= 0 {
 		o.StaleAfter = 15 * time.Second
 	}

@@ -49,8 +49,7 @@ type Publisher struct {
 	seq      uint64
 	prev     obs.Snapshot
 	prevTime time.Time
-	stop     chan struct{}
-	done     chan struct{}
+	loop     *simtime.Loop // Start's, nil until then
 	closed   bool
 }
 
@@ -64,9 +63,7 @@ func NewPublisher(opts PublisherOptions) (*Publisher, error) {
 	if opts.Send == nil {
 		return nil, errors.New("telemetry: publisher needs a send hook")
 	}
-	if opts.Clock == nil {
-		opts.Clock = simtime.Real{}
-	}
+	opts.Clock = simtime.OrReal(opts.Clock)
 	if opts.Interval <= 0 {
 		opts.Interval = 5 * time.Second
 	}
@@ -130,41 +127,20 @@ func (p *Publisher) Publish() error {
 // node keeps trying, and the aggregator's staleness marking is the signal.
 func (p *Publisher) Start() {
 	p.mu.Lock()
-	if p.closed || p.stop != nil {
-		p.mu.Unlock()
+	defer p.mu.Unlock()
+	if p.closed || p.loop != nil {
 		return
 	}
-	p.stop = make(chan struct{})
-	p.done = make(chan struct{})
-	stop, done := p.stop, p.done
-	p.mu.Unlock()
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-p.opts.Clock.After(p.opts.Interval):
-				_ = p.Publish()
-			case <-stop:
-				return
-			}
-		}
-	}()
+	p.loop = simtime.Every(p.opts.Clock, p.opts.Interval, func() { _ = p.Publish() })
 }
 
 // Close stops the Start loop (if running) and marks the publisher done.
 func (p *Publisher) Close() error {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
 	p.closed = true
-	stop, done := p.stop, p.done
+	loop := p.loop
 	p.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
+	loop.Stop()
 	return nil
 }
 

@@ -226,9 +226,7 @@ func New(o Options) *Tracer {
 	if o.Name == "" {
 		o.Name = "node"
 	}
-	if o.Clock == nil {
-		o.Clock = simtime.Real{}
-	}
+	o.Clock = simtime.OrReal(o.Clock)
 	if o.Collector == nil {
 		o.Collector = NewCollector(0)
 	}

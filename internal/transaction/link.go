@@ -58,9 +58,7 @@ func (c LinkConfig) withDefaults() LinkConfig {
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 5
 	}
-	if c.Clock == nil {
-		c.Clock = simtime.Real{}
-	}
+	c.Clock = simtime.OrReal(c.Clock)
 	return c
 }
 

@@ -151,9 +151,7 @@ type Pump struct {
 // NewPump starts pumping. source returns the next payload (false ends the
 // pump); emit transmits it (an error is not fatal: the pump carries on).
 func NewPump(clock simtime.Clock, schedule Schedule, source func() ([]byte, bool), emit func([]byte) error) *Pump {
-	if clock == nil {
-		clock = simtime.Real{}
-	}
+	clock = simtime.OrReal(clock)
 	p := &Pump{
 		clock:    clock,
 		schedule: schedule,

@@ -39,7 +39,7 @@ func smokeSystem() *milan.System {
 func smokeField(t *testing.T, sys *milan.System) *simnet.Network {
 	t.Helper()
 	net := simnet.New(simnet.Config{Range: sys.Range})
-	if err := net.AddNodeEnergy(sys.Sink, sys.SinkPos, 1e6); err != nil {
+	if err := net.AddNodeEnergy(sys.Sink, simnet.Position{}, 1e6); err != nil {
 		t.Fatalf("AddNodeEnergy(sink): %v", err)
 	}
 	for i, sn := range sys.Sensors {
