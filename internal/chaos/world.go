@@ -223,6 +223,11 @@ type World struct {
 	overBulk map[string]*endpoint.Caller
 	overCtl  map[string]*endpoint.Caller
 	reqlogs  map[string]*reqlog.Recorder
+	// bulkGate is a bulk transfer's work: overloadStep holds it closed from
+	// before a tick's burst until the control probe returns, and each bulk
+	// handler keeps its admission slot until then. A late call passes, and
+	// Close always finds it open, since Tick runs overloadStep to the end.
+	bulkGate sync.RWMutex
 
 	// SLO plane (nil unless WorldConfig.SLO).
 	sloEngine *slo.Engine
@@ -574,12 +579,13 @@ func (w *World) build() error {
 		}
 		if cfg.Overload {
 			// The bulk topic simulates a slow background transfer: each call
-			// parks an admission slot for a few milliseconds of wall time, so
-			// a burst of them saturates the shared pool. The control topic
+			// parks an admission slot while the tick's bulk gate is closed,
+			// so a burst of them saturates the shared pool. The control topic
 			// answers immediately — a control probe only misses if admission
 			// sheds or the network eats it.
 			wn.node.HandleTopic(BulkTopic, func(req *wire.Message) (*wire.Message, error) {
-				time.Sleep(overloadBulkWork)
+				w.bulkGate.RLock()
+				defer w.bulkGate.RUnlock()
 				return &wire.Message{Kind: wire.KindReply, Payload: []byte(sid)}, nil
 			})
 			wn.node.HandleTopic(CtlTopic, func(req *wire.Message) (*wire.Message, error) {
@@ -646,8 +652,8 @@ func (w *World) build() error {
 // Overload workload sizing: the per-tick bulk burst (overloadBulkBurst)
 // must exceed the shared admission slots plus the bulk queue
 // (overloadMaxInFlight - 1 reserved + overloadQueueDepth) so every tick
-// genuinely sheds bulk, and overloadBulkWork must be long enough that the
-// burst still occupies the pool when the control probe lands.
+// genuinely sheds bulk, and World.bulkGate keeps the burst in the pool
+// until the control probe that lands among it is answered.
 const (
 	// BulkTopic is the overload world's slow background-transfer topic.
 	BulkTopic = "chaos/bulk"
@@ -657,7 +663,6 @@ const (
 	overloadMaxInFlight = 4
 	overloadQueueDepth  = 2
 	overloadBulkBurst   = 10
-	overloadBulkWork    = 5 * time.Millisecond
 	overloadTimeout     = 100 * time.Millisecond
 )
 
@@ -840,11 +845,13 @@ func (w *World) overloadStep(target string, rec *TickRecord) {
 		return
 	}
 	rec.CtlIssued = true
+	w.bulkGate.Lock()
 	futs := make([]*endpoint.Future, 0, overloadBulkBurst)
 	for i := 0; i < overloadBulkBurst; i++ {
 		futs = append(futs, bulk.Go(&endpoint.Call{Topic: BulkTopic, Timeout: overloadTimeout}))
 	}
 	_, cerr := ctl.Do(&endpoint.Call{Topic: CtlTopic, Timeout: overloadTimeout})
+	w.bulkGate.Unlock()
 	rec.CtlOK = cerr == nil
 	rec.CtlShed = endpoint.IsShed(cerr)
 	for _, f := range futs {
@@ -1101,14 +1108,10 @@ func (w *World) Close() error {
 	for _, pub := range w.publishers {
 		_ = pub.Close()
 	}
-	for _, c := range w.pubCallers {
-		_ = c.Close()
-	}
-	for _, c := range w.overBulk {
-		_ = c.Close()
-	}
-	for _, c := range w.overCtl {
-		_ = c.Close()
+	for _, callers := range []map[string]*endpoint.Caller{w.pubCallers, w.overBulk, w.overCtl} {
+		for _, c := range callers {
+			_ = c.Close()
+		}
 	}
 	if w.binding != nil {
 		_ = w.binding.Close()

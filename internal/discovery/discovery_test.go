@@ -522,6 +522,24 @@ func TestFloodMaxResultsEndsEarly(t *testing.T) {
 	}
 }
 
+// A lookup that ends at MaxResults stops its window's deadline and retry
+// timers, so none is left on the clock: the virtual clock never moves, so
+// only the reply can end the lookup.
+func TestFloodLookupAtMaxResultsLeavesNoTimer(t *testing.T) {
+	clk := simtime.NewVirtual(time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC))
+	_, agents := floodField(t, 2, AgentConfig{Clock: clk, CollectWindow: time.Second, MaxResults: 1, QueryRetry: true})
+	if err := agents[1].Register(desc("n1", "svc")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := agents[0].Lookup(&svcdesc.Query{Name: "svc"})
+	if err != nil || len(got) != 1 {
+		t.Fatalf("lookup = %v, %v", got, err)
+	}
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("Pending() = %d after a lookup ended at MaxResults, want 0", n)
+	}
+}
+
 func TestFloodAgentClosed(t *testing.T) {
 	_, agents := floodField(t, 2, AgentConfig{})
 	_ = agents[0].Close()

@@ -269,14 +269,19 @@ func (a *Agent) Lookup(q *svcdesc.Query) (out []*svcdesc.Description, err error)
 	}
 	a.count("query_sent")
 
-	deadline := a.cfg.Clock.After(a.cfg.CollectWindow)
+	// The collect window opens now; its timers stop when Lookup returns.
+	start := a.cfg.Clock.Now()
+	deadline := a.cfg.Clock.Timer(start.Add(a.cfg.CollectWindow))
+	defer deadline.Stop()
 	var retry <-chan time.Time
 	if a.cfg.QueryRetry {
-		retry = a.cfg.Clock.After(a.cfg.CollectWindow / 2)
+		rt := a.cfg.Clock.Timer(start.Add(a.cfg.CollectWindow / 2))
+		defer rt.Stop()
+		retry = rt.C()
 	}
 	for {
 		select {
-		case <-deadline:
+		case <-deadline.C():
 			a.harvest(pq, results)
 			return mapToSlice(results), nil
 		case <-a.stop:

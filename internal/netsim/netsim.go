@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ndsm/internal/obs"
@@ -149,6 +150,7 @@ type simNode struct {
 	energy float64
 	alive  bool
 	inbox  chan Packet
+	queued int64 // packets put in inbox, under Network.mu
 
 	// metrics is the node's registry. Its traffic counts there as
 	// "netsim.<name>" — a transmission at its sender, a delivery, a loss and
@@ -169,8 +171,9 @@ type Network struct {
 	severed  map[[2]NodeID]bool
 	closed   bool
 
-	wg   sync.WaitGroup
-	stop chan struct{}
+	wg       sync.WaitGroup
+	stop     chan struct{}
+	inFlight atomic.Int64 // delayed deliveries not yet offered to an inbox
 }
 
 // New creates a network with the given configuration.
@@ -350,6 +353,24 @@ func (n *Network) Recv(id NodeID) (<-chan Packet, error) {
 	return node.inbox, nil
 }
 
+// Queued reports, at one instant, how many packets the network has put in
+// the inboxes of ids, and how many delayed deliveries are still on their way
+// to any inbox. A reader that counts what it took and finished, first, knows
+// nothing is left or coming when inFlight is 0 and queued equals its count.
+func (n *Network) Queued(ids []NodeID) (queued, inFlight int64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, id := range ids {
+		if node := n.nodes[id]; node != nil {
+			queued += node.queued
+		}
+	}
+	return queued, n.inFlight.Load()
+}
+
+// Clock returns the clock the network's deliveries run on.
+func (n *Network) Clock() simtime.Clock { return n.cfg.Clock }
+
 // Energy returns the remaining energy budget of a node in joules.
 func (n *Network) Energy(id NodeID) (float64, error) {
 	n.mu.Lock()
@@ -478,52 +499,35 @@ func (n *Network) Counters() map[string]int64 {
 // the timeline shows the hop latency; failed hops record the drop reason.
 func (n *Network) Send(from, to NodeID, data []byte) error {
 	sp := n.cfg.Tracer.StartSpan("radio.send", trace.Context{})
-	if sp == nil {
-		_, err := n.send(from, to, data)
-		return err
+	dst, pkt, err := n.transmit(from, to, data)
+	if err == nil {
+		err = n.deliver(dst, pkt)
 	}
 	sp.SetAttr("from", string(from))
 	sp.SetAttr("to", string(to))
-	arrive, err := n.send(from, to, data)
-	sp.SetError(err)
-	if err == nil && !arrive.IsZero() {
-		sp.FinishAt(arrive)
-	} else {
-		sp.Finish()
-	}
+	finishHop(sp, pkt.ArrivedAt, err)
 	return err
 }
 
-// send is Send's untraced body; it returns the packet's simulated arrival
-// time on success.
-func (n *Network) send(from, to NodeID, data []byte) (time.Time, error) {
+// transmit charges a unicast and draws its fate; on success it returns the
+// packet to deliver and its destination.
+func (n *Network) transmit(from, to NodeID, data []byte) (*simNode, Packet, error) {
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return time.Time{}, ErrNetworkClosed
-	}
-	src, ok := n.nodes[from]
-	if !ok {
-		n.mu.Unlock()
-		return time.Time{}, fmt.Errorf("%w: %s", ErrUnknownNode, from)
-	}
-	if !src.alive {
-		n.mu.Unlock()
-		return time.Time{}, fmt.Errorf("%w: %s", ErrNodeDead, from)
+	defer n.mu.Unlock()
+	src, err := n.senderLocked(from)
+	if err != nil {
+		return nil, Packet{}, err
 	}
 	dst, ok := n.nodes[to]
 	if !ok {
-		n.mu.Unlock()
-		return time.Time{}, fmt.Errorf("%w: %s", ErrUnknownNode, to)
+		return nil, Packet{}, fmt.Errorf("%w: %s", ErrUnknownNode, to)
 	}
 	d := src.pos.Distance(dst.pos)
 	if d > n.cfg.Range {
-		n.mu.Unlock()
-		return time.Time{}, fmt.Errorf("%w: %s -> %s (%.1fm > %.1fm)", ErrNotNeighbor, from, to, d, n.cfg.Range)
+		return nil, Packet{}, fmt.Errorf("%w: %s -> %s (%.1fm > %.1fm)", ErrNotNeighbor, from, to, d, n.cfg.Range)
 	}
 	if n.severedLocked(from, to) {
-		n.mu.Unlock()
-		return time.Time{}, fmt.Errorf("%w: %s -> %s", ErrLinkSevered, from, to)
+		return nil, Packet{}, fmt.Errorf("%w: %s -> %s", ErrLinkSevered, from, to)
 	}
 
 	n.chargeLocked(src, DefaultRadio().TxEnergy(len(data), d))
@@ -531,30 +535,18 @@ func (n *Network) send(from, to NodeID, data []byte) (time.Time, error) {
 	src.metrics.Counter("netsim.bytes").Inc(int64(len(data)))
 
 	if !dst.alive {
-		n.mu.Unlock()
-		return time.Time{}, fmt.Errorf("%w: %s", ErrNodeDead, to)
+		return nil, Packet{}, fmt.Errorf("%w: %s", ErrNodeDead, to)
 	}
 	if n.lossRate > 0 && n.rng.Float64() < n.lossRate {
-		n.mu.Unlock()
 		dst.metrics.Counter("netsim.lost").Inc(1)
-		return time.Time{}, fmt.Errorf("%w: %s -> %s", ErrPacketLost, from, to)
+		return nil, Packet{}, fmt.Errorf("%w: %s -> %s", ErrPacketLost, from, to)
 	}
 	n.chargeLocked(dst, DefaultRadio().RxEnergy(len(data)))
 	if !dst.alive { // RX cost may have exhausted the destination
-		n.mu.Unlock()
-		return time.Time{}, fmt.Errorf("%w: %s", ErrNodeDead, to)
+		return nil, Packet{}, fmt.Errorf("%w: %s", ErrNodeDead, to)
 	}
-
-	pkt := Packet{
-		From:      from,
-		To:        to,
-		Data:      append([]byte(nil), data...),
-		ArrivedAt: n.cfg.Clock.Now().Add(n.latencyLocked()),
-	}
-	delay := pkt.ArrivedAt.Sub(n.cfg.Clock.Now())
-	n.mu.Unlock()
-
-	return pkt.ArrivedAt, n.deliver(dst, pkt, delay)
+	arrive := n.cfg.Clock.Now().Add(n.latencyLocked())
+	return dst, Packet{From: from, To: to, Data: append([]byte(nil), data...), ArrivedAt: arrive}, nil
 }
 
 // Broadcast transmits data from a node to every alive radio neighbour. The
@@ -574,31 +566,29 @@ func (n *Network) Broadcast(from NodeID, data []byte) (int, error) {
 	sp.SetAttr("from", string(from))
 	count, latest, err := n.broadcast(from, data)
 	sp.SetAttr("delivered", fmt.Sprintf("%d", count))
-	sp.SetError(err)
-	if err == nil && !latest.IsZero() {
-		sp.FinishAt(latest)
-	} else {
-		sp.Finish()
-	}
+	finishHop(sp, latest, err)
 	return count, err
+}
+
+// finishHop ends a hop's span at the simulated arrival, or now if nothing
+// arrived.
+func finishHop(sp *trace.Span, arrive time.Time, err error) {
+	sp.SetError(err)
+	if err == nil && !arrive.IsZero() {
+		sp.FinishAt(arrive)
+		return
+	}
+	sp.Finish()
 }
 
 // broadcast is Broadcast's untraced body; it also returns the latest
 // simulated arrival time among the delivered copies.
 func (n *Network) broadcast(from NodeID, data []byte) (int, time.Time, error) {
 	n.mu.Lock()
-	if n.closed {
+	src, err := n.senderLocked(from)
+	if err != nil {
 		n.mu.Unlock()
-		return 0, time.Time{}, ErrNetworkClosed
-	}
-	src, ok := n.nodes[from]
-	if !ok {
-		n.mu.Unlock()
-		return 0, time.Time{}, fmt.Errorf("%w: %s", ErrUnknownNode, from)
-	}
-	if !src.alive {
-		n.mu.Unlock()
-		return 0, time.Time{}, fmt.Errorf("%w: %s", ErrNodeDead, from)
+		return 0, time.Time{}, err
 	}
 	n.chargeLocked(src, DefaultRadio().TxEnergy(len(data), n.cfg.Range))
 	src.metrics.Counter("netsim.sent").Inc(1)
@@ -606,9 +596,8 @@ func (n *Network) broadcast(from NodeID, data []byte) (int, time.Time, error) {
 	src.metrics.Counter("netsim.bytes").Inc(int64(len(data)))
 
 	type target struct {
-		node  *simNode
-		pkt   Packet
-		delay time.Duration
+		node *simNode
+		pkt  Packet
 	}
 	var targets []target
 	now := n.cfg.Clock.Now()
@@ -627,23 +616,15 @@ func (n *Network) broadcast(from NodeID, data []byte) (int, time.Time, error) {
 		if !other.alive {
 			continue
 		}
-		lat := n.latencyLocked()
-		targets = append(targets, target{
-			node: other,
-			pkt: Packet{
-				From:      from,
-				Data:      append([]byte(nil), data...),
-				ArrivedAt: now.Add(lat),
-			},
-			delay: lat,
-		})
+		pkt := Packet{From: from, Data: append([]byte(nil), data...), ArrivedAt: now.Add(n.latencyLocked())}
+		targets = append(targets, target{other, pkt})
 	}
 	n.mu.Unlock()
 
 	delivered := 0
 	var latest time.Time
 	for _, tg := range targets {
-		if err := n.deliver(tg.node, tg.pkt, tg.delay); err == nil {
+		if err := n.deliver(tg.node, tg.pkt); err == nil {
 			delivered++
 			if tg.pkt.ArrivedAt.After(latest) {
 				latest = tg.pkt.ArrivedAt
@@ -653,34 +634,62 @@ func (n *Network) broadcast(from NodeID, data []byte) (int, time.Time, error) {
 	return delivered, latest, nil
 }
 
-// deliver places pkt into dst's inbox, after delay if one is configured.
-func (n *Network) deliver(dst *simNode, pkt Packet, delay time.Duration) error {
-	if delay <= 0 {
-		select {
-		case dst.inbox <- pkt:
-			dst.metrics.Counter("netsim.delivered").Inc(1)
-			return nil
-		default:
-			dst.metrics.Counter("netsim.dropped_full").Inc(1)
-			return ErrInboxFull
-		}
+// deliver places pkt in dst's inbox at pkt.ArrivedAt on the network's
+// clock, at once if that instant has come, unless Close comes first.
+func (n *Network) deliver(dst *simNode, pkt Packet) error {
+	if !pkt.ArrivedAt.After(n.cfg.Clock.Now()) {
+		return n.offer(dst, pkt, false)
 	}
+	n.inFlight.Add(1)
+	timer := n.cfg.Clock.Timer(pkt.ArrivedAt)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		select {
-		case <-n.cfg.Clock.After(delay):
+		case <-timer.C():
+			_ = n.offer(dst, pkt, true)
 		case <-n.stop:
-			return
-		}
-		select {
-		case dst.inbox <- pkt:
-			dst.metrics.Counter("netsim.delivered").Inc(1)
-		default:
-			dst.metrics.Counter("netsim.dropped_full").Inc(1)
+			timer.Stop()
+			n.inFlight.Add(-1)
 		}
 	}()
 	return nil
+}
+
+// offer puts pkt in dst's inbox, or drops it if the inbox is full. Under
+// n.mu, before the packet can be taken, it counts it queued and, if it was
+// delayed, no longer in flight, so Queued never reads one without the other.
+func (n *Network) offer(dst *simNode, pkt Packet, delayed bool) error {
+	n.mu.Lock()
+	if delayed {
+		n.inFlight.Add(-1)
+	}
+	full := len(dst.inbox) == cap(dst.inbox)
+	if !full {
+		dst.queued++
+		dst.inbox <- pkt // only offer sends, under n.mu, so this never blocks
+	}
+	n.mu.Unlock()
+	if full {
+		dst.metrics.Counter("netsim.dropped_full").Inc(1)
+		return ErrInboxFull
+	}
+	dst.metrics.Counter("netsim.delivered").Inc(1)
+	return nil
+}
+
+// senderLocked returns node from if it may transmit. Callers hold n.mu.
+func (n *Network) senderLocked(from NodeID) (*simNode, error) {
+	src, ok := n.nodes[from]
+	switch {
+	case n.closed:
+		return nil, ErrNetworkClosed
+	case !ok:
+		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, from)
+	case !src.alive:
+		return nil, fmt.Errorf("%w: %s", ErrNodeDead, from)
+	}
+	return src, nil
 }
 
 // latencyLocked draws a delivery delay. Callers hold n.mu (for the RNG).

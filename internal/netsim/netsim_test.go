@@ -455,6 +455,22 @@ func TestCloseStopsDeliveries(t *testing.T) {
 	n.Close() // idempotent
 }
 
+// Close stops the timer of a delivery still in flight, so none is left on
+// the clock.
+func TestCloseLeavesNoTimer(t *testing.T) {
+	clk := simtime.NewVirtual(time.Date(2003, 1, 1, 0, 0, 0, 0, time.UTC))
+	n := New(Config{Range: 10, Latency: time.Hour, Clock: clk, Unlimited: true})
+	mustAdd(t, n, "a", Position{0, 0})
+	mustAdd(t, n, "b", Position{1, 0})
+	if e := n.Send("a", "b", []byte("x")); e != nil {
+		t.Fatal(e)
+	}
+	n.Close()
+	if got := clk.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after Close stopped a delayed delivery, want 0", got)
+	}
+}
+
 func TestMoveNodeAffectsRange(t *testing.T) {
 	n := testNet(t, Config{Range: 10})
 	mustAdd(t, n, "a", Position{0, 0})

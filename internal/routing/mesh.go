@@ -14,14 +14,15 @@ type Mesh struct {
 	net     *netsim.Network
 	routers map[netsim.NodeID]*Router
 	order   []netsim.NodeID
+	wake    chan struct{} // a router has handled a packet
 }
 
 // NewMesh builds a router for every node currently in the network. factory
 // must return a fresh Strategy per node (strategies hold per-node state).
 func NewMesh(net *netsim.Network, factory func() Strategy) (*Mesh, error) {
-	m := &Mesh{net: net, routers: make(map[netsim.NodeID]*Router)}
+	m := &Mesh{net: net, routers: make(map[netsim.NodeID]*Router), wake: make(chan struct{}, 1)}
 	for _, id := range net.Nodes() {
-		r, err := New(net, id, factory())
+		r, err := newRouter(net, id, factory(), nil, m.wake)
 		if err != nil {
 			m.Close()
 			return nil, fmt.Errorf("routing: mesh: %w", err)
@@ -49,34 +50,35 @@ func (m *Mesh) Tick() {
 	}
 }
 
-// Settle blocks until all routers have drained their inboxes and processed
-// everything in flight, or the timeout elapses. It reports whether the mesh
-// quiesced.
+// Settle blocks until the mesh is quiet — no delayed delivery is in flight
+// on the network, and every packet it put in a router's inbox has been
+// handled, forwarding included — or until timeout passes on the network's
+// clock. It reports whether the mesh quiesced.
 func (m *Mesh) Settle(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	stable := 0
-	var last int64 = -1
-	for time.Now().Before(deadline) {
-		total := int64(0)
-		empty := true
-		for _, id := range m.order {
-			total += m.routers[id].Handled()
-			if ch, err := m.net.Recv(id); err == nil && len(ch) > 0 {
-				empty = false
-			}
+	clock := m.net.Clock()
+	bound := clock.Timer(clock.Now().Add(timeout))
+	defer bound.Stop()
+	for !m.quiet() {
+		select {
+		case <-m.wake:
+		case <-bound.C():
+			return m.quiet()
 		}
-		if empty && total == last {
-			stable++
-			if stable >= 3 {
-				return true
-			}
-		} else {
-			stable = 0
-		}
-		last = total
-		time.Sleep(time.Millisecond)
 	}
-	return false
+	return true
+}
+
+// quiet reads the routers' handled counts before what netsim queued for
+// them. Both only grow and a router handles only what was queued, so equal
+// sums mean every queued packet was handled when netsim was read. The last
+// handle wakes Settle after it counts, so no wait misses the quiet instant.
+func (m *Mesh) quiet() bool {
+	var handled int64
+	for _, id := range m.order {
+		handled += m.routers[id].Handled()
+	}
+	queued, inFlight := m.net.Queued(m.order)
+	return inFlight == 0 && queued == handled
 }
 
 // Converge runs rounds advertisement rounds, settling after each — enough
@@ -86,9 +88,7 @@ func (m *Mesh) Converge(rounds int) bool {
 	ok := true
 	for i := 0; i < rounds; i++ {
 		m.Tick()
-		if !m.Settle(10 * time.Second) {
-			ok = false
-		}
+		ok = m.Settle(10*time.Second) && ok
 	}
 	return ok
 }

@@ -142,25 +142,34 @@ type Router struct {
 	// decode, ttl, no_route, send (a relay hop failed) or queue_full.
 	metrics *obs.Registry
 
-	// handled counts every inbound radio packet processed; Mesh.Settle uses
-	// it to detect quiescence.
+	// handled counts every inbound radio packet processed, for Mesh.Settle,
+	// which wake (nil outside a Mesh) rouses after each one.
 	handled atomic.Int64
+	wake    chan<- struct{}
 }
 
 // New creates and starts a router for node id using the given strategy. The
 // router consumes the node's netsim receive queue directly; when other
 // protocols share the radio, demultiplex with netmux and use NewWithSource.
 func New(net *netsim.Network, id netsim.NodeID, strategy Strategy) (*Router, error) {
-	inbox, err := net.Recv(id)
-	if err != nil {
-		return nil, fmt.Errorf("routing: %w", err)
-	}
-	return NewWithSource(net, id, strategy, inbox)
+	return newRouter(net, id, strategy, nil, nil)
 }
 
 // NewWithSource creates a router fed from an explicit packet source (e.g. a
 // netmux protocol channel) instead of the node's raw receive queue.
 func NewWithSource(net *netsim.Network, id netsim.NodeID, strategy Strategy, inbox <-chan netsim.Packet) (*Router, error) {
+	return newRouter(net, id, strategy, inbox, nil)
+}
+
+// newRouter starts a router fed from inbox, or from the node's receive queue
+// if inbox is nil, that signals wake each time it has handled a packet.
+func newRouter(net *netsim.Network, id netsim.NodeID, strategy Strategy, inbox <-chan netsim.Packet, wake chan<- struct{}) (*Router, error) {
+	if inbox == nil {
+		var err error
+		if inbox, err = net.Recv(id); err != nil {
+			return nil, fmt.Errorf("routing: %w", err)
+		}
+	}
 	if _, err := net.PositionOf(id); err != nil {
 		return nil, fmt.Errorf("routing: %w", err)
 	}
@@ -175,6 +184,7 @@ func NewWithSource(net *netsim.Network, id netsim.NodeID, strategy Strategy, inb
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		metrics:   net.Metrics(id),
+		wake:      wake,
 	}
 	go r.loop(inbox)
 	return r, nil
@@ -277,6 +287,11 @@ func (r *Router) loop(inbox <-chan netsim.Packet) {
 				return
 			}
 			r.handle(pkt)
+			r.handled.Add(1)
+			select {
+			case r.wake <- struct{}{}:
+			default:
+			}
 		}
 	}
 }
@@ -285,7 +300,6 @@ func (r *Router) loop(inbox <-chan netsim.Packet) {
 func (r *Router) Handled() int64 { return r.handled.Load() }
 
 func (r *Router) handle(raw netsim.Packet) {
-	defer r.handled.Add(1)
 	p, err := decodePacket(raw.Data)
 	if err != nil {
 		r.drop("decode")

@@ -474,23 +474,18 @@ func (tableStrategy) HandleAdvertisement(*Router, netsim.NodeID, []byte) {}
 func TestDropsCountedByReason(t *testing.T) {
 	net := netsim.New(netsim.Config{Range: 12, Unlimited: true})
 	t.Cleanup(net.Close)
-	ids := []netsim.NodeID{"a", "b", "c"}
-	routers := map[netsim.NodeID]*Router{}
-	for i, id := range ids {
+	for i, id := range []netsim.NodeID{"a", "b", "c"} {
 		if err := net.AddNode(id, netsim.Position{X: float64(i) * 10}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, id := range ids {
-		// b relays to c, and towards "gone" through a node that does not
-		// exist, so that relay's send fails.
-		r, err := New(net, id, tableStrategy{"c": "c", "gone": "ghost"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(r.Close)
-		routers[id] = r
+	// b relays to c, and towards "gone" through a node that does not exist,
+	// so that relay's send fails.
+	m, err := NewMesh(net, func() Strategy { return tableStrategy{"c": "c", "gone": "ghost"} })
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(m.Close)
 	data := func(dest netsim.NodeID, ttl uint8) []byte {
 		return (&packet{ptype: typeData, origin: "a", dest: dest, seq: 1, ttl: ttl}).encode()
 	}
@@ -506,7 +501,7 @@ func TestDropsCountedByReason(t *testing.T) {
 	}
 	// queue_full: nobody drains b's delivery queue.
 	for i := 0; i <= outboxSize; i++ {
-		if err := routers["b"].Send("b", "b", []byte("x")); err != nil {
+		if err := m.Router("b").Send("b", "b", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -514,9 +509,8 @@ func TestDropsCountedByReason(t *testing.T) {
 	dropped := func(id netsim.NodeID, reason string) int64 {
 		return net.Metrics(id).Counter("routing.dropped." + reason).Value()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for routers["b"].Handled() < 4 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	if !m.Settle(5 * time.Second) {
+		t.Fatal("mesh did not settle")
 	}
 	for _, reason := range reasons {
 		if got := dropped("b", reason); got != 1 {
@@ -528,5 +522,31 @@ func TestDropsCountedByReason(t *testing.T) {
 			}
 		}
 	}
-	expectNone(t, routers["c"])
+	expectNone(t, m.Router("c"))
+}
+
+// Settle waits for a packet still on a delayed link: once it reports the
+// mesh quiet, the packet has been handled at its destination.
+func TestSettleWaitsForDelayedDelivery(t *testing.T) {
+	net := netsim.New(netsim.Config{Range: 12, Unlimited: true, Latency: 20 * time.Millisecond})
+	t.Cleanup(net.Close)
+	for i, id := range []netsim.NodeID{"a", "b"} {
+		if err := net.AddNode(id, netsim.Position{X: float64(i) * 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := NewMesh(net, func() Strategy { return tableStrategy{"b": "b"} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	if err := m.Router("a").Send("a", "b", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Settle(5 * time.Second) {
+		t.Fatal("mesh did not settle")
+	}
+	if got := m.Router("b").Handled(); got != 1 {
+		t.Fatalf("b handled %d packets once the mesh settled, want 1", got)
+	}
 }

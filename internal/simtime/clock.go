@@ -26,9 +26,6 @@ type Clock interface {
 	// returned from Now. It is the cheaper read for timing an interval: on
 	// the wall clock it reads only the monotonic clock.
 	Since(t time.Time) time.Duration
-	// After returns a channel that receives the then-current time once d has
-	// elapsed on this clock.
-	After(d time.Duration) <-chan time.Time
 	// Timer arms a timer that fires at the instant at on this clock, at once
 	// if at is not after now.
 	Timer(at time.Time) Timer
@@ -70,9 +67,6 @@ func (Real) Now() time.Time { return time.Now() }
 
 // Since implements Clock.
 func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
-
-// After implements Clock.
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // Timer implements Clock.
 func (Real) Timer(at time.Time) Timer { return &realTimer{t: time.NewTimer(time.Until(at))} }
@@ -173,23 +167,11 @@ func (v *Virtual) Now() time.Time {
 // Since implements Clock.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
-// After implements Clock.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.newTimer(v.now.Add(d)).ch
-}
-
 // Timer implements Clock. Arming and the clock's reading happen under one
 // lock, so the clock cannot move in between.
 func (v *Virtual) Timer(at time.Time) Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.newTimer(at)
-}
-
-// newTimer makes a timer and arms it at at. Caller holds v.mu.
-func (v *Virtual) newTimer(at time.Time) *vtimer {
 	t := &vtimer{v: v, ch: make(chan time.Time, 1), i: -1}
 	v.arm(t, at)
 	return t

@@ -18,15 +18,6 @@ func TestRealNow(t *testing.T) {
 	}
 }
 
-func TestRealAfter(t *testing.T) {
-	c := Real{}
-	select {
-	case <-c.After(time.Millisecond):
-	case <-time.After(5 * time.Second):
-		t.Fatal("Real.After never fired")
-	}
-}
-
 func TestVirtualNow(t *testing.T) {
 	v := NewVirtual(epoch)
 	if got := v.Now(); !got.Equal(epoch) {
@@ -38,9 +29,9 @@ func TestVirtualNow(t *testing.T) {
 	}
 }
 
-func TestVirtualAfterFiresAtDeadline(t *testing.T) {
+func TestVirtualTimerFiresAtDeadline(t *testing.T) {
 	v := NewVirtual(epoch)
-	ch := v.After(10 * time.Second)
+	ch := v.Timer(epoch.Add(10 * time.Second)).C()
 	select {
 	case <-ch:
 		t.Fatal("timer fired before advance")
@@ -65,20 +56,6 @@ func TestVirtualAfterFiresAtDeadline(t *testing.T) {
 	}
 }
 
-func TestVirtualAfterNonPositive(t *testing.T) {
-	v := NewVirtual(epoch)
-	select {
-	case <-v.After(0):
-	default:
-		t.Fatal("After(0) should fire immediately")
-	}
-	select {
-	case <-v.After(-time.Second):
-	default:
-		t.Fatal("After(<0) should fire immediately")
-	}
-}
-
 func TestVirtualFiringOrder(t *testing.T) {
 	v := NewVirtual(epoch)
 	var mu sync.Mutex
@@ -86,7 +63,7 @@ func TestVirtualFiringOrder(t *testing.T) {
 
 	var wg sync.WaitGroup
 	waitFor := func(id int, d time.Duration) {
-		ch := v.After(d)
+		ch := v.Timer(epoch.Add(d)).C()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -114,8 +91,8 @@ func TestVirtualFiringOrder(t *testing.T) {
 
 func TestVirtualAdvanceToNext(t *testing.T) {
 	v := NewVirtual(epoch)
-	ch1 := v.After(5 * time.Second)
-	ch2 := v.After(7 * time.Second)
+	ch1 := v.Timer(epoch.Add(5 * time.Second)).C()
+	ch2 := v.Timer(epoch.Add(7 * time.Second)).C()
 
 	if !v.AdvanceToNext() {
 		t.Fatal("AdvanceToNext() = false with pending timer")
@@ -152,8 +129,8 @@ func TestVirtualPending(t *testing.T) {
 	if got := v.Pending(); got != 0 {
 		t.Fatalf("Pending() = %d, want 0", got)
 	}
-	v.After(time.Second)
-	v.After(2 * time.Second)
+	v.Timer(epoch.Add(time.Second))
+	v.Timer(epoch.Add(2 * time.Second))
 	if got := v.Pending(); got != 2 {
 		t.Fatalf("Pending() = %d, want 2", got)
 	}
@@ -165,8 +142,8 @@ func TestVirtualPending(t *testing.T) {
 
 func TestVirtualTiesFireInRegistrationOrder(t *testing.T) {
 	v := NewVirtual(epoch)
-	ch1 := v.After(time.Second)
-	ch2 := v.After(time.Second)
+	ch1 := v.Timer(epoch.Add(time.Second)).C()
+	ch2 := v.Timer(epoch.Add(time.Second)).C()
 	v.Advance(time.Second)
 	// Both fired; deterministic pop order is 1 then 2. We can only observe
 	// both are ready since sends buffered; check both.

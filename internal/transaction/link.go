@@ -151,7 +151,13 @@ func (l *Link) SendReliable(m *wire.Message) error {
 	}()
 
 	var lastErr error
+	// One retry timer a call: re-armed per attempt, stopped when it loses.
+	retry := l.cfg.Clock.Timer(l.cfg.Clock.Now().Add(l.cfg.RetryInterval))
+	defer retry.Stop()
 	for attempt := 0; attempt <= l.cfg.MaxRetries; attempt++ {
+		if attempt > 0 {
+			retry.Reset(l.cfg.Clock.Now().Add(l.cfg.RetryInterval))
+		}
 		err := l.conn.Send(m)
 		switch {
 		case err == nil:
@@ -170,7 +176,7 @@ func (l *Link) SendReliable(m *wire.Message) error {
 		select {
 		case <-ackCh:
 			return nil
-		case <-l.cfg.Clock.After(l.cfg.RetryInterval):
+		case <-retry.C():
 		case <-l.done:
 			return ErrLinkClosed
 		}

@@ -177,11 +177,12 @@ func (p *Pump) run() {
 		if !ok {
 			return // on-demand: nothing proactive to do
 		}
-		delay := next.Sub(p.clock.Now())
+		timer := p.clock.Timer(next)
 		select {
 		case <-p.stop:
+			timer.Stop()
 			return
-		case <-p.clock.After(delay):
+		case <-timer.C():
 		}
 		payload, more := p.source()
 		if !more {

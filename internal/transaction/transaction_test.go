@@ -183,6 +183,19 @@ func TestLinkDuplicateSuppression(t *testing.T) {
 	}
 }
 
+// An ack that wins stops the call's retry timer, so none is left on the
+// clock: the virtual clock never moves, so only the ack can end the call.
+func TestSendReliableAckLeavesNoTimer(t *testing.T) {
+	clk := simtime.NewVirtual(epoch)
+	a, _ := linkPair(t, LinkConfig{Clock: clk})
+	if err := a.SendReliable(&wire.Message{Kind: wire.KindData, Src: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := clk.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after an acked send, want 0", got)
+	}
+}
+
 func TestLinkCloseUnblocksRecv(t *testing.T) {
 	a, _ := linkPair(t, LinkConfig{})
 	done := make(chan error, 1)
@@ -316,6 +329,25 @@ func TestPumpPeriodic(t *testing.T) {
 	defer mu.Unlock()
 	if len(emitted) != 3 || emitted[0][0] != 1 || emitted[2][0] != 3 {
 		t.Fatalf("emitted = %v", emitted)
+	}
+}
+
+// Stop stops the timer of the emission the pump was waiting for.
+func TestPumpStopLeavesNoTimer(t *testing.T) {
+	clk := simtime.NewVirtual(epoch)
+	pump := NewPump(clk, Periodic{Period: time.Second},
+		func() ([]byte, bool) { return nil, true },
+		func([]byte) error { return nil })
+	deadline := time.Now().Add(5 * time.Second)
+	for clk.Pending() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("pump never armed its timer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	pump.Stop()
+	if got := clk.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after Stop, want 0", got)
 	}
 }
 

@@ -15,14 +15,6 @@ var wallClockFuncs = map[string]bool{
 	"AfterFunc": true, "NewTimer": true, "NewTicker": true, "Tick": true,
 }
 
-// wallClockAllowlist names the functions of library packages that still use
-// the wall clock, each with its reason, keyed "package.Func" or
-// "package.Type.Method". Each is to move onto the clock its world runs on.
-var wallClockAllowlist = map[string]string{
-	"routing.Mesh.Settle": "polls with time.Now and sleeps 1 ms until the routers go quiet; E5 and E5a call it",
-	"chaos.World.build":   "the overload world's bulk handler sleeps overloadBulkWork on wall time inside a virtual-clock world",
-}
-
 // wallClockExempt reports whether a package may use the wall clock: simtime,
 // which is the wall clock behind simtime.Real, and the deployments and
 // harnesses (programs, examples, the experiments and the load benchmark).
@@ -37,13 +29,12 @@ func wallClockExempt(path string) bool {
 
 // TestNoWallClockInLibrary fails on a use of time.Now, Since, Until, Sleep,
 // After, AfterFunc, NewTimer, NewTicker or Tick in a non-test file of a
-// library package, unless wallClockAllowlist names the function it is in. A
-// node runs on the simtime.Clock it is given, and its timers come from that
-// clock (Clock.Timer, simtime.Every): a wall-clock read or timer in the
-// library is one a virtual-clock world cannot move.
+// library package; no function is exempt. A node runs on the simtime.Clock
+// it is given, and its timers come from that clock (Clock.Timer,
+// simtime.Every): a wall-clock read or timer in the library is one a
+// virtual-clock world cannot move.
 func TestNoWallClockInLibrary(t *testing.T) {
 	tt := loadTree(t)
-	uses, seen := 0, map[string]bool{}
 	var bad []string
 	for _, p := range tt.pkgs {
 		if wallClockExempt(p.pkg.Path()) {
@@ -64,25 +55,15 @@ func TestNoWallClockInLibrary(t *testing.T) {
 					if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !wallClockFuncs[fn.Name()] || fn.Type().(*types.Signature).Recv() != nil {
 						return true
 					}
-					uses++
-					if _, ok := wallClockAllowlist[id]; ok {
-						seen[id] = true
-						return true
-					}
 					bad = append(bad, "time."+fn.Name()+" in "+id+" ("+tt.fset.Position(ident.Pos()).String()+")")
 					return true
 				})
 			}
 		}
 	}
-	t.Logf("%d wall-clock calls in library code, %d functions allowlisted", uses, len(wallClockAllowlist))
+	t.Logf("%d wall-clock calls in library code", len(bad))
 	sort.Strings(bad)
 	for _, b := range bad {
 		t.Errorf("%s: read the time from the node's simtime.Clock and arm its timers with Clock.Timer or simtime.Every", b)
-	}
-	for id := range wallClockAllowlist {
-		if !seen[id] {
-			t.Errorf("allowlisted %s uses no wall clock: drop it from wallClockAllowlist", id)
-		}
 	}
 }
