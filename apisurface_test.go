@@ -19,9 +19,7 @@ var apiAllowlist = map[string]string{
 	"location.Service.Remove":          "paper feature: §3.5 location service",
 	"location.Service.Within":          "paper feature: §3.5 location service",
 	"location.Service.InLogicalArea":   "paper feature: §3.5 location service",
-	"location.Service.Stale":           "paper feature: §3.5 location service",
 	"netsim.Waypoint.Step":             "paper feature: §3.5 node mobility (random waypoint)",
-	"location.Service.WillLeave":       "paper feature: §3.7 departure prediction",
 	"scheduler.NewDepartureMonitor":    "paper feature: §3.7 departure hand-off",
 	"scheduler.DepartureMonitor.Sweep": "paper feature: §3.7 departure hand-off",
 	"transaction.Link.Send":            "paper feature: §3.6 per-connection ack and dedupe (Link)",

@@ -21,9 +21,9 @@ import (
 // the binding re-matches and rebinds transparently — the §3.4 graceful
 // degradation loop.
 type Binding struct {
-	node *Node
-	spec *qos.Spec
-	txn  *transaction.Txn
+	node    *Node
+	spec    *qos.Spec
+	tracker *qos.Tracker
 
 	// QoS floor triggering proactive rebinds (see BindOptions).
 	minRatio   float64
@@ -74,6 +74,7 @@ func (n *Node) Bind(spec *qos.Spec, opts BindOptions) (*Binding, error) {
 		minBenefit: opts.MinBenefit,
 		minSamples: opts.MinSamples,
 		lane:       opts.Lane,
+		tracker:    qos.NewTracker(spec.Benefit),
 	}
 	if b.minSamples <= 0 {
 		b.minSamples = 10
@@ -85,8 +86,14 @@ func (n *Node) Bind(spec *qos.Spec, opts BindOptions) (*Binding, error) {
 	if err := b.connect(peer); err != nil {
 		return nil, err
 	}
-	b.txn = n.table.Open(spec.Query.Name, peer, transaction.OnDemand, 0, spec.Benefit, n.clock.Now())
+	// Close may have run during the lookup and the dial: a binding it did
+	// not see must not outlive the node.
 	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		_ = b.caller.Close()
+		return nil, ErrNodeClosed
+	}
 	n.bindings = append(n.bindings, b)
 	n.mu.Unlock()
 	return b, nil
@@ -100,7 +107,7 @@ func (b *Binding) Peer() string {
 }
 
 // Tracker returns the binding's achieved-QoS tracker.
-func (b *Binding) Tracker() *qos.Tracker { return b.txn.Tracker }
+func (b *Binding) Tracker() *qos.Tracker { return b.tracker }
 
 // selectPeer ranks current candidates, excluding one peer (the failed one).
 // With a health monitor attached, suspected peers are skipped too — unless
@@ -136,7 +143,8 @@ func (b *Binding) selectPeer(exclude string) (string, error) {
 	return best.Provider, nil
 }
 
-// connect replaces the binding's connection with a fresh caller to peer.
+// connect replaces the binding's connection with a fresh caller to peer. A
+// binding closed in the meantime keeps no caller: the new one is closed.
 func (b *Binding) connect(peer string) error {
 	// The breaker sits outermost so fast-fails never pollute the metrics
 	// interceptor's call counts or latency histogram; tracing wraps both so
@@ -173,6 +181,11 @@ func (b *Binding) connect(peer string) error {
 		return fmt.Errorf("core: dial %s: %w", peer, err)
 	}
 	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		_ = caller.Close()
+		return ErrNodeClosed
+	}
 	if b.caller != nil {
 		_ = b.caller.Close()
 	}
@@ -183,9 +196,8 @@ func (b *Binding) connect(peer string) error {
 }
 
 // Rebind re-matches, excluding the current peer, and reconnects. The
-// transaction record tracks the handoff. The decision is traced: the rebind
-// span records the old and new peer and parents under whatever request or
-// suspicion event triggered it.
+// decision is traced: the rebind span records the old and new peer and
+// parents under whatever request, suspicion event or hand-off triggered it.
 func (b *Binding) Rebind() error {
 	b.mu.Lock()
 	old := b.peer
@@ -194,11 +206,17 @@ func (b *Binding) Rebind() error {
 	if closed {
 		return ErrNodeClosed
 	}
+	return b.rebindFrom(old)
+}
+
+// rebindFrom is Rebind with the peer to leave named: the new peer is never
+// old, even when the binding left old since the caller looked.
+func (b *Binding) rebindFrom(old string) error {
 	if t := b.node.tracer; t != nil {
 		sp, done := t.Scope("binding.rebind")
 		sp.SetAttr("service", b.spec.Query.Name)
 		sp.SetAttr("from", old)
-		err := b.rebindFrom(old)
+		err := b.move(old)
 		if err == nil {
 			sp.SetAttr("to", b.Peer())
 		}
@@ -206,12 +224,12 @@ func (b *Binding) Rebind() error {
 		done()
 		return err
 	}
-	return b.rebindFrom(old)
+	return b.move(old)
 }
 
-// rebindFrom is Rebind's untraced body: re-match excluding old, reconnect,
-// and record the handoff.
-func (b *Binding) rebindFrom(old string) error {
+// move is rebindFrom's untraced body. Achieved QoS is per supplier, so the
+// tracker resets with the move.
+func (b *Binding) move(old string) error {
 	peer, err := b.selectPeer(old)
 	if err != nil {
 		return err
@@ -219,9 +237,7 @@ func (b *Binding) rebindFrom(old string) error {
 	if err := b.connect(peer); err != nil {
 		return err
 	}
-	if err := b.node.table.BeginHandoff(b.txn.ID); err == nil {
-		_ = b.node.table.CompleteHandoff(b.txn.ID, peer)
-	}
+	b.tracker.Reset()
 	b.Rebinds.Add(1)
 	return nil
 }
@@ -270,7 +286,7 @@ func (b *Binding) request(payload []byte) ([]byte, error) {
 		// still serve this request; the QoS floor simply stays violated.
 		_ = b.Rebind()
 	}
-	out, err := b.requestOnce(payload)
+	out, peer, err := b.requestOnce(payload)
 	if err == nil {
 		return out, nil
 	}
@@ -280,26 +296,35 @@ func (b *Binding) request(payload []byte) ([]byte, error) {
 		// failure, no rebind.
 		return nil, err
 	}
+	if peer != b.Peer() {
+		// A rebind on another goroutine (a hand-off, say) closed the caller
+		// this call went out on. The supplier did not fail: send again on
+		// the new one.
+		if out, peer, err = b.requestOnce(payload); err == nil || errors.As(err, &remoteErr) {
+			return out, err
+		}
+	}
 	// Transport-level failure: degrade gracefully by rebinding. Cached
 	// lookup results naming the failed peer are dropped first — rebinding
 	// through a cache that still lists the corpse wastes the lease.
-	discovery.Invalidate(b.node.registry, b.Peer())
-	b.Tracker().ObserveFailure()
+	discovery.Invalidate(b.node.registry, peer)
+	b.tracker.ObserveFailure()
 	if rerr := b.Rebind(); rerr != nil {
 		return nil, fmt.Errorf("core: request failed (%v) and rebind failed: %w", err, rerr)
 	}
-	return b.requestOnce(payload)
+	out, _, err = b.requestOnce(payload)
+	return out, err
 }
 
 // RequestStatic performs one exchange without the graceful-degradation
 // machinery: no rebinding, no re-matching. It models a middleware-less
 // client and is the baseline experiment E4 measures the kernel against.
 func (b *Binding) RequestStatic(payload []byte) ([]byte, error) {
-	out, err := b.requestOnce(payload)
+	out, _, err := b.requestOnce(payload)
 	if err != nil {
 		var remoteErr *remoteError
 		if !errors.As(err, &remoteErr) {
-			b.Tracker().ObserveFailure()
+			b.tracker.ObserveFailure()
 		}
 		return nil, err
 	}
@@ -315,19 +340,20 @@ func (b *Binding) violated() bool {
 	if b.minRatio == 0 && b.minBenefit == 0 {
 		return false
 	}
-	return b.Tracker().Violated(b.minRatio, b.minBenefit, b.minSamples)
+	return b.tracker.Violated(b.minRatio, b.minBenefit, b.minSamples)
 }
 
 // requestOnce performs a single exchange through the binding's endpoint
-// caller. The deadline derives from the spec's benefit curve and propagates
-// on the wire; delivery and delay feed the QoS tracker.
-func (b *Binding) requestOnce(payload []byte) ([]byte, error) {
+// caller and names the peer it went to. The deadline derives from the
+// spec's benefit curve and propagates on the wire; delivery and delay feed
+// the QoS tracker.
+func (b *Binding) requestOnce(payload []byte) ([]byte, string, error) {
 	b.mu.Lock()
+	caller, peer := b.caller, b.peer
 	if b.closed {
 		b.mu.Unlock()
-		return nil, ErrNodeClosed
+		return nil, peer, ErrNodeClosed
 	}
-	caller, peer := b.caller, b.peer
 	b.mu.Unlock()
 
 	call := endpoint.Call{
@@ -341,16 +367,16 @@ func (b *Binding) requestOnce(payload []byte) ([]byte, error) {
 	m, err := caller.Do(&call)
 	if err != nil {
 		if re, ok := endpoint.IsRemote(err); ok {
-			return nil, &remoteError{msg: re.Msg}
+			return nil, peer, &remoteError{msg: re.Msg}
 		}
 		if errors.Is(err, endpoint.ErrTimeout) {
-			return nil, b.timedOut()
+			return nil, peer, b.timedOut()
 		}
-		return nil, err
+		return nil, peer, err
 	}
 	// The caller timed the call once, for its interceptors and for this.
-	b.Tracker().ObserveDelivery(call.Elapsed())
-	return takePayload(m), nil
+	b.tracker.ObserveDelivery(call.Elapsed())
+	return takePayload(m), peer, nil
 }
 
 // callTimeout is the endpoint timeout that carries the binding's QoS deadline,
@@ -441,7 +467,7 @@ func (r *AsyncReply) Wait() ([]byte, error) {
 				r.outErr = &remoteError{msg: re.Msg}
 				return
 			}
-			r.b.Tracker().ObserveFailure()
+			r.b.tracker.ObserveFailure()
 			if errors.Is(err, endpoint.ErrTimeout) {
 				r.outErr = r.b.timedOut()
 				return
@@ -449,7 +475,7 @@ func (r *AsyncReply) Wait() ([]byte, error) {
 			r.outErr = err
 			return
 		}
-		r.b.Tracker().ObserveDelivery(r.fut.Elapsed())
+		r.b.tracker.ObserveDelivery(r.fut.Elapsed())
 		r.payload = takePayload(m) // once: r.fut is waited on nowhere else
 	})
 	return r.payload, r.outErr
@@ -476,7 +502,7 @@ func (b *Binding) Poll(schedule transaction.Schedule, request []byte, deliver fu
 	return pump.Stop
 }
 
-// Close releases the binding and completes its transaction.
+// Close releases the binding and drops it from its node's live bindings.
 func (b *Binding) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -486,7 +512,7 @@ func (b *Binding) Close() error {
 	b.closed = true
 	caller := b.caller
 	b.mu.Unlock()
-	_ = b.node.table.Complete(b.txn.ID)
+	b.node.forget(b)
 	if caller != nil {
 		return caller.Close()
 	}

@@ -384,14 +384,20 @@ func TestTransactionRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	active := con.table.ByPeer("supplier")
-	if len(active) != 1 || active[0].State != transaction.StateActive || active[0].Topic != "sensor/bp" {
-		t.Fatalf("active = %+v", active)
+	if live := liveBindings(con); len(live) != 1 || live[0] != b || b.Peer() != "supplier" {
+		t.Fatalf("live bindings = %v, want the one binding on supplier", live)
 	}
 	_ = b.Close()
-	if len(con.table.ByPeer("supplier")) != 0 {
-		t.Fatal("transaction still active after binding close")
+	if live := liveBindings(con); len(live) != 0 {
+		t.Fatalf("closed binding still live: %v", live)
 	}
+}
+
+// liveBindings copies the node's record of its live bindings.
+func liveBindings(n *Node) []*Binding {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return append([]*Binding(nil), n.bindings...)
 }
 
 func TestBindCloseCyclesLeaveNoTransactions(t *testing.T) {
@@ -416,8 +422,67 @@ func TestBindCloseCyclesLeaveNoTransactions(t *testing.T) {
 			t.Fatalf("close %d: %v", i, err)
 		}
 	}
-	if n := len(con.table.ByPeer("supplier")); n != 0 {
-		t.Fatalf("transaction table holds %d records after 1000 bind/close cycles, want 0", n)
+	if n := len(liveBindings(con)); n != 0 {
+		t.Fatalf("node holds %d bindings after 1000 bind/close cycles, want 0", n)
+	}
+}
+
+// closingRegistry runs onLookup, when set, before it looks up: a Close
+// there races the Bind or Rebind that looks up.
+type closingRegistry struct {
+	discovery.Resolver
+	onLookup func()
+}
+
+func (r *closingRegistry) Lookup(q *svcdesc.Query) ([]*svcdesc.Description, error) {
+	if r.onLookup != nil {
+		r.onLookup()
+	}
+	return r.Resolver.Lookup(q)
+}
+
+func TestBindRacingCloseFails(t *testing.T) {
+	w := newWorld(t)
+	sup := w.node("supplier")
+	if err := sup.Serve(bpDesc(0.9), echoHandler("x:")); err != nil {
+		t.Fatal(err)
+	}
+	reg := &closingRegistry{Resolver: w.registry}
+	con := w.nodeWith(Config{Name: "consumer"})
+	con.registry = reg
+	reg.onLookup = func() { _ = con.Close() }
+	b, err := con.Bind(&qos.Spec{Query: svcdesc.Query{Name: "sensor/bp"}}, BindOptions{})
+	if !errors.Is(err, ErrNodeClosed) || b != nil {
+		t.Fatalf("Bind during Close = %v, %v; want nil, ErrNodeClosed", b, err)
+	}
+	if n := len(liveBindings(con)); n != 0 {
+		t.Fatalf("closed node holds %d bindings", n)
+	}
+}
+
+func TestRebindRacingCloseFails(t *testing.T) {
+	w := newWorld(t)
+	for _, name := range []string{"s1", "s2"} {
+		if err := w.node(name).Serve(bpDesc(0.9), echoHandler(name+":")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := &closingRegistry{Resolver: w.registry}
+	con := w.nodeWith(Config{Name: "consumer"})
+	con.registry = reg
+	b, err := con.Bind(&qos.Spec{Query: svcdesc.Query{Name: "sensor/bp"}}, BindOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := b.Peer()
+	reg.onLookup = func() { _ = b.Close() }
+	// A closed binding keeps no caller: the one dialled for the rebind is
+	// closed, not installed.
+	if err := b.Rebind(); !errors.Is(err, ErrNodeClosed) {
+		t.Fatalf("Rebind during Close = %v, want ErrNodeClosed", err)
+	}
+	if b.Peer() != from || b.Rebinds.Load() != 0 {
+		t.Fatalf("closed binding moved to %s (%d rebinds)", b.Peer(), b.Rebinds.Load())
 	}
 }
 

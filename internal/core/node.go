@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ndsm/internal/discovery"
@@ -19,7 +20,6 @@ import (
 	"ndsm/internal/simtime"
 	"ndsm/internal/svcdesc"
 	"ndsm/internal/trace"
-	"ndsm/internal/transaction"
 	"ndsm/internal/transport"
 	"ndsm/internal/wire"
 )
@@ -98,15 +98,13 @@ type Node struct {
 	reqlog     *reqlog.Recorder
 	topicLanes *endpoint.LaneTable
 
-	table *transaction.Table
-
 	// ep serves all hosted suppliers on the node's single listener through
 	// the shared request/reply engine.
 	ep *endpoint.Server
 
 	mu        sync.Mutex
 	suppliers map[string]*supplier // by service name
-	bindings  []*Binding
+	bindings  []*Binding           // live ones: Binding.Close drops its own
 	closed    bool
 }
 
@@ -146,7 +144,6 @@ func NewNode(cfg Config) (*Node, error) {
 		tracer:     cfg.Tracer,
 		reqlog:     cfg.ReqLog,
 		topicLanes: cfg.TopicLanes,
-		table:      transaction.NewTable(),
 		suppliers:  make(map[string]*supplier),
 	}
 	n.ep = endpoint.NewServer(l, endpoint.ServerOptions{
@@ -211,6 +208,38 @@ func (n *Node) Close() error {
 		_ = b.Close()
 	}
 	return n.ep.Close()
+}
+
+// forget drops a closed binding from the node's live bindings.
+func (n *Node) forget(b *Binding) {
+	n.mu.Lock()
+	if i := slices.Index(n.bindings, b); i >= 0 {
+		n.bindings = slices.Delete(n.bindings, i, i+1)
+	}
+	n.mu.Unlock()
+}
+
+// HandoffPeer moves every live binding on peer to the best other supplier
+// its spec admits — §3.7's "transferred to different services matching the
+// constraints" for a supplier about to leave. Each move is the binding's
+// own traced rebind, so it counts in Rebinds. A binding with no feasible
+// replacement stays on peer: the hand-off aborts, not the binding.
+func (n *Node) HandoffPeer(peer string) (moved, aborted int) {
+	n.mu.Lock()
+	bindings := slices.Clone(n.bindings)
+	n.mu.Unlock()
+	for _, b := range bindings {
+		if b.Peer() != peer {
+			continue // on another supplier, or moved off peer already
+		}
+		switch err := b.rebindFrom(peer); {
+		case err == nil:
+			moved++
+		case !errors.Is(err, ErrNodeClosed): // a binding closed meanwhile is neither
+			aborted++
+		}
+	}
+	return moved, aborted
 }
 
 // Serve hosts a service: the description is completed with this node as

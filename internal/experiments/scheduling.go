@@ -6,12 +6,13 @@ import (
 	"sort"
 	"time"
 
+	"ndsm/internal/core"
 	"ndsm/internal/discovery"
 	"ndsm/internal/qos"
 	"ndsm/internal/scheduler"
 	"ndsm/internal/stats"
 	"ndsm/internal/svcdesc"
-	"ndsm/internal/transaction"
+	"ndsm/internal/transport"
 )
 
 // e8Job is one released unit of work in the deterministic scheduling
@@ -124,7 +125,7 @@ func e8(quick bool) (Result, error) {
 		admTable.AddRow(u, scheduler.RMAdmissible(tasks), scheduler.EDFAdmissible(tasks))
 	}
 
-	// Handoff: a departing supplier's transactions move to replacements.
+	// Handoff: a departing supplier's bindings move to replacements.
 	handoffTable, err := e8Handoff()
 	if err != nil {
 		return Result{}, err
@@ -141,28 +142,58 @@ func e8(quick bool) (Result, error) {
 	}, nil
 }
 
+// e8Handoff moves a departing supplier's bindings: a consumer holds one
+// binding to each of the ten services the departing node serves, and eight
+// of those services gain a backup supplier once the bindings are made.
 func e8Handoff() (*stats.Table, error) {
-	table := transaction.NewTable()
+	const services, backups = 10, 8
+	fabric := transport.NewFabric()
 	registry := discovery.NewStore(nil, 0)
-	now := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
-	// 10 transactions on the departing supplier; 8 topics have backups.
-	for i := 0; i < 10; i++ {
-		topic := fmt.Sprintf("svc-%d", i)
-		table.Open(topic, "departing", transaction.Continuous, 1, qos.Benefit{}, now)
-		if i < 8 {
-			if err := registry.Register(&svcdesc.Description{
-				Name: topic, Provider: fmt.Sprintf("backup-%d", i), Reliability: 0.9, PowerLevel: 1,
-			}); err != nil {
-				return nil, err
-			}
+	var nodes []*core.Node
+	defer func() {
+		for _, n := range nodes {
+			_ = n.Close()
 		}
+	}()
+	node := func(name string) (*core.Node, error) {
+		n, err := core.NewNode(core.Config{Name: name, Transport: transport.NewMem(fabric), Registry: registry})
+		if err == nil {
+			nodes = append(nodes, n)
+		}
+		return n, err
 	}
-	hm := scheduler.NewHandoffManager(table, registry, nil)
-	report, err := hm.HandoffPeer("departing", now)
+	topic := func(i int) string { return fmt.Sprintf("svc-%d", i) }
+	serve := func(n *core.Node, i int) error {
+		d := &svcdesc.Description{Name: topic(i), Reliability: 0.9, PowerLevel: 1}
+		return n.Serve(d, func(p []byte) ([]byte, error) { return p, nil })
+	}
+	departing, err := node("departing")
 	if err != nil {
 		return nil, err
 	}
+	consumer, err := node("consumer")
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < services; i++ {
+		if err := serve(departing, i); err != nil {
+			return nil, err
+		}
+		if _, err := consumer.Bind(&qos.Spec{Query: svcdesc.Query{Name: topic(i)}}, core.BindOptions{}); err != nil {
+			return nil, err
+		}
+	}
+	for i := 0; i < backups; i++ {
+		backup, err := node(fmt.Sprintf("backup-%d", i))
+		if err != nil {
+			return nil, err
+		}
+		if err := serve(backup, i); err != nil {
+			return nil, err
+		}
+	}
+	moved, aborted := consumer.HandoffPeer("departing")
 	t := stats.NewTable("E8c: departure handoff", "transactions", "moved", "aborted")
-	t.AddRow(len(report.Results), report.Moved, report.Aborted)
+	t.AddRow(services, moved, aborted)
 	return t, nil
 }

@@ -5,14 +5,13 @@
 // points out are distinct notions that matching algorithms often conflate.
 //
 // For mobile nodes the service derives a velocity estimate from successive
-// updates and extrapolates positions, supporting the paper's
-// "intermittent with some prediction" transactions and handoff decisions
-// ("a mobile service moving out of range", §3.7).
+// updates, and Entry.PredictAt extrapolates positions, supporting the
+// paper's "intermittent with some prediction" transactions and handoff
+// decisions ("a mobile service moving out of range", §3.7: see
+// scheduler.DepartureMonitor).
 package location
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -45,9 +44,6 @@ func (e Entry) PredictAt(at time.Time) svcdesc.Location {
 	}
 	return svcdesc.Location{X: e.Physical.X + e.VX*dt, Y: e.Physical.Y + e.VY*dt}
 }
-
-// ErrUnknownNode reports a lookup for an untracked node.
-var ErrUnknownNode = errors.New("location: unknown node")
 
 // Service is the location registry. All methods are safe for concurrent use.
 type Service struct {
@@ -88,17 +84,6 @@ func (s *Service) Remove(node string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.entries, node)
-}
-
-// Get returns a node's entry.
-func (s *Service) Get(node string) (Entry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[node]
-	if !ok {
-		return Entry{}, fmt.Errorf("%w: %s", ErrUnknownNode, node)
-	}
-	return e, nil
 }
 
 // All returns every entry, sorted by node name.
@@ -149,36 +134,4 @@ func (s *Service) InLogicalArea(area string) []Entry {
 		}
 	}
 	return out
-}
-
-// Stale returns nodes not updated within maxAge of now — candidates for
-// departure handling and transaction handoff.
-func (s *Service) Stale(maxAge time.Duration, now time.Time) []Entry {
-	var out []Entry
-	for _, e := range s.All() {
-		if now.Sub(e.UpdatedAt) > maxAge {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Predict extrapolates a node's position to time at.
-func (s *Service) Predict(node string, at time.Time) (svcdesc.Location, error) {
-	e, err := s.Get(node)
-	if err != nil {
-		return svcdesc.Location{}, err
-	}
-	return e.PredictAt(at), nil
-}
-
-// WillLeave reports whether the node's predicted position at time at is
-// farther than radius from ref — the §3.7 trigger for scheduling a handoff
-// before a mobile supplier moves out of range.
-func (s *Service) WillLeave(node string, ref svcdesc.Location, radius float64, at time.Time) (bool, error) {
-	pos, err := s.Predict(node, at)
-	if err != nil {
-		return false, err
-	}
-	return pos.Distance(ref) > radius, nil
 }

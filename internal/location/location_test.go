@@ -1,7 +1,6 @@
 package location
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"time"
@@ -11,21 +10,31 @@ import (
 
 var t0 = time.Date(2003, 6, 1, 12, 0, 0, 0, time.UTC)
 
+// entry returns node's entry from All, and whether it is tracked.
+func entry(s *Service, node string) (Entry, bool) {
+	for _, e := range s.All() {
+		if e.Node == node {
+			return e, true
+		}
+	}
+	return Entry{}, false
+}
+
 func TestUpdateAndGet(t *testing.T) {
 	s := NewService()
 	s.Update("n1", svcdesc.Location{X: 1, Y: 2}, "bldg/floor1", t0)
-	e, err := s.Get("n1")
-	if err != nil {
-		t.Fatal(err)
+	e, ok := entry(s, "n1")
+	if !ok {
+		t.Fatal("n1 not tracked")
 	}
-	if e.Physical.X != 1 || e.Physical.Y != 2 || e.Logical != "bldg/floor1" {
+	if e.Physical.X != 1 || e.Physical.Y != 2 || e.Logical != "bldg/floor1" || !e.UpdatedAt.Equal(t0) {
 		t.Fatalf("entry = %+v", e)
 	}
 	if e.VX != 0 || e.VY != 0 {
 		t.Fatalf("first update should have zero velocity: %+v", e)
 	}
-	if _, err := s.Get("missing"); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("err = %v", err)
+	if _, ok := entry(s, "missing"); ok {
+		t.Fatal("untracked node listed")
 	}
 }
 
@@ -33,12 +42,12 @@ func TestUpdateKeepsLogicalWhenEmpty(t *testing.T) {
 	s := NewService()
 	s.Update("n1", svcdesc.Location{}, "ward-3", t0)
 	s.Update("n1", svcdesc.Location{X: 5}, "", t0.Add(time.Second))
-	e, _ := s.Get("n1")
+	e, _ := entry(s, "n1")
 	if e.Logical != "ward-3" {
 		t.Fatalf("logical lost: %q", e.Logical)
 	}
 	s.Update("n1", svcdesc.Location{X: 6}, "ward-4", t0.Add(2*time.Second))
-	e, _ = s.Get("n1")
+	e, _ = entry(s, "n1")
 	if e.Logical != "ward-4" {
 		t.Fatalf("logical not replaced: %q", e.Logical)
 	}
@@ -48,7 +57,7 @@ func TestVelocityEstimation(t *testing.T) {
 	s := NewService()
 	s.Update("m", svcdesc.Location{X: 0, Y: 0}, "", t0)
 	s.Update("m", svcdesc.Location{X: 10, Y: -5}, "", t0.Add(2*time.Second))
-	e, _ := s.Get("m")
+	e, _ := entry(s, "m")
 	if math.Abs(e.VX-5) > 1e-9 || math.Abs(e.VY+2.5) > 1e-9 {
 		t.Fatalf("velocity = (%v, %v), want (5, -2.5)", e.VX, e.VY)
 	}
@@ -59,7 +68,7 @@ func TestVelocityZeroDT(t *testing.T) {
 	s.Update("m", svcdesc.Location{X: 0}, "", t0)
 	s.Update("m", svcdesc.Location{X: 10}, "", t0.Add(time.Second)) // VX=10
 	s.Update("m", svcdesc.Location{X: 20}, "", t0.Add(time.Second)) // same timestamp
-	e, _ := s.Get("m")
+	e, _ := entry(s, "m")
 	if e.VX != 10 {
 		t.Fatalf("zero-dt update should keep previous velocity, got %v", e.VX)
 	}
@@ -69,39 +78,13 @@ func TestPredict(t *testing.T) {
 	s := NewService()
 	s.Update("m", svcdesc.Location{X: 0, Y: 0}, "", t0)
 	s.Update("m", svcdesc.Location{X: 10, Y: 0}, "", t0.Add(time.Second))
-	pos, err := s.Predict("m", t0.Add(3*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pos.X-30) > 1e-9 {
+	e, _ := entry(s, "m")
+	if pos := e.PredictAt(t0.Add(3 * time.Second)); math.Abs(pos.X-30) > 1e-9 {
 		t.Fatalf("predicted X = %v, want 30", pos.X)
 	}
 	// Prediction at or before the last update returns the reported position.
-	pos, _ = s.Predict("m", t0)
-	if pos.X != 10 {
+	if pos := e.PredictAt(t0); pos.X != 10 {
 		t.Fatalf("past prediction = %v, want last position", pos.X)
-	}
-	if _, err := s.Predict("ghost", t0); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestWillLeave(t *testing.T) {
-	s := NewService()
-	// Moving away from origin at 10 m/s.
-	s.Update("m", svcdesc.Location{X: 0, Y: 0}, "", t0)
-	s.Update("m", svcdesc.Location{X: 10, Y: 0}, "", t0.Add(time.Second))
-	ref := svcdesc.Location{X: 0, Y: 0}
-	leave, err := s.WillLeave("m", ref, 25, t0.Add(3*time.Second)) // predicted X=30
-	if err != nil || !leave {
-		t.Fatalf("WillLeave = %v, %v; want true", leave, err)
-	}
-	stay, err := s.WillLeave("m", ref, 100, t0.Add(3*time.Second))
-	if err != nil || stay {
-		t.Fatalf("WillLeave large radius = %v, %v; want false", stay, err)
-	}
-	if _, err := s.WillLeave("ghost", ref, 1, t0); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -157,21 +140,11 @@ func TestInLogicalArea(t *testing.T) {
 	}
 }
 
-func TestStale(t *testing.T) {
-	s := NewService()
-	s.Update("fresh", svcdesc.Location{}, "", t0.Add(50*time.Second))
-	s.Update("old", svcdesc.Location{}, "", t0)
-	got := s.Stale(30*time.Second, t0.Add(60*time.Second))
-	if len(got) != 1 || got[0].Node != "old" {
-		t.Fatalf("Stale = %+v", got)
-	}
-}
-
 func TestRemove(t *testing.T) {
 	s := NewService()
 	s.Update("n", svcdesc.Location{}, "", t0)
 	s.Remove("n")
-	if _, err := s.Get("n"); !errors.Is(err, ErrUnknownNode) {
+	if _, ok := entry(s, "n"); ok {
 		t.Fatal("entry survived Remove")
 	}
 	s.Remove("n") // idempotent

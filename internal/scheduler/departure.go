@@ -4,20 +4,23 @@ import (
 	"sort"
 	"time"
 
+	"ndsm/internal/core"
 	"ndsm/internal/location"
 	"ndsm/internal/svcdesc"
 )
 
 // DepartureMonitor closes the loop between the location service (§3.5) and
-// the handoff machinery (§3.7): using each mobile supplier's velocity
+// the node's hand-off (§3.7): using each mobile supplier's velocity
 // estimate, it predicts who will leave the service area within the lookahead
-// horizon and hands their transactions off *before* the link breaks — the
-// paper's "if a service is about to be discontinued (e.g., a mobile service
-// moving out of range), then the transactions involving it should be either
-// completed, or transferred to different services matching the constraints".
+// horizon and moves the node's bindings off them *before* the link breaks —
+// the paper's "if a service is about to be discontinued (e.g., a mobile
+// service moving out of range), then the transactions involving it should be
+// either completed, or transferred to different services matching the
+// constraints". The prediction is the policy; the move is each binding's
+// own rebind (core.Node.HandoffPeer).
 type DepartureMonitor struct {
 	locations *location.Service
-	handoff   *HandoffManager
+	node      *core.Node
 	// Center and Radius define the service area.
 	Center svcdesc.Location
 	Radius float64
@@ -28,11 +31,20 @@ type DepartureMonitor struct {
 	StaleAfter time.Duration
 }
 
-// NewDepartureMonitor wires a monitor; callers fill the area fields.
-func NewDepartureMonitor(locations *location.Service, handoff *HandoffManager, center svcdesc.Location, radius float64, lookahead time.Duration) *DepartureMonitor {
+// HandoffReport is one departing peer's hand-off: how many of the node's
+// bindings moved to another supplier and how many found none and stayed.
+type HandoffReport struct {
+	Peer    string
+	Moved   int
+	Aborted int
+}
+
+// NewDepartureMonitor wires a monitor for node's bindings; callers fill the
+// area fields.
+func NewDepartureMonitor(locations *location.Service, node *core.Node, center svcdesc.Location, radius float64, lookahead time.Duration) *DepartureMonitor {
 	return &DepartureMonitor{
 		locations: locations,
-		handoff:   handoff,
+		node:      node,
 		Center:    center,
 		Radius:    radius,
 		Lookahead: lookahead,
@@ -57,18 +69,14 @@ func (m *DepartureMonitor) PredictDepartures(now time.Time) []string {
 	return out
 }
 
-// Sweep predicts departures and hands off every affected transaction,
-// returning one report per departing peer.
-func (m *DepartureMonitor) Sweep(now time.Time) ([]HandoffReport, error) {
+// Sweep predicts departures and hands off the node's bindings on each
+// departing peer, returning one report per peer that had any.
+func (m *DepartureMonitor) Sweep(now time.Time) []HandoffReport {
 	var reports []HandoffReport
 	for _, peer := range m.PredictDepartures(now) {
-		report, err := m.handoff.HandoffPeer(peer, now)
-		if err != nil {
-			return reports, err
-		}
-		if len(report.Results) > 0 {
-			reports = append(reports, report)
+		if moved, aborted := m.node.HandoffPeer(peer); moved+aborted > 0 {
+			reports = append(reports, HandoffReport{Peer: peer, Moved: moved, Aborted: aborted})
 		}
 	}
-	return reports, nil
+	return reports
 }

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"ndsm/internal/location"
-	"ndsm/internal/qos"
 	"ndsm/internal/svcdesc"
-	"ndsm/internal/transaction"
 )
 
 func TestPredictDepartures(t *testing.T) {
@@ -46,45 +44,32 @@ func TestPredictDeparturesStale(t *testing.T) {
 }
 
 func TestDepartureSweepHandsOff(t *testing.T) {
+	w := newHandoffWorld(t)
 	ls := location.NewService()
-	table := transaction.NewTable()
-	registry := NewRegistryStore()
-	hm := NewHandoffManager(table, registry, nil)
-	m := NewDepartureMonitor(ls, hm, svcdesc.Location{}, 50, 10*time.Second)
+	m := NewDepartureMonitor(ls, w.consumer, svcdesc.Location{}, 50, 10*time.Second)
 
-	// The mobile supplier races out of the area with one open transaction; a
+	// The mobile supplier races out of the area with one binding on it; a
 	// parked backup offers the same service.
 	ls.Update("mobile", svcdesc.Location{X: 0, Y: 0}, "", epoch)
 	ls.Update("mobile", svcdesc.Location{X: 20, Y: 0}, "", epoch.Add(time.Second))
 	ls.Update("backup", svcdesc.Location{X: 3, Y: 3}, "", epoch.Add(time.Second))
-	if err := registry.Register(&svcdesc.Description{
-		Name: "svc", Provider: "backup", Reliability: 0.9, PowerLevel: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	txn := table.Open("svc", "mobile", transaction.Continuous, 1, qos.Benefit{}, epoch)
+	w.serve("mobile", desc("svc", 0.9, 1))
+	b := w.bind(svcdesc.Query{Name: "svc"})
+	w.serve("backup", desc("svc", 0.9, 1))
 
-	reports, err := m.Sweep(epoch.Add(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 1 || reports[0].Peer != "mobile" || reports[0].Moved != 1 {
+	reports := m.Sweep(epoch.Add(time.Second))
+	if len(reports) != 1 || reports[0] != (HandoffReport{Peer: "mobile", Moved: 1}) {
 		t.Fatalf("reports = %+v", reports)
 	}
-	got, _ := txnOn(table, "backup", txn.ID)
-	if got.Peer != "backup" || got.State != transaction.StateActive {
-		t.Fatalf("txn = %+v", got)
+	if b.Peer() != "backup" || b.Rebinds.Load() != 1 {
+		t.Fatalf("after sweep: peer %s, %d rebinds", b.Peer(), b.Rebinds.Load())
 	}
+	w.answeredBy(b, "backup")
 
-	// A second sweep finds nothing left to do (transactions already moved;
-	// backup is parked inside the area).
-	reports, err = m.Sweep(epoch.Add(2 * time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The mobile node still predicts as departing but has no transactions;
-	// empty reports are suppressed.
-	if len(reports) != 0 {
+	// The mobile node still predicts as departing but holds no binding any
+	// more, and the backup is parked inside the area: the second sweep
+	// reports nothing.
+	if reports := m.Sweep(epoch.Add(2 * time.Second)); len(reports) != 0 {
 		t.Fatalf("second sweep reports = %+v", reports)
 	}
 }

@@ -7,11 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"ndsm/internal/discovery"
-	"ndsm/internal/qos"
-	"ndsm/internal/svcdesc"
-	"ndsm/internal/transaction"
 )
 
 var epoch = time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -132,113 +127,6 @@ func TestRMAdmission(t *testing.T) {
 	}
 }
 
-// --- handoff ---
-
-func handoffFixture(t *testing.T) (*transaction.Table, *discovery.Store, *HandoffManager) {
-	t.Helper()
-	table := transaction.NewTable()
-	reg := NewRegistryStore()
-	hm := NewHandoffManager(table, reg, nil)
-	return table, reg, hm
-}
-
-// NewRegistryStore returns a plain discovery store registry for tests.
-func NewRegistryStore() *discovery.Store {
-	return discovery.NewStore(nil, 0)
-}
-
-func TestHandoffMovesTransactions(t *testing.T) {
-	table, reg, hm := handoffFixture(t)
-	// Replacement supplier exists.
-	if err := reg.Register(&svcdesc.Description{Name: "sensor/bp", Provider: "backup", Reliability: 0.9, PowerLevel: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// Old supplier also registered (must not be chosen).
-	if err := reg.Register(&svcdesc.Description{Name: "sensor/bp", Provider: "dying", Reliability: 0.99, PowerLevel: 1}); err != nil {
-		t.Fatal(err)
-	}
-	txn := table.Open("sensor/bp", "dying", transaction.Continuous, 1, qos.Benefit{}, epoch)
-
-	report, err := hm.HandoffPeer("dying", epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Moved != 1 || report.Aborted != 0 {
-		t.Fatalf("report = %+v", report)
-	}
-	got, _ := txnOn(table, "backup", txn.ID)
-	if got.Peer != "backup" || got.State != transaction.StateActive || got.Handoffs != 1 {
-		t.Fatalf("txn after handoff: %+v", got)
-	}
-}
-
-func TestHandoffAbortsWhenNoReplacement(t *testing.T) {
-	table, _, hm := handoffFixture(t)
-	txn := table.Open("sensor/unique", "dying", transaction.Continuous, 1, qos.Benefit{}, epoch)
-	report, err := hm.HandoffPeer("dying", epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Moved != 0 || report.Aborted != 1 {
-		t.Fatalf("report = %+v", report)
-	}
-	if len(report.Results) != 1 || report.Results[0].TxnID != txn.ID || report.Results[0].Rebound {
-		t.Fatalf("results = %+v", report.Results)
-	}
-	if len(table.ByPeer("dying")) != 0 {
-		t.Fatal("aborted transaction still in the table")
-	}
-}
-
-func TestHandoffUsesQoSSpec(t *testing.T) {
-	table := transaction.NewTable()
-	reg := NewRegistryStore()
-	// Two candidates; the spec's reliability floor excludes one.
-	_ = reg.Register(&svcdesc.Description{Name: "svc", Provider: "weak", Reliability: 0.4, PowerLevel: 1})
-	_ = reg.Register(&svcdesc.Description{Name: "svc", Provider: "strong", Reliability: 0.95, PowerLevel: 1})
-	hm := NewHandoffManager(table, reg, func(txn transaction.Txn) *qos.Spec {
-		return &qos.Spec{Query: svcdesc.Query{Name: txn.Topic, MinReliability: 0.9}}
-	})
-	txn := table.Open("svc", "old", transaction.OnDemand, 0, qos.Benefit{}, epoch)
-	report, err := hm.HandoffPeer("old", epoch)
-	if err != nil || report.Moved != 1 {
-		t.Fatalf("report = %+v, %v", report, err)
-	}
-	if _, ok := txnOn(table, "strong", txn.ID); !ok {
-		t.Fatalf("not rebound to strong: %+v", table.ByPeer("weak"))
-	}
-}
-
-func TestHandoffMultipleTransactions(t *testing.T) {
-	table, reg, hm := handoffFixture(t)
-	_ = reg.Register(&svcdesc.Description{Name: "a", Provider: "backup-a", Reliability: 0.9, PowerLevel: 1})
-	// topic b has no backup.
-	table.Open("a", "dying", transaction.Continuous, 0, qos.Benefit{}, epoch)
-	table.Open("b", "dying", transaction.Continuous, 0, qos.Benefit{}, epoch)
-	table.Open("a", "other-peer", transaction.Continuous, 0, qos.Benefit{}, epoch)
-
-	report, err := hm.HandoffPeer("dying", epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Moved != 1 || report.Aborted != 1 || len(report.Results) != 2 {
-		t.Fatalf("report = %+v", report)
-	}
-	// The unrelated peer's transaction is untouched.
-	unrelated := table.ByPeer("other-peer")
-	if len(unrelated) != 1 {
-		t.Fatalf("unrelated transactions affected: %+v", unrelated)
-	}
-}
-
-func TestHandoffEmptyPeer(t *testing.T) {
-	_, _, hm := handoffFixture(t)
-	report, err := hm.HandoffPeer("ghost", epoch)
-	if err != nil || report.Moved != 0 || report.Aborted != 0 {
-		t.Fatalf("report = %+v, %v", report, err)
-	}
-}
-
 // Property: the queue pops items in non-increasing priority order under
 // PriorityOrder and non-decreasing deadline order under EDF, regardless of
 // push order.
@@ -283,14 +171,4 @@ func TestQueueOrderProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// txnOn copies the table's record of id if it is bound to peer.
-func txnOn(table *transaction.Table, peer string, id uint64) (transaction.Txn, bool) {
-	for _, txn := range table.ByPeer(peer) {
-		if txn.ID == id {
-			return txn, true
-		}
-	}
-	return transaction.Txn{}, false
 }

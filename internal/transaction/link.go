@@ -1,17 +1,18 @@
 // Package transaction implements the paper's transaction feature (§3.6):
 // the managed interaction between a service supplier and a service consumer.
 //
-// It provides three things:
+// It provides two things:
 //
 //   - Link: delivery guarantees over any transport connection — best-effort
 //     sends, or at-least-once with acknowledgements, retransmission, and
 //     receiver-side duplicate suppression (which together give the consumer
 //     effectively-once delivery),
-//   - Schedules: the paper's transaction classes — continuous (periodic),
-//     intermittent with prediction (an EWMA next-arrival predictor), and
-//     on-demand,
-//   - Table: per-node transaction lifecycle bookkeeping, including the
-//     hand-off state the scheduler (§3.7) drives when a supplier departs.
+//   - Schedules: the paper's transaction classes — continuous (Periodic),
+//     intermittent with prediction (Predictor, an EWMA next-arrival
+//     predictor), and on-demand (Demand) — and the Pump that runs them.
+//
+// A live transaction is a core.Binding; a departing supplier's bindings
+// move by their own rebind (core.Node.HandoffPeer, §3.7).
 package transaction
 
 import (

@@ -7,27 +7,6 @@ import (
 	"ndsm/internal/simtime"
 )
 
-// Class is the paper's transaction taxonomy (§3.6): continuous, intermittent
-// with some prediction, or on-demand.
-type Class int
-
-// Transaction classes.
-const (
-	Continuous Class = iota + 1
-	Intermittent
-	OnDemand
-)
-
-var classNames = [...]string{"?", "continuous", "intermittent", "on-demand"}
-
-// String returns the class name.
-func (c Class) String() string {
-	if int(c) > 0 && int(c) < len(classNames) {
-		return classNames[c]
-	}
-	return "class(?)"
-}
-
 // Schedule decides when a transaction's next proactive transmission should
 // happen.
 type Schedule interface {

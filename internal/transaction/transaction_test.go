@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"ndsm/internal/qos"
 	"ndsm/internal/simtime"
 	"ndsm/internal/transport"
 	"ndsm/internal/wire"
@@ -227,13 +226,6 @@ func TestLinkSendReliableAfterClose(t *testing.T) {
 
 // --- schedules ---
 
-func TestClassString(t *testing.T) {
-	if Continuous.String() != "continuous" || Intermittent.String() != "intermittent" ||
-		OnDemand.String() != "on-demand" || Class(9).String() != "class(?)" {
-		t.Fatal("class names wrong")
-	}
-}
-
 func TestPeriodicSchedule(t *testing.T) {
 	p := Periodic{Period: time.Second}
 	next, ok := p.Next(epoch)
@@ -385,130 +377,4 @@ func TestPumpCountsEmitErrors(t *testing.T) {
 	if errs != 2 {
 		t.Fatalf("failed emits = %d, want 2: an emit error must not stop the pump", errs)
 	}
-}
-
-// --- table ---
-
-func TestTableLifecycle(t *testing.T) {
-	tbl := NewTable()
-	txn := tbl.Open("sensors/bp", "supplier-1", Continuous, 5, qos.Benefit{}, epoch)
-	if txn.ID == 0 || txn.State != StateActive {
-		t.Fatalf("open: %+v", txn)
-	}
-	got, ok := lookup(tbl, txn.ID)
-	if !ok || got.Topic != "sensors/bp" || got.Peer != "supplier-1" {
-		t.Fatalf("lookup: %+v, %v", got, ok)
-	}
-	if err := tbl.Complete(txn.ID); err != nil {
-		t.Fatal(err)
-	}
-	// A finished transaction leaves the table, so finishing it again finds
-	// nothing.
-	if err := tbl.Complete(txn.ID); !errors.Is(err, ErrUnknownTxn) {
-		t.Fatalf("double complete: %v", err)
-	}
-	if _, ok := lookup(tbl, txn.ID); ok {
-		t.Fatal("completed transaction still in the table")
-	}
-}
-
-func TestTableHandoff(t *testing.T) {
-	tbl := NewTable()
-	txn := tbl.Open("svc", "old-peer", Continuous, 0, qos.Benefit{}, epoch)
-	// Record some QoS history, which must reset on rebind.
-	txn.Tracker.ObserveFailure()
-
-	if err := tbl.CompleteHandoff(txn.ID, "new-peer"); !errors.Is(err, ErrBadState) {
-		t.Fatalf("complete before begin: %v", err)
-	}
-	if err := tbl.BeginHandoff(txn.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.BeginHandoff(txn.ID); !errors.Is(err, ErrBadState) {
-		t.Fatalf("double begin: %v", err)
-	}
-	if err := tbl.CompleteHandoff(txn.ID, "new-peer"); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := lookup(tbl, txn.ID)
-	if got.Peer != "new-peer" || got.State != StateActive || got.Handoffs != 1 {
-		t.Fatalf("after handoff: %+v", got)
-	}
-	if got.Tracker.Report().Failed != 0 {
-		t.Fatal("tracker not reset on rebind")
-	}
-}
-
-func TestTableAbortDuringHandoff(t *testing.T) {
-	tbl := NewTable()
-	txn := tbl.Open("svc", "p", OnDemand, 0, qos.Benefit{}, epoch)
-	if err := tbl.BeginHandoff(txn.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Abort(txn.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := lookup(tbl, txn.ID); ok {
-		t.Fatal("aborted transaction still in the table")
-	}
-	if err := tbl.Abort(txn.ID); !errors.Is(err, ErrUnknownTxn) {
-		t.Fatalf("second abort: err = %v, want ErrUnknownTxn", err)
-	}
-}
-
-func TestTableByPeer(t *testing.T) {
-	tbl := NewTable()
-	t1 := tbl.Open("a", "p1", Continuous, 0, qos.Benefit{}, epoch)
-	tbl.Open("b", "p2", Continuous, 0, qos.Benefit{}, epoch)
-	t3 := tbl.Open("c", "p1", OnDemand, 0, qos.Benefit{}, epoch)
-	done := tbl.Open("d", "p1", OnDemand, 0, qos.Benefit{}, epoch)
-	_ = tbl.Complete(done.ID)
-
-	got := tbl.ByPeer("p1")
-	if len(got) != 2 || got[0].ID != t1.ID || got[1].ID != t3.ID {
-		t.Fatalf("ByPeer = %+v", got)
-	}
-}
-
-// TestTableActiveAndPurge: a completed or aborted record purges itself, so
-// the table holds only live transactions.
-func TestTableActiveAndPurge(t *testing.T) {
-	tbl := NewTable()
-	t1 := tbl.Open("a", "p", Continuous, 0, qos.Benefit{}, epoch)
-	t2 := tbl.Open("b", "p", Continuous, 0, qos.Benefit{}, epoch)
-	t3 := tbl.Open("c", "p", Continuous, 0, qos.Benefit{}, epoch)
-	if err := tbl.Complete(t2.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Abort(t3.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := lookup(tbl, t1.ID); !ok {
-		t.Fatal("live transaction left the table")
-	}
-	if n := len(tbl.txns); n != 1 {
-		t.Fatalf("table holds %d records, want 1: finished records must leave the table", n)
-	}
-	if err := tbl.Complete(t2.ID); !errors.Is(err, ErrUnknownTxn) {
-		t.Fatalf("second complete: err = %v, want ErrUnknownTxn", err)
-	}
-}
-
-func TestStateString(t *testing.T) {
-	if StateActive.String() != "active" || StateHandingOff.String() != "handing-off" ||
-		StateCompleted.String() != "completed" || StateAborted.String() != "aborted" ||
-		State(99).String() != "state(?)" {
-		t.Fatal("state names wrong")
-	}
-}
-
-// lookup copies the table's record of id; false once it has left the table.
-func lookup(tbl *Table, id uint64) (Txn, bool) {
-	tbl.mu.Lock()
-	defer tbl.mu.Unlock()
-	txn, ok := tbl.txns[id]
-	if !ok {
-		return Txn{}, false
-	}
-	return *txn, true
 }

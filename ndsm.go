@@ -25,8 +25,9 @@
 //     Predictor, Demand), and the interaction styles in
 //     internal/interact (RPC, message queues, publish-subscribe, tuple
 //     spaces) surfaced through subpackages of this module.
-//   - Scheduling (§3.7): SchedulerQueue, RMAdmissible, EDFAdmissible,
-//     HandoffManager.
+//   - Scheduling (§3.7): SchedulerQueue, RMAdmissible, EDFAdmissible, and
+//     Node.HandoffPeer, which moves a departing supplier's bindings to
+//     other suppliers by their own rebind.
 //   - Recovery (§3.8): WAL, RecoveryManager.
 //   - Interoperability (§3.9): Transcode, Gateway, codecs (Binary/XML/JSON).
 //   - MiLAN (§4): package milan.
@@ -279,7 +280,6 @@ type (
 	SchedulerQueue = scheduler.Queue
 	SchedulerItem  = scheduler.Item
 	RTTask         = scheduler.Task
-	HandoffManager = scheduler.HandoffManager
 )
 
 // Dispatch policies.
@@ -294,7 +294,6 @@ var (
 	NewSchedulerQueue = scheduler.NewQueue
 	RMAdmissible      = scheduler.RMAdmissible
 	EDFAdmissible     = scheduler.EDFAdmissible
-	NewHandoffManager = scheduler.NewHandoffManager
 )
 
 // --- recovery (§3.8) ---

@@ -151,8 +151,7 @@ func TestPublicSensorsim(t *testing.T) {
 func TestPublicLocationService(t *testing.T) {
 	ls := simnet.NewLocationService()
 	ls.Update("n1", ndsm.Location{X: 1, Y: 2}, "ward/3", time.Now())
-	e, err := ls.Get("n1")
-	if err != nil || e.Logical != "ward/3" {
-		t.Fatalf("entry = %+v, %v", e, err)
+	if all := ls.All(); len(all) != 1 || all[0].Node != "n1" || all[0].Logical != "ward/3" {
+		t.Fatalf("entries = %+v", all)
 	}
 }

@@ -17,8 +17,6 @@ var varAllowlist = map[string]string{
 	"svcdesc.opNames":            "read-only table: constraint operator names",
 	"wire.kindNames":             "read-only table: message kind names",
 	"endpoint.laneByRank":        "read-only table: admission lane by priority rank",
-	"transaction.classNames":     "read-only table: transaction class names",
-	"transaction.stateNames":     "read-only table: transaction state names",
 	"scheduler.policyNames":      "read-only table: queue policy names",
 	"chaos.invariants":           "read-only table: the invariants every scenario checks",
 	"experiments.Gates":          "read-only table: the absolute bounds ndsm-bench -compare holds",

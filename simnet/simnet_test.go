@@ -89,12 +89,8 @@ func TestLocationService(t *testing.T) {
 	ls := simnet.NewLocationService()
 	now := time.Date(2003, 6, 1, 12, 0, 0, 0, time.UTC)
 	ls.Update("printer-1", svcdesc.Location{X: 3, Y: 4}, "floor-2", now)
-	e, err := ls.Get("printer-1")
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if e.Logical != "floor-2" {
-		t.Fatalf("logical area = %q, want floor-2", e.Logical)
+	if all := ls.All(); len(all) != 1 || all[0].Logical != "floor-2" {
+		t.Fatalf("entries = %+v, want printer-1 on floor-2", all)
 	}
 	if got := ls.NearestK(svcdesc.Location{}, 1); len(got) != 1 {
 		t.Fatalf("NearestK returned %d entries, want 1", len(got))
