@@ -34,15 +34,7 @@ func (w *world) healthNode(name string, m *health.Monitor, maxInFlight int) *Nod
 }
 
 func testMonitor(clock simtime.Clock) *health.Monitor {
-	return health.NewMonitor(health.Options{
-		Clock:            clock,
-		MinSamples:       3,
-		PhiThreshold:     3,
-		FallbackTimeout:  200 * time.Millisecond,
-		FailureThreshold: 2,
-		OpenTimeout:      time.Hour, // circuits stay open for the whole test
-		Registry:         obs.NewRegistry(),
-	})
+	return health.NewMonitor(health.Options{Clock: clock, Registry: obs.NewRegistry()})
 }
 
 func bpSpec() *qos.Spec {

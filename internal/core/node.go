@@ -80,8 +80,8 @@ type Config struct {
 	// (see reqlog). Nil disables request analytics.
 	ReqLog *reqlog.Recorder
 	// TopicLanes classifies binding calls into admission lanes by service
-	// topic when the binding itself doesn't choose one — the config-driven
-	// counterpart to BindOptions.Lane.
+	// topic: a binding's calls take their lane from this table, and default
+	// where it names none.
 	TopicLanes *endpoint.LaneTable
 }
 

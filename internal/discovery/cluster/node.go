@@ -173,7 +173,7 @@ func (n *Node) caller(peer string) (*endpoint.Caller, error) {
 			// registry client: a peer restart tears the old connection down
 			// and the round should survive it. Timeouts are not retried —
 			// against a dead peer that would double every round's stall.
-			endpoint.WithRetry(endpoint.RetryPolicy{Max: 1}, nil, "cluster.gossip"),
+			endpoint.WithRetry(false, nil, "cluster.gossip"),
 		},
 	})
 	if err != nil {

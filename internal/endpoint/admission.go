@@ -27,8 +27,6 @@ type LaneConfig struct {
 	// lower lane is shed to make room (never a higher lane's work). 0 sheds
 	// immediately on saturation, like the flat MaxInFlight bound.
 	QueueDepth int
-	// TopicLanes classifies requests that arrive without a lane stamp.
-	TopicLanes map[string]Lane
 }
 
 // admitToken records which slot an admitted request occupies, so release
@@ -83,7 +81,6 @@ type admitter struct {
 	clock     simtime.Clock
 	laneAware bool
 	queueCap  int
-	topicLane map[string]Lane
 
 	mu        sync.Mutex
 	closed    bool
@@ -117,7 +114,6 @@ func newAdmitter(srv *Server, capacity int, cfg *LaneConfig, metricName string, 
 	}
 	a.laneAware = true
 	a.queueCap = cfg.QueueDepth
-	a.topicLane = cfg.TopicLanes
 	for lane, q := range cfg.Quota {
 		if q > 0 {
 			a.quota[lane.rank()] += q
@@ -148,7 +144,7 @@ func (a *admitter) offer(req *wire.Message, conn transport.Conn) {
 	r := LaneDefault.rank() // flat mode: everything shares one rank
 	var now time.Time
 	if a.laneAware {
-		r = laneOf(req, a.topicLane).rank()
+		r = laneOf(req).rank()
 		now = a.clock.Now()
 	}
 

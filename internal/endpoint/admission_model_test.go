@@ -232,10 +232,6 @@ func (m *admModel) setQuota(r, quota int, now time.Time) int {
 	return m.quota[r]
 }
 
-// The lanes an offer may arrive in: stamped with each lane, or unstamped on
-// a topic the server maps to control, or on one it does not map.
-var modelTopicLanes = map[string]Lane{"ctl": LaneControl}
-
 const admOpBytes = 3
 
 // runAdmitterModel decodes data into a server shape and a list of operations,
@@ -251,7 +247,6 @@ func runAdmitterModel(t *testing.T, data []byte) {
 	if !flat {
 		cfg = &LaneConfig{
 			QueueDepth: int(data[1] % 4),
-			TopicLanes: modelTopicLanes,
 			Quota: map[Lane]int{
 				LaneControl: int(data[2] % 3),
 				LaneBulk:    int(data[2] >> 2 % 2),
@@ -288,14 +283,11 @@ func runAdmitterModel(t *testing.T, data []byte) {
 		case op <= 3: // offer
 			nextID++
 			msg := &wire.Message{ID: nextID, Kind: wire.KindRequest, Topic: "work"}
+			// Stamped with each lane, or unstamped, which reads as default.
 			rank := LaneDefault.rank()
-			switch lane := b1 % 5; {
-			case lane < 3:
+			if lane := b1 % 4; lane < 3 {
 				msg.Priority = laneByRank[lane].priority()
 				rank = int(lane)
-			case lane == 3:
-				msg.Topic = "ctl"
-				rank = LaneControl.rank()
 			}
 			if flat {
 				rank = LaneDefault.rank()

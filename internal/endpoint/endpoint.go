@@ -116,8 +116,8 @@ type RetryableError interface {
 
 // Retryable reports whether err is a failure worth retrying: typed errors
 // decide for themselves (RetryableError), unavailability is always
-// retryable, timeouts only if the caller opted in at the policy level (see
-// RetryPolicy.RetryTimeouts). ErrClosed (deliberate shutdown) and
+// retryable, timeouts only if the caller opted in (WithRetry's
+// retryTimeouts). ErrClosed (deliberate shutdown) and
 // ErrCircuitOpen (breaker rejection — the next attempt would be rejected
 // identically) are never retried.
 func Retryable(err error, retryTimeouts bool) bool {

@@ -371,9 +371,9 @@ func flakyTerminal(n int) (ClientFunc, *atomic.Int64) {
 
 func TestRetryInterceptor(t *testing.T) {
 	reg := obs.NewRegistry()
-	term, calls := flakyTerminal(2)
+	term, calls := flakyTerminal(1)
 	fn := chainClient([]ClientInterceptor{
-		WithRetry(RetryPolicy{Max: 3}, reg, "t"),
+		WithRetry(false, reg, "t"),
 	}, term)
 	m, err := fn(&Call{Topic: "x"})
 	if err != nil {
@@ -382,11 +382,11 @@ func TestRetryInterceptor(t *testing.T) {
 	if string(m.Payload) != "ok" {
 		t.Fatalf("bad payload %q", m.Payload)
 	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("attempts = %d, want 3", got)
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("attempts = %d, want 2", got)
 	}
-	if got := reg.Counter("t.retries").Value(); got != 2 {
-		t.Fatalf("retries counter = %d, want 2", got)
+	if got := reg.Counter("t.retries").Value(); got != 1 {
+		t.Fatalf("retries counter = %d, want 1", got)
 	}
 	if got := reg.Counter("t.retries_exhausted").Value(); got != 0 {
 		t.Fatalf("exhausted counter = %d, want 0", got)
@@ -397,14 +397,14 @@ func TestRetryExhausted(t *testing.T) {
 	reg := obs.NewRegistry()
 	term, calls := flakyTerminal(100)
 	fn := chainClient([]ClientInterceptor{
-		WithRetry(RetryPolicy{Max: 2}, reg, "t"),
+		WithRetry(false, reg, "t"),
 	}, term)
 	_, err := fn(&Call{Topic: "x"})
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("want ErrUnavailable, got %v", err)
 	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("attempts = %d, want 3 (1 + Max retries)", got)
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("attempts = %d, want 2 (one retry)", got)
 	}
 	if got := reg.Counter("t.retries_exhausted").Value(); got != 1 {
 		t.Fatalf("exhausted counter = %d, want 1", got)
@@ -422,7 +422,7 @@ func TestRetryNeverRetriesRemoteOrClosed(t *testing.T) {
 	} {
 		var calls atomic.Int64
 		fn := chainClient([]ClientInterceptor{
-			WithRetry(RetryPolicy{Max: 5}, obs.NewRegistry(), "t"),
+			WithRetry(false, obs.NewRegistry(), "t"),
 		}, func(call *Call) (*wire.Message, error) {
 			calls.Add(1)
 			return nil, tc.err
@@ -437,7 +437,7 @@ func TestRetryNeverRetriesRemoteOrClosed(t *testing.T) {
 func TestRetryTimeoutsOptIn(t *testing.T) {
 	var calls atomic.Int64
 	fn := chainClient([]ClientInterceptor{
-		WithRetry(RetryPolicy{Max: 1, RetryTimeouts: true}, obs.NewRegistry(), "t"),
+		WithRetry(true, obs.NewRegistry(), "t"),
 	}, func(call *Call) (*wire.Message, error) {
 		calls.Add(1)
 		return nil, fmt.Errorf("%w: x", ErrTimeout)

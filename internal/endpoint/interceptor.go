@@ -10,37 +10,25 @@ import (
 	"ndsm/internal/wire"
 )
 
-// RetryPolicy parameterizes WithRetry: a bounded number of immediate
-// re-attempts (the reconnect-once idiom). Only transport-level failures are
-// retried; peer-reported errors and deliberate shutdown never are (see
-// Retryable).
-type RetryPolicy struct {
-	// Max is the number of additional attempts after the first (default 2).
-	Max int
-	// RetryTimeouts also retries calls that timed out. Off by default: a
-	// timed-out call may still execute on the peer, so only idempotent
-	// protocols should set it.
-	RetryTimeouts bool
-}
-
-// WithRetry re-attempts transport-level failures at once, up to p.Max times.
-// reg counts retries under "<name>.retries" and exhausted calls under
-// "<name>.retries_exhausted" (nil: counted nowhere).
-func WithRetry(p RetryPolicy, reg *obs.Registry, name string) ClientInterceptor {
-	if p.Max <= 0 {
-		p.Max = 2
-	}
+// WithRetry re-attempts a transport-level failure once, at once: the
+// reconnect-once idiom. Peer-reported errors and deliberate shutdown are
+// never retried, and a timed-out call only with retryTimeouts, since it may
+// still execute on the peer: only idempotent protocols should set it (see
+// Retryable). reg counts retries under "<name>.retries" and calls that still
+// failed under "<name>.retries_exhausted" (nil: counted nowhere).
+func WithRetry(retryTimeouts bool, reg *obs.Registry, name string) ClientInterceptor {
 	retries := reg.Counter(name + ".retries")
 	exhausted := reg.Counter(name + ".retries_exhausted")
 	return func(next ClientFunc) ClientFunc {
 		return func(call *Call) (*wire.Message, error) {
 			m, err := next(call)
-			for attempt := 0; attempt < p.Max && Retryable(err, p.RetryTimeouts); attempt++ {
-				retries.Inc(1)
-				call.attempts++
-				m, err = next(call)
+			if !Retryable(err, retryTimeouts) {
+				return m, err
 			}
-			if err != nil && Retryable(err, p.RetryTimeouts) {
+			retries.Inc(1)
+			call.attempts++
+			m, err = next(call)
+			if Retryable(err, retryTimeouts) {
 				exhausted.Inc(1)
 			}
 			return m, err

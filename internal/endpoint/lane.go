@@ -74,18 +74,13 @@ func ParseLane(s string) (Lane, bool) {
 // stays "unstamped".
 func (l Lane) priority() uint8 { return uint8(l.rank() + 1) }
 
-// laneOf classifies an inbound request: the in-band stamp wins; unstamped
-// traffic falls back to the server's per-topic classification, then default.
-// A stamp past the known lanes, from a newer peer, reads as default.
-func laneOf(m *wire.Message, topicLanes map[string]Lane) Lane {
-	switch p := int(m.Priority); {
-	case p > NumLanes:
-		return LaneDefault
-	case p > 0:
+// laneOf reads the lane a message was stamped with. The caller decides a
+// request's lane, so an unstamped request is one whose caller chose the
+// default lane; a stamp past the known lanes, from a newer peer, reads as
+// default too.
+func laneOf(m *wire.Message) Lane {
+	if p := int(m.Priority); p > 0 && p <= NumLanes {
 		return laneByRank[p-1]
-	}
-	if l, ok := topicLanes[m.Topic]; ok {
-		return l
 	}
 	return LaneDefault
 }

@@ -18,7 +18,7 @@ import (
 // closed and the peer reachable the moment capacity frees.
 func TestShedBurstKeepsRealCircuitClosed(t *testing.T) {
 	reg := obs.NewRegistry()
-	mon := health.NewMonitor(health.Options{FailureThreshold: 2, Registry: reg})
+	mon := health.NewMonitor(health.Options{Registry: reg})
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var once sync.Once

@@ -67,28 +67,24 @@ func stampedLane(req *wire.Message) string {
 	if req.Priority == 0 {
 		return ""
 	}
-	return laneOf(req, nil).String()
+	return laneOf(req).String()
 }
 
-// Every lane's stamp reads back as that lane, even on a topic mapped to
-// another (callers leave default unstamped, but a shed reply charged to it
-// is stamped); an unstamped request takes its topic's lane, and a stamp past
-// the known lanes reads as default, never as control.
+// Every lane's stamp reads back as that lane (callers leave default
+// unstamped, but a shed reply charged to it is stamped); an unstamped request
+// reads as default, and so does a stamp past the known lanes, never as
+// control.
 func TestLanePriorityStampRoundTrips(t *testing.T) {
-	topics := map[string]Lane{"ctl/stop": LaneControl}
 	for _, lane := range laneByRank {
 		m := &wire.Message{Topic: "ctl/stop", Priority: lane.priority()}
-		if got := laneOf(m, topics); got != lane {
+		if got := laneOf(m); got != lane {
 			t.Errorf("stamp %d reads as %s, want %s", m.Priority, got, lane)
 		}
 	}
-	if got := laneOf(&wire.Message{Topic: "ctl/stop"}, topics); got != LaneControl {
-		t.Errorf("unstamped ctl/stop reads as %s, want its topic's lane", got)
+	if got := laneOf(&wire.Message{Topic: "ctl/stop"}); got != LaneDefault {
+		t.Errorf("unstamped request reads as %s, want default", got)
 	}
-	if got := laneOf(&wire.Message{Topic: "other"}, topics); got != LaneDefault {
-		t.Errorf("unstamped, unmapped topic reads as %s, want default", got)
-	}
-	if got := laneOf(&wire.Message{Topic: "ctl/stop", Priority: NumLanes + 1}, topics); got != LaneDefault {
+	if got := laneOf(&wire.Message{Topic: "ctl/stop", Priority: NumLanes + 1}); got != LaneDefault {
 		t.Errorf("unknown stamp reads as %s, want default", got)
 	}
 }
@@ -362,7 +358,7 @@ func TestShedBurstDoesNotTripBreaker(t *testing.T) {
 	s, c := newPair(t, ServerOptions{Name: "srv", MaxInFlight: 1, Metrics: reg}, CallerOptions{
 		Interceptors: []ClientInterceptor{
 			WithBreaker(b, "srv", reg, "client"),
-			WithRetry(RetryPolicy{Max: 1}, reg, "client"),
+			WithRetry(false, reg, "client"),
 		},
 	})
 	t.Cleanup(unblock)

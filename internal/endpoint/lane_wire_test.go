@@ -69,8 +69,8 @@ func TestShedErrorsSharedPerTopicAndLane(t *testing.T) {
 
 // Lanes and sheds ride the envelope through every codec: over TCP in binary,
 // XML and JSON, a stamped request reaches the server in its lane, an
-// unstamped one takes its topic's lane from LaneConfig.TopicLanes, and a shed
-// reply comes back as a shed charged to the lane that was refused.
+// unstamped one is admitted and shed as default, and a shed reply comes back
+// as a shed charged to the lane that was refused.
 func TestLanesAndShedsCrossEveryCodec(t *testing.T) {
 	for _, codec := range []wire.Codec{wire.Binary{}, wire.XML{}, wire.JSON{}} {
 		t.Run(codec.Name(), func(t *testing.T) {
@@ -81,8 +81,7 @@ func TestLanesAndShedsCrossEveryCodec(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := NewServer(l, ServerOptions{Name: "srv", MaxInFlight: 2, Metrics: reg, Lanes: &LaneConfig{
-				Quota:      map[Lane]int{LaneControl: 1},
-				TopicLanes: map[string]Lane{"ctl/stop": LaneControl},
+				Quota: map[Lane]int{LaneControl: 1},
 			}})
 			c, err := NewCaller(tr, s.Addr(), CallerOptions{Timeout: 5 * time.Second})
 			if err != nil {
@@ -110,13 +109,17 @@ func TestLanesAndShedsCrossEveryCodec(t *testing.T) {
 			}
 			_, err = c.Do(&Call{Topic: "work", Lane: LaneBulk})
 			wantShed(t, "second bulk request", err, LaneBulk)
-			// Unstamped on a control topic: admitted on the control reservation.
-			c.Go(&Call{Topic: "ctl/stop"})
-			if got := <-entered; got != "" {
-				t.Fatalf("unstamped request reached the handler stamped %q", got)
+			// Unstamped: a default request, which the control reservation
+			// does not take.
+			_, err = c.Do(&Call{Topic: "ctl/stop"})
+			wantShed(t, "unstamped request", err, LaneDefault)
+			// Stamped control: admitted on the control reservation.
+			c.Go(&Call{Topic: "ctl/stop", Lane: LaneControl})
+			if got := <-entered; got != "control" {
+				t.Fatalf("control request reached the handler stamped %q", got)
 			}
 			if n := reg.Counter("srv.lane.control.admitted").Value(); n != 1 {
-				t.Fatalf("control admissions %d, want the unstamped ctl/stop request", n)
+				t.Fatalf("control admissions %d, want the stamped ctl/stop request", n)
 			}
 			// Stamped control, with the reservation taken: shed as control.
 			_, err = c.Do(&Call{Topic: "work", Lane: LaneControl})
@@ -152,7 +155,7 @@ func TestLaneAndShedSurviveTranscode(t *testing.T) {
 	}
 
 	req := &wire.Message{ID: 7, Kind: wire.KindRequest, Topic: "work", Priority: LaneControl.priority()}
-	if got := laneOf(transcode(req), nil); got != LaneControl {
+	if got := laneOf(transcode(req)); got != LaneControl {
 		t.Fatalf("transcoded control request reads as %s", got)
 	}
 

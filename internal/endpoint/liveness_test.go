@@ -194,12 +194,13 @@ func TestAdmissionControlShedsAtCapacity(t *testing.T) {
 }
 
 func TestRetryBacksOffOnShedButNotOnRemote(t *testing.T) {
-	// A shed reply is retryable: WithRetry re-attempts until capacity frees.
+	// A shed reply is retryable: WithRetry re-attempts once, and capacity
+	// has freed by then.
 	attempts := 0
-	chain := WithRetry(RetryPolicy{Max: 3}, obs.NewRegistry(), "test")(
+	chain := WithRetry(false, obs.NewRegistry(), "test")(
 		func(*Call) (*wire.Message, error) {
 			attempts++
-			if attempts < 3 {
+			if attempts < 2 {
 				return nil, &ShedError{Topic: "x"}
 			}
 			return &wire.Message{Kind: wire.KindReply}, nil
@@ -207,13 +208,13 @@ func TestRetryBacksOffOnShedButNotOnRemote(t *testing.T) {
 	if _, err := chain(&Call{Topic: "x"}); err != nil {
 		t.Fatalf("retries did not absorb shed replies: %v", err)
 	}
-	if attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts)
+	if attempts != 2 {
+		t.Fatalf("attempts = %d, want 2", attempts)
 	}
 
 	// A remote error is terminal: one attempt, no retries.
 	attempts = 0
-	chain = WithRetry(RetryPolicy{Max: 3}, obs.NewRegistry(), "test")(
+	chain = WithRetry(false, obs.NewRegistry(), "test")(
 		func(*Call) (*wire.Message, error) {
 			attempts++
 			return nil, &RemoteError{Topic: "x", Msg: "boom"}

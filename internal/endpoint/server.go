@@ -83,12 +83,9 @@ type Server struct {
 	// configured) and requests dispatch straight off the read loop.
 	adm *admitter
 
-	// rec is the wide-event recorder (nil: disabled); recLanes mirrors the
-	// lane config's topic table so recorded events carry the same effective
-	// lane admission charged.
-	rec      *reqlog.Recorder
-	recLanes map[string]Lane
-	clock    simtime.Clock
+	// rec is the wide-event recorder (nil: disabled).
+	rec   *reqlog.Recorder
+	clock simtime.Clock
 
 	// The dispatch instruments (nil: uncounted). timed is set when they or
 	// rec are: then run reads the clock once at each end of a dispatch.
@@ -135,9 +132,6 @@ func NewServer(l transport.Listener, opts ServerOptions) *Server {
 		tasks:    make(chan task),
 		rec:      opts.ReqLog,
 		clock:    clock,
-	}
-	if opts.Lanes != nil {
-		s.recLanes = opts.Lanes.TopicLanes
 	}
 	if name := opts.DispatchMetrics; name != "" && opts.Metrics != nil {
 		s.requests = opts.Metrics.Counter(name + ".requests")

@@ -98,7 +98,7 @@ func TestCallerAppliesTopicLanes(t *testing.T) {
 	srv := NewServer(l, ServerOptions{Name: "srv"})
 	defer srv.Close()
 	h := func(req *wire.Message) (*wire.Message, error) {
-		seen <- laneOf(req, nil)
+		seen <- laneOf(req)
 		return &wire.Message{Kind: wire.KindReply}, nil
 	}
 	srv.Handle("telemetry/report", h)

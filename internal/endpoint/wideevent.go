@@ -96,7 +96,7 @@ func (s *Server) recordDispatch(req *wire.Message, wait, latency time.Duration, 
 		Kind:      reqlog.KindServer,
 		Topic:     req.Topic,
 		Peer:      req.Src,
-		Lane:      laneOf(req, s.recLanes).String(),
+		Lane:      laneOf(req).String(),
 		Outcome:   reqlog.OutcomeOK,
 		Latency:   latency,
 		QueueWait: wait,

@@ -85,12 +85,12 @@ func TestWideEventsCountRetries(t *testing.T) {
 	reg := obs.NewRegistry()
 	chain := chainClient([]ClientInterceptor{
 		WithWideEvents(WideEventOptions{Recorder: rec}),
-		WithRetry(RetryPolicy{Max: 3}, reg, "test"),
+		WithRetry(false, reg, "test"),
 	}, func() ClientFunc {
 		n := 0
 		return func(call *Call) (*wire.Message, error) {
 			n++
-			if n < 3 {
+			if n < 2 {
 				return nil, ErrUnavailable
 			}
 			return &wire.Message{Kind: wire.KindReply}, nil
@@ -103,8 +103,8 @@ func TestWideEventsCountRetries(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("logical call recorded %d events, want 1", len(got))
 	}
-	if got[0].Retries != 2 || got[0].Outcome != reqlog.OutcomeOK {
-		t.Errorf("event = retries %d outcome %s, want 2 retries ok", got[0].Retries, got[0].Outcome)
+	if got[0].Retries != 1 || got[0].Outcome != reqlog.OutcomeOK {
+		t.Errorf("event = retries %d outcome %s, want 1 retry ok", got[0].Retries, got[0].Outcome)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestWideEventSpansRetries(t *testing.T) {
 	clk := simtime.NewVirtual(time.Unix(1_700_000_000, 0))
 	s, c := newPair(t, ServerOptions{}, CallerOptions{Clock: clk, Interceptors: []ClientInterceptor{
 		WithWideEvents(WideEventOptions{Recorder: rec}),
-		WithRetry(RetryPolicy{Max: 1, RetryTimeouts: true}, nil, "test"),
+		WithRetry(true, nil, "test"),
 	}})
 	release := make(chan struct{})
 	defer close(release)

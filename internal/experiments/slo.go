@@ -13,10 +13,8 @@ import (
 	"ndsm/internal/trace"
 )
 
-const (
-	e14Boost = 2   // the control-lane quota the adapter widens to
-	e14Load  = 2.0 // the overload leg's flood, a multiple of capacity
-)
+// e14Load is the overload leg's flood, a multiple of capacity.
+const e14Load = 2.0
 
 // e14Missing marks an alert that never fired (or cleared) in a leg's table
 // cell. A sentinel far above any plausible bound keeps the cell numeric so
@@ -175,7 +173,7 @@ func e14(quick bool, tr *trace.Tracer) (Result, error) {
 			calmSeeds, ticks/2),
 		fmt.Sprintf("overload leg: %.0fx bulk flood for %v at a lane-aware server with zero control reservation (MaxInFlight %d);",
 			e14Load, floodFor, overloadSlots),
-		fmt.Sprintf("the adapter widens the control lane to %d on warning and decays back after the alert clears.", e14Boost),
+		fmt.Sprintf("the adapter widens the control lane to %d on warning and decays back after the alert clears.", slo.QuotaBoost),
 		"member-kill violations are the induced outage itself: two dead members exceed what RF 2 can mask, which is the point.",
 	}
 	if !adapted.clearedOK {
@@ -300,8 +298,6 @@ func e14Overload(withAdapter bool, floodFor, recovery, window time.Duration) (e1
 	if withAdapter {
 		adapter, err = slo.NewQuotaAdapter(eng, slo.QuotaAdapterOptions{
 			Objective: chaos.ControlObjective,
-			Base:      0,
-			Boost:     e14Boost,
 			Servers:   []slo.LaneServer{rig.srv},
 			Registry:  reg,
 		})
@@ -352,7 +348,7 @@ func e14Overload(withAdapter bool, floodFor, recovery, window time.Duration) (e1
 		if p.alertAt < 0 && s.sev >= slo.Critical {
 			p.alertAt = s.at
 		}
-		if p.adaptAt < 0 && adapter != nil && s.quota >= e14Boost {
+		if p.adaptAt < 0 && adapter != nil && s.quota >= slo.QuotaBoost {
 			p.adaptAt = s.at
 		}
 		if p.decayAfter < 0 && adapter != nil && s.at > floodFor && s.quota == 0 {

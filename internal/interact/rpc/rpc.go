@@ -99,20 +99,17 @@ func (c *Client) Close() error { return c.caller.Close() }
 // Call invokes method with payload and waits up to timeout for the reply
 // (timeout <= 0: wait forever).
 func (c *Client) Call(method string, payload []byte, timeout time.Duration) ([]byte, error) {
-	return c.CallLane(method, payload, timeout, endpoint.LaneDefault)
+	m, err := c.caller.Do(&endpoint.Call{Topic: method, Payload: payload, Timeout: callTimeout(timeout)})
+	return translate(m, err, method, timeout)
 }
 
-// CallLane is Call on an explicit admission lane: the class rides in-band
-// (the envelope's Priority) so a bounded server isolates this call from — or
-// sheds it before — other lanes' traffic. A periodic control caller uses
-// endpoint.LaneControl; background transfers use endpoint.LaneBulk.
-func (c *Client) CallLane(method string, payload []byte, timeout time.Duration, lane endpoint.Lane) ([]byte, error) {
-	t := timeout
-	if t <= 0 {
-		t = endpoint.NoTimeout
+// callTimeout maps a Call or GoCall timeout onto the endpoint's: <= 0 waits
+// forever.
+func callTimeout(timeout time.Duration) time.Duration {
+	if timeout <= 0 {
+		return endpoint.NoTimeout
 	}
-	m, err := c.caller.Do(&endpoint.Call{Topic: method, Payload: payload, Timeout: t, Lane: lane})
-	return translate(m, err, method, timeout)
+	return timeout
 }
 
 // translate maps endpoint outcomes onto the rpc error vocabulary.
@@ -143,14 +140,5 @@ func translate(m *wire.Message, err error, method string, timeout time.Duration)
 // returns, so back-to-back GoCalls keep the connection full instead of
 // alternating send/wait. Resolve with fut.Wait (endpoint error vocabulary).
 func (c *Client) GoCall(method string, payload []byte, timeout time.Duration) *endpoint.Future {
-	return c.GoCallLane(method, payload, timeout, endpoint.LaneDefault)
-}
-
-// GoCallLane is GoCall on an explicit admission lane (see CallLane).
-func (c *Client) GoCallLane(method string, payload []byte, timeout time.Duration, lane endpoint.Lane) *endpoint.Future {
-	t := timeout
-	if t <= 0 {
-		t = endpoint.NoTimeout
-	}
-	return c.caller.Go(&endpoint.Call{Topic: method, Payload: payload, Timeout: t, Lane: lane})
+	return c.caller.Go(&endpoint.Call{Topic: method, Payload: payload, Timeout: callTimeout(timeout)})
 }

@@ -115,7 +115,7 @@ type System struct {
 	// network, for forwarding and energy estimation alike.
 	Sink netsim.NodeID
 	// Range is the radio range for hop estimation (default 25). Energy
-	// follows netsim.DefaultRadio.
+	// follows netsim.TxEnergy.
 	Range float64
 }
 
@@ -207,10 +207,10 @@ func (s *System) roundCost(i int, positions map[netsim.NodeID]netsim.Position) f
 	pos, ok := positions[sn.Node]
 	sink, sinkOK := positions[s.Sink]
 	if !ok || !sinkOK {
-		return netsim.DefaultRadio().TxEnergy(sn.SampleBytes, s.radioRange())
+		return netsim.TxEnergy(sn.SampleBytes, s.radioRange())
 	}
 	hop := math.Min(pos.Distance(sink), s.radioRange())
-	return netsim.DefaultRadio().TxEnergy(sn.SampleBytes, hop)
+	return netsim.TxEnergy(sn.SampleBytes, hop)
 }
 
 // PredictedLifetime estimates how many reporting rounds the subset survives:

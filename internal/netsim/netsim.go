@@ -60,38 +60,34 @@ type Packet struct {
 	ArrivedAt time.Time
 }
 
-// RadioParams is the first-order radio energy model.
-type RadioParams struct {
-	// ElecJPerBit is the electronics energy per bit for both TX and RX
-	// circuitry (LEACH uses 50 nJ/bit).
-	ElecJPerBit float64
-	// AmpJPerBitM2 is the transmit amplifier energy per bit per m²
-	// (LEACH uses 100 pJ/bit/m²).
-	AmpJPerBitM2 float64
-}
+// The first-order radio energy model, with the LEACH paper's constants.
+const (
+	// elecJPerBit is the electronics energy per bit for both TX and RX
+	// circuitry (50 nJ/bit).
+	elecJPerBit = 50e-9
+	// ampJPerBitM2 is the transmit amplifier energy per bit per m²
+	// (100 pJ/bit/m²).
+	ampJPerBitM2 = 100e-12
+)
 
-// DefaultRadio matches the LEACH paper's first-order model constants.
-func DefaultRadio() RadioParams {
-	return RadioParams{ElecJPerBit: 50e-9, AmpJPerBitM2: 100e-12}
-}
-
-// TxEnergy returns the energy to transmit n bytes over distance d meters.
-func (r RadioParams) TxEnergy(n int, d float64) float64 {
+// TxEnergy returns the energy in joules to transmit n bytes over distance d
+// meters.
+func TxEnergy(n int, d float64) float64 {
 	bits := float64(n * 8)
-	return r.ElecJPerBit*bits + r.AmpJPerBitM2*bits*d*d
+	return elecJPerBit*bits + ampJPerBitM2*bits*d*d
 }
 
-// RxEnergy returns the energy to receive n bytes.
-func (r RadioParams) RxEnergy(n int) float64 {
-	return r.ElecJPerBit * float64(n*8)
+// RxEnergy returns the energy in joules to receive n bytes.
+func RxEnergy(n int) float64 {
+	return elecJPerBit * float64(n*8)
 }
 
 // initialEnergy is each node's starting budget in joules under AddNode (use
 // Config.Unlimited for no budget).
 const initialEnergy = 2.0
 
-// Config parameterizes a Network. Every network spends energy by
-// DefaultRadio and starts lossless; SetLossRate changes that at runtime.
+// Config parameterizes a Network. Every network spends energy by TxEnergy
+// and RxEnergy and starts lossless; SetLossRate changes that at runtime.
 type Config struct {
 	// Range is the radio range in meters (default 25).
 	Range float64
@@ -530,7 +526,7 @@ func (n *Network) transmit(from, to NodeID, data []byte) (*simNode, Packet, erro
 		return nil, Packet{}, fmt.Errorf("%w: %s -> %s", ErrLinkSevered, from, to)
 	}
 
-	n.chargeLocked(src, DefaultRadio().TxEnergy(len(data), d))
+	n.chargeLocked(src, TxEnergy(len(data), d))
 	src.metrics.Counter("netsim.sent").Inc(1)
 	src.metrics.Counter("netsim.bytes").Inc(int64(len(data)))
 
@@ -541,7 +537,7 @@ func (n *Network) transmit(from, to NodeID, data []byte) (*simNode, Packet, erro
 		dst.metrics.Counter("netsim.lost").Inc(1)
 		return nil, Packet{}, fmt.Errorf("%w: %s -> %s", ErrPacketLost, from, to)
 	}
-	n.chargeLocked(dst, DefaultRadio().RxEnergy(len(data)))
+	n.chargeLocked(dst, RxEnergy(len(data)))
 	if !dst.alive { // RX cost may have exhausted the destination
 		return nil, Packet{}, fmt.Errorf("%w: %s", ErrNodeDead, to)
 	}
@@ -590,7 +586,7 @@ func (n *Network) broadcast(from NodeID, data []byte) (int, time.Time, error) {
 		n.mu.Unlock()
 		return 0, time.Time{}, err
 	}
-	n.chargeLocked(src, DefaultRadio().TxEnergy(len(data), n.cfg.Range))
+	n.chargeLocked(src, TxEnergy(len(data), n.cfg.Range))
 	src.metrics.Counter("netsim.sent").Inc(1)
 	src.metrics.Counter("netsim.broadcasts").Inc(1)
 	src.metrics.Counter("netsim.bytes").Inc(int64(len(data)))
@@ -612,7 +608,7 @@ func (n *Network) broadcast(from NodeID, data []byte) (int, time.Time, error) {
 			other.metrics.Counter("netsim.lost").Inc(1)
 			continue
 		}
-		n.chargeLocked(other, DefaultRadio().RxEnergy(len(data)))
+		n.chargeLocked(other, RxEnergy(len(data)))
 		if !other.alive {
 			continue
 		}

@@ -35,15 +35,14 @@ func TestPositionDistance(t *testing.T) {
 }
 
 func TestRadioEnergyModel(t *testing.T) {
-	r := DefaultRadio()
 	// 1 byte at distance 0: only electronics cost, both directions equal.
-	if tx, rx := r.TxEnergy(1, 0), r.RxEnergy(1); tx != rx {
+	if tx, rx := TxEnergy(1, 0), RxEnergy(1); tx != rx {
 		t.Fatalf("TxEnergy(1,0)=%v != RxEnergy(1)=%v", tx, rx)
 	}
 	// Amplifier term grows with d².
-	e10 := r.TxEnergy(100, 10)
-	e20 := r.TxEnergy(100, 20)
-	ampGrowth := (e20 - r.RxEnergy(100)) / (e10 - r.RxEnergy(100))
+	e10 := TxEnergy(100, 10)
+	e20 := TxEnergy(100, 20)
+	ampGrowth := (e20 - RxEnergy(100)) / (e10 - RxEnergy(100))
 	if math.Abs(ampGrowth-4) > 1e-9 {
 		t.Fatalf("amplifier growth = %v, want 4 (d² law)", ampGrowth)
 	}
@@ -217,12 +216,12 @@ func TestEnergyAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	afterA, _ := n.Energy("a")
-	wantTx := DefaultRadio().TxEnergy(100, 10)
+	wantTx := TxEnergy(100, 10)
 	if math.Abs((before-afterA)-wantTx) > 1e-15 {
 		t.Fatalf("sender spent %v, want %v", before-afterA, wantTx)
 	}
 	consumedB, _ := n.Consumed("b")
-	if math.Abs(consumedB-DefaultRadio().RxEnergy(100)) > 1e-15 {
+	if math.Abs(consumedB-RxEnergy(100)) > 1e-15 {
 		t.Fatalf("receiver consumed %v, want RxEnergy", consumedB)
 	}
 	if n.TotalConsumed() <= 0 {

@@ -51,7 +51,7 @@ func EnergyCost(refBytes int, penaltyWeight float64) CostFunc {
 			return math.Inf(1)
 		}
 		d := myPos.Distance(nbPos)
-		tx := netsim.DefaultRadio().TxEnergy(refBytes, d) * 1e6 // µJ
+		tx := netsim.TxEnergy(refBytes, d) * 1e6 // µJ
 		residual, err := net.Energy(neighbor)
 		if err != nil {
 			return math.Inf(1)

@@ -14,16 +14,15 @@ type LaneServer interface {
 	SetLaneQuota(lane endpoint.Lane, quota int) bool
 }
 
+// QuotaBoost is the control lane's reserved quota while the adapter's
+// objective burns; at rest the adapter reserves none.
+const QuotaBoost = 2
+
 // QuotaAdapterOptions wires a QuotaAdapter.
 type QuotaAdapterOptions struct {
 	// Objective names the SLO whose burn drives the adapter — typically the
 	// control lane's deadline-miss ratio (required).
 	Objective string
-	// Base is the steady-state reserved quota the adapter decays back to.
-	Base int
-	// Boost is the widened quota applied while the objective burns at
-	// warning or worse (must exceed Base).
-	Boost int
 	// Servers are the admission controllers to retune (at least one).
 	Servers []LaneServer
 	// Registry receives the adapter's instruments (nil: counted nowhere):
@@ -32,9 +31,9 @@ type QuotaAdapterOptions struct {
 }
 
 // QuotaAdapter is the end-to-end reactive consumer of the alert feed: while
-// its objective burns, the control lane's reserved quota widens to Boost —
-// borrowing from the shared pool so bulk work funds the control loop's
-// headroom — and after recovery it decays back to Base one slot per calm
+// its objective burns, the control lane's reserved quota widens to QuotaBoost
+// — borrowing from the shared pool so bulk work funds the control loop's
+// headroom — and after recovery it decays back to none one slot per calm
 // evaluation. It closes the PR-8 loop: quotas stop being a hand-tuned
 // constant and start following the telemetry the lanes themselves emit.
 type QuotaAdapter struct {
@@ -46,7 +45,7 @@ type QuotaAdapter struct {
 	current int
 }
 
-// NewQuotaAdapter validates the wiring, applies Base immediately, and
+// NewQuotaAdapter validates the wiring, reserves nothing immediately, and
 // registers the adapter on the engine's evaluation hook.
 func NewQuotaAdapter(e *Engine, opts QuotaAdapterOptions) (*QuotaAdapter, error) {
 	if e == nil {
@@ -58,35 +57,31 @@ func NewQuotaAdapter(e *Engine, opts QuotaAdapterOptions) (*QuotaAdapter, error)
 	if len(opts.Servers) == 0 {
 		return nil, fmt.Errorf("slo: quota adapter needs at least one server")
 	}
-	if opts.Base < 0 || opts.Boost <= opts.Base {
-		return nil, fmt.Errorf("slo: quota adapter needs Boost (%d) > Base (%d) >= 0", opts.Boost, opts.Base)
-	}
 	r := opts.Registry
 	a := &QuotaAdapter{
-		opts:    opts,
-		gauge:   r.Gauge("slo.adapter.quota"),
-		boosts:  r.Counter("slo.adapter.boosts"),
-		current: opts.Base,
+		opts:   opts,
+		gauge:  r.Gauge("slo.adapter.quota"),
+		boosts: r.Counter("slo.adapter.boosts"),
 	}
-	a.apply(opts.Base)
+	a.apply(0)
 	e.OnEvaluate(func() { a.step(e.SeverityOf(opts.Objective)) })
 	return a, nil
 }
 
 // step is the per-evaluation decision: burning (warning or worse) jumps the
-// quota to Boost at once — widening late defeats the point — while calm
-// evaluations walk it back toward Base one slot at a time, so a flapping burn
+// quota to QuotaBoost at once — widening late defeats the point — while calm
+// evaluations walk it back toward none one slot at a time, so a flapping burn
 // does not slam the shared pool open and shut.
 func (a *QuotaAdapter) step(sev Severity) {
 	a.mu.Lock()
 	next := a.current
 	if sev >= Warning {
-		next = a.opts.Boost
-	} else if a.current > a.opts.Base {
+		next = QuotaBoost
+	} else if a.current > 0 {
 		next = a.current - 1
 	}
 	changed := next != a.current
-	boosted := changed && next == a.opts.Boost && a.current < next
+	boosted := changed && next == QuotaBoost && a.current < next
 	a.current = next
 	a.mu.Unlock()
 	if changed {

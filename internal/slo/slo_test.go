@@ -498,8 +498,9 @@ func (f *fakeLaneServer) SetLaneQuota(lane endpoint.Lane, q int) bool {
 }
 
 // TestQuotaAdapterBoostAndDecay drives the end-to-end reactive loop: the
-// deadline-miss objective burns → the control lane's quota jumps to Boost;
-// recovery → the quota decays back to Base one step per calm evaluation.
+// deadline-miss objective burns → the control lane's quota jumps to
+// QuotaBoost; recovery → the quota decays back to none one step per calm
+// evaluation.
 func TestQuotaAdapterBoostAndDecay(t *testing.T) {
 	h := newHarness(t, time.Hour)
 	if err := h.eng.Add(missObjective()); err != nil {
@@ -508,16 +509,14 @@ func TestQuotaAdapterBoostAndDecay(t *testing.T) {
 	srv := &fakeLaneServer{}
 	ad, err := NewQuotaAdapter(h.eng, QuotaAdapterOptions{
 		Objective: "ctl-miss",
-		Base:      1,
-		Boost:     4,
 		Servers:   []LaneServer{srv},
 		Registry:  obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.quota[endpoint.LaneControl] != 1 {
-		t.Fatalf("base quota not applied: %+v", srv.quota)
+	if q, ok := srv.quota[endpoint.LaneControl]; !ok || q != 0 {
+		t.Fatalf("resting quota not applied: %+v", srv.quota)
 	}
 
 	// Burn: sustained misses push the objective to warning then critical;
@@ -527,12 +526,12 @@ func TestQuotaAdapterBoostAndDecay(t *testing.T) {
 		h.report("n1", map[string]int64{"ctl.total": 10, "ctl.miss": 10}, nil)
 		h.eng.Evaluate()
 	}
-	if srv.quota[endpoint.LaneControl] != 4 || ad.Quota() != 4 {
-		t.Fatalf("quota while burning = %d (server %d), want boost 4", ad.Quota(), srv.quota[endpoint.LaneControl])
+	if srv.quota[endpoint.LaneControl] != QuotaBoost || ad.Quota() != QuotaBoost {
+		t.Fatalf("quota while burning = %d (server %d), want boost %d", ad.Quota(), srv.quota[endpoint.LaneControl], QuotaBoost)
 	}
 
 	// Recover: after the alert steps down, each calm evaluation walks the
-	// quota back by one until Base.
+	// quota back by one until none is reserved.
 	seen := map[int]bool{}
 	for i := 0; i < 40; i++ {
 		h.vc.Advance(time.Second)
@@ -540,17 +539,15 @@ func TestQuotaAdapterBoostAndDecay(t *testing.T) {
 		h.eng.Evaluate()
 		seen[ad.Quota()] = true
 	}
-	if ad.Quota() != 1 || srv.quota[endpoint.LaneControl] != 1 {
-		t.Fatalf("quota after recovery = %d (server %d), want base 1", ad.Quota(), srv.quota[endpoint.LaneControl])
+	if ad.Quota() != 0 || srv.quota[endpoint.LaneControl] != 0 {
+		t.Fatalf("quota after recovery = %d (server %d), want 0", ad.Quota(), srv.quota[endpoint.LaneControl])
 	}
-	for _, step := range []int{3, 2} {
-		if !seen[step] {
-			t.Fatalf("decay skipped quota %d: saw %+v", step, seen)
-		}
+	if !seen[1] {
+		t.Fatalf("decay skipped quota 1: saw %+v", seen)
 	}
 }
 
-// TestQuotaAdapterValidation rejects inverted boost configurations.
+// TestQuotaAdapterValidation rejects an adapter wired to nothing.
 func TestQuotaAdapterValidation(t *testing.T) {
 	h := newHarness(t, time.Hour)
 	if _, err := NewQuotaAdapter(nil, QuotaAdapterOptions{}); err == nil {
@@ -558,10 +555,5 @@ func TestQuotaAdapterValidation(t *testing.T) {
 	}
 	if _, err := NewQuotaAdapter(h.eng, QuotaAdapterOptions{Objective: "x"}); err == nil {
 		t.Fatal("no servers accepted")
-	}
-	if _, err := NewQuotaAdapter(h.eng, QuotaAdapterOptions{
-		Objective: "x", Servers: []LaneServer{&fakeLaneServer{}}, Base: 3, Boost: 2,
-	}); err == nil {
-		t.Fatal("boost <= base accepted")
 	}
 }

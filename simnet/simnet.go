@@ -25,8 +25,6 @@ type (
 	Position = netsim.Position
 	// Packet is a delivered datagram.
 	Packet = netsim.Packet
-	// RadioParams is the energy model.
-	RadioParams = netsim.RadioParams
 	// Waypoint is the random-waypoint mobility model.
 	Waypoint = netsim.Waypoint
 )
@@ -35,8 +33,11 @@ type (
 var (
 	// New creates a network.
 	New = netsim.New
-	// DefaultRadio returns the LEACH first-order energy constants.
-	DefaultRadio = netsim.DefaultRadio
+	// TxEnergy and RxEnergy are the first-order radio energy model, with
+	// the LEACH constants: joules to send n bytes d meters, and to receive
+	// them.
+	TxEnergy = netsim.TxEnergy
+	RxEnergy = netsim.RxEnergy
 	// GridField places a node population on a grid.
 	GridField = netsim.GridField
 	// Connected reports single-component connectivity.

@@ -68,8 +68,9 @@ func newTypedTree() *typedTree {
 // already be in the tree or in the standard library.
 func (tt *typedTree) add(path string, files []*ast.File) error {
 	p := &typedPackage{files: files, info: &types.Info{
-		Defs: map[*ast.Ident]types.Object{},
-		Uses: map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}}
 	conf := types.Config{Importer: tt.imp}
 	var err error
